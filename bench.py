@@ -112,7 +112,7 @@ def run_bench() -> dict:
     # per-stage wall times from the lineage manifest (judge-visible breakdown)
     stage_secs = {
         f"build_{s}_sec": round(r.get("completed_at", 0) - r.get("started_at", 0), 3)
-        for s, r in cat._state["stages"].items()
+        for s, r in cat.manifest()["stages"].items()
         if r.get("completed_at")
     }
     ray.shutdown()

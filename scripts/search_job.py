@@ -35,7 +35,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--limit", type=int, default=10)
     ap.add_argument("--scope", default="", help="repo/path prefix filter")
     ap.add_argument("--threshold", type=float, default=None, help="minimum rounded score")
-    ap.add_argument("--strategy", choices=["exact", "wand"], default="exact")
     ap.add_argument(
         "--mode", choices=["or", "and", "phrase", "near"], default="or",
         help="query mode (phrase/near need a with_positions build)",
@@ -137,9 +136,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             for i, q in enumerate(queries)
         ]
-        with SearchEngine(
-            args.index_dir, num_actors=args.num_actors, strategy=args.strategy
-        ) as eng:
+        with SearchEngine(args.index_dir, num_actors=args.num_actors) as eng:
             res = eng.search_batch(specs)  # one scatter/gather for the batch
             for row in res.to_pylist():
                 print(json.dumps({"query": queries[row["query_id"]], **row}, default=str))

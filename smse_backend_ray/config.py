@@ -126,7 +126,7 @@ class EngineConfig:
     """Configuration for one index build (pinned into the index manifest)."""
 
     n_shards: int = 8                    # document-partitioned index shards
-    block_size: int = 128                # postings per block (skip/block-max unit)
+    block_size: int = 128                # doc-id delta-reset interval (postings)
     bm25: BM25Params = field(default_factory=BM25Params)
     # lang allowlist (reference analog: ALLOWED_EXTENSIONS env allowlist,
     # smse_backend/utils/file_extensions.py:9-11). None = allow all.
@@ -136,7 +136,7 @@ class EngineConfig:
     dedup: bool = True
     # positional postings (phrase-query support): docs carry a ``poss``
     # column (kept-stream token positions, term-major) and segments gain a
-    # ``pos_bytes`` delta-varint stream + ``block_pos_off`` skip pointers.
+    # ``pos_bytes`` delta-varint stream.
     # OFF by default — positions add ~sum(dl) varints to the posting
     # exchange and the index (~40-60% size), the classic positional-index
     # trade. Frozen per build (appends/compaction reuse the manifest cfg).

@@ -1,32 +1,22 @@
-"""Posting-list codec: delta + LEB128-varint compression in independent
-blocks with skip pointers and block-max metadata (north_star format).
+"""Posting-list codec: delta + LEB128-varint compression of a posting list.
 
 Reference analog: the index payload the reference keeps in pgvector rows
 (smse_backend/models/embedding.py:7-26) — here the payload is a compressed
 posting list per (shard, term).
 
 Layout per term (stored as parquet columns in the segment table): three
-varint streams (doc-id deltas, tfs, dls) plus per-block metadata:
-
-  docs_bytes / tfs_bytes / dls_bytes   binary: whole-list varint streams;
-      doc ids are delta-encoded with the delta RESET to the absolute id at
-      each block start, so any block decodes independently (skip support)
-  block_doc_off / block_tf_off / block_dl_off   list<i64>: byte offset of
-      each block within the corresponding stream (skip pointers)
-  block_last   list<i64>: last doc_id per block (skip pointer)
-  block_max    list<f64>: max BM25 tf-norm per block (idf-independent upper
-      bound; multiplied by qtf*idf at query time for block-max WAND pruning)
+whole-list varint streams, ``docs_bytes`` (doc-id deltas), ``tfs_bytes`` and
+``dls_bytes``. Doc ids are delta-encoded with the delta RESET to the absolute
+id every ``block_size`` postings (the delta-reset interval; decoders must
+use the build's ``block_size``).
 
 Everything encodes/decodes in whole-stream vectorized numpy passes — no
-per-posting or per-block Python loops.
+per-posting Python loops.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from smse_backend_ray.config import BM25Params
-from smse_backend_ray.functions.bm25 import tfnorm_vec
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +34,7 @@ def _varint_lens(v: np.ndarray) -> np.ndarray:
 
 def varint_encode_with_lens(values: np.ndarray) -> tuple[bytes, np.ndarray]:
     """Encode a uint array as LEB128 varints; also return per-value byte
-    lengths (for analytic block offsets)."""
+    lengths (for analytic per-segment slicing)."""
     v = np.asarray(values, dtype=np.uint64)
     if v.size == 0:
         return b"", np.empty(0, dtype=np.int64)
@@ -86,72 +76,35 @@ def varint_decode(buf: bytes | memoryview) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# posting streams with per-block skip/bound metadata
+# posting streams
 # ---------------------------------------------------------------------------
 
 def encode_postings(
     doc_ids: np.ndarray,
     tfs: np.ndarray,
     dls: np.ndarray,
-    avgdl: float,
-    params: BM25Params,
     block_size: int,
 ) -> dict:
     """doc_ids must be sorted ascending and unique. Returns the segment-row
     payload (see module docstring)."""
-    n = len(doc_ids)
-    empty64 = np.empty(0, dtype=np.int64)
-    if n == 0:
-        return {
-            "df": 0,
-            "docs_bytes": b"",
-            "tfs_bytes": b"",
-            "dls_bytes": b"",
-            "block_doc_off": [],
-            "block_tf_off": [],
-            "block_dl_off": [],
-            "block_last": [],
-            "block_max": [],
-        }
     doc_ids = np.asarray(doc_ids, dtype=np.int64)
-    tfs = np.asarray(tfs, dtype=np.int64)
-    dls = np.asarray(dls, dtype=np.int64)
-    starts = np.arange(0, n, block_size, dtype=np.int64)
-
-    deltas = doc_ids.astype(np.uint64).copy()
+    deltas = doc_ids.astype(np.uint64)
     deltas[1:] -= doc_ids[:-1].astype(np.uint64)
-    deltas[starts] = doc_ids[starts]  # absolute at block starts
-
-    docs_b, doc_lens = varint_encode_with_lens(deltas)
-    tfs_b, tf_lens = varint_encode_with_lens(tfs.astype(np.uint64))
-    dls_b, dl_lens = varint_encode_with_lens(dls.astype(np.uint64))
-
-    def offs(lens: np.ndarray) -> list[int]:
-        c = np.zeros(n, dtype=np.int64)
-        np.cumsum(lens[:-1], out=c[1:])
-        return c[starts].tolist()
-
-    tfn = tfnorm_vec(tfs, dls, avgdl, params)
-    ends = np.minimum(starts + block_size, n)
-    block_max = np.maximum.reduceat(tfn, starts)
+    resets = np.arange(0, doc_ids.size, block_size, dtype=np.int64)
+    deltas[resets] = doc_ids[resets]  # absolute every block_size postings
     return {
-        "df": n,
-        "docs_bytes": docs_b,
-        "tfs_bytes": tfs_b,
-        "dls_bytes": dls_b,
-        "block_doc_off": offs(doc_lens),
-        "block_tf_off": offs(tf_lens),
-        "block_dl_off": offs(dl_lens),
-        "block_last": doc_ids[ends - 1].tolist(),
-        "block_max": block_max.tolist(),
+        "df": int(doc_ids.size),
+        "docs_bytes": varint_encode(deltas),
+        "tfs_bytes": varint_encode(np.asarray(tfs, dtype=np.uint64)),
+        "dls_bytes": varint_encode(np.asarray(dls, dtype=np.uint64)),
     }
 
 
 def _resolve_doc_ids(deltas: np.ndarray, n: int, block_size: int) -> np.ndarray:
-    """Delta stream (absolute at block starts) -> absolute doc ids."""
+    """Delta stream (absolute every block_size postings) -> absolute doc ids."""
     raw = np.cumsum(deltas.astype(np.int64))
     starts = np.arange(0, n, block_size, dtype=np.int64)
-    # within block b: doc[i] = raw[i] - (raw[s] - delta[s])
+    # after reset s: doc[i] = raw[i] - (raw[s] - delta[s])
     corr = raw[starts] - deltas[starts].astype(np.int64)
     reps = np.diff(np.append(starts, n))
     return raw - np.repeat(corr, reps)
@@ -182,18 +135,3 @@ def decode_positions(row: dict, tfs: np.ndarray) -> np.ndarray:
     raw = np.cumsum(deltas)
     corr = raw[pstarts] - deltas[pstarts]
     return raw - np.repeat(corr, tfs)
-
-
-def decode_block(row: dict, i: int, block_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode block i independently -> (doc_ids, tfs, dls)."""
-    nb = len(row["block_doc_off"])
-
-    def sl(buf: bytes, off_list, j: int) -> memoryview:
-        end = off_list[j + 1] if j + 1 < nb else len(buf)
-        return memoryview(buf)[off_list[j] : end]
-
-    deltas = varint_decode(sl(row["docs_bytes"], row["block_doc_off"], i))
-    tfs = varint_decode(sl(row["tfs_bytes"], row["block_tf_off"], i)).astype(np.int64)
-    dls = varint_decode(sl(row["dls_bytes"], row["block_dl_off"], i)).astype(np.int64)
-    doc_ids = np.cumsum(deltas.astype(np.int64))  # first value is absolute
-    return doc_ids, tfs, dls

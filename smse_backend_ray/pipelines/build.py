@@ -14,7 +14,7 @@ manifest (state/catalog.py). Stages:
             through untouched (SURVEY.md D2)
   stats     N / sum_dl / avgdl aggregates -> manifest (broadcast later)
   segments  SPIMI explode + per-batch combine -> groupby(bucket) merge ->
-            delta-varint posting blocks (stages/ingest.py, functions/codec.py)
+            delta-varint posting streams (stages/ingest.py, functions/codec.py)
   df        distinct (term, df) table, term-sorted for filter-pushdown reads
 
 All index I/O goes through state/fs.IndexFS (pyarrow.fs), so ``index_dir``
@@ -243,7 +243,6 @@ def _run_stats(ifs: IndexFS, cfg: EngineConfig) -> dict:
 
 
 def _run_segments(ifs: IndexFS, cfg: EngineConfig, stats: dict) -> None:
-    avgdl = stats["avgdl"]
     nb = cfg_buckets(cfg, n_docs=int(stats.get("n_docs") or 0) or None)
     cols = ["doc_id", "dl", "terms", "tfs"]
     explode = explode_preagg_batch
@@ -266,7 +265,7 @@ def _run_segments(ifs: IndexFS, cfg: EngineConfig, stats: dict) -> None:
     # reduce through ONE task (822 MB serialized point, measured on the 1M
     # corpus) and leaves the sort-shuffle only a handful of giant map
     # blocks; the raw map fragments parallelize strictly better.
-    enc = BucketEncoder(avgdl, cfg)
+    enc = BucketEncoder(stats["avgdl"], cfg)
 
     def encode_bucket(group: pa.Table) -> pa.Table:
         return enc(group)
@@ -378,24 +377,6 @@ def build_index(
 # a full rebuild of the union corpus (tests/test_append.py).
 
 
-def _require_enc_avgdl(ifs: IndexFS) -> None:
-    """Refuse appends onto pre-enc_avgdl ("legacy") segment files.
-
-    The scorer's legacy fallback stamps enc_avgdl = current global avgdl,
-    which is EXACT only while the index has never been appended to (avgdl
-    unchanged since encode). Appending would shift avgdl and turn the
-    fallback into an under-estimating WAND bound (silently dropped top-k
-    docs), so legacy indexes must be compacted/rebuilt first — after which
-    every segment file carries enc_avgdl and the fallback never fires on a
-    multi-generation index. One parquet-footer read."""
-    files = ifs.list_files(SEGMENTS_DIR, recursive=True, suffix=".parquet")
-    if files and "enc_avgdl" not in ifs.parquet_file(files[0]).schema_arrow.names:
-        raise RuntimeError(
-            "append onto a pre-enc_avgdl index is unsafe (WAND block bounds "
-            "could not be rescaled); run compact_index or rebuild first"
-        )
-
-
 def _gen_docs_rel(gen: int) -> str:
     return f"{DOCS_DIR}/gen_{gen:06d}"
 
@@ -486,14 +467,14 @@ def append_index(
     recomputed (exact integer sums), stats merged last.
 
     Docs whose doc_id already exists are dropped (D3 existence-check
-    first-wins). WAND block-max bounds are encoded at the post-append global
-    avgdl and rescaled at query time if later appends shift avgdl again
-    (stages/scorer.py _bmax_scale), so results stay exactly equal to a full
-    rebuild. Crash safety: an uncommitted generation is rolled back on the
-    next append (manifest status gate); workspace dirs are ``*.tmp`` so
-    Catalog.gc also collects orphans. Engines open mid-commit may see the
-    new postings before the new stats — (re)open engines after append, the
-    same eventual-visibility contract as tombstones (SURVEY.md §2.9).
+    first-wins). Segment rows hold only doc ids, tfs and dls, so every score
+    is computed at query time from the merged avgdl and results stay exactly
+    equal to a full rebuild. Crash safety: an uncommitted generation is
+    rolled back on the next append (manifest status gate); workspace dirs
+    are ``*.tmp`` so Catalog.gc also collects orphans. Engines open
+    mid-commit may see the new postings before the new stats — (re)open
+    engines after append, the same eventual-visibility contract as
+    tombstones (SURVEY.md §2.9).
     """
     cat = Catalog(index_dir)
     ifs = cat.ifs
@@ -512,7 +493,6 @@ def append_index(
             raise RuntimeError(f"append requires a completed base build (stage {s!r} not done)")
     cfg = cfg or EngineConfig.from_dict(cat.get_config())
     cfg.validate()
-    _require_enc_avgdl(ifs)
 
     gens = cat.generations()
     for g_str, rec in sorted(gens.items(), key=lambda kv: int(kv[0])):
@@ -559,8 +539,7 @@ def append_index(
     sum_dl = int(base["sum_dl"]) + int(gen_stats["sum_dl"])
     merged = {"n_docs": n_docs, "sum_dl": sum_dl, "avgdl": sum_dl / n_docs}
 
-    # encode the generation's postings at the POST-append global avgdl
-    _run_segments(wfs, cfg, {"avgdl": merged["avgdl"], "n_docs": gen_stats["n_docs"]})
+    _run_segments(wfs, cfg, gen_stats)
 
     cat.set_generation(
         gen,
@@ -568,7 +547,6 @@ def append_index(
             "status": "committing",
             "n_docs": int(gen_stats["n_docs"]),
             "sum_dl": int(gen_stats["sum_dl"]),
-            "enc_avgdl": merged["avgdl"],
             "dropped_existing": len(coll),
         },
     )
@@ -604,7 +582,7 @@ def compact_index(index_dir, cfg: EngineConfig | None = None, vacuum: bool = Tru
     leave tombstone filtering on the query path; both stay exact but cost
     per-query work that grows with every append/delete. Compaction rewrites
     the doc store flat (``docs/shard_id=*``), re-encodes ONE segment
-    generation at the post-vacuum global avgdl, re-rolls df, resets
+    generation, re-rolls df, sets the post-vacuum stats, resets
     tombstones — bitwise-identical search results to a full rebuild of the
     surviving corpus (tests/test_compact.py). Reference analog: the
     reference's delete semantics refresh corpus statistics "at the next

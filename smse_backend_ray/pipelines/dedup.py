@@ -1476,6 +1476,7 @@ def dedup_clusters(
     sf_dir: str,
     threshold: float = JACCARD_THRESHOLD,
     max_iters: int = CLUSTER_MAX_ITERS,
+    df_cap: int = JACCARD_SHINGLE_DF_CAP,
 ) -> pa.Table:
     """Connected components over the verified Jaccard pairs -> per-doc
     cluster assignment (cluster_id = min doc_id in the component) and
@@ -1488,7 +1489,7 @@ def dedup_clusters(
     doc). Capped at ``max_iters`` with a logged warning, never a silent
     stop. The DuckDB twin computes the same closure with a recursive CTE."""
     return _clusters_from_pairs(
-        jaccard_pairs(sf_dir, threshold), max_iters, "dedup_clusters"
+        jaccard_pairs(sf_dir, threshold, df_cap), max_iters, "dedup_clusters"
     )
 
 
@@ -1763,7 +1764,9 @@ def dup_rate_by_source(
 
 
 def dedup_impact(
-    sf_dir: str, threshold: float = JACCARD_THRESHOLD
+    sf_dir: str,
+    threshold: float = JACCARD_THRESHOLD,
+    df_cap: int = JACCARD_SHINGLE_DF_CAP,
 ) -> pa.Table:
     """One-row dedup impact report: corpus size before/after the near-dup
     keep-list, in docs AND raw subtokens — the "how much data did dedup
@@ -1784,7 +1787,7 @@ def dedup_impact(
     fold to a single driver row."""
     from smse_backend_ray.functions.analyzer import _flat_subtokens
 
-    clusters = dedup_clusters(sf_dir, threshold)
+    clusters = dedup_clusters(sf_dir, threshold, df_cap=df_cap)
     losers = clusters.filter(
         pc.not_equal(clusters["doc_id"], clusters["cluster_id"])
     )["doc_id"].combine_chunks()

@@ -2447,6 +2447,9 @@ def product_type_profit(sf_dir: str) -> pa.Table:
 def product_type_profit_sql() -> str:
     from smse_backend_ray import config
 
+    # literal substring match like the engine's pc.match_substring: LIKE
+    # would read % and _ in the word as wildcards
+    word = str(config.Q9_PART_WORD).replace("'", "''")
     return f"""
 SELECT n_name AS nation,
        CAST(year(o_orderdate) AS INTEGER) AS o_year,
@@ -2458,6 +2461,6 @@ JOIN part ON p_partkey = l_partkey
 JOIN supplier ON l_suppkey = s_suppkey
 JOIN nation ON s_nationkey = n_nationkey
 JOIN orders ON o_orderkey = l_orderkey
-WHERE p_name LIKE '%{config.Q9_PART_WORD}%'
+WHERE contains(p_name, '{word}')
 GROUP BY 1, 2 ORDER BY 1, 2 DESC
 """

@@ -53,7 +53,7 @@ class SearchEngine:
     """Serving handle over a built index. Creates one actor per shard group;
     state (decoded segments, doc meta) loads once per actor (ST1 analog)."""
 
-    def __init__(self, index_dir, num_actors: int | None = None, strategy: str = "exact"):
+    def __init__(self, index_dir, num_actors: int | None = None):
         self.index_dir = index_dir
         self.cat = Catalog(index_dir)
         self.ifs: IndexFS = self.cat.ifs
@@ -66,7 +66,6 @@ class SearchEngine:
         self.avgdl = stats["avgdl"]
         self.n_shards = cfg["n_shards"]
         self.params = BM25Params(**cfg["bm25"])
-        self.strategy = strategy
         # Actor layout: num_actors <= n_shards packs shards into fewer
         # actors; num_actors > n_shards spawns FULL REPLICA SETS (each set
         # covers every shard) and search_batch round-robins query sub-batches
@@ -224,7 +223,7 @@ class SearchEngine:
         job = self._job_for(qid, parts, scope, limit, mode, slop, exclude)
         if job is not None:
             cands = pa.concat_tables(
-                ray.get([a.search.remote([job], self.strategy) for a in self.actors])
+                ray.get([a.search.remote([job]) for a in self.actors])
             )
             result = self._merge(cands, qid, limit, threshold, normalize)
         else:
@@ -234,9 +233,8 @@ class SearchEngine:
             self._next_query_id = max(self._next_query_id, qid) + 1
         return result
 
-    def search_batch(self, queries, strategy: str | None = None, log: bool = False) -> pa.Table:
+    def search_batch(self, queries, log: bool = False) -> pa.Table:
         """Batch path for a list of queryset.QuerySpec; one scatter/gather."""
-        strategy = strategy or self.strategy
         jobs, metas = [], {}
         for qs in queries:
             metas[qs.query_id] = qs
@@ -271,7 +269,7 @@ class SearchEngine:
             else:
                 chunks = [jobs]
             futs = [
-                a.search.remote(chunk, strategy)
+                a.search.remote(chunk)
                 for chunk, st in zip(chunks, sets)
                 if chunk
                 for a in st
@@ -400,7 +398,7 @@ class SearchEngine:
             "tombstones": sorted(self._tombstones),
         }
         cands = pa.concat_tables(
-            ray.get([a.search.remote([job], self.strategy) for a in self.actors])
+            ray.get([a.search.remote([job]) for a in self.actors])
         )
         return self._merge(cands, query_id, limit, threshold, "none")
 
@@ -466,7 +464,7 @@ class SearchEngine:
         if not jobs:
             return self.MLT_SCHEMA.empty_table()
         cands = pa.concat_tables(
-            ray.get([a.search.remote(jobs, self.strategy) for a in self.actors])
+            ray.get([a.search.remote(jobs) for a in self.actors])
         )
         results = []
         for job in jobs:

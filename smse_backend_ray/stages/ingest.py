@@ -361,17 +361,19 @@ class BucketEncoder:
     the shard-aware key that is ONE SHARD of the terms hashed into one
     bucket, bounding group size at O(docs/shard) regardless of term skew.
     For each (term, shard) it k-way-merges the runs into one sorted posting
-    list and encodes the delta-varint blocks (functions/codec.py). Global
+    list and encodes its delta-varint streams (functions/codec.py). Global
     df(term) is NOT computed here (a group no longer sees every shard of a
     term); it lives solely in the df/ rollup, which sums the per-segment
     df_shard column (build._run_df) — the same sum that already made
     incremental appends exact. The encoder itself stays shard-agnostic
     (handles multi-shard groups identically), so the segment BYTES are
     independent of the shuffle key choice (tests/test_bucket_encoder.py).
+
+    ``avgdl`` is unused: segment rows carry no score-dependent data. The
+    argument stays so existing callers keep working.
     """
 
     def __init__(self, avgdl: float, cfg: EngineConfig):
-        self.avgdl = avgdl
         self.cfg = cfg
 
     def __call__(self, group: pa.Table) -> pa.Table:
@@ -380,12 +382,12 @@ class BucketEncoder:
         A realistic corpus vocabulary makes per-term encoding Python-bound
         (hundreds of thousands of tiny segments per build), so the entire
         bucket is processed in a handful of numpy passes: factorize terms ->
-        lexsort all postings by (term, shard, doc_id) -> compute per-block
-        delta resets with masks -> THREE whole-bucket varint encodes ->
-        slice per-segment bytes analytically from the length prefix sums.
+        lexsort all postings by (term, shard, doc_id) -> compute the delta
+        resets (every block_size postings) with masks -> THREE whole-bucket
+        varint encodes -> slice per-segment bytes analytically from the
+        length prefix sums.
         Output is byte-identical to per-term codec.encode_postings (tested).
         """
-        from smse_backend_ray.functions.bm25 import tfnorm_vec
         from smse_backend_ray.functions.codec import varint_encode_with_lens
 
         cfg = self.cfg
@@ -416,17 +418,14 @@ class BucketEncoder:
         seg_starts = np.concatenate(([0], bounds))
         seg_ends = np.concatenate((bounds, [n]))
         seg_sizes = seg_ends - seg_starts
-        n_segs = seg_starts.size
 
-        # per-posting position within its segment -> block-start mask
+        # delta stream with the absolute value every block_size postings
+        # of each segment
         pos_in_seg = np.arange(n, dtype=np.int64) - np.repeat(seg_starts, seg_sizes)
-        block_start_mask = (pos_in_seg % bs) == 0
-        blk_starts = np.flatnonzero(block_start_mask)
-
-        # delta stream with absolute value at every block start
+        resets = np.flatnonzero((pos_in_seg % bs) == 0)
         deltas = doc_s.astype(np.uint64).copy()
         deltas[1:] -= doc_s[:-1].astype(np.uint64)
-        deltas[blk_starts] = doc_s[blk_starts].astype(np.uint64)
+        deltas[resets] = doc_s[resets].astype(np.uint64)
 
         docs_b, doc_lens = varint_encode_with_lens(deltas)
         tfs_b, tf_lens = varint_encode_with_lens(tf_s.astype(np.uint64))
@@ -434,20 +433,6 @@ class BucketEncoder:
         cum_doc = np.concatenate(([0], np.cumsum(doc_lens)))
         cum_tf = np.concatenate(([0], np.cumsum(tf_lens)))
         cum_dl = np.concatenate(([0], np.cumsum(dl_lens)))
-
-        # per-block metadata (block end = next block start or segment end)
-        blk_seg = np.searchsorted(seg_starts, blk_starts, side="right") - 1
-        blk_ends = np.minimum(blk_starts + bs, seg_ends[blk_seg])
-        block_last = doc_s[blk_ends - 1]
-        tfn = tfnorm_vec(tf_s, dl_s, self.avgdl, cfg.bm25)
-        block_max = np.maximum.reduceat(tfn, blk_starts)
-        blk_doc_off = cum_doc[blk_starts] - cum_doc[seg_starts[blk_seg]]
-        blk_tf_off = cum_tf[blk_starts] - cum_tf[seg_starts[blk_seg]]
-        blk_dl_off = cum_dl[blk_starts] - cum_dl[seg_starts[blk_seg]]
-        # list offsets: blocks per segment
-        blocks_per_seg = np.zeros(n_segs, dtype=np.int64)
-        np.add.at(blocks_per_seg, blk_seg, 1)
-        blk_list_offs = np.concatenate(([0], np.cumsum(blocks_per_seg))).astype(np.int32)
 
         # per-segment identity (global df lives in the df/ rollup only)
         seg_code = seg_s[seg_starts]
@@ -461,11 +446,6 @@ class BucketEncoder:
         term_arr = pa.array(
             [terms_sorted[c] for c in seg_term_code], type=pa.string()
         )
-
-        def list_col(values: np.ndarray, vtype) -> pa.Array:
-            return pa.ListArray.from_arrays(
-                pa.array(blk_list_offs, type=pa.int32()), pa.array(values, type=vtype)
-            )
 
         pos_cols: dict[str, pa.Array] = {}
         if has_pos:
@@ -494,14 +474,7 @@ class BucketEncoder:
                 pos_stream[cum_pos[dst_cum[s]] : cum_pos[dst_cum[e]]]
                 for s, e in zip(seg_starts, seg_ends)
             ]
-            blk_pos_off = (
-                cum_pos[dst_cum[blk_starts]]
-                - cum_pos[dst_cum[seg_starts[blk_seg]]]
-            )
-            pos_cols = {
-                "pos_bytes": pa.array(seg_pos, type=pa.binary()),
-                "block_pos_off": list_col(blk_pos_off, pa.int64()),
-            }
+            pos_cols = {"pos_bytes": pa.array(seg_pos, type=pa.binary())}
 
         return pa.table(
             {
@@ -511,21 +484,9 @@ class BucketEncoder:
                 # segment row); the df/ rollup sums df_shard across shards
                 # and generations (build._run_df) to get global df
                 "df_shard": pa.array(seg_sizes, type=pa.int64()),
-                # avgdl the block_max bounds were computed with; incremental
-                # appends shift the global avgdl, and WAND rescales stored
-                # bounds by max(1, avgdl_now/enc_avgdl) to stay conservative
-                # (tfnorm(a') <= tfnorm(a) * a'/a for a' > a)
-                "enc_avgdl": pa.array(
-                    np.full(n_segs, self.avgdl), type=pa.float64()
-                ),
                 "docs_bytes": pa.array(seg_docs, type=pa.binary()),
                 "tfs_bytes": pa.array(seg_tfs, type=pa.binary()),
                 "dls_bytes": pa.array(seg_dls, type=pa.binary()),
-                "block_doc_off": list_col(blk_doc_off, pa.int64()),
-                "block_tf_off": list_col(blk_tf_off, pa.int64()),
-                "block_dl_off": list_col(blk_dl_off, pa.int64()),
-                "block_last": list_col(block_last, pa.int64()),
-                "block_max": list_col(block_max, pa.float64()),
                 **pos_cols,
             }
         )
@@ -536,19 +497,12 @@ def _empty_segment_table(pos: bool = False) -> pa.Table:
         "shard_id": pa.array([], type=pa.int32()),
         "term": pa.array([], type=pa.string()),
         "df_shard": pa.array([], type=pa.int64()),
-        "enc_avgdl": pa.array([], type=pa.float64()),
         "docs_bytes": pa.array([], type=pa.binary()),
         "tfs_bytes": pa.array([], type=pa.binary()),
         "dls_bytes": pa.array([], type=pa.binary()),
-        "block_doc_off": pa.array([], type=pa.list_(pa.int64())),
-        "block_tf_off": pa.array([], type=pa.list_(pa.int64())),
-        "block_dl_off": pa.array([], type=pa.list_(pa.int64())),
-        "block_last": pa.array([], type=pa.list_(pa.int64())),
-        "block_max": pa.array([], type=pa.list_(pa.float64())),
     }
     if pos:
         cols["pos_bytes"] = pa.array([], type=pa.binary())
-        cols["block_pos_off"] = pa.array([], type=pa.list_(pa.int64()))
     return pa.table(cols)
 
 

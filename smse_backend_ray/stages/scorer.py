@@ -8,9 +8,8 @@ shards' segment + docmeta parquet ONCE in ``__init__`` and then answers top-k
 for batches of queries with vectorized numpy scoring.
 
 Shard state stays COLUMNAR: segments are held as one Arrow table with a
-term -> row-index dict; per-term entries (posting bytes, block metadata) are
-materialized lazily on first query of the term and postings decode lazily on
-top of that. Actor start cost is O(1 table concat + 1 string-column pass),
+term -> row-index dict; per-term entries (posting bytes) are materialized
+lazily on first query of the term and postings decode lazily on top of that. Actor start cost is O(1 table concat + 1 string-column pass),
 flat as the vocabulary grows — never a to_pylist of every segment row.
 
 All index reads go through state/fs.IndexFS, so shards load from any
@@ -32,7 +31,7 @@ import ray
 from smse_backend_ray.config import SCORE_DECIMALS, BM25Params
 from smse_backend_ray.functions.bm25 import tfnorm_vec
 from smse_backend_ray.functions.rounding import round_half_away
-from smse_backend_ray.functions.codec import decode_block, decode_postings
+from smse_backend_ray.functions.codec import decode_postings
 from smse_backend_ray.state.fs import resolve
 
 
@@ -83,14 +82,9 @@ def _min_cover_span(arrs: list[np.ndarray]) -> int:
     return best
 
 
-SEGMENT_COLS = [
-    "term", "docs_bytes", "tfs_bytes", "dls_bytes",
-    "block_doc_off", "block_tf_off", "block_dl_off", "block_last", "block_max",
-    "enc_avgdl",
-]
-_ENTRY_COLS = SEGMENT_COLS[1:]
+SEGMENT_COLS = ["term", "docs_bytes", "tfs_bytes", "dls_bytes"]
 # positional column family (EngineConfig.with_positions builds only)
-POS_SEGMENT_COLS = ["pos_bytes", "block_pos_off"]
+POS_SEGMENT_COLS = ["pos_bytes"]
 
 
 class ShardIndex:
@@ -113,24 +107,16 @@ class ShardIndex:
         seg_files = ifs.list_files(
             f"segments/shard_id={shard_id}", suffix=".parquet"
         )
-        # positional indexes carry pos_bytes/block_pos_off in EVERY segment
-        # file (with_positions is frozen per build; appends reuse the
-        # manifest cfg) — one footer read of the first file decides
+        # positional indexes carry pos_bytes in EVERY segment file
+        # (with_positions is frozen per build; appends reuse the manifest
+        # cfg) — one footer read of the first file decides
         self.has_positions = bool(seg_files) and (
             "pos_bytes" in ifs.parquet_file(seg_files[0]).schema_arrow.names
         )
         self._seg_cols = SEGMENT_COLS + (POS_SEGMENT_COLS if self.has_positions else [])
         self._entry_cols = self._seg_cols[1:]
         if seg_files:
-            if len(seg_files) > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(min(8, len(seg_files))) as ex:
-                    parts = list(
-                        ex.map(lambda f: self._read_segment_file(ifs, f), seg_files)
-                    )
-            else:
-                parts = [self._read_segment_file(ifs, seg_files[0])]
+            parts = ifs.read_tables(seg_files, columns=self._seg_cols)
             seg = pa.concat_tables(parts).combine_chunks()
             # the only full-vocabulary pass: one STABLE C++ sort by term
             # (stability keeps generation order within a term — file order,
@@ -172,20 +158,6 @@ class ShardIndex:
             self.meta_ids = np.empty(0, dtype=np.int64)
             self.meta = pa.table(
                 {c: pa.array([], type=pa.string()) for c in ("repo", "path", "lang")}
-            )
-
-    def _read_segment_file(self, ifs, f: str) -> pa.Table:
-        try:
-            return ifs.read_table(f, columns=self._seg_cols)
-        except (KeyError, pa.ArrowInvalid):
-            # pre-enc_avgdl segment files: encoded at the index's build-time
-            # avgdl == the current global avgdl. EXACT because a legacy index
-            # can never gain generations: append_index refuses to append onto
-            # pre-enc_avgdl segments (build._require_enc_avgdl), so avgdl is
-            # unchanged since encode whenever this fallback fires.
-            t = ifs.read_table(f, columns=[c for c in SEGMENT_COLS if c != "enc_avgdl"])
-            return t.append_column(
-                "enc_avgdl", pa.array([self.avgdl] * len(t), type=pa.float64())
             )
 
     # -- lazy per-term state ----------------------------------------------
@@ -480,17 +452,6 @@ class ShardIndex:
                 "(EngineConfig.with_positions=True at build time)"
             )
 
-    def _bmax_scale(self, ent: dict) -> float:
-        """Conservative rescale of encode-time block_max bounds to the
-        CURRENT avgdl: tfnorm is increasing in avgdl and
-        tfnorm(a') <= tfnorm(a) * a'/a for a' > a, so stored bounds stay
-        valid upper bounds when multiplied by max(1, avgdl_now/enc_avgdl).
-        Single-generation indexes have enc_avgdl == avgdl -> exact 1.0."""
-        enc = ent.get("enc_avgdl")
-        if not enc or enc <= 0 or enc == self.avgdl:
-            return 1.0
-        return max(1.0, self.avgdl / enc)
-
     # -- scoring -----------------------------------------------------------
 
     def score_query(
@@ -499,7 +460,6 @@ class ShardIndex:
         weights: list[float],
         scope: str = "",
         k: int = 30,
-        strategy: str = "exact",
         tombstones: "np.ndarray | None" = None,
     ) -> dict:
         """Top-k for one query on this shard.
@@ -509,8 +469,6 @@ class ShardIndex:
         arrays (doc_id, score, rscore, repo, path, lang), ordered by
         (rscore DESC, doc_id ASC), truncated to k.
         """
-        if strategy == "wand":
-            return self._score_wand(terms, weights, scope, k, tombstones)
         r = self._or_scores(terms, weights)
         if r is None:
             return self._empty()
@@ -636,81 +594,6 @@ class ShardIndex:
             "lang": np.empty(0, dtype=object),
         }
 
-    # -- block-max WAND (scale path; exact same results, fewer decodes) ----
-
-    def _score_wand(self, terms, weights, scope: str, k: int, tombstones=None) -> dict:
-        """Block-max pruned scoring (north_star T1): skip whole posting
-        blocks that provably cannot reach the k-th best score, then re-score
-        the surviving candidates exactly (bitwise-identical to exhaustive).
-
-        Threshold seeding: the partial score from any single term is a lower
-        bound of the doc's total score, so the k-th best contribution of the
-        highest-impact term is a valid threshold theta. A block b of term t
-        can contain a doc with total >= theta only if
-        w_t*block_max(b) + sum of the other terms' global maxima >= theta;
-        the union of surviving blocks therefore contains every true top-k
-        doc. Theta is slackened by 2*10^-SCORE_DECIMALS so rounded-score
-        tie-breaking can never disagree with the exhaustive path.
-
-        Scope filtering routes to exhaustive (block bounds ignore scope).
-        """
-        if scope:
-            return self.score_query(terms, weights, scope, k, strategy="exact", tombstones=tombstones)
-        infos = []
-        for term, w in zip(terms, weights):
-            ents = self._entries(term)
-            if ents is None:
-                continue
-            ub = 0.0
-            for ent in ents:
-                bmax = np.asarray(ent["block_max"], dtype=np.float64)
-                if bmax.size:
-                    ub = max(ub, float(w * bmax.max() * self._bmax_scale(ent)))
-            infos.append((term, w, ents, ub))
-        if not infos:
-            return self._empty()
-        # seed theta from the highest-upper-bound term (tombstoned docs must
-        # not inflate theta — a too-high threshold would over-prune)
-        seed_term, seed_w, _seed_ents, _ = max(infos, key=lambda x: x[3])
-        s_ids, s_tfs, s_dls = self._decoded(seed_term)
-        if tombstones is not None and np.asarray(tombstones).size:
-            alive = ~np.isin(s_ids, tombstones)
-            s_tfs, s_dls = s_tfs[alive], s_dls[alive]
-        seed_contrib = seed_w * tfnorm_vec(s_tfs, s_dls, self.avgdl, self.params)
-        if seed_contrib.size > k:
-            theta = float(np.partition(seed_contrib, -k)[-k])
-        else:
-            theta = 0.0
-        theta -= 2 * 10.0 ** (-SCORE_DECIMALS)  # rounding-tie slack
-        total_ub = sum(ub for _, _, _, ub in infos)
-        cand_ids: list[np.ndarray] = []
-        for term, w, ents, ub in infos:
-            others_ub = total_ub - ub
-            for ent in ents:
-                bmax = np.asarray(ent["block_max"], dtype=np.float64)
-                scale = self._bmax_scale(ent)
-                if scale != 1.0:
-                    bmax = bmax * scale
-                keep = np.flatnonzero(w * bmax + others_ub >= theta)
-                for bi in keep:
-                    ids, _, _ = decode_block(ent, int(bi), self.block_size)
-                    cand_ids.append(ids)
-        if not cand_ids:
-            return self._empty()
-        cand = np.unique(np.concatenate(cand_ids))
-        # exact re-score of candidates in term-asc order (bitwise == oracle)
-        id_parts, c_parts = [], []
-        for term, w in zip(terms, weights):
-            dec = self._decoded(term)
-            if dec is None:
-                continue
-            doc_ids, tfs, dls = dec
-            m = np.isin(doc_ids, cand, assume_unique=True)
-            id_parts.append(doc_ids[m])
-            c_parts.append(w * tfnorm_vec(tfs[m], dls[m], self.avgdl, self.params))
-        uniq, scores = _accumulate(id_parts, c_parts)
-        return self._finalize(uniq, scores, scope, k, tombstones)
-
 
 def _job_tombstones(job: dict, sh: ShardIndex) -> "np.ndarray | None":
     """Effective per-shard tombstone array for a job: the engine-level
@@ -773,7 +656,7 @@ class ShardSearcher:
             }
         )
 
-    def search(self, jobs: list[dict], strategy: str = "exact") -> pa.Table:
+    def search(self, jobs: list[dict]) -> pa.Table:
         """jobs: [{query_id, terms, weights, scope, k}] -> candidate table."""
         cols = {
             "query_id": [],
@@ -805,8 +688,7 @@ class ShardSearcher:
                 else:
                     r = sh.score_query(
                         job["terms"], job["weights"], job.get("scope", ""),
-                        job["k"], strategy=strategy,
-                        tombstones=tomb_a,
+                        job["k"], tombstones=tomb_a,
                     )
                 n = len(r["doc_id"])
                 if not n:

@@ -127,7 +127,13 @@ class Catalog:
     def mark_stage(self, stage: str, status: str, metrics: dict | None = None) -> None:
         rec = self._state["stages"].setdefault(stage, {})
         rec["status"] = status
-        rec.setdefault("started_at", time.time())
+        if status == "running":
+            # (re)start the clock: a stage resumed after a driver crash must
+            # not count the downtime since its first start as wall time
+            rec["started_at"] = time.time()
+            rec.pop("completed_at", None)
+        else:
+            rec.setdefault("started_at", time.time())
         if status == "done":
             rec["completed_at"] = time.time()
         if metrics:

@@ -1,15 +1,18 @@
 """Incremental append (segment generations, pipelines/build.py append_index)
 must be indistinguishable from a full rebuild over the union corpus:
-bitwise-equal search results (exact AND block-max WAND), identical df table
-and stats. Also covers D3 existence-check first-wins on re-appended docs,
-crashed-generation rollback, and WAND bound-rescaling when appends shift the
-global avgdl."""
+bitwise-equal search results, identical df table and stats. Also covers D3
+existence-check first-wins on re-appended docs, crashed-generation rollback,
+appends that shift the global avgdl, and indexes whose segment files still
+carry the per-block columns earlier releases wrote."""
 
 from __future__ import annotations
 
+import glob
 import shutil
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from smse_backend_ray.config import EngineConfig
@@ -66,11 +69,9 @@ def test_df_table_identical(indexes):
     assert a.equals(b)
 
 
-@pytest.mark.parametrize("strategy", ["exact", "wand"])
+@pytest.mark.parametrize("strategy", ["exact"])
 def test_search_bitwise_parity(indexes, strategy):
-    with SearchEngine(indexes[0], strategy=strategy) as full, SearchEngine(
-        indexes[1], strategy=strategy
-    ) as inc:
+    with SearchEngine(indexes[0]) as full, SearchEngine(indexes[1]) as inc:
         a = full.search_batch(ALL_QUERIES).to_pylist()
         b = inc.search_batch(ALL_QUERIES).to_pylist()
     assert a == b  # includes exact float equality on score columns
@@ -97,12 +98,16 @@ def _mk_corpus(rows: list[tuple[str, str, str]]) -> pa.Table:
     )
 
 
-def test_wand_rescale_after_avgdl_shift(ray_session):
-    """Append LONG docs to a short-doc base: global avgdl grows, so the base
-    generation's encode-time block_max values underestimate current tf-norms.
-    The scorer's max(1, avgdl_now/enc_avgdl) rescale must keep WAND exactly
-    equal to exhaustive scoring."""
-    idx = "/tmp/smse_test_append_wand"
+def _search_all(idx: str, queries) -> list:
+    with SearchEngine(idx) as eng:
+        return [eng.search(q, limit=10).to_pylist() for q in queries]
+
+
+def test_append_avgdl_shift_matches_rebuild(ray_session):
+    """Append LONG docs to a short-doc base: the global avgdl grows, so every
+    base-generation tf-norm changes. Appended search must still equal a full
+    rebuild bitwise."""
+    idx = "/tmp/smse_test_append_avgdl"
     shutil.rmtree(idx, ignore_errors=True)
     base = _mk_corpus(
         [("r0", f"a/{i}.py", f"alphatok beta{i % 7} " * (1 + i % 3)) for i in range(160)]
@@ -117,20 +122,14 @@ def test_wand_rescale_after_avgdl_shift(ray_session):
     build_index(corpus=_ds(base), index_dir=idx, cfg=cfg)
     append_index(_ds(longdocs), idx)
 
-    full_idx = "/tmp/smse_test_append_wand_full"
+    full_idx = "/tmp/smse_test_append_avgdl_full"
     shutil.rmtree(full_idx, ignore_errors=True)
     build_index(
         corpus=_ds(pa.concat_tables([base, longdocs])), index_dir=full_idx, cfg=cfg
     )
-
-    with SearchEngine(idx, strategy="exact") as exact_eng, SearchEngine(
-        idx, strategy="wand"
-    ) as wand_eng, SearchEngine(full_idx, strategy="wand") as full_eng:
-        for q in ("alphatok", "alphatok gamma2", "beta3 alphatok filler7"):
-            a = exact_eng.search(q, limit=10).to_pylist()
-            b = wand_eng.search(q, limit=10).to_pylist()
-            c = full_eng.search(q, limit=10).to_pylist()
-            assert a == b == c, q
+    queries = ("alphatok", "alphatok gamma2", "beta3 alphatok filler7")
+    got, want = _search_all(idx, queries), _search_all(full_idx, queries)
+    assert all(got) and got == want
 
 
 def test_crashed_generation_rolls_back(ray_session):
@@ -207,20 +206,86 @@ def test_engine_open_recovers_parked_doc_store(ray_session):
     assert cat.ifs.exists("docs") and not cat.ifs.exists("docs.bak")
 
 
-def test_append_refuses_legacy_segments(ray_session):
-    """Segment files lacking enc_avgdl (pre-append-era indexes) cannot be
-    appended to: the scorer's legacy fallback assumes avgdl is unchanged
-    since encode, which an append would break (silent WAND under-bounds)."""
-    import glob
+def _add_legacy_block_columns(f: str, block_size: int, avgdl: float, params) -> None:
+    """Rewrite one segment file in the layout earlier releases wrote: the
+    same streams plus per-block byte offsets, last doc ids, tf-norm maxima
+    (block-max pruning metadata) and the avgdl those maxima were encoded at."""
+    from smse_backend_ray.functions.bm25 import tfnorm_vec
+    from smse_backend_ray.functions.codec import (
+        decode_postings,
+        varint_decode,
+        varint_encode_with_lens,
+    )
 
-    import pyarrow.parquet as pq
+    t = pq.read_table(f)
+    extra = {k: [] for k in ("block_doc_off", "block_tf_off", "block_dl_off", "block_last", "block_max")}
+    pos_off = []
 
-    idx = "/tmp/smse_test_append_legacy"
+    def offsets(stream: bytes, value_starts) -> list:
+        _, lens = varint_encode_with_lens(varint_decode(stream))
+        return np.concatenate(([0], np.cumsum(lens)))[value_starts].tolist()
+
+    for row in t.to_pylist():
+        ids, tfs, dls = decode_postings(row, block_size)
+        starts = np.arange(0, ids.size, block_size)
+        ends = np.minimum(starts + block_size, ids.size)
+        extra["block_doc_off"].append(offsets(row["docs_bytes"], starts))
+        extra["block_tf_off"].append(offsets(row["tfs_bytes"], starts))
+        extra["block_dl_off"].append(offsets(row["dls_bytes"], starts))
+        extra["block_last"].append(ids[ends - 1].tolist())
+        tfn = tfnorm_vec(tfs, dls, avgdl, params)
+        extra["block_max"].append(np.maximum.reduceat(tfn, starts).tolist())
+        if "pos_bytes" in row:
+            cum_tf = np.concatenate(([0], np.cumsum(tfs)))
+            pos_off.append(offsets(row["pos_bytes"], cum_tf[starts]))
+    cols = {c: t[c] for c in ("term", "df_shard")}
+    cols["enc_avgdl"] = pa.array([avgdl] * t.num_rows, type=pa.float64())
+    cols.update({c: t[c] for c in ("docs_bytes", "tfs_bytes", "dls_bytes")})
+    for k, v in extra.items():
+        vt = pa.float64() if k == "block_max" else pa.int64()
+        cols[k] = pa.array(v, type=pa.list_(vt))
+    if "pos_bytes" in t.column_names:
+        cols["pos_bytes"] = t["pos_bytes"]
+        cols["block_pos_off"] = pa.array(pos_off, type=pa.list_(pa.int64()))
+    pq.write_table(pa.table(cols), f)
+
+
+@pytest.mark.parametrize("with_positions", [False, True])
+def test_legacy_block_columns_open_and_append(ray_session, with_positions):
+    """Indexes written with the per-block columns still open with bitwise
+    equal results, and an append onto one (new generations lack those
+    columns) matches a full rebuild bitwise."""
+    from smse_backend_ray.config import BM25Params
+
+    tag = "pos" if with_positions else "plain"
+    idx = f"/tmp/smse_test_append_legacy_{tag}"
+    full_idx = f"/tmp/smse_test_append_legacy_{tag}_full"
     shutil.rmtree(idx, ignore_errors=True)
-    base = _mk_corpus([("r0", f"x/{i}.py", f"lam{i} tok") for i in range(20)])
-    build_index(corpus=_ds(base), index_dir=idx, cfg=EngineConfig(n_shards=2))
-    for f in glob.glob(f"{idx}/segments/shard_id=*/*.parquet"):
-        pq.write_table(pq.read_table(f).drop_columns(["enc_avgdl"]), f)
-    extra = _mk_corpus([("r1", "y/0.py", "mu tok")])
-    with pytest.raises(RuntimeError, match="enc_avgdl"):
-        append_index(_ds(extra), idx)
+    shutil.rmtree(full_idx, ignore_errors=True)
+    base = _mk_corpus(
+        [("r0", f"x/{i}.py", f"lam{i % 9} common tok " * (1 + i % 4)) for i in range(120)]
+    )
+    extra = _mk_corpus(
+        [("r1", f"y/{i}.py", f"mu{i % 5} common " + "tok filler " * 12) for i in range(60)]
+    )
+    cfg = EngineConfig(n_shards=2, block_size=8, with_positions=with_positions)
+    cat = build_index(corpus=_ds(base), index_dir=idx, cfg=cfg)
+    queries = ["common", "lam3 tok", "mu2 common tok", "filler lam1"]
+    before = _search_all(idx, queries)
+    stats = cat.get_stats()
+    files = glob.glob(f"{idx}/segments/shard_id=*/*.parquet")
+    for f in files:
+        _add_legacy_block_columns(f, cfg.block_size, stats["avgdl"], BM25Params())
+    assert "block_max" in pq.read_schema(files[0]).names
+    assert _search_all(idx, queries) == before
+
+    append_index(_ds(extra), idx)
+    build_index(corpus=_ds(pa.concat_tables([base, extra])), index_dir=full_idx, cfg=cfg)
+    assert Catalog(idx).get_stats() == Catalog(full_idx).get_stats()
+    got, want = _search_all(idx, queries), _search_all(full_idx, queries)
+    assert all(got) and got == want
+    if with_positions:
+        with SearchEngine(idx) as a, SearchEngine(full_idx) as b:
+            for q in ("common tok", "tok filler"):
+                pa_, pb = a.search(q, mode="phrase"), b.search(q, mode="phrase")
+                assert pa_.num_rows and pa_.to_pylist() == pb.to_pylist()

@@ -91,19 +91,14 @@ def test_vectorized_equals_per_term(block_size):
         shards = ids % cfg.n_shards
         for s in np.unique(shards):
             m = shards == s
-            expected[(term, int(s))] = encode_postings(
-                ids[m], tfs[m], dls[m], avgdl, cfg.bm25, block_size
-            )
+            expected[(term, int(s))] = encode_postings(ids[m], tfs[m], dls[m], block_size)
 
     got_rows = out.to_pylist()
     assert len(got_rows) == len(expected)
     for row in got_rows:
         enc = expected[(row["term"], row["shard_id"])]
         assert row["df_shard"] == enc["df"]
-        assert row["enc_avgdl"] == avgdl  # WAND bound-rescale anchor
         for k in ("docs_bytes", "tfs_bytes", "dls_bytes"):
-            assert row[k] == enc[k], (row["term"], k)
-        for k in ("block_doc_off", "block_tf_off", "block_dl_off", "block_last", "block_max"):
             assert row[k] == enc[k], (row["term"], k)
         # and decodes losslessly
         ids, tfs, dls = decode_postings(row, block_size)
@@ -122,6 +117,37 @@ def test_empty_group():
     )
     out = BucketEncoder(100.0, cfg)(empty)
     assert out.num_rows == 0
+    assert out.column_names == SEGMENT_COLUMNS
+
+
+# the segment row holds exactly what the readers decode; a column added here
+# must have a reader (stages/scorer.py SEGMENT_COLS, build._run_df)
+SEGMENT_COLUMNS = ["shard_id", "term", "df_shard", "docs_bytes", "tfs_bytes", "dls_bytes"]
+
+
+@pytest.mark.parametrize("positional", [False, True])
+def test_encoder_output_columns(positional):
+    from smse_backend_ray.stages.ingest import explode_preagg_batch, explode_preagg_batch_pos
+
+    cfg = EngineConfig(n_shards=4, with_positions=positional)
+    n_docs = 8
+    batch = {
+        "doc_id": pa.array(range(100, 100 + n_docs), type=pa.int64()),
+        "dl": pa.array([3] * n_docs, type=pa.int64()),
+        "terms": pa.array([["alpha", "beta"]] * n_docs, type=pa.list_(pa.string())),
+        "tfs": pa.array([[1, 2]] * n_docs, type=pa.list_(pa.int32())),
+    }
+    explode = explode_preagg_batch
+    if positional:
+        batch["poss"] = pa.array([[0, 1, 2]] * n_docs, type=pa.list_(pa.int32()))
+        explode = explode_preagg_batch_pos
+    runs = explode(pa.table(batch), n_buckets=2, n_shards=cfg.n_shards)
+    out = BucketEncoder(3.0, cfg)(runs.drop_columns(["skey"]))
+    want = SEGMENT_COLUMNS + (["pos_bytes"] if positional else [])
+    assert out.num_rows == 2 * cfg.n_shards
+    assert out.column_names == want
+    empty = BucketEncoder(3.0, cfg)(runs.slice(0, 0).drop_columns(["skey"]))
+    assert empty.schema == out.schema
 
 
 def test_cfg_buckets_scales_with_data():

@@ -44,3 +44,20 @@ def test_plan_partitions_requeues_on_fingerprint_change(tmp_path):
     # input changed -> requeued
     f.write_bytes(b"v2-longer")
     assert Catalog(idx).plan_partitions({0: [str(f)]}) == [0]
+
+
+def test_resumed_stage_wall_time_excludes_downtime(tmp_path):
+    """A driver crashes with a stage running; the restarted driver reopens
+    the manifest, re-runs the stage and completes it. The recorded wall
+    time covers the re-run only, not the downtime since the first start."""
+    idx = str(tmp_path / "idx")
+    Catalog(idx).mark_stage("segments", "running")
+    downtime = 0.5
+    time.sleep(downtime)  # the driver is down
+    cat = Catalog(idx)  # restarted driver
+    assert not cat.stage_done("segments")
+    cat.mark_stage("segments", "running")
+    cat.mark_stage("segments", "done")
+    rec = Catalog(idx).manifest()["stages"]["segments"]
+    assert rec["status"] == "done"
+    assert rec["completed_at"] - rec["started_at"] < downtime / 2

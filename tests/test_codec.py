@@ -1,14 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smse_backend_ray.config import BM25Params
-from smse_backend_ray.functions.bm25 import tfnorm_vec
 from smse_backend_ray.functions.codec import (
-    decode_block,
     decode_postings,
     encode_postings,
     varint_decode,
@@ -44,35 +43,33 @@ def _random_postings(n, seed=7):
 @pytest.mark.parametrize("n,block_size", [(1, 128), (5, 2), (1000, 128), (257, 128)])
 def test_postings_roundtrip(n, block_size):
     doc_ids, tfs, dls = _random_postings(n)
-    p = BM25Params()
-    enc = encode_postings(doc_ids, tfs, dls, avgdl=321.5, params=p, block_size=block_size)
+    enc = encode_postings(doc_ids, tfs, dls, block_size=block_size)
     assert enc["df"] == n
     d, t, l = decode_postings(enc, block_size)
     assert (d == doc_ids).all() and (t == tfs).all() and (l == dls).all()
-    # skip pointers
-    nblocks = (n + block_size - 1) // block_size
-    assert len(enc["block_doc_off"]) == nblocks
-    assert enc["block_last"][-1] == doc_ids[-1]
-    # block-max is a true upper bound of tfnorm within each block
-    tfn = tfnorm_vec(tfs, dls, 321.5, p)
-    for i in range(nblocks):
-        s, e = i * block_size, min((i + 1) * block_size, n)
-        assert enc["block_max"][i] == pytest.approx(tfn[s:e].max())
-        assert enc["block_last"][i] == doc_ids[e - 1]
+    # the doc-id stream restarts from the absolute id every block_size
+    deltas = varint_decode(enc["docs_bytes"]).astype(np.int64)
+    resets = np.arange(0, n, block_size)
+    assert (deltas[resets] == doc_ids[resets]).all()
 
 
-def test_block_independent_decode():
-    doc_ids, tfs, dls = _random_postings(300, seed=11)
-    enc = encode_postings(doc_ids, tfs, dls, 100.0, BM25Params(), block_size=100)
-    for b, (s, e) in enumerate([(0, 100), (100, 200), (200, 300)]):
-        d1, t1, l1 = decode_block(enc, b, 100)
-        assert (d1 == doc_ids[s:e]).all()
-        assert (t1 == tfs[s:e]).all()
-        assert (l1 == dls[s:e]).all()
+@pytest.mark.parametrize(
+    "block_size,digest",
+    [
+        (2, "74ccb31b27fb294efed1a274dfd756aa617062d9a6d254e176414d1d4cf45eea"),
+        (128, "f508bad62a72bf2ceeb551686f55793fd09ebb1e1b883eb7a416c3e665f5b701"),
+    ],
+)
+def test_stream_bytes_pinned(block_size, digest):
+    """The on-disk doc-id/tf/dl streams are a frozen format: indexes built
+    by earlier releases must keep decoding to the same postings."""
+    enc = encode_postings(*_random_postings(1000), block_size=block_size)
+    streams = enc["docs_bytes"] + enc["tfs_bytes"] + enc["dls_bytes"]
+    assert hashlib.sha256(streams).hexdigest() == digest
 
 
 def test_empty_postings():
-    enc = encode_postings(np.empty(0), np.empty(0), np.empty(0), 1.0, BM25Params(), 128)
+    enc = encode_postings(np.empty(0), np.empty(0), np.empty(0), 128)
     assert enc["df"] == 0
     d, t, l = decode_postings(enc, 128)
     assert d.size == 0
@@ -83,6 +80,6 @@ def test_compression_is_effective():
     doc_ids = np.cumsum(np.random.default_rng(3).integers(1, 20, size=10000)).astype(np.int64)
     tfs = np.ones(10000, dtype=np.int64)
     dls = np.full(10000, 100, dtype=np.int64)
-    enc = encode_postings(doc_ids, tfs, dls, 100.0, BM25Params(), 128)
+    enc = encode_postings(doc_ids, tfs, dls, 128)
     assert len(enc["docs_bytes"]) < 2 * 10000  # ~1 byte/delta + block resets
     assert len(enc["tfs_bytes"]) == 10000

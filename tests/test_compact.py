@@ -49,13 +49,10 @@ def test_compact_merges_generations(ray_session, sf_dir):
     assert not any("gen" in f.rsplit("/", 1)[-1] for f in seg_files)
     assert cat.get_stats() == Catalog(full).get_stats()
     assert _df_table(inc).equals(_df_table(full))
-    for strategy in ("exact", "wand"):
-        with SearchEngine(full, strategy=strategy) as a, SearchEngine(
-            inc, strategy=strategy
-        ) as b:
-            assert a.search_batch(ALL_QUERIES).to_pylist() == b.search_batch(
-                ALL_QUERIES
-            ).to_pylist()
+    with SearchEngine(full) as a, SearchEngine(inc) as b:
+        assert a.search_batch(ALL_QUERIES).to_pylist() == b.search_batch(
+            ALL_QUERIES
+        ).to_pylist()
 
 
 def test_vacuum_applies_tombstones(ray_session, sf_dir):

@@ -141,8 +141,9 @@ def test_positional_segment_roundtrip(pos_index):
     got = {}
     for f in sorted(glob.glob(os.path.join(idx, "segments", "shard_id=*", "*.parquet"))):
         seg = pq.read_table(f)
-        assert "pos_bytes" in seg.column_names
-        assert "block_pos_off" in seg.column_names
+        assert seg.column_names == [
+            "term", "df_shard", "docs_bytes", "tfs_bytes", "dls_bytes", "pos_bytes",
+        ]
         for row in seg.to_pylist():
             ids, tfs, _dls = decode_postings(row, cfg.block_size)
             flat = decode_positions(row, tfs)

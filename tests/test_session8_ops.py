@@ -353,3 +353,54 @@ def test_product_type_profit_no_match_word(ray_session, sf_dir, monkeypatch):
     t = relational.product_type_profit(sf_dir)
     assert t.num_rows == 0
     assert t.schema.names == ["nation", "o_year", "profit_scaled"]
+
+
+def test_product_type_profit_literal_word_matches_sql(ray_session, tmp_path, monkeypatch):
+    """The part word is a literal substring on both sides: % and _ are not
+    wildcards and a quote does not break the SQL twin."""
+    import datetime
+
+    from smse_backend_ray import config
+    from smse_backend_ray.pipelines import relational
+
+    word = "50%_o'k"
+    monkeypatch.setattr(config, "Q9_PART_WORD", word)
+    day = datetime.datetime(1995, 3, 1)
+    tables = {
+        # part 1 holds the word literally; part 2 would match it as a LIKE
+        # pattern ('50' + any run + any char + "o'k"); part 3 matches nothing
+        "part": pa.table({
+            "p_partkey": pa.array([1, 2, 3], pa.int64()),
+            "p_name": ["big 50%_o'k gear", "big 50xyzo'k gear", "plain gear"],
+        }),
+        "lineitem": pa.table({
+            "l_orderkey": pa.array([10, 10, 11], pa.int64()),
+            "l_partkey": pa.array([1, 2, 3], pa.int64()),
+            "l_suppkey": pa.array([1, 1, 1], pa.int64()),
+            "l_extendedprice": [100.0, 200.0, 300.0],
+            "l_discount": [0.05, 0.0, 0.0],
+        }),
+        "orders": pa.table({
+            "o_orderkey": pa.array([10, 11], pa.int64()),
+            "o_orderdate": pa.array([day, day], pa.timestamp("us")),
+        }),
+        "supplier": pa.table({
+            "s_suppkey": pa.array([1], pa.int64()),
+            "s_nationkey": pa.array([0], pa.int32()),
+        }),
+        "nation": pa.table({
+            "n_nationkey": pa.array([0], pa.int32()),
+            "n_name": ["FRANCE"],
+        }),
+    }
+    con = duckdb.connect()
+    for name, t in tables.items():
+        pq.write_table(t, tmp_path / f"{name}.parquet")
+        con.sql(f"CREATE VIEW {name} AS SELECT * FROM read_parquet('{tmp_path}/{name}.parquet')")
+
+    got = relational.product_type_profit(str(tmp_path))
+    want = con.sql(relational.product_type_profit_sql()).fetch_arrow_table()
+    assert want.to_pydict() == got.to_pydict()
+    assert got.to_pylist() == [
+        {"nation": "FRANCE", "o_year": 1995, "profit_scaled": 10000 * 95}
+    ]

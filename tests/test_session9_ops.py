@@ -755,3 +755,26 @@ def test_user_activity_histogram_power_of_two_edges(ray_session, tmp_path):
     assert by_bucket[1] == {"bucket": 1, "lo_events": 2, "n_users": 2, "n_events": 5}
     assert by_bucket[2] == {"bucket": 2, "lo_events": 4, "n_users": 2, "n_events": 11}
     assert by_bucket[3] == {"bucket": 3, "lo_events": 8, "n_users": 1, "n_events": 8}
+
+
+def test_dedup_impact_df_cap_matches_sql(ray_session, tmp_path):
+    """A df_cap below the shared shingles' df drops every shingle the three
+    copies share: no pair survives and nothing is removed — on both twins."""
+    from smse_backend_ray.functions import sqlgen
+    from smse_backend_ray.pipelines import dedup
+
+    text = "alpha beta gamma delta epsilon zeta"
+    sf = _write_docs(
+        tmp_path,
+        [
+            {"doc_id": i, "text": text, "lang": "en", "source": "s"}
+            for i in (1, 2, 3)
+        ],
+    )
+    con = _duck_docs(sf)
+    got = dedup.dedup_impact(sf, df_cap=2)
+    want = con.sql(
+        sqlgen.dedup_impact_sql(dedup.JACCARD_THRESHOLD, dedup.SHINGLE_K, 2)
+    ).fetch_arrow_table()
+    assert got.to_pylist() == want.to_pylist()
+    assert got.to_pylist()[0]["n_survivors"] == 3

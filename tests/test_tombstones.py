@@ -1,6 +1,6 @@
 """Tombstone deletes (reference DELETE /api/contents analog): immediate
 search invisibility, persistence across engine restarts, unchanged scores
-for surviving docs (stats refresh only at rebuild), WAND parity."""
+for surviving docs (stats refresh only at rebuild), oracle parity."""
 
 from __future__ import annotations
 
@@ -10,9 +10,13 @@ import shutil
 import pytest
 
 from smse_backend_ray.config import EngineConfig
+from smse_backend_ray.oracle import build_oracle_index, oracle_search
 from smse_backend_ray.pipelines.build import build_index
 from smse_backend_ray.pipelines.search import SearchEngine
-from smse_backend_ray.sources.corpus import corpus_from_documents
+from smse_backend_ray.sources.corpus import (
+    corpus_from_documents,
+    corpus_table_from_documents,
+)
 
 IDX = "/tmp/smse_test_tomb_idx"
 
@@ -43,15 +47,22 @@ def test_delete_doc_removes_from_results(tomb_idx):
             assert a["rank"] == b["rank"] - 1
 
 
-def test_tombstones_persist_and_wand_parity(tomb_idx):
+def test_tombstones_persist_and_oracle_parity(tomb_idx, sf_dir):
+    """A fresh engine reloads the tombstones and returns the oracle's
+    ranking with the deleted docs removed, scores bitwise equal."""
     assert os.path.exists(os.path.join(tomb_idx, "tombstones.json"))
     with SearchEngine(tomb_idx) as eng:  # fresh engine reloads tombstones
-        exact = eng.search(["hash join table"], limit=10).to_pylist()
-        eng.strategy = "wand"
-        wand = eng.search(["hash join table"], limit=10).to_pylist()
-        assert exact == wand
-        assert eng._tombstones  # loaded from disk
-        assert all(r["doc_id"] not in eng._tombstones for r in exact)
+        got = eng.search(["hash join table"], limit=10).to_pylist()
+        tombs = set(eng._tombstones)
+    assert tombs  # loaded from disk
+    oidx = build_oracle_index(corpus_table_from_documents(sf_dir))
+    exp = [
+        r
+        for r in oracle_search(oidx, ["hash join table"], limit=10 + len(tombs))
+        if r["doc_id"] not in tombs
+    ][:10]
+    assert [r["doc_id"] for r in got] == [r["doc_id"] for r in exp]
+    assert [r["exact_score"] for r in got] == [r["score"] for r in exp]
 
 
 def test_tombstones_bak_recovery(tomb_idx):
