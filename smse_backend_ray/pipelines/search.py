@@ -4,17 +4,19 @@ and routes/search.py).
 
 Query path: analyze parts with the SAME analyzer as ingest (symmetry,
 tasks.py:219 vs :250) -> multiset-union fusion (A1) -> idf from the global df
-table (filter-pushdown read of only the query's terms) -> scatter to the
-shard actor pool (per-shard top-k, T1) -> gather -> threshold filter (M9,
-keeps score >= t) -> optional default-OFF normalization (M7/M8; reference
-disables at services/search.py:193) -> global (rounded score DESC, doc_id
-ASC) sort + limit (T2) -> result projection/enrichment (M10/M11/J1) ->
+table (binary search over the resident term-sorted df column) -> scatter to
+the shard actor pool (per-shard top-k, T1) -> gather of flat numpy columns
+-> ONE vectorized merge for the whole batch: threshold filter (M9, keeps
+score >= t), global (rounded score DESC, doc_id ASC) sort + per-query limit
+(T2), result projection/enrichment (M10/M11/J1) -> optional default-OFF
+normalization (M7/M8; reference disables at services/search.py:193) ->
 query-log + search-record append (query history, T3).
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 
 import numpy as np
 import pyarrow as pa
@@ -89,10 +91,16 @@ class SearchEngine:
             groups[s % per_set].append(s)
         self.actor_sets = [[mk(g) for g in groups] for _ in range(n_sets)]
         self.actors = self.actor_sets[0]
+        # the df table stays resident, term-sorted (a Ray-path build writes
+        # several files): every df lookup is a binary search over it, never
+        # a parquet scan. Read while the actors start.
+        df = self.ifs.pads_dataset("df").to_table(columns=["term", "df"])
+        df = df.take(pa.compute.sort_indices(df["term"]))
+        self._df_terms = df["term"].to_numpy()
+        self._df = df["df"].to_numpy().astype(np.int64)
         ray.get([a.ping.remote() for st in self.actor_sets for a in st])
-        self._df_ds = self.ifs.pads_dataset("df")
-        self._df_cache: dict[str, int] = {}  # term -> df (0 = known absent)
-        self._tombstones = self._load_tombstones()
+        # sorted, shipped once per actor call (not per job)
+        self._tomb_ids = np.array(sorted(self._load_tombstones()), dtype=np.int64)
         self._next_query_id = self._load_next_query_id()
 
     # ------------------------------------------------------------------
@@ -125,36 +133,55 @@ class SearchEngine:
 
         return read_tombstones(self.ifs)
 
+    @property
+    def _tombstones(self) -> set[int]:
+        """The deleted doc ids, as a set (a copy)."""
+        return set(self._tomb_ids.tolist())
+
     def delete_doc(self, doc_id: int) -> None:
         """Remove a doc from all future results (persisted; atomic write)."""
-        self._tombstones.add(int(doc_id))
-        self.ifs.write_json_atomic(self.TOMBSTONES, sorted(self._tombstones))
+        d = int(doc_id)
+        i = int(np.searchsorted(self._tomb_ids, d))
+        if i == self._tomb_ids.size or self._tomb_ids[i] != d:
+            self._tomb_ids = np.insert(self._tomb_ids, i, d)
+        self.ifs.write_json_atomic(self.TOMBSTONES, self._tomb_ids.tolist())
 
     # ------------------------------------------------------------------
-    def idf_weights(self, qtf: dict[str, int]) -> tuple[list[str], list[float]]:
-        """Sorted terms + qtf*idf weights; df via filter-pushdown read of the
-        term-sorted df table (only the query's terms leave storage)."""
-        terms = sorted(qtf)
-        missing = [t for t in terms if t not in self._df_cache]
-        if missing:
-            tbl = self._df_ds.to_table(
-                columns=["term", "df"], filter=pads.field("term").isin(missing)
-            )
-            found = dict(zip(tbl["term"].to_pylist(), tbl["df"].to_pylist()))
-            for t in missing:
-                self._df_cache[t] = int(found.get(t, 0))
-        out_t, out_w = [], []
+    def _df_of(self, terms) -> list[int]:
+        """Corpus df of each term (0 = not in the vocabulary): a binary
+        search per term over the resident term-sorted df column (plain
+        bisect — a query has a handful of terms, too few to repay numpy's
+        per-call overhead)."""
+        col, out = self._df_terms, []
         for t in terms:
-            d = self._df_cache[t]
+            i = bisect_left(col, t)
+            out.append(int(self._df[i]) if i < col.size and col[i] == t else 0)
+        return out
+
+    def idf_weights(self, qtf: dict[str, int]) -> tuple[list[str], list[float]]:
+        """Sorted terms + qtf*idf weights of the query terms in the
+        vocabulary."""
+        terms = sorted(qtf)
+        out_t, out_w = [], []
+        for t, d in zip(terms, self._df_of(terms)):
             if d:
                 out_t.append(t)
                 out_w.append(qtf[t] * idf_fn(self.n_docs, d))
         return out_t, out_w
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _job(qid, terms, weights, scope="", limit=DEFAULT_TOP_K, threshold=None) -> dict:
+        """One scatter job: what the shards score (terms, weights, scope, k)
+        plus what the merge applies (query_id, limit, threshold)."""
+        return {
+            "query_id": qid, "terms": terms, "weights": weights, "scope": scope,
+            "k": max(limit, SHARD_CANDIDATE_K), "limit": limit, "threshold": threshold,
+        }
+
     def _job_for(
         self, qid: int, parts: list[str], scope: str, limit: int, mode: str,
-        slop: int | None = None, exclude: tuple = (),
+        slop: int | None = None, exclude: tuple = (), threshold: float | None = None,
     ) -> dict | None:
         """Build one scatter job, or None when the query provably has no
         results (no kept terms; or AND/phrase mode with a kept term whose
@@ -174,14 +201,7 @@ class SearchEngine:
             return None
         if mode != "or" and len(terms) < len(qtf):
             return None  # some kept term has df=0 -> conjunction can't match
-        job = {
-            "query_id": qid,
-            "terms": terms,
-            "weights": weights,
-            "scope": scope,
-            "k": max(limit, SHARD_CANDIDATE_K),
-            "tombstones": sorted(self._tombstones),
-        }
+        job = self._job(qid, terms, weights, scope, limit, threshold)
         if mode == "and":
             job["mode"] = "and"
         elif mode == "phrase":
@@ -204,6 +224,13 @@ class SearchEngine:
                 job["exclude_terms"] = ex_terms
         return job
 
+    def _spec_job(self, qs) -> dict | None:
+        return self._job_for(
+            qs.query_id, list(qs.parts), qs.scope, qs.limit,
+            getattr(qs, "mode", "or"), getattr(qs, "slop", None),
+            getattr(qs, "exclude", ()), qs.threshold,
+        )
+
     def search(
         self,
         parts: list[str] | str,
@@ -220,76 +247,38 @@ class SearchEngine:
         if isinstance(parts, str):
             parts = [parts]
         qid = query_id if query_id is not None else self._next_query_id
-        job = self._job_for(qid, parts, scope, limit, mode, slop, exclude)
+        job = self._job_for(qid, parts, scope, limit, mode, slop, exclude, threshold)
+        result = RESULT_SCHEMA.empty_table()
         if job is not None:
-            cands = pa.concat_tables(
-                ray.get([a.search.remote([job]) for a in self.actors])
-            )
-            result = self._merge(cands, qid, limit, threshold, normalize)
-        else:
-            result = RESULT_SCHEMA.empty_table()
+            result = self._gather([job])[0]
+            norm = NORMALIZERS[normalize]
+            if norm is not None and result.num_rows:
+                i = RESULT_SCHEMA.get_field_index("score")
+                normed = norm(result["score"].to_numpy())
+                result = result.set_column(i, "score", pa.array(normed, type=pa.float64()))
         if log:
             self._log_query(qid, parts, scope, limit, result)
             self._next_query_id = max(self._next_query_id, qid) + 1
         return result
 
     def search_batch(self, queries, log: bool = False) -> pa.Table:
-        """Batch path for a list of queryset.QuerySpec; one scatter/gather."""
-        jobs, metas = [], {}
-        for qs in queries:
-            metas[qs.query_id] = qs
-            job = self._job_for(
-                qs.query_id, list(qs.parts), qs.scope, qs.limit,
-                getattr(qs, "mode", "or"), getattr(qs, "slop", None),
-                getattr(qs, "exclude", ()),
-            )
-            if job is not None:
-                jobs.append(job)
-        results = [RESULT_SCHEMA.empty_table()]
-        if jobs:
-            # split the query batch across replica sets (one scatter/gather;
-            # each set scores its sub-batch on every shard). Query cost is
-            # skewed — a hot-term query scans ~N rows while an identifier
-            # query scans a handful — so balance by estimated cost (total df
-            # of the job's terms = rows scanned), heaviest-first to the
-            # least-loaded set (LPT). Which replica scores a query never
-            # changes the result, only the wall balance.
-            sets = self.actor_sets
-            if len(sets) > 1 and len(jobs) > 1:
-                costs = [
-                    sum(self._df_cache.get(t, 0) for t in j["terms"]) for j in jobs
-                ]
-                order = sorted(range(len(jobs)), key=lambda i: (-costs[i], i))
-                loads = [0] * len(sets)
-                chunks: list[list[dict]] = [[] for _ in sets]
-                for i in order:
-                    s = loads.index(min(loads))
-                    chunks[s].append(jobs[i])
-                    loads[s] += costs[i]
-            else:
-                chunks = [jobs]
-            futs = [
-                a.search.remote(chunk)
-                for chunk, st in zip(chunks, sets)
-                if chunk
-                for a in st
-            ]
-            cands = pa.concat_tables(ray.get(futs))
-            for qid, qs in metas.items():
-                sub = cands.filter(pa.compute.equal(cands["query_id"], qid))
-                results.append(
-                    self._merge(sub, qid, qs.limit, qs.threshold, "none")
-                )
-        out = pa.concat_tables(results)
-        if log:
-            for qid, qs in metas.items():
-                sub = out.filter(pa.compute.equal(out["query_id"], qid))
-                self._log_query(qid, list(qs.parts), qs.scope, qs.limit, sub)
-            if metas:
-                # keep the auto-id counter ahead of explicit batch ids so a
-                # later search(log=True) can't reuse (and overwrite) a
-                # just-logged query's log/record files
-                self._next_query_id = max(self._next_query_id, max(metas) + 1)
+        """Batch path for a list of queryset.QuerySpec; one scatter/gather.
+        Every spec gets its own ranked block, in input order — two specs may
+        share a query_id."""
+        jobs = [self._spec_job(qs) for qs in queries]
+        out, counts = self._gather([j for j in jobs if j is not None])
+        if log and jobs:
+            sizes, start = iter(counts.tolist()), 0
+            for qs, job in zip(queries, jobs):
+                n = 0 if job is None else next(sizes)
+                sub = out.slice(start, n)
+                self._log_query(qs.query_id, list(qs.parts), qs.scope, qs.limit, sub)
+                start += n
+            # keep the auto-id counter ahead of explicit batch ids so a
+            # later search(log=True) can't reuse (and overwrite) a
+            # just-logged query's log/record files
+            top = max(qs.query_id for qs in queries)
+            self._next_query_id = max(self._next_query_id, top + 1)
         return out
 
     # ------------------------------------------------------------------
@@ -318,7 +307,8 @@ class SearchEngine:
         if isinstance(parts, str):
             parts = [parts]
         qtf, _ = fuse_parts(parts)
-        self.idf_weights(qtf)  # warm df cache
+        terms = sorted(qtf)
+        df = dict(zip(terms, self._df_of(terms)))
         doc_ids = sorted({int(d) for d in doc_ids})
         t = self.ifs.pads_dataset("docs").to_table(
             columns=["doc_id", "terms", "tfs", "dl"],
@@ -327,9 +317,9 @@ class SearchEngine:
         out = {k: [] for k in ("doc_id", "term", "qtf", "df", "tf", "dl", "contrib")}
         for r in sorted(t.to_pylist(), key=lambda r: r["doc_id"]):
             tfs = dict(zip(r["terms"], r["tfs"]))
-            for term in sorted(qtf):
+            for term in terms:
                 tf = tfs.get(term)
-                d = self._df_cache.get(term, 0)
+                d = df[term]
                 if not tf or not d:
                     continue
                 contrib = (
@@ -371,8 +361,8 @@ class SearchEngine:
         terms starting with the lowercased prefix — term-ASCENDING, capped
         at ``cap`` (default config.PREFIX_MAX_EXPANSIONS) — then score as a
         standard OR query with qtf=1 per expanded term. Expansion reads
-        ONLY the [prefix, prefix+1) key range of the term-sorted df table
-        (filter pushdown). Frozen pair: sqlgen.prefix_topk_sql."""
+        ONLY the [prefix, prefix+1) range of the resident term-sorted df
+        column (two binary searches). Frozen pair: sqlgen.prefix_topk_sql."""
         from smse_backend_ray.config import PREFIX_MAX_EXPANSIONS
 
         cap = PREFIX_MAX_EXPANSIONS if cap is None else cap
@@ -380,27 +370,13 @@ class SearchEngine:
         if not p:
             raise ValueError("empty prefix")
         hi = p[:-1] + chr(ord(p[-1]) + 1)  # analyzer terms are ASCII
-        tbl = self._df_ds.to_table(
-            columns=["term", "df"],
-            filter=(pads.field("term") >= p) & (pads.field("term") < hi),
-        )
-        pairs = sorted(zip(tbl["term"].to_pylist(), tbl["df"].to_pylist()))[:cap]
-        if not pairs:
+        lo, up = (int(np.searchsorted(self._df_terms, x)) for x in (p, hi))
+        terms = self._df_terms[lo:up][:cap].tolist()
+        if not terms:
             return RESULT_SCHEMA.empty_table()
-        terms = [t for t, _ in pairs]
-        weights = [idf_fn(self.n_docs, d) for _, d in pairs]
-        job = {
-            "query_id": query_id,
-            "terms": terms,
-            "weights": weights,
-            "scope": scope,
-            "k": max(limit, SHARD_CANDIDATE_K),
-            "tombstones": sorted(self._tombstones),
-        }
-        cands = pa.concat_tables(
-            ray.get([a.search.remote([job]) for a in self.actors])
-        )
-        return self._merge(cands, query_id, limit, threshold, "none")
+        weights = [idf_fn(self.n_docs, d) for d in self._df[lo:up][:cap].tolist()]
+        job = self._job(query_id, terms, weights, scope, limit, threshold)
+        return self._gather([job])[0]
 
     # ------------------------------------------------------------------
     MLT_SCHEMA = pa.schema(
@@ -436,41 +412,26 @@ class SearchEngine:
         for sid in src_doc_ids:
             if sid not in rows:
                 raise KeyError(f"doc {sid} not found in the index")
-        # warm the df cache for EVERY source's terms in ONE pushdown read
-        self.idf_weights({term: 1 for r in rows.values() for term in r["terms"]})
+        vocab = sorted({term for r in rows.values() for term in r["terms"]})
+        df = dict(zip(vocab, self._df_of(vocab)))
         jobs = []
         for sid in src_doc_ids:
             r = rows[sid]
             ranked = sorted(
-                (-(tf * idf_fn(self.n_docs, self._df_cache[term])), term)
+                (-(tf * idf_fn(self.n_docs, df[term])), term)
                 for term, tf in zip(r["terms"], r["tfs"])
-                if self._df_cache.get(term)
+                if df[term]
             )
             sel = sorted(term for _, term in ranked[:m])
             if not sel:
                 continue
-            jobs.append(
-                {
-                    "query_id": sid,
-                    "terms": sel,
-                    "weights": [
-                        idf_fn(self.n_docs, self._df_cache[term]) for term in sel
-                    ],
-                    "scope": "",
-                    "k": max(limit, SHARD_CANDIDATE_K),
-                    "tombstones": sorted(self._tombstones | {sid}),
-                }
-            )
+            weights = [idf_fn(self.n_docs, df[term]) for term in sel]
+            job = self._job(sid, sel, weights, limit=limit)
+            job["exclude_ids"] = np.array([sid], dtype=np.int64)
+            jobs.append(job)
         if not jobs:
             return self.MLT_SCHEMA.empty_table()
-        cands = pa.concat_tables(
-            ray.get([a.search.remote(jobs) for a in self.actors])
-        )
-        results = []
-        for job in jobs:
-            sub = cands.filter(pa.compute.equal(cands["query_id"], job["query_id"]))
-            results.append(self._merge(sub, job["query_id"], limit, None, "none"))
-        out = pa.concat_tables(results)
+        out = self._gather(jobs)[0]
         return out.select(
             ["query_id", "rank", "doc_id", "path", "repo", "lang", "score"]
         ).rename_columns(self.MLT_SCHEMA.names)
@@ -562,20 +523,11 @@ class SearchEngine:
         search_batch, WITHOUT top-k truncation. Per-shard partial counts sum
         exactly (each doc lives in one shard). Frozen pair:
         sqlgen.facets_sql."""
-        jobs = []
-        for qs in queries:
-            job = self._job_for(
-                qs.query_id, list(qs.parts), qs.scope, qs.limit,
-                getattr(qs, "mode", "or"), getattr(qs, "slop", None),
-                getattr(qs, "exclude", ()),
-            )
-            if job is not None:
-                job["threshold"] = qs.threshold
-                jobs.append(job)
+        jobs = [j for j in map(self._spec_job, queries) if j is not None]
         if not jobs:
             return self.FACET_SCHEMA.empty_table()
         parts = pa.concat_tables(
-            ray.get([a.facets.remote(jobs) for a in self.actors])
+            ray.get([a.facets.remote(jobs, self._tomb_ids) for a in self.actors])
         )
         if parts.num_rows == 0:
             return self.FACET_SCHEMA.empty_table()
@@ -628,43 +580,74 @@ class SearchEngine:
         )
 
     # ------------------------------------------------------------------
-    def _merge(
-        self,
-        cands: pa.Table,
-        qid: int,
-        limit: int,
-        threshold: float | None,
-        normalize: str,
-    ) -> pa.Table:
-        """Global merge: threshold -> total order (rscore DESC, doc_id ASC)
-        -> limit -> rank; mirrors services/search.py:171-215 ordering of
-        operations."""
-        doc_id = cands["doc_id"].to_numpy()
-        score = cands["score"].to_numpy()
-        rscore = cands["rscore"].to_numpy()
-        if threshold is not None:
-            m = rscore >= threshold  # keeps >=, the reference's `not <` form
-            doc_id, score, rscore = doc_id[m], score[m], rscore[m]
-            cands = cands.filter(pa.array(m))
-        order = np.lexsort((doc_id, -rscore))[:limit]
-        n = len(order)
-        out_score = rscore[order]
-        norm = NORMALIZERS[normalize]
-        if norm is not None and n:
-            out_score = norm(out_score)
-        return pa.table(
+    def _split(self, jobs: list[dict]) -> list[np.ndarray]:
+        """Job indices per replica set. Query cost is skewed — a hot-term
+        query scans ~N rows while an identifier query scans a handful — so
+        balance by estimated cost (total df of the job's terms = rows
+        scanned), heaviest-first to the least-loaded set (LPT). Which
+        replica scores a query never changes the result, only the wall
+        balance."""
+        n_sets = len(self.actor_sets)
+        if n_sets == 1 or len(jobs) == 1:
+            return [np.arange(len(jobs))]
+        costs = [sum(self._df_of(j["terms"])) for j in jobs]
+        loads = [0] * n_sets
+        chunks: list[list[int]] = [[] for _ in range(n_sets)]
+        for i in sorted(range(len(jobs)), key=lambda i: (-costs[i], i)):
+            s = loads.index(min(loads))
+            chunks[s].append(i)
+            loads[s] += costs[i]
+        return [np.array(c, dtype=np.int64) for c in chunks]
+
+    def _gather(self, jobs: list[dict]) -> tuple[pa.Table, np.ndarray]:
+        """Scatter every job to every shard once (one actor call per actor,
+        tombstones shipped once per call), then ONE vectorized merge of all
+        candidates: per-job threshold on the rounded score (keeps >=, the
+        reference's `not <` form) -> total order (job, rscore DESC, doc_id
+        ASC) -> each job's own limit -> rank; mirrors
+        services/search.py:171-215. Returns the RESULT_SCHEMA table, query
+        blocks in ``jobs`` order, and each job's row count."""
+        if not jobs:
+            return RESULT_SCHEMA.empty_table(), np.zeros(0, dtype=np.int64)
+        futs, owners = [], []
+        for ix, st in zip(self._split(jobs), self.actor_sets):
+            if not ix.size:
+                continue
+            sub = [jobs[i] for i in ix]
+            for a in st:
+                futs.append(a.search.remote(sub, self._tomb_ids))
+                owners.append(ix)
+        parts = ray.get(futs)
+        job = np.concatenate([ix[p[0]] for ix, p in zip(owners, parts)])
+        doc_id, score, rscore = (np.concatenate([p[c] for p in parts]) for c in (1, 2, 3))
+        thr = np.array([-np.inf if j["threshold"] is None else j["threshold"] for j in jobs])
+        keep = np.flatnonzero(rscore >= thr[job])
+        order = keep[np.lexsort((doc_id[keep], -rscore[keep], job[keep]))]
+        js = job[order]
+        rank = np.arange(js.size) - np.searchsorted(js, js) + 1  # 1 at each job's start
+        sel = rank <= np.array([j["limit"] for j in jobs])[js]
+        order, js, rank = order[sel], js[sel], rank[sel]
+        pick = order.tolist()
+
+        def strings(c: int) -> list:  # the kept rows of string column c
+            col = [v for p in parts for v in p[c]]
+            return [col[i] for i in pick]
+
+        qids = np.array([j["query_id"] for j in jobs], dtype=np.int64)
+        out = pa.table(
             {
-                "query_id": pa.array([qid] * n, type=pa.int64()),
-                "rank": pa.array(np.arange(1, n + 1, dtype=np.int32)),
-                "doc_id": pa.array(doc_id[order], type=pa.int64()),
-                "path": cands["path"].take(pa.array(order)),
-                "repo": cands["repo"].take(pa.array(order)),
-                "lang": cands["lang"].take(pa.array(order)),
-                "score": pa.array(out_score, type=pa.float64()),
-                "exact_score": pa.array(score[order], type=pa.float64()),
+                "query_id": qids[js],
+                "rank": rank.astype(np.int32),
+                "doc_id": doc_id[order],
+                "path": strings(5),
+                "repo": strings(4),
+                "lang": strings(6),
+                "score": rscore[order],
+                "exact_score": score[order],
             },
             schema=RESULT_SCHEMA,
         )
+        return out, np.bincount(js, minlength=len(jobs))
 
     # ------------------------------------------------------------------
     # query log / history (reference Query + SearchRecord tables,

@@ -466,8 +466,9 @@ class ShardIndex:
 
         ``terms`` MUST be sorted ascending with ``weights[i] = qtf_i * idf_i``
         (computed by the driver from the global df table). Returns candidate
-        arrays (doc_id, score, rscore, repo, path, lang), ordered by
-        (rscore DESC, doc_id ASC), truncated to k.
+        arrays (doc_id, score, rscore) plus their (repo, path, lang) rows as
+        an Arrow ``meta`` table, ordered by (rscore DESC, doc_id ASC),
+        truncated to k.
         """
         r = self._or_scores(terms, weights)
         if r is None:
@@ -568,47 +569,49 @@ class ShardIndex:
             doc_ids, scores, pos = doc_ids[m], scores[m], pos[m]
         rscore = round_half_away(scores, SCORE_DECIMALS)
         order = np.lexsort((doc_ids, -rscore))[:k]
-        doc_ids, scores, rscore, pos = (
-            doc_ids[order],
-            scores[order],
-            rscore[order],
-            pos[order],
-        )
-        idx = pa.array(pos)  # <=k survivors materialize as Python strings
         return {
-            "doc_id": doc_ids,
-            "score": scores,
-            "rscore": rscore,
-            "repo": np.asarray(self.meta["repo"].take(idx).to_pylist(), dtype=object),
-            "path": np.asarray(self.meta["path"].take(idx).to_pylist(), dtype=object),
-            "lang": np.asarray(self.meta["lang"].take(idx).to_pylist(), dtype=object),
+            "doc_id": doc_ids[order],
+            "score": scores[order],
+            "rscore": rscore[order],
+            # the <=k survivors' (repo, path, lang) rows, still Arrow
+            "meta": self.meta.take(pos[order]),
         }
 
     def _empty(self) -> dict:
+        f = np.empty(0, dtype=np.float64)
         return {
-            "doc_id": np.empty(0, dtype=np.int64),
-            "score": np.empty(0, dtype=np.float64),
-            "rscore": np.empty(0, dtype=np.float64),
-            "repo": np.empty(0, dtype=object),
-            "path": np.empty(0, dtype=object),
-            "lang": np.empty(0, dtype=object),
+            "doc_id": np.empty(0, dtype=np.int64), "score": f, "rscore": f,
+            "meta": self.meta.slice(0, 0),
         }
 
 
-def _job_tombstones(job: dict, sh: ShardIndex) -> "np.ndarray | None":
-    """Effective per-shard tombstone array for a job: the engine-level
-    tombstones plus (boolean NOT) the shard's docs containing any excluded
-    term — both filter BEFORE scope/threshold/top-k in _finalize."""
-    tomb = job.get("tombstones")
-    # len(), not truthiness: stays correct if a caller ever ships a numpy
-    # array instead of the usual sorted list (ndarray truthiness raises)
-    tomb_a = np.asarray(tomb, dtype=np.int64) if tomb is not None and len(tomb) else None
+def _job_tombstones(
+    job: dict, sh: ShardIndex, tombstones: "np.ndarray | None"
+) -> "np.ndarray | None":
+    """Effective per-shard tombstone array for a job: the engine's sorted
+    tombstone ids (shipped once per actor call), the job's own excluded ids
+    (more_like_this drops its source doc) and (boolean NOT) the shard's docs
+    containing any excluded term — all filter BEFORE scope/threshold/top-k
+    in _finalize."""
     ex = job.get("exclude_terms")
-    if ex:
-        e = sh.excluded_ids(ex)
-        if e.size:
-            tomb_a = e if tomb_a is None else np.union1d(tomb_a, e)
-    return tomb_a
+    out = tombstones
+    for extra in (job.get("exclude_ids"), sh.excluded_ids(ex) if ex else None):
+        if extra is not None and extra.size:
+            out = extra if out is None or not out.size else np.union1d(out, extra)
+    return out
+
+
+def _score_job(sh: ShardIndex, job: dict, tomb: "np.ndarray | None") -> dict:
+    """One job's top-k on one shard, dispatched on the job's mode."""
+    terms, weights = job["terms"], job["weights"]
+    kw = {"scope": job.get("scope", ""), "k": job["k"], "tombstones": tomb}
+    if job.get("phrase"):
+        return sh.score_phrase(job["phrase"], terms, weights, **kw)
+    if job.get("mode") == "near":
+        return sh.score_near(terms, weights, job["slop"], **kw)
+    if job.get("mode") == "and":
+        return sh.score_conj(terms, weights, **kw)
+    return sh.score_query(terms, weights, **kw)
 
 
 @ray.remote
@@ -632,14 +635,14 @@ class ShardSearcher:
     def ping(self) -> bool:
         return True
 
-    def facets(self, jobs: list[dict]) -> pa.Table:
+    def facets(self, jobs: list[dict], tombstones: "np.ndarray | None" = None) -> pa.Table:
         """Per-query facet counts over this actor's shards (partial counts;
         the driver sums across shards — each doc lives in exactly one shard,
         so the global sums are exact)."""
         cols = {"query_id": [], "facet": [], "value": [], "n_docs": []}
         for job in jobs:
             for sh in self.shards:
-                r = sh.facet_counts(job, tombstones=_job_tombstones(job, sh))
+                r = sh.facet_counts(job, tombstones=_job_tombstones(job, sh, tombstones))
                 n = len(r["facet"])
                 if not n:
                     continue
@@ -656,58 +659,32 @@ class ShardSearcher:
             }
         )
 
-    def search(self, jobs: list[dict]) -> pa.Table:
-        """jobs: [{query_id, terms, weights, scope, k}] -> candidate table."""
-        cols = {
-            "query_id": [],
-            "doc_id": [],
-            "score": [],
-            "rscore": [],
-            "repo": [],
-            "path": [],
-            "lang": [],
-        }
-        for job in jobs:
+    def search(self, jobs: list[dict], tombstones: "np.ndarray | None" = None) -> tuple:
+        """jobs: [{terms, weights, scope, k, mode...}] plus the engine's
+        sorted tombstone ids -> the candidates of every (job, shard) as flat
+        columns: (job index into ``jobs``, doc_id int64, score f64, rscore
+        f64, repo, path, lang). Numbers travel as numpy arrays and strings
+        as plain lists, never as a pa.Table: Ray's Arrow table reducer costs
+        ~10x a tuple of arrays for a few dozen rows."""
+        jix, ids, sc, rs = [], [], [], []
+        meta: dict[str, list] = {"repo": [], "path": [], "lang": []}
+        for j, job in enumerate(jobs):
             for sh in self.shards:
-                tomb_a = _job_tombstones(job, sh)
-                if job.get("phrase"):
-                    r = sh.score_phrase(
-                        job["phrase"], job["terms"], job["weights"],
-                        job.get("scope", ""), job["k"], tombstones=tomb_a,
-                    )
-                elif job.get("mode") == "near":
-                    r = sh.score_near(
-                        job["terms"], job["weights"], job["slop"],
-                        job.get("scope", ""), job["k"], tombstones=tomb_a,
-                    )
-                elif job.get("mode") == "and":
-                    r = sh.score_conj(
-                        job["terms"], job["weights"], job.get("scope", ""),
-                        job["k"], tombstones=tomb_a,
-                    )
-                else:
-                    r = sh.score_query(
-                        job["terms"], job["weights"], job.get("scope", ""),
-                        job["k"], tombstones=tomb_a,
-                    )
+                r = _score_job(sh, job, _job_tombstones(job, sh, tombstones))
                 n = len(r["doc_id"])
                 if not n:
                     continue
-                cols["query_id"].extend([job["query_id"]] * n)
-                cols["doc_id"].extend(r["doc_id"].tolist())
-                cols["score"].extend(r["score"].tolist())
-                cols["rscore"].extend(r["rscore"].tolist())
-                cols["repo"].extend(r["repo"].tolist())
-                cols["path"].extend(r["path"].tolist())
-                cols["lang"].extend(r["lang"].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(cols["query_id"], type=pa.int64()),
-                "doc_id": pa.array(cols["doc_id"], type=pa.int64()),
-                "score": pa.array(cols["score"], type=pa.float64()),
-                "rscore": pa.array(cols["rscore"], type=pa.float64()),
-                "repo": pa.array(cols["repo"], type=pa.string()),
-                "path": pa.array(cols["path"], type=pa.string()),
-                "lang": pa.array(cols["lang"], type=pa.string()),
-            }
+                jix.append(np.full(n, j, dtype=np.int64))
+                ids.append(r["doc_id"])
+                sc.append(r["score"])
+                rs.append(r["rscore"])
+                for c, vals in r["meta"].to_pydict().items():
+                    meta[c].extend(vals)
+
+        def cat(parts: list, dtype) -> np.ndarray:
+            return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+        return (
+            cat(jix, np.int64), cat(ids, np.int64), cat(sc, np.float64),
+            cat(rs, np.float64), meta["repo"], meta["path"], meta["lang"],
         )

@@ -1,0 +1,203 @@
+"""Serve-path scatter/gather: the one vectorized merge behind search,
+search_batch, search_prefix and more_like_this; the resident term-sorted df
+column behind idf_weights; and a Ray-path (multi-file) df table.
+
+A mixed batch must equal, Table for Table, the concatenation of per-query
+search() calls, and match the Python oracle bitwise with tombstones in force,
+on one and on several replica sets (the gather maps each replica set's job
+indices back to batch positions)."""
+
+from __future__ import annotations
+
+import shutil
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+import ray.data
+
+from smse_backend_ray.config import PREFIX_MAX_EXPANSIONS, EngineConfig, BM25Params
+from smse_backend_ray.functions import sqlgen
+from smse_backend_ray.functions.bm25 import idf
+from smse_backend_ray.oracle import (
+    build_oracle_index,
+    oracle_conj_search,
+    oracle_near_search,
+    oracle_phrase_search,
+    oracle_search,
+)
+from smse_backend_ray.pipelines.build import build_index
+from smse_backend_ray.pipelines.search import SearchEngine
+from smse_backend_ray.queryset import ALL_QUERIES, QuerySpec
+from smse_backend_ray.sources.corpus import (
+    corpus_from_documents,
+    corpus_table_from_documents,
+)
+
+POS_IDX = "/tmp/smse_test_gather_pos_idx"
+RAY_DF_IDX = "/tmp/smse_test_gather_raydf_idx"
+
+VOCAB = [
+    "hash", "join", "table", "sort", "merge", "batch", "value", "fast",
+    "scan", "row", "alpha", "beta", "key", "window", "filter",
+]
+
+# OR / AND / phrase / near; scope, threshold, exclude; limits 10 and 20; a
+# no-hit query, a threshold nothing reaches; query ids not ascending
+MIXED = (
+    QuerySpec(57, ("hash join",)),
+    QuerySpec(12, ("sort merge batch",), mode="and", limit=20),
+    QuerySpec(40, ("alpha beta",), mode="phrase"),
+    QuerySpec(33, ("window filter",), mode="near", slop=3, limit=20),
+    QuerySpec(5, ("table value scan",), scope="src1"),
+    QuerySpec(90, ("key row fast",), threshold=1.0, limit=20),
+    QuerySpec(21, ("fast scan",), exclude=("row",), limit=20),
+    QuerySpec(3, ("qqzz nohitzz",)),
+    QuerySpec(70, ("hash",), threshold=1e9),
+    QuerySpec(8, ("beta key",), mode="and", scope="src2", exclude=("alpha",)),
+)
+
+
+def _corpus(n=150, seed=5) -> pa.Table:
+    rng = np.random.default_rng(seed)
+    rows = [
+        {
+            "repo": f"src{i % 4}",
+            "path": f"docs/{i:04d}.txt",
+            "commit": f"c{i}",
+            "lang": "en",
+            "content": " ".join(rng.choice(VOCAB, size=int(rng.integers(3, 40)))),
+        }
+        for i in range(n)
+    ]
+    return pa.Table.from_pylist(rows)
+
+
+@pytest.fixture(scope="module")
+def pos_idx(ray_session):
+    t = _corpus()
+    shutil.rmtree(POS_IDX, ignore_errors=True)
+    build_index(
+        corpus=ray.data.from_arrow(t),
+        index_dir=POS_IDX,
+        cfg=EngineConfig(n_shards=3, with_positions=True),
+    )
+    return build_oracle_index(t)
+
+
+def _engine_call(eng, qs):
+    return eng.search(
+        list(qs.parts), scope=qs.scope, limit=qs.limit, threshold=qs.threshold,
+        query_id=qs.query_id, mode=qs.mode, slop=qs.slop, exclude=qs.exclude,
+    )
+
+
+def _oracle(oidx, qs, dead: set[int]) -> list[tuple]:
+    """(doc_id, exact score) of the oracle ranking with ``dead`` removed."""
+    kw = {"scope": qs.scope, "limit": qs.limit + len(dead),
+          "threshold": qs.threshold, "exclude": qs.exclude}
+    if qs.mode == "and":
+        rows = oracle_conj_search(oidx, list(qs.parts), **kw)
+    elif qs.mode == "phrase":
+        rows = oracle_phrase_search(oidx, qs.parts[0], **kw)
+    elif qs.mode == "near":
+        rows = oracle_near_search(oidx, list(qs.parts), qs.slop, **kw)
+    else:
+        rows = oracle_search(oidx, list(qs.parts), **kw)
+    return [(r["doc_id"], r["score"]) for r in rows if r["doc_id"] not in dead][: qs.limit]
+
+
+@pytest.mark.parametrize("num_actors", [None, 6])
+def test_mixed_batch_equals_single_queries_and_oracle(pos_idx, num_actors):
+    oidx = pos_idx
+    with SearchEngine(POS_IDX, num_actors=num_actors) as eng:
+        assert len(eng.actor_sets) == (1 if num_actors is None else 2)
+        # tombstone the current top hit of two queries (persisted: a later
+        # parametrization adds two more)
+        for qs in (MIXED[0], MIXED[4]):
+            eng.delete_doc(_engine_call(eng, qs)["doc_id"][0].as_py())
+        dead = set(eng._tombstones)
+        assert len(dead) >= 2
+        out = eng.search_batch(MIXED)
+        singles = [_engine_call(eng, qs) for qs in MIXED]
+    assert out.equals(pa.concat_tables(singles))
+    # query blocks in input order, each ranked 1..n
+    assert out["query_id"].to_pylist() == [
+        qs.query_id for qs, t in zip(MIXED, singles) for _ in range(t.num_rows)
+    ]
+    assert not set(out["doc_id"].to_pylist()) & dead
+    for qs, got in zip(MIXED, singles):
+        exp = _oracle(oidx, qs, dead)
+        assert list(zip(got["doc_id"].to_pylist(), got["exact_score"].to_pylist())) == exp, qs
+        assert got["rank"].to_pylist() == list(range(1, len(exp) + 1))
+    n = {qs.query_id: t.num_rows for qs, t in zip(MIXED, singles)}
+    assert n[3] == 0 and n[70] == 0  # no-hit, and a threshold nothing reaches
+    assert n[12] > 10 or n[21] > 10  # a limit-20 block longer than 10
+
+
+def test_duplicate_query_ids_keep_their_own_blocks(pos_idx):
+    """Two specs sharing a query_id: each keeps its own terms, limit and
+    threshold, ranked separately, in input order."""
+    specs = (
+        QuerySpec(7, ("hash join",), limit=3),
+        QuerySpec(4, ("alpha",), limit=2),
+        QuerySpec(7, ("sort merge",), limit=5, threshold=0.5),
+    )
+    with SearchEngine(POS_IDX) as eng:
+        out = eng.search_batch(specs)
+        singles = [_engine_call(eng, qs) for qs in specs]
+    assert [t.num_rows for t in singles] == [3, 2, 5]
+    assert out.equals(pa.concat_tables(singles))
+    assert out["rank"].to_pylist() == [1, 2, 3, 1, 2, 1, 2, 3, 4, 5]
+
+
+def test_idf_weights_vocabulary_boundaries(pos_idx):
+    oidx = pos_idx
+    vocab = sorted(oidx.postings)
+    first, last, mid = vocab[0], vocab[-1], vocab[len(vocab) // 2]
+    before, after, absent = "0" * 3, "zzzzzz", mid + "qqz"
+    assert before < first and after > last and first < absent < last
+    assert absent not in oidx.postings
+    qtf = {before: 1, first: 2, absent: 1, mid: 1, last: 3, after: 1}
+    with SearchEngine(POS_IDX) as eng:
+        terms, weights = eng.idf_weights(qtf)
+        assert eng.idf_weights({}) == ([], [])
+        assert eng.idf_weights({before: 1, after: 1}) == ([], [])
+    assert terms == [first, mid, last]
+    assert weights == [
+        qtf[t] * idf(oidx.n_docs, len(oidx.postings[t])) for t in terms
+    ]
+
+
+@pytest.fixture(scope="module")
+def ray_df_idx(ray_session, sf_dir):
+    """sf0.001 built with every reduction on the Ray path: df/ is written by
+    Ray Data, possibly as several files."""
+    shutil.rmtree(RAY_DF_IDX, ignore_errors=True)
+    build_index(
+        corpus=corpus_from_documents(sf_dir),
+        index_dir=RAY_DF_IDX,
+        cfg=EngineConfig(n_shards=4, driver_agg_max_bytes=0),
+    )
+    return build_oracle_index(corpus_table_from_documents(sf_dir))
+
+
+def test_ray_path_df_engine_matches_oracle_and_prefix_sql(ray_df_idx, duck):
+    oidx = ray_df_idx
+    prefixes = ((600, "pa"), (601, "wi"), (602, "s"), (603, "qqzz"))
+    with SearchEngine(RAY_DF_IDX) as eng:
+        assert len(eng.ifs.list_files("df", suffix=".parquet")) > 1
+        # the resident column is the whole vocabulary, term-sorted
+        assert eng._df_terms.tolist() == sorted(oidx.postings)
+        for qs in ALL_QUERIES:
+            got = _engine_call(eng, qs)
+            exp = _oracle(oidx, qs, set())
+            assert list(zip(got["doc_id"].to_pylist(), got["exact_score"].to_pylist())) == exp, qs
+        got = pa.concat_tables([eng.search_prefix(p, query_id=q) for q, p in prefixes])
+    cols = ["query_id", "rank", "doc_id", "path", "repo", "lang", "score"]
+    want = duck.sql(
+        sqlgen.prefix_topk_sql(prefixes, 10, PREFIX_MAX_EXPANSIONS, BM25Params())
+    ).fetch_arrow_table()
+    assert want.num_rows > 0
+    assert got.select(cols).to_pylist() == want.select(cols).to_pylist()
