@@ -179,7 +179,7 @@ DEFAULT_TOP_K = 10
 
 # Proximity (mode="near") default window: a doc matches iff some kept-token
 # window of span <= slop contains every distinct query term (frozen pair:
-# scorer.score_near <-> oracle.oracle_near_search <-> sqlgen.near_topk_sql)
+# scorer.ShardIndex.match <-> oracle.oracle_near_search <-> sqlgen.near_topk_sql)
 NEAR_DEFAULT_SLOP = 8
 
 # Query-dependent snippets (SearchEngine.snippets <-> sqlgen.snippets_sql):

@@ -1279,7 +1279,7 @@ ORDER BY query_id, rank
 def bm25_conj_topk_sql(
     queries, params: BM25Params, docs_where: str | None = None, meta_cols: bool = True
 ) -> str:
-    """Conjunctive (AND-mode) top-k twin (stages/scorer.py score_conj):
+    """Conjunctive (AND-mode) top-k twin (stages/scorer.py ShardIndex.match, AND):
     only docs containing EVERY kept query term score; a kept term absent
     from the corpus (df = 0) makes the query return no rows — identical to
     the engine, which short-circuits before the scatter
@@ -1317,7 +1317,7 @@ def pos_tokens_cte(src: str, id_col: str, text_col: str) -> str:
 
 
 def phrase_topk_sql(queries, params: BM25Params, docs_where: str | None = None) -> str:
-    """Exact-phrase top-k twin (stages/scorer.py score_phrase): a doc
+    """Exact-phrase top-k twin (stages/scorer.py ShardIndex.match, phrase): a doc
     matches iff the query part's kept-token sequence occurs contiguously in
     the doc's kept-token stream (offset-chained positions); matching docs
     score with the standard BM25 sum over the phrase's term multiset.
@@ -1349,7 +1349,7 @@ phits AS (
 
 
 def near_topk_sql(queries, params: BM25Params, docs_where: str | None = None) -> str:
-    """Proximity top-k twin (stages/scorer.py score_near): a doc matches iff
+    """Proximity top-k twin (stages/scorer.py ShardIndex.match, near): a doc matches iff
     some kept-token window of span <= the query's slop contains at least one
     occurrence of every distinct kept query term; matches score with the
     standard BM25 sum.

@@ -143,7 +143,7 @@ def oracle_conj_search(
     normalize: str = "none",
     exclude=(),
 ) -> list[dict]:
-    """Conjunctive (AND-mode) twin of ShardIndex.score_conj: only docs
+    """Conjunctive (AND-mode) twin of ShardIndex.match (AND mode): only docs
     containing EVERY kept query term score; a kept term with df=0 yields no
     rows. Scoring of the surviving docs is the identical BM25 sum."""
     qtf, _ = fuse_parts(parts)
@@ -170,7 +170,7 @@ def oracle_phrase_search(
     normalize: str = "none",
     exclude=(),
 ) -> list[dict]:
-    """Exact-phrase twin of ShardIndex.score_phrase: a doc matches iff the
+    """Exact-phrase twin of ShardIndex.match (phrase): a doc matches iff the
     query's kept-token sequence occurs contiguously in the doc's kept-token
     stream; matches score with the standard BM25 sum over the phrase's term
     multiset (engine<->SQL pair with sqlgen.phrase_topk_sql)."""
@@ -202,7 +202,7 @@ def oracle_near_search(
     normalize: str = "none",
     exclude=(),
 ) -> list[dict]:
-    """Proximity twin of ShardIndex.score_near: a doc matches iff some
+    """Proximity twin of ShardIndex.match (near): a doc matches iff some
     kept-token window of span <= slop (max pos - min pos) contains at least
     one occurrence of EVERY distinct kept query term (df=0 kept term -> no
     rows). Matches score with the standard BM25 sum (engine<->SQL pair with

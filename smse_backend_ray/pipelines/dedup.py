@@ -46,6 +46,7 @@ from smse_backend_ray.config import (
 from smse_backend_ray.functions.analyzer import split_subtokens
 from smse_backend_ray.functions.collect import collect_table
 from smse_backend_ray.functions.rounding import round_half_away
+from smse_backend_ray.pipelines.simsearch import _emb_matrix
 from smse_backend_ray.sources.corpus import _parallel_blocks, _parquet_rows
 
 SHINGLE_K = 3
@@ -554,10 +555,24 @@ def jaccard_pairs(
     inter, sizes_ds = _shingle_inter_sizes(sf_dir, df_cap, "jaccard_pairs")
     out = _score_jaccard(inter, sizes_ds, threshold)
     _JACCARD_CACHE[ckey[1:]] = (ckey[0], out)
+    _release_candidates(ckey[0], int(df_cap))
     return out
 
 
 _SHINGLE_CAND_CACHE: dict[tuple, tuple[tuple, tuple]] = {}
+
+
+def _release_candidates(stamp: tuple, df_cap: int) -> None:
+    """Drop the shared candidate tables of (documents, df_cap) once BOTH
+    jaccard_pairs and containment_pairs have cached a scored table for them:
+    the tables pin materialized object-store blocks, and the two scored
+    caches now answer every repeat call. A call with a new threshold
+    recomputes the candidate pass."""
+    def scored(cache: dict) -> bool:
+        return any(k[1] == df_cap and v[0] == stamp for k, v in cache.items())
+
+    if scored(_JACCARD_CACHE) and scored(_CONTAIN_CACHE):
+        _SHINGLE_CAND_CACHE.pop((stamp[0], df_cap), None)
 
 
 def _shingle_inter_sizes(sf_dir: str, df_cap: int, op: str):
@@ -627,6 +642,7 @@ def containment_pairs(
     inter, sizes_ds = _shingle_inter_sizes(sf_dir, df_cap, "containment_pairs")
     out = _score_jaccard(inter, sizes_ds, threshold, formula="containment")
     _CONTAIN_CACHE[ckey[1:]] = (ckey[0], out)
+    _release_candidates(ckey[0], int(df_cap))
     return out
 
 
@@ -1080,7 +1096,7 @@ def embedding_dup_pairs(
                 filter=(pads.field("vec_id") >= a) & (pads.field("vec_id") < b),
             )
             ids = np.asarray(t["vec_id"])
-            M = np.array(t["embedding"].to_pylist(), dtype=np.float64)
+            M = _emb_matrix(t["embedding"])
             return ids, M, np.sqrt((M * M).sum(axis=1))
 
         outs = []
@@ -1138,7 +1154,7 @@ def embedding_dup_pairs_ivf(
 
     def assign_rows(t: pa.Table) -> pa.Table:
         C = ray.get(cents_ref)
-        V = np.array(t["embedding"].to_pylist(), dtype=np.float64)
+        V = _emb_matrix(t["embedding"])
         d = ((V[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
         near = np.argsort(d, axis=1, kind="stable")[:, :assign_probes]
         ids = np.asarray(t["vec_id"])
@@ -1164,7 +1180,7 @@ def embedding_dup_pairs_ivf(
         uniq_mask = np.concatenate(([True], np.diff(ids[order]) != 0))
         sel = order[uniq_mask]
         ids = ids[sel]
-        M = np.array(g["embedding"].take(pa.array(sel)).to_pylist(), dtype=np.float64)
+        M = _emb_matrix(g["embedding"].take(pa.array(sel)))
         if len(ids) < 2:
             return pa.table(
                 {"a": pa.array([], type=pa.int64()), "b": pa.array([], type=pa.int64()),

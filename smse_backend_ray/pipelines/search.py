@@ -90,7 +90,6 @@ class SearchEngine:
         for s in range(self.n_shards):
             groups[s % per_set].append(s)
         self.actor_sets = [[mk(g) for g in groups] for _ in range(n_sets)]
-        self.actors = self.actor_sets[0]
         # the df table stays resident, term-sorted (a Ray-path build writes
         # several files): every df lookup is a binary search over it, never
         # a parquet scan. Read while the actors start.
@@ -109,7 +108,6 @@ class SearchEngine:
             for a in st:
                 ray.kill(a)
         self.actor_sets = []
-        self.actors = []
 
     def __enter__(self):
         return self
@@ -521,62 +519,40 @@ class SearchEngine:
         search-UI filter-sidebar analog. Match semantics (mode, scope,
         threshold on rounded score, tombstones) are identical to
         search_batch, WITHOUT top-k truncation. Per-shard partial counts sum
-        exactly (each doc lives in one shard). Frozen pair:
+        exactly (each doc lives in one shard); each (query, facet) keeps its
+        FACET_MAX_VALUES largest values by (n_docs DESC, value ASC), which
+        bounds the result when a facet has huge cardinality. Frozen pair:
         sqlgen.facets_sql."""
-        jobs = [j for j in map(self._spec_job, queries) if j is not None]
-        if not jobs:
-            return self.FACET_SCHEMA.empty_table()
-        parts = pa.concat_tables(
-            ray.get([a.facets.remote(jobs, self._tomb_ids) for a in self.actors])
-        )
-        if parts.num_rows == 0:
-            return self.FACET_SCHEMA.empty_table()
-        g = parts.group_by(["query_id", "facet", "value"]).aggregate(
-            [("n_docs", "sum")]
-        )
-        out = pa.table(
-            {
-                "query_id": g["query_id"],
-                "facet": g["facet"],
-                "value": g["value"],
-                "n_docs": pa.compute.cast(g["n_docs_sum"], pa.int64()),
-            },
-            schema=self.FACET_SCHEMA,
-        )
-        # keep the FACET_MAX_VALUES largest values per (query, facet) by
-        # (n_docs DESC, value ASC) — bounds the result when a facet has
-        # huge cardinality (millions of repos at corpus scale)
         from smse_backend_ray.config import FACET_MAX_VALUES
 
-        order = pa.compute.sort_indices(
-            out,
-            sort_keys=[
-                ("query_id", "ascending"),
-                ("facet", "ascending"),
-                ("n_docs", "descending"),
-                ("value", "ascending"),
-            ],
-        )
-        out = out.take(order)
-        if out.num_rows:
-            qa = out["query_id"].to_numpy()
-            fa = np.asarray(out["facet"].to_pylist(), dtype=object)
-            new = np.empty(len(qa), dtype=bool)
-            new[0] = True
-            new[1:] = (qa[1:] != qa[:-1]) | (fa[1:] != fa[:-1])
-            gid = np.cumsum(new) - 1
-            starts = np.flatnonzero(new)
-            pos = np.arange(len(qa)) - starts[gid]
-            out = out.filter(pa.array(pos < FACET_MAX_VALUES))
-        return out.take(
-            pa.compute.sort_indices(
-                out,
-                sort_keys=[
-                    ("query_id", "ascending"),
-                    ("facet", "ascending"),
-                    ("value", "ascending"),
-                ],
-            )
+        jobs = [j for j in map(self._spec_job, queries) if j is not None]
+        job, parts = self._scatter("facets", jobs)
+        if not job.size:
+            return self.FACET_SCHEMA.empty_table()
+        # one int64 key per (query_id, facet) that sorts like the pair
+        names, fcode = np.unique(np.array([f for p in parts for f in p[1]]), return_inverse=True)
+        qids = np.array([j["query_id"] for j in jobs], dtype=np.int64)
+        t = pa.table(
+            {
+                "key": qids[job] * names.size + fcode,
+                "value": pa.array([v for p in parts for v in p[2]], type=pa.string()),
+                "n_docs": np.concatenate([p[3] for p in parts]),
+            }
+        ).group_by(["key", "value"]).aggregate([("n_docs", "sum")])
+        by = [("key", "ascending"), ("n_docs_sum", "descending"), ("value", "ascending")]
+        t = t.take(pa.compute.sort_indices(t, sort_keys=by))
+        key = t["key"].to_numpy()
+        t = t.filter(np.arange(key.size) - np.searchsorted(key, key) < FACET_MAX_VALUES)
+        t = t.take(pa.compute.sort_indices(t, sort_keys=[by[0], by[2]]))
+        key = t["key"].to_numpy()
+        return pa.table(
+            {
+                "query_id": key // names.size,
+                "facet": names[key % names.size],
+                "value": t["value"],
+                "n_docs": t["n_docs_sum"],
+            },
+            schema=self.FACET_SCHEMA,
         )
 
     # ------------------------------------------------------------------
@@ -599,26 +575,33 @@ class SearchEngine:
             loads[s] += costs[i]
         return [np.array(c, dtype=np.int64) for c in chunks]
 
-    def _gather(self, jobs: list[dict]) -> tuple[pa.Table, np.ndarray]:
-        """Scatter every job to every shard once (one actor call per actor,
-        tombstones shipped once per call), then ONE vectorized merge of all
-        candidates: per-job threshold on the rounded score (keeps >=, the
-        reference's `not <` form) -> total order (job, rscore DESC, doc_id
-        ASC) -> each job's own limit -> rank; mirrors
-        services/search.py:171-215. Returns the RESULT_SCHEMA table, query
-        blocks in ``jobs`` order, and each job's row count."""
-        if not jobs:
-            return RESULT_SCHEMA.empty_table(), np.zeros(0, dtype=np.int64)
+    def _scatter(self, method: str, jobs: list[dict]) -> tuple[np.ndarray, list]:
+        """Send each replica set its share of ``jobs`` (``_split``): one
+        ``method`` call per actor, tombstones shipped once per call. Returns
+        the actors' flat column tuples and, per concatenated row, the
+        index of its job in ``jobs`` (the first column of every part)."""
         futs, owners = [], []
         for ix, st in zip(self._split(jobs), self.actor_sets):
             if not ix.size:
                 continue
             sub = [jobs[i] for i in ix]
             for a in st:
-                futs.append(a.search.remote(sub, self._tomb_ids))
+                futs.append(getattr(a, method).remote(sub, self._tomb_ids))
                 owners.append(ix)
         parts = ray.get(futs)
-        job = np.concatenate([ix[p[0]] for ix, p in zip(owners, parts)])
+        job = [ix[p[0]] for ix, p in zip(owners, parts)]
+        return np.concatenate(job) if job else np.empty(0, dtype=np.int64), parts
+
+    def _gather(self, jobs: list[dict]) -> tuple[pa.Table, np.ndarray]:
+        """Scatter every job to every shard once, then ONE vectorized merge
+        of all candidates: per-job threshold on the rounded score (keeps >=,
+        the reference's `not <` form) -> total order (job, rscore DESC,
+        doc_id ASC) -> each job's own limit -> rank; mirrors
+        services/search.py:171-215. Returns the RESULT_SCHEMA table, query
+        blocks in ``jobs`` order, and each job's row count."""
+        if not jobs:
+            return RESULT_SCHEMA.empty_table(), np.zeros(0, dtype=np.int64)
+        job, parts = self._scatter("search", jobs)
         doc_id, score, rscore = (np.concatenate([p[c] for p in parts]) for c in (1, 2, 3))
         thr = np.array([-np.inf if j["threshold"] is None else j["threshold"] for j in jobs])
         keep = np.flatnonzero(rscore >= thr[job])

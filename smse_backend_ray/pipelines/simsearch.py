@@ -83,9 +83,10 @@ def _load_sidecar(parent, sidecar: str) -> np.ndarray:
 
 
 def _emb_matrix(col) -> np.ndarray:
-    """list<float> column -> (n, d) float64 matrix without a Python loop."""
+    """list<float> column -> (n, d) float64 matrix without a Python loop
+    (``flatten`` honours a sliced batch's offset; ``values`` would not)."""
     arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    flat = np.asarray(arr.values, dtype=np.float64)
+    flat = np.asarray(arr.flatten(), dtype=np.float64)
     offs = np.asarray(arr.offsets, dtype=np.int64)
     widths = np.diff(offs)
     d = int(widths[0]) if len(widths) else 0

@@ -99,13 +99,23 @@ def _parquet_rows(path: str) -> int | None:
         return None
 
 
+def read_parquet_plain(paths, columns: list[str]) -> "ray.data.Dataset":
+    """``ray.data.read_parquet`` whose blocks carry no schema metadata. Files
+    written from pandas carry a ``b'pandas'`` metadata dict; the schema dedup
+    at the next exchange hashes it and logs ``Failed to hash the schemas``
+    per reduce task. An explicit read schema (the footer's fields, no
+    metadata) drops it inside the read itself."""
+    import pyarrow.dataset as pads
+
+    footer = pads.dataset(paths, format="parquet").schema
+    schema = pa.schema([footer.field(c) for c in columns])
+    return ray.data.read_parquet(paths, columns=columns, schema=schema)
+
+
 def corpus_from_documents(sf_dir: str) -> "ray.data.Dataset":
     """documents.parquet -> corpus Dataset (deterministic; see CORPUS_CTE)."""
     path = os.path.join(sf_dir, "documents.parquet")
-    ds = ray.data.read_parquet(
-        path,
-        columns=["doc_id", "text", "lang", "source"],
-    )
+    ds = read_parquet_plain(path, ["doc_id", "text", "lang", "source"])
     return ds.repartition(_parallel_blocks(_parquet_rows(path))).map_batches(
         _derive_batch, batch_format="pyarrow", zero_copy_batch=True
     )
@@ -132,9 +142,8 @@ def replicated_corpus_from_documents(sf_dir: str, repl: int) -> "ray.data.Datase
                 out["content"].append(txt if r == 0 else f"{txt} rep{r}")
         return pa.table({c: pa.array(out[c], type=pa.string()) for c in CORPUS_COLUMNS})
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "lang", "source"],
+    ds = read_parquet_plain(
+        os.path.join(sf_dir, "documents.parquet"), ["doc_id", "text", "lang", "source"]
     )
     # batch_size counts EXPAND INPUT rows, and downstream maps fuse into the
     # same task — scale it down by the expansion factor or the whole corpus
@@ -160,7 +169,7 @@ def corpus_from_files(
     fmt = format.lower()
     str_schema = pa.schema([(c, pa.string()) for c in CORPUS_COLUMNS])
     if fmt == "parquet":
-        ds = ray.data.read_parquet(paths, columns=list(CORPUS_COLUMNS))
+        ds = read_parquet_plain(paths, list(CORPUS_COLUMNS))
     elif fmt == "csv":
         # utf8 is FORCED at parse time: type inference + cast-back would
         # silently rewrite values (commit '00123' -> int64 -> '123'),

@@ -7,10 +7,15 @@ per-worker state is an index shard: a ``ShardSearcher`` Ray actor loads its
 shards' segment + docmeta parquet ONCE in ``__init__`` and then answers top-k
 for batches of queries with vectorized numpy scoring.
 
-Shard state stays COLUMNAR: segments are held as one Arrow table with a
-term -> row-index dict; per-term entries (posting bytes) are materialized
-lazily on first query of the term and postings decode lazily on top of that. Actor start cost is O(1 table concat + 1 string-column pass),
-flat as the vocabulary grows — never a to_pylist of every segment row.
+Shard state stays COLUMNAR: segments are held as one term-sorted Arrow
+table; a term's postings decode straight from its rows' binary buffers on
+first query of the term (one cache of decoded arrays, plus one of positions
+for positional terms). Actor start cost is O(1 table concat + 1 sort), flat
+as the vocabulary grows — never a to_pylist of every segment row.
+
+Every query mode goes through one path: ``ShardIndex.match`` (the only mode
+dispatch) -> ``top_k`` for results, or ``facet_counts`` for facets, both
+behind the same tombstone + scope filter (``_visible``).
 
 All index reads go through state/fs.IndexFS, so shards load from any
 pyarrow.fs location (local, file://, s3://, or an injected FileSystem).
@@ -31,7 +36,7 @@ import ray
 from smse_backend_ray.config import SCORE_DECIMALS, BM25Params
 from smse_backend_ray.functions.bm25 import tfnorm_vec
 from smse_backend_ray.functions.rounding import round_half_away
-from smse_backend_ray.functions.codec import decode_postings
+from smse_backend_ray.functions.codec import decode_positions, decode_postings
 from smse_backend_ray.state.fs import resolve
 
 
@@ -87,6 +92,10 @@ SEGMENT_COLS = ["term", "docs_bytes", "tfs_bytes", "dls_bytes"]
 POS_SEGMENT_COLS = ["pos_bytes"]
 
 
+def _job(terms, weights, scope: str, k: int, **mode) -> dict:
+    return {"terms": terms, "weights": weights, "scope": scope, "k": k, **mode}
+
+
 class ShardIndex:
     """Columnar view of one shard (segments + doc metadata)."""
 
@@ -113,11 +122,9 @@ class ShardIndex:
         self.has_positions = bool(seg_files) and (
             "pos_bytes" in ifs.parquet_file(seg_files[0]).schema_arrow.names
         )
-        self._seg_cols = SEGMENT_COLS + (POS_SEGMENT_COLS if self.has_positions else [])
-        self._entry_cols = self._seg_cols[1:]
         if seg_files:
-            parts = ifs.read_tables(seg_files, columns=self._seg_cols)
-            seg = pa.concat_tables(parts).combine_chunks()
+            cols = SEGMENT_COLS + (POS_SEGMENT_COLS if self.has_positions else [])
+            seg = pa.concat_tables(ifs.read_tables(seg_files, columns=cols))
             # the only full-vocabulary pass: one STABLE C++ sort by term
             # (stability keeps generation order within a term — file order,
             # which append_index relies on only for determinism of caches;
@@ -131,10 +138,10 @@ class ShardIndex:
             seg = None
             self._terms_sorted = np.empty(0, dtype=object)
         self._seg = seg
-        self._ent_cache: dict[str, list[dict]] = {}
-        self._dec_cache: dict[str, tuple] = {}
-        self._pos_cache: dict[str, tuple] = {}
-        self._pos_seg_cache: dict[str, tuple] = {}
+        # term -> (doc_ids, tfs, dls), and for positional terms
+        # term -> (flat positions, sorted doc_ids, order, starts)
+        self._post: dict[str, tuple] = {}
+        self._pos: dict[str, tuple] = {}
 
         # docs are hive-partitioned by shard_id (optionally nested under
         # wave_* dirs in file-mode builds); read only this shard's meta cols
@@ -162,183 +169,145 @@ class ShardIndex:
 
     # -- lazy per-term state ----------------------------------------------
 
-    def _entries(self, term: str) -> list[dict] | None:
-        """Materialize a term's segment rows (one per generation) from the
-        columnar table (cached); decode state attaches to the dicts lazily."""
-        ents = self._ent_cache.get(term)
-        if ents is not None:
-            return ents
+    def _rows(self, term: str) -> range:
+        """The term's segment rows (one per generation) in the sorted table."""
         lo = int(np.searchsorted(self._terms_sorted, term, side="left"))
-        hi = int(np.searchsorted(self._terms_sorted, term, side="right"))
-        if lo == hi:
-            return None
-        ents = [{c: self._seg[c][i].as_py() for c in self._entry_cols} for i in range(lo, hi)]
-        self._ent_cache[term] = ents
-        return ents
+        return range(lo, int(np.searchsorted(self._terms_sorted, term, side="right")))
 
-    def _ent_decoded(self, ent: dict):
-        if "dec" not in ent:
-            ent["dec"] = decode_postings(ent, self.block_size)
-        return ent["dec"]
+    def _stream(self, col: str, i: int) -> pa.Buffer:
+        """Row ``i``'s posting stream: a zero-copy view of the Arrow buffer."""
+        return self._seg[col][i].as_buffer()
 
     def _decoded(self, term: str):
-        """Full posting arrays for a term: the single generation's decode, or
-        the concatenation across generations (doc sets are disjoint, so the
-        per-(doc, term) contribution set — and therefore the accumulation
-        result — is independent of concatenation order)."""
-        ents = self._entries(term)
-        if ents is None:
-            return None
-        if len(ents) == 1:
-            return self._ent_decoded(ents[0])
-        dec = self._dec_cache.get(term)
+        """(doc_ids, tfs, dls) of a term, cached: each generation's row is
+        decoded straight from the segment table's buffers, concatenated
+        across generations (doc sets are disjoint, so the per-(doc, term)
+        contribution set — and therefore the accumulation result — is
+        independent of concatenation order)."""
+        dec = self._post.get(term)
         if dec is None:
-            parts = [self._ent_decoded(e) for e in ents]
-            dec = tuple(np.concatenate([p[i] for p in parts]) for i in range(3))
-            self._dec_cache[term] = dec
+            rows = self._rows(term)
+            if not rows:
+                return None
+            parts = [
+                decode_postings({c: self._stream(c, i) for c in SEGMENT_COLS[1:]}, self.block_size)
+                for i in rows
+            ]
+            dec = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+            self._post[term] = dec
         return dec
 
-    def _decoded_pos(self, term: str):
-        """(doc_ids, tfs, flat_positions) for a term, concatenated across
-        generations in the SAME ents order as ``_decoded`` — posting k owns
-        positions [cum_tf[k], cum_tf[k+1]). Requires a positional index."""
-        hit = self._pos_cache.get(term)
-        if hit is not None:
-            return hit
-        ents = self._entries(term)
-        if ents is None:
-            return None
-        from smse_backend_ray.functions.codec import decode_positions
-
-        id_parts, tf_parts, pos_parts = [], [], []
-        for e in ents:
-            ids, tfs, _dls = self._ent_decoded(e)
-            id_parts.append(ids)
-            tf_parts.append(tfs)
-            pos_parts.append(decode_positions(e, tfs))
-        out = (
-            np.concatenate(id_parts),
-            np.concatenate(tf_parts),
-            np.concatenate(pos_parts),
-        )
-        self._pos_cache[term] = out
-        return out
+    def _positions(self, term: str) -> tuple:
+        """(flat positions, sorted doc_ids, order, starts) of a positional
+        term, cached; posting k of ``_decoded(term)`` owns positions
+        flat[starts[k] : starts[k] + tfs[k]], and ``order`` maps the sorted
+        ids back to postings (generations concatenate unsorted). The term's
+        per-generation position streams decode as ONE stream against the
+        cached tfs: position deltas reset at every posting start, and a
+        generation boundary is a posting start."""
+        hit = self._pos.get(term)
+        if hit is None:
+            ids, tfs, _dls = self._decoded(term)
+            stream = np.concatenate(
+                [np.frombuffer(self._stream("pos_bytes", i), dtype=np.uint8) for i in self._rows(term)]
+            )
+            order = np.argsort(ids, kind="stable")
+            hit = (
+                decode_positions({"pos_bytes": stream}, tfs),
+                ids[order],
+                order,
+                np.concatenate(([0], np.cumsum(tfs)))[:-1],
+            )
+            self._pos[term] = hit
+        return hit
 
     def excluded_ids(self, terms: list[str]) -> np.ndarray:
         """Union of doc_ids containing ANY of ``terms`` in this shard
         (boolean-NOT support: merged into the tombstone filter, which
-        applies BEFORE scope/threshold/top-k on every scoring path)."""
-        parts = []
-        for t in terms:
-            dec = self._decoded(t)
-            if dec is not None:
-                parts.append(dec[0])
+        applies BEFORE scope/threshold/top-k in every mode)."""
+        parts = [dec[0] for dec in map(self._decoded, terms) if dec is not None]
         if not parts:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(parts))
 
-    def _conj_candidates(self, terms: list[str]) -> "np.ndarray | None":
-        """doc_ids (sorted) containing EVERY term, or None when any term is
-        absent from this shard. Docs live in exactly one shard, so the
-        per-shard intersection is globally correct."""
-        cand = None
-        for t in terms:
-            dec = self._decoded(t)
-            if dec is None:
-                return None
-            ids = np.sort(dec[0])  # generations concatenate unsorted
-            cand = ids if cand is None else np.intersect1d(cand, ids, assume_unique=True)
-            if cand.size == 0:
-                return cand
-        return cand
+    # -- matching ------------------------------------------------------------
 
-    def _restricted_scores(
-        self, terms, weights, cand: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray] | None":
-        """Exact (uniq doc_ids, raw scores) of the candidate doc set in fixed
-        term-asc order (bitwise == the oracle's restricted accumulation)."""
+    def match(self, job: dict) -> "tuple[np.ndarray, np.ndarray] | None":
+        """(uniq doc_ids, raw scores) of EVERY doc of this shard that matches
+        the job — no tombstone/scope/threshold/top-k applied — or None.
+
+        The only branch on the job's mode. OR matches any doc containing a
+        term; AND (``_conj_candidates``), phrase (``_phrase_matches``) and
+        near (``_near_matches``) first restrict to a candidate doc set.
+        Every mode then scores with the same BM25 sum: ``terms`` MUST be
+        sorted ascending with ``weights[i] = qtf_i * idf_i`` (the driver's
+        global df), and contributions accumulate in fixed term-ascending
+        order (``_accumulate``), bitwise equal to the oracle. Frozen pairs:
+        oracle.oracle_search / sqlgen.bm25_topk_sql (OR),
+        oracle_conj_search / bm25_conj_topk_sql (AND),
+        oracle_phrase_search / phrase_topk_sql (phrase),
+        oracle_near_search / near_topk_sql (near)."""
+        terms, weights = job["terms"], job["weights"]
+        cand = None
+        if job.get("phrase"):
+            cand = self._phrase_matches(job["phrase"])
+        elif job.get("mode") == "near":
+            cand = self._near_matches(terms, job["slop"])
+        elif job.get("mode") == "and":
+            cand = self._conj_candidates(terms)
+        if cand is not None and not cand.size:
+            return None
         id_parts, c_parts = [], []
         for term, w in zip(terms, weights):
             dec = self._decoded(term)
             if dec is None:
                 continue
             doc_ids, tfs, dls = dec
-            m = np.isin(doc_ids, cand, assume_unique=True)
-            id_parts.append(doc_ids[m])
-            c_parts.append(w * tfnorm_vec(tfs[m], dls[m], self.avgdl, self.params))
+            if cand is not None:
+                m = np.isin(doc_ids, cand, assume_unique=True)
+                doc_ids, tfs, dls = doc_ids[m], tfs[m], dls[m]
+            id_parts.append(doc_ids)
+            c_parts.append(w * tfnorm_vec(tfs, dls, self.avgdl, self.params))
         if not id_parts:
             return None
         return _accumulate(id_parts, c_parts)
 
-    def _score_restricted(
-        self, terms, weights, cand: np.ndarray, scope: str, k: int, tombstones=None
-    ) -> dict:
-        r = self._restricted_scores(terms, weights, cand)
-        if r is None:
-            return self._empty()
-        return self._finalize(r[0], r[1], scope, k, tombstones)
-
-    def score_conj(self, terms, weights, scope: str = "", k: int = 30, tombstones=None) -> dict:
-        """Conjunctive (AND) top-k: only docs containing EVERY query term
-        score; scoring itself is the same BM25 sum (frozen semantics mirrored
-        by the oracle and sqlgen.bm25_conj_topk_sql)."""
-        cand = self._conj_candidates(terms)
-        if cand is None or cand.size == 0:
-            return self._empty()
-        return self._score_restricted(terms, weights, cand, scope, k, tombstones)
-
-    def score_phrase(
-        self, phrase: list[str], terms, weights, scope: str = "", k: int = 30, tombstones=None
-    ) -> dict:
-        """Exact-phrase top-k (requires a positional index).
-
-        A doc matches iff the phrase's kept-token sequence occurs contiguously
-        in the doc's kept-token stream: positions(q0) chained through
-        ``P = P[isin(P + j, positions(qj))]``. Matching docs score with the
-        same BM25 sum over the phrase's term multiset (qtf*idf weights).
-        Frozen semantics mirrored by oracle.oracle_phrase_search and
-        sqlgen.phrase_topk_sql. Duplicate phrase terms are handled naturally
-        by the position chain.
-        """
-        matched = self._phrase_matches(phrase)
-        if matched is None or matched.size == 0:
-            return self._empty()
-        return self._score_restricted(terms, weights, matched, scope, k, tombstones)
+    def _conj_candidates(self, terms: list[str]) -> np.ndarray:
+        """doc_ids (sorted) containing EVERY term; empty when any term is
+        absent from this shard. Docs live in exactly one shard, so the
+        per-shard intersection is globally correct. AND mode matches
+        exactly these docs."""
+        cand = np.empty(0, dtype=np.int64)
+        for i, t in enumerate(terms):
+            dec = self._decoded(t)
+            if dec is None:
+                return np.empty(0, dtype=np.int64)
+            ids = np.sort(dec[0])  # generations concatenate unsorted
+            cand = ids if i == 0 else np.intersect1d(cand, ids, assume_unique=True)
+            if cand.size == 0:
+                break
+        return cand
 
     # doc-rank-offset key base for cross-doc vectorized position math:
     # global key = rank(doc in cand) * _POS_OFF + kept_position. Safe while
     # dl + phrase length < 2^32 (a 4-billion-token doc) and ranks < 2^31.
     _POS_OFF = np.int64(1) << 32
 
-    def _pos_segments(self, term: str) -> tuple:
-        """(sorted_ids, order, tfs, starts) for a positional term, cached:
-        the doc_id -> position-segment lookup shared by the candidate
-        gathers below (ids concatenate unsorted across generations, hence
-        the explicit sort view)."""
-        hit = self._pos_seg_cache.get(term)
-        if hit is None:
-            ids, tfs, _flat = self._decoded_pos(term)
-            starts = np.concatenate(([0], np.cumsum(tfs)))[:-1]
-            order = np.argsort(ids, kind="stable")
-            hit = (ids[order], order, tfs, starts)
-            self._pos_seg_cache[term] = hit
-        return hit
-
     def _cand_seg(self, term: str, cand: np.ndarray) -> tuple:
-        """(tfs_sel, starts_sel) of the candidate docs' position segments,
-        in cand order. cand MUST be a subset of the term's doc list (the
-        conjunctive-candidate invariant), so the lookup is an exact hit."""
-        sids, order, tfs, starts = self._pos_segments(term)
+        """(flat positions, tfs_sel, starts_sel): the candidate docs'
+        position segments, in cand order. cand MUST be a subset of the
+        term's doc list (the conjunctive-candidate invariant), so the lookup
+        is an exact hit."""
+        flat, sids, order, starts = self._positions(term)
         pos_in = order[np.searchsorted(sids, cand)]
-        return tfs[pos_in], starts[pos_in]
+        return flat, self._decoded(term)[1][pos_in], starts[pos_in]
 
     def _cand_gpos(self, term: str, cand: np.ndarray) -> np.ndarray:
         """All occurrences of ``term`` in candidate docs as global keys
         rank*_POS_OFF + position — gathers ONLY the candidate docs'
         position segments (O(occurrences within cand), never a pass over
         every occurrence of the term in the shard), ascending."""
-        _ids, _tfs, flat = self._decoded_pos(term)
-        L, off = self._cand_seg(term, cand)
+        flat, L, off = self._cand_seg(term, cand)
         tok_off = np.concatenate(([0], np.cumsum(L)))
         idx = (
             np.arange(int(tok_off[-1]), dtype=np.int64)
@@ -348,24 +317,22 @@ class ShardIndex:
         rank = np.repeat(np.arange(cand.size, dtype=np.int64), L)
         return rank * self._POS_OFF + flat[idx]
 
-    def _cand_minmax(self, term: str, cand: np.ndarray) -> tuple:
-        """(min_pos, max_pos) of ``term`` per candidate doc — O(1) per doc
-        from the segment bounds (positions are stored ascending per doc)."""
-        _ids, _tfs, flat = self._decoded_pos(term)
-        L, off = self._cand_seg(term, cand)
-        return flat[off], flat[off + L - 1]
+    def _phrase_matches(self, phrase: list[str]) -> np.ndarray:
+        """doc_ids (sorted) whose kept-token stream contains the phrase
+        (requires a positional index).
 
-    def _phrase_matches(self, phrase: list[str]) -> "np.ndarray | None":
-        """doc_ids (sorted) whose kept-token stream contains the phrase.
-
-        Fully vectorized across candidate docs: occurrences become global
-        keys rank*OFF + pos, and the phrase chain ``P = P[isin(P+j, Q_j)]``
-        runs once over ALL candidates (within-doc +j never crosses an OFF
-        boundary, so cross-doc matches are impossible)."""
+        A doc matches iff the phrase's kept-token sequence occurs
+        contiguously in its kept-token stream: positions(q0) chained through
+        ``P = P[isin(P + j, positions(qj))]``; duplicate phrase terms are
+        handled naturally by the chain. Matching docs score over the
+        phrase's term multiset (qtf*idf weights). Fully vectorized across
+        candidate docs: occurrences become global keys rank*OFF + pos, and
+        the chain runs once over ALL candidates (within-doc +j never crosses
+        an OFF boundary, so cross-doc matches are impossible)."""
         self._require_positions("phrase")
         uniq = sorted(set(phrase))
         cand = self._conj_candidates(uniq)
-        if cand is None or cand.size == 0:
+        if cand.size == 0:
             return cand
         gpos = {t: self._cand_gpos(t, cand) for t in uniq}
         P = gpos[phrase[0]]
@@ -373,27 +340,16 @@ class ShardIndex:
             if P.size == 0:
                 break
             P = P[np.isin(P + off, gpos[t], assume_unique=True)]
-        if P.size == 0:
-            return np.empty(0, dtype=np.int64)
         return cand[np.unique(P // self._POS_OFF)]
 
-    def score_near(
-        self, terms, weights, slop: int, scope: str = "", k: int = 30, tombstones=None
-    ) -> dict:
-        """Proximity top-k (requires a positional index): a doc matches iff
-        some kept-token window of span <= ``slop`` (max position - min
-        position) contains at least one occurrence of EVERY distinct query
-        term. ``terms`` MUST be the full distinct kept term list (the driver
-        short-circuits df=0 terms to an empty result). Matching docs score
-        with the same BM25 sum. Frozen semantics mirrored by
-        oracle.oracle_near_search and sqlgen.near_topk_sql."""
-        matched = self._near_matches(terms, slop)
-        if matched is None or matched.size == 0:
-            return self._empty()
-        return self._score_restricted(terms, weights, matched, scope, k, tombstones)
+    def _near_matches(self, terms: list[str], slop: int) -> np.ndarray:
+        """doc_ids (sorted) with all distinct terms in a span<=slop window
+        (requires a positional index).
 
-    def _near_matches(self, terms: list[str], slop: int) -> "np.ndarray | None":
-        """doc_ids (sorted) with all distinct terms in a span<=slop window.
+        A doc matches iff some kept-token window of span <= ``slop`` (max
+        position - min position) contains at least one occurrence of EVERY
+        distinct query term. ``terms`` MUST be the full distinct kept term
+        list (the driver short-circuits df=0 terms to an empty result).
 
         Vectorized across candidate docs via global rank*OFF+pos keys: for
         every occurrence position p (window END), the minimal window ending
@@ -404,9 +360,7 @@ class ShardIndex:
         _min_cover_span in tests)."""
         self._require_positions("near")
         cand = self._conj_candidates(terms)
-        if cand is None or cand.size == 0:
-            return cand
-        if len(terms) == 1:
+        if cand.size == 0 or len(terms) == 1:
             return cand  # a single term's own position is a span-0 window
         # cheap per-doc span LOWER BOUND before the occurrence sweep: any
         # window containing one occurrence of every term has end >=
@@ -414,16 +368,17 @@ class ShardIndex:
         # span >= max_t(min_pos) - min_t(max_pos). Docs whose bound exceeds
         # slop are provably non-matching and skip occurrence decode — the
         # surviving set is bitwise-identical (necessary condition only).
-        # O(1) per (term, doc) from the segment bounds; the expensive
-        # O(occ log occ) merged sweep then runs on survivors only.
+        # O(1) per (term, doc) from the segment bounds (positions ascend
+        # per doc); the O(occ log occ) merged sweep runs on survivors only.
         lbmax = ubmin = None
         for t in terms:
-            mn, mx = self._cand_minmax(t, cand)
+            flat, L, off = self._cand_seg(t, cand)
+            mn, mx = flat[off], flat[off + L - 1]
             lbmax = mn if lbmax is None else np.maximum(lbmax, mn)
             ubmin = mx if ubmin is None else np.minimum(ubmin, mx)
         cand = cand[(lbmax - ubmin) <= slop]
         if cand.size == 0:
-            return np.empty(0, dtype=np.int64)
+            return cand
         # _cand_gpos is ascending by construction (rank-major, positions
         # ascending per doc segment), so no per-term sort is needed, and the
         # concatenation of k sorted runs merges in O(n log k) with the
@@ -441,8 +396,6 @@ class ShardIndex:
             ok &= same
             best_min = np.minimum(best_min, np.where(same, latest, big))
         hit = ok & ((merged - best_min) <= slop)
-        if not hit.any():
-            return np.empty(0, dtype=np.int64)
         return cand[np.unique(doc_of[hit])]
 
     def _require_positions(self, what: str) -> None:
@@ -452,111 +405,39 @@ class ShardIndex:
                 "(EngineConfig.with_positions=True at build time)"
             )
 
-    # -- scoring -----------------------------------------------------------
+    # -- results -------------------------------------------------------------
 
-    def score_query(
-        self,
-        terms: list[str],
-        weights: list[float],
-        scope: str = "",
-        k: int = 30,
-        tombstones: "np.ndarray | None" = None,
+    def top_k(self, job: dict, tombstones: "np.ndarray | None" = None) -> dict:
+        """One job's top-k on this shard: candidate arrays (doc_id, score,
+        rscore) plus their (repo, path, lang) rows as an Arrow ``meta``
+        table, ordered by (rscore DESC, doc_id ASC), truncated to k."""
+        r = self.match(job)
+        if r is None:  # no match: skip the filter, the sort and the meta take
+            f = np.empty(0, dtype=np.float64)
+            return {"doc_id": np.empty(0, dtype=np.int64), "score": f, "rscore": f,
+                    "meta": self.meta.slice(0, 0)}
+        return self._finalize(*r, job.get("scope", ""), job["k"], tombstones)
+
+    # one-mode job builders over top_k, for in-process probes (perfbench)
+    def score_query(self, terms, weights, scope: str = "", k: int = 30, tombstones=None) -> dict:
+        return self.top_k(_job(terms, weights, scope, k), tombstones)
+
+    def score_conj(self, terms, weights, scope: str = "", k: int = 30, tombstones=None) -> dict:
+        return self.top_k(_job(terms, weights, scope, k, mode="and"), tombstones)
+
+    def score_phrase(
+        self, phrase: list[str], terms, weights, scope: str = "", k: int = 30, tombstones=None
     ) -> dict:
-        """Top-k for one query on this shard.
+        return self.top_k(_job(terms, weights, scope, k, phrase=phrase), tombstones)
 
-        ``terms`` MUST be sorted ascending with ``weights[i] = qtf_i * idf_i``
-        (computed by the driver from the global df table). Returns candidate
-        arrays (doc_id, score, rscore) plus their (repo, path, lang) rows as
-        an Arrow ``meta`` table, ordered by (rscore DESC, doc_id ASC),
-        truncated to k.
-        """
-        r = self._or_scores(terms, weights)
-        if r is None:
-            return self._empty()
-        return self._finalize(r[0], r[1], scope, k, tombstones)
-
-    def _or_scores(self, terms, weights) -> "tuple[np.ndarray, np.ndarray] | None":
-        """(uniq doc_ids, raw scores) of every doc containing any term."""
-        id_parts: list[np.ndarray] = []
-        c_parts: list[np.ndarray] = []
-        for term, w in zip(terms, weights):
-            dec = self._decoded(term)
-            if dec is None:
-                continue
-            doc_ids, tfs, dls = dec
-            id_parts.append(doc_ids)
-            c_parts.append(w * tfnorm_vec(tfs, dls, self.avgdl, self.params))
-        if not id_parts:
-            return None
-        return _accumulate(id_parts, c_parts)
-
-    def _job_scores(self, job: dict) -> "tuple[np.ndarray, np.ndarray] | None":
-        """(uniq doc_ids, raw scores) of ALL matching docs for a mode job —
-        no scope/threshold/tombstone/top-k applied. Mode semantics identical
-        to the corresponding score_* entry point."""
-        terms, weights = job["terms"], job["weights"]
-        if job.get("phrase"):
-            matched = self._phrase_matches(job["phrase"])
-        elif job.get("mode") == "near":
-            matched = self._near_matches(terms, job["slop"])
-        elif job.get("mode") == "and":
-            matched = self._conj_candidates(terms)
-        else:
-            return self._or_scores(terms, weights)
-        if matched is None or matched.size == 0:
-            return None
-        return self._restricted_scores(terms, weights, matched)
-
-    def facet_counts(
-        self, job: dict, facets=("repo", "lang"), tombstones=None
+    def score_near(
+        self, terms, weights, slop: int, scope: str = "", k: int = 30, tombstones=None
     ) -> dict:
-        """Per-facet value counts over ALL matching docs of a job (the
-        search-UI filter-sidebar analog; A3/A4 aggregation family) — no
-        top-k truncation. Match/scope/threshold/tombstone semantics are
-        identical to the corresponding score_* path; threshold applies to
-        the ROUNDED score like the result set. Frozen pair:
-        sqlgen.facets_sql."""
-        r = self._job_scores(job)
-        empty = {"facet": [], "value": [], "n_docs": []}
-        if r is None:
-            return empty
-        doc_ids, scores = r
-        threshold = job.get("threshold")
-        if tombstones is not None and tombstones.size:
-            m = ~np.isin(doc_ids, tombstones)
-            doc_ids, scores = doc_ids[m], scores[m]
-        if threshold is not None:
-            m = round_half_away(scores, SCORE_DECIMALS) >= threshold
-            doc_ids, scores = doc_ids[m], scores[m]
-        if doc_ids.size == 0:
-            return empty
-        pos = np.searchsorted(self.meta_ids, doc_ids)
-        scope = job.get("scope", "")
-        if scope:
-            repo_c = self.meta["repo"].take(pa.array(pos))
-            m = pa.compute.equal(repo_c, scope).to_numpy(zero_copy_only=False)
-            pos = pos[m]
-            if pos.size == 0:
-                return empty
-        idx = pa.array(pos)
-        out = {"facet": [], "value": [], "n_docs": []}
-        for facet in facets:
-            vc = pa.compute.value_counts(self.meta[facet].take(idx).combine_chunks())
-            vals = vc.field("values").to_pylist()
-            cnts = vc.field("counts").to_pylist()
-            out["facet"].extend([facet] * len(vals))
-            out["value"].extend(vals)
-            out["n_docs"].extend(cnts)
-        return out
+        return self.top_k(_job(terms, weights, scope, k, mode="near", slop=slop), tombstones)
 
-    def _finalize(
-        self,
-        doc_ids: np.ndarray,
-        scores: np.ndarray,
-        scope: str,
-        k: int,
-        tombstones: np.ndarray | None = None,
-    ) -> dict:
+    def _visible(self, doc_ids, scores, scope: str, tombstones) -> tuple:
+        """(doc_ids, scores, meta row positions) minus tombstoned docs and,
+        when ``scope`` is set, docs of other repos."""
         if tombstones is not None and tombstones.size:
             m = ~np.isin(doc_ids, tombstones)
             doc_ids, scores = doc_ids[m], scores[m]
@@ -567,6 +448,10 @@ class ShardIndex:
             repo_c = self.meta["repo"].take(pa.array(pos))
             m = pa.compute.equal(repo_c, scope).to_numpy(zero_copy_only=False)
             doc_ids, scores, pos = doc_ids[m], scores[m], pos[m]
+        return doc_ids, scores, pos
+
+    def _finalize(self, doc_ids, scores, scope: str, k: int, tombstones=None) -> dict:
+        doc_ids, scores, pos = self._visible(doc_ids, scores, scope, tombstones)
         rscore = round_half_away(scores, SCORE_DECIMALS)
         order = np.lexsort((doc_ids, -rscore))[:k]
         return {
@@ -577,12 +462,28 @@ class ShardIndex:
             "meta": self.meta.take(pos[order]),
         }
 
-    def _empty(self) -> dict:
-        f = np.empty(0, dtype=np.float64)
-        return {
-            "doc_id": np.empty(0, dtype=np.int64), "score": f, "rscore": f,
-            "meta": self.meta.slice(0, 0),
-        }
+    def facet_counts(
+        self, job: dict, facets=("repo", "lang"), tombstones=None
+    ) -> tuple[list, list, np.ndarray]:
+        """(facet, value, n_docs) counts over ALL matching docs of a job (the
+        search-UI filter-sidebar analog; A3/A4 aggregation family) — no
+        top-k truncation. Match, tombstone and scope semantics are those of
+        ``top_k``; threshold applies to the ROUNDED score like the result
+        set. Frozen pair: sqlgen.facets_sql."""
+        fac, val, cnt = [], [], []
+        r = self.match(job)
+        if r is not None:
+            _ids, scores, pos = self._visible(*r, job.get("scope", ""), tombstones)
+            if job.get("threshold") is not None:
+                pos = pos[round_half_away(scores, SCORE_DECIMALS) >= job["threshold"]]
+            idx = pa.array(pos, type=pa.int64())
+            for facet in facets:
+                vc = pa.compute.value_counts(self.meta[facet].take(idx).combine_chunks())
+                vals = vc.field("values").to_pylist()
+                fac += [facet] * len(vals)
+                val += vals
+                cnt.append(vc.field("counts").to_numpy())
+        return fac, val, np.concatenate(cnt) if cnt else np.empty(0, dtype=np.int64)
 
 
 def _job_tombstones(
@@ -592,26 +493,13 @@ def _job_tombstones(
     tombstone ids (shipped once per actor call), the job's own excluded ids
     (more_like_this drops its source doc) and (boolean NOT) the shard's docs
     containing any excluded term — all filter BEFORE scope/threshold/top-k
-    in _finalize."""
+    in _visible."""
     ex = job.get("exclude_terms")
     out = tombstones
     for extra in (job.get("exclude_ids"), sh.excluded_ids(ex) if ex else None):
         if extra is not None and extra.size:
             out = extra if out is None or not out.size else np.union1d(out, extra)
     return out
-
-
-def _score_job(sh: ShardIndex, job: dict, tomb: "np.ndarray | None") -> dict:
-    """One job's top-k on one shard, dispatched on the job's mode."""
-    terms, weights = job["terms"], job["weights"]
-    kw = {"scope": job.get("scope", ""), "k": job["k"], "tombstones": tomb}
-    if job.get("phrase"):
-        return sh.score_phrase(job["phrase"], terms, weights, **kw)
-    if job.get("mode") == "near":
-        return sh.score_near(terms, weights, job["slop"], **kw)
-    if job.get("mode") == "and":
-        return sh.score_conj(terms, weights, **kw)
-    return sh.score_query(terms, weights, **kw)
 
 
 @ray.remote
@@ -635,29 +523,20 @@ class ShardSearcher:
     def ping(self) -> bool:
         return True
 
-    def facets(self, jobs: list[dict], tombstones: "np.ndarray | None" = None) -> pa.Table:
-        """Per-query facet counts over this actor's shards (partial counts;
-        the driver sums across shards — each doc lives in exactly one shard,
-        so the global sums are exact)."""
-        cols = {"query_id": [], "facet": [], "value": [], "n_docs": []}
-        for job in jobs:
+    def facets(self, jobs: list[dict], tombstones: "np.ndarray | None" = None) -> tuple:
+        """Per-job facet counts over this actor's shards as flat columns:
+        (job index int64, facet, value, n_docs int64) — partial counts the
+        driver sums (each doc lives in exactly one shard, so the sums are
+        exact)."""
+        jix, fac, val, cnt = [], [], [], []
+        for j, job in enumerate(jobs):
             for sh in self.shards:
-                r = sh.facet_counts(job, tombstones=_job_tombstones(job, sh, tombstones))
-                n = len(r["facet"])
-                if not n:
-                    continue
-                cols["query_id"].extend([job["query_id"]] * n)
-                cols["facet"].extend(r["facet"])
-                cols["value"].extend(r["value"])
-                cols["n_docs"].extend(r["n_docs"])
-        return pa.table(
-            {
-                "query_id": pa.array(cols["query_id"], type=pa.int64()),
-                "facet": pa.array(cols["facet"], type=pa.string()),
-                "value": pa.array(cols["value"], type=pa.string()),
-                "n_docs": pa.array(cols["n_docs"], type=pa.int64()),
-            }
-        )
+                f, v, n = sh.facet_counts(job, tombstones=_job_tombstones(job, sh, tombstones))
+                jix.append(np.full(len(f), j, dtype=np.int64))
+                fac += f
+                val += v
+                cnt.append(n)
+        return _cat(jix, np.int64), fac, val, _cat(cnt, np.int64)
 
     def search(self, jobs: list[dict], tombstones: "np.ndarray | None" = None) -> tuple:
         """jobs: [{terms, weights, scope, k, mode...}] plus the engine's
@@ -670,7 +549,7 @@ class ShardSearcher:
         meta: dict[str, list] = {"repo": [], "path": [], "lang": []}
         for j, job in enumerate(jobs):
             for sh in self.shards:
-                r = _score_job(sh, job, _job_tombstones(job, sh, tombstones))
+                r = sh.top_k(job, _job_tombstones(job, sh, tombstones))
                 n = len(r["doc_id"])
                 if not n:
                     continue
@@ -680,11 +559,11 @@ class ShardSearcher:
                 rs.append(r["rscore"])
                 for c, vals in r["meta"].to_pydict().items():
                     meta[c].extend(vals)
-
-        def cat(parts: list, dtype) -> np.ndarray:
-            return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-
         return (
-            cat(jix, np.int64), cat(ids, np.int64), cat(sc, np.float64),
-            cat(rs, np.float64), meta["repo"], meta["path"], meta["lang"],
+            _cat(jix, np.int64), _cat(ids, np.int64), _cat(sc, np.float64),
+            _cat(rs, np.float64), meta["repo"], meta["path"], meta["lang"],
         )
+
+
+def _cat(parts: list, dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)

@@ -18,7 +18,7 @@ import pytest
 from smse_backend_ray.config import EngineConfig
 from smse_backend_ray.pipelines.build import append_index, build_index
 from smse_backend_ray.pipelines.search import SearchEngine
-from smse_backend_ray.queryset import ALL_QUERIES
+from smse_backend_ray.queryset import ALL_QUERIES, QuerySpec
 from smse_backend_ray.sources.corpus import corpus_table_from_documents
 from smse_backend_ray.state.catalog import Catalog
 
@@ -285,7 +285,13 @@ def test_legacy_block_columns_open_and_append(ray_session, with_positions):
     got, want = _search_all(idx, queries), _search_all(full_idx, queries)
     assert all(got) and got == want
     if with_positions:
+        # "common"/"tok" have postings in both generations: the modal
+        # matchers and facets read them through the merged caches
+        modal = [(q, m) for q in ("common tok", "tok filler") for m in ("phrase", "and", "near")]
+        specs = tuple(QuerySpec(i, (q,), mode=m) for i, (q, m) in enumerate(modal))
         with SearchEngine(idx) as a, SearchEngine(full_idx) as b:
-            for q in ("common tok", "tok filler"):
-                pa_, pb = a.search(q, mode="phrase"), b.search(q, mode="phrase")
-                assert pa_.num_rows and pa_.to_pylist() == pb.to_pylist()
+            for q, m in modal:
+                pa_, pb = a.search(q, mode=m), b.search(q, mode=m)
+                assert pa_.num_rows and pa_.to_pylist() == pb.to_pylist(), (q, m)
+            fa, fb = a.facet_counts(specs), b.facet_counts(specs)
+        assert fa.num_rows and fa.equals(fb)

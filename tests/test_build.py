@@ -292,3 +292,47 @@ def test_corpus_from_files_numeric_looking_strings_survive(ray_session, tmp_path
         assert [r["commit"] for r in got] == ["00123", "0456"], fmt
         assert [r["repo"] for r in got] == ["42", "42"], fmt
         assert got[1]["content"] == "99999999999999999999", fmt
+
+
+def test_corpus_readers_drop_schema_metadata(ray_session, sf_dir, tmp_path):
+    """Parquet written from pandas carries a b'pandas' schema metadata dict;
+    a block schema holding it cannot be hashed, so the schema dedup at the
+    first exchange logs 'Failed to hash the schemas'. The corpus readers'
+    blocks carry no metadata, already at the read, and the same rows."""
+    import pyarrow.parquet as pq
+
+    import ray
+
+    from smse_backend_ray.functions.collect import collect_table
+    from smse_backend_ray.sources.corpus import (
+        CORPUS_COLUMNS,
+        corpus_from_documents,
+        corpus_from_files,
+        corpus_table_from_documents,
+        read_parquet_plain,
+        replicated_corpus_from_documents,
+    )
+
+    path = f"{sf_dir}/documents.parquet"
+    assert b"pandas" in pq.read_schema(path).metadata
+    corpus = corpus_table_from_documents(sf_dir).slice(0, 50)
+    pq.write_table(pa.Table.from_pandas(corpus.to_pandas()), tmp_path / "c.parquet")
+    assert b"pandas" in pq.read_schema(tmp_path / "c.parquet").metadata
+    cols = ["doc_id", "text", "lang", "source"]
+    readers = {
+        "read": read_parquet_plain(path, cols),
+        "documents": corpus_from_documents(sf_dir),
+        "replicated": replicated_corpus_from_documents(sf_dir, 2),
+        "files": corpus_from_files(str(tmp_path / "c.parquet")),
+    }
+    for name, ds in readers.items():
+        blocks = ray.get(ds.to_arrow_refs())
+        assert blocks, name
+        for b in blocks:
+            assert b.schema.metadata is None, name
+            hash(b.schema)
+    assert collect_table(readers["read"]).sort_by("doc_id").equals(
+        pq.read_table(path, columns=cols).replace_schema_metadata(None).sort_by("doc_id")
+    )
+    got = collect_table(readers["files"]).sort_by("path")
+    assert got.select(list(CORPUS_COLUMNS)).equals(corpus.sort_by("path"))

@@ -1,5 +1,6 @@
 """Serve-path scatter/gather: the one vectorized merge behind search,
-search_batch, search_prefix and more_like_this; the resident term-sorted df
+search_batch, search_prefix and more_like_this (and the scatter that
+facet_counts shares); the resident term-sorted df
 column behind idf_weights; and a Ray-path (multi-file) df table.
 
 A mixed batch must equal, Table for Table, the concatenation of per-query
@@ -121,7 +122,13 @@ def test_mixed_batch_equals_single_queries_and_oracle(pos_idx, num_actors):
         assert len(dead) >= 2
         out = eng.search_batch(MIXED)
         singles = [_engine_call(eng, qs) for qs in MIXED]
+        facets = eng.facet_counts(MIXED)
     assert out.equals(pa.concat_tables(singles))
+    # facets scatter through the same replica-set split as search
+    assert facets.num_rows and set(facets["query_id"].to_pylist()) < {qs.query_id for qs in MIXED}
+    if num_actors is not None:
+        with SearchEngine(POS_IDX) as one:
+            assert one.facet_counts(MIXED).equals(facets)
     # query blocks in input order, each ranked 1..n
     assert out["query_id"].to_pylist() == [
         qs.query_id for qs, t in zip(MIXED, singles) for _ in range(t.num_rows)

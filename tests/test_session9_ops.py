@@ -268,6 +268,32 @@ def test_containment_catches_subset_jaccard_misses(ray_session, tmp_path):
     assert cont.to_pylist() == want.to_pylist()
 
 
+def test_shared_candidates_evicted_once_both_scored(ray_session, tmp_path, monkeypatch):
+    """The candidate tables jaccard_pairs and containment_pairs share stay
+    cached only until both have cached their scored tables; repeat calls
+    then come from the scored caches, unchanged."""
+    from smse_backend_ray.pipelines import dedup
+
+    for name in ("_SHINGLE_CAND_CACHE", "_JACCARD_CACHE", "_CONTAIN_CACHE"):
+        monkeypatch.setattr(dedup, name, {})
+    sf = _write_docs(
+        tmp_path,
+        [
+            {"doc_id": i, "text": "alpha beta gamma delta epsilon " + "w" * i, "lang": "en", "source": "s"}
+            for i in range(4)
+        ],
+    )
+    key = (dedup._docs_stamp(sf)[0], dedup.JACCARD_SHINGLE_DF_CAP)
+    jac = dedup.jaccard_pairs(sf)
+    assert key in dedup._SHINGLE_CAND_CACHE  # containment has not run yet
+    cont = dedup.containment_pairs(sf)
+    assert key not in dedup._SHINGLE_CAND_CACHE
+    assert jac.num_rows and cont.num_rows
+    assert dedup.jaccard_pairs(sf).equals(jac)
+    assert dedup.containment_pairs(sf).equals(cont)
+    assert not dedup._SHINGLE_CAND_CACHE
+
+
 # ---------------------------------------------------------------------------
 # bigram_logprob
 # ---------------------------------------------------------------------------
