@@ -5,7 +5,7 @@ and routes/search.py).
 Query path: analyze parts with the SAME analyzer as ingest (symmetry,
 tasks.py:219 vs :250) -> multiset-union fusion (A1) -> idf from the global df
 table (binary search over the resident term-sorted df column) -> scatter to
-the shard actor pool (per-shard top-k, T1) -> gather of flat numpy columns
+the shard actor pool (per-actor top-k, T1) -> gather of flat numpy columns
 -> ONE vectorized merge for the whole batch: threshold filter (M9, keeps
 score >= t), global (rounded score DESC, doc_id ASC) sort + per-query limit
 (T2), result projection/enrichment (M10/M11/J1) -> optional default-OFF
@@ -580,6 +580,8 @@ class SearchEngine:
         ``method`` call per actor, tombstones shipped once per call. Returns
         the actors' flat column tuples and, per concatenated row, the
         index of its job in ``jobs`` (the first column of every part)."""
+        if not self.actor_sets:
+            raise RuntimeError("SearchEngine is closed")
         futs, owners = [], []
         for ix, st in zip(self._split(jobs), self.actor_sets):
             if not ix.size:

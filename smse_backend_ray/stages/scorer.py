@@ -14,8 +14,12 @@ for positional terms). Actor start cost is O(1 table concat + 1 sort), flat
 as the vocabulary grows — never a to_pylist of every segment row.
 
 Every query mode goes through one path: ``ShardIndex.match`` (the only mode
-dispatch) -> ``top_k`` for results, or ``facet_counts`` for facets, both
-behind the same tombstone + scope filter (``_visible``).
+dispatch) scores one (job, shard); ``ShardIndex.hits`` concatenates its
+matches over every job of an actor call, and ``ShardIndex.visible`` applies
+the tombstone + scope filter to all of them at once. Results then finalize
+ONCE per call over every job and shard (``_top_k``: rounding, one sort, each
+job's top-k cut, the survivors' meta rows); facets count the same visible
+rows (``ShardIndex.facet_counts``).
 
 All index reads go through state/fs.IndexFS, so shards load from any
 pyarrow.fs location (local, file://, s3://, or an injected FileSystem).
@@ -56,6 +60,25 @@ def _accumulate(
     return uniq, scores
 
 
+def _member(x: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
+    """``np.isin(x, sorted_arr)`` for a SORTED haystack: one searchsorted
+    and one gather, where isin sorts both arrays on every call."""
+    if not sorted_arr.size:
+        return np.zeros(x.shape, dtype=bool)
+    i = np.searchsorted(sorted_arr, x)
+    return sorted_arr[np.minimum(i, sorted_arr.size - 1)] == x
+
+
+def _codes(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """int32 dictionary codes of a string column, plus the value of each
+    code as an object array. A null gets the last code, whose value is
+    None: it is counted as a facet value, and no scope string maps to it."""
+    enc = pa.compute.dictionary_encode(col.combine_chunks())
+    values = np.array(enc.dictionary.to_pylist() + [None], dtype=object)
+    codes = enc.indices.fill_null(values.size - 1).to_numpy(zero_copy_only=False)
+    return codes.astype(np.int32), values
+
+
 def _min_cover_span(arrs: list[np.ndarray]) -> int:
     """Minimal (max - min) span of a position set containing at least one
     position from every array. ``arrs`` are one doc's per-term kept
@@ -90,6 +113,8 @@ def _min_cover_span(arrs: list[np.ndarray]) -> int:
 SEGMENT_COLS = ["term", "docs_bytes", "tfs_bytes", "dls_bytes"]
 # positional column family (EngineConfig.with_positions builds only)
 POS_SEGMENT_COLS = ["pos_bytes"]
+# the meta columns held as int32 codes: scope filters and facet counts
+FACETS = ("repo", "lang")
 
 
 def _job(terms, weights, scope: str, k: int, **mode) -> dict:
@@ -138,7 +163,7 @@ class ShardIndex:
             seg = None
             self._terms_sorted = np.empty(0, dtype=object)
         self._seg = seg
-        # term -> (doc_ids, tfs, dls), and for positional terms
+        # term -> (doc_ids, tfs, tf-norms), and for positional terms
         # term -> (flat positions, sorted doc_ids, order, starts)
         self._post: dict[str, tuple] = {}
         self._pos: dict[str, tuple] = {}
@@ -154,18 +179,23 @@ class ShardIndex:
             m = pa.concat_tables(
                 ifs.read_tables(meta_files, columns=["doc_id", "repo", "path", "lang"])
             )
-            order = pa.compute.sort_indices(m["doc_id"])
-            m = m.take(order).combine_chunks()
-            self.meta_ids = m["doc_id"].to_numpy()
-            # metadata stays COMPACT Arrow at rest (no per-row Python strings
-            # for the whole shard); rows become Python only for the <=k
-            # survivors of each query (_finalize)
-            self.meta = m.select(["repo", "path", "lang"])
+            m = m.take(pa.compute.sort_indices(m["doc_id"])).combine_chunks()
         else:
-            self.meta_ids = np.empty(0, dtype=np.int64)
-            self.meta = pa.table(
-                {c: pa.array([], type=pa.string()) for c in ("repo", "path", "lang")}
+            m = pa.table(
+                {"doc_id": pa.array([], type=pa.int64()),
+                 **{c: pa.array([], type=pa.string()) for c in ("repo", "path", "lang")}}
             )
+        # per meta row (doc_id order): paths stay COMPACT Arrow at rest (no
+        # per-row Python strings for the whole shard; rows become Python
+        # only for the <=k survivors of each job, _top_k); repo and lang
+        # are int32 codes into their distinct values, compared (scope) and
+        # counted (facets) as integers
+        self.meta_ids = m["doc_id"].to_numpy()
+        self.paths = m["path"].combine_chunks()
+        self.codes, self.values = {}, {}
+        for c in FACETS:
+            self.codes[c], self.values[c] = _codes(m[c])
+        self._repo_code = {v: i for i, v in enumerate(self.values["repo"][:-1])}
 
     # -- lazy per-term state ----------------------------------------------
 
@@ -179,11 +209,12 @@ class ShardIndex:
         return self._seg[col][i].as_buffer()
 
     def _decoded(self, term: str):
-        """(doc_ids, tfs, dls) of a term, cached: each generation's row is
-        decoded straight from the segment table's buffers, concatenated
+        """(doc_ids, tfs, tf-norms) of a term, cached: each generation's row
+        is decoded straight from the segment table's buffers, concatenated
         across generations (doc sets are disjoint, so the per-(doc, term)
         contribution set — and therefore the accumulation result — is
-        independent of concatenation order)."""
+        independent of concatenation order). The doc lengths are read only
+        to compute the tf-norms, which the cache keeps in their place."""
         dec = self._post.get(term)
         if dec is None:
             rows = self._rows(term)
@@ -193,7 +224,8 @@ class ShardIndex:
                 decode_postings({c: self._stream(c, i) for c in SEGMENT_COLS[1:]}, self.block_size)
                 for i in rows
             ]
-            dec = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+            ids, tfs, dls = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+            dec = (ids, tfs, tfnorm_vec(tfs, dls, self.avgdl, self.params))
             self._post[term] = dec
         return dec
 
@@ -207,7 +239,7 @@ class ShardIndex:
         generation boundary is a posting start."""
         hit = self._pos.get(term)
         if hit is None:
-            ids, tfs, _dls = self._decoded(term)
+            ids, tfs, _tfn = self._decoded(term)
             stream = np.concatenate(
                 [np.frombuffer(self._stream("pos_bytes", i), dtype=np.uint8) for i in self._rows(term)]
             )
@@ -262,12 +294,12 @@ class ShardIndex:
             dec = self._decoded(term)
             if dec is None:
                 continue
-            doc_ids, tfs, dls = dec
+            doc_ids, _tfs, tfn = dec
             if cand is not None:
-                m = np.isin(doc_ids, cand, assume_unique=True)
-                doc_ids, tfs, dls = doc_ids[m], tfs[m], dls[m]
+                m = _member(doc_ids, cand)
+                doc_ids, tfn = doc_ids[m], tfn[m]
             id_parts.append(doc_ids)
-            c_parts.append(w * tfnorm_vec(tfs, dls, self.avgdl, self.params))
+            c_parts.append(w * tfn)
         if not id_parts:
             return None
         return _accumulate(id_parts, c_parts)
@@ -339,7 +371,7 @@ class ShardIndex:
         for off, t in enumerate(phrase[1:], 1):
             if P.size == 0:
                 break
-            P = P[np.isin(P + off, gpos[t], assume_unique=True)]
+            P = P[_member(P + off, gpos[t])]
         return cand[np.unique(P // self._POS_OFF)]
 
     def _near_matches(self, terms: list[str], slop: int) -> np.ndarray:
@@ -407,16 +439,66 @@ class ShardIndex:
 
     # -- results -------------------------------------------------------------
 
+    def _excluded(self, job: dict) -> "np.ndarray | None":
+        """The job's own excluded doc ids on this shard, sorted: its
+        ``exclude_ids`` (more_like_this drops its source doc) and (boolean
+        NOT) the docs containing any excluded term."""
+        ex = job.get("exclude_terms")
+        parts = [
+            a for a in (job.get("exclude_ids"), self.excluded_ids(ex) if ex else None)
+            if a is not None
+        ]
+        return np.unique(np.concatenate(parts)) if parts else None
+
+    def hits(self, jobs: list[dict]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(job index, doc_id, raw score) of every match of every job on
+        this shard, concatenated job by job, minus each job's own
+        exclusions (``_excluded``)."""
+        js, ids, sc = [], [], []
+        for j, job in enumerate(jobs):
+            r = self.match(job)
+            if r is None:
+                continue
+            d, s = r
+            ex = self._excluded(job)
+            if ex is not None:
+                keep = ~_member(d, ex)
+                d, s = d[keep], s[keep]
+            js.append(j)
+            ids.append(d)
+            sc.append(s)
+        jix = np.repeat(np.array(js, dtype=np.int64), [d.size for d in ids])
+        return jix, _cat(ids, np.int64), _cat(sc, np.float64)
+
+    def visible(self, jobs: list[dict], jix, doc_ids, scores, tombstones) -> tuple:
+        """``hits`` rows minus tombstoned docs (``tombstones``: sorted ids)
+        and, for each job with a scope, docs of other repos — both BEFORE
+        threshold and top-k, like every exclusion. Returns the surviving
+        (job index, doc_id, score, meta row position) columns."""
+        keep = None
+        if tombstones is not None and tombstones.size:
+            keep = ~_member(doc_ids, tombstones)
+        pos = np.searchsorted(self.meta_ids, doc_ids)  # every matched doc is in meta
+        scopes = [job.get("scope", "") for job in jobs]
+        if any(scopes):
+            # per job: -1 = no scope; a repo this shard lacks gets a code no
+            # row has (one past the null code)
+            absent = self.values["repo"].size
+            want = np.array(
+                [self._repo_code.get(s, absent) if s else -1 for s in scopes], dtype=np.int64
+            )[jix]
+            m = (want < 0) | (self.codes["repo"][pos] == want)
+            keep = m if keep is None else keep & m
+        if keep is not None:
+            jix, doc_ids, scores, pos = jix[keep], doc_ids[keep], scores[keep], pos[keep]
+        return jix, doc_ids, scores, pos
+
     def top_k(self, job: dict, tombstones: "np.ndarray | None" = None) -> dict:
-        """One job's top-k on this shard: candidate arrays (doc_id, score,
-        rscore) plus their (repo, path, lang) rows as an Arrow ``meta``
-        table, ordered by (rscore DESC, doc_id ASC), truncated to k."""
-        r = self.match(job)
-        if r is None:  # no match: skip the filter, the sort and the meta take
-            f = np.empty(0, dtype=np.float64)
-            return {"doc_id": np.empty(0, dtype=np.int64), "score": f, "rscore": f,
-                    "meta": self.meta.slice(0, 0)}
-        return self._finalize(*r, job.get("scope", ""), job["k"], tombstones)
+        """One job's top-k on this shard, through the same finalize as an
+        actor call (``_top_k``): doc_id, score, rscore, repo, path and lang,
+        ordered by (rscore DESC, doc_id ASC) and truncated to k."""
+        cols = _top_k([self], [job], tombstones)
+        return dict(zip(("doc_id", "score", "rscore", "repo", "path", "lang"), cols[1:]))
 
     # one-mode job builders over top_k, for in-process probes (perfbench)
     def score_query(self, terms, weights, scope: str = "", k: int = 30, tombstones=None) -> dict:
@@ -435,71 +517,67 @@ class ShardIndex:
     ) -> dict:
         return self.top_k(_job(terms, weights, scope, k, mode="near", slop=slop), tombstones)
 
-    def _visible(self, doc_ids, scores, scope: str, tombstones) -> tuple:
-        """(doc_ids, scores, meta row positions) minus tombstoned docs and,
-        when ``scope`` is set, docs of other repos."""
-        if tombstones is not None and tombstones.size:
-            m = ~np.isin(doc_ids, tombstones)
-            doc_ids, scores = doc_ids[m], scores[m]
-        pos = np.searchsorted(self.meta_ids, doc_ids)
-        # all candidate doc_ids exist in meta by construction
-        if scope:
-            # Arrow-side compare: candidates' repo never round-trips Python
-            repo_c = self.meta["repo"].take(pa.array(pos))
-            m = pa.compute.equal(repo_c, scope).to_numpy(zero_copy_only=False)
-            doc_ids, scores, pos = doc_ids[m], scores[m], pos[m]
-        return doc_ids, scores, pos
-
-    def _finalize(self, doc_ids, scores, scope: str, k: int, tombstones=None) -> dict:
-        doc_ids, scores, pos = self._visible(doc_ids, scores, scope, tombstones)
-        rscore = round_half_away(scores, SCORE_DECIMALS)
-        order = np.lexsort((doc_ids, -rscore))[:k]
-        return {
-            "doc_id": doc_ids[order],
-            "score": scores[order],
-            "rscore": rscore[order],
-            # the <=k survivors' (repo, path, lang) rows, still Arrow
-            "meta": self.meta.take(pos[order]),
-        }
-
-    def facet_counts(
-        self, job: dict, facets=("repo", "lang"), tombstones=None
-    ) -> tuple[list, list, np.ndarray]:
-        """(facet, value, n_docs) counts over ALL matching docs of a job (the
-        search-UI filter-sidebar analog; A3/A4 aggregation family) — no
-        top-k truncation. Match, tombstone and scope semantics are those of
+    def facet_counts(self, jobs: list[dict], tombstones=None) -> tuple:
+        """(job index int64, facet, value, n_docs int64) counts over ALL
+        matching docs of each job on this shard (the search-UI
+        filter-sidebar analog; A3/A4 aggregation family) — no top-k
+        truncation. Match, tombstone and scope semantics are those of
         ``top_k``; threshold applies to the ROUNDED score like the result
-        set. Frozen pair: sqlgen.facets_sql."""
-        fac, val, cnt = [], [], []
-        r = self.match(job)
-        if r is not None:
-            _ids, scores, pos = self._visible(*r, job.get("scope", ""), tombstones)
-            if job.get("threshold") is not None:
-                pos = pos[round_half_away(scores, SCORE_DECIMALS) >= job["threshold"]]
-            idx = pa.array(pos, type=pa.int64())
-            for facet in facets:
-                vc = pa.compute.value_counts(self.meta[facet].take(idx).combine_chunks())
-                vals = vc.field("values").to_pylist()
-                fac += [facet] * len(vals)
-                val += vals
-                cnt.append(vc.field("counts").to_numpy())
-        return fac, val, np.concatenate(cnt) if cnt else np.empty(0, dtype=np.int64)
+        set. Each count is a bincount of the facet's codes. Frozen pair:
+        sqlgen.facets_sql."""
+        jix, _ids, scores, pos = self.visible(jobs, *self.hits(jobs), tombstones)
+        thr = np.array([-np.inf if j.get("threshold") is None else j["threshold"] for j in jobs])
+        keep = round_half_away(scores, SCORE_DECIMALS) >= thr[jix]
+        jix, pos = jix[keep], pos[keep]
+        bounds = np.searchsorted(jix, np.arange(len(jobs) + 1))
+        out, fac, val, cnt = [], [], [], []
+        for j in np.flatnonzero(np.diff(bounds)):
+            rows = pos[bounds[j] : bounds[j + 1]]
+            for f in FACETS:
+                n = np.bincount(self.codes[f][rows])
+                nz = np.flatnonzero(n)
+                out.append(np.full(nz.size, j, dtype=np.int64))
+                fac += [f] * nz.size
+                val += self.values[f][nz].tolist()
+                cnt.append(n[nz])
+        return _cat(out, np.int64), fac, val, _cat(cnt, np.int64)
 
 
-def _job_tombstones(
-    job: dict, sh: ShardIndex, tombstones: "np.ndarray | None"
-) -> "np.ndarray | None":
-    """Effective per-shard tombstone array for a job: the engine's sorted
-    tombstone ids (shipped once per actor call), the job's own excluded ids
-    (more_like_this drops its source doc) and (boolean NOT) the shard's docs
-    containing any excluded term — all filter BEFORE scope/threshold/top-k
-    in _visible."""
-    ex = job.get("exclude_terms")
-    out = tombstones
-    for extra in (job.get("exclude_ids"), sh.excluded_ids(ex) if ex else None):
-        if extra is not None and extra.size:
-            out = extra if out is None or not out.size else np.union1d(out, extra)
-    return out
+def _top_k(shards: list[ShardIndex], jobs: list[dict], tombstones) -> tuple:
+    """Every job's candidates over ``shards``, finalized ONCE for the call:
+    the tombstone + scope filter runs once per shard over all jobs; then,
+    over the concatenated rows, one rounding, one (job, rscore DESC, doc_id
+    ASC) sort and each job's cut to its k; then, per shard, one path take
+    and two code lookups for the survivors. Returns flat columns (job index,
+    doc_id, score, rscore, repo, path, lang), grouped by shard, each group
+    in that sort order.
+
+    A per-actor cut keeps every row the driver's threshold + limit cut can
+    keep, as a per-shard cut did: k >= limit, rows passing the threshold
+    are a prefix of each job's order, and this order is the driver's order
+    restricted to the actor's rows."""
+    parts = [sh.visible(jobs, *sh.hits(jobs), tombstones) for sh in shards]
+    six = np.repeat(np.arange(len(shards)), [p[0].size for p in parts])
+    jix, doc_id, score, pos = (np.concatenate([p[c] for p in parts]) for c in range(4))
+    rscore = round_half_away(score, SCORE_DECIMALS)
+    order = np.lexsort((doc_id, -rscore, jix))
+    js = jix[order]
+    rank = np.arange(js.size) - np.searchsorted(js, js)  # 0 at each job's start
+    order = order[rank < np.array([job["k"] for job in jobs], dtype=np.int64)[js]]
+    order = order[np.argsort(six[order], kind="stable")]
+    bounds = np.searchsorted(six[order], np.arange(len(shards) + 1))
+    meta: dict[str, list] = {"repo": [], "path": [], "lang": []}
+    for s, sh in enumerate(shards):
+        rows = pos[order[bounds[s] : bounds[s + 1]]]
+        if rows.size:  # the survivors' rows become Python strings here
+            # (numpy's tolist: ~10x faster than Arrow's to_pylist)
+            meta["path"] += sh.paths.take(rows).to_numpy(zero_copy_only=False).tolist()
+            for c in FACETS:
+                meta[c] += sh.values[c][sh.codes[c][rows]].tolist()
+    return (
+        jix[order], doc_id[order], score[order], rscore[order],
+        meta["repo"], meta["path"], meta["lang"],
+    )
 
 
 @ray.remote
@@ -528,41 +606,21 @@ class ShardSearcher:
         (job index int64, facet, value, n_docs int64) — partial counts the
         driver sums (each doc lives in exactly one shard, so the sums are
         exact)."""
-        jix, fac, val, cnt = [], [], [], []
-        for j, job in enumerate(jobs):
-            for sh in self.shards:
-                f, v, n = sh.facet_counts(job, tombstones=_job_tombstones(job, sh, tombstones))
-                jix.append(np.full(len(f), j, dtype=np.int64))
-                fac += f
-                val += v
-                cnt.append(n)
-        return _cat(jix, np.int64), fac, val, _cat(cnt, np.int64)
+        parts = [sh.facet_counts(jobs, tombstones) for sh in self.shards]
+        return (
+            _cat([p[0] for p in parts], np.int64), [f for p in parts for f in p[1]],
+            [v for p in parts for v in p[2]], _cat([p[3] for p in parts], np.int64),
+        )
 
     def search(self, jobs: list[dict], tombstones: "np.ndarray | None" = None) -> tuple:
         """jobs: [{terms, weights, scope, k, mode...}] plus the engine's
-        sorted tombstone ids -> the candidates of every (job, shard) as flat
-        columns: (job index into ``jobs``, doc_id int64, score f64, rscore
-        f64, repo, path, lang). Numbers travel as numpy arrays and strings
-        as plain lists, never as a pa.Table: Ray's Arrow table reducer costs
-        ~10x a tuple of arrays for a few dozen rows."""
-        jix, ids, sc, rs = [], [], [], []
-        meta: dict[str, list] = {"repo": [], "path": [], "lang": []}
-        for j, job in enumerate(jobs):
-            for sh in self.shards:
-                r = sh.top_k(job, _job_tombstones(job, sh, tombstones))
-                n = len(r["doc_id"])
-                if not n:
-                    continue
-                jix.append(np.full(n, j, dtype=np.int64))
-                ids.append(r["doc_id"])
-                sc.append(r["score"])
-                rs.append(r["rscore"])
-                for c, vals in r["meta"].to_pydict().items():
-                    meta[c].extend(vals)
-        return (
-            _cat(jix, np.int64), _cat(ids, np.int64), _cat(sc, np.float64),
-            _cat(rs, np.float64), meta["repo"], meta["path"], meta["lang"],
-        )
+        sorted tombstone ids -> each job's top-k candidates over this
+        actor's shards (``_top_k``) as flat columns: (job index into
+        ``jobs``, doc_id int64, score f64, rscore f64, repo, path, lang).
+        Numbers travel as numpy arrays and strings as plain lists, never as
+        a pa.Table: Ray's Arrow table reducer costs ~10x a tuple of arrays
+        for a few dozen rows."""
+        return _top_k(self.shards, jobs, tombstones)
 
 
 def _cat(parts: list, dtype) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Serve-path scatter/gather: the one vectorized merge behind search,
 search_batch, search_prefix and more_like_this (and the scatter that
-facet_counts shares); the resident term-sorted df
-column behind idf_weights; and a Ray-path (multi-file) df table.
+facet_counts shares); the per-actor finalize that cuts each job's top-k over
+all of an actor's shards; the sorted-array membership test behind the
+tombstone and candidate filters; the resident term-sorted df column behind
+idf_weights; and a Ray-path (multi-file) df table.
 
 A mixed batch must equal, Table for Table, the concatenation of per-query
 search() calls, and match the Python oracle bitwise with tombstones in force,
 on one and on several replica sets (the gather maps each replica set's job
-indices back to batch positions)."""
+indices back to batch positions), and with shards packed several to an actor
+(the per-actor cut)."""
 
 from __future__ import annotations
 
@@ -35,9 +38,12 @@ from smse_backend_ray.sources.corpus import (
     corpus_from_documents,
     corpus_table_from_documents,
 )
+from smse_backend_ray.stages.scorer import ShardIndex, _codes, _member
+from smse_backend_ray.state.catalog import Catalog
 
 POS_IDX = "/tmp/smse_test_gather_pos_idx"
 RAY_DF_IDX = "/tmp/smse_test_gather_raydf_idx"
+TIE_IDX = "/tmp/smse_test_gather_tie_idx"
 
 VOCAB = [
     "hash", "join", "table", "sort", "merge", "batch", "value", "fast",
@@ -45,7 +51,8 @@ VOCAB = [
 ]
 
 # OR / AND / phrase / near; scope, threshold, exclude; limits 10 and 20; a
-# no-hit query, a threshold nothing reaches; query ids not ascending
+# no-hit query, a threshold nothing reaches; a limit above
+# SHARD_CANDIDATE_K; query ids not ascending
 MIXED = (
     QuerySpec(57, ("hash join",)),
     QuerySpec(12, ("sort merge batch",), mode="and", limit=20),
@@ -57,6 +64,7 @@ MIXED = (
     QuerySpec(3, ("qqzz nohitzz",)),
     QuerySpec(70, ("hash",), threshold=1e9),
     QuerySpec(8, ("beta key",), mode="and", scope="src2", exclude=("alpha",)),
+    QuerySpec(64, ("hash scan",), limit=40),
 )
 
 
@@ -94,8 +102,16 @@ def _engine_call(eng, qs):
     )
 
 
+ROW = ("doc_id", "path", "repo", "lang", "exact_score")
+
+
+def _rows(t: pa.Table) -> list[tuple]:
+    return list(zip(*(t[c].to_pylist() for c in ROW)))
+
+
 def _oracle(oidx, qs, dead: set[int]) -> list[tuple]:
-    """(doc_id, exact score) of the oracle ranking with ``dead`` removed."""
+    """(doc_id, path, repo, lang, exact score) of the oracle ranking with
+    ``dead`` removed."""
     kw = {"scope": qs.scope, "limit": qs.limit + len(dead),
           "threshold": qs.threshold, "exclude": qs.exclude}
     if qs.mode == "and":
@@ -106,16 +122,22 @@ def _oracle(oidx, qs, dead: set[int]) -> list[tuple]:
         rows = oracle_near_search(oidx, list(qs.parts), qs.slop, **kw)
     else:
         rows = oracle_search(oidx, list(qs.parts), **kw)
-    return [(r["doc_id"], r["score"]) for r in rows if r["doc_id"] not in dead][: qs.limit]
+    return [
+        (r["doc_id"], r["path"], r["repo"], r["lang"], r["score"])
+        for r in rows if r["doc_id"] not in dead
+    ][: qs.limit]
 
 
-@pytest.mark.parametrize("num_actors", [None, 6])
+# None: one shard per actor; 6: two replica sets; 1: all three shards in
+# one actor; 2: a 2+1 split
+@pytest.mark.parametrize("num_actors", [None, 6, 1, 2])
 def test_mixed_batch_equals_single_queries_and_oracle(pos_idx, num_actors):
     oidx = pos_idx
     with SearchEngine(POS_IDX, num_actors=num_actors) as eng:
-        assert len(eng.actor_sets) == (1 if num_actors is None else 2)
-        # tombstone the current top hit of two queries (persisted: a later
-        # parametrization adds two more)
+        assert len(eng.actor_sets) == (2 if num_actors == 6 else 1)
+        assert len(eng.actor_sets[0]) == {None: 3, 6: 3, 1: 1, 2: 2}[num_actors]
+        # tombstone the current top hit of two queries (persisted: each
+        # later parametrization adds two more)
         for qs in (MIXED[0], MIXED[4]):
             eng.delete_doc(_engine_call(eng, qs)["doc_id"][0].as_py())
         dead = set(eng._tombstones)
@@ -136,11 +158,128 @@ def test_mixed_batch_equals_single_queries_and_oracle(pos_idx, num_actors):
     assert not set(out["doc_id"].to_pylist()) & dead
     for qs, got in zip(MIXED, singles):
         exp = _oracle(oidx, qs, dead)
-        assert list(zip(got["doc_id"].to_pylist(), got["exact_score"].to_pylist())) == exp, qs
+        assert _rows(got) == exp, qs
         assert got["rank"].to_pylist() == list(range(1, len(exp) + 1))
     n = {qs.query_id: t.num_rows for qs, t in zip(MIXED, singles)}
     assert n[3] == 0 and n[70] == 0  # no-hit, and a threshold nothing reaches
     assert n[12] > 10 or n[21] > 10  # a limit-20 block longer than 10
+    assert n[64] == 40  # more than SHARD_CANDIDATE_K rows
+
+
+def _tie_corpus() -> pa.Table:
+    """45 docs with identical content (one score, so doc_id alone orders
+    them) over five repos, two docs of a repo of their own (so at least one
+    of three shards lacks it), and some filler."""
+    rng = np.random.default_rng(11)
+    rows = [
+        {"repo": f"tie{i % 5}", "path": f"tie/{i:03d}.txt", "commit": f"t{i}",
+         "lang": "en", "content": "tiealpha tiebeta"}
+        for i in range(45)
+    ]
+    rows += [
+        {"repo": "lonely", "path": f"lonely/{i}.txt", "commit": f"l{i}",
+         "lang": "en", "content": "tiealpha hash join"}
+        for i in range(2)
+    ]
+    rows += [
+        {"repo": f"src{i % 3}", "path": f"fill/{i:03d}.txt", "commit": f"f{i}",
+         "lang": "en", "content": " ".join(rng.choice(VOCAB, size=int(rng.integers(3, 20))))}
+        for i in range(30)
+    ]
+    return pa.Table.from_pylist(rows)
+
+
+@pytest.fixture(scope="module")
+def tie_idx(ray_session):
+    t = _tie_corpus()
+    shutil.rmtree(TIE_IDX, ignore_errors=True)
+    build_index(corpus=ray.data.from_arrow(t), index_dir=TIE_IDX, cfg=EngineConfig(n_shards=3))
+    return build_oracle_index(t)
+
+
+TIES = (
+    QuerySpec(1, ("tiebeta",), limit=5),
+    QuerySpec(2, ("tiebeta",), limit=35),
+    QuerySpec(3, ("tiealpha tiebeta",), limit=35),
+    QuerySpec(4, ("tiealpha",), scope="lonely"),  # a repo one shard lacks
+    QuerySpec(5, ("tiealpha",), scope="nosuchrepo"),  # a repo no shard has
+)
+
+
+@pytest.mark.parametrize("num_actors", [1, 3])
+def test_tied_scores_cut_per_actor_in_doc_id_order(tie_idx, num_actors):
+    """Ties across shards: whether one actor holds all three shards or each
+    shard has its own, every block equals the oracle's ranks and its
+    doc_id-ascending tie order."""
+    oidx = tie_idx
+    with SearchEngine(TIE_IDX, num_actors=num_actors) as eng:
+        assert [len(st) for st in eng.actor_sets] == [num_actors]
+        out = eng.search_batch(TIES)
+        singles = [_engine_call(eng, qs) for qs in TIES]
+    assert out.equals(pa.concat_tables(singles))
+    for qs, got in zip(TIES, singles):
+        assert _rows(got) == _oracle(oidx, qs, set()), qs
+        assert got["rank"].to_pylist() == list(range(1, got.num_rows + 1))
+    n = [t.num_rows for t in singles]
+    assert n == [5, 35, 35, 2, 0]
+    for t in singles[:3]:  # one tied score, doc_ids ascending
+        assert len(set(t["exact_score"].to_pylist())) == 1
+        assert t["doc_id"].to_pylist() == sorted(t["doc_id"].to_pylist())
+
+
+def test_null_repo_code_matches_no_scope(tie_idx):
+    """A null repo gets the last code, whose value is None; no scope string
+    maps to it, so a shard whose repos are all null has no scoped hits."""
+    codes, values = _codes(pa.chunked_array([["b", None, "a", "b"]]))
+    assert codes.dtype == np.int32
+    assert [values[c] for c in codes] == ["b", None, "a", "b"]
+    assert codes[1] == values.size - 1
+    stats = Catalog(TIE_IDX).get_stats()
+    sh = ShardIndex(TIE_IDX, 0, stats["avgdl"], BM25Params())
+    jobs = [
+        {"terms": ["tiealpha"], "weights": [1.0], "scope": s, "k": 30}
+        for s in ("", *sorted(sh._repo_code), "nosuchrepo")
+    ]
+    hits = sh.hits(jobs)
+    jix, ids, _sc, _pos = sh.visible(jobs, *hits, None)
+    assert (jix == 0).sum() == (hits[0] == 0).sum() > 0  # unscoped: every hit
+    # the scoped jobs (every repo of the shard, and one it lacks) split
+    # the unscoped hits
+    assert (jix > 0).sum() == (jix == 0).sum()
+    sh.codes["repo"][:] = sh.values["repo"].size - 1  # every doc's repo is null
+    jix, *_ = sh.visible(jobs, *hits, None)
+    assert (jix == 0).all() and jix.size == (hits[0] == 0).sum()
+
+
+@pytest.mark.parametrize(
+    "hay, needles",
+    [
+        ([], [3, 1, 2]),  # empty haystack
+        ([2, 4, 6], []),  # empty needles
+        ([10, 20, 30], [-5, 0, 9, 31, 40, 10**12]),  # below the min, above the max
+        ([1, 3, 5, 7], [7, 3, 3, 8, 1, 1, 0, 5, 6, 7]),  # duplicate, unsorted
+        ([5], [5, 5, 4, 6]),
+    ],
+)
+def test_sorted_membership_equals_isin(hay, needles):
+    h = np.array(hay, dtype=np.int64)
+    x = np.array(needles, dtype=np.int64)
+    got = _member(x, h)
+    assert got.dtype == bool and got.shape == x.shape
+    assert np.array_equal(got, np.isin(x, h))
+
+
+def test_closed_engine_raises(pos_idx):
+    eng = SearchEngine(POS_IDX)
+    eng.close()
+    for call in (
+        lambda: eng.search("hash join"),
+        lambda: eng.search_prefix("ha"),
+        lambda: eng.search_batch(MIXED[:3]),
+        lambda: eng.facet_counts(MIXED[:3]),
+    ):
+        with pytest.raises(RuntimeError, match="SearchEngine is closed"):
+            call()
 
 
 def test_duplicate_query_ids_keep_their_own_blocks(pos_idx):
@@ -200,7 +339,7 @@ def test_ray_path_df_engine_matches_oracle_and_prefix_sql(ray_df_idx, duck):
         for qs in ALL_QUERIES:
             got = _engine_call(eng, qs)
             exp = _oracle(oidx, qs, set())
-            assert list(zip(got["doc_id"].to_pylist(), got["exact_score"].to_pylist())) == exp, qs
+            assert _rows(got) == exp, qs
         got = pa.concat_tables([eng.search_prefix(p, query_id=q) for q, p in prefixes])
     cols = ["query_id", "rank", "doc_id", "path", "repo", "lang", "score"]
     want = duck.sql(
