@@ -8,10 +8,10 @@ manifest (state/catalog.py). Stages:
             directly; no separate doc-meta table needed). File-mode builds
             run in waves with per-partition lineage; dataset-mode builds are
             a single stage.
-  dedup     exact dedup on doc_id (winner = min content_sha256) — skew-aware:
-            duplicate detection runs on the projected id column only, and
-            only rows of *duplicated* ids are shuffled; unique rows stream
-            through untouched (SURVEY.md D2)
+  dedup     exact dedup on doc_id (winner = min content_sha256; SURVEY.md
+            D2): detection runs on the projected id column only, then only
+            the doc files that hold a losing row are rewritten, in place —
+            per-file work on driver threads or Ray tasks, no shuffle
   stats     N / sum_dl / avgdl aggregates -> manifest (broadcast later)
   segments  SPIMI explode + per-batch combine -> groupby(bucket) merge ->
             delta-varint posting streams (stages/ingest.py, functions/codec.py)
@@ -23,15 +23,17 @@ pair — build and serve work against shared/remote storage on a multi-node
 cluster (reference StorageBackend contract,
 smse_backend/services/file_storage.py:32-73 + S3 impl :220-431).
 
-Every stage writes to a temp dir and renames on success (idempotent commit);
-a restart skips completed stages / partitions via the manifest.
+Every stage writes to a temp dir and renames on success (idempotent commit;
+dedup renames each rewritten file over its original); a restart skips
+completed stages / partitions via the manifest.
 
 Small-data adaptivity: metadata-only reductions (duplicate detection, global
 stats, the df rollup) switch between a driver-side pyarrow path (when the
 projected columns are under EngineConfig.driver_agg_max_bytes) and the
 distributed Ray path — a 100 TB build keeps every reduction distributed,
 while a test/bench build does not pay shuffle-job fixed costs for
-kilobyte-sized reductions.
+kilobyte-sized reductions. The dedup rewrite makes the same choice from
+the doc files' on-disk size: driver threads or Ray tasks.
 """
 
 from __future__ import annotations
@@ -145,18 +147,23 @@ def _tag_partition(batch: pa.Table, pid: int) -> pa.Table:
 
 
 # ---------------------------------------------------------------------------
-# dedup stage (exact, skew-aware; SURVEY.md D2)
+# dedup stage (exact; SURVEY.md D2)
 # ---------------------------------------------------------------------------
 
 _META_CACHE: dict[str, tuple[tuple, pa.Table]] = {}
+
+# root-level staging dir of the per-file doc rewrite: outside docs/, so no
+# reader of docs/ ever sees a staged file, and *.tmp, so Catalog.gc collects
+# what a crash leaves behind
+_REWRITE_TMP = DOCS_DIR + "_rewrite.tmp"
 
 
 def _docs_meta_table(ifs: IndexFS) -> pa.Table:
     """One driver-side scan of (doc_id, dl) shared by the dedup-detect and
     stats stages. The cache stamp is the full (path, size, mtime) file set —
-    mtime alone is too coarse on second-granularity filesystems (S3), where
-    a dedup rewrite landing within the same second as the original write
-    would otherwise serve the stale pre-dedup table to the stats stage."""
+    mtime alone is too coarse on second-granularity filesystems (S3). The
+    cache holds ONE entry: every caller wants the latest docs tree, and an
+    append's workspace would otherwise leave a dead entry per append."""
     key = ifs.join(DOCS_DIR)
     stamp = tuple(sorted(
         (i.path, i.size, i.mtime.timestamp() if i.mtime else 0.0)
@@ -166,59 +173,163 @@ def _docs_meta_table(ifs: IndexFS) -> pa.Table:
     if hit and hit[0] == stamp:
         return hit[1]
     t = ifs.pads_dataset(DOCS_DIR).to_table(columns=["doc_id", "dl"])
+    _META_CACHE.clear()
     _META_CACHE[key] = (stamp, t)
     return t
 
 
-def _find_dup_ids(ifs: IndexFS, cfg: EngineConfig) -> set[int]:
+def _find_dup_ids(ifs: IndexFS, cfg: EngineConfig) -> np.ndarray:
+    """Sorted doc_ids held by more than one docs/ row."""
     if ifs.column_bytes(DOCS_DIR, ["doc_id", "dl"], budget=cfg.driver_agg_max_bytes) <= cfg.driver_agg_max_bytes:
         ids = _docs_meta_table(ifs)["doc_id"]
         g = pa.table({"doc_id": ids}).group_by("doc_id").aggregate([("doc_id", "count")])
-        dup = g.filter(pc.greater(g["doc_id_count"], 1))
-        return set(dup["doc_id"].to_pylist())
-    counts = (
-        ifs.ray_read_parquet(DOCS_DIR, columns=["doc_id"])
-        .groupby("doc_id")
-        .aggregate(Count(alias_name="n"))
+        dup = g.filter(pc.greater(g["doc_id_count"], 1))["doc_id"]
+    else:
+        counts = (
+            ifs.ray_read_parquet(DOCS_DIR, columns=["doc_id"])
+            .groupby("doc_id")
+            .aggregate(Count(alias_name="n"))
+        )
+        from smse_backend_ray.functions.collect import collect_table
+
+        dup = collect_table(
+            counts.filter(expr="n > 1"),
+            empty_schema=pa.schema([("doc_id", pa.int64()), ("n", pa.int64())]),
+        ).column("doc_id")
+    return np.sort(dup.to_numpy())
+
+
+@ray.remote(max_retries=0)
+def _doc_files_task(fn, ifs: IndexFS, items: list, *shared) -> list:
+    return [fn(ifs, it, *shared) for it in items]
+
+
+def _map_doc_files(ifs: IndexFS, on_driver: bool, fn, items: list, *shared) -> list:
+    """``[fn(ifs, item, *shared) for item in items]``: on a driver thread
+    pool (the IndexFS.read_tables pattern) or as Ray tasks, one per
+    CPU-sized group of items.
+
+    Neither executor repeats an item or returns while one is still running:
+    a doc rewrite drops rows by the positions its scan saw, so a second run
+    over the rewritten file would drop the wrong rows. Ray tasks are never
+    retried, and a failure is raised only once every task has finished —
+    the recovery is always the resumed stage, which rescans."""
+    if not items:
+        return []
+    if on_driver:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(min(8, len(items))) as ex:
+            return list(ex.map(lambda it: fn(ifs, it, *shared), items))
+    refs = [ray.put(s) for s in shared]
+    groups = np.array_split(np.arange(len(items)), min(len(items), _cluster_cpus()))
+    tasks = [_doc_files_task.remote(fn, ifs, [items[i] for i in g], *refs) for g in groups]
+    ray.wait(tasks, num_returns=len(tasks))
+    return [r for rs in ray.get(tasks) for r in rs]
+
+
+def _scan_doc_file(ifs: IndexFS, path: str, ids: np.ndarray):
+    """(row indices, doc_ids, content_sha256) of the rows of one doc file
+    whose doc_id is in ``ids``."""
+    t = ifs.read_table(path, columns=["doc_id", "content_sha256"])
+    hit = pc.is_in(t["doc_id"], value_set=pa.array(ids, type=pa.int64()))
+    rows = np.flatnonzero(hit.to_numpy(zero_copy_only=False))
+    return rows, t["doc_id"].take(rows).to_numpy(), t["content_sha256"].take(rows).combine_chunks()
+
+
+def _rewrite_doc_file(ifs: IndexFS, job: tuple) -> tuple[int, int]:
+    """Rewrite one doc file without the rows at ``drop``: same schema, staged
+    under the root-level *.tmp dir, then moved over the original."""
+    path, staged, drop = job
+    t = ifs.read_table(path)
+    keep = np.ones(t.num_rows, dtype=bool)
+    keep[drop] = False
+    ifs.write_table(t.filter(pa.array(keep)), staged)
+    size = ifs.info(staged).size
+    ifs.replace(staged, path)
+    return len(drop), size
+
+
+def _drop_doc_rows(ifs: IndexFS, cfg: EngineConfig, ids: np.ndarray, keep_min_sha: bool) -> dict:
+    """Delete from docs/ every row whose doc_id is in ``ids`` — except, with
+    ``keep_min_sha``, each id's winner: the row with the smallest
+    (content_sha256, file path, row). Equal-sha copies are identical rows,
+    and the tie-break makes the pick deterministic, so a stage resumed
+    after a crash picks the same row. Only the files that lose a row are
+    rewritten, each in place.
+
+    The per-file scan and rewrite run on driver threads when the doc files
+    total <= driver_agg_max_bytes on disk (sizes from the listing, no
+    footer reads), else as Ray tasks."""
+    infos = sorted(
+        (i for i in ifs.list_infos(DOCS_DIR, recursive=True)
+         if i.is_file and i.path.endswith(".parquet")),
+        key=lambda i: i.path,
     )
-    from smse_backend_ray.functions.collect import collect_table
+    paths = [i.path for i in infos]
+    on_driver = sum(i.size for i in infos) <= cfg.driver_agg_max_bytes
+    hits = _map_doc_files(ifs, on_driver, _scan_doc_file, paths, ids)
+    file_of = np.concatenate([np.full(len(h[0]), f, dtype=np.int64) for f, h in enumerate(hits)])
+    rows = np.concatenate([h[0] for h in hits])
+    if keep_min_sha and len(rows):
+        hit_ids = np.concatenate([h[1] for h in hits])
+        key = pa.table({
+            "doc_id": hit_ids,
+            "sha": pa.chunked_array([h[2] for h in hits]),
+            "file": file_of,
+            "row": rows,
+        })
+        order = pc.sort_indices(
+            key, sort_keys=[(c, "ascending") for c in key.column_names]
+        ).to_numpy()
+        ids_sorted = hit_ids[order]
+        lose = order[np.r_[False, ids_sorted[1:] == ids_sorted[:-1]]]
+        file_of, rows = file_of[lose], rows[lose]
+    if ifs.exists(_REWRITE_TMP):
+        ifs.delete_dir(_REWRITE_TMP)
+    by_file = np.argsort(file_of, kind="stable")
+    files, starts = np.unique(file_of[by_file], return_index=True)
+    jobs = [
+        (paths[f], f"{_REWRITE_TMP}/{f:06d}.parquet", drop)
+        for f, drop in zip(files, np.split(rows[by_file], starts[1:]))
+    ]
+    ifs.mkdirs(_REWRITE_TMP)
+    done = _map_doc_files(ifs, on_driver, _rewrite_doc_file, jobs)
+    ifs.delete_dir(_REWRITE_TMP)
+    # the stamp alone would catch the rewrite; dropping the entry makes it
+    # impossible for the stats stage to read the pre-dedup (doc_id, dl)
+    _META_CACHE.pop(ifs.join(DOCS_DIR), None)
+    return {
+        "files_rewritten": len(jobs),
+        "rows_dropped": int(sum(n for n, _ in done)),
+        "bytes_written": int(sum(b for _, b in done)),
+    }
 
-    dup_tbl = collect_table(counts.filter(expr="n > 1"))
-    return set(dup_tbl["doc_id"].to_pylist()) if dup_tbl.num_rows else set()
 
+def _run_dedup(ifs: IndexFS, cfg: EngineConfig, cat: Catalog | None = None) -> dict:
+    """Exact dedup on doc_id (SURVEY.md D2): one docs/ row per id, the one
+    with the smallest content_sha256. Detection reads only the doc_id
+    column; then only the doc files that hold a losing row are rewritten,
+    in place (_drop_doc_rows) — no Ray Data job, no shuffle.
 
-def _run_dedup(ifs: IndexFS, cfg: EngineConfig) -> dict:
+    With ``cat``, the duplicate count is recorded in the manifest before the
+    first file rewrite: a stage resumed after a crash finds only the ids the
+    crash left duplicated, and keeps the recorded count. The other metrics
+    count the work of the run that finished the stage."""
+    # a crash inside a rewrite's replace, on a filesystem whose move cannot
+    # overwrite, leaves a <file>.bak under docs/: mend it before the scan
+    ifs.restore_replace_backups(DOCS_DIR)
     dup_ids = _find_dup_ids(ifs, cfg)
-    if not dup_ids:
-        return {"duplicates": 0}
-
-    # only duplicate-id rows shuffle; unique rows stream through
-    dup_ref = ray.put(dup_ids)
-
-    def split(t: pa.Table, keep_dups: bool) -> pa.Table:
-        ids = ray.get(dup_ref)
-        mask = pc.is_in(t["doc_id"], value_set=pa.array(sorted(ids), type=pa.int64()))
-        return t.filter(mask if keep_dups else pc.invert(mask))
-
-    def winner(g: pa.Table) -> pa.Table:
-        # deterministic first-wins rule: min content_sha256
-        # (stay in Arrow — list columns don't round-trip through pandas)
-        i = pc.sort_indices(g["content_sha256"])[0].as_py()
-        return g.slice(i, 1)
-
-    full = ifs.ray_read_parquet(DOCS_DIR)
-    clean = full.map_batches(functools.partial(split, keep_dups=False), batch_format="pyarrow")
-    dups = (
-        full.map_batches(functools.partial(split, keep_dups=True), batch_format="pyarrow")
-        .groupby("doc_id")
-        .map_groups(winner, batch_format="pyarrow")
-    )
-    deduped = clean.union(dups)
-    tmp_rel = DOCS_DIR + "_dedup"
-    ifs.atomic_write_dataset(deduped, tmp_rel, partition_cols=["shard_id"])
-    ifs.delete_dir(DOCS_DIR)
-    ifs.move(tmp_rel, DOCS_DIR)
-    return {"duplicates": len(dup_ids)}
+    m = {"duplicates": len(dup_ids)}
+    if cat is not None:
+        recorded = cat.stage_metrics("dedup").get("duplicates")
+        if recorded is None:
+            cat.set_stage_metrics("dedup", m)
+        else:
+            m["duplicates"] = recorded
+    if not len(dup_ids):
+        return {**m, "files_rewritten": 0, "rows_dropped": 0, "bytes_written": 0}
+    return {**m, **_drop_doc_rows(ifs, cfg, dup_ids, keep_min_sha=True)}
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +452,7 @@ def build_index(
 
     if not cat.stage_done("dedup"):
         cat.mark_stage("dedup", "running")
-        m = _run_dedup(ifs, cfg) if cfg.dedup else {"duplicates": "skipped"}
+        m = _run_dedup(ifs, cfg, cat) if cfg.dedup else {"duplicates": "skipped"}
         cat.mark_stage("dedup", "done", m)
 
     if not cat.stage_done("stats"):
@@ -517,21 +628,8 @@ def append_index(
         ifs.delete_dir(ws)
         return cat
     if coll:
-        dup_ref = ray.put(np.fromiter(sorted(coll), dtype=np.int64, count=len(coll)))
-
-        def drop_existing(t: pa.Table) -> pa.Table:
-            ids = ray.get(dup_ref)
-            return t.filter(
-                pc.invert(pc.is_in(t["doc_id"], value_set=pa.array(ids)))
-            )
-
-        filt = wfs.ray_read_parquet(DOCS_DIR).map_batches(
-            drop_existing, batch_format="pyarrow"
-        )
-        tmp_rel = DOCS_DIR + "_filtered"
-        wfs.atomic_write_dataset(filt, tmp_rel, partition_cols=["shard_id"])
-        wfs.delete_dir(DOCS_DIR)
-        wfs.move(tmp_rel, DOCS_DIR)
+        ids = np.fromiter(sorted(coll), dtype=np.int64, count=len(coll))
+        _drop_doc_rows(wfs, cfg, ids, keep_min_sha=False)
 
     gen_stats = _run_stats(wfs, cfg) if coll else pre_stats
     base = cat.get_stats()

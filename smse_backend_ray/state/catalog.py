@@ -140,6 +140,15 @@ class Catalog:
             rec["metrics"] = metrics
         self._commit()
 
+    def stage_metrics(self, stage: str) -> dict:
+        return dict(self._state["stages"].get(stage, {}).get("metrics", {}))
+
+    def set_stage_metrics(self, stage: str, metrics: dict) -> None:
+        """Record a running stage's metrics without touching its status or
+        clock (a count that must survive a crash mid-stage)."""
+        self._state["stages"].setdefault(stage, {})["metrics"] = metrics
+        self._commit()
+
     def invalidate_from(self, stages: list[str]) -> None:
         for s in stages:
             self._state["stages"].pop(s, None)

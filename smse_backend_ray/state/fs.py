@@ -115,22 +115,45 @@ class IndexFS:
         tmp = rel + ".tmp"
         with self.open_output(tmp) as f:
             f.write(json.dumps(obj, indent=1, sort_keys=True).encode())
+        self.replace(tmp, rel)
+
+    def replace(self, src: str, dst: str) -> None:
+        """Move the file ``src`` over the file ``dst`` (each relative to root
+        or a full path from list_files). POSIX rename overwrites: an atomic
+        replace, no crash window. On filesystems whose move cannot overwrite
+        an existing dest, the live file is renamed ASIDE to ``<dst>.bak``
+        first (never delete the only good copy — if the cause is persistent,
+        the backup still holds it), then the new one moves in and the backup
+        is dropped. A crash between those moves leaves the backup behind:
+        readers of a JSON file fall back to it, and a dir of data files is
+        mended by restore_replace_backups."""
+        src, dst = self._full(src), self._full(dst)
         try:
-            # POSIX rename overwrites: atomic replace, no crash window
-            self.move(tmp, rel)
+            self.fs.move(src, dst)
         except OSError:
-            # filesystems whose move cannot overwrite an existing dest:
-            # rename the live file ASIDE first (never delete the only good
-            # copy — if the cause is persistent, <rel>.bak still holds it),
-            # then move the new one in and drop the backup
-            bak = rel + ".bak"
-            if self.exists(bak):
-                self.delete_file(bak)
-            if self.exists(rel):
-                self.move(rel, bak)
-            self.move(tmp, rel)
-            if self.exists(bak):
-                self.delete_file(bak)
+            bak = dst + ".bak"
+            if self._exists_full(bak):
+                self.fs.delete_file(bak)
+            if self._exists_full(dst):
+                self.fs.move(dst, bak)
+            self.fs.move(src, dst)
+            if self._exists_full(bak):
+                self.fs.delete_file(bak)
+
+    def restore_replace_backups(self, rel: str) -> None:
+        """Undo what a crash inside replace's fallback left under the dir
+        ``rel``: a ``<f>.bak`` beside a live ``<f>`` is stale (the new file
+        had moved in) and is dropped; one alone is ``<f>``'s only copy and
+        moves back."""
+        for bak in self.list_files(rel, recursive=True, suffix=".bak"):
+            dst = bak[: -len(".bak")]
+            if self._exists_full(dst):
+                self.fs.delete_file(bak)
+            else:
+                self.fs.move(bak, dst)
+
+    def _exists_full(self, path: str) -> bool:
+        return self.fs.get_file_info(path).type != pafs.FileType.NotFound
 
     # -- parquet -----------------------------------------------------------
     def pads_dataset(self, rel: str = "", **kwargs):
@@ -231,7 +254,7 @@ class IndexFS:
 
     def atomic_swap_dataset(self, ds, rel: str, **kwargs) -> None:
         """Like atomic_write_dataset, but parks the previous ``rel`` at
-        ``rel``.bak until the new dir is in place (the write_json_atomic
+        ``rel``.bak until the new dir is in place (the replace
         .bak protocol) — for rewrites where the existing dir is the only
         copy of the data (doc-store compaction: the original corpus input
         may no longer exist). A crash between the two moves leaves the data

@@ -1,0 +1,328 @@
+"""Exact dedup as an in-place rewrite of only the doc files that lose a row
+(pipelines/build.py _run_dedup / _drop_doc_rows).
+
+A planted file-mode corpus spreads its duplicates over three doc files:
+a distinct-sha pair inside one file, a distinct-sha pair across files, an
+equal-sha pair across files, an id with three copies, and a file whose only
+duplicated row is that id's winner. Checked on both executors (driver
+threads and Ray tasks), through a crash mid-rewrite, and through appends
+(which drop their collisions with the same per-file rewrite)."""
+
+from __future__ import annotations
+
+import hashlib
+import posixpath
+import time
+
+import pyarrow as pa
+import pyarrow.dataset as pads
+import pyarrow.fs as pafs
+import pyarrow.parquet as pq
+import pytest
+
+import ray.data
+
+from smse_backend_ray.config import EngineConfig
+from smse_backend_ray.oracle import build_oracle_index, oracle_search
+from smse_backend_ray.pipelines import build
+from smse_backend_ray.pipelines.build import append_index, build_index
+from smse_backend_ray.pipelines.search import SearchEngine
+from smse_backend_ray.sources.corpus import doc_id_from_key
+from smse_backend_ray.state.catalog import Catalog
+from smse_backend_ray.state.fs import IndexFS
+
+
+def _sha(s: str) -> str:
+    return hashlib.sha256(s.encode()).hexdigest()
+
+
+# three copies of one key: the min-sha copy goes to the last file
+_TRI = sorted(["tri scan red", "tri scan green", "tri scan blue blue"], key=_sha)
+
+
+def _part(rows) -> pa.Table:
+    cols = list(zip(*rows))
+    return pa.table({
+        n: pa.array(c) for n, c in zip(("repo", "path", "commit", "lang", "content"), cols)
+    })
+
+
+PARTS = [
+    _part([
+        ("org/u", "u0.py", "c1", "py", "unique zero hashMap lookup"),
+        ("org/a", "a.py", "c1", "py", "alpha hashMap one"),          # same file,
+        ("org/a", "a.py", "c1", "py", "alpha hashMap two two"),      # distinct sha
+        ("org/b", "b.py", "c1", "py", "beta lookup first"),
+        ("org/c", "c.py", "c1", "py", "gamma same content lookup"),
+        ("org/t", "t.py", "c1", "py", _TRI[1]),
+    ]),
+    _part([
+        ("org/u", "u1.py", "c1", "py", "unique one scan"),
+        ("org/b", "b.py", "c1", "py", "beta lookup second second"),  # across files
+        ("org/c", "c.py", "c1", "py", "gamma same content lookup"),  # equal sha
+        ("org/t", "t.py", "c1", "py", _TRI[2]),
+    ]),
+    _part([
+        ("org/u", "u2.py", "c1", "py", "unique two hashMap"),
+        ("org/t", "t.py", "c1", "py", _TRI[0]),                      # the winner
+    ]),
+]
+CORPUS = pa.concat_tables(PARTS)
+N_INPUT = CORPUS.num_rows
+N_DUP_IDS = 4  # a, b, c, t
+QUERIES = [["hashMap lookup"], ["alpha"], ["beta second"], ["gamma"], ["tri scan blue"], ["unique"]]
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("dedup_parts")
+    files = []
+    for i, t in enumerate(PARTS):
+        files.append(str(d / f"part_{i}.parquet"))
+        pq.write_table(t, files[-1])
+    return files
+
+
+@pytest.fixture(scope="module")
+def oidx():
+    return build_oracle_index(CORPUS)
+
+
+def _cfg(**kw) -> EngineConfig:
+    # one shard, one input file per wave: with _hook_dedup, each input file
+    # is exactly one doc file
+    return EngineConfig(n_shards=1, wave_size=1, **kw)
+
+
+def _doc_bytes(idx: str) -> dict[str, bytes]:
+    ifs = IndexFS(idx)
+    return {f: ifs.open_input(f).read() for f in ifs.list_files("docs", recursive=True)}
+
+
+def _hook_dedup(monkeypatch, before: dict) -> None:
+    """Before the dedup stage runs: merge each wave's doc files into one (the
+    docs stage splits even a 2-row input into several files, so the planted
+    layout needs this to be exact), then snapshot the doc files' bytes."""
+    real = build._run_dedup
+
+    def hooked(ifs, cfg, cat=None):
+        by_dir: dict[str, list[str]] = {}
+        for f in ifs.list_files("docs", recursive=True):
+            by_dir.setdefault(posixpath.dirname(f), []).append(f)
+        for d, files in by_dir.items():
+            t = pa.concat_tables(ifs.read_tables(files))
+            for f in files:
+                ifs.fs.delete_file(f)
+            pq.write_table(t, f"{d}/part-0.parquet")
+        before.update(_doc_bytes(ifs.root))
+        return real(ifs, cfg, cat)
+
+    monkeypatch.setattr(build, "_run_dedup", hooked)
+
+
+def _docs(idx: str) -> pa.Table:
+    return pads.dataset(f"{idx}/docs").to_table().sort_by("doc_id")
+
+
+def _segments(idx: str) -> pa.Table:
+    t = pads.dataset(f"{idx}/segments", partitioning="hive").to_table()
+    return t.sort_by([("shard_id", "ascending"), ("term", "ascending")])
+
+
+def _df(idx: str) -> pa.Table:
+    return pads.dataset(f"{idx}/df").to_table().sort_by("term")
+
+
+def _assert_search_matches_oracle(idx: str, oidx) -> None:
+    with SearchEngine(idx) as eng:
+        for q in QUERIES:
+            got = eng.search(q, limit=20).to_pylist()
+            exp = oracle_search(oidx, q, limit=20)
+            assert [(g["doc_id"], g["exact_score"]) for g in got] == [
+                (e["doc_id"], e["score"]) for e in exp
+            ], q
+
+
+@pytest.fixture(scope="module")
+def built(ray_session, input_files, tmp_path_factory):
+    """{label: (index dir, doc bytes before dedup)} for both executors."""
+    out = {}
+    for label, cfg in (("driver", _cfg()), ("ray", _cfg(driver_agg_max_bytes=0))):
+        idx, before = str(tmp_path_factory.mktemp(f"dedup_{label}")), {}
+        with pytest.MonkeyPatch.context() as mp:
+            _hook_dedup(mp, before)
+            build_index(input_files=input_files, index_dir=idx, cfg=cfg)
+        out[label] = (idx, before)
+    return out
+
+
+@pytest.mark.parametrize("label", ["driver", "ray"])
+def test_min_sha_row_survives(built, oidx, label):
+    idx, before = built[label]
+    assert len(before) == 3, "premise: one doc file per input file"
+    docs = _docs(idx)
+    assert docs.num_rows == oidx.n_docs == N_INPUT - 5
+    assert len(set(docs["doc_id"].to_pylist())) == docs.num_rows
+    for r in docs.to_pylist():
+        assert r["content_sha256"] == oidx.docs[r["doc_id"]].content_sha256
+    t_id = doc_id_from_key("org/t", "t.py", "c1")
+    assert docs.filter(pa.compute.equal(docs["doc_id"], t_id))["content_sha256"].to_pylist() == [
+        _sha(_TRI[0])
+    ]
+    # the equal-sha pair keeps the copy of the first file (path tie-break)
+    c_id = doc_id_from_key("org/c", "c.py", "c1")
+    assert docs.filter(pa.compute.equal(docs["doc_id"], c_id))["partition_id"].to_pylist() == [0]
+    _assert_search_matches_oracle(idx, oidx)
+
+
+@pytest.mark.parametrize("label", ["driver", "ray"])
+def test_only_losing_files_rewritten(built, label):
+    idx, before = built[label]
+    after = _doc_bytes(idx)
+    assert sorted(after) == sorted(before), "a rewrite renames over the original"
+    last = max(before)  # wave_000002: its only duplicated row is the winner
+    assert after[last] == before[last]
+    changed = [f for f in before if after[f] != before[f]]
+    assert len(changed) == 2
+    for f in changed:  # same schema, hive shard_id not written into the file
+        assert pq.read_schema(f).equals(pq.ParquetFile(pa.BufferReader(before[f])).schema_arrow)
+    m = Catalog(idx).manifest()["stages"]["dedup"]["metrics"]
+    assert m == {
+        "duplicates": N_DUP_IDS,
+        "files_rewritten": 2,
+        "rows_dropped": N_INPUT - Catalog(idx).get_stats()["n_docs"],
+        "bytes_written": sum(len(after[f]) for f in changed),
+    }
+    assert not IndexFS(idx).exists(build._REWRITE_TMP)
+
+
+def test_executors_agree(built):
+    assert _docs(built["driver"][0]).equals(_docs(built["ray"][0]))
+    assert _df(built["driver"][0]).equals(_df(built["ray"][0]))
+
+
+@pytest.mark.parametrize("label", ["driver", "ray"])
+def test_crash_mid_rewrite_resumes(ray_session, built, input_files, oidx, tmp_path, monkeypatch, label):
+    """The rewrite of the second losing file raises while the first one's is
+    still running; the build raises only after that rewrite has landed, and
+    the resumed build equals an uninterrupted one, with nothing staged
+    visible under docs/. Ray tasks run the same rewrite function, so both
+    executors are driven through the crash."""
+    ref = built["driver"][0]
+    cfg = _cfg() if label == "driver" else _cfg(driver_agg_max_bytes=0)
+    idx = str(tmp_path / "idx")
+    real = build._rewrite_doc_file
+
+    def crashing(ifs, job):
+        if "wave_000001" in job[0]:
+            raise RuntimeError("injected crash in the dedup rewrite")
+        time.sleep(1.0)
+        return real(ifs, job)
+
+    _hook_dedup(monkeypatch, {})
+    monkeypatch.setattr(build, "_rewrite_doc_file", crashing)
+    with pytest.raises(Exception, match="injected crash"):
+        build_index(input_files=input_files, index_dir=idx, cfg=cfg)
+    monkeypatch.setattr(build, "_rewrite_doc_file", real)
+
+    cat = Catalog(idx)
+    assert not cat.stage_done("dedup")
+    assert cat.stage_metrics("dedup") == {"duplicates": N_DUP_IDS}
+    ifs = IndexFS(idx)
+    files = ifs.list_files("docs", recursive=True)
+    assert all(f.endswith(".parquet") for f in files)
+    assert len(files) == 3
+    first = [f for f in files if "wave_000000" in f]
+    assert pq.ParquetFile(first[0]).metadata.num_rows < PARTS[0].num_rows, (
+        "the slow rewrite landed before the crash was raised"
+    )
+    seen = ifs.pads_dataset("docs").to_table(columns=["doc_id"])["doc_id"]
+    via_ray = ifs.ray_read_parquet("docs", columns=["doc_id"]).to_arrow_refs()
+    via_ray = pa.concat_tables(ray.get(via_ray))["doc_id"]
+    assert sorted(seen.to_pylist()) == sorted(via_ray.to_pylist())
+    assert N_INPUT - 5 < len(seen) < N_INPUT  # one file rewritten, one not
+
+    build_index(input_files=input_files, index_dir=idx, cfg=cfg)  # resume
+    assert _docs(idx).equals(_docs(ref))
+    assert _segments(idx).equals(_segments(ref))
+    assert _df(idx).equals(_df(ref))
+    m = Catalog(idx).manifest()["stages"]["dedup"]["metrics"]
+    assert m["duplicates"] == N_DUP_IDS
+    assert not ifs.exists(build._REWRITE_TMP)
+    _assert_search_matches_oracle(idx, oidx)
+
+
+def test_no_duplicates_on_ray_detection(ray_session, tmp_path):
+    """Above the driver budget, a corpus without duplicates: the Ray
+    aggregate finds none and no doc file is touched."""
+    idx = str(tmp_path / "idx")
+    build_index(
+        corpus=ray.data.from_arrow(PARTS[2]), index_dir=idx,
+        cfg=EngineConfig(n_shards=2, driver_agg_max_bytes=0),
+    )
+    m = Catalog(idx).manifest()["stages"]["dedup"]["metrics"]
+    assert m == {"duplicates": 0, "files_rewritten": 0, "rows_dropped": 0, "bytes_written": 0}
+    assert _docs(idx).num_rows == PARTS[2].num_rows
+
+
+class _NoOverwriteFS(pafs.LocalFileSystem):
+    """A filesystem whose move cannot overwrite an existing file."""
+
+    def move(self, src, dest):
+        if self.get_file_info(dest).type != pafs.FileType.NotFound:
+            raise OSError(f"{dest} exists")
+        super().move(src, dest)
+
+
+def _undeduped_copy(built, root) -> IndexFS:
+    """The driver build's doc files as they were before dedup, under
+    ``root`` on a filesystem whose move cannot overwrite."""
+    idx, before = built["driver"]
+    for f, data in before.items():
+        dst = root / posixpath.relpath(f, idx)
+        dst.parent.mkdir(parents=True, exist_ok=True)
+        dst.write_bytes(data)
+    return IndexFS((_NoOverwriteFS(), str(root)))
+
+
+def test_rewrite_on_non_overwriting_move(built, tmp_path):
+    ifs = _undeduped_copy(built, tmp_path)
+    m = build._run_dedup(ifs, _cfg())
+    assert m["files_rewritten"] == 2
+    assert _docs(str(tmp_path)).equals(_docs(built["driver"][0]))
+    assert not ifs.list_files("docs", recursive=True, suffix=".bak")
+
+
+@pytest.mark.parametrize("after", ["aside", "moved_in"])
+def test_crash_inside_replace_fallback(built, tmp_path, after):
+    """A crash between the fallback's moves leaves <file>.bak: alone (the
+    live file was set aside) or beside the new file (which had moved in).
+    The resumed dedup mends either and equals an uninterrupted one."""
+    ifs = _undeduped_copy(built, tmp_path)
+    f = ifs.list_files("docs", recursive=True)[0]  # wave_000000 loses rows
+    ifs.fs.move(f, f + ".bak")
+    if after == "moved_in":
+        ref = built["driver"][0]
+        ifs.fs.copy_file(posixpath.join(ref, posixpath.relpath(f, str(tmp_path))), f)
+    build._run_dedup(ifs, _cfg())
+    assert _docs(str(tmp_path)).equals(_docs(built["driver"][0]))
+    assert not ifs.list_files("docs", recursive=True, suffix=".bak")
+
+
+def test_appends_drop_collisions_and_bound_meta_cache(ray_session, oidx, tmp_path):
+    """Appends of the later parts: every colliding id keeps its OLD row
+    (existence-check first-wins), and the (doc_id, dl) cache keeps one
+    entry however many append workspaces it has seen."""
+    idx = str(tmp_path / "idx")
+    cfg = EngineConfig(n_shards=2)
+    build_index(corpus=ray.data.from_arrow(PARTS[0]), index_dir=idx, cfg=cfg)
+    first = _docs(idx)
+    for t in PARTS[1:]:
+        append_index(ray.data.from_arrow(t), idx)
+    assert len(build._META_CACHE) <= 1
+    docs = _docs(idx)
+    assert docs.num_rows == len(set(docs["doc_id"].to_pylist())) == oidx.n_docs
+    old = dict(zip(first["doc_id"].to_pylist(), first["content_sha256"].to_pylist()))
+    for did, sha in zip(docs["doc_id"].to_pylist(), docs["content_sha256"].to_pylist()):
+        if did in old:
+            assert sha == old[did]
