@@ -14,7 +14,8 @@ Locally (auto-inits a local Ray session):
 
 Passing individual parquet files (the expanded glob) enables per-partition
 lineage in the catalog: a resubmitted job skips finished partitions
-(pipelines/build.py resume path). Prints one JSON line of build metrics.
+(pipelines/build.py resume path). Prints one JSON line of build metrics:
+per stage its status, wall seconds and the manifest's stage metrics.
 """
 
 from __future__ import annotations
@@ -27,6 +28,17 @@ import sys
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def _stage_report(rec: dict) -> dict:
+    """One manifest stage record as printed: status, wall seconds (None
+    while the stage has not completed) and the stage's own metrics."""
+    done, start = rec.get("completed_at"), rec.get("started_at")
+    return {
+        "status": rec.get("status"),
+        "wall_s": round(done - start, 3) if done is not None and start is not None else None,
+        "metrics": rec.get("metrics", {}),
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -158,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         "build_sec": round(time.time() - t0, 3),
         "n_docs": stats.get("n_docs"),
         "avgdl": stats.get("avgdl"),
-        "stages": {s: m.get("status") for s, m in cat.manifest().get("stages", {}).items()},
+        "stages": {s: _stage_report(m) for s, m in cat.manifest().get("stages", {}).items()},
         "generations": sorted(int(g) for g in cat.generations()),
     }
     if args.suggest:

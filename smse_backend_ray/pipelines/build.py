@@ -13,8 +13,12 @@ manifest (state/catalog.py). Stages:
             the doc files that hold a losing row are rewritten, in place —
             per-file work on driver threads or Ray tasks, no shuffle
   stats     N / sum_dl / avgdl aggregates -> manifest (broadcast later)
-  segments  SPIMI explode + per-batch combine -> groupby(bucket) merge ->
-            delta-varint posting streams (stages/ingest.py, functions/codec.py)
+  segments  one delta-varint posting row per (term, shard) (stages/ingest.py
+            encode_segments, functions/codec.py). Under the size budget each
+            shard is encoded straight from its own docs/**/shard_id=S/ files
+            — the docs layout already co-locates a shard, so no exchange;
+            above it, SPIMI explode + per-batch combine -> groupby((term
+            bucket, shard)) merge. Same segment rows either way
   df        distinct (term, df) table, term-sorted for filter-pushdown reads
 
 All index I/O goes through state/fs.IndexFS (pyarrow.fs), so ``index_dir``
@@ -32,16 +36,18 @@ stats, the df rollup) switch between a driver-side pyarrow path (when the
 projected columns are under EngineConfig.driver_agg_max_bytes) and the
 distributed Ray path — a 100 TB build keeps every reduction distributed,
 while a test/bench build does not pay shuffle-job fixed costs for
-kilobyte-sized reductions. The dedup rewrite makes the same choice from
-the doc files' on-disk size: driver threads or Ray tasks.
+kilobyte-sized reductions. The dedup rewrite and the segment encode make
+the same choice from the doc files' on-disk size: the dedup rewrite runs on
+driver threads or Ray tasks, the segments stage per shard on driver threads
+or through the posting exchange.
 """
 
 from __future__ import annotations
 
 import functools
-import time
-
 import posixpath
+import re
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -56,8 +62,10 @@ from smse_backend_ray.stages.ingest import (
     DOC_SCHEMA_COLS,
     BucketEncoder,
     cfg_buckets,
+    encode_segments,
     explode_preagg_batch,
     ingest_batch,
+    sorted_codes,
 )
 from smse_backend_ray.state.catalog import TOMBSTONES_REL, Catalog, read_tombstones
 from smse_backend_ray.state.fs import IndexFS
@@ -204,6 +212,18 @@ def _doc_files_task(fn, ifs: IndexFS, items: list, *shared) -> list:
     return [fn(ifs, it, *shared) for it in items]
 
 
+def _doc_files(ifs: IndexFS, cfg: EngineConfig) -> tuple[list[str], bool]:
+    """Sorted full paths of the docs/ parquet files, and whether they total
+    <= driver_agg_max_bytes on disk (sizes from the one listing, no footer
+    reads) — the executor choice of the per-doc-file stages."""
+    infos = sorted(
+        (i for i in ifs.list_infos(DOCS_DIR, recursive=True)
+         if i.is_file and i.path.endswith(".parquet")),
+        key=lambda i: i.path,
+    )
+    return [i.path for i in infos], sum(i.size for i in infos) <= cfg.driver_agg_max_bytes
+
+
 def _map_doc_files(ifs: IndexFS, on_driver: bool, fn, items: list, *shared) -> list:
     """``[fn(ifs, item, *shared) for item in items]``: on a driver thread
     pool (the IndexFS.read_tables pattern) or as Ray tasks, one per
@@ -261,13 +281,7 @@ def _drop_doc_rows(ifs: IndexFS, cfg: EngineConfig, ids: np.ndarray, keep_min_sh
     The per-file scan and rewrite run on driver threads when the doc files
     total <= driver_agg_max_bytes on disk (sizes from the listing, no
     footer reads), else as Ray tasks."""
-    infos = sorted(
-        (i for i in ifs.list_infos(DOCS_DIR, recursive=True)
-         if i.is_file and i.path.endswith(".parquet")),
-        key=lambda i: i.path,
-    )
-    paths = [i.path for i in infos]
-    on_driver = sum(i.size for i in infos) <= cfg.driver_agg_max_bytes
+    paths, on_driver = _doc_files(ifs, cfg)
     hits = _map_doc_files(ifs, on_driver, _scan_doc_file, paths, ids)
     file_of = np.concatenate([np.full(len(h[0]), f, dtype=np.int64) for f, h in enumerate(hits)])
     rows = np.concatenate([h[0] for h in hits])
@@ -353,7 +367,25 @@ def _run_stats(ifs: IndexFS, cfg: EngineConfig) -> dict:
     }
 
 
-def _run_segments(ifs: IndexFS, cfg: EngineConfig, stats: dict) -> None:
+def _run_segments(ifs: IndexFS, cfg: EngineConfig, stats: dict) -> dict:
+    """docs/ -> segments/shard_id=S/: one row per (term, shard) holding the
+    delta-varint posting streams (stages/ingest.encode_segments).
+
+    The docs stage already hive-partitions every doc by shard_id, and a
+    segment row never spans shards, so when the doc files total <=
+    driver_agg_max_bytes on disk (the dedup rewrite's one-listing test)
+    each shard's segment table is encoded straight from its own
+    docs/**/shard_id=S/ files on a driver thread (_encode_shard) — no
+    exchange. Above the budget the SPIMI exchange runs: per-batch
+    pre-aggregated runs (explode_preagg_batch) shuffled on (term bucket,
+    shard) and merged per group by BucketEncoder. Both paths write the same
+    segment rows; only the file layout within a shard dir differs.
+
+    Returns the stage metrics: ``exchange``, ``postings`` (sum of df_shard),
+    ``segment_rows``, ``bytes_written``, ``bytes_per_posting``."""
+    paths, small = _doc_files(ifs, cfg)
+    if small:
+        return _segments_shard_local(ifs, cfg, paths)
     nb = cfg_buckets(cfg, n_docs=int(stats.get("n_docs") or 0) or None)
     cols = ["doc_id", "dl", "terms", "tfs"]
     explode = explode_preagg_batch
@@ -386,13 +418,85 @@ def _run_segments(ifs: IndexFS, cfg: EngineConfig, stats: dict) -> None:
     # explode_preagg_batch)
     seg = runs.groupby("skey").map_groups(encode_bucket, batch_format="pyarrow")
     ifs.atomic_write_dataset(seg, SEGMENTS_DIR, partition_cols=["shard_id"])
+    if ifs.column_bytes(SEGMENTS_DIR, ["df_shard"], budget=cfg.driver_agg_max_bytes) <= cfg.driver_agg_max_bytes:
+        df_shard = ifs.pads_dataset(SEGMENTS_DIR).to_table(columns=["df_shard"])["df_shard"]
+        rows, postings = len(df_shard), int(pc.sum(df_shard).as_py() or 0)
+    else:
+        row = ifs.ray_read_parquet(SEGMENTS_DIR, columns=["df_shard"]).aggregate(
+            Count(alias_name="rows"), Sum("df_shard", alias_name="postings")
+        )
+        rows, postings = int(row["rows"]), int(row["postings"] or 0)
+    return _segment_metrics(True, postings, rows, _dir_bytes(ifs, SEGMENTS_DIR))
 
 
-def _run_df(ifs: IndexFS, cfg: EngineConfig) -> None:
-    # df(term) = sum of per-(generation, shard) posting counts: each segment
-    # row covers a disjoint doc set, so integer sum == global df. (A plain
-    # base build is one generation; sum(df_shard) == the replicated df
-    # column exactly.)
+_SEGMENTS_TMP = SEGMENTS_DIR + ".tmp"
+# a doc file's shard, from its hive dir — matched with the trailing "/" the
+# way ShardIndex matches it, so shard 1 never picks up shard_id=10
+_SHARD_DIR = re.compile(r"/shard_id=(\d+)/")
+
+
+def _segments_shard_local(ifs: IndexFS, cfg: EngineConfig, paths: list[str]) -> dict:
+    """Every shard's segment table from its own doc files, staged under
+    segments.tmp/shard_id=S/ and moved into place in one commit."""
+    by_shard: dict[int, list[str]] = {}
+    for p in paths:
+        by_shard.setdefault(int(_SHARD_DIR.search(p[len(ifs.root):]).group(1)), []).append(p)
+    if ifs.exists(_SEGMENTS_TMP):
+        ifs.delete_dir(_SEGMENTS_TMP)
+    ifs.mkdirs(_SEGMENTS_TMP)
+    done = _map_doc_files(ifs, True, _encode_shard, sorted(by_shard.items()), cfg)
+    ifs.commit_dir(_SEGMENTS_TMP, SEGMENTS_DIR)
+    rows, postings, size = (sum(col) for col in zip(*done)) if done else (0, 0, 0)
+    return _segment_metrics(False, postings, rows, size)
+
+
+def _encode_shard(ifs: IndexFS, job: tuple, cfg: EngineConfig) -> tuple[int, int, int]:
+    """(segment rows, postings, file bytes) of one shard's segment file,
+    encoded from the shard's doc files: flatten the per-doc term lists,
+    then encode_segments — the runs payload of the exchange never forms.
+    A shard without postings writes no file."""
+    shard, files = job
+    cols = ["doc_id", "dl", "terms", "tfs"] + (["poss"] if cfg.with_positions else [])
+    t = pa.concat_tables(ifs.read_tables(files, columns=cols))
+    lens = pc.list_value_length(t["terms"]).to_numpy()
+
+    def flat(col: str) -> np.ndarray:
+        return pc.list_flatten(t[col]).to_numpy().astype(np.int64, copy=False)
+
+    codes, term_dict = sorted_codes(pc.list_flatten(t["terms"]))
+    seg = encode_segments(
+        codes, term_dict,
+        np.repeat(t["doc_id"].to_numpy(), lens), flat("tfs"), np.repeat(t["dl"].to_numpy(), lens),
+        cfg, flat("poss") if cfg.with_positions else None,
+    )
+    if not seg.num_rows:
+        return 0, 0, 0
+    staged = f"{_SEGMENTS_TMP}/shard_id={shard}/part-0.parquet"
+    ifs.mkdirs(posixpath.dirname(staged))
+    ifs.write_table(seg.drop_columns(["shard_id"]), staged)
+    return seg.num_rows, int(pc.sum(seg["df_shard"]).as_py()), ifs.info(staged).size
+
+
+def _dir_bytes(ifs: IndexFS, rel: str) -> int:
+    return sum(i.size for i in ifs.list_infos(rel, recursive=True) if i.is_file)
+
+
+def _segment_metrics(exchange: bool, postings: int, rows: int, size: int) -> dict:
+    return {
+        "exchange": exchange,
+        "postings": postings,
+        "segment_rows": rows,
+        "bytes_written": size,
+        "bytes_per_posting": round(size / postings, 3) if postings else 0.0,
+    }
+
+
+def _run_df(ifs: IndexFS, cfg: EngineConfig) -> dict:
+    """df(term) = sum of per-(generation, shard) posting counts: each
+    segment row covers a disjoint doc set, so the integer sum is the global
+    df. (A plain base build is one generation; sum(df_shard) == the
+    replicated df column exactly.) Returns the stage metrics: ``terms`` and
+    ``bytes_written``."""
     if ifs.column_bytes(SEGMENTS_DIR, ["term", "df_shard"], budget=cfg.driver_agg_max_bytes) <= cfg.driver_agg_max_bytes:
         t = ifs.pads_dataset(SEGMENTS_DIR).to_table(columns=["term", "df_shard"])
         g = t.group_by("term").aggregate([("df_shard", "sum")])
@@ -404,13 +508,17 @@ def _run_df(ifs: IndexFS, cfg: EngineConfig) -> None:
             ifs.delete_dir(tmp)
         ifs.mkdirs(tmp)
         ifs.write_table(g, f"{tmp}/df.parquet")
-        if ifs.exists(DF_DIR):
-            ifs.delete_dir(DF_DIR)
-        ifs.move(tmp, DF_DIR)
-        return
-    ds = ifs.ray_read_parquet(SEGMENTS_DIR, columns=["term", "df_shard"])
-    df_tbl = ds.groupby("term").aggregate(Sum("df_shard", alias_name="df")).sort("term")
-    ifs.atomic_write_dataset(df_tbl, DF_DIR)
+        ifs.commit_dir(tmp, DF_DIR)
+        terms = g.num_rows
+    else:
+        ds = ifs.ray_read_parquet(SEGMENTS_DIR, columns=["term", "df_shard"])
+        df_tbl = ds.groupby("term").aggregate(Sum("df_shard", alias_name="df")).sort("term")
+        ifs.atomic_write_dataset(df_tbl, DF_DIR)
+        terms = sum(
+            ifs.parquet_file(f).metadata.num_rows
+            for f in ifs.list_files(DF_DIR, recursive=True, suffix=".parquet")
+        )
+    return {"terms": int(terms), "bytes_written": _dir_bytes(ifs, DF_DIR)}
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +571,13 @@ def build_index(
 
     if not cat.stage_done("segments"):
         cat.mark_stage("segments", "running")
-        _run_segments(ifs, cfg, cat.get_stats())
-        cat.mark_stage("segments", "done")
+        m = _run_segments(ifs, cfg, cat.get_stats())
+        cat.mark_stage("segments", "done", m)
 
     if not cat.stage_done("df"):
         cat.mark_stage("df", "running")
-        _run_df(ifs, cfg)
-        cat.mark_stage("df", "done")
+        m = _run_df(ifs, cfg)
+        cat.mark_stage("df", "done", m)
 
     return cat
 

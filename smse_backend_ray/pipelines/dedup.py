@@ -369,7 +369,9 @@ def _global_hot_shingles(sf_dir: str, df_cap: int, op: str):
     at fixed cap, so it must never be required to fit on the driver.
     Memoized per (documents stamp, df_cap) — jaccard_pairs and
     minhash_lsh_pairs both need the identical hot set and otherwise each
-    pay the full corpus df pass."""
+    pay the full corpus df pass. The cache holds ONE entry (the latest
+    key): each entry pins materialized object-store blocks, so a process
+    that walks several sf dirs or caps must not keep them all alive."""
     stamp = _docs_stamp(sf_dir)
     hit = _HOT_SHINGLE_CACHE.get((stamp[0], df_cap))
     if hit and hit[0] == stamp:
@@ -395,6 +397,7 @@ def _global_hot_shingles(sf_dir: str, df_cap: int, op: str):
             op, n_hot, df_cap,
         )
     out = (_compact(hot_ds), n_hot)
+    _HOT_SHINGLE_CACHE.clear()
     _HOT_SHINGLE_CACHE[(stamp[0], df_cap)] = (stamp, out)
     return out
 

@@ -160,12 +160,6 @@ def encode_runs(
     dls_b = flat_dls.astype("<i4").tobytes()
     tfs_b, t_lens = varint_encode_with_lens(flat_tfs.astype(np.uint64))
 
-    def bin_col(data: bytes, run_bounds: np.ndarray) -> pa.Array:
-        return pa.Array.from_buffers(
-            pa.binary(), n_runs,
-            [None, pa.py_buffer(run_bounds.astype(np.int32).tobytes()), pa.py_buffer(data)],
-        )
-
     tf_cum = np.concatenate(([0], np.cumsum(t_lens)))
     uterms = terms.to_pylist()
     return pa.table(
@@ -175,10 +169,21 @@ def encode_runs(
             ),
             "term": terms,
             "n": pa.array(run_lens, type=pa.int32()),
-            "docs_b": bin_col(docs_b, offsets * 8),
-            "tfs_b": bin_col(tfs_b, tf_cum[offsets]),
-            "dls_b": bin_col(dls_b, offsets * 4),
+            "docs_b": _bin_col(docs_b, offsets * 8),
+            "tfs_b": _bin_col(tfs_b, tf_cum[offsets]),
+            "dls_b": _bin_col(dls_b, offsets * 4),
         }
+    )
+
+
+def _bin_col(data: bytes, bounds: np.ndarray) -> pa.Array:
+    """Binary column whose value i is ``data[bounds[i]:bounds[i + 1]]``
+    (``bounds[0] == 0``), laid over ``data`` without copying it."""
+    if bounds[-1] >= 2**31:  # int32 offsets; callers encode bounded batches
+        raise ValueError("a binary column holds < 2 GiB of values")
+    return pa.Array.from_buffers(
+        pa.binary(), len(bounds) - 1,
+        [None, pa.py_buffer(np.asarray(bounds).astype(np.int32)), pa.py_buffer(data)],
     )
 
 
@@ -305,16 +310,12 @@ def explode_preagg_batch_pos(batch: pa.Table, n_buckets: int, n_shards: int) -> 
     key_s = key[order]
     bounds = np.flatnonzero(np.diff(key_s)) + 1
     rstarts = np.concatenate(([0], bounds))
-    n_runs = rstarts.size
 
     # gather each sorted flat-row's position slice (vectorized var-len gather)
     tf_s = tf_np[order]
     total_pos = pos_vals.size
     dst_cum = np.concatenate(([0], np.cumsum(tf_s)))
-    gather = np.repeat(tf_cum[order], tf_s) + (
-        np.arange(total_pos, dtype=np.int64) - np.repeat(dst_cum[:-1], tf_s)
-    )
-    pos_s = pos_vals[gather]
+    pos_s = _gather_runs(pos_vals, tf_cum[order], tf_s)
 
     roff = pa.array(
         np.concatenate((rstarts, [n_flat])).astype(np.int32), type=pa.int32()
@@ -329,12 +330,7 @@ def explode_preagg_batch_pos(batch: pa.Table, n_buckets: int, n_shards: int) -> 
     )
     # pos_b: raw int32-LE slices per run (boundary = run's total tf)
     pos_bounds = np.concatenate((dst_cum[rstarts], [total_pos]))
-    pos_b = pa.Array.from_buffers(
-        pa.binary(), n_runs,
-        [None, pa.py_buffer((pos_bounds * 4).astype(np.int32).tobytes()),
-         pa.py_buffer(pos_s.astype("<i4").tobytes())],
-    )
-    runs = runs.append_column("pos_b", pos_b)
+    runs = runs.append_column("pos_b", _bin_col(pos_s.astype("<i4").tobytes(), pos_bounds * 4))
     skey = (
         np.asarray(runs["bucket"], dtype=np.int64) * n_shards
         + (key_s[rstarts] % n_shards)
@@ -355,19 +351,20 @@ def decode_run_positions(group: pa.Table) -> np.ndarray:
 
 
 class BucketEncoder:
-    """Per-group merge + encode (the reduce side of the posting shuffle).
+    """Per-group merge + encode (the reduce side of the posting exchange).
 
     One call receives ALL pre-aggregated runs for one shuffle key — since
     the shard-aware key that is ONE SHARD of the terms hashed into one
     bucket, bounding group size at O(docs/shard) regardless of term skew.
-    For each (term, shard) it k-way-merges the runs into one sorted posting
-    list and encodes its delta-varint streams (functions/codec.py). Global
-    df(term) is NOT computed here (a group no longer sees every shard of a
-    term); it lives solely in the df/ rollup, which sums the per-segment
-    df_shard column (build._run_df) — the same sum that already made
-    incremental appends exact. The encoder itself stays shard-agnostic
-    (handles multi-shard groups identically), so the segment BYTES are
-    independent of the shuffle key choice (tests/test_bucket_encoder.py).
+    It decodes the runs payload (``decode_runs``) and hands the flat
+    postings to ``encode_segments``, the encoder the shard-local build path
+    (build._run_segments) calls directly. Global df(term) is NOT computed
+    here (a group no longer sees every shard of a term); it lives solely in
+    the df/ rollup, which sums the per-segment df_shard column
+    (build._run_df). The encoder stays shard-agnostic (handles multi-shard
+    groups identically), so the segment BYTES are independent of the
+    shuffle key and of whether an exchange ran at all
+    (tests/test_bucket_encoder.py, tests/test_segments_local.py).
 
     ``avgdl`` is unused: segment rows carry no score-dependent data. The
     argument stays so existing callers keep working.
@@ -377,119 +374,145 @@ class BucketEncoder:
         self.cfg = cfg
 
     def __call__(self, group: pa.Table) -> pa.Table:
-        """Whole-bucket vectorized merge+encode.
-
-        A realistic corpus vocabulary makes per-term encoding Python-bound
-        (hundreds of thousands of tiny segments per build), so the entire
-        bucket is processed in a handful of numpy passes: factorize terms ->
-        lexsort all postings by (term, shard, doc_id) -> compute the delta
-        resets (every block_size postings) with masks -> THREE whole-bucket
-        varint encodes -> slice per-segment bytes analytically from the
-        length prefix sums.
-        Output is byte-identical to per-term codec.encode_postings (tested).
-        """
-        from smse_backend_ray.functions.codec import varint_encode_with_lens
-
-        cfg = self.cfg
-        ns = cfg.n_shards
-        bs = cfg.block_size
-
         has_pos = "pos_b" in group.column_names
-        run_terms, run_lens, flat_docs, flat_tfs, flat_dls = decode_runs(group)
-        n = flat_docs.size
-        if n == 0:
-            return _empty_segment_table(pos=has_pos)
-
-        # factorize run terms -> sorted unique codes; spread to postings
-        terms_sorted = sorted(set(run_terms))
-        code_of = {t: i for i, t in enumerate(terms_sorted)}
-        run_codes = np.fromiter((code_of[t] for t in run_terms), dtype=np.int64, count=len(run_terms))
-        post_codes = np.repeat(run_codes, run_lens)
-
-        # segment = (term, shard); sort postings by (segment, doc_id)
-        seg_key = post_codes * ns + (flat_docs % ns)
-        order = np.lexsort((flat_docs, seg_key))
-        seg_s = seg_key[order]
-        doc_s = flat_docs[order]
-        tf_s = flat_tfs[order]
-        dl_s = flat_dls[order]
-
-        bounds = np.flatnonzero(np.diff(seg_s)) + 1
-        seg_starts = np.concatenate(([0], bounds))
-        seg_ends = np.concatenate((bounds, [n]))
-        seg_sizes = seg_ends - seg_starts
-
-        # delta stream with the absolute value every block_size postings
-        # of each segment
-        pos_in_seg = np.arange(n, dtype=np.int64) - np.repeat(seg_starts, seg_sizes)
-        resets = np.flatnonzero((pos_in_seg % bs) == 0)
-        deltas = doc_s.astype(np.uint64).copy()
-        deltas[1:] -= doc_s[:-1].astype(np.uint64)
-        deltas[resets] = doc_s[resets].astype(np.uint64)
-
-        docs_b, doc_lens = varint_encode_with_lens(deltas)
-        tfs_b, tf_lens = varint_encode_with_lens(tf_s.astype(np.uint64))
-        dls_b, dl_lens = varint_encode_with_lens(dl_s.astype(np.uint64))
-        cum_doc = np.concatenate(([0], np.cumsum(doc_lens)))
-        cum_tf = np.concatenate(([0], np.cumsum(tf_lens)))
-        cum_dl = np.concatenate(([0], np.cumsum(dl_lens)))
-
-        # per-segment identity (global df lives in the df/ rollup only)
-        seg_code = seg_s[seg_starts]
-        seg_term_code = seg_code // ns
-        seg_shard = (seg_code % ns).astype(np.int32)
-
-        docs_mv, tfs_mv, dls_mv = docs_b, tfs_b, dls_b
-        seg_docs = [docs_mv[cum_doc[s]:cum_doc[e]] for s, e in zip(seg_starts, seg_ends)]
-        seg_tfs = [tfs_mv[cum_tf[s]:cum_tf[e]] for s, e in zip(seg_starts, seg_ends)]
-        seg_dls = [dls_mv[cum_dl[s]:cum_dl[e]] for s, e in zip(seg_starts, seg_ends)]
-        term_arr = pa.array(
-            [terms_sorted[c] for c in seg_term_code], type=pa.string()
+        _, run_lens, flat_docs, flat_tfs, flat_dls = decode_runs(group)
+        run_codes, term_dict = sorted_codes(group["term"])
+        return encode_segments(
+            np.repeat(run_codes, run_lens), term_dict, flat_docs, flat_tfs, flat_dls,
+            self.cfg, decode_run_positions(group) if has_pos else None,
         )
 
-        pos_cols: dict[str, pa.Array] = {}
-        if has_pos:
-            # gather each sorted posting's position run, delta-encode within
-            # postings (absolute at posting starts), one whole-bucket varint
-            # pass, slice per segment analytically — same shape as the
-            # doc/tf/dl streams above
-            flat_pos = decode_run_positions(group)
-            src_cum = np.concatenate(([0], np.cumsum(flat_tfs)))
-            tf_sorted = tf_s  # == flat_tfs[order]
-            dst_cum = np.concatenate(([0], np.cumsum(tf_sorted)))
-            total_pos = flat_pos.size
-            gather = np.repeat(src_cum[:-1][order], tf_sorted) + (
-                np.arange(total_pos, dtype=np.int64)
-                - np.repeat(dst_cum[:-1], tf_sorted)
-            )
-            pos_sorted = flat_pos[gather]
-            pstarts = dst_cum[:-1]
-            pdeltas = pos_sorted.astype(np.uint64).copy()
-            if total_pos:
-                pdeltas[1:] -= pos_sorted[:-1].astype(np.uint64)
-                pdeltas[pstarts] = pos_sorted[pstarts].astype(np.uint64)
-            pos_stream, pos_lens = varint_encode_with_lens(pdeltas)
-            cum_pos = np.concatenate(([0], np.cumsum(pos_lens)))
-            seg_pos = [
-                pos_stream[cum_pos[dst_cum[s]] : cum_pos[dst_cum[e]]]
-                for s, e in zip(seg_starts, seg_ends)
-            ]
-            pos_cols = {"pos_bytes": pa.array(seg_pos, type=pa.binary())}
 
-        return pa.table(
-            {
-                "shard_id": pa.array(seg_shard, type=pa.int32()),
-                "term": term_arr,
-                # df_shard is (generation, shard)-local (postings in this
-                # segment row); the df/ rollup sums df_shard across shards
-                # and generations (build._run_df) to get global df
-                "df_shard": pa.array(seg_sizes, type=pa.int64()),
-                "docs_bytes": pa.array(seg_docs, type=pa.binary()),
-                "tfs_bytes": pa.array(seg_tfs, type=pa.binary()),
-                "dls_bytes": pa.array(seg_dls, type=pa.binary()),
-                **pos_cols,
-            }
-        )
+def _gather_runs(values: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``values[starts[i] : starts[i] + lens[i]]`` for every i, back to back
+    (one vectorized variable-length gather)."""
+    dst = np.concatenate(([0], np.cumsum(lens)))
+    return values[np.repeat(starts, lens) + np.arange(dst[-1], dtype=np.int64) - np.repeat(dst[:-1], lens)]
+
+
+def sorted_codes(terms: "pa.Array | pa.ChunkedArray") -> tuple[np.ndarray, pa.Array]:
+    """Factorize a string column: (int64 code per value, the sorted distinct
+    values). Code order IS term order, so sorting by code sorts by term."""
+    if isinstance(terms, pa.ChunkedArray):
+        terms = terms.combine_chunks()
+    denc = pc.cast(terms, pa.string()).dictionary_encode()
+    by_term = np.asarray(pc.array_sort_indices(denc.dictionary), dtype=np.int64)
+    rank = np.empty(by_term.size, dtype=np.int64)
+    rank[by_term] = np.arange(by_term.size, dtype=np.int64)
+    codes = rank[np.asarray(denc.indices, dtype=np.int64)]
+    return codes, denc.dictionary.take(pa.array(by_term))
+
+
+# postings per encode pass: the encoder's numpy temporaries take ~170
+# bytes per posting (measured), so a shard-sized input is encoded in term
+# ranges of about this many postings (a term never spans two passes) and
+# each driver thread of the shard-local build holds ~170 MB of them at most
+_ENCODE_PASS_POSTINGS = 1_000_000
+
+
+def encode_segments(
+    codes: np.ndarray,
+    term_dict: pa.Array,
+    doc_ids: np.ndarray,
+    tfs: np.ndarray,
+    dls: np.ndarray,
+    cfg: EngineConfig,
+    positions: np.ndarray | None = None,
+) -> pa.Table:
+    """Flat postings -> one segment row per (term, shard), term-sorted.
+
+    ``codes`` index ``term_dict`` (sorted; see ``sorted_codes``), one per
+    posting, aligned with ``doc_ids`` / ``tfs`` / ``dls`` in any order;
+    ``positions``, when given, is the postings' position runs back to back
+    (``tfs[i]`` values each, in the same order). Inputs above
+    _ENCODE_PASS_POSTINGS are encoded one term range at a time."""
+    n = doc_ids.size
+    if n <= _ENCODE_PASS_POSTINGS:
+        return _encode_pass(codes, term_dict, doc_ids, tfs, dls, cfg, positions)
+    # pass of each posting = its term's range; a stable counting sort on
+    # the pass id lists every pass's postings in input order
+    per_term = np.cumsum(np.bincount(codes, minlength=len(term_dict)))
+    pass_id = (per_term // _ENCODE_PASS_POSTINGS)[codes]
+    by_pass = np.argsort(pass_id, kind="stable")
+    cuts = np.concatenate(([0], np.flatnonzero(np.diff(pass_id[by_pass])) + 1, [n]))
+    del pass_id
+    src_cum = np.concatenate(([0], np.cumsum(tfs))) if positions is not None else None
+    parts = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        idx = by_pass[a:b]
+        pos = None if positions is None else _gather_runs(positions, src_cum[idx], tfs[idx])
+        parts.append(_encode_pass(codes[idx], term_dict, doc_ids[idx], tfs[idx], dls[idx], cfg, pos))
+    return pa.concat_tables(parts)
+
+
+def _encode_pass(codes, term_dict, doc_ids, tfs, dls, cfg, positions) -> pa.Table:
+    """encode_segments over one in-memory pass. A realistic vocabulary
+    makes per-term encoding Python-bound (hundreds of thousands of tiny
+    segments per build), so all postings go through a handful of numpy
+    passes: lexsort by (term, shard, doc_id) -> delta resets (every
+    block_size postings) with masks -> one varint encode per stream ->
+    binary columns laid over each stream at the segment boundaries of its
+    cumulative varint lengths, with no per-segment copy. Byte-identical to
+    per-term codec.encode_postings (tested)."""
+    from smse_backend_ray.functions.codec import varint_encode_with_lens
+
+    ns = cfg.n_shards
+    bs = cfg.block_size
+    n = doc_ids.size
+    if n == 0:
+        return _empty_segment_table(pos=positions is not None)
+
+    # segment = (term, shard); sort postings by (segment, doc_id)
+    seg_key = codes * ns + (doc_ids % ns)
+    order = np.lexsort((doc_ids, seg_key))
+    seg_s = seg_key[order]
+    doc_s = doc_ids[order]
+    tf_s = tfs[order]
+
+    bounds = np.flatnonzero(np.diff(seg_s)) + 1
+    seg_starts = np.concatenate(([0], bounds))
+    seg_edges = np.concatenate((seg_starts, [n]))
+    seg_sizes = np.diff(seg_edges)
+
+    # delta stream with the absolute value every block_size postings
+    # of each segment
+    pos_in_seg = np.arange(n, dtype=np.int64) - np.repeat(seg_starts, seg_sizes)
+    resets = np.flatnonzero((pos_in_seg % bs) == 0)
+    deltas = doc_s.astype(np.uint64)
+    deltas[1:] -= doc_s[:-1].astype(np.uint64)
+    deltas[resets] = doc_s[resets].astype(np.uint64)
+
+    def stream_col(values: np.ndarray, edges: np.ndarray) -> pa.Array:
+        data, lens = varint_encode_with_lens(values.astype(np.uint64, copy=False))
+        return _bin_col(data, np.concatenate(([0], np.cumsum(lens)))[edges])
+
+    # per-segment identity (global df lives in the df/ rollup only)
+    seg_code = seg_s[seg_starts]
+    cols = {
+        "shard_id": pa.array((seg_code % ns).astype(np.int32), type=pa.int32()),
+        "term": term_dict.take(pa.array(seg_code // ns)),
+        # df_shard is (generation, shard)-local (postings in this segment
+        # row); the df/ rollup sums df_shard across shards and generations
+        # (build._run_df) to get global df
+        "df_shard": pa.array(seg_sizes, type=pa.int64()),
+        "docs_bytes": stream_col(deltas, seg_edges),
+        "tfs_bytes": stream_col(tf_s, seg_edges),
+        "dls_bytes": stream_col(dls[order], seg_edges),
+    }
+    if positions is not None:
+        # gather each sorted posting's position run, delta-encode within
+        # postings (absolute at posting starts) — same shape as the
+        # doc/tf/dl streams above, cut at the segments' position offsets
+        src_cum = np.concatenate(([0], np.cumsum(tfs)))
+        dst_cum = np.concatenate(([0], np.cumsum(tf_s)))
+        pos_sorted = _gather_runs(positions, src_cum[order], tf_s)
+        pstarts = dst_cum[:-1]
+        pdeltas = pos_sorted.astype(np.uint64)
+        if pos_sorted.size:
+            pdeltas[1:] -= pos_sorted[:-1].astype(np.uint64)
+            pdeltas[pstarts] = pos_sorted[pstarts].astype(np.uint64)
+        cols["pos_bytes"] = stream_col(pdeltas, dst_cum[seg_edges])
+    return pa.table(cols)
 
 
 def _empty_segment_table(pos: bool = False) -> pa.Table:

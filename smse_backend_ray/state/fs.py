@@ -248,6 +248,11 @@ class IndexFS:
         if self.exists(tmp):
             self.delete_dir(tmp)
         ds.write_parquet(self.join(tmp), **self._ray_fs_kwargs(), **kwargs)
+        self.commit_dir(tmp, rel)
+
+    def commit_dir(self, tmp: str, rel: str) -> None:
+        """Move the fully written dir ``tmp`` to ``rel``, deleting the
+        previous ``rel`` first (the commit step of atomic_write_dataset)."""
         if self.exists(rel):
             self.delete_dir(rel)
         self.move(tmp, rel)

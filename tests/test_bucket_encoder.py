@@ -218,3 +218,40 @@ def test_hot_term_shuffle_key_is_shard_aware():
     out = BucketEncoder(2.0, cfg)(runs.drop_columns(["skey"]))
     hot_rows = out.filter(pa.compute.equal(out["term"], "hotterm"))
     assert sorted(hot_rows["df_shard"].to_pylist()) == [16, 16, 16, 16]
+
+
+def test_bin_col_lies_over_the_stream():
+    """Segment/run binary columns are laid over one stream without copies;
+    offsets are int32, so a stream of 2 GiB or more is refused, never
+    wrapped."""
+    from smse_backend_ray.stages import ingest
+
+    data = bytes(range(50))
+    bounds = np.array([0, 3, 10, 10, 22, 31, 40, 50])
+    col = ingest._bin_col(data, bounds)
+    col.validate(full=True)
+    assert col.to_pylist() == [data[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    with pytest.raises(ValueError, match="2 GiB"):
+        ingest._bin_col(data, np.array([0, 2**31]))
+
+
+@pytest.mark.parametrize("positional", [False, True])
+def test_encode_in_term_range_passes(monkeypatch, positional):
+    """A shard-sized input is encoded one term range at a time: the table
+    equals the one-pass encode row for row, hot terms included."""
+    from smse_backend_ray.stages import ingest
+
+    rng = np.random.default_rng(3)
+    cfg = EngineConfig(n_shards=2, block_size=4)
+    n = 3_000
+    terms = pa.array([f"t{i:03d}" for i in range(60)])
+    codes = np.minimum(rng.zipf(1.3, n) - 1, 59).astype(np.int64)  # a hot head
+    docs = rng.choice(10**12, size=n, replace=False).astype(np.int64)
+    tfs = rng.integers(1, 5, size=n).astype(np.int64)
+    dls = rng.integers(5, 90, size=n).astype(np.int64)
+    pos = rng.integers(0, 90, size=int(tfs.sum())).astype(np.int64) if positional else None
+    one = ingest.encode_segments(codes, terms, docs, tfs, dls, cfg, pos)
+    monkeypatch.setattr(ingest, "_ENCODE_PASS_POSTINGS", 100)
+    passes = ingest.encode_segments(codes, terms, docs, tfs, dls, cfg, pos)
+    assert passes.num_rows == one.num_rows > 60
+    assert passes.equals(one)

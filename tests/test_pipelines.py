@@ -740,6 +740,29 @@ def test_drop_hot_stage_paths_agree(ray_session, monkeypatch):
     assert dedup._drop_hot_stage(ds, (hot_ds, 0)) is ds
 
 
+def test_hot_shingle_cache_keeps_one_entry(ray_session, sf_dir, tmp_path):
+    """Each cached hot-shingle set pins materialized Datasets: walking two
+    sf dirs keeps only the latest, and a repeat call on it is a cache hit."""
+    import pyarrow.parquet as pq
+
+    docs = pq.read_table(f"{sf_dir}/documents.parquet")
+    dirs = []
+    for i, n in enumerate((200, 120)):
+        d = tmp_path / f"sf{i}"
+        d.mkdir()
+        pq.write_table(docs.slice(0, n), d / "documents.parquet")
+        dirs.append(str(d))
+    dedup._HOT_SHINGLE_CACHE.clear()
+    first = dedup._global_hot_shingles(dirs[0], 2, "test")
+    assert dedup._global_hot_shingles(dirs[0], 2, "test") is first
+    second = dedup._global_hot_shingles(dirs[1], 2, "test")
+    assert len(dedup._HOT_SHINGLE_CACHE) == 1
+    (key,) = dedup._HOT_SHINGLE_CACHE
+    assert key == (f"{dirs[1]}/documents.parquet", 2)
+    assert dedup._global_hot_shingles(dirs[1], 2, "test") is second
+    assert first[1] > second[1] > 0  # the hot sets differ
+
+
 def test_anti_join_keeps_left_on_empty_right(ray_session):
     """Bucketed left-anti join: buckets with no right rows keep every left
     row (the _bucketed_join empty-side short-circuit must not drop them),

@@ -1,0 +1,288 @@
+"""Segments without an exchange (pipelines/build._run_segments).
+
+Under driver_agg_max_bytes each shard's segment table is encoded straight
+from its own docs/**/shard_id=S/ files; EngineConfig(driver_agg_max_bytes=0)
+forces the (term bucket, shard) exchange. Both paths must write the same
+segment rows: the hive-read segment tables are equal after sorting by
+(shard_id, term), the stage metrics agree, and search matches the oracle.
+Covered: positional and plain builds, dataset- and file-mode builds, an
+append generation, compaction, a corpus with more than one term bucket, an
+empty shard, and a crash inside one shard's encode."""
+
+from __future__ import annotations
+
+import os
+import shutil
+import time
+
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
+import pytest
+
+import ray.data
+
+from smse_backend_ray.config import BM25Params, EngineConfig
+from smse_backend_ray.oracle import build_oracle_index, oracle_search
+from smse_backend_ray.pipelines import build
+from smse_backend_ray.pipelines.build import append_index, build_index, compact_index
+from smse_backend_ray.pipelines.search import SearchEngine
+from smse_backend_ray.sources.corpus import corpus_table_from_documents
+from smse_backend_ray.sources.synth import synth_corpus_table
+from smse_backend_ray.stages.ingest import cfg_buckets
+from smse_backend_ray.stages.scorer import ShardIndex
+from smse_backend_ray.state.catalog import Catalog
+from smse_backend_ray.state.fs import IndexFS
+
+PATHS = {"local": {}, "exchange": {"driver_agg_max_bytes": 0}}
+QUERIES = [["hash join table"], ["sample query"], ["index"], ["parse value"], ["test"]]
+
+
+def _segments(idx: str) -> pa.Table:
+    # docs_bytes breaks the tie between generations of one (shard, term):
+    # their doc sets are disjoint, and file names differ between the paths
+    t = pads.dataset(f"{idx}/segments", partitioning="hive").to_table()
+    return t.sort_by([(c, "ascending") for c in ("shard_id", "term", "docs_bytes")])
+
+
+def _df(idx: str) -> pa.Table:
+    return pads.dataset(f"{idx}/df").to_table().sort_by("term")
+
+
+def _dir_bytes(idx: str, rel: str) -> int:
+    return sum(i.size for i in IndexFS(idx).list_infos(rel, recursive=True) if i.is_file)
+
+
+def _assert_same_index(local: str, exchange: str) -> None:
+    seg = _segments(local)
+    assert seg.num_rows
+    assert seg.equals(_segments(exchange))
+    assert _df(local).equals(_df(exchange))
+
+
+def _assert_stage_metrics(idx: str, exchange: bool) -> None:
+    stages = Catalog(idx).manifest()["stages"]
+    seg, df = _segments(idx), _df(idx)
+    m = stages["segments"]["metrics"]
+    postings = pc.sum(seg["df_shard"]).as_py()
+    size = _dir_bytes(idx, "segments")
+    assert m == {
+        "exchange": exchange,
+        "postings": postings,
+        "segment_rows": seg.num_rows,
+        "bytes_written": size,
+        "bytes_per_posting": round(size / postings, 3),
+    }
+    assert stages["df"]["metrics"] == {"terms": df.num_rows, "bytes_written": _dir_bytes(idx, "df")}
+    assert pc.sum(df["df"]).as_py() == postings
+
+
+def _assert_search_matches_oracle(idx: str, oidx, queries=QUERIES) -> None:
+    with SearchEngine(idx) as eng:
+        for q in queries:
+            got = eng.search(q, limit=20).to_pylist()
+            exp = oracle_search(oidx, q, limit=20)
+            assert [(g["doc_id"], g["exact_score"]) for g in got] == [
+                (e["doc_id"], e["score"]) for e in exp
+            ], q
+
+
+@pytest.fixture(scope="module")
+def corpus(sf_dir) -> pa.Table:
+    return corpus_table_from_documents(sf_dir)
+
+
+@pytest.fixture(scope="module")
+def oidx(corpus):
+    return build_oracle_index(corpus)
+
+
+@pytest.fixture(scope="module")
+def input_files(corpus, tmp_path_factory):
+    d = tmp_path_factory.mktemp("seg_parts")
+    files = []
+    for i, start in enumerate(range(0, corpus.num_rows, 180)):
+        files.append(str(d / f"part_{i}.parquet"))
+        pq.write_table(corpus.slice(start, 180), files[-1])
+    return files
+
+
+def _build_pair(root, name: str, **build_kw) -> dict[str, str]:
+    cfg_kw = build_kw.pop("cfg_kw", {})
+    out = {}
+    for label, extra in PATHS.items():
+        idx = str(root / f"{name}_{label}")
+        build_index(index_dir=idx, cfg=EngineConfig(**cfg_kw, **extra), **build_kw)
+        out[label] = idx
+    return out
+
+
+@pytest.mark.parametrize(
+    "mode,positional",
+    [("dataset", False), ("dataset", True), ("files", True)],
+)
+def test_paths_agree(ray_session, corpus, oidx, input_files, tmp_path, mode, positional):
+    cfg_kw = {"n_shards": 3, "with_positions": positional, "wave_size": 2}
+    if mode == "dataset":
+        pair = _build_pair(tmp_path, mode, corpus=ray.data.from_arrow(corpus), cfg_kw=cfg_kw)
+    else:
+        pair = _build_pair(tmp_path, mode, input_files=input_files, cfg_kw=cfg_kw)
+        # file-mode doc files sit under docs/wave_*/shard_id=S and carry
+        # the extra partition_id column
+        docs = IndexFS(pair["local"]).list_files("docs", recursive=True, suffix=".parquet")
+        assert all("/wave_" in f for f in docs)
+        assert "partition_id" in pq.read_schema(docs[0]).names
+    _assert_same_index(pair["local"], pair["exchange"])
+    for label, idx in pair.items():
+        _assert_stage_metrics(idx, exchange=label == "exchange")
+        _assert_search_matches_oracle(idx, oidx)
+    # the shard-local path writes one file per shard, without shard_id
+    files = IndexFS(pair["local"]).list_files("segments", recursive=True, suffix=".parquet")
+    assert [f.rsplit("/", 2)[1:] for f in files] == [
+        [f"shard_id={s}", "part-0.parquet"] for s in range(3)
+    ]
+    want = ["term", "df_shard", "docs_bytes", "tfs_bytes", "dls_bytes"]
+    assert pq.read_schema(files[0]).names == want + (["pos_bytes"] if positional else [])
+    if positional:
+        with SearchEngine(pair["local"]) as a, SearchEngine(pair["exchange"]) as b:
+            for q, m in (("hash join", "phrase"), ("join table", "near")):
+                assert a.search(q, mode=m).to_pylist() == b.search(q, mode=m).to_pylist()
+
+
+@pytest.fixture(scope="module")
+def appended(ray_session, corpus, tmp_path_factory):
+    """{path: index dir} of an even-rows base build plus an odd-rows append."""
+    par = pc.bit_wise_and(pa.array(range(corpus.num_rows)), 1)
+    even, odd = corpus.filter(pc.equal(par, 0)), corpus.filter(pc.equal(par, 1))
+    root = tmp_path_factory.mktemp("seg_append")
+    pair = _build_pair(root, "append", corpus=ray.data.from_arrow(even), cfg_kw={"n_shards": 3})
+    for idx in pair.values():
+        append_index(ray.data.from_arrow(odd), idx)
+    return pair
+
+
+def test_append_generation(appended, oidx):
+    _assert_same_index(appended["local"], appended["exchange"])
+    names = sorted(
+        f.rsplit("/", 1)[1]
+        for f in IndexFS(appended["local"]).list_files("segments/shard_id=0", suffix=".parquet")
+    )
+    assert names == ["gen000001_part-0.parquet", "part-0.parquet"]
+    for idx in appended.values():
+        _assert_search_matches_oracle(idx, oidx)
+
+
+def test_compact(appended, oidx, tmp_path):
+    pair = {}
+    for label, idx in appended.items():
+        pair[label] = str(tmp_path / label)
+        shutil.copytree(idx, pair[label])
+        compact_index(pair[label], cfg=EngineConfig(n_shards=3, **PATHS[label]))
+        assert Catalog(pair[label]).generations() == {}
+    _assert_same_index(pair["local"], pair["exchange"])
+    for idx in pair.values():
+        _assert_search_matches_oracle(idx, oidx)
+
+
+def test_more_than_one_term_bucket(ray_session, tmp_path):
+    t = synth_corpus_table(1_200, tokens_per_doc=24)
+    cfg = EngineConfig(n_shards=1)
+    assert cfg_buckets(cfg, n_docs=t.num_rows) > 1
+    pair = _build_pair(tmp_path, "buckets", corpus=ray.data.from_arrow(t), cfg_kw={"n_shards": 1})
+    _assert_same_index(pair["local"], pair["exchange"])
+    oidx = build_oracle_index(t)
+    terms = _df(pair["local"]).sort_by([("df", "descending")])["term"].to_pylist()
+    for idx in pair.values():
+        _assert_stage_metrics(idx, exchange=idx == pair["exchange"])
+        _assert_search_matches_oracle(idx, oidx, [[terms[0]], [terms[5], terms[-1]]])
+
+
+def test_empty_shard(ray_session, corpus, tmp_path):
+    t = corpus.slice(0, 3)
+    pair = _build_pair(tmp_path, "empty", corpus=ray.data.from_arrow(t), cfg_kw={"n_shards": 6})
+    _assert_same_index(pair["local"], pair["exchange"])
+    oidx = build_oracle_index(t)
+    shards = set(_segments(pair["local"])["shard_id"].to_pylist())
+    assert len(shards) < 6
+    ifs = IndexFS(pair["local"])
+    for s in set(range(6)) - shards:
+        assert not ifs.exists(f"segments/shard_id={s}")
+    terms = _df(pair["local"])["term"].to_pylist()
+    for idx in pair.values():
+        _assert_stage_metrics(idx, exchange=idx == pair["exchange"])
+        _assert_search_matches_oracle(idx, oidx, [[terms[0]], [terms[-1]]])
+
+
+def test_shard_dirs_match_exactly(tmp_path):
+    """Doc files of shard 1 and shard 10 never mix (the ShardIndex match)."""
+    ifs = IndexFS(str(tmp_path))
+    paths = [ifs.join(f"docs/shard_id={s}/part.parquet") for s in (1, 10, 11)]
+    got = [int(build._SHARD_DIR.search(p[len(ifs.root):]).group(1)) for p in paths]
+    assert got == [1, 10, 11]
+
+
+def test_crash_in_one_shard_resumes(ray_session, corpus, oidx, tmp_path, monkeypatch):
+    """The second shard's encode raises: nothing staged under segments.tmp
+    is visible, Catalog.gc collects it, and the resumed build equals an
+    uninterrupted one (segments, df, stage metrics, stats)."""
+    cfg = EngineConfig(n_shards=3)
+    ref, idx = str(tmp_path / "ref"), str(tmp_path / "idx")
+    build_index(corpus=ray.data.from_arrow(corpus), index_dir=ref, cfg=cfg)
+    real = build._encode_shard
+
+    def crashing(ifs, job, cfg):
+        if job[0] == 1:
+            raise RuntimeError("injected crash in a shard encode")
+        time.sleep(0.5)
+        return real(ifs, job, cfg)
+
+    monkeypatch.setattr(build, "_encode_shard", crashing)
+    with pytest.raises(RuntimeError, match="injected crash"):
+        build_index(corpus=ray.data.from_arrow(corpus), index_dir=idx, cfg=cfg)
+    monkeypatch.setattr(build, "_encode_shard", real)
+
+    cat = Catalog(idx)
+    assert cat.stage_done("stats") and not cat.stage_done("segments")
+    ifs = IndexFS(idx)
+    staged = ifs.list_files(build._SEGMENTS_TMP, recursive=True)
+    assert [f.rsplit("/", 2)[1] for f in staged] == ["shard_id=0", "shard_id=2"]
+    assert not ifs.exists("segments")
+    with pytest.raises(FileNotFoundError):
+        ifs.pads_dataset("segments")
+    for s in range(3):
+        assert ShardIndex(idx, s, 1.0, BM25Params())._seg is None
+    assert cat.gc()["tmp_dirs"] >= 1
+    assert not ifs.exists(build._SEGMENTS_TMP)
+
+    build_index(corpus=ray.data.from_arrow(corpus), index_dir=idx, cfg=cfg)  # resume
+    assert _segments(idx).equals(_segments(ref))
+    assert _df(idx).equals(_df(ref))
+    got, want = Catalog(idx).manifest(), Catalog(ref).manifest()
+    assert got["stats"] == want["stats"]
+    for s in build.STAGE_ORDER:
+        assert got["stages"][s]["status"] == "done"
+        assert got["stages"][s].get("metrics") == want["stages"][s].get("metrics"), s
+    assert not os.path.exists(os.path.join(idx, build._SEGMENTS_TMP))
+    _assert_search_matches_oracle(idx, oidx)
+
+
+def test_build_job_reports_stage_walls_and_metrics(ray_session, corpus, tmp_path):
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "build_job.py")
+    spec = importlib.util.spec_from_file_location("build_job", path)
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    idx = str(tmp_path / "idx")
+    build_index(corpus=ray.data.from_arrow(corpus.slice(0, 40)), index_dir=idx,
+                cfg=EngineConfig(n_shards=2))
+    cat = Catalog(idx)
+    stages = cat.manifest()["stages"]
+    for s in build.STAGE_ORDER:
+        rep = job._stage_report(stages[s])
+        assert rep["status"] == "done" and rep["wall_s"] >= 0
+        assert rep["metrics"] == stages[s].get("metrics", {})
+    assert job._stage_report(stages["segments"])["metrics"]["exchange"] is False
+    cat.mark_stage("df", "running")
+    assert job._stage_report(cat.manifest()["stages"]["df"])["wall_s"] is None
