@@ -86,7 +86,8 @@ def _flat_subtokens(content) -> tuple:
     RE2-vs-Python-re equivalence for these exact patterns is load-bearing
     and triple-checked: the DuckDB oracle runs the same three regexes
     (sqlgen.subtoken_expr), and the parity fuzz compares each batch
-    function against its scalar reference on adversarial inputs."""
+    function against its scalar reference on adversarial inputs. Step 4
+    is ``ascii_lower``: the text is pure ASCII after step 1."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -95,7 +96,7 @@ def _flat_subtokens(content) -> tuple:
     s = pc.replace_substring_regex(s, pattern=r"[^A-Za-z0-9]+", replacement=" ")
     s = pc.replace_substring_regex(s, pattern=r"([A-Z]+)([A-Z][a-z])", replacement=r"\1 \2")
     s = pc.replace_substring_regex(s, pattern=r"([a-z0-9])([A-Z])", replacement=r"\1 \2")
-    s = pc.utf8_lower(s)
+    s = pc.ascii_lower(s)
     toks = pc.split_pattern(s, pattern=" ")
     if isinstance(toks, pa.ChunkedArray):
         toks = toks.combine_chunks()
@@ -122,7 +123,7 @@ def _keep_mask(flat):
         pc.and_(
             pc.greater_equal(ln, MIN_TOKEN_LEN), pc.less_equal(ln, MAX_TOKEN_LEN)
         ),
-        pc.invert(pc.match_substring_regex(flat, r"^[0-9]+$")),
+        pc.invert(pc.ascii_is_decimal(flat)),
     )
     return pc.and_(keep, pc.invert(pc.is_in(flat, value_set=_STOP_ARRAY)))
 

@@ -7,7 +7,10 @@ manifest (state/catalog.py). Stages:
             hive-partitioned by shard_id (scorers read their shard dir
             directly; no separate doc-meta table needed). File-mode builds
             run in waves with per-partition lineage; dataset-mode builds are
-            a single stage.
+            a single stage with no exchange: read + analyze run as one
+            task per input block, and a separate write operator bundles
+            their output blocks, >= batch_size x n_shards rows per write
+            task
   dedup     exact dedup on doc_id (winner = min content_sha256; SURVEY.md
             D2): detection runs on the projected id column only, then only
             the doc files that hold a losing row are rewritten, in place —
@@ -89,22 +92,46 @@ def _cluster_cpus() -> int:
 # docs stage
 # ---------------------------------------------------------------------------
 
-def _run_docs_from_dataset(corpus: "ray.data.Dataset", ifs: IndexFS, cfg: EngineConfig) -> None:
+def _docs_write_args(cfg: EngineConfig) -> dict:
+    """write_parquet arguments of a hive-partitioned doc-store write.
+
+    Every write task emits one file per shard, so unbundled, W input blocks
+    become W x S small files that every later stage lists and opens. The
+    write bundles its input blocks up to batch_size x n_shards rows a task
+    instead: rows split by doc_id % S, so a shard's file holds about
+    batch_size rows on average, and a write of R rows makes at most
+    S x (R // (batch_size x S) + 1) files. The bundling sits at the write,
+    not in an exchange: the blocks before it stay where their map task left
+    them.
+
+    The explicit scheduling strategy keeps the write a separate operator.
+    Ray Data fuses a map into the next map operator when their remote args
+    match, and a fused chain bundles its INPUT rows to the write's
+    min_rows_per_file, so the analyze would run as one task per
+    batch_size x n_shards input rows instead of one per block (a 100k-doc,
+    8-shard build: ~12 analyze tasks whatever the core count). "DEFAULT"
+    is Ray's locality-aware placement, which suits a task that reads a
+    bundle of several blocks."""
+    return {
+        "partition_cols": ["shard_id"],
+        "min_rows_per_file": cfg.batch_size * cfg.n_shards,
+        "ray_remote_args": {"scheduling_strategy": "DEFAULT"},
+    }
+
+
+def _run_docs_from_dataset(corpus: "ray.data.Dataset", ifs: IndexFS, cfg: EngineConfig) -> "ray.data.Dataset":
+    """Analyze ``corpus`` and write the doc store; returns the written
+    dataset (its ``stats()`` are the docs job's)."""
     # schema validation happens inside ingest_batch (corpus.schema() here
     # would trigger a separate partial execution of the upstream pipeline)
     ingest = functools.partial(ingest_batch, cfg=cfg)
-    # batch_size=None: per-block batches. An explicit batch_size here makes
-    # the fused map+write chain bundle MANY upstream blocks into one task
-    # (bundling counts the chain's INPUT rows) and collapses parallelism.
+    # batch_size=None: per-block batches, so the read and the analyze fuse
+    # into one task per input block. An explicit batch_size here would
+    # bundle MANY upstream blocks into one task and collapse parallelism;
+    # the row bundling belongs to the separate write (_docs_write_args)
     docs = corpus.map_batches(ingest, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-    # coalesce before the hive-partitioned write: every write task emits one
-    # file PER SHARD, so W tasks x S shards files — uncoalesced that is a
-    # small-file storm that dominates every downstream read. Target scales
-    # WITH the cluster (cpus, not cpus/2): capping write parallelism below
-    # the core count made the docs stage a fixed-cost floor that flattened
-    # 4->16 CPU scaling
-    docs = docs.repartition(max(8, _cluster_cpus()))
-    ifs.atomic_write_dataset(docs, DOCS_DIR, partition_cols=["shard_id"])
+    ifs.atomic_write_dataset(docs, DOCS_DIR, **_docs_write_args(cfg))
+    return docs
 
 
 def _run_docs_from_files(
@@ -212,16 +239,27 @@ def _doc_files_task(fn, ifs: IndexFS, items: list, *shared) -> list:
     return [fn(ifs, it, *shared) for it in items]
 
 
-def _doc_files(ifs: IndexFS, cfg: EngineConfig) -> tuple[list[str], bool]:
-    """Sorted full paths of the docs/ parquet files, and whether they total
-    <= driver_agg_max_bytes on disk (sizes from the one listing, no footer
-    reads) — the executor choice of the per-doc-file stages."""
+def _doc_files(ifs: IndexFS, cfg: EngineConfig) -> tuple[list[str], int, bool]:
+    """Sorted full paths of the docs/ parquet files, their total bytes on
+    disk, and whether that total is <= driver_agg_max_bytes (sizes from the
+    one listing, no footer reads) — the executor choice of the
+    per-doc-file stages."""
     infos = sorted(
         (i for i in ifs.list_infos(DOCS_DIR, recursive=True)
          if i.is_file and i.path.endswith(".parquet")),
         key=lambda i: i.path,
     )
-    return [i.path for i in infos], sum(i.size for i in infos) <= cfg.driver_agg_max_bytes
+    size = sum(i.size for i in infos)
+    return [i.path for i in infos], size, size <= cfg.driver_agg_max_bytes
+
+
+def _docs_metrics(ifs: IndexFS, cfg: EngineConfig) -> dict:
+    """The docs stage's manifest metrics: ``files`` and ``bytes_written``
+    from the one listing of _doc_files, ``rows`` from the doc files'
+    parquet footers."""
+    paths, size, _ = _doc_files(ifs, cfg)
+    rows = sum(ifs.parquet_file(p).metadata.num_rows for p in paths)
+    return {"files": len(paths), "bytes_written": size, "rows": int(rows)}
 
 
 def _map_doc_files(ifs: IndexFS, on_driver: bool, fn, items: list, *shared) -> list:
@@ -281,7 +319,7 @@ def _drop_doc_rows(ifs: IndexFS, cfg: EngineConfig, ids: np.ndarray, keep_min_sh
     The per-file scan and rewrite run on driver threads when the doc files
     total <= driver_agg_max_bytes on disk (sizes from the listing, no
     footer reads), else as Ray tasks."""
-    paths, on_driver = _doc_files(ifs, cfg)
+    paths, _, on_driver = _doc_files(ifs, cfg)
     hits = _map_doc_files(ifs, on_driver, _scan_doc_file, paths, ids)
     file_of = np.concatenate([np.full(len(h[0]), f, dtype=np.int64) for f, h in enumerate(hits)])
     rows = np.concatenate([h[0] for h in hits])
@@ -383,7 +421,7 @@ def _run_segments(ifs: IndexFS, cfg: EngineConfig, stats: dict) -> dict:
 
     Returns the stage metrics: ``exchange``, ``postings`` (sum of df_shard),
     ``segment_rows``, ``bytes_written``, ``bytes_per_posting``."""
-    paths, small = _doc_files(ifs, cfg)
+    paths, _, small = _doc_files(ifs, cfg)
     if small:
         return _segments_shard_local(ifs, cfg, paths)
     nb = cfg_buckets(cfg, n_docs=int(stats.get("n_docs") or 0) or None)
@@ -556,7 +594,7 @@ def build_index(
             _run_docs_from_files(input_files, ifs, cfg, cat)
         else:
             _run_docs_from_dataset(corpus, ifs, cfg)
-        cat.mark_stage("docs", "done")
+        cat.mark_stage("docs", "done", _docs_metrics(ifs, cfg))
 
     if not cat.stage_done("dedup"):
         cat.mark_stage("dedup", "running")
@@ -843,8 +881,7 @@ def compact_index(index_dir, cfg: EngineConfig | None = None, vacuum: bool = Tru
         ifs.list_files(DOCS_DIR, recursive=True, suffix=".parquet"),
         columns=doc_cols,
     ).map_batches(reshard, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-    docs = docs.repartition(max(8, _cluster_cpus()))
-    ifs.atomic_swap_dataset(docs, DOCS_DIR, partition_cols=["shard_id"])
+    ifs.atomic_swap_dataset(docs, DOCS_DIR, **_docs_write_args(cfg))
 
     # 2. stats over the surviving corpus, then one fresh segment generation
     stats = _run_stats(ifs, cfg)

@@ -25,6 +25,10 @@ import ray.data
 CORPUS_COLUMNS = ("repo", "path", "commit", "lang", "content")
 
 
+# deletes the hex letters of a lowercase hex digest, leaving its digits
+_HEX_LETTERS = str.maketrans("", "", "abcdef")
+
+
 def doc_id_from_key(repo: str, path: str, commit: str) -> int:
     """Deterministic doc_id (Python twin of sqlgen.doc_id_expr).
 
@@ -33,8 +37,7 @@ def doc_id_from_key(repo: str, path: str, commit: str) -> int:
     identity derives from content/key, not run order).
     """
     h = hashlib.sha256(f"{repo}\n{path}\n{commit}".encode()).hexdigest()
-    digits = "".join(c for c in h if c.isdigit())[:15]
-    return int(digits)
+    return int(h.translate(_HEX_LETTERS)[:15])
 
 
 def _derive_batch(batch: pa.Table) -> pa.Table:

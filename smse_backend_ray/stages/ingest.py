@@ -202,14 +202,14 @@ def _empty_runs_table(pos: bool = False) -> pa.Table:
     return pa.table(cols)
 
 
-def decode_runs(group: pa.Table) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shuffle rows -> (run_terms, run_lens, flat_docs, flat_tfs, flat_dls).
-    doc/dl streams are fixed-width (a frombuffer view each); tf is one
-    vectorized varint decode (runs concatenate into a single valid
-    stream — per-run boundaries come from the ``n`` column)."""
+def decode_runs(group: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Shuffle rows -> (run_lens, flat_docs, flat_tfs, flat_dls); the run
+    terms stay in the rows' Arrow ``term`` column. doc/dl streams are
+    fixed-width (a frombuffer view each); tf is one vectorized varint
+    decode (runs concatenate into a single valid stream — per-run
+    boundaries come from the ``n`` column)."""
     from smse_backend_ray.functions.codec import varint_decode
 
-    run_terms = group["term"].to_pylist()
     run_lens = np.asarray(group["n"], dtype=np.int64)
 
     def stream(col: str) -> np.ndarray:
@@ -222,7 +222,7 @@ def decode_runs(group: pa.Table) -> tuple[list, np.ndarray, np.ndarray, np.ndarr
     flat_docs = np.frombuffer(stream("docs_b").tobytes(), dtype="<i8").astype(np.int64, copy=False)
     flat_tfs = varint_decode(stream("tfs_b")).astype(np.int64)
     flat_dls = np.frombuffer(stream("dls_b").tobytes(), dtype="<i4").astype(np.int64)
-    return run_terms, run_lens, flat_docs, flat_tfs, flat_dls
+    return run_lens, flat_docs, flat_tfs, flat_dls
 
 
 def explode_preagg_batch(batch: pa.Table, n_buckets: int, n_shards: int) -> pa.Table:
@@ -375,7 +375,7 @@ class BucketEncoder:
 
     def __call__(self, group: pa.Table) -> pa.Table:
         has_pos = "pos_b" in group.column_names
-        _, run_lens, flat_docs, flat_tfs, flat_dls = decode_runs(group)
+        run_lens, flat_docs, flat_tfs, flat_dls = decode_runs(group)
         run_codes, term_dict = sorted_codes(group["term"])
         return encode_segments(
             np.repeat(run_codes, run_lens), term_dict, flat_docs, flat_tfs, flat_dls,

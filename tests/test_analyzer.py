@@ -181,3 +181,104 @@ def test_kept_tokens_batch_empty_and_nulls():
     toks = kept_tokens_batch(pa.array([None, "hashJoin the table"], type=pa.string()))
     assert toks[0].as_py() == []
     assert toks[1].as_py() == ["hash", "join", "table"]
+
+
+# ---------------------------------------------------------------------------
+# batch twins vs scalar references on every Arrow input shape
+# ---------------------------------------------------------------------------
+
+# ASCII alnum, punctuation and space, control bytes (NUL included), and
+# 2/3/4-byte UTF-8 chars: steps 4-5 run ASCII kernels, which are exact only
+# if step 1 leaves no byte >= 0x80
+_BYTE_ALPHABET = (
+    "aZ09xyHTTPgetFoo"
+    " _-.,;!~\t\n\r"
+    "\x00\x01\x1f\x7f"
+    "\u0080\u00e9\u00ff\u07ff\u5317\uffff\U0001f600"
+)
+
+EDGE_ROWS = [
+    None,
+    "",
+    "!!!",
+    "...---...",
+    " ",
+    "-leading",
+    "trailing-",
+    "__both__",
+    "é",
+    "éfoo",
+    "fooé",
+    "\x00abc\x00def\x7f",
+    "123 4567 ab12 12ab 1a 00 007x",
+    "getHTTPResponse2Go_fooBar",
+    "北京 привет mixedÉcase 😀emoji😀",
+    "x" * 31 + "!" + "y" * 30,
+]
+
+
+def _arrow_shapes(texts):
+    """The same rows as a plain, sliced, chunked and large_string array."""
+    import pyarrow as pa
+
+    plain = pa.array(texts, type=pa.string())
+    padded = pa.array(["padHead!", *texts, "-padTail"], type=pa.string())
+    cut = max(1, len(texts) // 2)
+    return {
+        "plain": plain,
+        "sliced": padded.slice(1, len(texts)),
+        "chunked": pa.chunked_array(
+            [pa.array(texts[:cut], type=pa.string()), pa.array(texts[cut:], type=pa.string())],
+            type=pa.string(),
+        ),
+        "large": pa.array(texts, type=pa.large_string()),
+    }
+
+
+def _check_batch_twins(texts):
+    from smse_backend_ray.functions.analyzer import (
+        kept_tokens_batch,
+        subtokens_batch,
+        term_counts_batch,
+        term_positions,
+        term_positions_batch,
+    )
+
+    ref = [t or "" for t in texts]
+    for shape, col in _arrow_shapes(texts).items():
+        terms, tfs = term_counts_batch(col)
+        kept = kept_tokens_batch(col)
+        subs = subtokens_batch(col)
+        pterms, ptfs, poss = term_positions_batch(col)
+        assert len(terms) == len(kept) == len(subs) == len(poss) == len(texts), shape
+        for i, txt in enumerate(ref):
+            assert list(zip(terms[i].as_py(), tfs[i].as_py())) == term_counts(txt), (shape, txt)
+            assert kept[i].as_py() == tokenize(txt), (shape, txt)
+            assert subs[i].as_py() == split_subtokens(txt), (shape, txt)
+            assert pterms[i].as_py() == terms[i].as_py(), (shape, txt)
+            assert ptfs[i].as_py() == tfs[i].as_py(), (shape, txt)
+            flat = [p for _, ps in term_positions(txt) for p in ps]
+            assert poss[i].as_py() == flat, (shape, txt)
+
+
+def test_batch_twins_edge_rows():
+    _check_batch_twins(EDGE_ROWS)
+    # a row starting with a separator right after a row ending in one
+    _check_batch_twins(["abc-", "-def", "ghi", "!jkl", "é", "émno"])
+    _check_batch_twins(["!!!", "???"])  # every row is punctuation
+    _check_batch_twins([None, None])
+    _check_batch_twins([])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(
+        st.one_of(st.none(), st.text(alphabet=_BYTE_ALPHABET, max_size=40)),
+        max_size=7,
+    )
+)
+def test_batch_twins_match_scalar_fuzz(texts):
+    """Every *_batch function equals its scalar reference on every input
+    shape (plain, sliced, chunked, large_string), with nulls, empties,
+    control bytes, multi-byte UTF-8 and separator runs at row edges."""
+    _check_batch_twins(texts)

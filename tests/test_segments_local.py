@@ -284,5 +284,6 @@ def test_build_job_reports_stage_walls_and_metrics(ray_session, corpus, tmp_path
         assert rep["status"] == "done" and rep["wall_s"] >= 0
         assert rep["metrics"] == stages[s].get("metrics", {})
     assert job._stage_report(stages["segments"])["metrics"]["exchange"] is False
+    assert set(job._stage_report(stages["docs"])["metrics"]) == {"files", "bytes_written", "rows"}
     cat.mark_stage("df", "running")
     assert job._stage_report(cat.manifest()["stages"]["df"])["wall_s"] is None
