@@ -137,16 +137,17 @@ class EngineConfig:
     # positional postings (phrase-query support): docs carry a ``poss``
     # column (kept-stream token positions, term-major) and segments gain a
     # ``pos_bytes`` delta-varint stream.
-    # OFF by default — positions add ~sum(dl) varints to the posting
-    # exchange and the index (~40-60% size), the classic positional-index
-    # trade. Frozen per build (appends/compaction reuse the manifest cfg).
+    # OFF by default — positions add ~sum(dl) varints to the doc store
+    # and the index (~40-60% size), the classic positional-index trade.
+    # Frozen per build (appends/compaction refuse a different value).
     with_positions: bool = False
     # map_batches tuning
     batch_size: int = 1024               # docs per analyzer batch
     wave_size: int = 16                  # input partitions committed per wave (resume granularity)
-    # metadata reductions (dup detection, stats, df rollup) run driver-side
-    # with pyarrow when the projected columns are under this size on disk;
-    # above it they run as distributed Ray aggregations (scale path)
+    # executor of the build stages after docs (each one map over the doc
+    # files per shard or per file): driver threads when the doc files
+    # total <= this many bytes on disk, else Ray tasks. Same plan, same
+    # output either way.
     driver_agg_max_bytes: int = 256 * 1024 * 1024
 
     def validate(self) -> None:

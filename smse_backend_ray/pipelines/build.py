@@ -12,17 +12,15 @@ manifest (state/catalog.py). Stages:
             their output blocks, >= batch_size x n_shards rows per write
             task
   dedup     exact dedup on doc_id (winner = min content_sha256; SURVEY.md
-            D2): detection runs on the projected id column only, then only
-            the doc files that hold a losing row are rewritten, in place —
-            per-file work on driver threads or Ray tasks, no shuffle
-  stats     N / sum_dl / avgdl aggregates -> manifest (broadcast later)
+            D2): one (doc_id, content_sha256) scan per shard, then only the
+            doc files that hold a losing row are rewritten, in place
+  stats     N / sum_dl / avgdl: sums of per-file row counts and dl sums
+            -> manifest (broadcast later)
   segments  one delta-varint posting row per (term, shard) (stages/ingest.py
-            encode_segments, functions/codec.py). Under the size budget each
-            shard is encoded straight from its own docs/**/shard_id=S/ files
-            — the docs layout already co-locates a shard, so no exchange;
-            above it, SPIMI explode + per-batch combine -> groupby((term
-            bucket, shard)) merge. Same segment rows either way
-  df        distinct (term, df) table, term-sorted for filter-pushdown reads
+            encode_segments, functions/codec.py), each shard encoded
+            straight from its own docs/**/shard_id=S/ files
+  df        distinct (term, df) table, term-sorted for filter-pushdown reads,
+            summed on the driver over every shard's (term, df_shard) rows
 
 All index I/O goes through state/fs.IndexFS (pyarrow.fs), so ``index_dir``
 may be a local path, a ``file://``/``s3://`` URI, or a (FileSystem, path)
@@ -34,15 +32,14 @@ Every stage writes to a temp dir and renames on success (idempotent commit;
 dedup renames each rewritten file over its original); a restart skips
 completed stages / partitions via the manifest.
 
-Small-data adaptivity: metadata-only reductions (duplicate detection, global
-stats, the df rollup) switch between a driver-side pyarrow path (when the
-projected columns are under EngineConfig.driver_agg_max_bytes) and the
-distributed Ray path — a 100 TB build keeps every reduction distributed,
-while a test/bench build does not pay shuffle-job fixed costs for
-kilobyte-sized reductions. The dedup rewrite and the segment encode make
-the same choice from the doc files' on-disk size: the dedup rewrite runs on
-driver threads or Ray tasks, the segments stage per shard on driver threads
-or through the posting exchange.
+No stage after docs runs an exchange. The docs layout co-locates a shard:
+every copy of a doc_id, every id an append collides with and every segment
+row sits in one docs/**/shard_id=S/ dir, so dedup, the append's collision
+drop, stats and segments are each one function mapped over the doc files
+per shard (or per file), and df is one driver-side group_by over the
+per-shard (term, df_shard) rows. One plan at every size; the only choice
+is the executor of that map (_map_doc_files): driver threads when the doc
+files total <= EngineConfig.driver_agg_max_bytes on disk, else Ray tasks.
 """
 
 from __future__ import annotations
@@ -58,15 +55,11 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Count, Sum
 
 from smse_backend_ray.config import EngineConfig
 from smse_backend_ray.stages.ingest import (
     DOC_SCHEMA_COLS,
-    BucketEncoder,
-    cfg_buckets,
     encode_segments,
-    explode_preagg_batch,
     ingest_batch,
     sorted_codes,
 )
@@ -157,7 +150,7 @@ def _run_docs_from_files(
         ds = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
         docs = ds.map_batches(ingest, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
         wave_rel = f"{DOCS_DIR}/wave_{wave[0]:06d}"
-        ifs.atomic_write_dataset(docs, wave_rel, partition_cols=["shard_id"])
+        ifs.atomic_write_dataset(docs, wave_rel, **_docs_write_args(cfg))
         # per-partition metrics from the written wave (columnar, cheap)
         t = ifs.pads_dataset(wave_rel).to_table(columns=["partition_id", "n_bytes", "dl"])
         g = t.group_by("partition_id").aggregate(
@@ -182,56 +175,17 @@ def _tag_partition(batch: pa.Table, pid: int) -> pa.Table:
 
 
 # ---------------------------------------------------------------------------
-# dedup stage (exact; SURVEY.md D2)
+# one map over the doc files (every stage after docs; see the module doc)
 # ---------------------------------------------------------------------------
 
-_META_CACHE: dict[str, tuple[tuple, pa.Table]] = {}
+# a doc file's shard, from its hive dir — matched with the trailing "/" the
+# way ShardIndex matches it, so shard 1 never picks up shard_id=10
+_SHARD_DIR = re.compile(r"/shard_id=(\d+)/")
 
 # root-level staging dir of the per-file doc rewrite: outside docs/, so no
 # reader of docs/ ever sees a staged file, and *.tmp, so Catalog.gc collects
 # what a crash leaves behind
 _REWRITE_TMP = DOCS_DIR + "_rewrite.tmp"
-
-
-def _docs_meta_table(ifs: IndexFS) -> pa.Table:
-    """One driver-side scan of (doc_id, dl) shared by the dedup-detect and
-    stats stages. The cache stamp is the full (path, size, mtime) file set —
-    mtime alone is too coarse on second-granularity filesystems (S3). The
-    cache holds ONE entry: every caller wants the latest docs tree, and an
-    append's workspace would otherwise leave a dead entry per append."""
-    key = ifs.join(DOCS_DIR)
-    stamp = tuple(sorted(
-        (i.path, i.size, i.mtime.timestamp() if i.mtime else 0.0)
-        for i in ifs.list_infos(DOCS_DIR, recursive=True) if i.is_file
-    ))
-    hit = _META_CACHE.get(key)
-    if hit and hit[0] == stamp:
-        return hit[1]
-    t = ifs.pads_dataset(DOCS_DIR).to_table(columns=["doc_id", "dl"])
-    _META_CACHE.clear()
-    _META_CACHE[key] = (stamp, t)
-    return t
-
-
-def _find_dup_ids(ifs: IndexFS, cfg: EngineConfig) -> np.ndarray:
-    """Sorted doc_ids held by more than one docs/ row."""
-    if ifs.column_bytes(DOCS_DIR, ["doc_id", "dl"], budget=cfg.driver_agg_max_bytes) <= cfg.driver_agg_max_bytes:
-        ids = _docs_meta_table(ifs)["doc_id"]
-        g = pa.table({"doc_id": ids}).group_by("doc_id").aggregate([("doc_id", "count")])
-        dup = g.filter(pc.greater(g["doc_id_count"], 1))["doc_id"]
-    else:
-        counts = (
-            ifs.ray_read_parquet(DOCS_DIR, columns=["doc_id"])
-            .groupby("doc_id")
-            .aggregate(Count(alias_name="n"))
-        )
-        from smse_backend_ray.functions.collect import collect_table
-
-        dup = collect_table(
-            counts.filter(expr="n > 1"),
-            empty_schema=pa.schema([("doc_id", pa.int64()), ("n", pa.int64())]),
-        ).column("doc_id")
-    return np.sort(dup.to_numpy())
 
 
 @ray.remote(max_retries=0)
@@ -242,8 +196,8 @@ def _doc_files_task(fn, ifs: IndexFS, items: list, *shared) -> list:
 def _doc_files(ifs: IndexFS, cfg: EngineConfig) -> tuple[list[str], int, bool]:
     """Sorted full paths of the docs/ parquet files, their total bytes on
     disk, and whether that total is <= driver_agg_max_bytes (sizes from the
-    one listing, no footer reads) — the executor choice of the
-    per-doc-file stages."""
+    one listing, no footer reads) — the executor choice of every stage
+    after docs."""
     infos = sorted(
         (i for i in ifs.list_infos(DOCS_DIR, recursive=True)
          if i.is_file and i.path.endswith(".parquet")),
@@ -260,6 +214,14 @@ def _docs_metrics(ifs: IndexFS, cfg: EngineConfig) -> dict:
     paths, size, _ = _doc_files(ifs, cfg)
     rows = sum(ifs.parquet_file(p).metadata.num_rows for p in paths)
     return {"files": len(paths), "bytes_written": size, "rows": int(rows)}
+
+
+def _by_shard(ifs: IndexFS, paths: list[str]) -> dict[int, list[str]]:
+    """``paths`` grouped by their hive shard_id dir, in input order."""
+    out: dict[int, list[str]] = {}
+    for p in paths:
+        out.setdefault(int(_SHARD_DIR.search(p[len(ifs.root):]).group(1)), []).append(p)
+    return out
 
 
 def _map_doc_files(ifs: IndexFS, on_driver: bool, fn, items: list, *shared) -> list:
@@ -286,13 +248,51 @@ def _map_doc_files(ifs: IndexFS, on_driver: bool, fn, items: list, *shared) -> l
     return [r for rs in ray.get(tasks) for r in rs]
 
 
-def _scan_doc_file(ifs: IndexFS, path: str, ids: np.ndarray):
-    """(row indices, doc_ids, content_sha256) of the rows of one doc file
-    whose doc_id is in ``ids``."""
-    t = ifs.read_table(path, columns=["doc_id", "content_sha256"])
-    hit = pc.is_in(t["doc_id"], value_set=pa.array(ids, type=pa.int64()))
-    rows = np.flatnonzero(hit.to_numpy(zero_copy_only=False))
-    return rows, t["doc_id"].take(rows).to_numpy(), t["content_sha256"].take(rows).combine_chunks()
+# ---------------------------------------------------------------------------
+# dedup stage (exact; SURVEY.md D2) and the append's collision drop
+# ---------------------------------------------------------------------------
+
+def _shard_dups(ifs: IndexFS, files: list[str]) -> tuple[int, list]:
+    """(number of duplicated doc_ids, [(file, losing rows)]) of one shard's
+    doc files. Each duplicated id keeps the row with the smallest
+    (content_sha256, file path, row): equal-sha copies are identical rows,
+    and the tie-break makes the pick deterministic, so a stage resumed
+    after a crash picks the same row."""
+    ts = ifs.read_tables(files, columns=["doc_id", "content_sha256"])
+    t = pa.concat_tables(ts)
+    ids = t["doc_id"].to_numpy()
+    s = np.sort(ids)
+    dup = np.unique(s[1:][s[1:] == s[:-1]])
+    if not dup.size:
+        return 0, []
+    lens = [x.num_rows for x in ts]
+    hit = np.flatnonzero(np.isin(ids, dup))
+    file_of = np.repeat(np.arange(len(files)), lens)[hit]
+    rows = (np.arange(len(ids)) - np.repeat(np.cumsum(lens) - lens, lens))[hit]
+    key = pa.table({
+        "doc_id": ids[hit], "sha": t["content_sha256"].take(hit), "file": file_of, "row": rows,
+    })
+    order = pc.sort_indices(key, sort_keys=[(c, "ascending") for c in key.column_names]).to_numpy()
+    by_id = ids[hit][order]
+    lose = order[np.r_[False, by_id[1:] == by_id[:-1]]]
+    return dup.size, [(files[f], rows[lose[file_of[lose] == f]]) for f in np.unique(file_of[lose])]
+
+
+def _shard_collisions(ifs: IndexFS, job: tuple) -> tuple[int, list]:
+    """(number of colliding doc_ids, [(new file, colliding rows)]) of one
+    shard: the rows of the new generation's doc files whose doc_id the
+    index's doc files of the same shard already hold."""
+    new_files, old_files = job
+    old = [t["doc_id"].to_numpy() for t in ifs.read_tables(old_files, columns=["doc_id"])]
+    old = np.concatenate(old) if old else np.empty(0, np.int64)
+    hits, drops = [], []
+    for f, t in zip(new_files, ifs.read_tables(new_files, columns=["doc_id"])):
+        ids = t["doc_id"].to_numpy()
+        rows = np.flatnonzero(np.isin(ids, old))
+        if rows.size:
+            hits.append(ids[rows])
+            drops.append((f, rows))
+    return (np.unique(np.concatenate(hits)).size if hits else 0), drops
 
 
 def _rewrite_doc_file(ifs: IndexFS, job: tuple) -> tuple[int, int]:
@@ -308,49 +308,20 @@ def _rewrite_doc_file(ifs: IndexFS, job: tuple) -> tuple[int, int]:
     return len(drop), size
 
 
-def _drop_doc_rows(ifs: IndexFS, cfg: EngineConfig, ids: np.ndarray, keep_min_sha: bool) -> dict:
-    """Delete from docs/ every row whose doc_id is in ``ids`` — except, with
-    ``keep_min_sha``, each id's winner: the row with the smallest
-    (content_sha256, file path, row). Equal-sha copies are identical rows,
-    and the tie-break makes the pick deterministic, so a stage resumed
-    after a crash picks the same row. Only the files that lose a row are
-    rewritten, each in place.
-
-    The per-file scan and rewrite run on driver threads when the doc files
-    total <= driver_agg_max_bytes on disk (sizes from the listing, no
-    footer reads), else as Ray tasks."""
-    paths, _, on_driver = _doc_files(ifs, cfg)
-    hits = _map_doc_files(ifs, on_driver, _scan_doc_file, paths, ids)
-    file_of = np.concatenate([np.full(len(h[0]), f, dtype=np.int64) for f, h in enumerate(hits)])
-    rows = np.concatenate([h[0] for h in hits])
-    if keep_min_sha and len(rows):
-        hit_ids = np.concatenate([h[1] for h in hits])
-        key = pa.table({
-            "doc_id": hit_ids,
-            "sha": pa.chunked_array([h[2] for h in hits]),
-            "file": file_of,
-            "row": rows,
-        })
-        order = pc.sort_indices(
-            key, sort_keys=[(c, "ascending") for c in key.column_names]
-        ).to_numpy()
-        ids_sorted = hit_ids[order]
-        lose = order[np.r_[False, ids_sorted[1:] == ids_sorted[:-1]]]
-        file_of, rows = file_of[lose], rows[lose]
+def _rewrite_doc_files(ifs: IndexFS, on_driver: bool, drops: list) -> dict:
+    """Rewrite each doc file of ``drops`` (a list of (file, rows)) in place
+    without those rows; files are rewritten in path order."""
+    if not drops:
+        return {"files_rewritten": 0, "rows_dropped": 0, "bytes_written": 0}
     if ifs.exists(_REWRITE_TMP):
         ifs.delete_dir(_REWRITE_TMP)
-    by_file = np.argsort(file_of, kind="stable")
-    files, starts = np.unique(file_of[by_file], return_index=True)
-    jobs = [
-        (paths[f], f"{_REWRITE_TMP}/{f:06d}.parquet", drop)
-        for f, drop in zip(files, np.split(rows[by_file], starts[1:]))
-    ]
     ifs.mkdirs(_REWRITE_TMP)
+    jobs = [
+        (path, f"{_REWRITE_TMP}/{i:06d}.parquet", rows)
+        for i, (path, rows) in enumerate(sorted(drops, key=lambda d: d[0]))
+    ]
     done = _map_doc_files(ifs, on_driver, _rewrite_doc_file, jobs)
     ifs.delete_dir(_REWRITE_TMP)
-    # the stamp alone would catch the rewrite; dropping the entry makes it
-    # impossible for the stats stage to read the pre-dedup (doc_id, dl)
-    _META_CACHE.pop(ifs.join(DOCS_DIR), None)
     return {
         "files_rewritten": len(jobs),
         "rows_dropped": int(sum(n for n, _ in done)),
@@ -360,9 +331,10 @@ def _drop_doc_rows(ifs: IndexFS, cfg: EngineConfig, ids: np.ndarray, keep_min_sh
 
 def _run_dedup(ifs: IndexFS, cfg: EngineConfig, cat: Catalog | None = None) -> dict:
     """Exact dedup on doc_id (SURVEY.md D2): one docs/ row per id, the one
-    with the smallest content_sha256. Detection reads only the doc_id
-    column; then only the doc files that hold a losing row are rewritten,
-    in place (_drop_doc_rows) — no Ray Data job, no shuffle.
+    with the smallest content_sha256. Every copy of an id sits in one
+    shard, so detection and the winner pick are one scan of
+    (doc_id, content_sha256) per shard (_shard_dups); then only the doc
+    files that hold a losing row are rewritten, in place.
 
     With ``cat``, the duplicate count is recorded in the manifest before the
     first file rewrite: a stage resumed after a crash finds only the ids the
@@ -371,33 +343,33 @@ def _run_dedup(ifs: IndexFS, cfg: EngineConfig, cat: Catalog | None = None) -> d
     # a crash inside a rewrite's replace, on a filesystem whose move cannot
     # overwrite, leaves a <file>.bak under docs/: mend it before the scan
     ifs.restore_replace_backups(DOCS_DIR)
-    dup_ids = _find_dup_ids(ifs, cfg)
-    m = {"duplicates": len(dup_ids)}
+    paths, _, on_driver = _doc_files(ifs, cfg)
+    found = _map_doc_files(ifs, on_driver, _shard_dups, list(_by_shard(ifs, paths).values()))
+    m = {"duplicates": sum(n for n, _ in found)}
     if cat is not None:
         recorded = cat.stage_metrics("dedup").get("duplicates")
         if recorded is None:
             cat.set_stage_metrics("dedup", m)
         else:
             m["duplicates"] = recorded
-    if not len(dup_ids):
-        return {**m, "files_rewritten": 0, "rows_dropped": 0, "bytes_written": 0}
-    return {**m, **_drop_doc_rows(ifs, cfg, dup_ids, keep_min_sha=True)}
+    return {**m, **_rewrite_doc_files(ifs, on_driver, [d for _, ds in found for d in ds])}
 
 
 # ---------------------------------------------------------------------------
 # stats / segments / df stages
 # ---------------------------------------------------------------------------
 
+def _file_stats(ifs: IndexFS, path: str) -> tuple[int, int]:
+    dl = ifs.read_table(path, columns=["dl"])["dl"]
+    return len(dl), int(pc.sum(dl).as_py() or 0)
+
+
 def _run_stats(ifs: IndexFS, cfg: EngineConfig) -> dict:
-    if ifs.column_bytes(DOCS_DIR, ["doc_id", "dl"], budget=cfg.driver_agg_max_bytes) <= cfg.driver_agg_max_bytes:
-        dl = _docs_meta_table(ifs)["dl"]
-        n_docs = len(dl)
-        sum_dl = int(pc.sum(dl).as_py() or 0)
-    else:
-        ds = ifs.ray_read_parquet(DOCS_DIR, columns=["dl"])
-        row = ds.aggregate(Count(alias_name="n_docs"), Sum("dl", alias_name="sum_dl"))
-        n_docs = int(row["n_docs"])
-        sum_dl = int(row["sum_dl"] or 0)
+    """N and sum(dl): sums of every doc file's row count and dl sum."""
+    paths, _, on_driver = _doc_files(ifs, cfg)
+    done = _map_doc_files(ifs, on_driver, _file_stats, paths)
+    n_docs = sum(n for n, _ in done)
+    sum_dl = sum(s for _, s in done)
     return {
         "n_docs": n_docs,
         "sum_dl": sum_dl,
@@ -405,94 +377,40 @@ def _run_stats(ifs: IndexFS, cfg: EngineConfig) -> dict:
     }
 
 
-def _run_segments(ifs: IndexFS, cfg: EngineConfig, stats: dict) -> dict:
-    """docs/ -> segments/shard_id=S/: one row per (term, shard) holding the
-    delta-varint posting streams (stages/ingest.encode_segments).
-
-    The docs stage already hive-partitions every doc by shard_id, and a
-    segment row never spans shards, so when the doc files total <=
-    driver_agg_max_bytes on disk (the dedup rewrite's one-listing test)
-    each shard's segment table is encoded straight from its own
-    docs/**/shard_id=S/ files on a driver thread (_encode_shard) — no
-    exchange. Above the budget the SPIMI exchange runs: per-batch
-    pre-aggregated runs (explode_preagg_batch) shuffled on (term bucket,
-    shard) and merged per group by BucketEncoder. Both paths write the same
-    segment rows; only the file layout within a shard dir differs.
-
-    Returns the stage metrics: ``exchange``, ``postings`` (sum of df_shard),
-    ``segment_rows``, ``bytes_written``, ``bytes_per_posting``."""
-    paths, _, small = _doc_files(ifs, cfg)
-    if small:
-        return _segments_shard_local(ifs, cfg, paths)
-    nb = cfg_buckets(cfg, n_docs=int(stats.get("n_docs") or 0) or None)
-    cols = ["doc_id", "dl", "terms", "tfs"]
-    explode = explode_preagg_batch
-    if cfg.with_positions:
-        from smse_backend_ray.stages.ingest import explode_preagg_batch_pos
-
-        cols.append("poss")
-        explode = explode_preagg_batch_pos
-    ds = ifs.ray_read_parquet(DOCS_DIR, columns=cols)
-    runs = ds.map_batches(
-        functools.partial(explode, n_buckets=nb, n_shards=cfg.n_shards),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        # large batches: each batch emits one run-row per distinct
-        # (term, shard), so hot terms produce n_batches * n_shards rows —
-        # bigger batches shrink the shuffle volume
-        batch_size=max(cfg.batch_size, 8192),
-    )
-    # NO coalesce before the exchange: a plain repartition here funnels its
-    # reduce through ONE task (822 MB serialized point, measured on the 1M
-    # corpus) and leaves the sort-shuffle only a handful of giant map
-    # blocks; the raw map fragments parallelize strictly better.
-    enc = BucketEncoder(stats["avgdl"], cfg)
-
-    def encode_bucket(group: pa.Table) -> pa.Table:
-        return enc(group)
-
-    # skey = (term bucket, shard): the hottest term's reduce group is
-    # bounded at O(docs/shard) — the SURVEY §4 skew mandate (see
-    # explode_preagg_batch)
-    seg = runs.groupby("skey").map_groups(encode_bucket, batch_format="pyarrow")
-    ifs.atomic_write_dataset(seg, SEGMENTS_DIR, partition_cols=["shard_id"])
-    if ifs.column_bytes(SEGMENTS_DIR, ["df_shard"], budget=cfg.driver_agg_max_bytes) <= cfg.driver_agg_max_bytes:
-        df_shard = ifs.pads_dataset(SEGMENTS_DIR).to_table(columns=["df_shard"])["df_shard"]
-        rows, postings = len(df_shard), int(pc.sum(df_shard).as_py() or 0)
-    else:
-        row = ifs.ray_read_parquet(SEGMENTS_DIR, columns=["df_shard"]).aggregate(
-            Count(alias_name="rows"), Sum("df_shard", alias_name="postings")
-        )
-        rows, postings = int(row["rows"]), int(row["postings"] or 0)
-    return _segment_metrics(True, postings, rows, _dir_bytes(ifs, SEGMENTS_DIR))
-
-
 _SEGMENTS_TMP = SEGMENTS_DIR + ".tmp"
-# a doc file's shard, from its hive dir — matched with the trailing "/" the
-# way ShardIndex matches it, so shard 1 never picks up shard_id=10
-_SHARD_DIR = re.compile(r"/shard_id=(\d+)/")
 
 
-def _segments_shard_local(ifs: IndexFS, cfg: EngineConfig, paths: list[str]) -> dict:
-    """Every shard's segment table from its own doc files, staged under
-    segments.tmp/shard_id=S/ and moved into place in one commit."""
-    by_shard: dict[int, list[str]] = {}
-    for p in paths:
-        by_shard.setdefault(int(_SHARD_DIR.search(p[len(ifs.root):]).group(1)), []).append(p)
+def _run_segments(ifs: IndexFS, cfg: EngineConfig) -> dict:
+    """docs/ -> segments/shard_id=S/part-0.parquet: one row per (term, shard)
+    holding the delta-varint posting streams (stages/ingest.encode_segments).
+
+    A segment row never spans shards, so each shard's segment table is
+    encoded straight from its own docs/**/shard_id=S/ files (_encode_shard),
+    staged under segments.tmp/shard_id=S/ and moved into place in one
+    commit. The unit of memory is one shard's postings, the unit a
+    ShardSearcher actor holds.
+
+    Returns the stage metrics: ``postings`` (sum of df_shard),
+    ``segment_rows``, ``bytes_written``, ``bytes_per_posting``."""
+    paths, _, on_driver = _doc_files(ifs, cfg)
     if ifs.exists(_SEGMENTS_TMP):
         ifs.delete_dir(_SEGMENTS_TMP)
     ifs.mkdirs(_SEGMENTS_TMP)
-    done = _map_doc_files(ifs, True, _encode_shard, sorted(by_shard.items()), cfg)
+    done = _map_doc_files(ifs, on_driver, _encode_shard, sorted(_by_shard(ifs, paths).items()), cfg)
     ifs.commit_dir(_SEGMENTS_TMP, SEGMENTS_DIR)
     rows, postings, size = (sum(col) for col in zip(*done)) if done else (0, 0, 0)
-    return _segment_metrics(False, postings, rows, size)
+    return {
+        "postings": postings,
+        "segment_rows": rows,
+        "bytes_written": size,
+        "bytes_per_posting": round(size / postings, 3) if postings else 0.0,
+    }
 
 
 def _encode_shard(ifs: IndexFS, job: tuple, cfg: EngineConfig) -> tuple[int, int, int]:
     """(segment rows, postings, file bytes) of one shard's segment file,
     encoded from the shard's doc files: flatten the per-doc term lists,
-    then encode_segments — the runs payload of the exchange never forms.
-    A shard without postings writes no file."""
+    then encode_segments. A shard without postings writes no file."""
     shard, files = job
     cols = ["doc_id", "dl", "terms", "tfs"] + (["poss"] if cfg.with_positions else [])
     t = pa.concat_tables(ifs.read_tables(files, columns=cols))
@@ -519,44 +437,29 @@ def _dir_bytes(ifs: IndexFS, rel: str) -> int:
     return sum(i.size for i in ifs.list_infos(rel, recursive=True) if i.is_file)
 
 
-def _segment_metrics(exchange: bool, postings: int, rows: int, size: int) -> dict:
-    return {
-        "exchange": exchange,
-        "postings": postings,
-        "segment_rows": rows,
-        "bytes_written": size,
-        "bytes_per_posting": round(size / postings, 3) if postings else 0.0,
-    }
-
-
-def _run_df(ifs: IndexFS, cfg: EngineConfig) -> dict:
+def _run_df(ifs: IndexFS) -> dict:
     """df(term) = sum of per-(generation, shard) posting counts: each
     segment row covers a disjoint doc set, so the integer sum is the global
-    df. (A plain base build is one generation; sum(df_shard) == the
-    replicated df column exactly.) Returns the stage metrics: ``terms`` and
-    ``bytes_written``."""
-    if ifs.column_bytes(SEGMENTS_DIR, ["term", "df_shard"], budget=cfg.driver_agg_max_bytes) <= cfg.driver_agg_max_bytes:
-        t = ifs.pads_dataset(SEGMENTS_DIR).to_table(columns=["term", "df_shard"])
-        g = t.group_by("term").aggregate([("df_shard", "sum")])
-        # select by NAME: pyarrow group_by column order has differed across
-        # versions; a positional rename would silently swap term/df
-        g = pa.table({"term": g["term"], "df": g["df_shard_sum"]}).sort_by("term")
-        tmp = DF_DIR + ".tmp"
-        if ifs.exists(tmp):
-            ifs.delete_dir(tmp)
-        ifs.mkdirs(tmp)
-        ifs.write_table(g, f"{tmp}/df.parquet")
-        ifs.commit_dir(tmp, DF_DIR)
-        terms = g.num_rows
-    else:
-        ds = ifs.ray_read_parquet(SEGMENTS_DIR, columns=["term", "df_shard"])
-        df_tbl = ds.groupby("term").aggregate(Sum("df_shard", alias_name="df")).sort("term")
-        ifs.atomic_write_dataset(df_tbl, DF_DIR)
-        terms = sum(
-            ifs.parquet_file(f).metadata.num_rows
-            for f in ifs.list_files(DF_DIR, recursive=True, suffix=".parquet")
-        )
-    return {"terms": int(terms), "bytes_written": _dir_bytes(ifs, DF_DIR)}
+    df. One group_by on the driver over every segment file's
+    (term, df_shard) rows — O(segment rows) time and memory — written as
+    one term-sorted file (filter-pushdown reads; SearchEngine keeps it
+    resident). Returns the stage metrics: ``terms`` and ``bytes_written``."""
+    files = ifs.list_files(SEGMENTS_DIR, recursive=True, suffix=".parquet")
+    ts = ifs.read_tables(files, columns=["term", "df_shard"])
+    t = pa.concat_tables(ts) if ts else pa.table(
+        {"term": pa.array([], pa.string()), "df_shard": pa.array([], pa.int64())}
+    )
+    g = t.group_by("term").aggregate([("df_shard", "sum")])
+    # select by NAME: pyarrow group_by column order has differed across
+    # versions; a positional rename would silently swap term/df
+    df = pa.table({"term": g["term"], "df": g["df_shard_sum"]}).sort_by("term")
+    tmp = DF_DIR + ".tmp"
+    if ifs.exists(tmp):
+        ifs.delete_dir(tmp)
+    ifs.mkdirs(tmp)
+    ifs.write_table(df, f"{tmp}/df.parquet")
+    ifs.commit_dir(tmp, DF_DIR)
+    return {"terms": df.num_rows, "bytes_written": _dir_bytes(ifs, DF_DIR)}
 
 
 # ---------------------------------------------------------------------------
@@ -609,12 +512,12 @@ def build_index(
 
     if not cat.stage_done("segments"):
         cat.mark_stage("segments", "running")
-        m = _run_segments(ifs, cfg, cat.get_stats())
+        m = _run_segments(ifs, cfg)
         cat.mark_stage("segments", "done", m)
 
     if not cat.stage_done("df"):
         cat.mark_stage("df", "running")
-        m = _run_df(ifs, cfg)
+        m = _run_df(ifs)
         cat.mark_stage("df", "done", m)
 
     return cat
@@ -642,7 +545,7 @@ def _gen_seg_prefix(gen: int) -> str:
     return f"gen{gen:06d}_"
 
 
-def _rollback_generation(ifs: IndexFS, cfg: EngineConfig, cat: Catalog, gen: int) -> None:
+def _rollback_generation(ifs: IndexFS, cat: Catalog, gen: int) -> None:
     """Remove every trace of an uncommitted generation (crash mid-append),
     then restore the df rollup to the surviving segments."""
     ws = f"_append_gen_{gen:06d}.tmp"
@@ -658,54 +561,48 @@ def _rollback_generation(ifs: IndexFS, cfg: EngineConfig, cat: Catalog, gen: int
             ifs.fs.delete_file(f)
             removed = True
     if removed:
-        _run_df(ifs, cfg)  # df may already include the dead generation
+        _run_df(ifs)  # df may already include the dead generation
     cat.drop_generation(gen)
 
 
-def _append_collisions(ifs: IndexFS, wfs: IndexFS, cfg: EngineConfig) -> set[int]:
-    """doc_ids of the new generation already present in the index
-    (existence-check first-wins, SURVEY.md D3: the OLD document survives —
-    the reference's unique content_path constraint keeps the first upload,
-    smse_backend/models/content.py:11)."""
-    small = (
-        ifs.column_bytes(DOCS_DIR, ["doc_id", "dl"], budget=cfg.driver_agg_max_bytes) <= cfg.driver_agg_max_bytes
-        and wfs.column_bytes(DOCS_DIR, ["doc_id", "dl"], budget=cfg.driver_agg_max_bytes) <= cfg.driver_agg_max_bytes
-    )
-    if small:
-        existing = _docs_meta_table(ifs)["doc_id"].combine_chunks()
-        new_ids = wfs.pads_dataset(DOCS_DIR).to_table(columns=["doc_id"])["doc_id"]
-        mask = pc.is_in(new_ids, value_set=existing)
-        return set(pc.filter(new_ids, mask).to_pylist())
-    # scale path: flag-union -> per-id integer sum; ids are unique per side
-    # (both sides deduped), so sum == 3 <=> present on both. Only the
-    # collision set — bounded by the smaller side, normally tiny — reaches
-    # the driver. Docs are read as explicit FILE lists: generations nest at
-    # different depths, which would break hive partition inference.
+def _append_collisions(ifs: IndexFS, wfs: IndexFS, cfg: EngineConfig) -> int:
+    """Drop from the new generation's doc files (under ``wfs``) every row
+    whose doc_id the index already holds (existence-check first-wins,
+    SURVEY.md D3: the OLD document survives — the reference's unique
+    content_path constraint keeps the first upload,
+    smse_backend/models/content.py:11). An id and its copies share a shard,
+    so each shard's new files are checked against the index's files of the
+    same shard only, on driver threads when both sides' doc files are under
+    the budget. Returns the number of colliding ids."""
+    new_paths, _, new_small = _doc_files(wfs, cfg)
+    old_paths, _, old_small = _doc_files(ifs, cfg)
+    on_driver = new_small and old_small
+    old = _by_shard(ifs, old_paths)
+    jobs = [(files, old.get(s, [])) for s, files in _by_shard(wfs, new_paths).items()]
+    # through ``ifs``: the workspace sits under its root, so both sides'
+    # full paths resolve (a full path outside an IndexFS's root does not)
+    found = _map_doc_files(ifs, on_driver, _shard_collisions, jobs)
+    _rewrite_doc_files(wfs, on_driver, [d for _, ds in found for d in ds])
+    return sum(n for n, _ in found)
 
-    def _tag(flag: int):
-        def f(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "doc_id": t["doc_id"],
-                    "flag": pa.array(np.full(len(t), flag, dtype=np.int8)),
-                }
+
+def _check_cfg(cat: Catalog, cfg: EngineConfig | None) -> EngineConfig:
+    """``cfg``, or the config pinned in the manifest when it is None. The
+    index's files encode n_shards (the docs/segments shard dirs),
+    block_size (the delta resets of every posting stream) and
+    with_positions (the segment columns), so a config that differs from the
+    manifest on any of them would write a generation the engine cannot
+    serve: refuse it before anything is written."""
+    pinned = EngineConfig.from_dict(cat.get_config())
+    if cfg is None:
+        return pinned
+    for f in ("n_shards", "block_size", "with_positions"):
+        if getattr(cfg, f) != getattr(pinned, f):
+            raise ValueError(
+                f"cfg.{f}={getattr(cfg, f)!r} does not match the index's "
+                f"{f}={getattr(pinned, f)!r}"
             )
-
-        return f
-
-    old = ifs.ray_read_parquet_files(
-        ifs.list_files(DOCS_DIR, recursive=True, suffix=".parquet"),
-        columns=["doc_id"],
-    ).map_batches(_tag(1), batch_format="pyarrow")
-    new = wfs.ray_read_parquet_files(
-        wfs.list_files(DOCS_DIR, recursive=True, suffix=".parquet"),
-        columns=["doc_id"],
-    ).map_batches(_tag(2), batch_format="pyarrow")
-    both = old.union(new).groupby("doc_id").aggregate(Sum("flag", alias_name="s"))
-    from smse_backend_ray.functions.collect import collect_table
-
-    coll = collect_table(both.filter(expr="s == 3"))
-    return set(coll["doc_id"].to_pylist()) if coll.num_rows else set()
+    return cfg
 
 
 def append_index(
@@ -716,7 +613,7 @@ def append_index(
     """Add documents to an EXISTING index without rebuilding it.
 
     The new docs run the same staged pipeline as a base build (ingest ->
-    within-batch dedup -> stats -> SPIMI segments) inside a workspace dir,
+    within-batch dedup -> stats -> shard-local segments) inside a workspace dir,
     then commit as generation G: doc parquet at ``docs/gen_{G}/shard_id=*``,
     segment files moved into the live ``segments/shard_id=*/`` dirs under a
     ``gen{G}_`` prefix (uniform directory depth — shard discovery, bulk
@@ -735,6 +632,11 @@ def append_index(
     """
     cat = Catalog(index_dir)
     ifs = cat.ifs
+    for s in STAGE_ORDER:
+        if not cat.stage_done(s):
+            raise RuntimeError(f"append requires a completed base build (stage {s!r} not done)")
+    cfg = _check_cfg(cat, cfg)
+    cfg.validate()
     # A prior compact_index may have died between parking the doc store at
     # docs.bak and moving the new one in. Recover BEFORE creating any
     # docs/gen_* (which would make docs/ exist again and permanently strand
@@ -745,16 +647,11 @@ def append_index(
             "doc-store swap died in an ambiguous state; resolve manually "
             "before appending"
         )
-    for s in STAGE_ORDER:
-        if not cat.stage_done(s):
-            raise RuntimeError(f"append requires a completed base build (stage {s!r} not done)")
-    cfg = cfg or EngineConfig.from_dict(cat.get_config())
-    cfg.validate()
 
     gens = cat.generations()
     for g_str, rec in sorted(gens.items(), key=lambda kv: int(kv[0])):
         if rec.get("status") != "done":
-            _rollback_generation(ifs, cfg, cat, int(g_str))
+            _rollback_generation(ifs, cat, int(g_str))
     gens = cat.generations()
     gen = max((int(g) for g in gens), default=0) + 1
 
@@ -768,22 +665,19 @@ def append_index(
     if cfg.dedup:
         _run_dedup(wfs, cfg)
     pre_stats = _run_stats(wfs, cfg)
-    coll = _append_collisions(ifs, wfs, cfg)
-    if pre_stats["n_docs"] == 0 or len(coll) == pre_stats["n_docs"]:
+    n_coll = _append_collisions(ifs, wfs, cfg)
+    if pre_stats["n_docs"] == 0 or n_coll == pre_stats["n_docs"]:
         # nothing new (empty input, or every doc already indexed): no-op
         ifs.delete_dir(ws)
         return cat
-    if coll:
-        ids = np.fromiter(sorted(coll), dtype=np.int64, count=len(coll))
-        _drop_doc_rows(wfs, cfg, ids, keep_min_sha=False)
 
-    gen_stats = _run_stats(wfs, cfg) if coll else pre_stats
+    gen_stats = _run_stats(wfs, cfg) if n_coll else pre_stats
     base = cat.get_stats()
     n_docs = int(base["n_docs"]) + int(gen_stats["n_docs"])
     sum_dl = int(base["sum_dl"]) + int(gen_stats["sum_dl"])
     merged = {"n_docs": n_docs, "sum_dl": sum_dl, "avgdl": sum_dl / n_docs}
 
-    _run_segments(wfs, cfg, gen_stats)
+    _run_segments(wfs, cfg)
 
     cat.set_generation(
         gen,
@@ -791,7 +685,7 @@ def append_index(
             "status": "committing",
             "n_docs": int(gen_stats["n_docs"]),
             "sum_dl": int(gen_stats["sum_dl"]),
-            "dropped_existing": len(coll),
+            "dropped_existing": n_coll,
         },
     )
     ifs.move(f"{ws}/{DOCS_DIR}", _gen_docs_rel(gen))
@@ -803,7 +697,7 @@ def append_index(
         ifs.fs.move(f, ifs.join(f"{SEGMENTS_DIR}/{parts[1]}/{pre}{parts[-1]}"))
     ifs.delete_dir(ws)
 
-    _run_df(ifs, cfg)  # exact integer re-rollup across all generations
+    _run_df(ifs)  # exact integer re-rollup across all generations
     # merged stats + status='done' in ONE manifest write: a crash between
     # separate writes would leave stats inflated after rollback (which
     # removes the generation's docs/segments but could not un-merge stats)
@@ -846,15 +740,15 @@ def compact_index(index_dir, cfg: EngineConfig | None = None, vacuum: bool = Tru
     """
     cat = Catalog(index_dir)
     ifs = cat.ifs
-    ifs.restore_swap_backup(DOCS_DIR)  # prior compaction died mid doc swap
     for s in STAGE_ORDER:
         if not cat.stage_done(s):
             raise RuntimeError(f"compact requires a completed base build (stage {s!r} not done)")
-    cfg = cfg or EngineConfig.from_dict(cat.get_config())
+    cfg = _check_cfg(cat, cfg)
     cfg.validate()
+    ifs.restore_swap_backup(DOCS_DIR)  # prior compaction died mid doc swap
     for g_str, rec in sorted(cat.generations().items(), key=lambda kv: int(kv[0])):
         if rec.get("status") != "done":
-            _rollback_generation(ifs, cfg, cat, int(g_str))
+            _rollback_generation(ifs, cat, int(g_str))
 
     tombs: list[int] = sorted(read_tombstones(ifs)) if vacuum else []
     if not tombs and not cat.generations():
@@ -885,8 +779,8 @@ def compact_index(index_dir, cfg: EngineConfig | None = None, vacuum: bool = Tru
 
     # 2. stats over the surviving corpus, then one fresh segment generation
     stats = _run_stats(ifs, cfg)
-    _run_segments(ifs, cfg, stats)
-    _run_df(ifs, cfg)
+    _run_segments(ifs, cfg)
+    _run_df(ifs)
     cat.set_stats(stats)
 
     # 3. visibility cleanup: the vacuumed ids are now physically gone —

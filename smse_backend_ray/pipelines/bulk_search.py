@@ -14,9 +14,8 @@ Hot-term fanout is BOUNDED: queries are hashed into ``n_qbuckets`` reduce
 buckets and a term's decoded posting arrays ship once per bucket that needs
 the term — a term shared by a million queries duplicates min(n_qbuckets,
 n_queries) times in the shuffle, not a million. Only the posting lists of
-queried terms leave storage (the segments table is term-sorted within files
-via the bucket layout, so row-group pruning works), nothing is pinned in
-memory.
+queried terms leave storage (each shard's segment file is one term-sorted
+table, so row-group pruning works), nothing is pinned in memory.
 
 Scores are bitwise-identical to the oracle/serving path: each per-query
 accumulation walks its terms ascending, and the several shard-rows of one

@@ -523,9 +523,8 @@ _JACCARD_CACHE: dict[tuple, tuple[tuple, pa.Table]] = {}
 
 
 def _docs_stamp(sf_dir: str) -> tuple:
-    """(path, size, mtime) stamp of the documents table — the same cache
-    key discipline as build._docs_meta_table (mtime alone is too coarse
-    on second-granularity filesystems)."""
+    """(path, size, mtime) stamp of the documents table (mtime alone is
+    too coarse on second-granularity filesystems)."""
     path = os.path.join(sf_dir, "documents.parquet")
     st = os.stat(path)
     return (path, st.st_size, st.st_mtime)

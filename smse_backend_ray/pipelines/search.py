@@ -90,9 +90,10 @@ class SearchEngine:
         for s in range(self.n_shards):
             groups[s % per_set].append(s)
         self.actor_sets = [[mk(g) for g in groups] for _ in range(n_sets)]
-        # the df table stays resident, term-sorted (a Ray-path build writes
-        # several files): every df lookup is a binary search over it, never
-        # a parquet scan. Read while the actors start.
+        # the df table stays resident, term-sorted (the build writes one
+        # term-sorted file; indexes from older builds may hold several):
+        # every df lookup is a binary search over it, never a parquet
+        # scan. Read while the actors start.
         df = self.ifs.pads_dataset("df").to_table(columns=["term", "df"])
         df = df.take(pa.compute.sort_indices(df["term"]))
         self._df_terms = df["term"].to_numpy()

@@ -108,8 +108,20 @@ def ingest_batch(batch: pa.Table, cfg: EngineConfig) -> pa.Table:
     return pa.table(cols)
 
 
+# ---------------------------------------------------------------------------
+# posting-exchange probes
+# ---------------------------------------------------------------------------
+#
+# The build has no posting exchange (pipelines/build.py encodes each shard
+# from its own doc files). term_bucket, encode_runs, decode_runs,
+# explode_preagg_batch, BucketEncoder and cfg_buckets are kept only for the
+# ``perfbench/layers.py`` trace probes (``ingest.explode_rows_per_s``,
+# ``encode_postings_per_s``, ``skey_skew``), plain postings only.
+
+
 def term_bucket(term: str, n_buckets: int) -> int:
-    """Deterministic term -> shuffle bucket (process-stable, unlike hash())."""
+    """Deterministic term -> shuffle bucket (process-stable, unlike hash()).
+    Kept only for the perfbench/layers.py probes."""
     return zlib.crc32(term.encode()) % n_buckets
 
 
@@ -120,7 +132,8 @@ def encode_runs(
     dls: "pa.Array | pa.ChunkedArray",
     n_buckets: int,
 ) -> pa.Table:
-    """Per-term posting runs (list columns) -> compact shuffle rows.
+    """Per-term posting runs (list columns) -> compact shuffle rows. Kept
+    only for the perfbench/layers.py probes.
 
     The posting shuffle's payload is the dominant exchange of the whole
     build (~16 raw bytes/posting as int64/int32 lists). Rows ship as raw
@@ -187,19 +200,15 @@ def _bin_col(data: bytes, bounds: np.ndarray) -> pa.Array:
     )
 
 
-def _empty_runs_table(pos: bool = False) -> pa.Table:
-    cols = {
+def _empty_runs_table() -> pa.Table:
+    return pa.table({
         "bucket": pa.array([], type=pa.int32()),
         "term": pa.array([], type=pa.string()),
         "n": pa.array([], type=pa.int32()),
         "docs_b": pa.array([], type=pa.binary()),
         "tfs_b": pa.array([], type=pa.binary()),
         "dls_b": pa.array([], type=pa.binary()),
-    }
-    if pos:
-        cols["pos_b"] = pa.array([], type=pa.binary())
-        cols["skey"] = pa.array([], type=pa.int64())
-    return pa.table(cols)
+    })
 
 
 def decode_runs(group: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -207,7 +216,8 @@ def decode_runs(group: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     terms stay in the rows' Arrow ``term`` column. doc/dl streams are
     fixed-width (a frombuffer view each); tf is one vectorized varint
     decode (runs concatenate into a single valid stream — per-run
-    boundaries come from the ``n`` column)."""
+    boundaries come from the ``n`` column). Kept only for the
+    perfbench/layers.py probes."""
     from smse_backend_ray.functions.codec import varint_decode
 
     run_lens = np.asarray(group["n"], dtype=np.int64)
@@ -226,7 +236,8 @@ def decode_runs(group: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 
 
 def explode_preagg_batch(batch: pa.Table, n_buckets: int, n_shards: int) -> pa.Table:
-    """Analyzed docs batch -> per-batch pre-aggregated posting runs.
+    """Analyzed docs batch -> per-batch pre-aggregated posting runs. Kept
+    only for the perfbench/layers.py probes.
 
     This is the SPIMI partial / salted pre-aggregation step (SURVEY.md A6):
     within one batch every (term, shard) contributes ONE row holding its
@@ -239,9 +250,7 @@ def explode_preagg_batch(batch: pa.Table, n_buckets: int, n_shards: int) -> pa.T
     hottest term's reduce group at O(df_shard) = O(docs / n_shards) — which
     scales with cluster size — instead of O(global df), which at 10^11 docs
     would put ~10^10 postings of a ubiquitous identifier into ONE encode
-    task. Segments are per (term, shard) anyway, and global df lives in the
-    df/ rollup (build._run_df sums df_shard), so no information is lost.
-    Payloads ship in the compact decode-free layout of ``encode_runs``.
+    task. Payloads ship in the compact decode-free layout of ``encode_runs``.
     """
     terms = batch["terms"]
     flat_terms = pc.list_flatten(terms)
@@ -273,113 +282,24 @@ def explode_preagg_batch(batch: pa.Table, n_buckets: int, n_shards: int) -> pa.T
     return runs.append_column("skey", pa.array(skey, type=pa.int64()))
 
 
-def explode_preagg_batch_pos(batch: pa.Table, n_buckets: int, n_shards: int) -> pa.Table:
-    """Positional twin of ``explode_preagg_batch``: same pre-aggregated
-    (term, shard) runs plus a ``pos_b`` payload (the run's kept-stream token
-    positions, raw int32-LE — decode-free, like the other streams; per-
-    posting boundaries are the tf stream, so no extra metadata ships).
-
-    The grouping here is an explicit stable sort instead of Arrow group_by:
-    the doc/tf/dl lists and the position stream are all built from the SAME
-    sorted layout, so their per-run alignment is by construction (group_by's
-    hash-scan member order would have to be re-matched to a separately-
-    gathered position stream). Member order within a run is otherwise
-    irrelevant — BucketEncoder lexsorts every group by (segment, doc_id)
-    and gathers the position runs with it.
-    """
-    terms = batch["terms"]
-    flat_terms = pc.list_flatten(terms)
-    if isinstance(flat_terms, pa.ChunkedArray):
-        flat_terms = flat_terms.combine_chunks()
-    parent = pc.list_parent_indices(terms)
-    doc_np = np.asarray(pc.take(batch["doc_id"], parent), dtype=np.int64)
-    tf_np = np.asarray(pc.list_flatten(batch["tfs"]), dtype=np.int64)
-    dl_np = np.asarray(pc.take(batch["dl"], parent), dtype=np.int64)
-    pos_vals = np.asarray(pc.list_flatten(batch["poss"]), dtype=np.int64)
-    n_flat = len(flat_terms)
-    if n_flat == 0:
-        return _empty_runs_table(pos=True)
-    shard_np = doc_np % n_shards
-    tf_cum = np.concatenate(([0], np.cumsum(tf_np)))  # flat row -> pos slice
-
-    denc = flat_terms.dictionary_encode()
-    codes = np.asarray(denc.indices, dtype=np.int64)
-    dictionary = denc.dictionary
-    key = codes * n_shards + shard_np
-    order = np.argsort(key, kind="stable")
-    key_s = key[order]
-    bounds = np.flatnonzero(np.diff(key_s)) + 1
-    rstarts = np.concatenate(([0], bounds))
-
-    # gather each sorted flat-row's position slice (vectorized var-len gather)
-    tf_s = tf_np[order]
-    total_pos = pos_vals.size
-    dst_cum = np.concatenate(([0], np.cumsum(tf_s)))
-    pos_s = _gather_runs(pos_vals, tf_cum[order], tf_s)
-
-    roff = pa.array(
-        np.concatenate((rstarts, [n_flat])).astype(np.int32), type=pa.int32()
-    )
-    run_terms = dictionary.take(pa.array(key_s[rstarts] // n_shards))
-    runs = encode_runs(
-        run_terms,
-        pa.ListArray.from_arrays(roff, pa.array(doc_np[order], type=pa.int64())),
-        pa.ListArray.from_arrays(roff, pa.array(tf_s, type=pa.int64())),
-        pa.ListArray.from_arrays(roff, pa.array(dl_np[order], type=pa.int64())),
-        n_buckets,
-    )
-    # pos_b: raw int32-LE slices per run (boundary = run's total tf)
-    pos_bounds = np.concatenate((dst_cum[rstarts], [total_pos]))
-    runs = runs.append_column("pos_b", _bin_col(pos_s.astype("<i4").tobytes(), pos_bounds * 4))
-    skey = (
-        np.asarray(runs["bucket"], dtype=np.int64) * n_shards
-        + (key_s[rstarts] % n_shards)
-    )
-    return runs.append_column("skey", pa.array(skey, type=pa.int64()))
-
-
-def decode_run_positions(group: pa.Table) -> np.ndarray:
-    """pos_b shuffle rows -> one flat int64 position stream (per-posting
-    boundaries come from the decoded tf stream)."""
-    arr = group["pos_b"].combine_chunks()
-    bufs = arr.buffers()
-    off = np.frombuffer(bufs[1], dtype=np.int32)[arr.offset : arr.offset + len(arr) + 1]
-    data = np.frombuffer(bufs[2], dtype=np.uint8) if bufs[2] is not None else np.empty(0, np.uint8)
-    return np.frombuffer(
-        data[off[0] : off[-1]].tobytes(), dtype="<i4"
-    ).astype(np.int64, copy=False)
-
-
 class BucketEncoder:
-    """Per-group merge + encode (the reduce side of the posting exchange).
+    """Per-group merge + encode: the reduce side of the posting exchange the
+    build no longer runs. Kept only for the perfbench/layers.py probes.
 
-    One call receives ALL pre-aggregated runs for one shuffle key — since
-    the shard-aware key that is ONE SHARD of the terms hashed into one
-    bucket, bounding group size at O(docs/shard) regardless of term skew.
-    It decodes the runs payload (``decode_runs``) and hands the flat
-    postings to ``encode_segments``, the encoder the shard-local build path
-    (build._run_segments) calls directly. Global df(term) is NOT computed
-    here (a group no longer sees every shard of a term); it lives solely in
-    the df/ rollup, which sums the per-segment df_shard column
-    (build._run_df). The encoder stays shard-agnostic (handles multi-shard
-    groups identically), so the segment BYTES are independent of the
-    shuffle key and of whether an exchange ran at all
-    (tests/test_bucket_encoder.py, tests/test_segments_local.py).
-
-    ``avgdl`` is unused: segment rows carry no score-dependent data. The
-    argument stays so existing callers keep working.
-    """
+    One call receives pre-aggregated runs (``explode_preagg_batch``),
+    decodes the runs payload (``decode_runs``) and hands the flat postings
+    to ``encode_segments``, the encoder the build calls per shard; so its
+    segment rows equal the build's (tests/test_bucket_encoder.py).
+    ``avgdl`` is unused: segment rows carry no score-dependent data."""
 
     def __init__(self, avgdl: float, cfg: EngineConfig):
         self.cfg = cfg
 
     def __call__(self, group: pa.Table) -> pa.Table:
-        has_pos = "pos_b" in group.column_names
         run_lens, flat_docs, flat_tfs, flat_dls = decode_runs(group)
         run_codes, term_dict = sorted_codes(group["term"])
         return encode_segments(
-            np.repeat(run_codes, run_lens), term_dict, flat_docs, flat_tfs, flat_dls,
-            self.cfg, decode_run_positions(group) if has_pos else None,
+            np.repeat(run_codes, run_lens), term_dict, flat_docs, flat_tfs, flat_dls, self.cfg,
         )
 
 
@@ -406,7 +326,7 @@ def sorted_codes(terms: "pa.Array | pa.ChunkedArray") -> tuple[np.ndarray, pa.Ar
 # postings per encode pass: the encoder's numpy temporaries take ~170
 # bytes per posting (measured), so a shard-sized input is encoded in term
 # ranges of about this many postings (a term never spans two passes) and
-# each driver thread of the shard-local build holds ~170 MB of them at most
+# each encode of the shard-local build holds ~170 MB of them at most
 _ENCODE_PASS_POSTINGS = 1_000_000
 
 
@@ -530,30 +450,11 @@ def _empty_segment_table(pos: bool = False) -> pa.Table:
 
 
 def cfg_buckets(cfg: EngineConfig, n_docs: int | None = None) -> int:
-    """TERM-bucket count for the posting shuffle. The actual shuffle key is
-    (term bucket, shard), so the reduce-group count is
-    ``cfg_buckets(...) * n_shards``; this function picks the bucket count so
-    that GROUP count hits the targets below (SURVEY.md §4 skew row).
-
-    Group-count target scales with cluster CPUs — at 64 groups the encode
-    stage's hottest group was a 23 s straggler gating a 1M-doc build
-    (measured; mean task 4.3 s). 24 groups/CPU keeps the tail short without
-    exploding fixed costs: on the 1M corpus the stage measured 22.4 s at
-    8 groups/CPU vs 13.6 s at 24/CPU (8 CPUs) and 34.5 -> 13.3 s (16 CPUs),
-    plateauing by 48/CPU, with the 2-CPU level unchanged (round-3 probes,
-    /tmp/seg_probe_r3.py pattern).
-
-    When ``n_docs`` is known (the stats stage precedes segments) the target
-    also scales with DATA size, both ways:
-      - small corpora cap at ~1k docs/group so a 32-CPU session doesn't
-        shred a 10k-doc build into 256 near-empty map_groups tasks (fixed
-        per-task cost dominated the driver's 100k-doc bench config);
-      - huge corpora get a floor of ~50k docs/group (≈60 MB decoded
-        postings at avgdl~115) so per-reduce-task heap stays bounded even
-        when 8*cpus would make groups arbitrarily fat. (Per-TERM group
-        memory is additionally bounded at O(docs/shard) by the shard-aware
-        key, independent of term skew.)
-    """
+    """TERM-bucket count of the posting shuffle key (term bucket, shard):
+    ``cfg_buckets(...) * n_shards`` groups, 24 per cluster CPU (at least 64
+    and 8 per shard), capped at ~1k docs a group for small corpora and
+    floored at ~50k docs a group for huge ones when ``n_docs`` is known.
+    Kept only for the perfbench/layers.py probes."""
     try:
         import ray
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import posixpath
-from typing import Any, Iterable
+from typing import Any
 
 import pyarrow.fs as pafs
 
@@ -192,26 +192,6 @@ class IndexFS:
         import pyarrow.parquet as pq
 
         return pq.ParquetFile(self.open_input(path))
-
-    def column_bytes(self, rel: str, columns: Iterable[str], budget: int | None = None) -> int:
-        """On-disk compressed size of a column subset (parquet footers only).
-        With ``budget``, stops reading footers once the running total exceeds
-        it and returns early — every caller only compares the result against
-        a threshold, and at corpus scale the tree holds ~10^5 files whose
-        footers would otherwise ALL be fetched just to learn "too big"."""
-        cols = set(columns)
-        total = 0
-        for f in self.list_files(rel, recursive=True, suffix=".parquet"):
-            md = self.parquet_file(f).metadata
-            for rg in range(md.num_row_groups):
-                g = md.row_group(rg)
-                for ci in range(g.num_columns):
-                    col = g.column(ci)
-                    if col.path_in_schema.split(".")[0] in cols:
-                        total += col.total_compressed_size
-            if budget is not None and total > budget:
-                return total
-        return total
 
     # -- Ray Data ----------------------------------------------------------
     @property

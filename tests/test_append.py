@@ -295,3 +295,32 @@ def test_legacy_block_columns_open_and_append(ray_session, with_positions):
                 assert pa_.num_rows and pa_.to_pylist() == pb.to_pylist(), (q, m)
             fa, fb = a.facet_counts(specs), b.facet_counts(specs)
         assert fa.num_rows and fa.equals(fb)
+
+
+def _tree_bytes(root) -> dict:
+    return {str(p): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("field,value", [("n_shards", 3), ("block_size", 16), ("with_positions", True)])
+def test_mismatched_cfg_is_refused(ray_session, tmp_path, field, value):
+    """A cfg whose n_shards, block_size or with_positions differs from the
+    manifest would write docs into shard dirs the engine never opens, or
+    streams it decodes with the wrong block size: append and compact raise
+    before writing anything, and the index still serves every doc."""
+    from smse_backend_ray.pipelines.build import compact_index
+
+    idx = tmp_path / "idx"
+    base = _mk_corpus([("r0", f"x/{i}.py", f"kappa{i} common tok") for i in range(30)])
+    build_index(corpus=_ds(base), index_dir=str(idx), cfg=EngineConfig(n_shards=2))
+    before = _tree_bytes(idx)
+    cfg = EngineConfig(**{"n_shards": 2, field: value})
+    extra = _mk_corpus([("r1", f"y/{i}.py", f"lambda{i} common tok") for i in range(30)])
+    with pytest.raises(ValueError, match=field):
+        append_index(_ds(extra), str(idx), cfg=cfg)
+    with pytest.raises(ValueError, match=field):
+        compact_index(str(idx), cfg=cfg)
+    assert _tree_bytes(idx) == before
+    # the matching cfg (and the manifest's) still append
+    append_index(_ds(extra), str(idx), cfg=EngineConfig(n_shards=2))
+    with SearchEngine(str(idx)) as eng:
+        assert eng.search("common", limit=80).num_rows == 60

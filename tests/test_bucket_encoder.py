@@ -1,5 +1,7 @@
 """BucketEncoder (whole-bucket vectorized path) must produce byte-identical
-segments to the per-term reference codec path. Since round 2 the shuffle
+segments to the per-term reference codec path. The build no longer runs the
+posting exchange; its runs payload, BucketEncoder and cfg_buckets stay for
+the perfbench/layers.py probes. Since round 2 the shuffle
 payload itself is varint-compressed (encode_runs/decode_runs), so the raw
 runs tables here route through encode_runs first — exercising the
 compressed map->reduce path end to end."""
@@ -126,24 +128,37 @@ SEGMENT_COLUMNS = ["shard_id", "term", "df_shard", "docs_bytes", "tfs_bytes", "d
 
 
 @pytest.mark.parametrize("positional", [False, True])
-def test_encoder_output_columns(positional):
-    from smse_backend_ray.stages.ingest import explode_preagg_batch, explode_preagg_batch_pos
+def test_encoder_output_columns(tmp_path, positional):
+    """The segment columns of a built index (pos_bytes only when positional;
+    shard_id is the hive dir) and, for plain postings, of BucketEncoder."""
+    import pyarrow.dataset as pads
+    import ray.data
+
+    from smse_backend_ray.pipelines.build import build_index
+    from smse_backend_ray.stages.ingest import explode_preagg_batch
 
     cfg = EngineConfig(n_shards=4, with_positions=positional)
     n_docs = 8
+    content = pa.array(["alpha beta beta"] * n_docs)
+    corpus = pa.table({
+        "repo": pa.array(["org/r"] * n_docs), "path": pa.array([f"f{i}.py" for i in range(n_docs)]),
+        "commit": pa.array(["c1"] * n_docs), "lang": pa.array(["py"] * n_docs), "content": content,
+    })
+    build_index(corpus=ray.data.from_arrow(corpus), index_dir=str(tmp_path), cfg=cfg)
+    built = pads.dataset(str(tmp_path / "segments"), partitioning="hive").to_table()
+    want = SEGMENT_COLUMNS + (["pos_bytes"] if positional else [])
+    assert sorted(built.column_names) == sorted(want)
+    assert built.num_rows == 2 * len(set(built["shard_id"].to_pylist()))
+    if positional:
+        return
     batch = {
         "doc_id": pa.array(range(100, 100 + n_docs), type=pa.int64()),
         "dl": pa.array([3] * n_docs, type=pa.int64()),
         "terms": pa.array([["alpha", "beta"]] * n_docs, type=pa.list_(pa.string())),
         "tfs": pa.array([[1, 2]] * n_docs, type=pa.list_(pa.int32())),
     }
-    explode = explode_preagg_batch
-    if positional:
-        batch["poss"] = pa.array([[0, 1, 2]] * n_docs, type=pa.list_(pa.int32()))
-        explode = explode_preagg_batch_pos
-    runs = explode(pa.table(batch), n_buckets=2, n_shards=cfg.n_shards)
+    runs = explode_preagg_batch(pa.table(batch), n_buckets=2, n_shards=cfg.n_shards)
     out = BucketEncoder(3.0, cfg)(runs.drop_columns(["skey"]))
-    want = SEGMENT_COLUMNS + (["pos_bytes"] if positional else [])
     assert out.num_rows == 2 * cfg.n_shards
     assert out.column_names == want
     empty = BucketEncoder(3.0, cfg)(runs.slice(0, 0).drop_columns(["skey"]))

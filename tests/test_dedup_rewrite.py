@@ -1,12 +1,13 @@
 """Exact dedup as an in-place rewrite of only the doc files that lose a row
-(pipelines/build.py _run_dedup / _drop_doc_rows).
+(pipelines/build.py _run_dedup: a per-shard scan, then _rewrite_doc_files).
 
 A planted file-mode corpus spreads its duplicates over three doc files:
 a distinct-sha pair inside one file, a distinct-sha pair across files, an
 equal-sha pair across files, an id with three copies, and a file whose only
 duplicated row is that id's winner. Checked on both executors (driver
 threads and Ray tasks), through a crash mid-rewrite, and through appends
-(which drop their collisions with the same per-file rewrite)."""
+(which drop their collisions with the same per-file rewrite). A second
+planted corpus spreads duplicated ids over several shards."""
 
 from __future__ import annotations
 
@@ -253,8 +254,8 @@ def test_crash_mid_rewrite_resumes(ray_session, built, input_files, oidx, tmp_pa
 
 
 def test_no_duplicates_on_ray_detection(ray_session, tmp_path):
-    """Above the driver budget, a corpus without duplicates: the Ray
-    aggregate finds none and no doc file is touched."""
+    """On Ray tasks, a corpus without duplicates: the per-shard scans find
+    none and no doc file is touched."""
     idx = str(tmp_path / "idx")
     build_index(
         corpus=ray.data.from_arrow(PARTS[2]), index_dir=idx,
@@ -311,18 +312,98 @@ def test_crash_inside_replace_fallback(built, tmp_path, after):
 
 def test_appends_drop_collisions_and_bound_meta_cache(ray_session, oidx, tmp_path):
     """Appends of the later parts: every colliding id keeps its OLD row
-    (existence-check first-wins), and the (doc_id, dl) cache keeps one
-    entry however many append workspaces it has seen."""
+    (existence-check first-wins). No stage keeps a per-index cache."""
     idx = str(tmp_path / "idx")
     cfg = EngineConfig(n_shards=2)
     build_index(corpus=ray.data.from_arrow(PARTS[0]), index_dir=idx, cfg=cfg)
     first = _docs(idx)
     for t in PARTS[1:]:
         append_index(ray.data.from_arrow(t), idx)
-    assert len(build._META_CACHE) <= 1
+    assert not hasattr(build, "_META_CACHE")
     docs = _docs(idx)
     assert docs.num_rows == len(set(docs["doc_id"].to_pylist())) == oidx.n_docs
     old = dict(zip(first["doc_id"].to_pylist(), first["content_sha256"].to_pylist()))
     for did, sha in zip(docs["doc_id"].to_pylist(), docs["content_sha256"].to_pylist()):
         if did in old:
             assert sha == old[did]
+
+
+def _multi_shard_corpus(n_shards: int) -> tuple[pa.Table, int]:
+    """Three input parts whose duplicated ids (2-3 copies each, distinct
+    contents, some copies in other parts) fall in every one of ``n_shards``
+    shards, plus unique rows. Returns the corpus and its duplicated-id
+    count."""
+    keys = [("org/m", f"m{i}.py", "c1") for i in range(40)]
+    by_shard: dict[int, list] = {}
+    for k in keys:
+        by_shard.setdefault(doc_id_from_key(*k) % n_shards, []).append(k)
+    assert len(by_shard) == n_shards
+    parts: list[list] = [[], [], []]
+    n_dup = 0
+    for s, ks in sorted(by_shard.items()):
+        for j, k in enumerate(ks[:2]):
+            copies = 2 + j  # one id with 2 copies, one with 3, per shard
+            for c in range(copies):
+                parts[c].append((*k, "py", f"dup {k[1]} copy{c} " + "tok " * c))
+            n_dup += 1
+        for k in ks[2:4]:
+            parts[0].append((*k, "py", f"unique {k[1]}"))
+    return [_part(p) for p in parts], n_dup
+
+
+@pytest.mark.parametrize("label", ["driver", "ray"])
+def test_duplicates_in_several_shards(ray_session, tmp_path, monkeypatch, label):
+    """Duplicated ids in every shard, each shard's copies spread over
+    several doc files: the build keeps each id's min-sha row (the oracle's
+    pick), and the manifest's duplicate count survives a crash mid-rewrite
+    and the resume."""
+    n_shards = 3
+    parts, n_dup = _multi_shard_corpus(n_shards)
+    corpus = pa.concat_tables(parts)
+    # batch_size 1: every input part is its own write task, so one id's
+    # copies sit in several doc files of its shard
+    extra = {} if label == "driver" else {"driver_agg_max_bytes": 0}
+    cfg = EngineConfig(n_shards=n_shards, batch_size=1, **extra)
+    ref, idx = str(tmp_path / "ref"), str(tmp_path / "idx")
+
+    def ds():
+        return ray.data.from_arrow(parts)
+
+    build_index(corpus=ds(), index_dir=ref, cfg=cfg)
+    oidx = build_oracle_index(corpus)
+    docs = _docs(ref)
+    assert docs.num_rows == oidx.n_docs == len(set(corpus.column("path").to_pylist()))
+    for r in docs.to_pylist():
+        assert r["content_sha256"] == oidx.docs[r["doc_id"]].content_sha256
+    m = Catalog(ref).manifest()["stages"]["dedup"]["metrics"]
+    assert m["duplicates"] == n_dup and m["rows_dropped"] == corpus.num_rows - oidx.n_docs
+    assert m["files_rewritten"] > n_shards  # several files per shard lost a row
+    with SearchEngine(ref) as eng:
+        for q in (["dup copy0"], ["tok"], ["unique"]):
+            got = eng.search(q, limit=50).to_pylist()
+            exp = oracle_search(oidx, q, limit=50)
+            assert [(g["doc_id"], g["exact_score"]) for g in got] == [
+                (e["doc_id"], e["score"]) for e in exp
+            ], q
+
+    real = build._rewrite_doc_file
+
+    def crashing(ifs, job):
+        if "/shard_id=1/" in job[0]:
+            raise RuntimeError("injected crash in the dedup rewrite")
+        time.sleep(0.5)
+        return real(ifs, job)
+
+    monkeypatch.setattr(build, "_rewrite_doc_file", crashing)
+    with pytest.raises(Exception, match="injected crash"):
+        build_index(corpus=ds(), index_dir=idx, cfg=cfg)
+    monkeypatch.setattr(build, "_rewrite_doc_file", real)
+    cat = Catalog(idx)
+    assert not cat.stage_done("dedup")
+    assert cat.stage_metrics("dedup") == {"duplicates": n_dup}
+
+    build_index(corpus=ds(), index_dir=idx, cfg=cfg)  # resume
+    assert Catalog(idx).manifest()["stages"]["dedup"]["metrics"]["duplicates"] == n_dup
+    assert _docs(idx).equals(_docs(ref))
+    assert _segments(idx).equals(_segments(ref))
+    assert _df(idx).equals(_df(ref))

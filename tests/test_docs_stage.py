@@ -3,10 +3,11 @@
 Read + analyze run once per input block, and a separate hive-partitioned
 write operator bundles their output to >= batch_size x n_shards rows per
 write task (build._docs_write_args), so a write of R rows into S shards
-makes at most S x (R // (batch_size x S) + 1) doc files. A build from many small input blocks must equal a one-block
-build (docs, segments, df, stats), stay within that bound, and record the
-docs-stage manifest metrics. compact_index writes its doc store the same
-way."""
+makes at most S x (R // (batch_size x S) + 1) doc files. A build from
+many small input blocks must equal a one-block build (docs, segments, df,
+stats), stay within that bound, and record the docs-stage manifest
+metrics. compact_index and the waves of a file-mode build write their doc
+store the same way."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import re
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 import pytest
 
 import ray.data
@@ -59,6 +61,8 @@ def corpus(sf_dir) -> pa.Table:
 
 @pytest.fixture(scope="module")
 def builds(ray_session, corpus, tmp_path_factory) -> dict[str, str]:
+    """Dataset-mode builds from one and from 40 input blocks, and a
+    file-mode build of 40 input files committed as one wave."""
     root = tmp_path_factory.mktemp("docs_stage")
     out = {}
     for name, ds in (
@@ -67,6 +71,13 @@ def builds(ray_session, corpus, tmp_path_factory) -> dict[str, str]:
     ):
         out[name] = str(root / name)
         build_index(corpus=ds, index_dir=out[name], cfg=EngineConfig(**CFG))
+    files = []
+    step = -(-corpus.num_rows // 40)
+    for i, start in enumerate(range(0, corpus.num_rows, step)):
+        files.append(str(root / f"part_{i:02d}.parquet"))
+        pq.write_table(corpus.slice(start, step), files[-1])
+    out["files"] = str(root / "files")
+    build_index(input_files=files, index_dir=out["files"], cfg=EngineConfig(**CFG, wave_size=len(files)))
     return out
 
 
@@ -82,10 +93,12 @@ def test_many_blocks_equal_one_block(builds):
 def test_doc_file_count_within_bound(builds, corpus):
     cfg = EngineConfig(**CFG)
     bound = _file_bound(corpus.num_rows, cfg)
-    # 40 unbundled blocks would write 40 x 2 files
+    # 40 unbundled blocks (or input files) would write 40 x 2 files
     assert bound < 40 * cfg.n_shards
+    assert set(builds) == {"one", "many", "files"}
     for idx in builds.values():
         assert 0 < len(_doc_infos(idx)) <= bound
+    assert all("/wave_000000/" in i.path for i in _doc_infos(builds["files"]))
 
 
 def test_analyze_runs_once_per_input_block(ray_session, corpus, tmp_path):

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import shutil
 
+import pyarrow as pa
 import pyarrow.fs as pafs
 import pytest
 
 import ray.data
 
 from smse_backend_ray.config import EngineConfig
-from smse_backend_ray.pipelines.build import build_index
+from smse_backend_ray.pipelines.build import append_index, build_index
 from smse_backend_ray.pipelines.bulk_search import bulk_search
 from smse_backend_ray.pipelines.search import SearchEngine
 from smse_backend_ray.state.catalog import Catalog
@@ -89,6 +90,21 @@ def test_subtree_filesystem_index(ray_session, local_baseline, tmp_path_factory)
     t = bulk_search(loc, [QuerySpec(query_id=1, parts=("hashMap lookup",))])
     assert t.num_rows > 0
 
+    # append through the same handle: the collision check reads the index's
+    # doc files beside the workspace's, both as root-relative paths
+    n_before = cat.get_stats()["n_docs"]
+    extra = pa.table({
+        "repo": ["org/a", "org/c"], "path": ["src/main.py", "src/new.py"],
+        "commit": ["c1", "c3"], "lang": ["py", "py"],
+        "content": ["collides with an indexed doc", "hashMap lookup appended"],
+    })
+    cat = append_index(ray.data.from_arrow(extra), loc)
+    assert cat.get_stats()["n_docs"] == n_before + 1
+    assert cat.generations()["1"]["dropped_existing"] == 1
+    with SearchEngine(loc) as eng:
+        paths = set(eng.search(["hashMap lookup"], limit=20)["path"].to_pylist())
+    assert "src/new.py" in paths
+
     # gc removes orphaned tmp state through the fs
     ifs = IndexFS(loc)
     ifs.mkdirs("zombie.tmp")
@@ -108,29 +124,6 @@ def test_indexfs_location_forms(tmp_path):
     c.write_json_atomic("m.json", {"k": 1})
     assert c.read_json("m.json") == {"k": 1}
     assert IndexFS(c).root == c.root  # idempotent wrap
-
-
-def test_column_bytes_budget_early_exit(tmp_path):
-    """column_bytes with a budget short-circuits once exceeded: the result
-    must still be > budget (so threshold compares stay correct) and must
-    equal the unbudgeted total when the data fits under the budget."""
-    import pyarrow as pa
-
-    ifs = IndexFS(str(tmp_path / "idx"))
-    ifs.mkdirs("d")
-    for i in range(6):
-        ifs.write_table(
-            pa.table({"doc_id": pa.array(range(i * 100, i * 100 + 100), type=pa.int64()),
-                      "dl": pa.array([7] * 100, type=pa.int64())}),
-            f"d/p{i}.parquet",
-        )
-    full = ifs.column_bytes("d", ["doc_id", "dl"])
-    assert full > 0
-    # generous budget: identical to the unbudgeted scan
-    assert ifs.column_bytes("d", ["doc_id", "dl"], budget=full * 2) == full
-    # tiny budget: early exit, but the partial total still exceeds it
-    partial = ifs.column_bytes("d", ["doc_id", "dl"], budget=1)
-    assert 1 < partial <= full
 
 
 def test_read_tables_order_and_edges(tmp_path):

@@ -1,16 +1,19 @@
-"""Segments without an exchange (pipelines/build._run_segments).
+"""One shard-local build at every size (pipelines/build.py).
 
-Under driver_agg_max_bytes each shard's segment table is encoded straight
-from its own docs/**/shard_id=S/ files; EngineConfig(driver_agg_max_bytes=0)
-forces the (term bucket, shard) exchange. Both paths must write the same
-segment rows: the hive-read segment tables are equal after sorting by
-(shard_id, term), the stage metrics agree, and search matches the oracle.
-Covered: positional and plain builds, dataset- and file-mode builds, an
-append generation, compaction, a corpus with more than one term bucket, an
-empty shard, and a crash inside one shard's encode."""
+Every stage after docs is one map over the docs/**/shard_id=S/ files;
+driver_agg_max_bytes only picks the executor: driver threads by default,
+Ray tasks with EngineConfig(driver_agg_max_bytes=0). Both executors must
+write the segment and df tables pinned in DIGESTS (recorded from the build
+that still ran a (term bucket, shard) posting exchange above the budget,
+whose two paths wrote exactly these tables), record the same stage
+metrics, and serve search equal to the oracle. Covered: positional and
+plain builds, dataset- and file-mode builds, an append generation,
+compaction, a one-shard corpus, an empty shard, and a crash inside one
+shard's encode."""
 
 from __future__ import annotations
 
+import hashlib
 import os
 import shutil
 import time
@@ -30,18 +33,38 @@ from smse_backend_ray.pipelines.build import append_index, build_index, compact_
 from smse_backend_ray.pipelines.search import SearchEngine
 from smse_backend_ray.sources.corpus import corpus_table_from_documents
 from smse_backend_ray.sources.synth import synth_corpus_table
-from smse_backend_ray.stages.ingest import cfg_buckets
 from smse_backend_ray.stages.scorer import ShardIndex
 from smse_backend_ray.state.catalog import Catalog
 from smse_backend_ray.state.fs import IndexFS
 
-PATHS = {"local": {}, "exchange": {"driver_agg_max_bytes": 0}}
+EXECUTORS = {"driver": {}, "ray": {"driver_agg_max_bytes": 0}}
 QUERIES = [["hash join table"], ["sample query"], ["index"], ["parse value"], ["test"]]
+
+# (segments, df): _digest of the sorted hive-read tables (pyarrow 16.1 IPC
+# bytes). The plain, compacted and file-mode/positional corpora share
+# tables: compaction of the even+odd append equals a plain build, and a
+# file-mode build of the same rows equals a dataset-mode one.
+_DF = "6cabd5bf2e22cfd4e7929a675da1e872006d94ee39b608b84012a69689d28233"
+DIGESTS = {
+    "plain": ("d56d9009bbcfdab3c292fec9e8d5ae46145591142cc891425b6b8cfc88cc212d", _DF),
+    "positional": ("a13c02e8fe1666ebc535231144bec79ff3e003909641bf04792bbfd795a27f37", _DF),
+    "files": ("a13c02e8fe1666ebc535231144bec79ff3e003909641bf04792bbfd795a27f37", _DF),
+    "appended": ("676ebf6f5c27704ab9ac929f7c3b6347525df5de85d9796cf4536a91eae6764f", _DF),
+    "compacted": ("d56d9009bbcfdab3c292fec9e8d5ae46145591142cc891425b6b8cfc88cc212d", _DF),
+    "one_shard": (
+        "f246150f1ef28d8b6a03993b5e3d786081d9610f64db62480bc9298b867b65ce",
+        "d56c190c0635f6be12f9be3cde473b7d24c2abbf5a630a3c18bf937e6ea62f79",
+    ),
+    "empty_shard": (
+        "cf29ff7051e20eaa793e12b59e7c208bf2b9a491c21f0b629b715d07ece342f1",
+        "047acf4e4bf68077fe268a2375628d285b37e733481e3f20dafde9783da1727b",
+    ),
+}
 
 
 def _segments(idx: str) -> pa.Table:
     # docs_bytes breaks the tie between generations of one (shard, term):
-    # their doc sets are disjoint, and file names differ between the paths
+    # their doc sets are disjoint
     t = pads.dataset(f"{idx}/segments", partitioning="hive").to_table()
     return t.sort_by([(c, "ascending") for c in ("shard_id", "term", "docs_bytes")])
 
@@ -50,25 +73,30 @@ def _df(idx: str) -> pa.Table:
     return pads.dataset(f"{idx}/df").to_table().sort_by("term")
 
 
+def _digest(t: pa.Table) -> str:
+    t = t.replace_schema_metadata(None).combine_chunks()
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return hashlib.sha256(sink.getvalue().to_pybytes()).hexdigest()
+
+
+def _assert_pinned(idx: str, corpus: str) -> None:
+    assert _segments(idx).num_rows
+    assert (_digest(_segments(idx)), _digest(_df(idx))) == DIGESTS[corpus]
+
+
 def _dir_bytes(idx: str, rel: str) -> int:
     return sum(i.size for i in IndexFS(idx).list_infos(rel, recursive=True) if i.is_file)
 
 
-def _assert_same_index(local: str, exchange: str) -> None:
-    seg = _segments(local)
-    assert seg.num_rows
-    assert seg.equals(_segments(exchange))
-    assert _df(local).equals(_df(exchange))
-
-
-def _assert_stage_metrics(idx: str, exchange: bool) -> None:
+def _assert_stage_metrics(idx: str) -> None:
     stages = Catalog(idx).manifest()["stages"]
     seg, df = _segments(idx), _df(idx)
     m = stages["segments"]["metrics"]
     postings = pc.sum(seg["df_shard"]).as_py()
     size = _dir_bytes(idx, "segments")
     assert m == {
-        "exchange": exchange,
         "postings": postings,
         "segment_rows": seg.num_rows,
         "bytes_written": size,
@@ -76,6 +104,8 @@ def _assert_stage_metrics(idx: str, exchange: bool) -> None:
     }
     assert stages["df"]["metrics"] == {"terms": df.num_rows, "bytes_written": _dir_bytes(idx, "df")}
     assert pc.sum(df["df"]).as_py() == postings
+    # one df file, whichever executor ran the build
+    assert [f.rsplit("/", 1)[1] for f in IndexFS(idx).list_files("df")] == ["df.parquet"]
 
 
 def _assert_search_matches_oracle(idx: str, oidx, queries=QUERIES) -> None:
@@ -108,10 +138,11 @@ def input_files(corpus, tmp_path_factory):
     return files
 
 
-def _build_pair(root, name: str, **build_kw) -> dict[str, str]:
+def _build_each(root, name: str, **build_kw) -> dict[str, str]:
+    """{executor: index dir} of one build under each executor."""
     cfg_kw = build_kw.pop("cfg_kw", {})
     out = {}
-    for label, extra in PATHS.items():
+    for label, extra in EXECUTORS.items():
         idx = str(root / f"{name}_{label}")
         build_index(index_dir=idx, cfg=EngineConfig(**cfg_kw, **extra), **build_kw)
         out[label] = idx
@@ -125,92 +156,93 @@ def _build_pair(root, name: str, **build_kw) -> dict[str, str]:
 def test_paths_agree(ray_session, corpus, oidx, input_files, tmp_path, mode, positional):
     cfg_kw = {"n_shards": 3, "with_positions": positional, "wave_size": 2}
     if mode == "dataset":
-        pair = _build_pair(tmp_path, mode, corpus=ray.data.from_arrow(corpus), cfg_kw=cfg_kw)
+        each = _build_each(tmp_path, mode, corpus=ray.data.from_arrow(corpus), cfg_kw=cfg_kw)
     else:
-        pair = _build_pair(tmp_path, mode, input_files=input_files, cfg_kw=cfg_kw)
+        each = _build_each(tmp_path, mode, input_files=input_files, cfg_kw=cfg_kw)
         # file-mode doc files sit under docs/wave_*/shard_id=S and carry
         # the extra partition_id column
-        docs = IndexFS(pair["local"]).list_files("docs", recursive=True, suffix=".parquet")
+        docs = IndexFS(each["driver"]).list_files("docs", recursive=True, suffix=".parquet")
         assert all("/wave_" in f for f in docs)
         assert "partition_id" in pq.read_schema(docs[0]).names
-    _assert_same_index(pair["local"], pair["exchange"])
-    for label, idx in pair.items():
-        _assert_stage_metrics(idx, exchange=label == "exchange")
+    corpus_name = "files" if mode == "files" else ("positional" if positional else "plain")
+    for idx in each.values():
+        _assert_pinned(idx, corpus_name)
+        _assert_stage_metrics(idx)
         _assert_search_matches_oracle(idx, oidx)
-    # the shard-local path writes one file per shard, without shard_id
-    files = IndexFS(pair["local"]).list_files("segments", recursive=True, suffix=".parquet")
-    assert [f.rsplit("/", 2)[1:] for f in files] == [
-        [f"shard_id={s}", "part-0.parquet"] for s in range(3)
-    ]
-    want = ["term", "df_shard", "docs_bytes", "tfs_bytes", "dls_bytes"]
-    assert pq.read_schema(files[0]).names == want + (["pos_bytes"] if positional else [])
+        # one segment file per shard, without shard_id
+        files = IndexFS(idx).list_files("segments", recursive=True, suffix=".parquet")
+        assert [f.rsplit("/", 2)[1:] for f in files] == [
+            [f"shard_id={s}", "part-0.parquet"] for s in range(3)
+        ]
+        want = ["term", "df_shard", "docs_bytes", "tfs_bytes", "dls_bytes"]
+        assert pq.read_schema(files[0]).names == want + (["pos_bytes"] if positional else [])
     if positional:
-        with SearchEngine(pair["local"]) as a, SearchEngine(pair["exchange"]) as b:
+        with SearchEngine(each["driver"]) as a, SearchEngine(each["ray"]) as b:
             for q, m in (("hash join", "phrase"), ("join table", "near")):
                 assert a.search(q, mode=m).to_pylist() == b.search(q, mode=m).to_pylist()
 
 
 @pytest.fixture(scope="module")
 def appended(ray_session, corpus, tmp_path_factory):
-    """{path: index dir} of an even-rows base build plus an odd-rows append."""
+    """{executor: index dir} of an even-rows base build plus an odd-rows
+    append."""
     par = pc.bit_wise_and(pa.array(range(corpus.num_rows)), 1)
     even, odd = corpus.filter(pc.equal(par, 0)), corpus.filter(pc.equal(par, 1))
     root = tmp_path_factory.mktemp("seg_append")
-    pair = _build_pair(root, "append", corpus=ray.data.from_arrow(even), cfg_kw={"n_shards": 3})
-    for idx in pair.values():
-        append_index(ray.data.from_arrow(odd), idx)
-    return pair
+    each = _build_each(root, "append", corpus=ray.data.from_arrow(even), cfg_kw={"n_shards": 3})
+    for label, idx in each.items():
+        append_index(ray.data.from_arrow(odd), idx, cfg=EngineConfig(n_shards=3, **EXECUTORS[label]))
+    return each
 
 
 def test_append_generation(appended, oidx):
-    _assert_same_index(appended["local"], appended["exchange"])
-    names = sorted(
-        f.rsplit("/", 1)[1]
-        for f in IndexFS(appended["local"]).list_files("segments/shard_id=0", suffix=".parquet")
-    )
-    assert names == ["gen000001_part-0.parquet", "part-0.parquet"]
     for idx in appended.values():
+        _assert_pinned(idx, "appended")
+        names = sorted(
+            f.rsplit("/", 1)[1]
+            for f in IndexFS(idx).list_files("segments/shard_id=0", suffix=".parquet")
+        )
+        assert names == ["gen000001_part-0.parquet", "part-0.parquet"]
+        assert [f.rsplit("/", 1)[1] for f in IndexFS(idx).list_files("df")] == ["df.parquet"]
         _assert_search_matches_oracle(idx, oidx)
 
 
 def test_compact(appended, oidx, tmp_path):
-    pair = {}
     for label, idx in appended.items():
-        pair[label] = str(tmp_path / label)
-        shutil.copytree(idx, pair[label])
-        compact_index(pair[label], cfg=EngineConfig(n_shards=3, **PATHS[label]))
-        assert Catalog(pair[label]).generations() == {}
-    _assert_same_index(pair["local"], pair["exchange"])
-    for idx in pair.values():
-        _assert_search_matches_oracle(idx, oidx)
+        dst = str(tmp_path / label)
+        shutil.copytree(idx, dst)
+        compact_index(dst, cfg=EngineConfig(n_shards=3, **EXECUTORS[label]))
+        assert Catalog(dst).generations() == {}
+        _assert_pinned(dst, "compacted")
+        _assert_search_matches_oracle(dst, oidx)
 
 
 def test_more_than_one_term_bucket(ray_session, tmp_path):
+    """The one-shard corpus: 1,200 docs in shard 0 (the posting exchange
+    split it over more than one term bucket)."""
     t = synth_corpus_table(1_200, tokens_per_doc=24)
-    cfg = EngineConfig(n_shards=1)
-    assert cfg_buckets(cfg, n_docs=t.num_rows) > 1
-    pair = _build_pair(tmp_path, "buckets", corpus=ray.data.from_arrow(t), cfg_kw={"n_shards": 1})
-    _assert_same_index(pair["local"], pair["exchange"])
+    each = _build_each(tmp_path, "one", corpus=ray.data.from_arrow(t), cfg_kw={"n_shards": 1})
     oidx = build_oracle_index(t)
-    terms = _df(pair["local"]).sort_by([("df", "descending")])["term"].to_pylist()
-    for idx in pair.values():
-        _assert_stage_metrics(idx, exchange=idx == pair["exchange"])
+    terms = _df(each["driver"]).sort_by([("df", "descending")])["term"].to_pylist()
+    for idx in each.values():
+        _assert_pinned(idx, "one_shard")
+        _assert_stage_metrics(idx)
         _assert_search_matches_oracle(idx, oidx, [[terms[0]], [terms[5], terms[-1]]])
 
 
 def test_empty_shard(ray_session, corpus, tmp_path):
     t = corpus.slice(0, 3)
-    pair = _build_pair(tmp_path, "empty", corpus=ray.data.from_arrow(t), cfg_kw={"n_shards": 6})
-    _assert_same_index(pair["local"], pair["exchange"])
+    each = _build_each(tmp_path, "empty", corpus=ray.data.from_arrow(t), cfg_kw={"n_shards": 6})
     oidx = build_oracle_index(t)
-    shards = set(_segments(pair["local"])["shard_id"].to_pylist())
-    assert len(shards) < 6
-    ifs = IndexFS(pair["local"])
-    for s in set(range(6)) - shards:
-        assert not ifs.exists(f"segments/shard_id={s}")
-    terms = _df(pair["local"])["term"].to_pylist()
-    for idx in pair.values():
-        _assert_stage_metrics(idx, exchange=idx == pair["exchange"])
+    terms = _df(each["driver"])["term"].to_pylist()
+    for idx in each.values():
+        _assert_pinned(idx, "empty_shard")
+        shards = set(_segments(idx)["shard_id"].to_pylist())
+        assert len(shards) < 6
+        ifs = IndexFS(idx)
+        for s in set(range(6)) - shards:
+            assert not ifs.exists(f"segments/shard_id={s}")
+        _assert_stage_metrics(idx)
         _assert_search_matches_oracle(idx, oidx, [[terms[0]], [terms[-1]]])
 
 
@@ -283,7 +315,9 @@ def test_build_job_reports_stage_walls_and_metrics(ray_session, corpus, tmp_path
         rep = job._stage_report(stages[s])
         assert rep["status"] == "done" and rep["wall_s"] >= 0
         assert rep["metrics"] == stages[s].get("metrics", {})
-    assert job._stage_report(stages["segments"])["metrics"]["exchange"] is False
+    assert set(job._stage_report(stages["segments"])["metrics"]) == {
+        "postings", "segment_rows", "bytes_written", "bytes_per_posting",
+    }
     assert set(job._stage_report(stages["docs"])["metrics"]) == {"files", "bytes_written", "rows"}
     cat.mark_stage("df", "running")
     assert job._stage_report(cat.manifest()["stages"]["df"])["wall_s"] is None

@@ -3,7 +3,8 @@ search_batch, search_prefix and more_like_this (and the scatter that
 facet_counts shares); the per-actor finalize that cuts each job's top-k over
 all of an actor's shards; the sorted-array membership test behind the
 tombstone and candidate filters; the resident term-sorted df column behind
-idf_weights; and a Ray-path (multi-file) df table.
+idf_weights, on a Ray-task build and on a df/ of several unsorted files as
+older builds wrote it.
 
 A mixed batch must equal, Table for Table, the concatenation of per-query
 search() calls, and match the Python oracle bitwise with tombstones in force,
@@ -14,6 +15,7 @@ indices back to batch positions), and with shards packed several to an actor
 from __future__ import annotations
 
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
@@ -44,6 +46,7 @@ from smse_backend_ray.state.catalog import Catalog
 POS_IDX = "/tmp/smse_test_gather_pos_idx"
 RAY_DF_IDX = "/tmp/smse_test_gather_raydf_idx"
 TIE_IDX = "/tmp/smse_test_gather_tie_idx"
+LEGACY_DF_IDX = "/tmp/smse_test_gather_legacy_df_idx"
 
 VOCAB = [
     "hash", "join", "table", "sort", "merge", "batch", "value", "fast",
@@ -318,8 +321,8 @@ def test_idf_weights_vocabulary_boundaries(pos_idx):
 
 @pytest.fixture(scope="module")
 def ray_df_idx(ray_session, sf_dir):
-    """sf0.001 built with every reduction on the Ray path: df/ is written by
-    Ray Data, possibly as several files."""
+    """sf0.001 built with every stage after docs on Ray tasks: df/ is still
+    one term-sorted file, summed on the driver."""
     shutil.rmtree(RAY_DF_IDX, ignore_errors=True)
     build_index(
         corpus=corpus_from_documents(sf_dir),
@@ -333,7 +336,7 @@ def test_ray_path_df_engine_matches_oracle_and_prefix_sql(ray_df_idx, duck):
     oidx = ray_df_idx
     prefixes = ((600, "pa"), (601, "wi"), (602, "s"), (603, "qqzz"))
     with SearchEngine(RAY_DF_IDX) as eng:
-        assert len(eng.ifs.list_files("df", suffix=".parquet")) > 1
+        assert len(eng.ifs.list_files("df", suffix=".parquet")) == 1
         # the resident column is the whole vocabulary, term-sorted
         assert eng._df_terms.tolist() == sorted(oidx.postings)
         for qs in ALL_QUERIES:
@@ -347,3 +350,24 @@ def test_ray_path_df_engine_matches_oracle_and_prefix_sql(ray_df_idx, duck):
     ).fetch_arrow_table()
     assert want.num_rows > 0
     assert got.select(cols).to_pylist() == want.select(cols).to_pylist()
+
+
+def test_multi_file_unsorted_df_of_older_builds(ray_df_idx):
+    """Older builds wrote df/ as several files, not term-sorted across
+    them: the engine still sorts the resident column and scores exactly."""
+    import pyarrow.parquet as pq
+
+    oidx = ray_df_idx
+    shutil.rmtree(LEGACY_DF_IDX, ignore_errors=True)
+    shutil.copytree(RAY_DF_IDX, LEGACY_DF_IDX)
+    df = pq.read_table(f"{LEGACY_DF_IDX}/df/df.parquet")
+    rev = df.take(pa.array(np.arange(df.num_rows)[::-1]))
+    half = df.num_rows // 2
+    pq.write_table(rev.slice(0, half), f"{LEGACY_DF_IDX}/df/part-a.parquet")
+    pq.write_table(rev.slice(half), f"{LEGACY_DF_IDX}/df/part-b.parquet")
+    Path(f"{LEGACY_DF_IDX}/df/df.parquet").unlink()
+    with SearchEngine(LEGACY_DF_IDX) as eng:
+        assert len(eng.ifs.list_files("df", suffix=".parquet")) == 2
+        assert eng._df_terms.tolist() == sorted(oidx.postings)
+        for qs in ALL_QUERIES:
+            assert _rows(_engine_call(eng, qs)) == _oracle(oidx, qs, set()), qs
