@@ -477,9 +477,9 @@ def _q_explain(sf_dir: str) -> Any:
 
 
 def _q_bm25_bulk(sf_dir: str) -> Any:
-    """Dataset-streaming bulk search path (pipelines/bulk_search.py): same
-    results as the serving path, produced by streaming the index instead of
-    holding it in actors."""
+    """Bulk search path (pipelines/bulk_search.py): the serving engine run
+    over the query list in search_batch chunks, results projected to
+    (query_id, rank, doc_id, score)."""
     from smse_backend_ray.pipelines.bulk_search import bulk_search
     from smse_backend_ray.queryset import BASE_QUERIES
 
@@ -490,8 +490,10 @@ def _q_bm25_bulk(sf_dir: str) -> Any:
 
 
 def _q_bm25_bulk_modal(sf_dir: str) -> Any:
-    """Bulk path with conj + exclusion modes (unscoped/unthresholded subset
-    of the modal fixtures — bulk carries no scope/threshold)."""
+    """Bulk path with conj + exclusion modes: the unscoped/unthresholded
+    subset of the modal fixtures, the set its SQL twin in oracle_sql()
+    covers (bulk applies scope/threshold like serving;
+    tests/test_bulk_search.py checks those specs against search_batch)."""
     from smse_backend_ray.pipelines.bulk_search import bulk_search
     from smse_backend_ray.queryset import CONJ_QUERIES, EXCLUDE_QUERIES
 

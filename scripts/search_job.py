@@ -13,8 +13,10 @@ Locally:
 
 Accepts repeated -q/--query flags or --queries-file (one query per line);
 prints one JSON line per result row. --bulk routes through the offline
-Dataset pipeline (pipelines/bulk_search.py) instead of the serving actors —
-right for millions of queries, identical results (tested).
+path (pipelines/bulk_search.py): the same serving engine fed in chunks of
+queries, with the same results (tested), and with --output it writes the
+results as parquet parts instead of printing them — right for millions of
+queries.
 """
 
 from __future__ import annotations
@@ -52,13 +54,14 @@ def main(argv: list[str] | None = None) -> int:
         "--snippets", action="store_true",
         help="also print kept-token snippets (needs a with_positions build)",
     )
-    ap.add_argument("--bulk", action="store_true", help="use the offline Dataset pipeline")
+    ap.add_argument("--bulk", action="store_true", help="use the offline chunked path")
     ap.add_argument(
         "--output",
         default=None,
-        help="(bulk only) write results as qbucket-partitioned parquet to "
-        "this directory instead of printing rows; prints the per-bucket "
-        "manifest (fact-scale result sets must not funnel through the driver)",
+        help="(bulk only) write results as one parquet part per query chunk "
+        "to this directory (replacing what it held) instead of printing "
+        "rows; prints the per-part manifest (fact-scale result sets must "
+        "not funnel through the driver)",
     )
     ap.add_argument(
         "--num-actors",
@@ -76,66 +79,47 @@ def main(argv: list[str] | None = None) -> int:
     if not queries:
         ap.error("no queries given (use -q or --queries-file)")
 
-    import ray
-
-    if not ray.is_initialized():
-        ray.init(address="local", include_dashboard=False)
-
     if args.output and not args.bulk:
         ap.error("--output is a --bulk feature (the serving path prints rows)")
+    if args.bulk and (args.facets or args.snippets):
+        ap.error("--bulk does not print facets or snippets (serving-path features)")
+
+    import ray
+
+    # shut down only a Ray session this call started (a caller's stays up)
+    own_ray = not ray.is_initialized()
+    if own_ray:
+        ray.init(address="local", include_dashboard=False)
+
+    from smse_backend_ray.queryset import QuerySpec
+
+    specs = [
+        QuerySpec(
+            query_id=i,
+            parts=(q,),
+            scope=args.scope,
+            limit=args.limit,
+            threshold=args.threshold,
+            mode=args.mode,
+            slop=args.slop,
+            exclude=tuple(args.exclude),
+        )
+        for i, q in enumerate(queries)
+    ]
     if args.bulk:
         from smse_backend_ray.pipelines.bulk_search import bulk_search
-        from smse_backend_ray.queryset import QuerySpec
 
-        if args.facets or args.snippets or args.mode in ("phrase", "near"):
-            ap.error(
-                "--bulk supports --mode or/and and --exclude only "
-                "(facets/snippets/phrase/near are serving-path features)"
-            )
-        if args.scope or args.threshold is not None:
-            ap.error(
-                "--bulk does not implement --scope/--threshold (the offline "
-                "pipeline drops them; use the serving path) — refusing to "
-                "return silently unfiltered results"
-            )
-        specs = [
-            QuerySpec(
-                query_id=i,
-                parts=(q,),
-                scope=args.scope,
-                limit=args.limit,
-                mode=args.mode,
-                exclude=tuple(args.exclude),
-            )
-            for i, q in enumerate(queries)
-        ]
         if args.output:
-            manifest = bulk_search(
-                args.index_dir, specs, limit=args.limit, out_dir=args.output
-            )
+            manifest = bulk_search(args.index_dir, specs, out_dir=args.output)
             for row in manifest.to_pylist():
                 print(json.dumps({"output": args.output, **row}))
         else:
-            out = bulk_search(args.index_dir, specs, limit=args.limit)
+            out = bulk_search(args.index_dir, specs)
             for row in out.to_pylist():
                 print(json.dumps({"query": queries[row["query_id"]], **row}, default=str))
     else:
         from smse_backend_ray.pipelines.search import SearchEngine
-        from smse_backend_ray.queryset import QuerySpec
 
-        specs = [
-            QuerySpec(
-                query_id=i,
-                parts=(q,),
-                scope=args.scope,
-                limit=args.limit,
-                threshold=args.threshold,
-                mode=args.mode,
-                slop=args.slop,
-                exclude=tuple(args.exclude),
-            )
-            for i, q in enumerate(queries)
-        ]
         with SearchEngine(args.index_dir, num_actors=args.num_actors) as eng:
             res = eng.search_batch(specs)  # one scatter/gather for the batch
             for row in res.to_pylist():
@@ -146,7 +130,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.snippets:
                 for row in eng.snippets(specs).to_pylist():
                     print(json.dumps({"snippet_row": True, **row}))
-    ray.shutdown()
+    if own_ray:
+        ray.shutdown()
     return 0
 
 

@@ -59,15 +59,6 @@ def tokens_cte(src: str, id_cols: str, text_col: str) -> str:
     )
 
 
-def raw_tokens_cte(src: str, id_cols: str, text_col: str) -> str:
-    """Same but unfiltered (analyzer.split_subtokens): used by quality ops."""
-    return (
-        f"SELECT {id_cols}, t.term AS term "
-        f"FROM {src} AS src, unnest({subtoken_expr('src.' + text_col)}) AS t(term) "
-        f"WHERE t.term <> ''"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Corpus derivation from the driver's `documents` table
 # ---------------------------------------------------------------------------

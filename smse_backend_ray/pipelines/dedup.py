@@ -188,20 +188,6 @@ def _shingle_rows(t: pa.Table) -> pa.Table:
 # candidate rows and kills the job at scale.
 
 
-def _emit_pairs_group(g: pa.Table) -> pa.Table:
-    """All (a < b) doc pairs within one shingle/band group (scalar
-    reference; the hot path is the bucketed vectorized _pairs_within_key)."""
-    dids = sorted(set(g["doc_id"].to_pylist()))
-    a, b = [], []
-    for i in range(len(dids)):
-        for j in range(i + 1, len(dids)):
-            a.append(dids[i])
-            b.append(dids[j])
-    return pa.table(
-        {"a": pa.array(a, type=pa.int64()), "b": pa.array(b, type=pa.int64())}
-    )
-
-
 _PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("n", pa.int64())])
 
 

@@ -120,7 +120,3 @@ ALL_QUERIES: tuple[QuerySpec, ...] = (
     BASE_QUERIES + SCOPED_QUERIES + MULTIPART_QUERIES + CONJ_QUERIES + EXCLUDE_QUERIES
 )
 
-
-def query_parts_rows(queries: tuple[QuerySpec, ...]) -> list[tuple[int, str]]:
-    """(query_id, part) rows for the SQL VALUES list."""
-    return [(q.query_id, p) for q in queries for p in q.parts]
