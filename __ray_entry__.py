@@ -306,9 +306,9 @@ def _q_repo_sizes(sf_dir: str) -> Any:
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    import ray
-    import ray.data
     from ray.data.aggregate import Sum
+
+    from smse_backend_ray.state.fs import resolve
 
     idx = _index_for(sf_dir)
 
@@ -323,7 +323,7 @@ def _q_repo_sizes(sf_dir: str) -> Any:
         )
 
     agg = (
-        ray.data.read_parquet(os.path.join(idx, "docs"), columns=["repo", "n_bytes"])
+        resolve(idx).ray_read_parquet("docs", columns=["repo", "n_bytes"])
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("repo")
         .aggregate(Sum("cnt", alias_name="n_docs"), Sum("bytes", alias_name="total_bytes"))
@@ -346,15 +346,12 @@ def _q_top_docs_per_repo(sf_dir: str, k: int = 3) -> Any:
     pipelines/grouped_topk.py for the scale shape)."""
     import pyarrow.compute as pc
 
-    import ray.data
-
     from smse_backend_ray.functions.collect import collect_table
     from smse_backend_ray.pipelines.grouped_topk import grouped_topk
+    from smse_backend_ray.state.fs import resolve
 
     idx = _index_for(sf_dir)
-    ds = ray.data.read_parquet(
-        os.path.join(idx, "docs"), columns=["repo", "doc_id", "n_bytes"]
-    )
+    ds = resolve(idx).ray_read_parquet("docs", columns=["repo", "doc_id", "n_bytes"])
     t = collect_table(grouped_topk(ds, "repo", "n_bytes", k))
     t = t.select(["repo", "rank", "doc_id", "n_bytes"])
     return t.take(

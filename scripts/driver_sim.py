@@ -1,9 +1,14 @@
 """Simulate the driver's correctness gate: run every queries() entry and its
 oracle_sql() twin on the same sf dir, compare row count + schema + sorted
-values. Usage: python scripts/driver_sim.py [sf_dir] [entry_name ...]"""
+values. Usage: python scripts/driver_sim.py [sf_dir] [entry_name ...]
+
+Each entry's name is printed (``run <name>``, flushed) before it starts, so
+a process that dies inside an entry names it; the sweep's total wall is
+printed last."""
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -62,6 +67,7 @@ def compare(name: str, mine: pd.DataFrame, orc: pd.DataFrame) -> list[str]:
 
 
 def main():
+    t_sweep = time.perf_counter()
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
@@ -69,7 +75,7 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()
@@ -78,9 +84,7 @@ def main():
     ).split():
         # partial sf dirs (e.g. a fuzz corpus that only has documents) still
         # replay the entries whose tables exist
-        import os as _os
-
-        if _os.path.exists(f"{sf_dir}/{t}.parquet"):
+        if os.path.exists(f"{sf_dir}/{t}.parquet"):
             con.sql(
                 f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
             )
@@ -96,6 +100,7 @@ def main():
         qs = {k: v for k, v in qs.items() if k in only}
     n_bad = 0
     for name, fn in qs.items():
+        print(f"run {name}", flush=True)
         t0 = time.perf_counter()
         mine = to_pandas(fn(sf_dir))
         dt = time.perf_counter() - t0
@@ -114,6 +119,7 @@ def main():
     if not only:
         e = to_pandas(entrymod.entry())
         print(f"entry() -> {len(e)} rows, cols {list(e.columns)}")
+    print(f"sweep wall {time.perf_counter() - t_sweep:.1f}s")
     print("BAD:", n_bad)
     return n_bad
 

@@ -182,11 +182,8 @@ def attach_unique(left, right, lkey, rkey, left_schema, payload_schema, nb=None)
     )
 
     def joiner(lt: "pa.Table", rt: "pa.Table") -> "pa.Table":
-        rt = rt.rename_columns(
-            ["__rk" if n == lkey else n for n in rt.column_names]
-        )
-        j = lt.join(rt, keys=[lkey], right_keys=["__rk"], join_type="inner")
-        return j.select(lnames + pnames)
+        # same key name on both sides: pyarrow coalesces the key columns
+        return lt.join(rt, lkey, join_type="inner").select(lnames + pnames)
 
     return _bucketed_join(
         left, right_renamed, [lkey], left_schema, right_schema, joiner, nb=nb
@@ -209,11 +206,7 @@ def attach_left(left, right, lkey, rkey, left_schema, payload_schema, nb=None):
     )
 
     def joiner(lt: "pa.Table", rt: "pa.Table") -> "pa.Table":
-        rt = rt.rename_columns(
-            ["__rk" if n == lkey else n for n in rt.column_names]
-        )
-        j = lt.join(rt, keys=[lkey], right_keys=["__rk"], join_type="left outer")
-        return j.select(lnames + pnames)
+        return lt.join(rt, lkey, join_type="left outer").select(lnames + pnames)
 
     return _bucketed_join(
         left, right_renamed, [lkey], left_schema, right_schema, joiner, nb=nb,
@@ -321,12 +314,10 @@ def grouped_aggregate(ds, keys, aggs, nb=None):
         return out
 
     def agg_group(g: "pa.Table") -> "pa.Table":
-        t = g.drop_columns(["__b"])
-        ga = t.group_by(list(keys)).aggregate([(c, op) for c, op, _ in aggs])
-        cols = {k: ga[k] for k in keys}
-        for c, op, out in aggs:
-            cols[out] = ga[f"{c}_{op}"]
-        return pa.table(cols)
+        ga = g.group_by(list(keys)).aggregate([(c, op) for c, op, _ in aggs])
+        return ga.select(list(keys) + [f"{c}_{op}" for c, op, _ in aggs]).rename_columns(
+            list(keys) + [out for _, _, out in aggs]
+        )
 
     return (
         ds.map_batches(tag_safe, batch_format="pyarrow", zero_copy_batch=True)

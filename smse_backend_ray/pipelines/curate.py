@@ -42,7 +42,7 @@ import ray
 import ray.data
 
 from smse_backend_ray.functions.collect import collect_table
-from smse_backend_ray.sources.corpus import _parallel_blocks, _parquet_rows
+from smse_backend_ray.sources.corpus import _parquet_rows, read_table
 
 
 def curation_pipeline(
@@ -119,9 +119,7 @@ def curation_pipeline(
          ("fingerprint", pa.string()), ("quality", pa.float64()),
          ("n_tokens", pa.int64()), ("skey", pa.int64())]
     )
-    path = os.path.join(sf_dir, "documents.parquet")
-    ds = ray.data.read_parquet(path, columns=["doc_id", "text", "lang"])
-    ds = ds.repartition(_parallel_blocks(_parquet_rows(path)))
+    ds = read_table(sf_dir, "documents", ["doc_id", "text", "lang"])
     rows = ds.map_batches(
         meta, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()

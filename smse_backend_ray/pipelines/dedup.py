@@ -47,7 +47,7 @@ from smse_backend_ray.functions.analyzer import split_subtokens
 from smse_backend_ray.functions.collect import collect_table
 from smse_backend_ray.functions.rounding import round_half_away
 from smse_backend_ray.pipelines.simsearch import _emb_matrix
-from smse_backend_ray.sources.corpus import _parallel_blocks, _parquet_rows
+from smse_backend_ray.sources.corpus import _parquet_rows, read_table
 
 SHINGLE_K = 3
 JACCARD_THRESHOLD = 0.5
@@ -79,9 +79,7 @@ def _compact(ds_mat, rows_per_block: int = 4096):
 
 
 def _read_documents(sf_dir: str) -> "ray.data.Dataset":
-    path = os.path.join(sf_dir, "documents.parquet")
-    ds = ray.data.read_parquet(path, columns=["doc_id", "text"])
-    return ds.repartition(_parallel_blocks(_parquet_rows(path)))
+    return read_table(sf_dir, "documents", ["doc_id", "text"])
 
 
 def doc_shingles(text: str, k: int = SHINGLE_K) -> list[str]:
@@ -345,6 +343,14 @@ def _score_jaccard(
     return t.take(pc.sort_indices(t, sort_keys=[("a", "ascending"), ("b", "ascending")]))
 
 
+def _keep_latest(cache: dict, key, value) -> None:
+    """Store ``value`` as the cache's ONLY entry: a process that walks
+    several sf dirs, thresholds or caps keeps the latest result, never
+    one table per key it has seen."""
+    cache.clear()
+    cache[key] = value
+
+
 _HOT_SHINGLE_CACHE: dict[tuple, tuple[tuple, object]] = {}
 
 
@@ -383,8 +389,7 @@ def _global_hot_shingles(sf_dir: str, df_cap: int, op: str):
             op, n_hot, df_cap,
         )
     out = (_compact(hot_ds), n_hot)
-    _HOT_SHINGLE_CACHE.clear()
-    _HOT_SHINGLE_CACHE[(stamp[0], df_cap)] = (stamp, out)
+    _keep_latest(_HOT_SHINGLE_CACHE, (stamp[0], df_cap), (stamp, out))
     return out
 
 
@@ -532,17 +537,17 @@ def jaccard_pairs(
     full (doc_id, shingle) row set to feed both consumers — pins tokens x
     docs rows in the object store, which is the wrong trade at 100 TB.
 
-    The verified pair table is memoized per (documents stamp, threshold,
-    df_cap): dedup_clusters and dedup_survivors both start from these
-    pairs, and each gate entry otherwise re-runs the full two-pass shingle
-    sweep."""
+    The verified pair table of the LATEST (documents stamp, threshold,
+    df_cap) is memoized: dedup_clusters and dedup_survivors both start
+    from these pairs, and each gate entry otherwise re-runs the full
+    two-pass shingle sweep."""
     ckey = (_docs_stamp(sf_dir), float(threshold), int(df_cap))
     hit = _JACCARD_CACHE.get(ckey[1:])
     if hit and hit[0] == ckey[0]:
         return hit[1]
     inter, sizes_ds = _shingle_inter_sizes(sf_dir, df_cap, "jaccard_pairs")
     out = _score_jaccard(inter, sizes_ds, threshold)
-    _JACCARD_CACHE[ckey[1:]] = (ckey[0], out)
+    _keep_latest(_JACCARD_CACHE, ckey[1:], (ckey[0], out))
     _release_candidates(ckey[0], int(df_cap))
     return out
 
@@ -629,7 +634,7 @@ def containment_pairs(
         return hit[1]
     inter, sizes_ds = _shingle_inter_sizes(sf_dir, df_cap, "containment_pairs")
     out = _score_jaccard(inter, sizes_ds, threshold, formula="containment")
-    _CONTAIN_CACHE[ckey[1:]] = (ckey[0], out)
+    _keep_latest(_CONTAIN_CACHE, ckey[1:], (ckey[0], out))
     _release_candidates(ckey[0], int(df_cap))
     return out
 
@@ -1051,7 +1056,7 @@ def embedding_dup_pairs(
     from ray.data.aggregate import Count, Max, Min
 
     path = os.path.join(sf_dir, "embeddings.parquet")
-    mm = ray.data.read_parquet(path, columns=["vec_id"]).aggregate(
+    mm = read_table(sf_dir, "embeddings", ["vec_id"], repartition=False).aggregate(
         Count(alias_name="n"), Min("vec_id", alias_name="lo"), Max("vec_id", alias_name="hi")
     )
     if not mm["n"]:
@@ -1186,12 +1191,7 @@ def embedding_dup_pairs_ivf(
         )
 
     out = (
-        ray.data.read_parquet(
-            os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
-        )
-        .repartition(
-            _parallel_blocks(_parquet_rows(os.path.join(sf_dir, "embeddings.parquet")))
-        )
+        read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
         .map_batches(assign_rows, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("cluster")
         .map_groups(pair_group, batch_format="pyarrow")
@@ -1532,11 +1532,7 @@ SUBSTR_DUP_MIN_DF = 2  # a gram is "duplicated" when >= 2 distinct docs carry it
 def _read_doc_ids(sf_dir: str) -> "ray.data.Dataset":
     # doc_id-only scan is cheap columnar work — coarse blocks (the 64-row
     # text-stage floor manufactured ~80 near-empty tasks at 5k docs)
-    path = os.path.join(sf_dir, "documents.parquet")
-    ds = ray.data.read_parquet(path, columns=["doc_id"])
-    return ds.repartition(
-        _parallel_blocks(_parquet_rows(path), rows_per_block=4096)
-    )
+    return read_table(sf_dir, "documents", ["doc_id"], rows_per_block=4096)
 
 
 def _doc_buckets(sf_dir: str) -> int:
@@ -1721,9 +1717,7 @@ def dup_rate_by_source(
     )
     if pairs.num_rows == 0:
         return empty
-    src_ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source"]
-    )
+    src_ds = read_table(sf_dir, "documents", ["doc_id", "source"], repartition=False)
     pairs_ds = ray.data.from_arrow(pairs.select(["a", "b"]))
     pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
     nb = max(4, min(64, -(-pairs.num_rows // 512)))

@@ -7,48 +7,89 @@ tumbling time windows (groupby on a truncated timestamp) and gap-based
 sessionization (per-key ordered scan inside ``map_groups``). Ordering
 assumption: sessionization sorts each user's events by ts within the group;
 event time is taken as-is (no watermarks/late data — SURVEY.md §2.9).
+
+Per-user operators share one plan (``_by_user``): ONE exchange on a
+user-hash bucket, MANY users per reduce group, vectorized inside (a
+per-user map_groups pays a Python call per user — the Ray per-small-unit
+tax, catastrophic at 10^9 users; BASELINE.md round-3), then a driver fold
+of the bounded per-bucket partials.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
-import ray.data
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Sum
 
 from smse_backend_ray.config import RANGE_JOIN_BUCKET_PAIR_CAP
+from smse_backend_ray.functions.arrow_kernels import (
+    agg,
+    arrow_map,
+    exchange,
+    hist_quantiles,
+    int64_schema,
+    run_rank,
+)
 from smse_backend_ray.functions.collect import collect_table
+from smse_backend_ray.functions.joins import grouped_aggregate, with_schema
 from smse_backend_ray.functions.rounding import round_half_away
-from smse_backend_ray.sources.corpus import _parallel_blocks, _parquet_rows
+from smse_backend_ray.sources.corpus import read_table
 
 SESSION_GAP_MIN = 30
+_COLS = ["event_id", "ts", "user_id", "event_type", "value"]
+_US = pa.timestamp("us")
 
 
-def _read_events(sf_dir: str, ts_range_us: "tuple[int, int] | None" = None) -> "ray.data.Dataset":
+def _read(sf_dir: str, columns: list[str] = _COLS, ts_range_us=None):
     """events.parquet scan; ``ts_range_us`` = (lo, hi) epoch-us half-open
     bound pushed into the parquet read (row-group stats pruning) — used by
     re-scan passes that only need a time slice of the stream."""
-    path = os.path.join(sf_dir, "events.parquet")
-    kwargs = {}
+    f = None
     if ts_range_us is not None:
         import pyarrow.dataset as pads
 
-        lo, hi = ts_range_us
-        f = pads.field("ts")
-        kwargs["filter"] = (f >= pa.scalar(lo, type=pa.timestamp("us"))) & (
-            f < pa.scalar(hi, type=pa.timestamp("us"))
-        )
-    ds = ray.data.read_parquet(
-        path,
-        columns=["event_id", "ts", "user_id", "event_type", "value"],
-        **kwargs,
-    )
-    return ds.repartition(_parallel_blocks(_parquet_rows(path)))
+        lo, hi = (pa.scalar(v, type=_US) for v in ts_range_us)
+        f = (pads.field("ts") >= lo) & (pads.field("ts") < hi)
+    return read_table(sf_dir, "events", columns, filter=f)
+
+
+def _by_user(ds, per_bucket, schema: pa.Schema) -> pa.Table:
+    """ONE exchange on a user-hash bucket; ``per_bucket`` resolves all of a
+    bucket's users in one numpy pass; the typed partials are collected."""
+    return collect_table(exchange(ds, "user_id", per_bucket, schema), empty_schema=schema)
+
+
+def _epoch_us(ts: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    """Exact epoch microseconds (casts through timestamp[us], no floats)."""
+    return pc.cast(pc.cast(ts, _US), pa.int64()).to_numpy()
+
+
+def _timeline(g: pa.Table, *within: np.ndarray):
+    """The frozen per-user event order (user_id, *within, ts, event_id):
+    (permutation, sorted user ids, sorted epoch-us ts)."""
+    u = pc.cast(g["user_id"], pa.int64()).to_numpy()
+    ts = _epoch_us(g["ts"])
+    eid = pc.cast(g["event_id"], pa.int64()).to_numpy()
+    order = np.lexsort((eid, ts, *reversed(within), u))
+    return order, u[order], ts[order]
+
+
+def _scaled4(col) -> np.ndarray:
+    """round(value*10000)::int64 — the half-away formula of rounding.py,
+    kept in the scaled-integer domain (SQL twin: round(value*10000, 0)).
+    NULL arrives as NaN and scales to 0: SQL SUM skips NULLs, which in the
+    exact-integer domain is identical to adding 0 (and the int64 cast
+    would otherwise turn NaN into INT64_MIN garbage)."""
+    v = col.to_numpy(zero_copy_only=False).astype(np.float64)
+    v = np.where(np.isnan(v), 0.0, v)
+    return (np.sign(v) * np.floor(np.abs(v) * 10000.0 + 0.5)).astype(np.int64)
+
+
+def _round4_scaled(iv) -> pa.Array:
+    return pa.array(round_half_away(iv.to_numpy().astype(np.float64) / 10000.0, 4),
+                    type=pa.float64())
 
 
 def hourly_window_agg(sf_dir: str) -> pa.Table:
@@ -64,57 +105,19 @@ def hourly_window_agg(sf_dir: str) -> pa.Table:
     result depends on Ray's re-reduce order (README float policy)."""
 
     def partial(t: pa.Table) -> pa.Table:
-        win = pc.floor_temporal(t["ts"], unit="hour")
-        v = t["value"].to_numpy(zero_copy_only=False).astype(np.float64)
-        # null values arrive as NaN; sign/floor would propagate NaN and the
-        # int64 cast would turn it into INT64_MIN garbage. SQL SUM skips
-        # NULLs, which in the exact-integer domain is identical to adding 0
-        # (n stays count(*), matching the SQL twin's count of all rows).
-        v = np.where(np.isnan(v), 0.0, v)
-        # floor(|v|*1e4 + 0.5): same half-away formula as rounding.py, kept
-        # in the scaled-integer domain (SQL twin: round(value*10000, 0))
-        iv = (np.sign(v) * np.floor(np.abs(v) * 10000.0 + 0.5)).astype(np.int64)
-        g = (
-            pa.table(
-                {
-                    "window": win,
-                    "event_type": t["event_type"],
-                    "sum_iv": pa.array(iv, type=pa.int64()),
-                }
-            )
-            .group_by(["window", "event_type"])
-            .aggregate([("sum_iv", "sum"), ("sum_iv", "count")])
-        )
-        return pa.table(
-            {
-                "window": g["window"],
-                "event_type": g["event_type"],
-                "sum_iv": g["sum_iv_sum"],
-                "n": pc.cast(g["sum_iv_count"], pa.int64()),
-            }
-        )
+        # n stays count(*), matching the SQL twin's count of all rows
+        part = pa.table({"window": pc.floor_temporal(t["ts"], unit="hour"),
+                         "event_type": t["event_type"], "iv": _scaled4(t["value"])})
+        return agg(part, ["window", "event_type"], sum_iv=("iv", "sum"), n=("iv", "count"))
 
-    agg = (
-        _read_events(sf_dir)
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    t = collect_table(
+        arrow_map(_read(sf_dir), partial)
         .groupby(["window", "event_type"])
         .aggregate(Sum("sum_iv", alias_name="sum_iv"), Sum("n", alias_name="n"))
     )
-    t = collect_table(agg)
-    sum_value = t["sum_iv"].to_numpy().astype(np.float64) / 10000.0
-    t = pa.table(
-        {
-            "window": pc.cast(t["window"], pa.timestamp("us")),
-            "event_type": t["event_type"],
-            "n": pc.cast(t["n"], pa.int64()),
-            "sum_value": pa.array(round_half_away(sum_value, 4), type=pa.float64()),
-        }
-    )
-    return t.take(
-        pc.sort_indices(
-            t, sort_keys=[("window", "ascending"), ("event_type", "ascending")]
-        )
-    )
+    t = pa.table({"window": pc.cast(t["window"], _US), "event_type": t["event_type"],
+                  "n": pc.cast(t["n"], pa.int64()), "sum_value": _round4_scaled(t["sum_iv"])})
+    return t.sort_by([("window", "ascending"), ("event_type", "ascending")])
 
 
 def hourly_window_agg_sql() -> str:
@@ -128,22 +131,6 @@ FROM events GROUP BY 1, 2 ORDER BY 1, 2
 """
 
 
-def _user_bucket_rows(t: pa.Table, nb: int) -> pa.Table:
-    """Tag event rows with a user-hash bucket (Knuth multiplicative) — the
-    exchange key for per-user ops: MANY users per reduce group, vectorized
-    inside (a per-user map_groups pays a Python call per user — the Ray
-    per-small-unit tax, catastrophic at 10^9 users; BASELINE.md round-3)."""
-    u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    ub = ((u * np.uint64(2654435761)) % np.uint64(nb)).astype(np.int64)
-    return t.append_column("__ub", pa.array(ub, type=pa.int64()))
-
-
-def _n_user_buckets() -> int:
-    from smse_backend_ray.functions.joins import _n_buckets
-
-    return _n_buckets()
-
-
 def user_sessions(sf_dir: str, gap_min: int = SESSION_GAP_MIN) -> pa.Table:
     """Gap-based sessionization per user: a new session starts when the gap
     to the previous event exceeds ``gap_min`` minutes. Returns per-user
@@ -153,45 +140,19 @@ def user_sessions(sf_dir: str, gap_min: int = SESSION_GAP_MIN) -> pa.Table:
     its users sessionize in a single numpy pass (lexsort by (user, ts,
     event_id) -> user segment bounds -> gap diffs -> per-user bincount) —
     never a Python call per user."""
-    nb = _n_user_buckets()
     gap_us = gap_min * 60 * 1_000_000
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        u = pc.cast(g["user_id"], pa.int64()).to_numpy()
-        ts = _epoch_us(g["ts"])
-        eid = pc.cast(g["event_id"], pa.int64()).to_numpy()
-        order = np.lexsort((eid, ts, u))
-        u_s, ts_s = u[order], ts[order]
-        newu = np.empty(len(u_s), dtype=bool)
-        newu[0] = True
-        newu[1:] = u_s[1:] != u_s[:-1]
-        new_session = newu.copy()
-        gaps = np.diff(ts_s)
-        new_session[1:] |= (~newu[1:]) & (gaps > gap_us)
-        seg_id = np.cumsum(newu) - 1
-        users = u_s[newu]
-        n_sessions = np.bincount(seg_id, weights=new_session).astype(np.int64)
-        n_events = np.bincount(seg_id).astype(np.int64)
-        return pa.table(
-            {
-                "user_id": pa.array(users, type=pa.int64()),
-                "n_sessions": pa.array(n_sessions, type=pa.int64()),
-                "n_events": pa.array(n_events, type=pa.int64()),
-            }
-        )
+        _, u, ts = _timeline(g)
+        start, run, _ = run_rank(u)
+        new_session = start.copy()
+        new_session[1:] |= (~start[1:]) & (np.diff(ts) > gap_us)
+        return pa.table({"user_id": u[start],
+                         "n_sessions": np.bincount(run, weights=new_session).astype(np.int64),
+                         "n_events": np.bincount(run).astype(np.int64)})
 
-    out = (
-        _read_events(sf_dir)
-        .map_batches(
-            lambda t: _user_bucket_rows(t, nb),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("__ub")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
-    t = collect_table(out)
-    return t.take(pc.sort_indices(t["user_id"]))
+    schema = int64_schema("user_id", "n_sessions", "n_events")
+    return _by_user(_read(sf_dir), per_bucket, schema).sort_by("user_id")
 
 
 def user_running_totals(sf_dir: str) -> pa.Table:
@@ -210,65 +171,22 @@ def user_running_totals(sf_dir: str) -> pa.Table:
     users compute in a single numpy pass (lexsort -> segment bounds ->
     arange/diff/cumsum with per-segment rebasing) — never a Python call
     per user or per row."""
-    nb = _n_user_buckets()
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        u = pc.cast(g["user_id"], pa.int64()).to_numpy()
-        ts = _epoch_us(g["ts"])
-        eid = pc.cast(g["event_id"], pa.int64()).to_numpy()
-        v = g["value"].to_numpy(zero_copy_only=False).astype(np.float64)
-        v = np.where(np.isnan(v), 0.0, v)
-        iv = (np.sign(v) * np.floor(np.abs(v) * 10000.0 + 0.5)).astype(np.int64)
-        order = np.lexsort((eid, ts, u))
-        u_s, ts_s, eid_s, iv_s = u[order], ts[order], eid[order], iv[order]
-        n = len(u_s)
-        if not n:
-            return pa.table(
-                {
-                    "user_id": pa.array([], type=pa.int64()),
-                    "event_id": pa.array([], type=pa.int64()),
-                    "seq": pa.array([], type=pa.int64()),
-                    "gap_us": pa.array([], type=pa.int64()),
-                    "cum_value_scaled": pa.array([], type=pa.int64()),
-                }
-            )
-        newu = np.empty(n, dtype=bool)
-        newu[0] = True
-        newu[1:] = u_s[1:] != u_s[:-1]
-        starts = np.flatnonzero(newu)
-        seg_id = np.cumsum(newu) - 1
-        seq = np.arange(n, dtype=np.int64) - starts[seg_id] + 1
-        gap = np.zeros(n, dtype=np.int64)
-        gap[1:] = ts_s[1:] - ts_s[:-1]
-        gap[newu] = -1
-        cs = np.cumsum(iv_s)
-        base = np.concatenate(([0], cs))[starts[seg_id]]
-        return pa.table(
-            {
-                "user_id": pa.array(u_s, type=pa.int64()),
-                "event_id": pa.array(eid_s, type=pa.int64()),
-                "seq": pa.array(seq, type=pa.int64()),
-                "gap_us": pa.array(gap, type=pa.int64()),
-                "cum_value_scaled": pa.array(cs - base, type=pa.int64()),
-            }
-        )
+        order, u, ts = _timeline(g)
+        start, run, seq = run_rank(u)
+        gap = np.zeros(len(u), dtype=np.int64)
+        gap[1:] = np.diff(ts)
+        gap[start] = -1
+        cs = np.cumsum(_scaled4(g["value"])[order])
+        base = np.concatenate(([0], cs))[np.flatnonzero(start)[run]]
+        return pa.table({"user_id": u,
+                         "event_id": pc.cast(g["event_id"], pa.int64()).to_numpy()[order],
+                         "seq": seq, "gap_us": gap, "cum_value_scaled": cs - base})
 
-    out = (
-        _read_events(sf_dir)
-        .map_batches(
-            lambda t: _user_bucket_rows(t, nb),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("__ub")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
-    t = collect_table(out)
-    return t.take(
-        pc.sort_indices(
-            t, sort_keys=[("user_id", "ascending"), ("seq", "ascending")]
-        )
-    )
+    schema = int64_schema("user_id", "event_id", "seq", "gap_us", "cum_value_scaled")
+    t = _by_user(_read(sf_dir), per_bucket, schema)
+    return t.sort_by([("user_id", "ascending"), ("seq", "ascending")])
 
 
 def user_running_totals_sql() -> str:
@@ -288,20 +206,18 @@ ORDER BY user_id, seq
 RECENT_HOURS = 24
 
 
-def _max_ts_us(path: str) -> int | None:
+def _max_ts_us(sf_dir: str) -> int | None:
     """Global max(ts) in epoch-microseconds via a tiny distributed aggregate
     (one row per batch -> driver max); never a driver-side column scan.
     None when the table is empty or ts is entirely null (the SQL twin
     degrades to zero rows in both cases)."""
-    ds = ray.data.read_parquet(path, columns=["ts"])
 
     def bmax(t: pa.Table) -> pa.Table:
         m = pc.max(pc.cast(t["ts"], pa.int64())).as_py() if t.num_rows else None
-        vals = [] if m is None else [m]
-        return pa.table({"m": pa.array(vals, type=pa.int64())})
+        return pa.table({"m": pa.array([] if m is None else [m], type=pa.int64())})
 
-    t = collect_table(ds.map_batches(bmax, batch_format="pyarrow", zero_copy_batch=True))
-    vals = t["m"].to_pylist()
+    ds = arrow_map(read_table(sf_dir, "events", ["ts"], repartition=False), bmax)
+    vals = collect_table(ds, empty_schema=int64_schema("m"))["m"].to_pylist()
     return max(vals) if vals else None
 
 
@@ -317,40 +233,23 @@ def recent_events(sf_dir: str, hours: int = RECENT_HOURS) -> pa.Table:
     formatting is a vectorized per-batch kernel. Timestamps are truncated to
     whole seconds before formatting: Arrow's %S emits fractional seconds,
     DuckDB's does not."""
-    path = os.path.join(sf_dir, "events.parquet")
-    mx = _max_ts_us(path)
+    mx = _max_ts_us(sf_dir)
     if mx is None:  # empty table / all-null ts: zero rows, like the oracle
-        return pa.table(
-            {
-                "event_id": pa.array([], type=pa.int64()),
-                "user_id": pa.array([], type=pa.int64()),
-                "event_type": pa.array([], type=pa.string()),
-                "ts_str": pa.array([], type=pa.string()),
-            }
-        )
-    thresh = mx - hours * 3600 * 1_000_000
-    thresh_scalar = pa.scalar(thresh, type=pa.int64()).cast(pa.timestamp("us"))
+        return int64_schema("event_id", "user_id", event_type=pa.string(),
+                            ts_str=pa.string()).empty_table()
+    thresh = pa.scalar(mx - hours * 3600 * 1_000_000, type=pa.int64()).cast(_US)
 
     def fmt(t: pa.Table) -> pa.Table:
         # floor THEN cast to second resolution: %S on a sub-second type
         # prints fractional digits, which DuckDB's %S never does
         secs = pc.cast(pc.floor_temporal(t["ts"], unit="second"), pa.timestamp("s"))
-        return pa.table(
-            {
-                "event_id": t["event_id"],
-                "user_id": t["user_id"],
-                "event_type": t["event_type"],
-                "ts_str": pc.strftime(secs, format="%Y-%m-%d %H:%M:%S"),
-            }
+        return t.drop_columns(["ts"]).append_column(
+            "ts_str", pc.strftime(secs, format="%Y-%m-%d %H:%M:%S")
         )
 
-    ds = ray.data.read_parquet(
-        path,
-        columns=["event_id", "ts", "user_id", "event_type"],
-        filter=pc.field("ts") >= thresh_scalar,
-    ).map_batches(fmt, batch_format="pyarrow", zero_copy_batch=True)
-    t = collect_table(ds)
-    return t.take(pc.sort_indices(t["event_id"]))
+    ds = read_table(sf_dir, "events", ["event_id", "user_id", "event_type", "ts"],
+                    filter=pc.field("ts") >= thresh, repartition=False)
+    return collect_table(arrow_map(ds, fmt)).sort_by("event_id")
 
 
 def recent_events_sql(hours: int = RECENT_HOURS) -> str:
@@ -371,40 +270,22 @@ def props_agg(sf_dir: str) -> pa.Table:
     event_type with the map-side combiner pattern. Reference analog: the
     free-form ``User.preferences JSON`` column (smse_backend/models/
     user.py:18) — applied data-side at stream scale."""
-    path = os.path.join(sf_dir, "events.parquet")
 
     def partial(t: pa.Table) -> pa.Table:
         ex = pc.extract_regex(t["props"], pattern=r'"k": (?P<k>\d+)')
         k = pc.cast(pc.struct_field(ex, "k"), pa.int64())  # null when no match
-        g = (
-            pa.table({"event_type": t["event_type"], "k": k})
-            .group_by("event_type")
-            .aggregate([("k", "sum"), ("k", "count")])  # count skips nulls
-        )
-        return pa.table(
-            {
-                "event_type": g["event_type"],
-                "sum_k": g["k_sum"],
-                "n": pc.cast(g["k_count"], pa.int64()),
-            }
-        )
+        # count skips nulls
+        return agg(pa.table({"event_type": t["event_type"], "k": k}), "event_type",
+                   sum_k=("k", "sum"), n=("k", "count"))
 
-    ds = ray.data.read_parquet(path, columns=["event_type", "props"])
-    ds = ds.repartition(_parallel_blocks(_parquet_rows(path)))
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    t = collect_table(
+        arrow_map(read_table(sf_dir, "events", ["event_type", "props"]), partial)
         .groupby("event_type")
         .aggregate(Sum("n", alias_name="n"), Sum("sum_k", alias_name="sum_k"))
     )
-    t = collect_table(agg)
-    t = pa.table(
-        {
-            "event_type": t["event_type"],
-            "n": pc.cast(t["n"], pa.int64()),
-            "sum_k": pc.cast(t["sum_k"], pa.int64()),
-        }
-    )
-    return t.take(pc.sort_indices(t["event_type"]))
+    t = pa.table({"event_type": t["event_type"], "n": pc.cast(t["n"], pa.int64()),
+                  "sum_k": pc.cast(t["sum_k"], pa.int64())})
+    return t.sort_by("event_type")
 
 
 def props_agg_sql() -> str:
@@ -446,11 +327,6 @@ ASOF_RIGHT_TYPE = "click"    # the context stream matched as-of
 RANGE_JOIN_WINDOW_S = 300
 
 
-def _epoch_us(ts: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """Exact epoch microseconds (casts through timestamp[us], no floats)."""
-    return pc.cast(pc.cast(ts, pa.timestamp("us")), pa.int64()).to_numpy()
-
-
 def asof_join(
     sf_dir: str,
     left_type: str = ASOF_LEFT_TYPE,
@@ -471,17 +347,8 @@ def asof_join(
     cross-user ranks. No per-user (let alone per-row) Python: at 10^9
     users a per-user map_groups would pay a Python call each (the Ray
     per-small-unit tax, BASELINE.md round-3)."""
-    nb = _n_user_buckets()
-    empty = pa.table(
-        {
-            "event_id": pa.array([], type=pa.int64()),
-            "user_id": pa.array([], type=pa.int64()),
-            "ts_us": pa.array([], type=pa.int64()),
-            "match_event_id": pa.array([], type=pa.int64()),
-            "match_ts_us": pa.array([], type=pa.int64()),
-            "lag_us": pa.array([], type=pa.int64()),
-        }
-    )
+    schema = int64_schema("event_id", "user_id", "ts_us", "match_event_id", "match_ts_us",
+                          "lag_us")
 
     def per_bucket(g: pa.Table) -> pa.Table:
         et = g["event_type"].to_numpy(zero_copy_only=False)
@@ -490,53 +357,31 @@ def asof_join(
         eid = pc.cast(g["event_id"], pa.int64()).to_numpy()
         lm, rm = et == left_type, et == right_type
         if not lm.any() or not rm.any():
-            return empty
+            return schema.empty_table()
         lu, lts, leid = u[lm], ts[lm], eid[lm]
-        ru, rts, reid = u[rm], ts[rm], eid[rm]
-        rorder = np.lexsort((reid, rts, ru))
-        ru, rts, reid = ru[rorder], rts[rorder], reid[rorder]
+        rorder = np.lexsort((eid[rm], ts[rm], u[rm]))
+        ru, rts, reid = u[rm][rorder], ts[rm][rorder], eid[rm][rorder]
         # merged rank: sort keys (user, ts, side, event_id), rights (side 0)
         # before lefts at equal (user, ts) so a same-instant right matches
-        all_u = np.concatenate([ru, lu])
-        all_t = np.concatenate([rts, lts])
-        all_e = np.concatenate([reid, leid])
-        side = np.concatenate(
-            [np.zeros(len(ru), np.int8), np.ones(len(lu), np.int8)]
-        )
-        order = np.lexsort((all_e, side, all_t, all_u))
+        side = np.concatenate([np.zeros(len(ru), np.int8), np.ones(len(lu), np.int8)])
+        order = np.lexsort((np.concatenate([reid, leid]), side,
+                            np.concatenate([rts, lts]), np.concatenate([ru, lu])))
         side_sorted = side[order]
-        rights_at_or_before = np.cumsum(side_sorted == 0)
         left_slots = np.flatnonzero(side_sorted == 1)
-        match = rights_at_or_before[left_slots] - 1  # index into sorted rights
-        lidx = order[left_slots] - len(ru)  # back to left arrays
+        # index into the sorted rights, and back to the left arrays
+        match = np.cumsum(side_sorted == 0)[left_slots] - 1
+        lidx = order[left_slots] - len(ru)
         valid = match >= 0
         valid[valid] &= ru[match[valid]] == lu[lidx[valid]]
-        if not valid.any():
-            return empty
         li, mi = lidx[valid], match[valid]
-        return pa.table(
-            {
-                "event_id": pa.array(leid[li], type=pa.int64()),
-                "user_id": pa.array(lu[li], type=pa.int64()),
-                "ts_us": pa.array(lts[li], type=pa.int64()),
-                "match_event_id": pa.array(reid[mi], type=pa.int64()),
-                "match_ts_us": pa.array(rts[mi], type=pa.int64()),
-                "lag_us": pa.array(lts[li] - rts[mi], type=pa.int64()),
-            }
-        )
+        return pa.table({"event_id": leid[li], "user_id": lu[li], "ts_us": lts[li],
+                         "match_event_id": reid[mi], "match_ts_us": rts[mi],
+                         "lag_us": lts[li] - rts[mi]})
 
-    ds = (
-        _read_events(sf_dir)
-        .filter(expr=f"event_type == '{left_type}' or event_type == '{right_type}'")
-        .map_batches(
-            lambda t: _user_bucket_rows(t, nb),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
+    ds = _read(sf_dir, ["event_id", "ts", "user_id", "event_type"]).filter(
+        expr=f"event_type == '{left_type}' or event_type == '{right_type}'"
     )
-    out = ds.groupby("__ub").map_groups(per_bucket, batch_format="pyarrow")
-    t = collect_table(out)
-    return t.take(pc.sort_indices(t["event_id"]))
+    return _by_user(ds, per_bucket, schema).sort_by("event_id")
 
 
 def asof_join_sql(
@@ -564,13 +409,7 @@ FROM j WHERE rn = 1 ORDER BY event_id
 """
 
 
-_PAIRS_EMPTY = pa.table(
-    {
-        "event_id": pa.array([], type=pa.int64()),
-        "match_event_id": pa.array([], type=pa.int64()),
-        "gap_us": pa.array([], type=pa.int64()),
-    }
-)
+_PAIRS = int64_schema("event_id", "match_event_id", "gap_us")
 
 
 def _expand_pairs(
@@ -587,17 +426,19 @@ def _expand_pairs(
         hi = np.searchsorted(rts, lts, side="right")
     n = hi - lo
     if not int(n.sum()):
-        return _PAIRS_EMPTY
-    le = np.repeat(leid, n)
-    lt = np.repeat(lts, n)
+        return _PAIRS.empty_table()
     ridx = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi) if b > a])
-    return pa.table(
-        {
-            "event_id": pa.array(le, type=pa.int64()),
-            "match_event_id": pa.array(reid[ridx], type=pa.int64()),
-            "gap_us": pa.array(lt - rts[ridx], type=pa.int64()),
-        }
-    )
+    return pa.table({"event_id": np.repeat(leid, n), "match_event_id": reid[ridx],
+                     "gap_us": np.repeat(lts, n) - rts[ridx]}).cast(_PAIRS)
+
+
+def _sides(g: pa.Table):
+    """(left ts, left ids, right ts, right ids) of a role-tagged group,
+    rights sorted by (ts, event_id) for the window sweep."""
+    lm = g["role"].to_numpy(zero_copy_only=False) == 0
+    ts, eid = g["ts_us"].to_numpy(), g["event_id"].to_numpy()
+    order = np.lexsort((eid[~lm], ts[~lm]))
+    return ts[lm], eid[lm], ts[~lm][order], eid[~lm][order]
 
 
 def range_join(
@@ -634,70 +475,39 @@ def range_join(
         ts = _epoch_us(t["ts"])
         eid = pc.cast(t["event_id"], pa.int64()).to_numpy()
         lm, rm = et == left_type, et == right_type
-        b_l = ts[lm] // w_us
         b_r = ts[rm] // w_us
-        bkt = np.concatenate([b_l, b_r, b_r + 1])
-        role = np.concatenate(
-            [np.zeros(int(lm.sum()), np.int8), np.ones(2 * int(rm.sum()), np.int8)]
-        )
-        return pa.table(
-            {
-                "bucket": pa.array(bkt, type=pa.int64()),
-                "role": pa.array(role, type=pa.int8()),
-                "event_id": pa.array(
-                    np.concatenate([eid[lm], eid[rm], eid[rm]]), type=pa.int64()
-                ),
-                "ts_us": pa.array(
-                    np.concatenate([ts[lm], ts[rm], ts[rm]]), type=pa.int64()
-                ),
-            }
-        )
+        return pa.table({
+            "bucket": np.concatenate([ts[lm] // w_us, b_r, b_r + 1]),
+            "role": np.concatenate([np.zeros(int(lm.sum()), np.int8),
+                                    np.ones(2 * int(rm.sum()), np.int8)]),
+            "event_id": np.concatenate([eid[lm], eid[rm], eid[rm]]),
+            "ts_us": np.concatenate([ts[lm], ts[rm], ts[rm]]),
+        })
 
     def pair_bucket(g: pa.Table) -> pa.Table:
-        role = g["role"].to_numpy(zero_copy_only=False)
-        ts = g["ts_us"].to_numpy()
-        eid = g["event_id"].to_numpy()
-        lm = role == 0
-        if not lm.any() or lm.all():
-            return _PAIRS_EMPTY
-        lts, leid = ts[lm], eid[lm]
-        rts, reid = ts[~lm], eid[~lm]
-        order = np.lexsort((reid, rts))
-        rts, reid = rts[order], reid[order]
+        lts, leid, rts, reid = _sides(g)
+        if not len(lts) or not len(rts):
+            return _PAIRS.empty_table()
         lo = np.searchsorted(rts, lts - w_us, side="left")
         hi = np.searchsorted(rts, lts, side="right")
         total = int((hi - lo).sum())
-        if not total:
-            return _PAIRS_EMPTY
         if total > pair_cap:
             # pathological bucket (all intervals overlap one window): defer
             # its pair expansion to the tiled second pass — emit a marker
             # row the caller collects. event_id=-1 flags the marker;
             # match_event_id carries the bucket id, gap_us the -pair count.
-            return pa.table(
-                {
-                    "event_id": pa.array([-1], type=pa.int64()),
-                    "match_event_id": pa.array(
-                        [int(g["bucket"][0].as_py())], type=pa.int64()
-                    ),
-                    "gap_us": pa.array([-total], type=pa.int64()),
-                }
-            )
+            return pa.table({"event_id": [-1], "match_event_id": [g["bucket"][0].as_py()],
+                             "gap_us": [-total]})
         return _expand_pairs(lts, leid, rts, reid, w_us, lo=lo, hi=hi)
 
     def bucketed(extra_filter=None, ts_range_us=None):
-        ds = (
-            _read_events(sf_dir, ts_range_us=ts_range_us)
-            .filter(
+        ds = arrow_map(
+            _read(sf_dir, ["event_id", "ts", "event_type"], ts_range_us).filter(
                 expr=f"event_type == '{left_type}' or event_type == '{right_type}'"
-            )
-            .map_batches(bucket_rows, batch_format="pyarrow", zero_copy_batch=True)
+            ),
+            bucket_rows,
         )
-        if extra_filter is not None:
-            ds = ds.map_batches(
-                extra_filter, batch_format="pyarrow", zero_copy_batch=True
-            )
-        return ds
+        return ds if extra_filter is None else arrow_map(ds, extra_filter)
 
     t = collect_table(
         bucketed().groupby("bucket").map_groups(pair_bucket, batch_format="pyarrow")
@@ -713,20 +523,11 @@ def range_join(
             pair_cap,
             -int(pc.sum(markers["gap_us"]).as_py()),
         )
-        t = pa.concat_tables(
-            [
-                t.filter(pc.not_equal(t["event_id"], -1)),
-                _range_join_fat(
-                    bucketed, markers["match_event_id"], w_us, pair_cap
-                ),
-            ]
-        )
-    return t.take(
-        pc.sort_indices(
-            t,
-            sort_keys=[("event_id", "ascending"), ("match_event_id", "ascending")],
-        )
-    )
+        t = pa.concat_tables([
+            t.filter(pc.not_equal(t["event_id"], -1)),
+            _range_join_fat(bucketed, markers["match_event_id"], w_us, pair_cap),
+        ])
+    return t.sort_by([("event_id", "ascending"), ("match_event_id", "ascending")])
 
 
 def _range_join_fat(bucketed, fat_buckets, w_us: int, pair_cap: int) -> pa.Table:
@@ -754,21 +555,18 @@ def _range_join_fat(bucketed, fat_buckets, w_us: int, pair_cap: int) -> pa.Table
     b_lo = int(pc.min(fat).as_py())
     b_hi = int(pc.max(fat).as_py())
     ts_range_us = ((b_lo - 1) * w_us, (b_hi + 1) * w_us)
+    tile_schema = int64_schema("bucket", "tile", role=pa.int8(), event_id=pa.int64(),
+                               ts_us=pa.int64())
 
     def only_fat(t: pa.Table) -> pa.Table:
         return t.filter(pc.is_in(t["bucket"], value_set=fat))
 
     def tile_rows(g: pa.Table) -> pa.Table:
-        role = g["role"].to_numpy(zero_copy_only=False)
-        ts = g["ts_us"].to_numpy()
-        eid = g["event_id"].to_numpy()
-        lm = role == 0
-        lts, leid = ts[lm], eid[lm]
-        rts, reid = ts[~lm], eid[~lm]
-        lorder = np.lexsort((leid, lts))
-        lts, leid = lts[lorder], leid[lorder]
-        rorder = np.lexsort((reid, rts))
-        rts, reid = rts[rorder], reid[rorder]
+        lm = g["role"].to_numpy(zero_copy_only=False) == 0
+        ts, eid = g["ts_us"].to_numpy(), g["event_id"].to_numpy()
+        lorder = np.lexsort((eid[lm], ts[lm]))
+        lts, leid = ts[lm][lorder], eid[lm][lorder]
+        _, _, rts, reid = _sides(g)
         nR = max(1, -(-len(rts) // c))
         tiles, roles, eids, tss = [], [], [], []
         for i in range(-(-len(lts) // c)):
@@ -778,52 +576,28 @@ def _range_join_fat(bucketed, fat_buckets, w_us: int, pair_cap: int) -> pa.Table
             if lo >= hi:
                 continue
             for j in range(lo // c, (hi - 1) // c + 1):
-                tid = i * nR + j
                 r_lo, r_hi = j * c, min((j + 1) * c, len(rts))
                 nl, nr = l_hi - l_lo, r_hi - r_lo
-                tiles.append(np.full(nl + nr, tid, dtype=np.int64))
-                roles.append(
-                    np.concatenate(
-                        [np.zeros(nl, dtype=np.int8), np.ones(nr, dtype=np.int8)]
-                    )
-                )
+                tiles.append(np.full(nl + nr, i * nR + j, dtype=np.int64))
+                roles.append(np.concatenate([np.zeros(nl, np.int8), np.ones(nr, np.int8)]))
                 eids.append(np.concatenate([leid[l_lo:l_hi], reid[r_lo:r_hi]]))
                 tss.append(np.concatenate([lts[l_lo:l_hi], rts[r_lo:r_hi]]))
         if not tiles:
-            return pa.table(
-                {
-                    "bucket": pa.array([], type=pa.int64()),
-                    "tile": pa.array([], type=pa.int64()),
-                    "role": pa.array([], type=pa.int8()),
-                    "event_id": pa.array([], type=pa.int64()),
-                    "ts_us": pa.array([], type=pa.int64()),
-                }
-            )
-        n_out = sum(len(x) for x in tiles)
-        return pa.table(
-            {
-                "bucket": pa.array(
-                    np.full(n_out, int(g["bucket"][0].as_py()), dtype=np.int64)
-                ),
-                "tile": pa.array(np.concatenate(tiles), type=pa.int64()),
-                "role": pa.array(np.concatenate(roles), type=pa.int8()),
-                "event_id": pa.array(np.concatenate(eids), type=pa.int64()),
-                "ts_us": pa.array(np.concatenate(tss), type=pa.int64()),
-            }
-        )
+            return tile_schema.empty_table()
+        tile = np.concatenate(tiles)
+        return pa.table({
+            "bucket": np.full(len(tile), g["bucket"][0].as_py(), dtype=np.int64),
+            "tile": tile, "role": np.concatenate(roles), "event_id": np.concatenate(eids),
+            "ts_us": np.concatenate(tss),
+        })
 
     def pair_tile(g: pa.Table) -> pa.Table:
-        role = g["role"].to_numpy(zero_copy_only=False)
-        ts = g["ts_us"].to_numpy()
-        eid = g["event_id"].to_numpy()
-        lm = role == 0
-        if not lm.any() or lm.all():
-            return _PAIRS_EMPTY
         # tiles are emitted ts-sorted per role, but arrive re-blocked —
-        # re-sort rights for the sweep
-        rts, reid = ts[~lm], eid[~lm]
-        order = np.lexsort((reid, rts))
-        return _expand_pairs(ts[lm], eid[lm], rts[order], reid[order], w_us)
+        # _sides re-sorts the rights for the sweep
+        lts, leid, rts, reid = _sides(g)
+        if not len(lts) or not len(rts):
+            return _PAIRS.empty_table()
+        return _expand_pairs(lts, leid, rts, reid, w_us)
 
     return collect_table(
         bucketed(extra_filter=only_fat, ts_range_us=ts_range_us)
@@ -870,55 +644,27 @@ def sliding_window_agg(
     exchange — the shuffle carries O(hours x windows) rows, never
     O(events x windows). Sums are 4-decimal scaled int64 (exact,
     order-free) like the tumbling twin."""
-    hop_us = 3_600_000_000
+    offs = np.arange(window_hours, dtype=np.int64) * 3_600_000_000
 
     def partial(t: pa.Table) -> pa.Table:
-        hour = pc.cast(
-            pc.floor_temporal(pc.cast(t["ts"], pa.timestamp("us")), unit="hour"),
-            pa.int64(),
-        ).to_numpy()
-        v = t["value"].to_numpy(zero_copy_only=False).astype(np.float64)
-        v = np.where(np.isnan(v), 0.0, v)
-        iv = (np.sign(v) * np.floor(np.abs(v) * 10000.0 + 0.5)).astype(np.int64)
-        g = (
-            pa.table({"h": pa.array(hour), "iv": pa.array(iv)})
-            .group_by("h")
-            .aggregate([("iv", "sum"), ("iv", "count")])
-        )
+        hour = pc.cast(pc.floor_temporal(pc.cast(t["ts"], _US), unit="hour"), pa.int64())
+        g = agg(pa.table({"h": hour, "iv": _scaled4(t["value"])}), "h",
+                sum_iv=("iv", "sum"), n=("iv", "count"))
         h = g["h"].to_numpy()
-        offs = np.arange(window_hours, dtype=np.int64) * hop_us
-        win = (h[:, None] - offs[None, :]).reshape(-1)  # starts h, h-1h, ...
-        return pa.table(
-            {
-                "window_us": pa.array(win, type=pa.int64()),
-                "sum_iv": pa.array(
-                    np.repeat(g["iv_sum"].to_numpy(), window_hours), type=pa.int64()
-                ),
-                "n": pa.array(
-                    np.repeat(
-                        g["iv_count"].to_numpy().astype(np.int64), window_hours
-                    ),
-                    type=pa.int64(),
-                ),
-            }
-        )
+        return pa.table({
+            "window_us": (h[:, None] - offs[None, :]).reshape(-1),  # starts h, h-1h, ...
+            "sum_iv": np.repeat(g["sum_iv"].to_numpy(), window_hours),
+            "n": np.repeat(g["n"].to_numpy(), window_hours),
+        })
 
-    agg = (
-        _read_events(sf_dir)
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    t = collect_table(
+        arrow_map(_read(sf_dir), partial)
         .groupby("window_us")
         .aggregate(Sum("sum_iv", alias_name="sum_iv"), Sum("n", alias_name="n"))
     )
-    t = collect_table(agg)
-    sum_value = t["sum_iv"].to_numpy().astype(np.float64) / 10000.0
-    t = pa.table(
-        {
-            "window": pc.cast(t["window_us"], pa.timestamp("us")),
-            "n": pc.cast(t["n"], pa.int64()),
-            "sum_value": pa.array(round_half_away(sum_value, 4), type=pa.float64()),
-        }
-    )
-    return t.take(pc.sort_indices(t["window"]))
+    t = pa.table({"window": pc.cast(t["window_us"], _US), "n": pc.cast(t["n"], pa.int64()),
+                  "sum_value": _round4_scaled(t["sum_iv"])})
+    return t.sort_by("window")
 
 
 def sliding_window_agg_sql(window_hours: int = SLIDING_WINDOW_HOURS) -> str:
@@ -973,79 +719,42 @@ def event_funnel(sf_dir: str, steps: "tuple[str, ...] | None" = None) -> pa.Tabl
     if not steps:
         raise ValueError("funnel needs at least one step")
     k_steps = len(steps)
-    nb = _n_user_buckets()
     step_set = pa.array(list(steps), type=pa.string())
+    sentinel = np.iinfo(np.int64).max
 
     def pre(t: pa.Table) -> pa.Table:
         step = pc.index_in(t["event_type"], value_set=step_set)
-        keep = pc.is_valid(step)
-        slim = pa.table(
-            {
-                "user_id": pc.cast(t["user_id"], pa.int64()),
-                "ts_us": pa.array(_epoch_us(t["ts"]), type=pa.int64()),
-                "step": pc.cast(step, pa.int64()),
-            }
-        ).filter(keep)
-        return _user_bucket_rows(slim, nb)
-
-    sentinel = np.iinfo(np.int64).max
+        return pa.table({"user_id": pc.cast(t["user_id"], pa.int64()),
+                         "ts_us": _epoch_us(t["ts"]),
+                         "step": pc.cast(step, pa.int64())}).filter(pc.is_valid(step))
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return pa.table(
-                {"step": pa.array([], type=pa.int64()),
-                 "n_users": pa.array([], type=pa.int64())}
-            )
-        u = g["user_id"].to_numpy()
-        ts = g["ts_us"].to_numpy()
-        st = g["step"].to_numpy()
-        uniq, uidx = np.unique(u, return_inverse=True)
+        ts, st = g["ts_us"].to_numpy(), g["step"].to_numpy()
+        uniq, uidx = np.unique(g["user_id"].to_numpy(), return_inverse=True)
         counts = np.zeros(k_steps, dtype=np.int64)
         t_prev = np.zeros(len(uniq), dtype=np.int64)  # step 0: no lower bound
         for k in range(k_steps):
-            sel = st == k
             # strict ts > t_prev; unreached users hold the max sentinel,
             # which no event timestamp exceeds
-            valid = sel if k == 0 else sel & (ts > t_prev[uidx])
+            valid = (st == k) if k == 0 else (st == k) & (ts > t_prev[uidx])
             tk = np.full(len(uniq), sentinel, dtype=np.int64)
             np.minimum.at(tk, uidx[valid], ts[valid])
             counts[k] = int((tk < sentinel).sum())
             t_prev = tk
-        return pa.table(
-            {
-                "step": pa.array(np.arange(1, k_steps + 1), type=pa.int64()),
-                "n_users": pa.array(counts, type=pa.int64()),
-            }
-        )
+        return pa.table({"step": np.arange(1, k_steps + 1), "n_users": counts})
 
-    out = (
-        _read_events(sf_dir)
-        .map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__ub")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
-    t = collect_table(
-        out,
-        empty_schema=pa.schema([("step", pa.int64()), ("n_users", pa.int64())]),
-    )
+    ds = arrow_map(_read(sf_dir, ["user_id", "ts", "event_type"]), pre)
+    t = _by_user(ds, per_bucket, int64_schema("step", "n_users"))
     n = np.zeros(k_steps, dtype=np.int64)
-    if t.num_rows:
-        np.add.at(n, t["step"].to_numpy() - 1, t["n_users"].to_numpy())
+    np.add.at(n, t["step"].to_numpy() - 1, t["n_users"].to_numpy())
     s1 = int(n[0])
-    if s1 > 0:
-        conv = pa.array(
-            round_half_away(n.astype(np.float64) / s1, 4), type=pa.float64()
-        )
-    else:
-        conv = pa.array([None] * k_steps, type=pa.float64())
-    return pa.table(
-        {
-            "step": pa.array(np.arange(1, k_steps + 1), type=pa.int64()),
-            "event_type": pa.array(list(steps), type=pa.string()),
-            "n_users": pa.array(n, type=pa.int64()),
-            "conv_rate": conv,
-        }
-    )
+    conv = round_half_away(n.astype(np.float64) / s1, 4) if s1 > 0 else [None] * k_steps
+    return pa.table({
+        "step": np.arange(1, k_steps + 1, dtype=np.int64),
+        "event_type": pa.array(list(steps), type=pa.string()),
+        "n_users": n,
+        "conv_rate": pa.array(conv, type=pa.float64()),
+    })
 
 
 def event_funnel_sql(steps: "tuple[str, ...] | None" = None) -> str:
@@ -1093,6 +802,15 @@ def event_funnel_sql(steps: "tuple[str, ...] | None" = None) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _user_weeks(t: pa.Table, name: str) -> pa.Table:
+    """Per-batch DISTINCT (user_id, week start in epoch us) rows — the
+    exchange carries one row per (user, week) per batch, not one per
+    event."""
+    week = pc.cast(pc.floor_temporal(pc.cast(t["ts"], _US), unit="week"), pa.int64())
+    return agg(pa.table({"user_id": pc.cast(t["user_id"], pa.int64()), name: week}),
+               ["user_id", name])
+
+
 def events_retention(sf_dir: str) -> pa.Table:
     """Weekly retention-cohort matrix: users grouped by the Monday-aligned
     week of their FIRST event (any type), counted in every later week they
@@ -1111,87 +829,23 @@ def events_retention(sf_dir: str) -> pa.Table:
     (user, week) set and the per-(cohort, offset) user counts are all
     globally exact per bucket (users are disjoint across buckets) and fold
     on the driver over at most |weeks|^2/2 tiny partial rows per bucket."""
-    nb = _n_user_buckets()
-
-    def pre(t: pa.Table) -> pa.Table:
-        wk = pc.cast(
-            pc.floor_temporal(pc.cast(t["ts"], pa.timestamp("us")), unit="week"),
-            pa.int64(),
-        )
-        slim = pa.table(
-            {"user_id": pc.cast(t["user_id"], pa.int64()), "week_us": wk}
-        )
-        # per-batch distinct combiner: the exchange carries one row per
-        # (user, week) per batch, not one per event
-        g = slim.group_by(["user_id", "week_us"]).aggregate([])
-        return _user_bucket_rows(g, nb)
-
     week_us = 7 * 86400 * 1_000_000
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"cohort_us": pa.array([], type=pa.int64()),
-             "week_offset": pa.array([], type=pa.int64()),
-             "n_users": pa.array([], type=pa.int64())}
-        )
-        if not g.num_rows:
-            return empty
-        d = (
-            g.select(["user_id", "week_us"])
-            .group_by(["user_id", "week_us"])
-            .aggregate([])
-        )
-        u = d["user_id"].to_numpy()
+        d = agg(g, ["user_id", "week_us"])
         w = d["week_us"].to_numpy()
-        uniq, uidx = np.unique(u, return_inverse=True)
+        uniq, uidx = np.unique(d["user_id"].to_numpy(), return_inverse=True)
         cohort = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
         np.minimum.at(cohort, uidx, w)
-        off = (w - cohort[uidx]) // week_us
-        p = (
-            pa.table(
-                {"cohort_us": pa.array(cohort[uidx], type=pa.int64()),
-                 "week_offset": pa.array(off, type=pa.int64())}
-            )
-            .group_by(["cohort_us", "week_offset"])
-            .aggregate([("week_offset", "count")])
-        )
-        return pa.table(
-            {"cohort_us": p["cohort_us"],
-             "week_offset": p["week_offset"],
-             "n_users": pc.cast(p["week_offset_count"], pa.int64())}
-        )
+        p = pa.table({"cohort_us": cohort[uidx], "week_offset": (w - cohort[uidx]) // week_us})
+        return agg(p, ["cohort_us", "week_offset"], n_users=("week_offset", "count"))
 
-    out = (
-        _read_events(sf_dir)
-        .map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__ub")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
-    t = collect_table(
-        out,
-        empty_schema=pa.schema(
-            [("cohort_us", pa.int64()), ("week_offset", pa.int64()),
-             ("n_users", pa.int64())]
-        ),
-    )
+    ds = arrow_map(_read(sf_dir, ["user_id", "ts"]), lambda t: _user_weeks(t, "week_us"))
+    t = _by_user(ds, per_bucket, int64_schema("cohort_us", "week_offset", "n_users"))
     # driver fold: sum the per-bucket partials (tiny — weeks x offsets)
-    f = (
-        t.group_by(["cohort_us", "week_offset"])
-        .aggregate([("n_users", "sum")])
-    )
-    f = pa.table(
-        {
-            "cohort_week": pc.cast(f["cohort_us"], pa.timestamp("us")),
-            "week_offset": pc.cast(f["week_offset"], pa.int64()),
-            "n_users": pc.cast(f["n_users_sum"], pa.int64()),
-        }
-    )
-    return f.take(
-        pc.sort_indices(
-            f, sort_keys=[("cohort_week", "ascending"),
-                          ("week_offset", "ascending")]
-        )
-    )
+    f = agg(t, ["cohort_us", "week_offset"], n_users=("n_users", "sum"))
+    f = f.set_column(0, "cohort_week", pc.cast(f["cohort_us"], _US))
+    return f.sort_by([("cohort_week", "ascending"), ("week_offset", "ascending")])
 
 
 def events_retention_sql() -> str:
@@ -1233,84 +887,21 @@ def event_value_quantiles(sf_dir: str) -> pa.Table:
     values, and the driver finishes on that histogram (cumsum +
     interpolation), never on per-event data."""
     from smse_backend_ray import config
-    from smse_backend_ray.functions.joins import grouped_aggregate, with_schema
-
-    probs = tuple(config.EV_QUANTILES)
-    pcols = [f"p{int(round(q * 100)):d}" for q in probs]
-    out_fields = [("event_type", pa.string()), ("n_events", pa.int64())] + [
-        (c, pa.float64()) for c in pcols
-    ]
-    out_schema = pa.schema(out_fields)
 
     def partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t["value"]))
-        v = t["value"].to_numpy(zero_copy_only=False).astype(np.float64)
-        iv = (np.sign(v) * np.floor(np.abs(v) * 10000.0 + 0.5)).astype(np.int64)
-        g = (
-            pa.table(
-                {"event_type": t["event_type"],
-                 "v_s": pa.array(iv, type=pa.int64())}
-            )
-            .group_by(["event_type", "v_s"])
-            .aggregate([("v_s", "count")])
-        )
-        return pa.table(
-            {"event_type": g["event_type"], "v_s": g["v_s"],
-             "cnt": pc.cast(g["v_s_count"], pa.int64())}
-        )
+        part = pa.table({"event_type": t["event_type"], "v_s": _scaled4(t["value"])})
+        return agg(part, ["event_type", "v_s"], cnt=("v_s", "count"))
 
-    hist_schema = pa.schema(
-        [("event_type", pa.string()), ("v_s", pa.int64()), ("cnt", pa.int64())]
-    )
+    hist_schema = int64_schema("v_s", "cnt", event_type=pa.string())
     hist = with_schema(
-        grouped_aggregate(
-            _read_events(sf_dir).map_batches(
-                partial, batch_format="pyarrow", zero_copy_batch=True
-            ),
-            ["event_type", "v_s"],
-            [("cnt", "sum", "cnt")],
-        ),
+        grouped_aggregate(arrow_map(_read(sf_dir, ["event_type", "value"]), partial),
+                          ["event_type", "v_s"], [("cnt", "sum", "cnt")]),
         hist_schema,
     )
     t = collect_table(hist, empty_schema=hist_schema)
-    if not t.num_rows:
-        return out_schema.empty_table()
-
-    t = t.take(
-        pc.sort_indices(
-            t, sort_keys=[("event_type", "ascending"), ("v_s", "ascending")]
-        )
-    )
-    types = t["event_type"].to_numpy(zero_copy_only=False)
-    vals = t["v_s"].to_numpy().astype(np.float64)
-    cnts = t["cnt"].to_numpy()
-    new = np.empty(len(types), dtype=bool)
-    new[0] = True
-    new[1:] = types[1:] != types[:-1]
-    starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], len(types))
-
-    out_rows: dict[str, list] = {f: [] for f, _ in out_fields}
-    for s, e in zip(starts, ends):
-        v = vals[s:e]
-        w = cnts[s:e]
-        cum = np.cumsum(w)
-        n = int(cum[-1])
-        out_rows["event_type"].append(str(types[s]))
-        out_rows["n_events"].append(n)
-        for q, col in zip(probs, pcols):
-            pos = q * (n - 1)
-            lo = int(np.floor(pos))
-            hi = int(np.ceil(pos))
-            v_lo = v[np.searchsorted(cum, lo + 1, side="left")]
-            v_hi = v[np.searchsorted(cum, hi + 1, side="left")]
-            val = (v_lo + (pos - lo) * (v_hi - v_lo)) / 10000.0
-            out_rows[col].append(
-                float(round_half_away(np.array([val]), 4)[0])
-            )
-    return pa.table(
-        {f: pa.array(out_rows[f], type=ty) for f, ty in out_fields}
-    )
+    return hist_quantiles(t, "event_type", "v_s", "cnt", tuple(config.EV_QUANTILES),
+                          "n_events", scale=10000.0)
 
 
 def event_value_quantiles_sql() -> str:
@@ -1351,66 +942,32 @@ def event_value_histogram(sf_dir: str) -> pa.Table:
     exchange -> driver finish on |types| x |bins| rows. Output is bounded
     by the bin grid, never by the event count."""
     from smse_backend_ray import config
-    from smse_backend_ray.functions.joins import grouped_aggregate, with_schema
 
     step = float(config.EV_HIST_STEP_S)
 
     def partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t["value"]))
-        v = t["value"].to_numpy(zero_copy_only=False).astype(np.float64)
-        iv = (np.sign(v) * np.floor(np.abs(v) * 10000.0 + 0.5)).astype(np.int64)
-        b = np.floor(iv.astype(np.float64) / step).astype(np.int64)
-        g = (
-            pa.table(
-                {"event_type": t["event_type"],
-                 "bin": pa.array(b, type=pa.int64()),
-                 "sum_iv": pa.array(iv, type=pa.int64())}
-            )
-            .group_by(["event_type", "bin"])
-            .aggregate([("sum_iv", "sum"), ("sum_iv", "count")])
-        )
-        return pa.table(
-            {"event_type": g["event_type"], "bin": g["bin"],
-             "sum_iv": pc.cast(g["sum_iv_sum"], pa.int64()),
-             "n": pc.cast(g["sum_iv_count"], pa.int64())}
-        )
+        iv = _scaled4(t["value"])
+        part = pa.table({"event_type": t["event_type"],
+                         "bin": np.floor(iv.astype(np.float64) / step).astype(np.int64),
+                         "iv": iv})
+        return agg(part, ["event_type", "bin"], sum_iv=("iv", "sum"), n=("iv", "count"))
 
-    part_schema = pa.schema(
-        [("event_type", pa.string()), ("bin", pa.int64()),
-         ("sum_iv", pa.int64()), ("n", pa.int64())]
-    )
-    agg = with_schema(
-        grouped_aggregate(
-            _read_events(sf_dir).map_batches(
-                partial, batch_format="pyarrow", zero_copy_batch=True
-            ),
-            ["event_type", "bin"],
-            [("sum_iv", "sum", "sum_iv"), ("n", "sum", "n")],
+    part_schema = int64_schema("bin", "sum_iv", "n", event_type=pa.string())
+    t = collect_table(
+        with_schema(
+            grouped_aggregate(arrow_map(_read(sf_dir, ["event_type", "value"]), partial),
+                              ["event_type", "bin"],
+                              [("sum_iv", "sum", "sum_iv"), ("n", "sum", "n")]),
+            part_schema,
         ),
-        part_schema,
+        empty_schema=part_schema,
     )
-    t = collect_table(agg, empty_schema=part_schema)
-    bins = t["bin"].to_numpy()
-    bin_lo = round_half_away(
-        bins.astype(np.float64) * step / 10000.0, 4
-    )
-    sum_value = round_half_away(
-        t["sum_iv"].to_numpy().astype(np.float64) / 10000.0, 4
-    )
-    out = pa.table(
-        {
-            "event_type": t["event_type"],
-            "bin": pc.cast(t["bin"], pa.int64()),
-            "bin_lo": pa.array(bin_lo, type=pa.float64()),
-            "n": pc.cast(t["n"], pa.int64()),
-            "sum_value": pa.array(sum_value, type=pa.float64()),
-        }
-    )
-    return out.take(
-        pc.sort_indices(
-            out, sort_keys=[("event_type", "ascending"), ("bin", "ascending")]
-        )
-    )
+    bin_lo = round_half_away(t["bin"].to_numpy().astype(np.float64) * step / 10000.0, 4)
+    out = pa.table({"event_type": t["event_type"], "bin": t["bin"],
+                    "bin_lo": pa.array(bin_lo, type=pa.float64()), "n": t["n"],
+                    "sum_value": _round4_scaled(t["sum_iv"])})
+    return out.sort_by([("event_type", "ascending"), ("bin", "ascending")])
 
 
 def event_value_histogram_sql() -> str:
@@ -1448,80 +1005,22 @@ def event_type_transitions(sf_dir: str) -> pa.Table:
     event of a user has no predecessor and emits nothing. Output
     (prev_type, event_type, n) ordered by both types.
 
-    Scale shape: ONE user-hash-bucket exchange of 3-column slims; inside
+    Scale shape: ONE user-hash-bucket exchange of 4-column slims; inside
     a bucket all users resolve in a single numpy pass (lexsort + shifted
     compare — no per-user Python), and each bucket emits at most
     |types|^2 partial rows; the driver folds #buckets x |types|^2."""
-    nb = _n_user_buckets()
-
-    def pre(t: pa.Table) -> pa.Table:
-        return _user_bucket_rows(
-            pa.table(
-                {
-                    "user_id": pc.cast(t["user_id"], pa.int64()),
-                    "event_id": pc.cast(t["event_id"], pa.int64()),
-                    "ts": t["ts"],
-                    "event_type": t["event_type"],
-                }
-            ),
-            nb,
-        )
-
-    empty = pa.table(
-        {"prev_type": pa.array([], type=pa.string()),
-         "event_type": pa.array([], type=pa.string()),
-         "n": pa.array([], type=pa.int64())}
-    )
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return empty
-        u = g["user_id"].to_numpy()
-        ts = _epoch_us(g["ts"])
-        eid = g["event_id"].to_numpy()
-        order = np.lexsort((eid, ts, u))
-        u_s = u[order]
-        et = g["event_type"].take(pa.array(order, type=pa.int64()))
-        n = len(u_s)
-        if n < 2:
-            return empty
-        same = u_s[1:] == u_s[:-1]
-        idx = np.flatnonzero(same) + 1
-        if not len(idx):
-            return empty
-        pairs = pa.table(
-            {
-                "prev_type": et.take(pa.array(idx - 1, type=pa.int64())),
-                "event_type": et.take(pa.array(idx, type=pa.int64())),
-            }
-        )
-        p = pairs.group_by(["prev_type", "event_type"]).aggregate(
-            [("event_type", "count")]
-        )
-        return pa.table(
-            {"prev_type": pc.cast(p["prev_type"], pa.string()),
-             "event_type": pc.cast(p["event_type"], pa.string()),
-             "n": pc.cast(p["event_type_count"], pa.int64())}
-        )
+        order, u, _ = _timeline(g)
+        idx = np.flatnonzero(~run_rank(u)[0])  # a same-user predecessor
+        et = g["event_type"].take(order)
+        pairs = pa.table({"prev_type": et.take(idx - 1), "event_type": et.take(idx)})
+        return agg(pairs, ["prev_type", "event_type"], n=("event_type", "count"))
 
-    out = (
-        _read_events(sf_dir)
-        .map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__ub")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
-    t = collect_table(out, empty_schema=empty.schema)
-    f = t.group_by(["prev_type", "event_type"]).aggregate([("n", "sum")])
-    f = pa.table(
-        {"prev_type": f["prev_type"], "event_type": f["event_type"],
-         "n": pc.cast(f["n_sum"], pa.int64())}
-    )
-    return f.take(
-        pc.sort_indices(
-            f, sort_keys=[("prev_type", "ascending"),
-                          ("event_type", "ascending")]
-        )
-    )
+    schema = int64_schema("n", prev_type=pa.string(), event_type=pa.string())
+    t = _by_user(_read(sf_dir, ["user_id", "event_id", "ts", "event_type"]), per_bucket, schema)
+    f = agg(t, ["prev_type", "event_type"], n=("n", "sum"))
+    return f.sort_by([("prev_type", "ascending"), ("event_type", "ascending")])
 
 
 def event_type_transitions_sql() -> str:
@@ -1556,71 +1055,25 @@ def user_activity_histogram(sf_dir: str) -> pa.Table:
     bucket exchange completes each user's total (users are disjoint
     across buckets) -> per-bucket histogram partial of <= 64 rows ->
     driver fold."""
-    nb = _n_user_buckets()
 
     def pre(t: pa.Table) -> pa.Table:
-        g = (
-            pa.table({"user_id": pc.cast(t["user_id"], pa.int64())})
-            .group_by("user_id")
-            .aggregate([("user_id", "count")])
-        )
-        g = pa.table(
-            {"user_id": g["user_id"],
-             "n": pc.cast(g["user_id_count"], pa.int64())}
-        )
-        return _user_bucket_rows(g, nb)
-
-    empty = pa.table(
-        {"bucket": pa.array([], type=pa.int64()),
-         "n_users": pa.array([], type=pa.int64()),
-         "n_events": pa.array([], type=pa.int64())}
-    )
+        u = pa.table({"user_id": pc.cast(t["user_id"], pa.int64())})
+        return agg(u, "user_id", n=("user_id", "count"))
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return empty
-        per_user = g.select(["user_id", "n"]).group_by("user_id").aggregate(
-            [("n", "sum")]
-        )
-        n = per_user["n_sum"].to_numpy().astype(np.int64)
+        n = agg(g, "user_id", n=("n", "sum"))["n"].to_numpy()
         # exact floor(log2 n) for n >= 1: frexp returns (m in [0.5, 1), e)
         # with n = m * 2^e exactly (ints < 2^53), so e-1 is the bit length
         # minus one — no float log anywhere
         bucket = (np.frexp(n.astype(np.float64))[1] - 1).astype(np.int64)
-        h = (
-            pa.table(
-                {"bucket": pa.array(bucket, type=pa.int64()),
-                 "n_events": pa.array(n, type=pa.int64())}
-            )
-            .group_by("bucket")
-            .aggregate([("n_events", "sum"), ("n_events", "count")])
-        )
-        return pa.table(
-            {"bucket": h["bucket"],
-             "n_users": pc.cast(h["n_events_count"], pa.int64()),
-             "n_events": pc.cast(h["n_events_sum"], pa.int64())}
-        )
+        return agg(pa.table({"bucket": bucket, "n": n}), "bucket",
+                   n_users=("n", "count"), n_events=("n", "sum"))
 
-    out = (
-        _read_events(sf_dir)
-        .map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__ub")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
-    t = collect_table(out, empty_schema=empty.schema)
-    f = t.group_by("bucket").aggregate([("n_users", "sum"), ("n_events", "sum")])
-    buckets = f["bucket"].to_numpy().astype(np.int64)
-    out_t = pa.table(
-        {
-            "bucket": pa.array(buckets, type=pa.int64()),
-            "lo_events": pa.array(
-                np.left_shift(np.int64(1), buckets), type=pa.int64()
-            ),
-            "n_users": pc.cast(f["n_users_sum"], pa.int64()),
-            "n_events": pc.cast(f["n_events_sum"], pa.int64()),
-        }
-    )
-    return out_t.take(pc.sort_indices(out_t, sort_keys=[("bucket", "ascending")]))
+    ds = arrow_map(_read(sf_dir, ["user_id"]), pre)
+    t = _by_user(ds, per_bucket, int64_schema("bucket", "n_users", "n_events"))
+    f = agg(t, "bucket", n_users=("n_users", "sum"), n_events=("n_events", "sum"))
+    lo = np.left_shift(np.int64(1), f["bucket"].to_numpy().astype(np.int64))
+    return f.add_column(1, "lo_events", pa.array(lo, type=pa.int64())).sort_by("bucket")
 
 
 def user_activity_histogram_sql() -> str:
@@ -1656,112 +1109,26 @@ def weekly_active_users(sf_dir: str) -> pa.Table:
     counts are exact partials) -> x4 window expansion + second in-bucket
     distinct -> (week, wau, mau) partials bounded by |weeks| per bucket
     -> driver fold."""
-    nb = _n_user_buckets()
     week_us = 7 * 86_400_000_000
 
-    def pre(t: pa.Table) -> pa.Table:
-        week = pc.cast(
-            pc.cast(pc.floor_temporal(t["ts"], unit="week"), pa.timestamp("us")),
-            pa.int64(),
-        )
-        g = (
-            pa.table(
-                {"user_id": pc.cast(t["user_id"], pa.int64()), "week": week}
-            )
-            .group_by(["user_id", "week"])
-            .aggregate([])
-        )
-        return _user_bucket_rows(g, nb)
-
-    empty = pa.table(
-        {
-            "week": pa.array([], type=pa.int64()),
-            "wau": pa.array([], type=pa.int64()),
-            "mau": pa.array([], type=pa.int64()),
-        }
-    )
-
     def per_bucket(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return empty
-        uw = (
-            g.select(["user_id", "week"])
-            .group_by(["user_id", "week"])
-            .aggregate([])
-        )
-        wau = uw.group_by("week").aggregate([("user_id", "count")])
-        u = uw["user_id"].to_numpy().astype(np.int64)
-        w = uw["week"].to_numpy().astype(np.int64)
+        uw = agg(g, ["user_id", "week"])
+        wau = agg(uw, "week", wau=("user_id", "count"))
+        u, w = uw["user_id"].to_numpy(), uw["week"].to_numpy()
         win = np.concatenate([w + np.int64(week_us * k) for k in range(4)])
-        muw = (
-            pa.table(
-                {
-                    "user_id": pa.array(np.tile(u, 4), type=pa.int64()),
-                    "week": pa.array(win, type=pa.int64()),
-                }
-            )
-            .group_by(["user_id", "week"])
-            .aggregate([])
-        )
-        mau = muw.group_by("week").aggregate([("user_id", "count")])
-        parts = pa.concat_tables(
-            [
-                pa.table(
-                    {
-                        "week": wau["week"],
-                        "wau": pc.cast(wau["user_id_count"], pa.int64()),
-                        "mau": pa.array(
-                            np.zeros(wau.num_rows, dtype=np.int64),
-                            type=pa.int64(),
-                        ),
-                    }
-                ),
-                pa.table(
-                    {
-                        "week": mau["week"],
-                        "wau": pa.array(
-                            np.zeros(mau.num_rows, dtype=np.int64),
-                            type=pa.int64(),
-                        ),
-                        "mau": pc.cast(mau["user_id_count"], pa.int64()),
-                    }
-                ),
-            ]
-        )
-        f = parts.group_by("week").aggregate([("wau", "sum"), ("mau", "sum")])
-        return pa.table(
-            {
-                "week": f["week"],
-                "wau": pc.cast(f["wau_sum"], pa.int64()),
-                "mau": pc.cast(f["mau_sum"], pa.int64()),
-            }
-        )
+        muw = agg(pa.table({"user_id": np.tile(u, 4), "week": win}), ["user_id", "week"])
+        # every active week is inside its own window: mau covers wau's weeks
+        f = agg(muw, "week", mau=("user_id", "count")).join(wau, "week")
+        return f.set_column(f.schema.get_field_index("wau"), "wau", pc.fill_null(f["wau"], 0))
 
-    out = (
-        _read_events(sf_dir)
-        .map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__ub")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
-    t = collect_table(out, empty_schema=empty.schema)
-    f = t.group_by("week").aggregate([("wau", "sum"), ("mau", "sum")])
-    wau = f["wau_sum"].to_numpy().astype(np.int64)
-    mau = f["mau_sum"].to_numpy().astype(np.int64)
-    keep = wau > 0  # mau-only expansion weeks carry no events
-    weeks = f["week"].to_numpy().astype(np.int64)[keep]
-    wau, mau = wau[keep], mau[keep]
+    ds = arrow_map(_read(sf_dir, ["user_id", "ts"]), lambda t: _user_weeks(t, "week"))
+    t = _by_user(ds, per_bucket, int64_schema("week", "wau", "mau"))
+    f = agg(t, "week", wau=("wau", "sum"), mau=("mau", "sum"))
+    f = f.filter(pc.greater(f["wau"], 0))  # mau-only expansion weeks carry no events
+    wau, mau = f["wau"].to_numpy(), f["mau"].to_numpy()
     stick = round_half_away(wau.astype(np.float64) / mau, 4)
-    out_t = pa.table(
-        {
-            "week": pc.cast(pa.array(weeks, type=pa.int64()), pa.timestamp("us")),
-            "wau": pa.array(wau, type=pa.int64()),
-            "mau": pa.array(mau, type=pa.int64()),
-            "stickiness": pa.array(stick, type=pa.float64()),
-        }
-    )
-    return out_t.take(
-        pc.sort_indices(out_t, sort_keys=[("week", "ascending")])
-    )
+    f = f.set_column(0, "week", pc.cast(f["week"], _US))
+    return f.append_column("stickiness", pa.array(stick, type=pa.float64())).sort_by("week")
 
 
 def weekly_active_users_sql() -> str:
@@ -1805,122 +1172,22 @@ def event_gap_quantiles(sf_dir: str) -> pa.Table:
     (type, gap_sec) partials fold on the driver like
     event_value_quantiles."""
     from smse_backend_ray import config
-    from smse_backend_ray.functions.joins import grouped_aggregate, with_schema
-
-    probs = tuple(config.EV_QUANTILES)
-    pcols = [f"p{int(round(q * 100)):d}" for q in probs]
-    out_fields = [("event_type", pa.string()), ("n_gaps", pa.int64())] + [
-        (c, pa.float64()) for c in pcols
-    ]
-    out_schema = pa.schema(out_fields)
-    nb = _n_user_buckets()
-
-    def pre(t: pa.Table) -> pa.Table:
-        return _user_bucket_rows(
-            pa.table(
-                {
-                    "user_id": pc.cast(t["user_id"], pa.int64()),
-                    "ts": t["ts"],
-                    "event_id": pc.cast(t["event_id"], pa.int64()),
-                    "event_type": t["event_type"],
-                }
-            ),
-            nb,
-        )
-
-    hist_schema = pa.schema(
-        [("event_type", pa.string()), ("gap_sec", pa.int64()),
-         ("cnt", pa.int64())]
-    )
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return hist_schema.empty_table()
-        u = g["user_id"].to_numpy()
-        ts = _epoch_us(g["ts"])
-        eid = g["event_id"].to_numpy()
-        et_obj = np.asarray(
-            g["event_type"].to_numpy(zero_copy_only=False), dtype=object
-        )
-        _, codes = np.unique(et_obj, return_inverse=True)
-        order = np.lexsort((eid, ts, codes, u))
-        u_s, c_s, ts_s = u[order], codes[order], ts[order]
-        n = len(u_s)
-        if n < 2:
-            return hist_schema.empty_table()
-        same = (u_s[1:] == u_s[:-1]) & (c_s[1:] == c_s[:-1])
-        idx = np.flatnonzero(same) + 1
-        if not len(idx):
-            return hist_schema.empty_table()
-        gap_sec = (ts_s[idx] - ts_s[idx - 1]) // 1_000_000  # non-negative
-        h = (
-            pa.table(
-                {
-                    "event_type": pa.array(
-                        et_obj[order][idx].tolist(), type=pa.string()
-                    ),
-                    "gap_sec": pa.array(gap_sec, type=pa.int64()),
-                }
-            )
-            .group_by(["event_type", "gap_sec"])
-            .aggregate([("gap_sec", "count")])
-        )
-        return pa.table(
-            {"event_type": h["event_type"], "gap_sec": h["gap_sec"],
-             "cnt": pc.cast(h["gap_sec_count"], pa.int64())}
-        )
+        et = np.asarray(g["event_type"].to_numpy(zero_copy_only=False), dtype=object)
+        codes = np.unique(et, return_inverse=True)[1]
+        order, u, ts = _timeline(g, codes)
+        # a predecessor of the same (user, type) stream
+        idx = np.flatnonzero(~run_rank(u, codes[order])[0])
+        gap_sec = (ts[idx] - ts[idx - 1]) // 1_000_000  # non-negative
+        h = pa.table({"event_type": g["event_type"].take(order[idx]), "gap_sec": gap_sec})
+        return agg(h, ["event_type", "gap_sec"], cnt=("gap_sec", "count"))
 
-    hist = with_schema(
-        _read_events(sf_dir)
-        .map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__ub")
-        .map_groups(per_bucket, batch_format="pyarrow"),
-        hist_schema,
-    )
-    t = collect_table(hist, empty_schema=hist_schema)
-    if not t.num_rows:
-        return out_schema.empty_table()
-    t = (
-        t.group_by(["event_type", "gap_sec"]).aggregate([("cnt", "sum")])
-    )
-    t = pa.table(
-        {"event_type": t["event_type"], "gap_sec": t["gap_sec"],
-         "cnt": pc.cast(t["cnt_sum"], pa.int64())}
-    )
-    t = t.take(
-        pc.sort_indices(
-            t, sort_keys=[("event_type", "ascending"), ("gap_sec", "ascending")]
-        )
-    )
-    types = t["event_type"].to_numpy(zero_copy_only=False)
-    vals = t["gap_sec"].to_numpy().astype(np.float64)
-    cnts = t["cnt"].to_numpy()
-    new = np.empty(len(types), dtype=bool)
-    new[0] = True
-    new[1:] = types[1:] != types[:-1]
-    starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], len(types))
-    out_rows: dict[str, list] = {f: [] for f, _ in out_fields}
-    for s, e in zip(starts, ends):
-        v = vals[s:e]
-        w = cnts[s:e]
-        cum = np.cumsum(w)
-        nn = int(cum[-1])
-        out_rows["event_type"].append(str(types[s]))
-        out_rows["n_gaps"].append(nn)
-        for q, col in zip(probs, pcols):
-            pos = q * (nn - 1)
-            lo = int(np.floor(pos))
-            hi = int(np.ceil(pos))
-            v_lo = v[np.searchsorted(cum, lo + 1, side="left")]
-            v_hi = v[np.searchsorted(cum, hi + 1, side="left")]
-            val = v_lo + (pos - lo) * (v_hi - v_lo)
-            out_rows[col].append(
-                float(round_half_away(np.array([val]), 4)[0])
-            )
-    return pa.table(
-        {f: pa.array(out_rows[f], type=ty) for f, ty in out_fields}
-    )
+    schema = int64_schema("gap_sec", "cnt", event_type=pa.string())
+    t = _by_user(_read(sf_dir, ["user_id", "ts", "event_id", "event_type"]), per_bucket, schema)
+    t = agg(t, ["event_type", "gap_sec"], cnt=("cnt", "sum"))
+    return hist_quantiles(t, "event_type", "gap_sec", "cnt", tuple(config.EV_QUANTILES),
+                          "n_gaps")
 
 
 def event_gap_quantiles_sql() -> str:

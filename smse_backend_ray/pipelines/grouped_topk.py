@@ -12,11 +12,11 @@ cost k rows per map batch, never their full row count.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray.data
+
+from smse_backend_ray.functions.arrow_kernels import run_rank
 
 
 def _topk_batch(
@@ -28,20 +28,12 @@ def _topk_batch(
         return (
             t.append_column("rank", pa.array([], type=pa.int64())) if with_rank else t
         )
-    order = pc.sort_indices(
-        t,
-        sort_keys=[(key, "ascending"), (by, "descending"), (tiebreak, "ascending")],
-    )
-    t = t.take(order)
-    keys = t[key].to_numpy(zero_copy_only=False)
-    new = np.concatenate(([True], keys[1:] != keys[:-1]))
-    idx = np.arange(len(keys), dtype=np.int64)
-    grp_start = np.maximum.accumulate(np.where(new, idx, 0))
-    rank = idx - grp_start
-    mask = rank < k
+    t = t.sort_by([(key, "ascending"), (by, "descending"), (tiebreak, "ascending")])
+    rank = run_rank(t[key].to_numpy(zero_copy_only=False))[2]
+    mask = rank <= k
     out = t.filter(pa.array(mask))
     if with_rank:
-        out = out.append_column("rank", pa.array(rank[mask] + 1, type=pa.int64()))
+        out = out.append_column("rank", pa.array(rank[mask], type=pa.int64()))
     return out
 
 

@@ -35,7 +35,7 @@ import ray.data
 from smse_backend_ray.functions.analyzer import subtokens_batch
 from smse_backend_ray.functions.collect import collect_table
 from smse_backend_ray.functions.sqlgen import subtoken_expr
-from smse_backend_ray.sources.corpus import _parallel_blocks, _parquet_rows
+from smse_backend_ray.sources.corpus import _parquet_rows, read_table
 
 # model context window the packer fills (frozen with the SQL twin)
 PACK_WINDOW = 2048
@@ -54,9 +54,7 @@ def _n_ranges(sf_dir: str | None = None) -> int:
 
 
 def _token_counts(sf_dir: str) -> "ray.data.Dataset":
-    path = os.path.join(sf_dir, "documents.parquet")
-    ds = ray.data.read_parquet(path, columns=["doc_id", "text"])
-    ds = ds.repartition(_parallel_blocks(_parquet_rows(path)))
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def counts(t: pa.Table) -> pa.Table:
         toks = subtokens_batch(t["text"])

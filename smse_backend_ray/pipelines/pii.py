@@ -33,9 +33,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
-import ray.data
-
 from smse_backend_ray.functions.collect import collect_table
 
 # frozen patterns: RE2-safe (no backslash classes, so the SQL literal is the
@@ -106,19 +103,14 @@ def doc_pii(sf_dir: str) -> pa.Table:
     """Gate entry: (doc_id, n_email, n_ipv4, n_token, redacted) over the
     augmented documents table, doc_id ascending. Value-oracled against
     ``pii_sql`` including the full redacted strings."""
-    import os
-
-    from smse_backend_ray.sources.corpus import _parallel_blocks, _parquet_rows
-
-    path = os.path.join(sf_dir, "documents.parquet")
+    from smse_backend_ray.sources.corpus import read_table
 
     def scan(t: pa.Table) -> pa.Table:
         cols = pii_scan_batch(_augment(t))
         return pa.table({"doc_id": pc.cast(t["doc_id"], pa.int64()), **cols})
 
     ds = (
-        ray.data.read_parquet(path, columns=["doc_id", "text", "lang", "source"])
-        .repartition(_parallel_blocks(_parquet_rows(path)))
+        read_table(sf_dir, "documents", ["doc_id", "text", "lang", "source"])
         .map_batches(scan, batch_format="pyarrow", zero_copy_batch=True)
     )
     t = collect_table(ds)

@@ -17,10 +17,14 @@ Two join shapes, chosen by side size (SURVEY.md §4 guidance):
   - nation_revenue: supplier/nation are DIMENSION tables -> ray.put the
     joined dim once, map-side lookup inside map_batches (broadcast join;
     never a shuffle for the small side).
+
+Every pyarrow join below joins on the SAME key name on both sides: pyarrow
+coalesces the two key columns into one, so no right-key rename is needed.
 """
 
 from __future__ import annotations
 
+import datetime
 import os
 
 import numpy as np
@@ -28,37 +32,105 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
-import ray.data
+from ray.data.aggregate import Sum
 
+from smse_backend_ray import config
+from smse_backend_ray.functions.arrow_kernels import agg, arrow_map, in_window, int64_schema
 from smse_backend_ray.functions.collect import collect_table
-from smse_backend_ray.sources.corpus import _parallel_blocks, _parquet_rows
+from smse_backend_ray.functions.joins import (
+    _bucketed_join,
+    anti_join,
+    attach_left,
+    attach_unique,
+    cpu_scaled_buckets,
+    grouped_aggregate,
+    semi_join,
+    with_schema,
+)
+from smse_backend_ray.functions.rounding import round_half_away
+from smse_backend_ray.sources.corpus import _parquet_rows, read_table
+
+_US = pa.timestamp("us")
 
 
-def _read(sf_dir: str, table: str, columns: list[str]) -> "ray.data.Dataset":
-    # cheap columnar scans (filter/cast/int math): 4096-row floor — see
-    # _parallel_blocks; the CPU cap keeps large inputs unchanged
-    path = os.path.join(sf_dir, f"{table}.parquet")
-    ds = ray.data.read_parquet(path, columns=columns)
-    return ds.repartition(
-        _parallel_blocks(_parquet_rows(path), rows_per_block=4096)
+def _scan(sf_dir: str, table: str, columns: list[str], fn):
+    """Fact/dimension scan + per-batch map. Cheap columnar work
+    (filter/cast/int math): the 4096-row block floor of read_table."""
+    return arrow_map(read_table(sf_dir, table, columns, rows_per_block=4096), fn)
+
+
+def _dim(sf_dir: str, table: str, columns: list[str], key: str | None = None, keys=None):
+    """Driver-side read of a dimension table; ``keys`` makes it a
+    pushed-down point read of ``key IN keys`` (<= N survivor enrichment)."""
+    import pyarrow.dataset as pads
+
+    f = pads.field(key).isin(keys) if keys else None
+    return pads.dataset(os.path.join(sf_dir, f"{table}.parquet")).to_table(
+        columns=columns, filter=f
     )
+
+
+def _lookup(sf_dir: str, table: str, key: str, columns: list[str], keys: list) -> dict:
+    """{key: row} point read of ``keys``. FK integrity assumption (TPC-H
+    guarantees it; the SQL twin's inner join would silently drop an orphan
+    BEFORE top-N, so surfacing it loudly keeps the frozen pair honest
+    rather than divergent)."""
+    rows = {r[key]: r for r in _dim(sf_dir, table, [key] + columns, key, keys).to_pylist()}
+    missing = [k for k in keys if k not in rows]
+    if missing:
+        raise ValueError(f"keys absent from {table}.{key}: {missing[:5]}")
+    return rows
+
+
+def _nations(sf_dir: str):
+    """(names, nation index, supplier index): the nation names sorted (a
+    stable int code per name), nationkey -> name code, and suppkey -> its
+    nation's name code — the tiny supplier ⋈ nation dim chain every
+    broadcast lookup below uses."""
+    nat = _dim(sf_dir, "nation", ["n_nationkey", "n_name"])
+    nkey = nat["n_nationkey"].to_numpy()
+    names = sorted(set(nat["n_name"].to_pylist()))
+    code = {n: i for i, n in enumerate(names)}
+    nat_idx = np.full(int(nkey.max()) + 1, -1, dtype=np.int64)
+    nat_idx[nkey] = [code[n] for n in nat["n_name"].to_pylist()]
+    sup = _dim(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
+    skeys = sup["s_suppkey"].to_numpy()
+    sup_idx = np.full(int(skeys.max()) + 1, -1, dtype=np.int64)
+    sup_idx[skeys] = nat_idx[sup["s_nationkey"].to_numpy()]
+    return pa.array(names, type=pa.string()), nat_idx, sup_idx
 
 
 def _fact_buckets(sf_dir: str, table: str) -> int:
     """Exchange bucket count sized to the query's fact table (footer row
     count; only lowers the CPU-scaled default — joins.cpu_scaled_buckets)."""
-    from smse_backend_ray.functions.joins import cpu_scaled_buckets
-
-    path = os.path.join(sf_dir, f"{table}.parquet")
-    return cpu_scaled_buckets(rows=_parquet_rows(path))
+    return cpu_scaled_buckets(rows=_parquet_rows(os.path.join(sf_dir, f"{table}.parquet")))
 
 
-def _revenue_scaled(price: np.ndarray, discount: np.ndarray) -> np.ndarray:
+def _cents(col) -> np.ndarray:
+    """Exact cents of a non-negative 2-decimal column: floor(x*100+0.5)."""
+    return np.floor(col.to_numpy(zero_copy_only=False) * 100.0 + 0.5).astype(np.int64)
+
+
+def _revenue_scaled(t: pa.Table) -> np.ndarray:
     """Exact 1e-4-dollar units: round(p*100) * (100 - round(d*100)).
     Half-away rounding via floor(x+0.5) — values are non-negative."""
-    p = np.floor(price * 100.0 + 0.5).astype(np.int64)
-    d = np.floor(discount * 100.0 + 0.5).astype(np.int64)
-    return p * (100 - d)
+    return _cents(t["l_extendedprice"]) * (100 - _cents(t["l_discount"]))
+
+
+def _rev_by(t: pa.Table, col: str, key: str) -> pa.Table:
+    """Per-batch combiner: exact revenue summed per ``t[col]`` (as int64
+    ``key``) — one row per key leaves the batch, not one per lineitem."""
+    part = pa.table({key: pc.cast(t[col], pa.int64()), "rev": _revenue_scaled(t)})
+    return agg(part, key, rev=("rev", "sum"))
+
+
+def _keys(t: pa.Table, mask, col: str, key: str) -> pa.Table:
+    """The int64 ``col`` of the rows passing ``mask``, named ``key``."""
+    return pa.table({key: pc.cast(t.filter(mask)[col], pa.int64())})
+
+
+def _total(t: pa.Table, col: str) -> int:
+    return int(pc.sum(t[col]).as_py() or 0)
 
 
 def revenue_by_month(sf_dir: str) -> pa.Table:
@@ -74,78 +146,31 @@ def revenue_by_month(sf_dir: str) -> pa.Table:
     dsjoin + Ray Aggregate chain whose per-partition aggregator actors
     started ~180 worker processes for a 60 k-row input (measured 13-23 s;
     this path: ~1 s)."""
-    from smse_backend_ray.functions.joins import _bucketed_join
 
     def combine(t: pa.Table) -> pa.Table:
-        rev = _revenue_scaled(
-            t["l_extendedprice"].to_numpy(), t["l_discount"].to_numpy()
-        )
-        part = pa.table(
-            {"l_orderkey": pc.cast(t["l_orderkey"], pa.int64()),
-             "rev": pa.array(rev)}
-        )
-        g = part.group_by("l_orderkey").aggregate([("rev", "sum"), ("rev", "count")])
-        return pa.table(
-            {
-                "l_orderkey": g["l_orderkey"],
-                "rev": pc.cast(g["rev_sum"], pa.int64()),
-                "n": pc.cast(g["rev_count"], pa.int64()),
-            }
-        )
-
-    facts = _read(
-        sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]
-    ).map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
+        part = pa.table({"l_orderkey": pc.cast(t["l_orderkey"], pa.int64()),
+                         "rev": _revenue_scaled(t)})
+        return agg(part, "l_orderkey", rev=("rev", "sum"), n=("rev", "count"))
 
     def ord_ym(t: pa.Table) -> pa.Table:
-        dt = pc.cast(t["o_orderdate"], pa.timestamp("us"))
-        ym = (
-            pc.year(dt).to_numpy(zero_copy_only=False) * 100
-            + pc.month(dt).to_numpy(zero_copy_only=False)
-        ).astype(np.int32)
-        return pa.table(
-            {"l_orderkey": pc.cast(t["o_orderkey"], pa.int64()),
-             "ym": pa.array(ym)}
-        )
-
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]).map_batches(
-        ord_ym, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    facts_schema = pa.schema(
-        [("l_orderkey", pa.int64()), ("rev", pa.int64()), ("n", pa.int64())]
-    )
-    orders_schema = pa.schema([("l_orderkey", pa.int64()), ("ym", pa.int32())])
+        dt = pc.cast(t["o_orderdate"], _US)
+        ym = (pc.year(dt).to_numpy(zero_copy_only=False) * 100
+              + pc.month(dt).to_numpy(zero_copy_only=False)).astype(np.int32)
+        return pa.table({"l_orderkey": pc.cast(t["o_orderkey"], pa.int64()), "ym": ym})
 
     def join_month_partial(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        rt = rt.rename_columns(
-            ["__rk" if nm == "l_orderkey" else nm for nm in rt.column_names]
-        )
-        j = lt.join(rt, keys=["l_orderkey"], right_keys=["__rk"],
-                    join_type="inner")
-        g = j.group_by("ym").aggregate([("rev", "sum"), ("n", "sum")])
-        return pa.table(
-            {"ym": g["ym"], "rev": pc.cast(g["rev_sum"], pa.int64()),
-             "n": pc.cast(g["n_sum"], pa.int64())}
-        )
+        j = lt.join(rt, "l_orderkey", join_type="inner")
+        return agg(j, "ym", rev=("rev", "sum"), n=("n", "sum"))
 
-    partial_schema = pa.schema(
-        [("ym", pa.int32()), ("rev", pa.int64()), ("n", pa.int64())]
-    )
     rolled = _bucketed_join(
-        facts, orders, ["l_orderkey"], facts_schema, orders_schema,
+        _scan(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"], combine),
+        _scan(sf_dir, "orders", ["o_orderkey", "o_orderdate"], ord_ym),
+        ["l_orderkey"], int64_schema("l_orderkey", "rev", "n"),
+        int64_schema("l_orderkey", ym=pa.int32()),
         join_month_partial, nb=_fact_buckets(sf_dir, "lineitem"),
     )
-    t = collect_table(rolled, empty_schema=partial_schema)
-    g = t.group_by("ym").aggregate([("rev", "sum"), ("n", "sum")])
-    t = pa.table(
-        {
-            "ym": pc.cast(g["ym"], pa.int32()),
-            "revenue_scaled": pc.cast(g["rev_sum"], pa.int64()),
-            "n_items": pc.cast(g["n_sum"], pa.int64()),
-        }
-    )
-    return t.take(pc.sort_indices(t["ym"]))
+    t = collect_table(rolled, empty_schema=int64_schema("rev", "n", ym=pa.int32()))
+    return agg(t, "ym", revenue_scaled=("rev", "sum"), n_items=("n", "sum")).sort_by("ym")
 
 
 def revenue_by_month_sql() -> str:
@@ -166,70 +191,26 @@ def nation_revenue(sf_dir: str) -> pa.Table:
     driver-side once, broadcast via ``ray.put``, and the fact table does a
     map-side array lookup — no shuffle for the small side, one combiner
     groupby for the rollup."""
-    import pyarrow.parquet as pq
-
-    sup = pq.read_table(
-        os.path.join(sf_dir, "supplier.parquet"), columns=["s_suppkey", "s_nationkey"]
-    )
-    nat = pq.read_table(
-        os.path.join(sf_dir, "nation.parquet"), columns=["n_nationkey", "n_name"]
-    )
-    nkey = nat["n_nationkey"].to_numpy()
-    names = nat["n_name"].to_pylist()
-    name_of = dict(zip(nkey.tolist(), names))
-    # dense suppkey -> nation-name-index arrays (suppkeys are 1..N)
-    skeys = sup["s_suppkey"].to_numpy()
-    snat = sup["s_nationkey"].to_numpy()
-    lut = np.full(int(skeys.max()) + 1, -1, dtype=np.int64)
-    lut[skeys] = snat
-    names_sorted = sorted(set(names))
-    name_idx = {n: i for i, n in enumerate(names_sorted)}
-    nat_to_idx = np.full(int(nkey.max()) + 1, -1, dtype=np.int64)
-    for k, nm in name_of.items():
-        nat_to_idx[k] = name_idx[nm]
-    ref = ray.put((lut, nat_to_idx))
+    names, _, sup_idx = _nations(sf_dir)
+    ref = ray.put(sup_idx)
 
     def partial(t: pa.Table) -> pa.Table:
-        lut_, n2i = ray.get(ref)
-        rev = _revenue_scaled(
-            t["l_extendedprice"].to_numpy(), t["l_discount"].to_numpy()
-        )
-        idx = n2i[lut_[t["l_suppkey"].to_numpy()]]
-        sums = np.zeros(len(names_sorted), dtype=np.int64)
-        cnts = np.zeros(len(names_sorted), dtype=np.int64)
-        np.add.at(sums, idx, rev)
+        idx = ray.get(ref)[t["l_suppkey"].to_numpy()]
+        sums = np.zeros(len(names), dtype=np.int64)
+        cnts = np.zeros(len(names), dtype=np.int64)
+        np.add.at(sums, idx, _revenue_scaled(t))
         np.add.at(cnts, idx, 1)
         nz = np.flatnonzero(cnts)
-        return pa.table(
-            {
-                "nidx": pa.array(nz, type=pa.int64()),
-                "rev": pa.array(sums[nz], type=pa.int64()),
-                "n": pa.array(cnts[nz], type=pa.int64()),
-            }
-        )
+        return pa.table({"nidx": nz, "rev": sums[nz], "n": cnts[nz]})
 
     # per-block partials are <= 25 rows (nation count), so the final merge
     # is a driver-side pyarrow group_by over blocks * 25 rows — exact
     # integer sums, order-free; a Ray Aggregate exchange here is pure
     # overhead at every scale
-    partial_schema = pa.schema(
-        [("nidx", pa.int64()), ("rev", pa.int64()), ("n", pa.int64())]
-    )
-    rolled = _read(
-        sf_dir, "lineitem", ["l_suppkey", "l_extendedprice", "l_discount"]
-    ).map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    t = collect_table(rolled, empty_schema=partial_schema)
-    g = t.group_by("nidx").aggregate([("rev", "sum"), ("n", "sum")])
-    t = pa.table(
-        {
-            "n_name": pa.array(
-                [names_sorted[i] for i in g["nidx"].to_pylist()], type=pa.string()
-            ),
-            "revenue_scaled": pc.cast(g["rev_sum"], pa.int64()),
-            "n_items": pc.cast(g["n_sum"], pa.int64()),
-        }
-    )
-    return t.take(pc.sort_indices(t["n_name"]))
+    rolled = _scan(sf_dir, "lineitem", ["l_suppkey", "l_extendedprice", "l_discount"], partial)
+    t = collect_table(rolled, empty_schema=int64_schema("nidx", "rev", "n"))
+    g = agg(t, "nidx", revenue_scaled=("rev", "sum"), n_items=("n", "sum"))
+    return g.set_column(0, "n_name", names.take(g["nidx"])).sort_by("n_name")
 
 
 def order_priority_counts(sf_dir: str) -> pa.Table:
@@ -238,67 +219,33 @@ def order_priority_counts(sf_dir: str) -> pa.Table:
     o_orderpriority. The fact side shrinks to DISTINCT qualifying orderkeys
     per batch (combiner) before the bucketed distributed semi-join; the
     orders side prunes to the date window and two columns at the read."""
-    import datetime
-
-    from smse_backend_ray.functions.joins import semi_join
-
-    lo = datetime.datetime(1996, 1, 1)
-    hi = datetime.datetime(1997, 1, 1)
 
     def window(t: pa.Table) -> pa.Table:
-        dt = pc.cast(t["o_orderdate"], pa.timestamp("us"))
-        m = pc.and_(
-            pc.greater_equal(dt, pa.scalar(lo)), pc.less(dt, pa.scalar(hi))
-        )
+        m = in_window(t["o_orderdate"], "1996-01-01", "1997-01-01")
         return t.filter(m).select(["o_orderkey", "o_orderpriority"])
 
-    orders = _read(
-        sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"]
-    ).map_batches(window, batch_format="pyarrow", zero_copy_batch=True)
-
     def qualifying(t: pa.Table) -> pa.Table:
-        m = pc.greater(t["l_discount"], 0.05)
-        k = t.filter(m).select(["l_orderkey"])
         # per-batch DISTINCT combiner: the semi-join right side carries one
         # row per (batch, orderkey), not one per lineitem
-        g = k.group_by("l_orderkey").aggregate([])
-        return g.rename_columns(["o_orderkey"])
+        k = agg(t.filter(pc.greater(t["l_discount"], 0.05)), "l_orderkey")
+        return k.rename_columns(["o_orderkey"])
 
-    quals = _read(sf_dir, "lineitem", ["l_orderkey", "l_discount"]).map_batches(
-        qualifying, batch_format="pyarrow", zero_copy_batch=True
-    )
-    left_schema = pa.schema(
-        [("o_orderkey", pa.int64()), ("o_orderpriority", pa.string())]
-    )
     kept = semi_join(
-        orders, quals, keys=["o_orderkey"], left_schema=left_schema,
+        _scan(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"], window),
+        _scan(sf_dir, "lineitem", ["l_orderkey", "l_discount"], qualifying),
+        keys=["o_orderkey"],
+        left_schema=int64_schema("o_orderkey", o_orderpriority=pa.string()),
         nb=_fact_buckets(sf_dir, "orders"),
     )
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("o_orderpriority").aggregate([("o_orderkey", "count")])
-        return pa.table(
-            {
-                "o_orderpriority": g["o_orderpriority"],
-                "n": pc.cast(g["o_orderkey_count"], pa.int64()),
-            }
-        )
-
-    from ray.data.aggregate import Sum
-
     rolled = (
-        kept.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+        arrow_map(kept, lambda t: agg(t, "o_orderpriority", n=("o_orderkey", "count")))
         .groupby("o_orderpriority")
         .aggregate(Sum("n", alias_name="n_orders"))
     )
     t = collect_table(rolled)
-    t = pa.table(
-        {
-            "o_orderpriority": t["o_orderpriority"],
-            "n_orders": pc.cast(t["n_orders"], pa.int64()),
-        }
-    )
-    return t.take(pc.sort_indices(t["o_orderpriority"]))
+    t = pa.table({"o_orderpriority": t["o_orderpriority"],
+                  "n_orders": pc.cast(t["n_orders"], pa.int64())})
+    return t.sort_by("o_orderpriority")
 
 
 def order_priority_counts_sql() -> str:
@@ -321,67 +268,30 @@ def cust_order_distribution(sf_dir: str) -> pa.Table:
     distributed groupby for per-customer counts, then a bucketed LEFT
     OUTER attach onto the customer key column (joins.attach_left keeps
     every customer; missing payload -> 0), then a second tiny rollup."""
-    from ray.data.aggregate import Sum
-
-    from smse_backend_ray.functions.joins import attach_left
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("o_custkey").aggregate([("o_custkey", "count")])
-        return pa.table(
-            {
-                "o_custkey": g["o_custkey"],
-                "n": pc.cast(g["o_custkey_count"], pa.int64()),
-            }
-        )
-
     counts = (
-        _read(sf_dir, "orders", ["o_custkey"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+        _scan(sf_dir, "orders", ["o_custkey"],
+              lambda t: agg(t, "o_custkey", n=("o_custkey", "count")))
         .groupby("o_custkey")
         .aggregate(Sum("n", alias_name="c_count"))
     )
-    cust = _read(sf_dir, "customer", ["c_custkey"])
     joined = attach_left(
-        cust,
-        counts,
-        "c_custkey",
-        "o_custkey",
-        pa.schema([("c_custkey", pa.int64())]),
-        pa.schema([("c_count", pa.int64())]),
+        read_table(sf_dir, "customer", ["c_custkey"], rows_per_block=4096),
+        counts, "c_custkey", "o_custkey",
+        int64_schema("c_custkey"), int64_schema("c_count"),
         nb=_fact_buckets(sf_dir, "customer"),
     )
 
     def hist(t: pa.Table) -> pa.Table:
-        c = pc.fill_null(pc.cast(t["c_count"], pa.int64()), 0)
-        g = (
-            pa.table({"c_count": c})
-            .group_by("c_count")
-            .aggregate([("c_count", "count")])
-        )
-        return pa.table(
-            {
-                "c_count": g["c_count"],
-                "n": pc.cast(g["c_count_count"], pa.int64()),
-            }
-        )
+        c = pa.table({"c_count": pc.fill_null(pc.cast(t["c_count"], pa.int64()), 0)})
+        return agg(c, "c_count", n=("c_count", "count"))
 
     rolled = (
-        joined.map_batches(hist, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("c_count")
-        .aggregate(Sum("n", alias_name="n_custs"))
+        arrow_map(joined, hist).groupby("c_count").aggregate(Sum("n", alias_name="n_custs"))
     )
     t = collect_table(rolled)
-    t = pa.table(
-        {
-            "c_count": pc.cast(t["c_count"], pa.int64()),
-            "n_custs": pc.cast(t["n_custs"], pa.int64()),
-        }
-    )
-    return t.take(
-        pc.sort_indices(
-            t, sort_keys=[("n_custs", "descending"), ("c_count", "descending")]
-        )
-    )
+    t = pa.table({"c_count": pc.cast(t["c_count"], pa.int64()),
+                  "n_custs": pc.cast(t["n_custs"], pa.int64())})
+    return t.sort_by([("n_custs", "descending"), ("c_count", "descending")])
 
 
 def cust_order_distribution_sql() -> str:
@@ -404,15 +314,7 @@ def promo_revenue_share(sf_dir: str) -> pa.Table:
     joins.attach_unique); the fact side does a map-side lookup and emits
     one exact-integer partial row per batch. The final ratio is ONE double
     division of two exact int64 sums, rounded half-away 4."""
-    import datetime
-
-    import pyarrow.parquet as pq
-
-    from smse_backend_ray.functions.rounding import round_half_away
-
-    part = pq.read_table(
-        os.path.join(sf_dir, "part.parquet"), columns=["p_partkey", "p_type"]
-    )
+    part = _dim(sf_dir, "part", ["p_partkey", "p_type"])
     pk = part["p_partkey"].to_numpy()
     promo = pc.equal(part["p_type"], "PROMO").to_numpy(zero_copy_only=False)
     # int8 LUT: 1=promo, 0=non-promo, -1=partkey absent from part — rows
@@ -421,39 +323,19 @@ def promo_revenue_share(sf_dir: str) -> pa.Table:
     lut = np.full(int(pk.max()) + 1, -1, dtype=np.int8)
     lut[pk] = promo.astype(np.int8)
     ref = ray.put(lut)
-    lo = datetime.datetime(1996, 1, 1)
-    hi = datetime.datetime(1997, 1, 1)
 
     def partial(t: pa.Table) -> pa.Table:
-        dt = pc.cast(t["l_shipdate"], pa.timestamp("us"))
-        m = pc.and_(
-            pc.greater_equal(dt, pa.scalar(lo)), pc.less(dt, pa.scalar(hi))
-        )
-        t = t.filter(m)
-        rev = _revenue_scaled(
-            t["l_extendedprice"].to_numpy(), t["l_discount"].to_numpy()
-        )
+        t = t.filter(in_window(t["l_shipdate"], "1996-01-01", "1997-01-01"))
+        rev = _revenue_scaled(t)
         lut_ = ray.get(ref)
         keys = t["l_partkey"].to_numpy()
         flags = np.where(keys < len(lut_), lut_[np.minimum(keys, len(lut_) - 1)], -1)
-        matched = flags >= 0
-        return pa.table(
-            {
-                "k": pa.array([0], type=pa.int64()),
-                "promo": pa.array([int(rev[flags == 1].sum())], type=pa.int64()),
-                "total": pa.array([int(rev[matched].sum())], type=pa.int64()),
-            }
-        )
-
-    from ray.data.aggregate import Sum
+        return pa.table({"k": [0], "promo": [int(rev[flags == 1].sum())],
+                         "total": [int(rev[flags >= 0].sum())]})
 
     rolled = (
-        _read(
-            sf_dir,
-            "lineitem",
-            ["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"],
-        )
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+        _scan(sf_dir, "lineitem",
+              ["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"], partial)
         .groupby("k")
         .aggregate(Sum("promo", alias_name="promo_revenue_scaled"),
                    Sum("total", alias_name="total_revenue_scaled"))
@@ -462,13 +344,8 @@ def promo_revenue_share(sf_dir: str) -> pa.Table:
     p = int(t["promo_revenue_scaled"][0].as_py())
     tot = int(t["total_revenue_scaled"][0].as_py())
     pct = round_half_away(100.0 * p / tot, 4) if tot else 0.0
-    return pa.table(
-        {
-            "promo_revenue_scaled": pa.array([p], type=pa.int64()),
-            "total_revenue_scaled": pa.array([tot], type=pa.int64()),
-            "promo_pct": pa.array([pct], type=pa.float64()),
-        }
-    )
+    return pa.table({"promo_revenue_scaled": [p], "total_revenue_scaled": [tot],
+                     "promo_pct": pa.array([pct], type=pa.float64())})
 
 
 def promo_revenue_share_sql() -> str:
@@ -526,89 +403,40 @@ def shipping_priority(sf_dir: str) -> pa.Table:
     before the bucketed inner join; the final top-N runs per-block on
     complete groups (grouped_aggregate emits each key exactly once) and
     the driver merges N-row partials."""
-    import datetime
-
-    from smse_backend_ray import config
-    from smse_backend_ray.functions.joins import _bucketed_join, semi_join
-
     seg = config.Q3_SEGMENT
-    cutoff = datetime.datetime.fromisoformat(config.Q3_CUTOFF)
+    cutoff = pa.scalar(datetime.datetime.fromisoformat(config.Q3_CUTOFF))
     top_n = config.Q3_TOP_N
-
-    def seg_keys(t: pa.Table) -> pa.Table:
-        m = pc.equal(t["c_mktsegment"], seg)
-        return pa.table(
-            {"o_custkey": pc.cast(t.filter(m)["c_custkey"], pa.int64())}
-        )
-
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
-        seg_keys, batch_format="pyarrow", zero_copy_batch=True
-    )
+    order = [("revenue_scaled", "descending"), ("odate_us", "ascending"),
+             ("l_orderkey", "ascending")]
 
     def ord_window(t: pa.Table) -> pa.Table:
-        dt = pc.cast(t["o_orderdate"], pa.timestamp("us"))
-        kept = t.filter(pc.less(dt, pa.scalar(cutoff)))
-        return pa.table(
-            {
-                "o_orderkey": pc.cast(kept["o_orderkey"], pa.int64()),
-                "o_custkey": pc.cast(kept["o_custkey"], pa.int64()),
-                "odate_us": pc.cast(
-                    pc.cast(kept["o_orderdate"], pa.timestamp("us")), pa.int64()
-                ),
-            }
-        )
+        kept = t.filter(pc.less(pc.cast(t["o_orderdate"], _US), cutoff))
+        return pa.table({
+            "o_orderkey": pc.cast(kept["o_orderkey"], pa.int64()),
+            "o_custkey": pc.cast(kept["o_custkey"], pa.int64()),
+            "odate_us": pc.cast(pc.cast(kept["o_orderdate"], _US), pa.int64()),
+        })
 
-    orders_schema = pa.schema(
-        [("o_orderkey", pa.int64()), ("o_custkey", pa.int64()),
-         ("odate_us", pa.int64())]
-    )
-    orders = semi_join(
-        _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
-        .map_batches(ord_window, batch_format="pyarrow", zero_copy_batch=True),
-        cust,
-        keys=["o_custkey"],
-        left_schema=orders_schema,
-        nb=_fact_buckets(sf_dir, "orders"),
-    ).map_batches(
+    orders = arrow_map(
+        semi_join(
+            _scan(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"], ord_window),
+            _scan(sf_dir, "customer", ["c_custkey", "c_mktsegment"],
+                  lambda t: _keys(t, pc.equal(t["c_mktsegment"], seg), "c_custkey",
+                                  "o_custkey")),
+            keys=["o_custkey"],
+            left_schema=int64_schema("o_orderkey", "o_custkey", "odate_us"),
+            nb=_fact_buckets(sf_dir, "orders"),
+        ),
         # rename to the fact-side key so the fused join buckets both sides
         # on the same column name
         lambda t: t.select(["o_orderkey", "odate_us"]).rename_columns(
             ["l_orderkey", "odate_us"]
         ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
     )
 
     def li_combine(t: pa.Table) -> pa.Table:
-        dt = pc.cast(t["l_shipdate"], pa.timestamp("us"))
-        kept = t.filter(pc.greater(dt, pa.scalar(cutoff)))
-        rev = _revenue_scaled(
-            kept["l_extendedprice"].to_numpy(zero_copy_only=False),
-            kept["l_discount"].to_numpy(zero_copy_only=False),
-        )
-        g = (
-            pa.table(
-                {"l_orderkey": pc.cast(kept["l_orderkey"], pa.int64()),
-                 "rev": pa.array(rev, type=pa.int64())}
-            )
-            .group_by("l_orderkey")
-            .aggregate([("rev", "sum")])
-        )
-        return pa.table(
-            {"l_orderkey": g["l_orderkey"],
-             "rev": pc.cast(g["rev_sum"], pa.int64())}
-        )
-
-    facts = _read(
-        sf_dir, "lineitem",
-        ["l_orderkey", "l_shipdate", "l_extendedprice", "l_discount"],
-    ).map_batches(li_combine, batch_format="pyarrow", zero_copy_batch=True)
-
-    facts_schema = pa.schema([("l_orderkey", pa.int64()), ("rev", pa.int64())])
-    rolled_schema = pa.schema(
-        [("l_orderkey", pa.int64()), ("odate_us", pa.int64()),
-         ("revenue_scaled", pa.int64())]
-    )
+        kept = t.filter(pc.greater(pc.cast(t["l_shipdate"], _US), cutoff))
+        return _rev_by(kept, "l_orderkey", "l_orderkey")
 
     # join + rollup + top-N FUSED into the one orderkey exchange: the
     # rollup key (l_orderkey, odate_us) contains the bucket key, so every
@@ -616,47 +444,22 @@ def shipping_priority(sf_dir: str) -> pa.Table:
     # is globally exact — one all-to-all instead of the
     # attach_unique -> grouped_aggregate -> block_topn chain (3 exchanges)
     def join_roll_topn(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        rt = rt.rename_columns(
-            ["__rk" if n == "l_orderkey" else n for n in rt.column_names]
-        )
-        j = lt.join(rt, keys=["l_orderkey"], right_keys=["__rk"],
-                    join_type="inner")
-        g = j.group_by(["l_orderkey", "odate_us"]).aggregate([("rev", "sum")])
-        t = pa.table(
-            {"l_orderkey": g["l_orderkey"], "odate_us": g["odate_us"],
-             "revenue_scaled": pc.cast(g["rev_sum"], pa.int64())}
-        )
-        idx = pc.sort_indices(
-            t,
-            sort_keys=[("revenue_scaled", "descending"),
-                       ("odate_us", "ascending"), ("l_orderkey", "ascending")],
-        )
-        return t.take(idx[:top_n])
+        j = lt.join(rt, "l_orderkey", join_type="inner")
+        g = agg(j, ["l_orderkey", "odate_us"], revenue_scaled=("rev", "sum"))
+        return g.sort_by(order).slice(0, top_n)
 
     rolled = _bucketed_join(
-        facts,
-        orders,
-        ["l_orderkey"],
-        facts_schema,
-        pa.schema([("l_orderkey", pa.int64()), ("odate_us", pa.int64())]),
-        join_roll_topn,
+        _scan(sf_dir, "lineitem",
+              ["l_orderkey", "l_shipdate", "l_extendedprice", "l_discount"], li_combine),
+        orders, ["l_orderkey"], int64_schema("l_orderkey", "rev"),
+        int64_schema("l_orderkey", "odate_us"), join_roll_topn,
         nb=_fact_buckets(sf_dir, "lineitem"),
     )
-
-    t = collect_table(rolled, empty_schema=rolled_schema)
-    idx = pc.sort_indices(
-        t,
-        sort_keys=[("revenue_scaled", "descending"),
-                   ("odate_us", "ascending"), ("l_orderkey", "ascending")],
-    )
-    t = t.take(idx[: min(top_n, t.num_rows)])
-    return pa.table(
-        {
-            "l_orderkey": t["l_orderkey"],
-            "revenue_scaled": t["revenue_scaled"],
-            "o_orderdate": pc.cast(t["odate_us"], pa.timestamp("us")),
-        }
-    )
+    t = collect_table(
+        rolled, empty_schema=int64_schema("l_orderkey", "odate_us", "revenue_scaled")
+    ).sort_by(order).slice(0, top_n)
+    return pa.table({"l_orderkey": t["l_orderkey"], "revenue_scaled": t["revenue_scaled"],
+                     "o_orderdate": pc.cast(t["odate_us"], _US)})
 
 
 def shipping_priority_sql() -> str:
@@ -697,137 +500,47 @@ def returned_item_revenue(sf_dir: str) -> pa.Table:
     AFTER top-N on <= N surviving keys — a parquet point read with a
     pushed-down key filter, never a fact-scale join (the same <= k
     enrichment shape as the search result join, stages/scorer.py)."""
-    import datetime
-
-    import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
-
-    from smse_backend_ray import config
-    from smse_backend_ray.functions.joins import (
-        attach_unique,
-        grouped_aggregate,
-        with_schema,
-    )
-
-    lo = datetime.datetime.fromisoformat(config.Q10_DATE_LO)
-    hi = datetime.datetime.fromisoformat(config.Q10_DATE_HI)
-    flag = config.Q10_RETURNFLAG
-    top_n = config.Q10_TOP_N
+    lo, hi = config.Q10_DATE_LO, config.Q10_DATE_HI
+    flag, top_n = config.Q10_RETURNFLAG, config.Q10_TOP_N
+    order = [("revenue_scaled", "descending"), ("o_custkey", "ascending")]
 
     def ord_window(t: pa.Table) -> pa.Table:
-        dt = pc.cast(t["o_orderdate"], pa.timestamp("us"))
-        m = pc.and_(
-            pc.greater_equal(dt, pa.scalar(lo)), pc.less(dt, pa.scalar(hi))
-        )
-        kept = t.filter(m)
-        return pa.table(
-            {
-                "o_orderkey": pc.cast(kept["o_orderkey"], pa.int64()),
-                "o_custkey": pc.cast(kept["o_custkey"], pa.int64()),
-            }
-        )
+        kept = t.filter(in_window(t["o_orderdate"], lo, hi))
+        return pa.table({"o_orderkey": pc.cast(kept["o_orderkey"], pa.int64()),
+                         "o_custkey": pc.cast(kept["o_custkey"], pa.int64())})
 
-    orders = _read(
-        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
-    ).map_batches(ord_window, batch_format="pyarrow", zero_copy_batch=True)
-
-    def li_combine(t: pa.Table) -> pa.Table:
-        kept = t.filter(pc.equal(t["l_returnflag"], flag))
-        rev = _revenue_scaled(
-            kept["l_extendedprice"].to_numpy(zero_copy_only=False),
-            kept["l_discount"].to_numpy(zero_copy_only=False),
-        )
-        g = (
-            pa.table(
-                {"l_orderkey": pc.cast(kept["l_orderkey"], pa.int64()),
-                 "rev": pa.array(rev, type=pa.int64())}
-            )
-            .group_by("l_orderkey")
-            .aggregate([("rev", "sum")])
-        )
-        return pa.table(
-            {"l_orderkey": g["l_orderkey"],
-             "rev": pc.cast(g["rev_sum"], pa.int64())}
-        )
-
-    facts = _read(
-        sf_dir, "lineitem",
-        ["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"],
-    ).map_batches(li_combine, batch_format="pyarrow", zero_copy_batch=True)
-
-    facts_schema = pa.schema([("l_orderkey", pa.int64()), ("rev", pa.int64())])
     joined = attach_unique(
-        facts, orders, "l_orderkey", "o_orderkey", facts_schema,
-        pa.schema([("o_custkey", pa.int64())]),
+        _scan(sf_dir, "lineitem",
+              ["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"],
+              lambda t: _rev_by(t.filter(pc.equal(t["l_returnflag"], flag)),
+                                "l_orderkey", "l_orderkey")),
+        _scan(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"], ord_window),
+        "l_orderkey", "o_orderkey", int64_schema("l_orderkey", "rev"),
+        int64_schema("o_custkey"),
     )
-
-    rolled_schema = pa.schema(
-        [("o_custkey", pa.int64()), ("revenue_scaled", pa.int64())]
-    )
+    rolled_schema = int64_schema("o_custkey", "revenue_scaled")
     rolled = with_schema(
-        grouped_aggregate(
-            joined, ["o_custkey"], [("rev", "sum", "revenue_scaled")]
-        ),
+        grouped_aggregate(joined, ["o_custkey"], [("rev", "sum", "revenue_scaled")]),
         rolled_schema,
     )
-
-    def block_topn(t: pa.Table) -> pa.Table:
-        if not t.num_rows:
-            return rolled_schema.empty_table()
-        idx = pc.sort_indices(
-            t,
-            sort_keys=[("revenue_scaled", "descending"),
-                       ("o_custkey", "ascending")],
-        )
-        return t.take(idx[:top_n])
-
     t = collect_table(
-        rolled.map_batches(
-            block_topn, batch_format="pyarrow", zero_copy_batch=True
-        ),
+        arrow_map(rolled, lambda b: b.sort_by(order).slice(0, top_n)),
         empty_schema=rolled_schema,
-    )
-    idx = pc.sort_indices(
-        t,
-        sort_keys=[("revenue_scaled", "descending"), ("o_custkey", "ascending")],
-    )
-    t = t.take(idx[: min(top_n, t.num_rows)])
+    ).sort_by(order).slice(0, top_n)
 
     # <= N survivors: pushed-down point read of customer, tiny nation lookup
     keys = t["o_custkey"].to_pylist()
-    cust = pads.dataset(os.path.join(sf_dir, "customer.parquet")).to_table(
-        columns=["c_custkey", "c_name", "c_acctbal", "c_nationkey"],
-        filter=pads.field("c_custkey").isin(keys) if keys else None,
-    )
-    nat = pq.read_table(
-        os.path.join(sf_dir, "nation.parquet"), columns=["n_nationkey", "n_name"]
-    )
+    meta = _lookup(sf_dir, "customer", "c_custkey", ["c_name", "c_acctbal", "c_nationkey"], keys)
+    nat = _dim(sf_dir, "nation", ["n_nationkey", "n_name"])
     nname = dict(zip(nat["n_nationkey"].to_pylist(), nat["n_name"].to_pylist()))
-    meta = {
-        r["c_custkey"]: r for r in cust.to_pylist()
-    }
-    # FK integrity assumption (TPC-H guarantees it; the SQL twin's inner
-    # join would silently drop an orphan BEFORE top-N, so surfacing it
-    # loudly here keeps the frozen pair honest rather than divergent)
-    missing = [k for k in keys if k not in meta]
-    if missing:
-        raise ValueError(
-            f"orders reference custkeys absent from customer: {missing[:5]}"
-        )
     rows = [meta[k] for k in keys]
-    return pa.table(
-        {
-            "c_custkey": pa.array(keys, type=pa.int64()),
-            "c_name": pa.array([r["c_name"] for r in rows], type=pa.string()),
-            "revenue_scaled": t["revenue_scaled"],
-            "c_acctbal": pa.array(
-                [r["c_acctbal"] for r in rows], type=pa.float64()
-            ),
-            "n_name": pa.array(
-                [nname[r["c_nationkey"]] for r in rows], type=pa.string()
-            ),
-        }
-    )
+    return pa.table({
+        "c_custkey": pa.array(keys, type=pa.int64()),
+        "c_name": pa.array([r["c_name"] for r in rows], type=pa.string()),
+        "revenue_scaled": t["revenue_scaled"],
+        "c_acctbal": pa.array([r["c_acctbal"] for r in rows], type=pa.float64()),
+        "n_name": pa.array([nname[r["c_nationkey"]] for r in rows], type=pa.string()),
+    })
 
 
 def returned_item_revenue_sql() -> str:
@@ -868,58 +581,25 @@ def forecast_revenue(sf_dir: str) -> pa.Table:
     map_batches pass over the pruned 4-column scan — each batch folds to
     a single (revenue, count) partial and the driver sums a per-block
     handful of rows. No shuffle at any scale."""
-    import datetime
-
-    from smse_backend_ray import config
-
-    lo = datetime.datetime.fromisoformat(config.Q6_DATE_LO)
-    hi = datetime.datetime.fromisoformat(config.Q6_DATE_HI)
+    lo, hi = config.Q6_DATE_LO, config.Q6_DATE_HI
     dlo, dhi = config.Q6_DISC_LO_C, config.Q6_DISC_HI_C
     qmax = float(config.Q6_QTY_MAX)
 
-    partial_schema = pa.schema([("rev", pa.int64()), ("n", pa.int64())])
-
     def partial(t: pa.Table) -> pa.Table:
-        dt = pc.cast(t["l_shipdate"], pa.timestamp("us"))
-        m = pc.and_(
-            pc.and_(pc.greater_equal(dt, pa.scalar(lo)), pc.less(dt, pa.scalar(hi))),
-            pc.less(t["l_quantity"], qmax),
-        )
+        m = pc.and_(in_window(t["l_shipdate"], lo, hi), pc.less(t["l_quantity"], qmax))
         kept = t.filter(m)
-        d = np.floor(
-            kept["l_discount"].to_numpy(zero_copy_only=False) * 100.0 + 0.5
-        ).astype(np.int64)
+        d = _cents(kept["l_discount"])
         band = (d >= dlo) & (d <= dhi)
-        p = np.floor(
-            kept["l_extendedprice"].to_numpy(zero_copy_only=False)[band] * 100.0
-            + 0.5
-        ).astype(np.int64)
-        rev = p * d[band]
-        return pa.table(
-            {
-                "rev": pa.array([int(rev.sum())], type=pa.int64()),
-                "n": pa.array([int(band.sum())], type=pa.int64()),
-            }
-        )
+        rev = _cents(kept["l_extendedprice"])[band] * d[band]
+        return pa.table({"rev": [int(rev.sum())], "n": [int(band.sum())]})
 
     parts = collect_table(
-        _read(
-            sf_dir,
-            "lineitem",
-            ["l_shipdate", "l_quantity", "l_extendedprice", "l_discount"],
-        ).map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        empty_schema=partial_schema,
+        _scan(sf_dir, "lineitem",
+              ["l_shipdate", "l_quantity", "l_extendedprice", "l_discount"], partial),
+        empty_schema=int64_schema("rev", "n"),
     )
-    return pa.table(
-        {
-            "revenue_scaled": pa.array(
-                [int(pc.sum(parts["rev"]).as_py() or 0)], type=pa.int64()
-            ),
-            "n_items": pa.array(
-                [int(pc.sum(parts["n"]).as_py() or 0)], type=pa.int64()
-            ),
-        }
-    )
+    return pa.table({"revenue_scaled": [_total(parts, "rev")],
+                     "n_items": [_total(parts, "n")]})
 
 
 def forecast_revenue_sql() -> str:
@@ -956,110 +636,57 @@ def large_order_customers(sf_dir: str) -> pa.Table:
     property), so order/customer enrichment is a pushed-down parquet
     point read over the surviving keys, never a fact-scale join. Top-N
     folds per block over complete groups before the driver merge."""
-    import pyarrow.dataset as pads
-
-    from smse_backend_ray import config
-    from smse_backend_ray.functions.joins import grouped_aggregate, with_schema
-
     thr = int(config.Q18_MIN_QTY) * 100
     top_n = int(config.Q18_TOP_N)
 
     def li_combine(t: pa.Table) -> pa.Table:
-        q = np.floor(
-            t["l_quantity"].to_numpy(zero_copy_only=False) * 100.0 + 0.5
-        ).astype(np.int64)
-        g = (
-            pa.table(
-                {
-                    "l_orderkey": pc.cast(t["l_orderkey"], pa.int64()),
-                    "qty": pa.array(q, type=pa.int64()),
-                }
-            )
-            .group_by("l_orderkey")
-            .aggregate([("qty", "sum")])
-        )
-        return pa.table(
-            {"l_orderkey": g["l_orderkey"], "qty": pc.cast(g["qty_sum"], pa.int64())}
-        )
+        part = pa.table({"l_orderkey": pc.cast(t["l_orderkey"], pa.int64()),
+                         "qty": _cents(t["l_quantity"])})
+        return agg(part, "l_orderkey", qty=("qty", "sum"))
 
-    facts = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]).map_batches(
-        li_combine, batch_format="pyarrow", zero_copy_batch=True
-    )
-    rolled_schema = pa.schema(
-        [("l_orderkey", pa.int64()), ("total_qty_scaled", pa.int64())]
-    )
+    rolled_schema = int64_schema("l_orderkey", "total_qty_scaled")
     rolled = with_schema(
         grouped_aggregate(
-            facts,
-            ["l_orderkey"],
-            [("qty", "sum", "total_qty_scaled")],
+            _scan(sf_dir, "lineitem", ["l_orderkey", "l_quantity"], li_combine),
+            ["l_orderkey"], [("qty", "sum", "total_qty_scaled")],
             nb=_fact_buckets(sf_dir, "lineitem"),
         ),
         rolled_schema,
     )
-
-    def having(t: pa.Table) -> pa.Table:
-        return t.filter(pc.greater(t["total_qty_scaled"], thr))
-
     qual = collect_table(
-        rolled.map_batches(having, batch_format="pyarrow", zero_copy_batch=True),
+        arrow_map(rolled, lambda t: t.filter(pc.greater(t["total_qty_scaled"], thr))),
         empty_schema=rolled_schema,
     )
-    out_schema = pa.schema(
-        [
-            ("c_custkey", pa.int64()),
-            ("c_name", pa.string()),
-            ("o_orderkey", pa.int64()),
-            ("o_orderdate", pa.timestamp("us")),
-            ("o_totalprice", pa.float64()),
-            ("total_qty_scaled", pa.int64()),
-        ]
+    out_schema = int64_schema(
+        "c_custkey", c_name=pa.string(), o_orderkey=pa.int64(), o_orderdate=_US,
+        o_totalprice=pa.float64(), total_qty_scaled=pa.int64(),
     )
     if not qual.num_rows:
         return out_schema.empty_table()
 
     okeys = qual["l_orderkey"].to_pylist()
     qty_of = dict(zip(okeys, qual["total_qty_scaled"].to_pylist()))
-    orders = pads.dataset(os.path.join(sf_dir, "orders.parquet")).to_table(
-        columns=["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"],
-        filter=pads.field("o_orderkey").isin(okeys),
-    )
+    orders = _dim(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"],
+                  "o_orderkey", okeys)
     if not orders.num_rows:
         # FK-broken/partial warehouse: no qualifying orderkey exists in
         # orders — return empty WITHOUT the customer read (an empty isin
         # key list would otherwise fall to filter=None = a full scan)
         return out_schema.empty_table()
-    idx = pc.sort_indices(
-        orders,
-        sort_keys=[("o_totalprice", "descending"), ("o_orderkey", "ascending")],
-    )
-    orders = orders.take(idx[: min(top_n, orders.num_rows)])
-
+    orders = orders.sort_by([("o_totalprice", "descending"), ("o_orderkey", "ascending")])
+    orders = orders.slice(0, top_n)
     ckeys = orders["o_custkey"].to_pylist()
-    cust = pads.dataset(os.path.join(sf_dir, "customer.parquet")).to_table(
-        columns=["c_custkey", "c_name"],
-        filter=pads.field("c_custkey").isin(ckeys) if ckeys else None,
-    )
-    cname = dict(zip(cust["c_custkey"].to_pylist(), cust["c_name"].to_pylist()))
-    missing = [k for k in ckeys if k not in cname]
-    if missing:
-        # FK integrity assumption, surfaced loudly (same stance as Q10)
-        raise ValueError(
-            f"orders reference custkeys absent from customer: {missing[:5]}"
-        )
-    return pa.table(
-        {
-            "c_custkey": pa.array(ckeys, type=pa.int64()),
-            "c_name": pa.array([cname[k] for k in ckeys], type=pa.string()),
-            "o_orderkey": orders["o_orderkey"],
-            "o_orderdate": pc.cast(orders["o_orderdate"], pa.timestamp("us")),
-            "o_totalprice": pc.cast(orders["o_totalprice"], pa.float64()),
-            "total_qty_scaled": pa.array(
-                [qty_of[k] for k in orders["o_orderkey"].to_pylist()],
-                type=pa.int64(),
-            ),
-        }
-    )
+    cust = _lookup(sf_dir, "customer", "c_custkey", ["c_name"], ckeys)
+    return pa.table({
+        "c_custkey": pa.array(ckeys, type=pa.int64()),
+        "c_name": pa.array([cust[k]["c_name"] for k in ckeys], type=pa.string()),
+        "o_orderkey": orders["o_orderkey"],
+        "o_orderdate": pc.cast(orders["o_orderdate"], _US),
+        "o_totalprice": pc.cast(orders["o_totalprice"], pa.float64()),
+        "total_qty_scaled": pa.array(
+            [qty_of[k] for k in orders["o_orderkey"].to_pylist()], type=pa.int64()
+        ),
+    })
 
 
 def large_order_customers_sql() -> str:
@@ -1099,106 +726,38 @@ def line_priority_counts(sf_dir: str) -> pa.Table:
     rollup are FUSED per bucket (each bucket emits <= #linestatus rows),
     so the driver merges nb * #linestatus rows — exact integer sums,
     order-free (the revenue_by_month pattern)."""
-    import datetime
-
-    from smse_backend_ray import config
-    from smse_backend_ray.functions.joins import _bucketed_join
-
-    lo = datetime.datetime.fromisoformat(config.Q12_DATE_LO)
-    hi = datetime.datetime.fromisoformat(config.Q12_DATE_HI)
-    high_set = list(config.Q12_HIGH_PRIORITIES)
+    lo, hi = config.Q12_DATE_LO, config.Q12_DATE_HI
+    high_set = pa.array(list(config.Q12_HIGH_PRIORITIES))
 
     def li_combine(t: pa.Table) -> pa.Table:
-        dt = pc.cast(t["l_shipdate"], pa.timestamp("us"))
-        m = pc.and_(
-            pc.greater_equal(dt, pa.scalar(lo)), pc.less(dt, pa.scalar(hi))
-        )
-        part = pa.table(
-            {
-                "l_orderkey": pc.cast(t.filter(m)["l_orderkey"], pa.int64()),
-                "l_linestatus": t.filter(m)["l_linestatus"],
-            }
-        )
-        g = part.group_by(["l_orderkey", "l_linestatus"]).aggregate(
-            [("l_orderkey", "count")]
-        )
-        return pa.table(
-            {
-                "l_orderkey": g["l_orderkey"],
-                "l_linestatus": g["l_linestatus"],
-                "n": pc.cast(g["l_orderkey_count"], pa.int64()),
-            }
-        )
-
-    facts = _read(
-        sf_dir, "lineitem", ["l_orderkey", "l_linestatus", "l_shipdate"]
-    ).map_batches(li_combine, batch_format="pyarrow", zero_copy_batch=True)
+        t = t.filter(in_window(t["l_shipdate"], lo, hi))
+        part = pa.table({"l_orderkey": pc.cast(t["l_orderkey"], pa.int64()),
+                         "l_linestatus": t["l_linestatus"]})
+        return agg(part, ["l_orderkey", "l_linestatus"], n=("l_orderkey", "count"))
 
     def ord_high(t: pa.Table) -> pa.Table:
-        hi_m = pc.is_in(t["o_orderpriority"], value_set=pa.array(high_set))
-        return pa.table(
-            {
-                "l_orderkey": pc.cast(t["o_orderkey"], pa.int64()),
-                "is_high": pc.cast(hi_m, pa.int64()),
-            }
-        )
-
-    orders = _read(
-        sf_dir, "orders", ["o_orderkey", "o_orderpriority"]
-    ).map_batches(ord_high, batch_format="pyarrow", zero_copy_batch=True)
-
-    facts_schema = pa.schema(
-        [("l_orderkey", pa.int64()), ("l_linestatus", pa.string()),
-         ("n", pa.int64())]
-    )
-    orders_schema = pa.schema(
-        [("l_orderkey", pa.int64()), ("is_high", pa.int64())]
-    )
+        hi_m = pc.is_in(t["o_orderpriority"], value_set=high_set)
+        return pa.table({"l_orderkey": pc.cast(t["o_orderkey"], pa.int64()),
+                         "is_high": pc.cast(hi_m, pa.int64())})
 
     def join_roll(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        rt = rt.rename_columns(
-            ["__rk" if nm == "l_orderkey" else nm for nm in rt.column_names]
-        )
-        j = lt.join(rt, keys=["l_orderkey"], right_keys=["__rk"],
-                    join_type="inner")
+        j = lt.join(rt, "l_orderkey", join_type="inner")
         n = j["n"].to_numpy(zero_copy_only=False)
         ih = j["is_high"].to_numpy(zero_copy_only=False)
-        part = pa.table(
-            {
-                "l_linestatus": j["l_linestatus"],
-                "high": pa.array(n * ih, type=pa.int64()),
-                "low": pa.array(n * (1 - ih), type=pa.int64()),
-            }
-        )
-        g = part.group_by("l_linestatus").aggregate(
-            [("high", "sum"), ("low", "sum")]
-        )
-        return pa.table(
-            {
-                "l_linestatus": g["l_linestatus"],
-                "high": pc.cast(g["high_sum"], pa.int64()),
-                "low": pc.cast(g["low_sum"], pa.int64()),
-            }
-        )
+        part = pa.table({"l_linestatus": j["l_linestatus"], "high": n * ih,
+                         "low": n * (1 - ih)})
+        return agg(part, "l_linestatus", high=("high", "sum"), low=("low", "sum"))
 
-    partial_schema = pa.schema(
-        [("l_linestatus", pa.string()), ("high", pa.int64()),
-         ("low", pa.int64())]
-    )
     rolled = _bucketed_join(
-        facts, orders, ["l_orderkey"], facts_schema, orders_schema,
-        join_roll, nb=_fact_buckets(sf_dir, "lineitem"),
+        _scan(sf_dir, "lineitem", ["l_orderkey", "l_linestatus", "l_shipdate"], li_combine),
+        _scan(sf_dir, "orders", ["o_orderkey", "o_orderpriority"], ord_high),
+        ["l_orderkey"], int64_schema("l_orderkey", "n", l_linestatus=pa.string()),
+        int64_schema("l_orderkey", "is_high"), join_roll,
+        nb=_fact_buckets(sf_dir, "lineitem"),
     )
-    t = collect_table(rolled, empty_schema=partial_schema)
-    g = t.group_by("l_linestatus").aggregate([("high", "sum"), ("low", "sum")])
-    t = pa.table(
-        {
-            "l_linestatus": g["l_linestatus"],
-            "high_line_count": pc.cast(g["high_sum"], pa.int64()),
-            "low_line_count": pc.cast(g["low_sum"], pa.int64()),
-        }
-    )
-    return t.take(pc.sort_indices(t["l_linestatus"]))
+    t = collect_table(rolled, empty_schema=int64_schema("high", "low", l_linestatus=pa.string()))
+    g = agg(t, "l_linestatus", high_line_count=("high", "sum"), low_line_count=("low", "sum"))
+    return g.sort_by("l_linestatus")
 
 
 def line_priority_counts_sql() -> str:
@@ -1237,181 +796,60 @@ def volume_shipping(sf_dir: str) -> pa.Table:
          second bucketed join on orderkey, rolled up per bucket to
          <= nations^2 * years rows. Driver merge is bounded by plan
          shape, not corpus size."""
-    import datetime
-
-    import pyarrow.parquet as pq
-
-    from smse_backend_ray import config
-    from smse_backend_ray.functions.joins import _bucketed_join
-
-    lo = datetime.datetime.fromisoformat(config.Q7_DATE_LO)
-    hi = datetime.datetime.fromisoformat(config.Q7_DATE_HI)
-
-    sup = pq.read_table(
-        os.path.join(sf_dir, "supplier.parquet"),
-        columns=["s_suppkey", "s_nationkey"],
-    )
-    nat = pq.read_table(
-        os.path.join(sf_dir, "nation.parquet"),
-        columns=["n_nationkey", "n_name"],
-    )
-    nkey = nat["n_nationkey"].to_numpy()
-    names = nat["n_name"].to_pylist()
-    # dense nationkey -> name index; names_sorted gives a stable int code
-    names_sorted = sorted(set(names))
-    name_idx = {n: i for i, n in enumerate(names_sorted)}
-    nat_to_idx = np.full(int(nkey.max()) + 1, -1, dtype=np.int64)
-    for k, nm in zip(nkey.tolist(), names):
-        nat_to_idx[k] = name_idx[nm]
-    skeys = sup["s_suppkey"].to_numpy()
-    snat = sup["s_nationkey"].to_numpy()
-    sup_lut = np.full(int(skeys.max()) + 1, -1, dtype=np.int64)
-    sup_lut[skeys] = nat_to_idx[snat]
-    ref = ray.put((sup_lut, nat_to_idx))
+    lo, hi = config.Q7_DATE_LO, config.Q7_DATE_HI
+    names, nat_idx, sup_idx = _nations(sf_dir)
+    ref = ray.put((sup_idx, nat_idx))
 
     def li_combine(t: pa.Table) -> pa.Table:
-        sup_lut_, _ = ray.get(ref)
-        dt = pc.cast(t["l_shipdate"], pa.timestamp("us"))
-        m = pc.and_(
-            pc.greater_equal(dt, pa.scalar(lo)), pc.less(dt, pa.scalar(hi))
-        )
-        t = t.filter(m)
-        rev = _revenue_scaled(
-            t["l_extendedprice"].to_numpy(), t["l_discount"].to_numpy()
-        )
-        yr = pc.year(pc.cast(t["l_shipdate"], pa.timestamp("us"))).to_numpy(
-            zero_copy_only=False
-        ).astype(np.int32)
-        part = pa.table(
-            {
-                "l_orderkey": pc.cast(t["l_orderkey"], pa.int64()),
-                "sidx": pa.array(
-                    sup_lut_[t["l_suppkey"].to_numpy()], type=pa.int64()
-                ),
-                "l_year": pa.array(yr, type=pa.int32()),
-                "rev": pa.array(rev, type=pa.int64()),
-            }
-        )
-        g = part.group_by(["l_orderkey", "sidx", "l_year"]).aggregate(
-            [("rev", "sum")]
-        )
-        return pa.table(
-            {
-                "l_orderkey": g["l_orderkey"],
-                "sidx": g["sidx"],
-                "l_year": pc.cast(g["l_year"], pa.int32()),
-                "rev": pc.cast(g["rev_sum"], pa.int64()),
-            }
-        )
-
-    facts = _read(
-        sf_dir, "lineitem",
-        ["l_orderkey", "l_suppkey", "l_shipdate", "l_extendedprice",
-         "l_discount"],
-    ).map_batches(li_combine, batch_format="pyarrow", zero_copy_batch=True)
+        t = t.filter(in_window(t["l_shipdate"], lo, hi))
+        yr = pc.year(pc.cast(t["l_shipdate"], _US)).to_numpy(zero_copy_only=False)
+        part = pa.table({
+            "l_orderkey": pc.cast(t["l_orderkey"], pa.int64()),
+            "sidx": ray.get(ref)[0][t["l_suppkey"].to_numpy()],
+            "l_year": yr.astype(np.int32),
+            "rev": _revenue_scaled(t),
+        })
+        return agg(part, ["l_orderkey", "sidx", "l_year"], rev=("rev", "sum"))
 
     # exchange 1: orders pick up the customer's nation index on custkey
     def ord_keys(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "c_custkey": pc.cast(t["o_custkey"], pa.int64()),
-                "o_orderkey": pc.cast(t["o_orderkey"], pa.int64()),
-            }
-        )
-
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]).map_batches(
-        ord_keys, batch_format="pyarrow", zero_copy_batch=True
-    )
+        return pa.table({"c_custkey": pc.cast(t["o_custkey"], pa.int64()),
+                         "o_orderkey": pc.cast(t["o_orderkey"], pa.int64())})
 
     def cust_keys(t: pa.Table) -> pa.Table:
-        _, n2i = ray.get(ref)
-        return pa.table(
-            {
-                "c_custkey": pc.cast(t["c_custkey"], pa.int64()),
-                "cidx": pa.array(
-                    n2i[t["c_nationkey"].to_numpy()], type=pa.int64()
-                ),
-            }
-        )
-
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
-        cust_keys, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    ord_schema = pa.schema([("c_custkey", pa.int64()), ("o_orderkey", pa.int64())])
-    cust_schema = pa.schema([("c_custkey", pa.int64()), ("cidx", pa.int64())])
+        return pa.table({"c_custkey": pc.cast(t["c_custkey"], pa.int64()),
+                         "cidx": ray.get(ref)[1][t["c_nationkey"].to_numpy()]})
 
     def join_cust(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        rt = rt.rename_columns(
-            ["__rk" if nm == "c_custkey" else nm for nm in rt.column_names]
-        )
-        j = lt.join(rt, keys=["c_custkey"], right_keys=["__rk"],
-                    join_type="inner")
-        return j.select(["o_orderkey", "cidx"]).rename_columns(
-            ["l_orderkey", "cidx"]
-        )
+        j = lt.join(rt, "c_custkey", join_type="inner")
+        return j.select(["o_orderkey", "cidx"]).rename_columns(["l_orderkey", "cidx"])
 
     enriched = _bucketed_join(
-        orders, cust, ["c_custkey"], ord_schema, cust_schema, join_cust,
-        nb=_fact_buckets(sf_dir, "orders"),
+        _scan(sf_dir, "orders", ["o_orderkey", "o_custkey"], ord_keys),
+        _scan(sf_dir, "customer", ["c_custkey", "c_nationkey"], cust_keys),
+        ["c_custkey"], int64_schema("c_custkey", "o_orderkey"),
+        int64_schema("c_custkey", "cidx"), join_cust, nb=_fact_buckets(sf_dir, "orders"),
     )
 
     # exchange 2: fact partials meet enriched orders on orderkey; fused
     # per-bucket rollup to <= nations^2 * years rows
-    facts_schema = pa.schema(
-        [("l_orderkey", pa.int64()), ("sidx", pa.int64()),
-         ("l_year", pa.int32()), ("rev", pa.int64())]
-    )
-    enr_schema = pa.schema([("l_orderkey", pa.int64()), ("cidx", pa.int64())])
-
     def join_roll(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        rt = rt.rename_columns(
-            ["__rk" if nm == "l_orderkey" else nm for nm in rt.column_names]
-        )
-        j = lt.join(rt, keys=["l_orderkey"], right_keys=["__rk"],
-                    join_type="inner")
-        g = j.group_by(["sidx", "cidx", "l_year"]).aggregate([("rev", "sum")])
-        return pa.table(
-            {
-                "sidx": g["sidx"],
-                "cidx": g["cidx"],
-                "l_year": pc.cast(g["l_year"], pa.int32()),
-                "rev": pc.cast(g["rev_sum"], pa.int64()),
-            }
-        )
+        j = lt.join(rt, "l_orderkey", join_type="inner")
+        return agg(j, ["sidx", "cidx", "l_year"], rev=("rev", "sum"))
 
-    partial_schema = pa.schema(
-        [("sidx", pa.int64()), ("cidx", pa.int64()),
-         ("l_year", pa.int32()), ("rev", pa.int64())]
-    )
     rolled = _bucketed_join(
-        facts, enriched, ["l_orderkey"], facts_schema, enr_schema,
-        join_roll, nb=_fact_buckets(sf_dir, "lineitem"),
+        _scan(sf_dir, "lineitem",
+              ["l_orderkey", "l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
+              li_combine),
+        enriched, ["l_orderkey"], int64_schema("l_orderkey", "sidx", "rev", l_year=pa.int32()),
+        int64_schema("l_orderkey", "cidx"), join_roll, nb=_fact_buckets(sf_dir, "lineitem"),
     )
-    t = collect_table(rolled, empty_schema=partial_schema)
-    g = t.group_by(["sidx", "cidx", "l_year"]).aggregate([("rev", "sum")])
-    out = pa.table(
-        {
-            "supp_nation": pa.array(
-                [names_sorted[i] for i in g["sidx"].to_pylist()],
-                type=pa.string(),
-            ),
-            "cust_nation": pa.array(
-                [names_sorted[i] for i in g["cidx"].to_pylist()],
-                type=pa.string(),
-            ),
-            "l_year": pc.cast(g["l_year"], pa.int32()),
-            "revenue_scaled": pc.cast(g["rev_sum"], pa.int64()),
-        }
-    )
-    return out.take(
-        pc.sort_indices(
-            out,
-            sort_keys=[("supp_nation", "ascending"),
-                       ("cust_nation", "ascending"),
-                       ("l_year", "ascending")],
-        )
-    )
+    t = collect_table(rolled, empty_schema=int64_schema("sidx", "cidx", "rev", l_year=pa.int32()))
+    g = agg(t, ["sidx", "cidx", "l_year"], revenue_scaled=("rev", "sum"))
+    out = pa.table({"supp_nation": names.take(g["sidx"]), "cust_nation": names.take(g["cidx"]),
+                    "l_year": g["l_year"], "revenue_scaled": g["revenue_scaled"]})
+    return out.sort_by([("supp_nation", "ascending"), ("cust_nation", "ascending"),
+                        ("l_year", "ascending")])
 
 
 def volume_shipping_sql() -> str:
@@ -1455,106 +893,41 @@ def small_qty_order_revenue(sf_dir: str) -> pa.Table:
     exact and each bucket emits a single (revenue, n_lines) partial;
     the driver folds #buckets rows. Reference analog: the SQLAlchemy
     aggregate lookups in smse_backend/routes/search.py:88-127."""
-    from smse_backend_ray import config
-    from smse_backend_ray.functions.joins import _bucketed_join
-    from smse_backend_ray.functions.rounding import round_half_away
+    brand, size_max = config.Q17_BRAND, config.Q17_SIZE_MAX
 
     def li_combine(t: pa.Table) -> pa.Table:
-        q = np.floor(
-            t["l_quantity"].to_numpy(zero_copy_only=False) * 100.0 + 0.5
-        ).astype(np.int64)
-        p = np.floor(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100.0 + 0.5
-        ).astype(np.int64)
-        part = pa.table(
-            {
-                "p_partkey": pc.cast(t["l_partkey"], pa.int64()),
-                "q_s": pa.array(q, type=pa.int64()),
-                "price_s": pa.array(p, type=pa.int64()),
-            }
-        )
-        g = part.group_by(["p_partkey", "q_s"]).aggregate(
-            [("price_s", "sum"), ("price_s", "count")]
-        )
-        return pa.table(
-            {
-                "p_partkey": g["p_partkey"],
-                "q_s": g["q_s"],
-                "price_sum": pc.cast(g["price_s_sum"], pa.int64()),
-                "n": pc.cast(g["price_s_count"], pa.int64()),
-            }
-        )
-
-    facts = _read(
-        sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"]
-    ).map_batches(li_combine, batch_format="pyarrow", zero_copy_batch=True)
+        part = pa.table({"p_partkey": pc.cast(t["l_partkey"], pa.int64()),
+                         "q_s": _cents(t["l_quantity"]),
+                         "price_s": _cents(t["l_extendedprice"])})
+        return agg(part, ["p_partkey", "q_s"], price_sum=("price_s", "sum"),
+                   n=("price_s", "count"))
 
     def part_keys(t: pa.Table) -> pa.Table:
-        m = pc.and_(
-            pc.equal(t["p_brand"], config.Q17_BRAND),
-            pc.less(t["p_size"], config.Q17_SIZE_MAX),
-        )
-        return pa.table(
-            {"p_partkey": pc.cast(t.filter(m)["p_partkey"], pa.int64())}
-        )
-
-    parts = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"]).map_batches(
-        part_keys, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    facts_schema = pa.schema(
-        [("p_partkey", pa.int64()), ("q_s", pa.int64()),
-         ("price_sum", pa.int64()), ("n", pa.int64())]
-    )
-    keys_schema = pa.schema([("p_partkey", pa.int64())])
+        m = pc.and_(pc.equal(t["p_brand"], brand), pc.less(t["p_size"], size_max))
+        return _keys(t, m, "p_partkey", "p_partkey")
 
     def join_roll(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        lt = lt.join(rt.rename_columns(["__rk"]), keys=["p_partkey"],
-                     right_keys=["__rk"], join_type="left semi")
-        if not lt.num_rows:
-            return pa.table(
-                {"rev": pa.array([], type=pa.int64()),
-                 "n_lines": pa.array([], type=pa.int64())}
-            )
-        qn = pc.multiply(lt["q_s"], lt["n"])
-        per_part = (
-            pa.table({"p_partkey": lt["p_partkey"], "n": lt["n"], "qn": qn})
-            .group_by("p_partkey")
-            .aggregate([("n", "sum"), ("qn", "sum")])
+        lt = lt.join(rt, "p_partkey", join_type="left semi")
+        lt = lt.append_column("qn", pc.multiply(lt["q_s"], lt["n"]))
+        per_part = agg(lt, "p_partkey", cnt=("n", "sum"), tot=("qn", "sum"))
+        j = lt.join(per_part, "p_partkey", join_type="inner")
+        q_s, cnt, tot, price, nrow = (
+            j[c].to_numpy(zero_copy_only=False) for c in ("q_s", "cnt", "tot", "price_sum", "n")
         )
-        j = lt.join(
-            per_part.rename_columns(["__rk", "cnt", "tot"]),
-            keys=["p_partkey"], right_keys=["__rk"], join_type="inner",
-        )
-        q_s = j["q_s"].to_numpy(zero_copy_only=False)
-        cnt = j["cnt"].to_numpy(zero_copy_only=False)
-        tot = j["tot"].to_numpy(zero_copy_only=False)
         elig = 5 * q_s * cnt < tot
-        price = j["price_sum"].to_numpy(zero_copy_only=False)
-        nrow = j["n"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "rev": pa.array([int(price[elig].sum())], type=pa.int64()),
-                "n_lines": pa.array([int(nrow[elig].sum())], type=pa.int64()),
-            }
-        )
+        return pa.table({"rev": [int(price[elig].sum())], "n_lines": [int(nrow[elig].sum())]})
 
-    partial_schema = pa.schema([("rev", pa.int64()), ("n_lines", pa.int64())])
     rolled = _bucketed_join(
-        facts, parts, ["p_partkey"], facts_schema, keys_schema, join_roll,
-        nb=_fact_buckets(sf_dir, "lineitem"),
+        _scan(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"], li_combine),
+        _scan(sf_dir, "part", ["p_partkey", "p_brand", "p_size"], part_keys),
+        ["p_partkey"], int64_schema("p_partkey", "q_s", "price_sum", "n"),
+        int64_schema("p_partkey"), join_roll, nb=_fact_buckets(sf_dir, "lineitem"),
     )
-    t = collect_table(rolled, empty_schema=partial_schema)
-    rev = int(pc.sum(t["rev"]).as_py() or 0)
-    n_lines = int(pc.sum(t["n_lines"]).as_py() or 0)
+    t = collect_table(rolled, empty_schema=int64_schema("rev", "n_lines"))
+    rev = _total(t, "rev")
     avg_yearly = round_half_away(rev / 100.0 / float(config.Q17_YEARS), 4)
-    return pa.table(
-        {
-            "revenue_scaled": pa.array([rev], type=pa.int64()),
-            "n_lines": pa.array([n_lines], type=pa.int64()),
-            "avg_yearly": pa.array([avg_yearly], type=pa.float64()),
-        }
-    )
+    return pa.table({"revenue_scaled": [rev], "n_lines": [_total(t, "n_lines")],
+                     "avg_yearly": pa.array([avg_yearly], type=pa.float64())})
 
 
 def small_qty_order_revenue_sql() -> str:
@@ -1593,93 +966,34 @@ def top_supplier_revenue(sf_dir: str) -> pa.Table:
     sees the full supplier ledger, only block winners; enrichment is an
     isin point read over the tied key set. Frozen pair with
     top_supplier_revenue_sql."""
-    import datetime
+    lo, hi = config.Q15_DATE_LO, config.Q15_DATE_HI
 
-    import pyarrow.dataset as pads
+    def winners(t: pa.Table) -> pa.Table:
+        return t.filter(pc.equal(t["rev"], pc.max(t["rev"]))) if t.num_rows else t
 
-    from smse_backend_ray import config
-    from smse_backend_ray.functions.joins import grouped_aggregate, with_schema
-
-    lo = datetime.datetime.fromisoformat(config.Q15_DATE_LO)
-    hi = datetime.datetime.fromisoformat(config.Q15_DATE_HI)
-
-    def li_combine(t: pa.Table) -> pa.Table:
-        dt = pc.cast(t["l_shipdate"], pa.timestamp("us"))
-        m = pc.and_(
-            pc.greater_equal(dt, pa.scalar(lo)), pc.less(dt, pa.scalar(hi))
-        )
-        t = t.filter(m)
-        rev = _revenue_scaled(
-            t["l_extendedprice"].to_numpy(), t["l_discount"].to_numpy()
-        )
-        g = (
-            pa.table(
-                {
-                    "s_suppkey": pc.cast(t["l_suppkey"], pa.int64()),
-                    "rev": pa.array(rev, type=pa.int64()),
-                }
-            )
-            .group_by("s_suppkey")
-            .aggregate([("rev", "sum")])
-        )
-        return pa.table(
-            {"s_suppkey": g["s_suppkey"], "rev": pc.cast(g["rev_sum"], pa.int64())}
-        )
-
-    facts = _read(
-        sf_dir, "lineitem",
-        ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
-    ).map_batches(li_combine, batch_format="pyarrow", zero_copy_batch=True)
-
-    rolled_schema = pa.schema([("s_suppkey", pa.int64()), ("rev", pa.int64())])
+    rolled_schema = int64_schema("s_suppkey", "rev")
     rolled = with_schema(
         grouped_aggregate(
-            facts, ["s_suppkey"], [("rev", "sum", "rev")],
-            nb=_fact_buckets(sf_dir, "lineitem"),
+            _scan(sf_dir, "lineitem",
+                  ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
+                  lambda t: _rev_by(t.filter(in_window(t["l_shipdate"], lo, hi)),
+                                    "l_suppkey", "s_suppkey")),
+            ["s_suppkey"], [("rev", "sum", "rev")], nb=_fact_buckets(sf_dir, "lineitem"),
         ),
         rolled_schema,
     )
-
-    def block_winners(t: pa.Table) -> pa.Table:
-        if not t.num_rows:
-            return rolled_schema.empty_table()
-        mx = pc.max(t["rev"])
-        return t.filter(pc.equal(t["rev"], mx))
-
-    cand = collect_table(
-        rolled.map_batches(
-            block_winners, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        empty_schema=rolled_schema,
-    )
-    out_schema = pa.schema(
-        [("s_suppkey", pa.int64()), ("s_name", pa.string()),
-         ("total_revenue_scaled", pa.int64())]
-    )
+    cand = winners(collect_table(arrow_map(rolled, winners), empty_schema=rolled_schema))
     if not cand.num_rows:
-        return out_schema.empty_table()
+        return int64_schema("s_suppkey", s_name=pa.string(),
+                            total_revenue_scaled=pa.int64()).empty_table()
     mx = pc.max(cand["rev"]).as_py()
-    winners = cand.filter(pc.equal(cand["rev"], mx))
-    skeys = sorted(winners["s_suppkey"].to_pylist())
-    sup = pads.dataset(os.path.join(sf_dir, "supplier.parquet")).to_table(
-        columns=["s_suppkey", "s_name"],
-        filter=pads.field("s_suppkey").isin(skeys),
-    )
-    name_of = dict(zip(sup["s_suppkey"].to_pylist(), sup["s_name"].to_pylist()))
-    missing = [k for k in skeys if k not in name_of]
-    if missing:
-        raise ValueError(
-            f"lineitem references suppkeys absent from supplier: {missing[:5]}"
-        )
-    return pa.table(
-        {
-            "s_suppkey": pa.array(skeys, type=pa.int64()),
-            "s_name": pa.array([name_of[k] for k in skeys], type=pa.string()),
-            "total_revenue_scaled": pa.array(
-                [mx] * len(skeys), type=pa.int64()
-            ),
-        }
-    )
+    skeys = sorted(cand["s_suppkey"].to_pylist())
+    sup = _lookup(sf_dir, "supplier", "s_suppkey", ["s_name"], skeys)
+    return pa.table({
+        "s_suppkey": pa.array(skeys, type=pa.int64()),
+        "s_name": pa.array([sup[k]["s_name"] for k in skeys], type=pa.string()),
+        "total_revenue_scaled": pa.array([mx] * len(skeys), type=pa.int64()),
+    })
 
 
 def top_supplier_revenue_sql() -> str:
@@ -1721,136 +1035,52 @@ def idle_customer_balance(sf_dir: str) -> pa.Table:
     survivors filter map-side against the two broadcast scalars and
     fold to <= #nations rows per block. Nation names are a driver-side
     broadcast dict (25 rows at any scale)."""
-    import datetime
-
-    import pyarrow.parquet as pq
-
-    from smse_backend_ray import config
-    from smse_backend_ray.functions.joins import anti_join
-
-    cutoff = datetime.datetime.fromisoformat(config.Q22_CUTOFF)
+    cutoff = pa.scalar(datetime.datetime.fromisoformat(config.Q22_CUTOFF))
 
     # pass 1: the two scalars (count, scaled sum) over positive balances
     def pos_partial(t: pa.Table) -> pa.Table:
-        m = pc.greater(t["c_acctbal"], 0.0)
-        bal = t.filter(m)["c_acctbal"].to_numpy(zero_copy_only=False)
-        bal_s = np.floor(np.abs(bal) * 100.0 + 0.5).astype(np.int64)
-        return pa.table(
-            {
-                "n": pa.array([len(bal_s)], type=pa.int64()),
-                "s": pa.array([int(bal_s.sum())], type=pa.int64()),
-            }
-        )
+        bal = t.filter(pc.greater(t["c_acctbal"], 0.0))["c_acctbal"]
+        return pa.table({"n": [len(bal)], "s": [int(_cents(pc.abs(bal)).sum())]})
 
-    pos_schema = pa.schema([("n", pa.int64()), ("s", pa.int64())])
-    pos = collect_table(
-        _read(sf_dir, "customer", ["c_acctbal"]).map_batches(
-            pos_partial, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        empty_schema=pos_schema,
-    )
-    n_pos = int(pc.sum(pos["n"]).as_py() or 0)
-    sum_pos = int(pc.sum(pos["s"]).as_py() or 0)
-
-    out_schema = pa.schema(
-        [("n_name", pa.string()), ("n_cust", pa.int64()),
-         ("total_acctbal_scaled", pa.int64())]
-    )
+    pos = collect_table(_scan(sf_dir, "customer", ["c_acctbal"], pos_partial),
+                        empty_schema=int64_schema("n", "s"))
+    n_pos, sum_pos = _total(pos, "n"), _total(pos, "s")
     if n_pos == 0:
         # avg over an empty set is NULL -> no customer qualifies
-        return out_schema.empty_table()
-
-    nat = pq.read_table(
-        os.path.join(sf_dir, "nation.parquet"),
-        columns=["n_nationkey", "n_name"],
-    )
-    nkey = nat["n_nationkey"].to_numpy()
-    n2name = dict(zip(nkey.tolist(), nat["n_name"].to_pylist()))
+        return int64_schema(n_name=pa.string(), n_cust=pa.int64(),
+                            total_acctbal_scaled=pa.int64()).empty_table()
 
     def cust_cols(t: pa.Table) -> pa.Table:
         bal = t["c_acctbal"].to_numpy(zero_copy_only=False)
-        bal_s = np.where(
-            bal >= 0,
-            np.floor(bal * 100.0 + 0.5),
-            -np.floor(-bal * 100.0 + 0.5),
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "c_custkey": pc.cast(t["c_custkey"], pa.int64()),
-                "c_nationkey": pc.cast(t["c_nationkey"], pa.int64()),
-                "bal_s": pa.array(bal_s, type=pa.int64()),
-            }
-        )
-
-    cust = _read(
-        sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"]
-    ).map_batches(cust_cols, batch_format="pyarrow", zero_copy_batch=True)
+        bal_s = np.where(bal >= 0, np.floor(bal * 100.0 + 0.5), -np.floor(-bal * 100.0 + 0.5))
+        return pa.table({"c_custkey": pc.cast(t["c_custkey"], pa.int64()),
+                         "c_nationkey": pc.cast(t["c_nationkey"], pa.int64()),
+                         "bal_s": bal_s.astype(np.int64)})
 
     def recent_keys(t: pa.Table) -> pa.Table:
-        dt = pc.cast(t["o_orderdate"], pa.timestamp("us"))
-        k = t.filter(pc.greater_equal(dt, pa.scalar(cutoff)))["o_custkey"]
-        return pa.table(
-            {"c_custkey": pc.unique(pc.cast(k, pa.int64()))}
-        )
+        k = t.filter(pc.greater_equal(pc.cast(t["o_orderdate"], _US), cutoff))["o_custkey"]
+        return pa.table({"c_custkey": pc.unique(pc.cast(k, pa.int64()))})
 
-    recent = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"]).map_batches(
-        recent_keys, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    cust_schema = pa.schema(
-        [("c_custkey", pa.int64()), ("c_nationkey", pa.int64()),
-         ("bal_s", pa.int64())]
-    )
     idle = anti_join(
-        cust, recent, ["c_custkey"], cust_schema,
+        _scan(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"], cust_cols),
+        _scan(sf_dir, "orders", ["o_custkey", "o_orderdate"], recent_keys),
+        ["c_custkey"], int64_schema("c_custkey", "c_nationkey", "bal_s"),
         nb=_fact_buckets(sf_dir, "customer"),
     )
 
     def nation_partial(t: pa.Table) -> pa.Table:
-        if not t.num_rows:
-            return pa.table(
-                {"c_nationkey": pa.array([], type=pa.int64()),
-                 "n_cust": pa.array([], type=pa.int64()),
-                 "bal": pa.array([], type=pa.int64())}
-            )
-        elig = pc.greater(
-            pc.multiply(t["bal_s"], pa.scalar(n_pos, type=pa.int64())),
-            pa.scalar(sum_pos, type=pa.int64()),
-        )
-        t = t.filter(elig)
-        g = t.group_by("c_nationkey").aggregate(
-            [("bal_s", "sum"), ("bal_s", "count")]
-        )
-        return pa.table(
-            {
-                "c_nationkey": g["c_nationkey"],
-                "n_cust": pc.cast(g["bal_s_count"], pa.int64()),
-                "bal": pc.cast(g["bal_s_sum"], pa.int64()),
-            }
-        )
+        elig = pc.greater(pc.multiply(t["bal_s"], pa.scalar(n_pos, type=pa.int64())),
+                          pa.scalar(sum_pos, type=pa.int64()))
+        return agg(t.filter(elig), "c_nationkey", n_cust=("bal_s", "count"),
+                   bal=("bal_s", "sum"))
 
-    partial_schema = pa.schema(
-        [("c_nationkey", pa.int64()), ("n_cust", pa.int64()),
-         ("bal", pa.int64())]
-    )
-    t = collect_table(
-        idle.map_batches(
-            nation_partial, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        empty_schema=partial_schema,
-    )
-    g = t.group_by("c_nationkey").aggregate([("n_cust", "sum"), ("bal", "sum")])
-    out = pa.table(
-        {
-            "n_name": pa.array(
-                [n2name[k] for k in g["c_nationkey"].to_pylist()],
-                type=pa.string(),
-            ),
-            "n_cust": pc.cast(g["n_cust_sum"], pa.int64()),
-            "total_acctbal_scaled": pc.cast(g["bal_sum"], pa.int64()),
-        }
-    )
-    return out.take(pc.sort_indices(out["n_name"]))
+    t = collect_table(arrow_map(idle, nation_partial),
+                      empty_schema=int64_schema("c_nationkey", "n_cust", "bal"))
+    g = agg(t, "c_nationkey", n_cust=("n_cust", "sum"), total_acctbal_scaled=("bal", "sum"))
+    nat = _dim(sf_dir, "nation", ["n_nationkey", "n_name"])
+    n2name = dict(zip(nat["n_nationkey"].to_pylist(), nat["n_name"].to_pylist()))
+    names = pa.array([n2name[k] for k in g["c_nationkey"].to_pylist()], type=pa.string())
+    return g.set_column(0, "n_name", names).sort_by("n_name")
 
 
 def idle_customer_balance_sql() -> str:
@@ -1889,41 +1119,12 @@ def banded_revenue(sf_dir: str) -> pa.Table:
     only on that pair, so the collapse is lossless. ONE partkey
     exchange; each bucket evaluates the OR across bands vectorized and
     emits a single partial. Frozen pair with banded_revenue_sql."""
-    from smse_backend_ray import config
-    from smse_backend_ray.functions.joins import _bucketed_join
-
     bands = list(config.Q19_BANDS)
 
     def li_combine(t: pa.Table) -> pa.Table:
-        q = np.floor(
-            t["l_quantity"].to_numpy(zero_copy_only=False) * 100.0 + 0.5
-        ).astype(np.int64)
-        rev = _revenue_scaled(
-            t["l_extendedprice"].to_numpy(), t["l_discount"].to_numpy()
-        )
-        part = pa.table(
-            {
-                "p_partkey": pc.cast(t["l_partkey"], pa.int64()),
-                "q_s": pa.array(q, type=pa.int64()),
-                "rev": pa.array(rev, type=pa.int64()),
-            }
-        )
-        g = part.group_by(["p_partkey", "q_s"]).aggregate(
-            [("rev", "sum"), ("rev", "count")]
-        )
-        return pa.table(
-            {
-                "p_partkey": g["p_partkey"],
-                "q_s": g["q_s"],
-                "rev_sum": pc.cast(g["rev_sum"], pa.int64()),
-                "n": pc.cast(g["rev_count"], pa.int64()),
-            }
-        )
-
-    facts = _read(
-        sf_dir, "lineitem",
-        ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
-    ).map_batches(li_combine, batch_format="pyarrow", zero_copy_batch=True)
+        part = pa.table({"p_partkey": pc.cast(t["l_partkey"], pa.int64()),
+                         "q_s": _cents(t["l_quantity"]), "rev": _revenue_scaled(t)})
+        return agg(part, ["p_partkey", "q_s"], rev_sum=("rev", "sum"), n=("rev", "count"))
 
     def part_masks(t: pa.Table) -> pa.Table:
         size = t["p_size"].to_numpy(zero_copy_only=False)
@@ -1932,70 +1133,31 @@ def banded_revenue(sf_dir: str) -> pa.Table:
             bm = pc.equal(t["p_brand"], brand).to_numpy(zero_copy_only=False)
             mask |= (bm & (size >= 1) & (size <= size_max)) << i
         keep = mask != 0
-        return pa.table(
-            {
-                "p_partkey": pc.cast(t["p_partkey"], pa.int64()).filter(
-                    pa.array(keep)
-                ),
-                "band_mask": pa.array(mask[keep], type=pa.int64()),
-            }
+        return _keys(t, pa.array(keep), "p_partkey", "p_partkey").append_column(
+            "band_mask", pa.array(mask[keep], type=pa.int64())
         )
 
-    parts = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"]).map_batches(
-        part_masks, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    facts_schema = pa.schema(
-        [("p_partkey", pa.int64()), ("q_s", pa.int64()),
-         ("rev_sum", pa.int64()), ("n", pa.int64())]
-    )
-    mask_schema = pa.schema(
-        [("p_partkey", pa.int64()), ("band_mask", pa.int64())]
-    )
-
     def join_roll(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        rt = rt.rename_columns(["__rk", "band_mask"])
-        j = lt.join(rt, keys=["p_partkey"], right_keys=["__rk"],
-                    join_type="inner")
-        if not j.num_rows:
-            return pa.table(
-                {"rev": pa.array([], type=pa.int64()),
-                 "n_lines": pa.array([], type=pa.int64())}
-            )
+        j = lt.join(rt, "p_partkey", join_type="inner")
         q_s = j["q_s"].to_numpy(zero_copy_only=False)
         mask = j["band_mask"].to_numpy(zero_copy_only=False)
         elig = np.zeros(len(q_s), dtype=bool)
         for i, (_brand, _size_max, lo, hi) in enumerate(bands):
-            elig |= (
-                ((mask >> i) & 1).astype(bool)
-                & (q_s >= lo * 100)
-                & (q_s <= hi * 100)
-            )
+            elig |= ((mask >> i) & 1).astype(bool) & (q_s >= lo * 100) & (q_s <= hi * 100)
         rev = j["rev_sum"].to_numpy(zero_copy_only=False)
         n = j["n"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "rev": pa.array([int(rev[elig].sum())], type=pa.int64()),
-                "n_lines": pa.array([int(n[elig].sum())], type=pa.int64()),
-            }
-        )
+        return pa.table({"rev": [int(rev[elig].sum())], "n_lines": [int(n[elig].sum())]})
 
-    partial_schema = pa.schema([("rev", pa.int64()), ("n_lines", pa.int64())])
     rolled = _bucketed_join(
-        facts, parts, ["p_partkey"], facts_schema, mask_schema, join_roll,
+        _scan(sf_dir, "lineitem",
+              ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"], li_combine),
+        _scan(sf_dir, "part", ["p_partkey", "p_brand", "p_size"], part_masks),
+        ["p_partkey"], int64_schema("p_partkey", "q_s", "rev_sum", "n"),
+        int64_schema("p_partkey", "band_mask"), join_roll,
         nb=_fact_buckets(sf_dir, "lineitem"),
     )
-    t = collect_table(rolled, empty_schema=partial_schema)
-    return pa.table(
-        {
-            "revenue_scaled": pa.array(
-                [int(pc.sum(t["rev"]).as_py() or 0)], type=pa.int64()
-            ),
-            "n_lines": pa.array(
-                [int(pc.sum(t["n_lines"]).as_py() or 0)], type=pa.int64()
-            ),
-        }
-    )
+    t = collect_table(rolled, empty_schema=int64_schema("rev", "n_lines"))
+    return pa.table({"revenue_scaled": [_total(t, "rev")], "n_lines": [_total(t, "n_lines")]})
 
 
 def banded_revenue_sql() -> str:
@@ -2037,216 +1199,83 @@ def market_share(sf_dir: str) -> pa.Table:
          customers (region membership via broadcast nationkey set),
          then the orderkey exchange meets the fact partials, fused to
          <= #years rows per bucket. Driver merge is calendar-bounded."""
-    import datetime
+    lo, hi, ptype = config.Q8_DATE_LO, config.Q8_DATE_HI, config.Q8_TYPE
 
-    import pyarrow.parquet as pq
-
-    from smse_backend_ray import config
-    from smse_backend_ray.functions.joins import _bucketed_join, semi_join
-    from smse_backend_ray.functions.rounding import round_half_away
-
-    lo = datetime.datetime.fromisoformat(config.Q8_DATE_LO)
-    hi = datetime.datetime.fromisoformat(config.Q8_DATE_HI)
-
-    nat = pq.read_table(
-        os.path.join(sf_dir, "nation.parquet"),
-        columns=["n_nationkey", "n_name", "n_regionkey"],
-    )
-    reg = pq.read_table(
-        os.path.join(sf_dir, "region.parquet"),
-        columns=["r_regionkey", "r_name"],
-    )
-    region_keys = {
-        k
-        for k, nm in zip(
-            reg["r_regionkey"].to_pylist(), reg["r_name"].to_pylist()
-        )
-        if nm == config.Q8_REGION
-    }
-    nkey = nat["n_nationkey"].to_numpy()
-    in_region_nations = {
-        int(k)
-        for k, rk in zip(nkey.tolist(), nat["n_regionkey"].to_pylist())
-        if rk in region_keys
-    }
-    nation_keys = {
-        int(k)
-        for k, nm in zip(nkey.tolist(), nat["n_name"].to_pylist())
-        if nm == config.Q8_NATION
-    }
-    sup = pq.read_table(
-        os.path.join(sf_dir, "supplier.parquet"),
-        columns=["s_suppkey", "s_nationkey"],
-    )
+    nat = _dim(sf_dir, "nation", ["n_nationkey", "n_name", "n_regionkey"])
+    reg = _dim(sf_dir, "region", ["r_regionkey", "r_name"])
+    region_keys = {k for k, nm in zip(reg["r_regionkey"].to_pylist(), reg["r_name"].to_pylist())
+                   if nm == config.Q8_REGION}
+    nkeys = nat["n_nationkey"].to_pylist()
+    region_arr = np.array(sorted(
+        k for k, rk in zip(nkeys, nat["n_regionkey"].to_pylist()) if rk in region_keys
+    ), dtype=np.int64)
+    nation_keys = sorted(k for k, nm in zip(nkeys, nat["n_name"].to_pylist())
+                         if nm == config.Q8_NATION)
+    sup = _dim(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
     skeys = sup["s_suppkey"].to_numpy()
-    snat = sup["s_nationkey"].to_numpy()
     sup_is_nat = np.zeros(int(skeys.max()) + 1, dtype=np.int64)
-    sup_is_nat[skeys] = np.isin(snat, np.array(sorted(nation_keys))).astype(
-        np.int64
-    )
+    sup_is_nat[skeys] = np.isin(sup["s_nationkey"].to_numpy(), np.array(nation_keys))
     ref = ray.put(sup_is_nat)
 
     def li_combine(t: pa.Table) -> pa.Table:
-        lut = ray.get(ref)
-        rev = _revenue_scaled(
-            t["l_extendedprice"].to_numpy(), t["l_discount"].to_numpy()
-        )
-        is_nat = lut[t["l_suppkey"].to_numpy()]
-        part = pa.table(
-            {
-                "p_partkey": pc.cast(t["l_partkey"], pa.int64()),
-                "l_orderkey": pc.cast(t["l_orderkey"], pa.int64()),
-                "rev": pa.array(rev, type=pa.int64()),
-                "rev_nat": pa.array(rev * is_nat, type=pa.int64()),
-            }
-        )
-        g = part.group_by(["p_partkey", "l_orderkey"]).aggregate(
-            [("rev", "sum"), ("rev_nat", "sum")]
-        )
-        return pa.table(
-            {
-                "p_partkey": g["p_partkey"],
-                "l_orderkey": g["l_orderkey"],
-                "rev": pc.cast(g["rev_sum"], pa.int64()),
-                "rev_nat": pc.cast(g["rev_nat_sum"], pa.int64()),
-            }
-        )
+        rev = _revenue_scaled(t)
+        part = pa.table({"p_partkey": pc.cast(t["l_partkey"], pa.int64()),
+                         "l_orderkey": pc.cast(t["l_orderkey"], pa.int64()),
+                         "rev": rev, "rev_nat": rev * ray.get(ref)[t["l_suppkey"].to_numpy()]})
+        return agg(part, ["p_partkey", "l_orderkey"], rev=("rev", "sum"),
+                   rev_nat=("rev_nat", "sum"))
 
-    facts = _read(
-        sf_dir, "lineitem",
-        ["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice",
-         "l_discount"],
-    ).map_batches(li_combine, batch_format="pyarrow", zero_copy_batch=True)
-
-    def type_keys(t: pa.Table) -> pa.Table:
-        m = pc.equal(t["p_type"], config.Q8_TYPE)
-        return pa.table(
-            {"p_partkey": pc.cast(t.filter(m)["p_partkey"], pa.int64())}
-        )
-
-    parts = _read(sf_dir, "part", ["p_partkey", "p_type"]).map_batches(
-        type_keys, batch_format="pyarrow", zero_copy_batch=True
-    )
-    facts_schema = pa.schema(
-        [("p_partkey", pa.int64()), ("l_orderkey", pa.int64()),
-         ("rev", pa.int64()), ("rev_nat", pa.int64())]
-    )
     kept = semi_join(
-        facts, parts, ["p_partkey"], facts_schema,
+        _scan(sf_dir, "lineitem",
+              ["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
+              li_combine),
+        _scan(sf_dir, "part", ["p_partkey", "p_type"],
+              lambda t: _keys(t, pc.equal(t["p_type"], ptype), "p_partkey", "p_partkey")),
+        ["p_partkey"], int64_schema("p_partkey", "l_orderkey", "rev", "rev_nat"),
         nb=_fact_buckets(sf_dir, "lineitem"),
     )
-
-    def order_combine(t: pa.Table) -> pa.Table:
-        g = t.group_by("l_orderkey").aggregate(
-            [("rev", "sum"), ("rev_nat", "sum")]
-        )
-        return pa.table(
-            {
-                "l_orderkey": g["l_orderkey"],
-                "rev": pc.cast(g["rev_sum"], pa.int64()),
-                "rev_nat": pc.cast(g["rev_nat_sum"], pa.int64()),
-            }
-        )
-
-    kept = kept.map_batches(
-        order_combine, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    region_arr = np.array(sorted(in_region_nations), dtype=np.int64)
+    kept = arrow_map(kept, lambda t: agg(t, "l_orderkey", rev=("rev", "sum"),
+                                         rev_nat=("rev_nat", "sum")))
 
     def cust_keys(t: pa.Table) -> pa.Table:
-        nk = t["c_nationkey"].to_numpy(zero_copy_only=False)
-        m = np.isin(nk, region_arr)
-        return pa.table(
-            {
-                "c_custkey": pc.cast(
-                    t["c_custkey"].filter(pa.array(m)), pa.int64()
-                )
-            }
-        )
-
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
-        cust_keys, batch_format="pyarrow", zero_copy_batch=True
-    )
+        m = np.isin(t["c_nationkey"].to_numpy(zero_copy_only=False), region_arr)
+        return _keys(t, pa.array(m), "c_custkey", "c_custkey")
 
     def ord_window(t: pa.Table) -> pa.Table:
-        dt = pc.cast(t["o_orderdate"], pa.timestamp("us"))
-        m = pc.and_(
-            pc.greater_equal(dt, pa.scalar(lo)), pc.less(dt, pa.scalar(hi))
-        )
-        t = t.filter(m)
-        yr = pc.year(pc.cast(t["o_orderdate"], pa.timestamp("us"))).to_numpy(
-            zero_copy_only=False
-        ).astype(np.int32)
-        return pa.table(
-            {
-                "c_custkey": pc.cast(t["o_custkey"], pa.int64()),
-                "l_orderkey": pc.cast(t["o_orderkey"], pa.int64()),
-                "o_year": pa.array(yr, type=pa.int32()),
-            }
-        )
+        t = t.filter(in_window(t["o_orderdate"], lo, hi))
+        yr = pc.year(pc.cast(t["o_orderdate"], _US)).to_numpy(zero_copy_only=False)
+        return pa.table({"c_custkey": pc.cast(t["o_custkey"], pa.int64()),
+                         "l_orderkey": pc.cast(t["o_orderkey"], pa.int64()),
+                         "o_year": yr.astype(np.int32)})
 
-    orders = _read(
-        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
-    ).map_batches(ord_window, batch_format="pyarrow", zero_copy_batch=True)
-
-    ord_schema = pa.schema(
-        [("c_custkey", pa.int64()), ("l_orderkey", pa.int64()),
-         ("o_year", pa.int32())]
-    )
-    enriched = semi_join(
-        orders, cust, ["c_custkey"], ord_schema,
-        nb=_fact_buckets(sf_dir, "orders"),
-    ).map_batches(
+    enriched = arrow_map(
+        semi_join(
+            _scan(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"], ord_window),
+            _scan(sf_dir, "customer", ["c_custkey", "c_nationkey"], cust_keys),
+            ["c_custkey"], int64_schema("c_custkey", "l_orderkey", o_year=pa.int32()),
+            nb=_fact_buckets(sf_dir, "orders"),
+        ),
         lambda t: t.select(["l_orderkey", "o_year"]),
-        batch_format="pyarrow", zero_copy_batch=True,
     )
-
-    kept_schema = pa.schema(
-        [("l_orderkey", pa.int64()), ("rev", pa.int64()),
-         ("rev_nat", pa.int64())]
-    )
-    enr_schema = pa.schema([("l_orderkey", pa.int64()), ("o_year", pa.int32())])
 
     def join_roll(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        rt = rt.rename_columns(["__rk", "o_year"])
-        j = lt.join(rt, keys=["l_orderkey"], right_keys=["__rk"],
-                    join_type="inner")
-        g = j.group_by("o_year").aggregate(
-            [("rev", "sum"), ("rev_nat", "sum")]
-        )
-        return pa.table(
-            {
-                "o_year": pc.cast(g["o_year"], pa.int32()),
-                "rev": pc.cast(g["rev_sum"], pa.int64()),
-                "rev_nat": pc.cast(g["rev_nat_sum"], pa.int64()),
-            }
-        )
+        j = lt.join(rt, "l_orderkey", join_type="inner")
+        return agg(j, "o_year", rev=("rev", "sum"), rev_nat=("rev_nat", "sum"))
 
-    partial_schema = pa.schema(
-        [("o_year", pa.int32()), ("rev", pa.int64()), ("rev_nat", pa.int64())]
-    )
     rolled = _bucketed_join(
-        kept, enriched, ["l_orderkey"], kept_schema, enr_schema, join_roll,
+        kept, enriched, ["l_orderkey"], int64_schema("l_orderkey", "rev", "rev_nat"),
+        int64_schema("l_orderkey", o_year=pa.int32()), join_roll,
         nb=_fact_buckets(sf_dir, "lineitem"),
     )
-    t = collect_table(rolled, empty_schema=partial_schema)
-    g = t.group_by("o_year").aggregate([("rev", "sum"), ("rev_nat", "sum")])
-    tot = g["rev_sum"].to_numpy(zero_copy_only=False)
-    natv = g["rev_nat_sum"].to_numpy(zero_copy_only=False)
+    t = collect_table(rolled, empty_schema=int64_schema("rev", "rev_nat", o_year=pa.int32()))
+    g = agg(t, "o_year", total_revenue_scaled=("rev", "sum"),
+            nation_revenue_scaled=("rev_nat", "sum"))
     share = [
         round_half_away(float(n) / float(d), 4) if d else 0.0
-        for n, d in zip(natv.tolist(), tot.tolist())
+        for n, d in zip(g["nation_revenue_scaled"].to_pylist(),
+                        g["total_revenue_scaled"].to_pylist())
     ]
-    out = pa.table(
-        {
-            "o_year": pc.cast(g["o_year"], pa.int32()),
-            "total_revenue_scaled": pa.array(tot, type=pa.int64()),
-            "nation_revenue_scaled": pa.array(natv, type=pa.int64()),
-            "mkt_share": pa.array(share, type=pa.float64()),
-        }
-    )
-    return out.take(pc.sort_indices(out["o_year"]))
+    return g.append_column("mkt_share", pa.array(share, type=pa.float64())).sort_by("o_year")
 
 
 def market_share_sql() -> str:
@@ -2296,152 +1325,52 @@ def product_type_profit(sf_dir: str) -> pa.Table:
          year) in a second bucketed exchange, rolled up per bucket to
          <= nations x years rows. Driver merge is bounded by plan shape.
     Frozen pair with product_type_profit_sql."""
-    import pyarrow.parquet as pq
-
-    from smse_backend_ray import config
-    from smse_backend_ray.functions.joins import _bucketed_join
-
-    sup = pq.read_table(
-        os.path.join(sf_dir, "supplier.parquet"),
-        columns=["s_suppkey", "s_nationkey"],
-    )
-    nat = pq.read_table(
-        os.path.join(sf_dir, "nation.parquet"),
-        columns=["n_nationkey", "n_name"],
-    )
-    nkey = nat["n_nationkey"].to_numpy()
-    names = nat["n_name"].to_pylist()
-    names_sorted = sorted(set(names))
-    name_idx = {n: i for i, n in enumerate(names_sorted)}
-    nat_to_idx = np.full(int(nkey.max()) + 1, -1, dtype=np.int64)
-    for k, nm in zip(nkey.tolist(), names):
-        nat_to_idx[k] = name_idx[nm]
-    skeys = sup["s_suppkey"].to_numpy()
-    snat = sup["s_nationkey"].to_numpy()
-    sup_lut = np.full(int(skeys.max()) + 1, -1, dtype=np.int64)
-    sup_lut[skeys] = nat_to_idx[snat]
-    ref = ray.put(sup_lut)
-
-    def li_combine(t: pa.Table) -> pa.Table:
-        lut = ray.get(ref)
-        rev = _revenue_scaled(
-            t["l_extendedprice"].to_numpy(), t["l_discount"].to_numpy()
-        )
-        part = pa.table(
-            {
-                "p_partkey": pc.cast(t["l_partkey"], pa.int64()),
-                "l_orderkey": pc.cast(t["l_orderkey"], pa.int64()),
-                "sidx": pa.array(
-                    lut[t["l_suppkey"].to_numpy()], type=pa.int64()
-                ),
-                "rev": pa.array(rev, type=pa.int64()),
-            }
-        )
-        g = part.group_by(["p_partkey", "l_orderkey", "sidx"]).aggregate(
-            [("rev", "sum")]
-        )
-        return pa.table(
-            {
-                "p_partkey": g["p_partkey"],
-                "l_orderkey": g["l_orderkey"],
-                "sidx": g["sidx"],
-                "rev": pc.cast(g["rev_sum"], pa.int64()),
-            }
-        )
-
-    facts = _read(
-        sf_dir, "lineitem",
-        ["l_partkey", "l_orderkey", "l_suppkey", "l_extendedprice",
-         "l_discount"],
-    ).map_batches(li_combine, batch_format="pyarrow", zero_copy_batch=True)
-
+    names, _, sup_idx = _nations(sf_dir)
+    ref = ray.put(sup_idx)
     word = str(config.Q9_PART_WORD)  # captured at driver time (closures
     # ship to workers whose own config import would win otherwise)
 
-    def part_keys(t: pa.Table) -> pa.Table:
-        m = pc.match_substring(t["p_name"], word)
-        return pa.table(
-            {"p_partkey": pc.cast(t.filter(m)["p_partkey"], pa.int64())}
-        )
-
-    parts = _read(sf_dir, "part", ["p_partkey", "p_name"]).map_batches(
-        part_keys, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    facts_schema = pa.schema(
-        [("p_partkey", pa.int64()), ("l_orderkey", pa.int64()),
-         ("sidx", pa.int64()), ("rev", pa.int64())]
-    )
-    keys_schema = pa.schema([("p_partkey", pa.int64())])
+    def li_combine(t: pa.Table) -> pa.Table:
+        part = pa.table({"p_partkey": pc.cast(t["l_partkey"], pa.int64()),
+                         "l_orderkey": pc.cast(t["l_orderkey"], pa.int64()),
+                         "sidx": ray.get(ref)[t["l_suppkey"].to_numpy()],
+                         "rev": _revenue_scaled(t)})
+        return agg(part, ["p_partkey", "l_orderkey", "sidx"], rev=("rev", "sum"))
 
     def join_part(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        lt = lt.join(rt.rename_columns(["__rk"]), keys=["p_partkey"],
-                     right_keys=["__rk"], join_type="left semi")
-        g = lt.group_by(["l_orderkey", "sidx"]).aggregate([("rev", "sum")])
-        return pa.table(
-            {"l_orderkey": g["l_orderkey"], "sidx": g["sidx"],
-             "rev": pc.cast(g["rev_sum"], pa.int64())}
-        )
+        lt = lt.join(rt, "p_partkey", join_type="left semi")
+        return agg(lt, ["l_orderkey", "sidx"], rev=("rev", "sum"))
 
-    surv_schema = pa.schema(
-        [("l_orderkey", pa.int64()), ("sidx", pa.int64()),
-         ("rev", pa.int64())]
-    )
     survivors = _bucketed_join(
-        facts, parts, ["p_partkey"], facts_schema, keys_schema, join_part,
-        nb=_fact_buckets(sf_dir, "lineitem"),
+        _scan(sf_dir, "lineitem",
+              ["l_partkey", "l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
+              li_combine),
+        _scan(sf_dir, "part", ["p_partkey", "p_name"],
+              lambda t: _keys(t, pc.match_substring(t["p_name"], word), "p_partkey",
+                              "p_partkey")),
+        ["p_partkey"], int64_schema("p_partkey", "l_orderkey", "sidx", "rev"),
+        int64_schema("p_partkey"), join_part, nb=_fact_buckets(sf_dir, "lineitem"),
     )
 
     def ord_year(t: pa.Table) -> pa.Table:
-        dt = pc.cast(t["o_orderdate"], pa.timestamp("us"))
-        yr = pc.year(dt).to_numpy(zero_copy_only=False).astype(np.int32)
-        return pa.table(
-            {"l_orderkey": pc.cast(t["o_orderkey"], pa.int64()),
-             "o_year": pa.array(yr, type=pa.int32())}
-        )
-
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]).map_batches(
-        ord_year, batch_format="pyarrow", zero_copy_batch=True
-    )
-    ord_schema = pa.schema([("l_orderkey", pa.int64()), ("o_year", pa.int32())])
+        yr = pc.year(pc.cast(t["o_orderdate"], _US)).to_numpy(zero_copy_only=False)
+        return pa.table({"l_orderkey": pc.cast(t["o_orderkey"], pa.int64()),
+                         "o_year": yr.astype(np.int32)})
 
     def join_roll(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        rt = rt.rename_columns(
-            ["__rk" if nm == "l_orderkey" else nm for nm in rt.column_names]
-        )
-        j = lt.join(rt, keys=["l_orderkey"], right_keys=["__rk"],
-                    join_type="inner")
-        g = j.group_by(["sidx", "o_year"]).aggregate([("rev", "sum")])
-        return pa.table(
-            {"sidx": g["sidx"], "o_year": pc.cast(g["o_year"], pa.int32()),
-             "rev": pc.cast(g["rev_sum"], pa.int64())}
-        )
+        j = lt.join(rt, "l_orderkey", join_type="inner")
+        return agg(j, ["sidx", "o_year"], rev=("rev", "sum"))
 
-    partial_schema = pa.schema(
-        [("sidx", pa.int64()), ("o_year", pa.int32()), ("rev", pa.int64())]
-    )
     rolled = _bucketed_join(
-        survivors, orders, ["l_orderkey"], surv_schema, ord_schema,
-        join_roll, nb=_fact_buckets(sf_dir, "orders"),
+        survivors, _scan(sf_dir, "orders", ["o_orderkey", "o_orderdate"], ord_year),
+        ["l_orderkey"], int64_schema("l_orderkey", "sidx", "rev"),
+        int64_schema("l_orderkey", o_year=pa.int32()), join_roll,
+        nb=_fact_buckets(sf_dir, "orders"),
     )
-    t = collect_table(rolled, empty_schema=partial_schema)
-    g = t.group_by(["sidx", "o_year"]).aggregate([("rev", "sum")])
-    out = pa.table(
-        {
-            "nation": pa.array(
-                [names_sorted[i] for i in g["sidx"].to_pylist()],
-                type=pa.string(),
-            ),
-            "o_year": pc.cast(g["o_year"], pa.int32()),
-            "profit_scaled": pc.cast(g["rev_sum"], pa.int64()),
-        }
-    )
-    return out.take(
-        pc.sort_indices(
-            out,
-            sort_keys=[("nation", "ascending"), ("o_year", "descending")],
-        )
-    )
+    t = collect_table(rolled, empty_schema=int64_schema("sidx", "rev", o_year=pa.int32()))
+    g = agg(t, ["sidx", "o_year"], profit_scaled=("rev", "sum"))
+    out = g.set_column(0, "nation", names.take(g["sidx"]))
+    return out.sort_by([("nation", "ascending"), ("o_year", "descending")])
 
 
 def product_type_profit_sql() -> str:

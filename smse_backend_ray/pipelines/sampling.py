@@ -23,7 +23,7 @@ import pyarrow as pa
 import ray.data
 
 from smse_backend_ray.functions.collect import collect_table
-from smse_backend_ray.sources.corpus import _parallel_blocks, _parquet_rows
+from smse_backend_ray.sources.corpus import _parquet_rows, read_blocks, read_table
 
 # Knuth multiplicative hash on the low 32 bits of doc_id; uniform on
 # [0, 2^32) for any doc_id distribution (sequential driver ids included).
@@ -48,18 +48,8 @@ def _threshold(pct: int) -> int:
     return (SAMPLE_MOD * pct) // 100
 
 
-def _n_doc_blocks(sf_dir: str) -> int:
-    """THE block count _read_docs repartitions to — fold triggers compare
-    against this same value so they can't desynchronize from the read."""
-    return _parallel_blocks(
-        _parquet_rows(os.path.join(sf_dir, "documents.parquet"))
-    )
-
-
 def _read_docs(sf_dir: str) -> "ray.data.Dataset":
-    path = os.path.join(sf_dir, "documents.parquet")
-    ds = ray.data.read_parquet(path, columns=["doc_id", "lang"])
-    return ds.repartition(_n_doc_blocks(sf_dir))
+    return read_table(sf_dir, "documents", ["doc_id", "lang"])
 
 
 def _key_sql() -> str:
@@ -215,7 +205,7 @@ def doc_sample_balanced(sf_dir: str, cap: int = BALANCED_CAP) -> pa.Table:
     ds = _read_docs(sf_dir).map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True
     )
-    if _n_doc_blocks(sf_dir) > FOLD_FAN_IN:
+    if read_blocks(sf_dir, "documents") > FOLD_FAN_IN:
         ds = fold_partials(ds, _top_per_lang, FOLD_FAN_IN)
     parts = collect_table(ds, empty_schema=out_schema)
     out = _top_per_lang(parts).drop_columns(["skey"])
@@ -270,10 +260,8 @@ def doc_sample_temperature(sf_dir: str) -> pa.Table:
             {"lang": g["lang"], "n": pc.cast(g["count_all"], pa.int64())}
         )
 
-    path = os.path.join(sf_dir, "documents.parquet")
     parts = collect_table(
-        ray.data.read_parquet(path, columns=["lang"])
-        .repartition(_parallel_blocks(_parquet_rows(path), rows_per_block=4096))
+        read_table(sf_dir, "documents", ["lang"], rows_per_block=4096)
         .map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True),
         empty_schema=count_schema,
     )
@@ -372,9 +360,7 @@ def shuffle_ranks_ds(sf_dir: str, n_ranges: int | None = None):
             }
         )
 
-    path = os.path.join(sf_dir, "documents.parquet")
-    ds = ray.data.read_parquet(path, columns=["doc_id"])
-    ds = ds.repartition(_parallel_blocks(_parquet_rows(path)))
+    ds = read_table(sf_dir, "documents", ["doc_id"])
     keyed_ds = ds.map_batches(
         keyed, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()

@@ -34,7 +34,12 @@ import ray.data
 
 from smse_backend_ray.functions.collect import collect_table
 from smse_backend_ray.functions.rounding import round_half_away
-from smse_backend_ray.sources.corpus import _parallel_blocks, _parquet_rows
+from smse_backend_ray.sources.corpus import (
+    _parallel_blocks,
+    _parquet_rows,
+    read_blocks,
+    read_table,
+)
 
 N_QUERIES = 5   # frozen: query vectors are vec_id < 5
 TOP_K = 10
@@ -159,9 +164,7 @@ def knn_bruteforce(sf_dir: str, k: int = TOP_K) -> pa.Table:
             }
         )
 
-    ds = ray.data.read_parquet(
-        _emb_path(sf_dir), columns=["vec_id", "embedding"]
-    ).repartition(_parallel_blocks(_parquet_rows(_emb_path(sf_dir))))
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
     cands = collect_table(ds.map_batches(batch_topk, batch_format="pyarrow", zero_copy_batch=True))
     return _topk_merge([cands], k)
 
@@ -227,9 +230,7 @@ def train_centroids(
 
     target = train_target if train_target is not None else IVF_TRAIN_TARGET
     rows = _parquet_rows(_emb_path(sf_dir))
-    ds = ray.data.read_parquet(
-        _emb_path(sf_dir), columns=["vec_id", "embedding"]
-    ).repartition(_parallel_blocks(rows))
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
     if rows is not None and rows > target:
         thr = np.uint64((SAMPLE_MOD * target) // rows)
 
@@ -287,8 +288,8 @@ def build_ivf_index(
     CLUSTER — the storage layout that makes IVF actually prune: a query
     probing p of c clusters reads p/c of the data. Returns (layout IndexFS,
     centroids); all layout I/O goes through state/fs.IndexFS (works against
-    any pyarrow.fs location). Cached per (sf_dir, out_dir, n_clusters) per
-    process; a pre-existing layout at ``out_dir`` is RESUMED (centroids
+    any pyarrow.fs location). The latest (sf_dir, out_dir, n_clusters)
+    build is cached per process; a pre-existing layout at ``out_dir`` is RESUMED (centroids
     loaded from the sidecar, no retrain) — delete the layout dir to force a
     rebuild after changing the embeddings table."""
     import posixpath
@@ -309,6 +310,7 @@ def build_ivf_index(
         # cross-process resume: the layout already exists — load the
         # centroids sidecar instead of retraining + rewriting
         cents = _load_sidecar(parent0, sidecar)
+        _IVF_CACHE.clear()
         _IVF_CACHE[key] = (layout0, cents)
         return layout0, cents
     cents = train_centroids(sf_dir, n_clusters, train_target=train_target)
@@ -329,13 +331,13 @@ def build_ivf_index(
     # dir swap and keeps the centroids sidecar NEXT TO the layout dir (a
     # foreign file inside a hive-partitioned dir breaks dataset discovery)
     assigned = (
-        ray.data.read_parquet(_emb_path(sf_dir), columns=["vec_id", "embedding"])
-        .repartition(_parallel_blocks(_parquet_rows(_emb_path(sf_dir))))
+        read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
         .map_batches(assign_batch, batch_format="pyarrow", zero_copy_batch=True)
         .repartition(max(4, _parallel_blocks() // 8))  # bound files per cluster
     )
     parent0.atomic_write_dataset(assigned, name0, partition_cols=["cluster"])
     _save_sidecar_atomic(parent0, sidecar, cents)
+    _IVF_CACHE.clear()  # one entry: the latest layout
     _IVF_CACHE[key] = (layout0, cents)
     return layout0, cents
 
@@ -445,8 +447,7 @@ def train_pq_codebooks(
             return t.filter(pa.array(key < thr))
 
         sample = collect_table(
-            ray.data.read_parquet(_emb_path(sf_dir), columns=["vec_id", "embedding"])
-            .repartition(_parallel_blocks(rows))
+            read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
             .map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
         )
         V = _emb_matrix(sample["embedding"])
@@ -547,9 +548,7 @@ def pq_encode(sf_dir: str, books: np.ndarray) -> "ray.data.Dataset":
             }
         )
 
-    ds = ray.data.read_parquet(
-        _emb_path(sf_dir), columns=["vec_id", "embedding"]
-    ).repartition(_parallel_blocks(_parquet_rows(_emb_path(sf_dir))))
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
     return ds.map_batches(encode, batch_format="pyarrow", zero_copy_batch=True)
 
 
@@ -857,7 +856,6 @@ def embedding_dim_stats(sf_dir: str) -> pa.Table:
     from smse_backend_ray.config import FOLD_FAN_IN
     from smse_backend_ray.functions.collect import collect_table, fold_partials
     from smse_backend_ray.functions.rounding import round_half_away
-    from smse_backend_ray.sources.corpus import _parallel_blocks, _parquet_rows
 
     partial_schema = pa.schema(
         [
@@ -900,11 +898,9 @@ def embedding_dim_stats(sf_dir: str) -> pa.Table:
             }
         )
 
-    path = _emb_path(sf_dir)
-    nb = _parallel_blocks(_parquet_rows(path), rows_per_block=4096)
+    nb = read_blocks(sf_dir, "embeddings", rows_per_block=4096)
     ds = (
-        ray.data.read_parquet(path, columns=["embedding"])
-        .repartition(nb)
+        read_table(sf_dir, "embeddings", ["embedding"], rows_per_block=4096)
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
     )
     if nb > FOLD_FAN_IN:
@@ -965,7 +961,6 @@ def embedding_label_centroids(sf_dir: str) -> pa.Table:
     from smse_backend_ray.config import FOLD_FAN_IN
     from smse_backend_ray.functions.collect import collect_table, fold_partials
     from smse_backend_ray.functions.rounding import round_half_away
-    from smse_backend_ray.sources.corpus import _parallel_blocks, _parquet_rows
 
     partial_schema = pa.schema(
         [("label", pa.int64()), ("dim", pa.int64()),
@@ -1006,11 +1001,9 @@ def embedding_label_centroids(sf_dir: str) -> pa.Table:
             }
         )
 
-    path = _emb_path(sf_dir)
-    nb = _parallel_blocks(_parquet_rows(path), rows_per_block=4096)
+    nb = read_blocks(sf_dir, "embeddings", rows_per_block=4096)
     ds = (
-        ray.data.read_parquet(path, columns=["label", "embedding"])
-        .repartition(nb)
+        read_table(sf_dir, "embeddings", ["label", "embedding"], rows_per_block=4096)
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
     )
     if nb > FOLD_FAN_IN:

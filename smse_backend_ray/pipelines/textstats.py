@@ -13,35 +13,52 @@ reference (_*_one) for the bitwise parity fuzz in tests.
 from __future__ import annotations
 
 import hashlib
+import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-import ray.data
+import ray
 
 from smse_backend_ray.config import LANG_MARKERS, STOPWORDS
-from smse_backend_ray.functions.analyzer import split_subtokens, tokenize
-from smse_backend_ray.functions.collect import collect_table
+from smse_backend_ray.functions.analyzer import (
+    kept_tokens_batch,
+    split_subtokens,
+    term_counts_batch,
+    tokenize,
+)
+from smse_backend_ray.functions.arrow_kernels import (
+    agg,
+    arrow_map,
+    exchange,
+    hist_quantiles,
+    int64_schema,
+    run_rank,
+)
+from smse_backend_ray.functions.collect import collect_table, fold_partials
+from smse_backend_ray.functions.joins import (
+    attach_left,
+    attach_unique,
+    cpu_scaled_buckets,
+    grouped_aggregate,
+    semi_join,
+    with_schema,
+)
 from smse_backend_ray.functions.rounding import round_half_away
-from smse_backend_ray.sources.corpus import _parallel_blocks, _parquet_rows
+from smse_backend_ray.sources.corpus import _parquet_rows, read_blocks, read_table
+
+_DOC_COLS = ["doc_id", "text", "lang"]
 
 
-def _n_doc_blocks(sf_dir: str) -> int:
-    """THE block count _read_documents repartitions to — fold triggers
-    compare against this same value (can't desynchronize from the read)."""
-    import os
-
-    return _parallel_blocks(
-        _parquet_rows(os.path.join(sf_dir, "documents.parquet"))
-    )
+def _docs(sf_dir: str, fn, columns: list[str] = _DOC_COLS):
+    """The documents scan (read_table's per-row cost class: tokenize /
+    hash work) with ``fn`` mapped over each batch."""
+    return arrow_map(read_table(sf_dir, "documents", columns), fn)
 
 
-def _read_documents(sf_dir: str) -> "ray.data.Dataset":
-    import os
-
-    path = os.path.join(sf_dir, "documents.parquet")
-    ds = ray.data.read_parquet(path, columns=["doc_id", "text", "lang"])
-    return ds.repartition(_n_doc_blocks(sf_dir))
+def _n_docs(sf_dir: str) -> int | None:
+    return _parquet_rows(os.path.join(sf_dir, "documents.parquet"))
 
 
 def _doc_buckets(sf_dir: str, docs_per_bucket: int = 256) -> int:
@@ -53,14 +70,74 @@ def _doc_buckets(sf_dir: str, docs_per_bucket: int = 256) -> int:
     that a 500-doc gate input stops paying ~256 near-empty reduce tasks
     per exchange (chains of 3-4 exchanges made doc_logprob/cooc/keywords
     the slowest textstats gate entries; BASELINE.md 'Exchange sizing')."""
-    import os
+    return cpu_scaled_buckets(rows=_n_docs(sf_dir), rows_per_bucket=docs_per_bucket)
 
-    from smse_backend_ray.functions.joins import cpu_scaled_buckets
 
-    return cpu_scaled_buckets(
-        rows=_parquet_rows(os.path.join(sf_dir, "documents.parquet")),
-        rows_per_bucket=docs_per_bucket,
-    )
+def _run(sf_dir: str, fn, order=("doc_id",)) -> pa.Table:
+    """A per-doc map over the corpus, collected and sorted by ``order``."""
+    return collect_table(_docs(sf_dir, fn)).sort_by([(k, "ascending") for k in order])
+
+
+def _term_rank(col) -> tuple[np.ndarray, pa.Array]:
+    """Ints-only term order: dictionary-encode the column once, remap each
+    row's code to the lexicographic rank of its dictionary string (rank
+    order == term order), so sorts and pair expansions run on int64 ranks
+    — no Python string objects. Returns (rank per row, sorted vocab)."""
+    enc = pc.dictionary_encode(col.combine_chunks())
+    vorder = pc.sort_indices(enc.dictionary).to_numpy(zero_copy_only=False)
+    rank = np.empty(len(vorder), dtype=np.int64)
+    rank[vorder] = np.arange(len(vorder), dtype=np.int64)
+    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    return rank[codes], enc.dictionary.take(pa.array(vorder))
+
+
+def _adjacent(toks: pa.ListArray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacent kept-token pairs (i, i+1) inside one doc: the left flat
+    positions i and each pair's doc index. Each doc's LAST position starts
+    no pair (empty docs contribute nothing — their start == end)."""
+    offs = np.asarray(toks.offsets, dtype=np.int64)
+    dl = np.diff(offs)
+    keep = np.ones(int(offs[-1]), dtype=bool)
+    keep[offs[1:][dl > 0] - 1] = False
+    idx = np.flatnonzero(keep)
+    return idx, np.repeat(np.arange(len(dl), dtype=np.int64), dl)[idx]
+
+
+def _fixed_doc_sum(key: str, n_name: str, n_col: str):
+    """Per-doc float reduce with a FIXED accumulation order (the repo's
+    convention for driver-compared float sums — scorer._accumulate): every
+    doc's rows land in one doc_id-hash bucket, each bucket lexsorts by
+    (doc_id, ``key``) and accumulates sequentially (np.add.at is ordered,
+    unlike a C++ group sum whose order follows block arrival) — so lp_sum
+    is bit-identical run to run. Returns the per-bucket kernel for
+    ``exchange``: (doc_id, lp_sum, n_name = sum of ``n_col``)."""
+
+    def reduce_fixed(g: pa.Table) -> pa.Table:
+        d = g["doc_id"].to_numpy(zero_copy_only=False)
+        k = np.asarray(g[key].to_numpy(zero_copy_only=False), dtype=object)
+        order = np.lexsort((k, d))
+        start, run, _ = run_rank(d[order])
+        lp_sum = np.zeros(int(run[-1]) + 1, dtype=np.float64)
+        np.add.at(lp_sum, run, g["lp"].to_numpy(zero_copy_only=False)[order])
+        n = np.zeros(len(lp_sum), dtype=np.int64)
+        np.add.at(n, run, g[n_col].to_numpy(zero_copy_only=False)[order])
+        return pa.table({"doc_id": d[order][start], "lp_sum": lp_sum, n_name: n})
+
+    return reduce_fixed
+
+
+def _avg_logprob(n_name: str):
+    """Per-doc finish: avg = round4(lp_sum / n) (0.0 when n = 0; a doc
+    with no reduce row arrives with NULLs from attach_left)."""
+
+    def finish(t: pa.Table) -> pa.Table:
+        n = pc.fill_null(t[n_name], 0).to_numpy(zero_copy_only=False)
+        lp = pc.fill_null(t["lp_sum"], 0.0).to_numpy(zero_copy_only=False)
+        avg = np.zeros(len(n), dtype=np.float64)
+        avg[n > 0] = round_half_away(lp[n > 0] / n[n > 0], 4)
+        return pa.table({"doc_id": t["doc_id"], n_name: n.astype(np.int64), "avg_logprob": avg})
+
+    return finish
 
 
 def _token_stats_one(text: str) -> tuple[int, int, int, float]:
@@ -316,16 +393,7 @@ def winnow_fingerprints(sf_dir: str) -> pa.Table:
 
 
 def winnow_rows(sf_dir: str) -> pa.Table:
-    out = collect_table(
-        _read_documents(sf_dir).map_batches(
-            winnow_rows_batch, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
-    return out.take(
-        pa.compute.sort_indices(
-            out, sort_keys=[("doc_id", "ascending"), ("fp_rank", "ascending")]
-        )
-    )
+    return _run(sf_dir, winnow_rows_batch, ("doc_id", "fp_rank"))
 
 
 def doc_rollup_counts(sf_dir: str) -> pa.Table:
@@ -344,90 +412,36 @@ def doc_rollup_counts(sf_dir: str) -> pa.Table:
     partials (exact integer sums are associative). Above FOLD_FAN_IN
     source blocks a tree-fold level bounds the driver merge. No key
     shuffle at any scale."""
-    import os
-
-    import pyarrow.compute as pc
-
     from smse_backend_ray.config import FOLD_FAN_IN
-    from smse_backend_ray.functions.collect import fold_partials
 
-    partial_schema = pa.schema(
-        [("source", pa.string()), ("lang", pa.string()),
-         ("n", pa.int64()), ("chars", pa.int64())]
-    )
+    keys = ["source", "lang"]
 
     def partial(t: pa.Table) -> pa.Table:
         chars = pc.coalesce(pc.utf8_length(t["text"]), pa.scalar(0, pa.int32()))
-        g = (
-            pa.table(
-                {
-                    "source": t["source"],
-                    "lang": t["lang"],
-                    "chars": pc.cast(chars, pa.int64()),
-                }
-            )
-            .group_by(["source", "lang"])
-            .aggregate([("chars", "sum"), ("chars", "count")])
-        )
-        return pa.table(
-            {
-                "source": g["source"],
-                "lang": g["lang"],
-                "n": pc.cast(g["chars_count"], pa.int64()),
-                "chars": pc.cast(g["chars_sum"], pa.int64()),
-            }
-        )
+        part = t.select(keys).append_column("chars", pc.cast(chars, pa.int64()))
+        return agg(part, keys, n=("chars", "count"), chars=("chars", "sum"))
 
     def fold(t: pa.Table) -> pa.Table:
-        g = t.group_by(["source", "lang"]).aggregate(
-            [("n", "sum"), ("chars", "sum")]
-        )
-        return pa.table(
-            {
-                "source": g["source"],
-                "lang": g["lang"],
-                "n": pc.cast(g["n_sum"], pa.int64()),
-                "chars": pc.cast(g["chars_sum"], pa.int64()),
-            }
-        )
+        return agg(t, keys, n=("n", "sum"), chars=("chars", "sum"))
 
-    path = os.path.join(sf_dir, "documents.parquet")
-    ds = (
-        ray.data.read_parquet(path, columns=["source", "lang", "text"])
-        .repartition(_n_doc_blocks(sf_dir))
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    if _n_doc_blocks(sf_dir) > FOLD_FAN_IN:
+    ds = _docs(sf_dir, partial, ["source", "lang", "text"])
+    if read_blocks(sf_dir, "documents") > FOLD_FAN_IN:
         ds = fold_partials(ds, fold)
-    fine = fold(collect_table(ds, empty_schema=partial_schema))
+    fine = fold(collect_table(ds, empty_schema=int64_schema(
+        "n", "chars", source=pa.string(), lang=pa.string())))
 
-    def subtotal(t: pa.Table, keys: list[str]) -> pa.Table:
-        if keys:
-            g = t.group_by(keys).aggregate([("n", "sum"), ("chars", "sum")])
-            cols = {k: g[k] for k in keys}
-            n, ch = g["n_sum"], g["chars_sum"]
+    def grain(kept: list[str]) -> pa.Table:
+        if kept:
+            g = agg(fine, kept, n=("n", "sum"), chars=("chars", "sum"))
         else:
-            cols = {}
-            n = pa.array([pc.sum(t["n"]).as_py() or 0], type=pa.int64())
-            ch = pa.array([pc.sum(t["chars"]).as_py() or 0], type=pa.int64())
-        rows = len(n)
-        out = {
-            "source": cols.get("source", pa.array(["__ALL__"] * rows)),
-            "lang": cols.get("lang", pa.array(["__ALL__"] * rows)),
-            "n": pc.cast(n, pa.int64()),
-            "chars": pc.cast(ch, pa.int64()),
-        }
-        return pa.table(out)
+            g = pa.table({c: [int(pc.sum(fine[c]).as_py() or 0)] for c in ("n", "chars")})
+        for k in keys:
+            if k not in kept:
+                g = g.append_column(k, pa.array(["__ALL__"] * g.num_rows, type=pa.string()))
+        return g.select(keys + ["n", "chars"])
 
-    out = pa.concat_tables(
-        [subtotal(fine, ["source", "lang"]), subtotal(fine, ["source"]),
-         subtotal(fine, [])]
-    )
-    return out.take(
-        pc.sort_indices(
-            out, sort_keys=[("source", "ascending"), ("lang", "ascending")]
-        )
-    )
+    out = pa.concat_tables([grain(keys), grain(["source"]), grain([])])
+    return out.sort_by([("source", "ascending"), ("lang", "ascending")])
 
 
 def doc_rollup_counts_sql() -> str:
@@ -467,29 +481,25 @@ def kmv_distinct(sf_dir: str) -> pa.Table:
     FOLD_FAN_IN source blocks a tree-fold level re-applies the bottom-k
     combiner and the driver sees O(fan_in * k) rows regardless of corpus
     block count. No key shuffle at any scale."""
-    import pyarrow.compute as pc
+    import struct
 
     from smse_backend_ray.config import FOLD_FAN_IN, KMV_GRAM_K, KMV_K
     from smse_backend_ray.functions.analyzer import subtokens_batch
-    from smse_backend_ray.functions.collect import fold_partials
 
     K = KMV_GRAM_K
-    empty = pa.table({"g": pa.array([], type=pa.int64())})
+    schema = int64_schema("g")
 
     def partial(batch: pa.Table) -> pa.Table:
         toks = subtokens_batch(batch["text"])
         offs = np.asarray(toks.offsets, dtype=np.int64)
-        dl = np.diff(offs)
-        n_grams = np.maximum(dl - K + 1, 0)
+        n_grams = np.maximum(np.diff(offs) - K + 1, 0)
         total = int(n_grams.sum())
         if not total:
-            return empty
-        gdoc = np.repeat(np.arange(len(dl), dtype=np.int64), n_grams)
+            return schema.empty_table()
+        gdoc = np.repeat(np.arange(len(n_grams), dtype=np.int64), n_grams)
         first = np.concatenate(([0], np.cumsum(n_grams)))[:-1]
         gidx = np.arange(total, dtype=np.int64) - first[gdoc]
-        idx = (np.arange(total * K, dtype=np.int64) % K) + np.repeat(
-            offs[gdoc] + gidx, K
-        )
+        idx = (np.arange(total * K, dtype=np.int64) % K) + np.repeat(offs[gdoc] + gidx, K)
         # int64 (large_list) offsets: the gather duplicates the token
         # stream K-fold, so int32 offsets would wrap K-times earlier than
         # the analyzer's own per-block int32 list limit
@@ -497,49 +507,28 @@ def kmv_distinct(sf_dir: str) -> pa.Table:
             pa.array(np.arange(0, (total + 1) * K, K, dtype=np.int64), type=pa.int64()),
             toks.values.take(pa.array(idx, type=pa.int64())),
         )
-        import struct
-
         grams = pc.unique(pc.binary_join(windows, _GRAM_SEP))
-        hashes = np.unique(
-            np.fromiter(
-                (
-                    struct.unpack("<Q", hashlib.md5(g.encode()).digest()[:8])[0]
-                    >> 1
-                    for g in grams.to_pylist()
-                ),
-                dtype=np.int64,
-                count=len(grams),
-            )
+        hashes = np.fromiter(
+            (struct.unpack("<Q", hashlib.md5(g.encode()).digest()[:8])[0] >> 1
+             for g in grams.to_pylist()),
+            dtype=np.int64, count=len(grams),
         )
-        return pa.table({"g": pa.array(hashes[:KMV_K], type=pa.int64())})
+        return pa.table({"g": np.unique(hashes)[:KMV_K]})
 
     def bottomk_fold(t: pa.Table) -> pa.Table:
-        g = np.unique(t["g"].to_numpy())[:KMV_K]
-        return pa.table({"g": pa.array(g, type=pa.int64())})
+        return pa.table({"g": np.unique(t["g"].to_numpy())[:KMV_K]})
 
-    ds = _read_documents(sf_dir).map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True
-    )
-    if _n_doc_blocks(sf_dir) > FOLD_FAN_IN:
+    ds = _docs(sf_dir, partial)
+    if read_blocks(sf_dir, "documents") > FOLD_FAN_IN:
         ds = fold_partials(ds, bottomk_fold, FOLD_FAN_IN)
-    parts = collect_table(ds, empty_schema=empty.schema)
-    sk = np.unique(parts["g"].to_numpy())[:KMV_K]
-    n_sketch = int(sk.size)
-    kth = int(sk[-1]) if n_sketch else 0
-    if n_sketch < KMV_K:
-        est = float(n_sketch)
+    sk = np.unique(collect_table(ds, empty_schema=schema)["g"].to_numpy())[:KMV_K]
+    kth = int(sk[-1]) if sk.size else 0
+    if sk.size < KMV_K:
+        est = float(sk.size)
     else:
-        est = round_half_away(
-            ((KMV_K - 1) * 9223372036854775808.0) / float(kth), 4
-        )
-    return pa.table(
-        {
-            "k": pa.array([KMV_K], type=pa.int64()),
-            "n_sketch": pa.array([n_sketch], type=pa.int64()),
-            "kth_hash": pa.array([kth], type=pa.int64()),
-            "est_distinct": pa.array([est], type=pa.float64()),
-        }
-    )
+        est = round_half_away(((KMV_K - 1) * 9223372036854775808.0) / float(kth), 4)
+    return pa.table({"k": [KMV_K], "n_sketch": [int(sk.size)], "kth_hash": [kth],
+                     "est_distinct": pa.array([est], type=pa.float64())})
 
 
 def kmv_distinct_sql() -> str:
@@ -591,15 +580,6 @@ FROM sk
 """
 
 
-def _run(sf_dir: str, fn) -> pa.Table:
-    out = collect_table(
-        _read_documents(sf_dir).map_batches(
-            fn, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
-    return out.take(pa.compute.sort_indices(out["doc_id"]))
-
-
 def token_stats(sf_dir: str) -> pa.Table:
     return _run(sf_dir, token_stats_batch)
 
@@ -621,31 +601,18 @@ def preview_batch(batch: pa.Table) -> pa.Table:
     analog, smse_backend/services/thumbnail.py:100-150 — a cheap derived
     representation stored alongside the doc): first line truncated to 120
     chars + line count + preview char length."""
-    doc_ids = batch["doc_id"].to_pylist()
-    texts = batch["text"].to_pylist()
-    previews, n_lines, plen = [], [], []
-    for t in texts:
-        t = t or ""
-        head = t.split("\n", 1)[0][:120]
-        previews.append(head)
-        n_lines.append(t.count("\n") + 1)
-        plen.append(len(head))
-    return pa.table(
-        {
-            "doc_id": pa.array(doc_ids, type=pa.int64()),
-            "preview": pa.array(previews, type=pa.string()),
-            "preview_len": pa.array(plen, type=pa.int64()),
-            "n_lines": pa.array(n_lines, type=pa.int64()),
-        }
-    )
+    texts = [t or "" for t in batch["text"].to_pylist()]
+    previews = [t.split("\n", 1)[0][:120] for t in texts]
+    return pa.table({
+        "doc_id": pa.array(batch["doc_id"].to_pylist(), type=pa.int64()),
+        "preview": pa.array(previews, type=pa.string()),
+        "preview_len": pa.array([len(p) for p in previews], type=pa.int64()),
+        "n_lines": pa.array([t.count("\n") + 1 for t in texts], type=pa.int64()),
+    })
 
 
 def preview(sf_dir: str) -> pa.Table:
-    out = _read_documents(sf_dir).map_batches(
-        preview_batch, batch_format="pyarrow", zero_copy_batch=True
-    )
-    t = collect_table(out)
-    return t.take(pa.compute.sort_indices(t["doc_id"]))
+    return _run(sf_dir, preview_batch)
 
 
 VALID_PATH_RE = r"^[A-Za-z0-9_./-]+$"
@@ -658,21 +625,17 @@ def validate_batch(batch: pa.Table) -> pa.Table:
     analog: User.email regex check, smse_backend/models/user.py:25-30).
     Vectorized pyarrow RE2 kernels; patterns shared verbatim with the
     DuckDB twin (both RE2 dialects)."""
-    import pyarrow.compute as pc
-
     path_ok = pc.and_(
         pc.match_substring_regex(batch["path"], VALID_PATH_RE),
         pc.invert(pc.match_substring(batch["path"], "..")),
     )
-    return pa.table(
-        {
-            "doc_id": batch["doc_id"],
-            "valid_path": path_ok,
-            "valid_lang": pc.match_substring_regex(batch["lang"], VALID_LANG_RE),
-            "valid_commit": pc.match_substring_regex(batch["commit"], VALID_COMMIT_RE),
-            "non_empty": pc.greater(batch["n_bytes"], 0),
-        }
-    )
+    return pa.table({
+        "doc_id": batch["doc_id"],
+        "valid_path": path_ok,
+        "valid_lang": pc.match_substring_regex(batch["lang"], VALID_LANG_RE),
+        "valid_commit": pc.match_substring_regex(batch["commit"], VALID_COMMIT_RE),
+        "non_empty": pc.greater(batch["n_bytes"], 0),
+    })
 
 
 def validate(index_dir) -> pa.Table:
@@ -680,11 +643,8 @@ def validate(index_dir) -> pa.Table:
     from smse_backend_ray.state.fs import resolve
 
     ifs = resolve(index_dir)
-    out = ifs.ray_read_parquet(
-        "docs", columns=["doc_id", "path", "commit", "lang", "n_bytes"]
-    ).map_batches(validate_batch, batch_format="pyarrow", zero_copy_batch=True)
-    t = collect_table(out)
-    return t.take(pa.compute.sort_indices(t["doc_id"]))
+    out = ifs.ray_read_parquet("docs", columns=["doc_id", "path", "commit", "lang", "n_bytes"])
+    return collect_table(arrow_map(out, validate_batch)).sort_by("doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +665,6 @@ def repetition_batch(batch: pa.Table) -> pa.Table:
     dup_frac = (n_grams - n_distinct) / n_grams rounded 4 (0.0 when the doc
     has no bigram). High dup_frac = boilerplate/looped text a training
     pipeline drops or downweights."""
-    ids = batch["doc_id"].to_pylist()
     n_g, n_d, frac = [], [], []
     for t in batch["text"].to_pylist():
         grams = _bigrams(t)
@@ -713,14 +672,12 @@ def repetition_batch(batch: pa.Table) -> pa.Table:
         n_g.append(ng)
         n_d.append(nd)
         frac.append(float(round_half_away(np.float64((ng - nd) / ng), 4)) if ng else 0.0)
-    return pa.table(
-        {
-            "doc_id": pa.array(ids, type=pa.int64()),
-            "n_grams": pa.array(n_g, type=pa.int64()),
-            "n_distinct": pa.array(n_d, type=pa.int64()),
-            "dup_frac": pa.array(frac, type=pa.float64()),
-        }
-    )
+    return pa.table({
+        "doc_id": pa.array(batch["doc_id"].to_pylist(), type=pa.int64()),
+        "n_grams": pa.array(n_g, type=pa.int64()),
+        "n_distinct": pa.array(n_d, type=pa.int64()),
+        "dup_frac": pa.array(frac, type=pa.float64()),
+    })
 
 
 def repetition(sf_dir: str) -> pa.Table:
@@ -750,31 +707,20 @@ def decontaminate(sf_dir: str) -> pa.Table:
     Scale shape: the benchmark gram set is broadcast once via ``ray.put``
     (it is tiny — eval sets are fixed); the corpus side is one stateless
     map_batches, no shuffle."""
-    import ray as _ray
-
-    ref = _ray.put(frozenset(benchmark_grams()))
+    ref = ray.put(frozenset(benchmark_grams()))
 
     def hits(batch: pa.Table) -> pa.Table:
-        bench = _ray.get(ref)
+        bench = ray.get(ref)
         ids, ns = [], []
         for did, t in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
             n = len(set(_bigrams(t)) & bench)
             if n:
                 ids.append(did)
                 ns.append(n)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, type=pa.int64()),
-                "n_hits": pa.array(ns, type=pa.int64()),
-            }
-        )
+        return pa.table({"doc_id": pa.array(ids, type=pa.int64()),
+                         "n_hits": pa.array(ns, type=pa.int64())})
 
-    out = collect_table(
-        _read_documents(sf_dir).map_batches(
-            hits, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
-    return out.take(pa.compute.sort_indices(out["doc_id"]))
+    return _run(sf_dir, hits)
 
 
 # ---------------------------------------------------------------------------
@@ -785,21 +731,11 @@ def decontaminate(sf_dir: str) -> pa.Table:
 def _term_rows_batch(batch: pa.Table) -> pa.Table:
     """Exploded (doc_id, term, tf) rows over the KEPT token stream — the
     vectorized term_counts_batch output flattened (tf aligns with dl)."""
-    from smse_backend_ray.functions.analyzer import term_counts_batch
-    import pyarrow.compute as pc
-
     terms, tfs = term_counts_batch(batch["text"])
     counts = np.diff(np.asarray(terms.offsets, dtype=np.int64))
-    doc_ids = np.repeat(
-        batch["doc_id"].to_numpy(zero_copy_only=False), counts
-    )
-    return pa.table(
-        {
-            "doc_id": pa.array(doc_ids, type=pa.int64()),
-            "term": terms.values,
-            "tf": pc.cast(tfs.values, pa.int64()),
-        }
-    )
+    doc_ids = np.repeat(batch["doc_id"].to_numpy(zero_copy_only=False), counts)
+    return pa.table({"doc_id": pa.array(doc_ids, type=pa.int64()), "term": terms.values,
+                     "tf": pc.cast(tfs.values, pa.int64())})
 
 
 def unigram_logprob(sf_dir: str) -> pa.Table:
@@ -821,213 +757,74 @@ def unigram_logprob(sf_dir: str) -> pa.Table:
       driver) above the bound. Both paths are bitwise-identical (tested:
       sentinel lp rows are exact 0.0 adds and the accumulation order is
       unchanged)."""
-    import pyarrow.compute as pc
-
-    from smse_backend_ray.functions.joins import (
-        attach_left,
-        attach_unique,
-        grouped_aggregate,
-        with_schema,
-    )
+    from smse_backend_ray import config as _config
 
     nb_doc = _doc_buckets(sf_dir)
     freq_schema = pa.schema([("term", pa.string()), ("tf_corpus", pa.int64())])
     freq = with_schema(
-        grouped_aggregate(
-            _read_documents(sf_dir).map_batches(
-                _term_rows_batch, batch_format="pyarrow", zero_copy_batch=True
-            ),
-            ["term"],
-            [("tf", "sum", "tf_corpus")],
-            nb=nb_doc,
-        ),
+        grouped_aggregate(_docs(sf_dir, _term_rows_batch), ["term"],
+                          [("tf", "sum", "tf_corpus")], nb=nb_doc),
         freq_schema,
     ).materialize()
     total = float(freq.sum("tf_corpus") or 0)
 
-    import os as _os
-
-    base = ray.data.read_parquet(
-        _os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
-    )
-    out_schema = pa.schema(
-        [("doc_id", pa.int64()), ("dl", pa.int64()), ("avg_logprob", pa.float64())]
-    )
+    base = read_table(sf_dir, "documents", ["doc_id"], repartition=False)
+    out_schema = int64_schema("doc_id", "dl", avg_logprob=pa.float64())
     if total == 0:
-        t = collect_table(base)
-        z = pa.nulls(t.num_rows, pa.int64())
-        t = pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "dl": pc.fill_null(z, 0),
-                "avg_logprob": pa.array([0.0] * t.num_rows, type=pa.float64()),
-            }
-        )
-        return t.take(pc.sort_indices(t["doc_id"]))
+        ids = collect_table(base)["doc_id"]
+        return pa.table({"doc_id": ids, "dl": np.zeros(len(ids), dtype=np.int64),
+                         "avg_logprob": np.zeros(len(ids))}).sort_by("doc_id")
 
-    per_schema = pa.schema(
-        [("doc_id", pa.int64()), ("lp_sum", pa.float64()), ("dl", pa.int64())]
-    )
-
-    def reduce_fixed(g: pa.Table) -> pa.Table:
-        # per-doc float reduce with a FIXED accumulation order (the repo's
-        # convention for driver-compared float sums — scorer._accumulate):
-        # every doc's rows land in one doc_id-hash bucket, each bucket
-        # lexsorts by (doc_id, term) and accumulates sequentially
-        # (np.add.at is ordered, unlike a C++ group sum whose order follows
-        # block arrival) — so the engine's lp_sum is bit-identical run to
-        # run. Sentinel rows (term "", lp 0.0, tf 0) sort first and add
-        # exact zeros — bitwise no-ops on docs that also have real rows.
-        if g.num_rows == 0:
-            return per_schema.empty_table()
-        d = g["doc_id"].to_numpy(zero_copy_only=False)
-        trm = np.asarray(g["term"].to_numpy(zero_copy_only=False), dtype=object)
-        order = np.lexsort((trm, d))
-        d_s = d[order]
-        lp_s = g["lp"].to_numpy(zero_copy_only=False)[order]
-        tf_s = g["tf"].to_numpy(zero_copy_only=False)[order]
-        newseg = np.empty(len(d_s), dtype=bool)
-        newseg[0] = True
-        newseg[1:] = d_s[1:] != d_s[:-1]
-        seg_id = np.cumsum(newseg) - 1
-        nseg = int(seg_id[-1]) + 1
-        lp_sum = np.zeros(nseg, dtype=np.float64)
-        np.add.at(lp_sum, seg_id, lp_s)  # sequential, term-ascending
-        dl = np.zeros(nseg, dtype=np.int64)
-        np.add.at(dl, seg_id, tf_s)
-        return pa.table(
-            {
-                "doc_id": pa.array(d_s[newseg], type=pa.int64()),
-                "lp_sum": pa.array(lp_sum, type=pa.float64()),
-                "dl": pa.array(dl, type=pa.int64()),
-            }
-        )
-
-    def finish(t: pa.Table) -> pa.Table:
-        dl = pc.fill_null(t["dl"], 0).to_numpy(zero_copy_only=False)
-        lp = pc.fill_null(t["lp_sum"], 0.0).to_numpy(zero_copy_only=False)
-        avg = np.zeros(len(dl), dtype=np.float64)
-        nz = dl > 0
-        avg[nz] = round_half_away(lp[nz] / dl[nz], 4)
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "dl": pa.array(dl, type=pa.int64()),
-                "avg_logprob": pa.array(avg, type=pa.float64()),
-            }
-        )
-
-    from smse_backend_ray import config as _config
-    from smse_backend_ray.functions.analyzer import term_counts_batch
+    per_schema = int64_schema("doc_id", lp_sum=pa.float64(), dl=pa.int64())
+    # sentinel rows (term "", lp 0.0, tf 0) sort first and add exact zeros
+    # — bitwise no-ops on docs that also have real rows
+    reduce_fixed = _fixed_doc_sum("term", "dl", "tf")
+    finish = _avg_logprob("dl")
 
     if freq.count() <= _config.LM_BROADCAST_MAX:
         lm_t = collect_table(freq, empty_schema=freq_schema)
-        lm_terms = lm_t["term"].combine_chunks()
-        lm_ref = ray.put((lm_terms, lm_t["tf_corpus"].combine_chunks()))
-        nbk = nb_doc
+        lm_ref = ray.put((lm_t["term"].combine_chunks(), lm_t["tf_corpus"].combine_chunks()))
 
         def lp_rows(t: pa.Table) -> pa.Table:
             lm_terms_, lm_tfc_ = ray.get(lm_ref)
             terms, tfs = term_counts_batch(t["text"])
-            counts = np.diff(np.asarray(terms.offsets, dtype=np.int64))
             dids = t["doc_id"].to_numpy(zero_copy_only=False)
-            doc_ids = np.repeat(dids, counts)
             tf = tfs.values.to_numpy(zero_copy_only=False).astype(np.int64)
             # every real term exists in the LM (built from the same stream)
-            idx = pc.index_in(terms.values, value_set=lm_terms_)
-            tfc = pc.take(lm_tfc_, idx).to_numpy(zero_copy_only=False)
-            p = tfc.astype(np.float64) / total  # frozen: divide THEN ln
-            lp = tf.astype(np.float64) * np.log(p)
-            real = pa.table(
-                {
-                    "doc_id": pa.array(doc_ids, type=pa.int64()),
-                    "term": pc.cast(terms.values, pa.string()),
-                    "lp": pa.array(lp, type=pa.float64()),
-                    "tf": pa.array(tf, type=pa.int64()),
-                }
-            )
-            sent = pa.table(
-                {
-                    "doc_id": pa.array(dids, type=pa.int64()),
-                    "term": pa.array([""] * len(dids), type=pa.string()),
-                    "lp": pa.array(np.zeros(len(dids)), type=pa.float64()),
-                    "tf": pa.array(np.zeros(len(dids), dtype=np.int64)),
-                }
-            )
-            out = pa.concat_tables([real, sent])
-            ids = out["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            b = ((ids * np.uint64(2654435761)) % np.uint64(nbk)).astype(np.int64)
-            return out.append_column("__b", pa.array(b, type=pa.int64()))
+            tfc = pc.take(lm_tfc_, pc.index_in(terms.values, value_set=lm_terms_))
+            # frozen: divide THEN ln
+            p = tfc.to_numpy(zero_copy_only=False).astype(np.float64) / total
+            real = pa.table({
+                "doc_id": np.repeat(dids, np.diff(np.asarray(terms.offsets, dtype=np.int64))),
+                "term": pc.cast(terms.values, pa.string()),
+                "lp": tf.astype(np.float64) * np.log(p),
+                "tf": tf,
+            })
+            sent = pa.table({"doc_id": dids, "term": pa.array([""] * len(dids), pa.string()),
+                             "lp": np.zeros(len(dids)), "tf": np.zeros(len(dids), np.int64)})
+            return pa.concat_tables([real.cast(sent.schema), sent])
 
-        per_doc = with_schema(
-            _read_documents(sf_dir)
-            .map_batches(lp_rows, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("__b")
-            .map_groups(reduce_fixed, batch_format="pyarrow"),
-            per_schema,
-        )
-        out = collect_table(
-            per_doc.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True),
-            empty_schema=out_schema,
-        )
-        return out.take(pc.sort_indices(out["doc_id"]))
+        per_doc = exchange(_docs(sf_dir, lp_rows), "doc_id", reduce_fixed, per_schema, nb=nb_doc)
+        out = collect_table(arrow_map(per_doc, finish), empty_schema=out_schema)
+        return out.sort_by("doc_id")
 
-    rows_schema = pa.schema(
-        [("doc_id", pa.int64()), ("term", pa.string()), ("tf", pa.int64())]
-    )
     joined = attach_unique(
-        _read_documents(sf_dir).map_batches(
-            _term_rows_batch, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        freq,
-        "term",
-        "term",
-        rows_schema,
-        pa.schema([("tf_corpus", pa.int64())]),
-        nb=nb_doc,
+        _docs(sf_dir, _term_rows_batch), freq, "term", "term",
+        int64_schema("doc_id", term=pa.string(), tf=pa.int64()),
+        int64_schema("tf_corpus"), nb=nb_doc,
     )
 
     def contrib(t: pa.Table) -> pa.Table:
         tf = t["tf"].to_numpy(zero_copy_only=False).astype(np.float64)
         p = t["tf_corpus"].to_numpy(zero_copy_only=False).astype(np.float64) / total
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "term": t["term"],
-                "lp": pa.array(tf * np.log(p), type=pa.float64()),
-                "tf": t["tf"],
-            }
-        )
+        return pa.table({"doc_id": t["doc_id"], "term": t["term"], "lp": tf * np.log(p),
+                         "tf": t["tf"]})
 
-    nbk = nb_doc
-
-    def tag_doc(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = ((ids * np.uint64(2654435761)) % np.uint64(nbk)).astype(np.int64)
-        return t.append_column("__b", pa.array(b, type=pa.int64()))
-
-    per_doc = with_schema(
-        joined.map_batches(contrib, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(tag_doc, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(reduce_fixed, batch_format="pyarrow"),
-        per_schema,
-    )
-    final = attach_left(
-        base,
-        per_doc,
-        "doc_id",
-        "doc_id",
-        pa.schema([("doc_id", pa.int64())]),
-        pa.schema([("lp_sum", pa.float64()), ("dl", pa.int64())]),
-        nb=nb_doc,
-    )
-
-    out = collect_table(
-        final.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True),
-        empty_schema=out_schema,
-    )
-    return out.take(pc.sort_indices(out["doc_id"]))
+    per_doc = exchange(arrow_map(joined, contrib), "doc_id", reduce_fixed, per_schema, nb=nb_doc)
+    final = attach_left(base, per_doc, "doc_id", "doc_id", int64_schema("doc_id"),
+                        per_schema.remove(0), nb=nb_doc)
+    out = collect_table(arrow_map(final, finish), empty_schema=out_schema)
+    return out.sort_by("doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -1051,74 +848,48 @@ def doc_chunks(sf_dir: str) -> pa.Table:
     numpy offset arithmetic, and chunk_text is one gather + binary_join
     over the flat token buffer (no per-doc Python). Frozen engine<->SQL
     pair with sqlgen.doc_chunks_sql."""
-    import pyarrow.compute as pc
-
-    from smse_backend_ray.functions.analyzer import kept_tokens_batch
-
-    empty = pa.table(
-        {
-            "doc_id": pa.array([], type=pa.int64()),
-            "chunk_id": pa.array([], type=pa.int64()),
-            "start_p": pa.array([], type=pa.int64()),
-            "n_tokens": pa.array([], type=pa.int64()),
-            "chunk_text": pa.array([], type=pa.string()),
-        }
-    )
+    empty = int64_schema("doc_id", "chunk_id", "start_p", "n_tokens",
+                         chunk_text=pa.string()).empty_table()
 
     def chunks(batch: pa.Table) -> pa.Table:
         toks = kept_tokens_batch(batch["text"])
         offs = np.asarray(toks.offsets, dtype=np.int64)
         dl = np.diff(offs)
         doc_ids = pc.cast(batch["doc_id"], pa.int64()).to_numpy()
-        n_chunks = np.where(
-            dl > 0, (np.maximum(dl - CHUNK_W, 0) + CHUNK_S - 1) // CHUNK_S + 1, 0
-        )
+        n_chunks = np.where(dl > 0, (np.maximum(dl - CHUNK_W, 0) + CHUNK_S - 1) // CHUNK_S + 1, 0)
         total_c = int(n_chunks.sum())
         if not total_c:
             return empty
         cdoc = np.repeat(np.arange(len(dl), dtype=np.int64), n_chunks)
-        first = np.concatenate(([0], np.cumsum(n_chunks)))[:-1]
-        chunk_id = np.arange(total_c, dtype=np.int64) - first[cdoc]
+        chunk_id = run_rank(cdoc)[2] - 1
         start = chunk_id * CHUNK_S
         ntok = np.minimum(CHUNK_W, dl[cdoc] - start)
         # gather window tokens from the flat kept-token buffer: chunk c's
         # tokens are flat[offs[doc] + start : +ntok] (windows overlap, so a
         # take by index — not a re-sliced ListArray — builds the values)
         tok_off = np.concatenate(([0], np.cumsum(ntok)))
-        idx = (
-            np.arange(int(tok_off[-1]), dtype=np.int64)
-            - np.repeat(tok_off[:-1], ntok)
-            + np.repeat(offs[cdoc] + start, ntok)
-        )
+        idx = (np.arange(int(tok_off[-1]), dtype=np.int64) - np.repeat(tok_off[:-1], ntok)
+               + np.repeat(offs[cdoc] + start, ntok))
         windows = pa.ListArray.from_arrays(
             pa.array(tok_off.astype(np.int32), type=pa.int32()),
             toks.values.take(pa.array(idx, type=pa.int64())),
         )
-        return pa.table(
-            {
-                "doc_id": pa.array(doc_ids[cdoc], type=pa.int64()),
-                "chunk_id": pa.array(chunk_id, type=pa.int64()),
-                "start_p": pa.array(start, type=pa.int64()),
-                "n_tokens": pa.array(ntok, type=pa.int64()),
-                "chunk_text": pc.binary_join(windows, " "),
-            }
-        )
+        return pa.table({"doc_id": doc_ids[cdoc], "chunk_id": chunk_id, "start_p": start,
+                         "n_tokens": ntok, "chunk_text": pc.binary_join(windows, " ")})
 
-    out = collect_table(
-        _read_documents(sf_dir).map_batches(
-            chunks, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
-    return out.take(
-        pa.compute.sort_indices(
-            out, sort_keys=[("doc_id", "ascending"), ("chunk_id", "ascending")]
-        )
-    )
+    return _run(sf_dir, chunks, ("doc_id", "chunk_id"))
 
 
 # ---------------------------------------------------------------------------
 # Term co-occurrence / PMI (collocation mining over the kept-token stream)
 # ---------------------------------------------------------------------------
+
+
+def _doc_terms(t: pa.Table) -> pa.Table:
+    """(doc_id, term) rows of the kept-token stream, one per occurrence."""
+    toks = kept_tokens_batch(t["text"])
+    dids = pc.take(pc.cast(t["doc_id"], pa.int64()), pc.list_parent_indices(toks))
+    return pa.table({"doc_id": dids, "term": toks.values})
 
 
 def term_cooc_pmi(sf_dir: str) -> pa.Table:
@@ -1141,133 +912,59 @@ def term_cooc_pmi(sf_dir: str) -> pa.Table:
     COOC_DOC_TERM_CAP) with per-bucket Arrow pre-aggregation before the
     global (a, b) sum; dfs attach via two bucketed unique-key joins —
     the classic inverted-co-occurrence exchange, no all-pairs stage."""
-    import os
+    from smse_backend_ray.config import COOC_DOC_TERM_CAP, COOC_MIN_DF, COOC_MIN_PAIRS
 
-    import pyarrow.compute as pc
-
-    from smse_backend_ray.config import (
-        COOC_DOC_TERM_CAP,
-        COOC_MIN_DF,
-        COOC_MIN_PAIRS,
-    )
-    from smse_backend_ray.functions.analyzer import kept_tokens_batch
-    from smse_backend_ray.functions.joins import (
-        _bucket_of,
-        attach_unique,
-        grouped_aggregate,
-        semi_join,
-        with_schema,
-    )
-
-    path = os.path.join(sf_dir, "documents.parquet")
-    n_docs = _parquet_rows(path) or 0
+    n_docs = _n_docs(sf_dir) or 0
     nb_doc = _doc_buckets(sf_dir)
-    out_schema = pa.schema(
-        [("a", pa.string()), ("b", pa.string()), ("n_ab", pa.int64()),
-         ("df_a", pa.int64()), ("df_b", pa.int64()), ("pmi", pa.float64())]
-    )
+    out_schema = int64_schema("n_ab", "df_a", "df_b", pmi=pa.float64())
+    out_schema = pa.schema([("a", pa.string()), ("b", pa.string())] + list(out_schema))
     if not n_docs:
         return out_schema.empty_table()
 
-    def doc_terms(t: pa.Table) -> pa.Table:
-        """Distinct (doc_id, term) kept pairs, vectorized."""
-        toks = kept_tokens_batch(t["text"])
-        parent = pc.list_parent_indices(toks)
-        flat = toks.values
-        dids = pc.take(pc.cast(t["doc_id"], pa.int64()), parent)
-        return (
-            pa.table({"doc_id": dids, "term": flat})
-            .group_by(["doc_id", "term"])
-            .aggregate([])
-        )
-
-    rows_schema = pa.schema([("doc_id", pa.int64()), ("term", pa.string())])
-    rows = _read_documents(sf_dir).map_batches(
-        doc_terms, batch_format="pyarrow", zero_copy_batch=True
-    )
+    rows_schema = int64_schema("doc_id", term=pa.string())
+    # distinct (doc_id, term) kept pairs, vectorized
+    rows = _docs(sf_dir, lambda t: agg(_doc_terms(t), ["doc_id", "term"]))
 
     # distinct-doc df per term; eligibility stays a DATASET (vocab-scaled)
-    df_schema = pa.schema([("term", pa.string()), ("df", pa.int64())])
     df_ds = with_schema(
         grouped_aggregate(rows, ["term"], [("doc_id", "count", "df")], nb=nb_doc),
-        df_schema,
+        pa.schema([("term", pa.string()), ("df", pa.int64())]),
     ).filter(expr=f"df >= {COOC_MIN_DF}").materialize()
 
     # consumed exactly once by the pair exchange below — stream it (never
     # pin the full doc-term stream in the object store)
     elig = semi_join(rows, df_ds, ["term"], rows_schema, nb=nb_doc)
-
-    # pair triangle inside doc-hash fat buckets; per-doc width capped
-    nb = nb_doc
     pair_schema = pa.schema([("a", pa.string()), ("b", pa.string()), ("n", pa.int64())])
 
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__db", pa.array(_bucket_of(t, ["doc_id"], nb), type=pa.int64())
-        )
-
     def emit(g: pa.Table) -> pa.Table:
-        if g.num_rows < 2:
-            return pair_schema.empty_table()
+        # ints-only hot path: the whole triangle runs on int64 term ranks
+        r, sorted_vocab = _term_rank(g["term"])
         d = g["doc_id"].to_numpy()
-        # ints-only hot path: dictionary-encode the bucket's terms once,
-        # remap codes to the lexicographic rank of their dictionary string
-        # (rank order == term order), and run the whole triangle on int64
-        # ranks — no Python string objects touch the pair expansion
-        enc = pc.dictionary_encode(g["term"].combine_chunks())
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        vocab = enc.dictionary
-        vorder = pc.sort_indices(vocab).to_numpy(zero_copy_only=False)
-        rank = np.empty(len(vocab), dtype=np.int64)
-        rank[vorder] = np.arange(len(vocab), dtype=np.int64)
-        sorted_vocab = vocab.take(pa.array(vorder))
-        r = rank[codes]
         order = np.lexsort((r, d))
-        d_s, t_s = d[order], r[order]
-        newseg = np.empty(len(d_s), dtype=bool)
-        newseg[0] = True
-        newseg[1:] = d_s[1:] != d_s[:-1]
-        seg_start = np.flatnonzero(newseg)
-        seg_id = np.cumsum(newseg) - 1
-        local_pos = np.arange(len(d_s)) - seg_start[seg_id]
+        t_s = r[order]
+        start, run, rank = run_rank(d[order])
         # per-doc cap: only the first COOC_DOC_TERM_CAP terms (term-asc,
         # the lexsort order) pair; element at capped local pos p pairs
         # with its p in-cap predecessors
-        eff = np.where(local_pos < COOC_DOC_TERM_CAP, local_pos, 0)
+        eff = np.where(rank <= COOC_DOC_TERM_CAP, rank - 1, 0)
         total = int(eff.sum())
         if not total:
             return pair_schema.empty_table()
-        b_idx = np.repeat(np.arange(len(d_s)), eff)
-        starts = np.repeat(seg_start[seg_id], eff)
         csum = np.concatenate(([0], np.cumsum(eff)))
-        within = np.arange(total) - np.repeat(csum[:-1], eff)
-        a_idx = starts + within
-        part = (
-            pa.table(
-                {"a": pa.array(t_s[a_idx], type=pa.int64()),
-                 "b": pa.array(t_s[b_idx], type=pa.int64())}
-            )
-            .group_by(["a", "b"])
-            .aggregate([("a", "count")])
-        )
+        a_idx = (np.repeat(np.flatnonzero(start)[run], eff) + np.arange(total)
+                 - np.repeat(csum[:-1], eff))
+        b_idx = np.repeat(np.arange(len(t_s)), eff)
+        part = agg(pa.table({"a": t_s[a_idx], "b": t_s[b_idx]}), ["a", "b"], n=("a", "count"))
         # decode ranks back to terms only for the aggregated pair rows
         # (pair-partial-bounded, not pair-expansion-bounded)
-        return pa.table(
-            {"a": sorted_vocab.take(part["a"]),
-             "b": sorted_vocab.take(part["b"]),
-             "n": pc.cast(part["a_count"], pa.int64())}
-        )
+        return pa.table({"a": sorted_vocab.take(part["a"]), "b": sorted_vocab.take(part["b"]),
+                         "n": part["n"]})
 
+    pairs_schema = pa.schema([("a", pa.string()), ("b", pa.string()), ("n_ab", pa.int64())])
     pairs = with_schema(
-        grouped_aggregate(
-            elig.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("__db")
-            .map_groups(emit, batch_format="pyarrow"),
-            ["a", "b"],
-            [("n", "sum", "n_ab")],
-            nb=nb_doc,
-        ),
-        pa.schema([("a", pa.string()), ("b", pa.string()), ("n_ab", pa.int64())]),
+        grouped_aggregate(exchange(elig, "doc_id", emit, pair_schema, nb=nb_doc),
+                          ["a", "b"], [("n", "sum", "n_ab")], nb=nb_doc),
+        pairs_schema,
     ).filter(expr=f"n_ab >= {COOC_MIN_PAIRS}").materialize()
 
     # attach dfs via two bucketed unique-key joins (pair-bounded inputs)
@@ -1275,40 +972,19 @@ def term_cooc_pmi(sf_dir: str) -> pa.Table:
     if npair == 0:
         return out_schema.empty_table()
     nbj = max(4, min(64, -(-npair // 512)))
-    ja = attach_unique(
-        pairs, df_ds.rename_columns({"df": "df_a"}), "a", "term",
-        pa.schema([("a", pa.string()), ("b", pa.string()), ("n_ab", pa.int64())]),
-        pa.schema([("df_a", pa.int64())]), nb=nbj,
-    )
-    jb = attach_unique(
-        ja, df_ds.rename_columns({"df": "df_b"}), "b", "term",
-        pa.schema([("a", pa.string()), ("b", pa.string()), ("n_ab", pa.int64()),
-                   ("df_a", pa.int64())]),
-        pa.schema([("df_b", pa.int64())]), nb=nbj,
-    )
+    ja = attach_unique(pairs, df_ds.rename_columns({"df": "df_a"}), "a", "term",
+                       pairs_schema, int64_schema("df_a"), nb=nbj)
+    jb = attach_unique(ja, df_ds.rename_columns({"df": "df_b"}), "b", "term",
+                       pairs_schema.append(pa.field("df_a", pa.int64())),
+                       int64_schema("df_b"), nb=nbj)
 
     def score(t: pa.Table) -> pa.Table:
-        n_ab = t["n_ab"].to_numpy().astype(np.float64)
-        da = t["df_a"].to_numpy().astype(np.float64)
-        db = t["df_b"].to_numpy().astype(np.float64)
+        n_ab, da, db = (t[c].to_numpy().astype(np.float64) for c in ("n_ab", "df_a", "df_b"))
         pmi = round_half_away(np.log((n_docs * n_ab) / (da * db)), 4)
-        return pa.table(
-            {"a": t["a"], "b": t["b"],
-             "n_ab": pc.cast(t["n_ab"], pa.int64()),
-             "df_a": pc.cast(t["df_a"], pa.int64()),
-             "df_b": pc.cast(t["df_b"], pa.int64()),
-             "pmi": pa.array(pmi, type=pa.float64())}
-        )
+        return t.append_column("pmi", pa.array(pmi, type=pa.float64())).cast(out_schema)
 
-    out = collect_table(
-        jb.map_batches(score, batch_format="pyarrow", zero_copy_batch=True),
-        empty_schema=out_schema,
-    )
-    return out.take(
-        pa.compute.sort_indices(
-            out, sort_keys=[("a", "ascending"), ("b", "ascending")]
-        )
-    )
+    out = collect_table(arrow_map(jb, score), empty_schema=out_schema)
+    return out.sort_by([("a", "ascending"), ("b", "ascending")])
 
 # ---------------------------------------------------------------------------
 # Per-doc tf-idf keyword extraction
@@ -1334,125 +1010,40 @@ def doc_keywords(sf_dir: str) -> pa.Table:
     a bucketed unique-key join; the per-doc top-K runs inside doc-hash
     fat buckets with the same ints-only rank remap as term_cooc_pmi —
     no per-doc Python, no driver-side state."""
-    import os
-
-    import pyarrow.compute as pc
-
     from smse_backend_ray.config import KEYWORDS_TOP_K
-    from smse_backend_ray.functions.analyzer import kept_tokens_batch
-    from smse_backend_ray.functions.joins import (
-        _bucket_of,
-        attach_unique,
-        grouped_aggregate,
-        with_schema,
-    )
 
-    path = os.path.join(sf_dir, "documents.parquet")
-    n_docs = _parquet_rows(path) or 0
+    n_docs = _n_docs(sf_dir) or 0
     nb_doc = _doc_buckets(sf_dir)
-    out_schema = pa.schema(
-        [("doc_id", pa.int64()), ("rank", pa.int64()), ("term", pa.string()),
-         ("tf", pa.int64()), ("df", pa.int64()), ("tfidf", pa.float64())]
-    )
+    out_schema = int64_schema("doc_id", "rank", term=pa.string(), tf=pa.int64(),
+                              df=pa.int64(), tfidf=pa.float64())
     if not n_docs:
         return out_schema.empty_table()
 
-    def doc_tf(t: pa.Table) -> pa.Table:
-        toks = kept_tokens_batch(t["text"])
-        parent = pc.list_parent_indices(toks)
-        dids = pc.take(pc.cast(t["doc_id"], pa.int64()), parent)
-        g = (
-            pa.table({"doc_id": dids, "term": toks.values})
-            .group_by(["doc_id", "term"])
-            .aggregate([("term", "count")])
-        )
-        return pa.table(
-            {"doc_id": g["doc_id"], "term": g["term"],
-             "tf": pc.cast(g["term_count"], pa.int64())}
-        )
-
-    tf_schema = pa.schema(
-        [("doc_id", pa.int64()), ("term", pa.string()), ("tf", pa.int64())]
-    )
-    rows = _read_documents(sf_dir).map_batches(
-        doc_tf, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    df_schema = pa.schema([("term", pa.string()), ("df", pa.int64())])
+    tf_schema = int64_schema("doc_id", term=pa.string(), tf=pa.int64())
+    rows = _docs(sf_dir, lambda t: agg(_doc_terms(t), ["doc_id", "term"], tf=("term", "count")))
     df_ds = with_schema(
         grouped_aggregate(rows, ["term"], [("doc_id", "count", "df")], nb=nb_doc),
-        df_schema,
+        pa.schema([("term", pa.string()), ("df", pa.int64())]),
     ).materialize()
-
-    joined = attach_unique(
-        rows, df_ds, "term", "term", tf_schema,
-        pa.schema([("df", pa.int64())]),
-        nb=nb_doc,
-    )
+    joined = attach_unique(rows, df_ds, "term", "term", tf_schema, int64_schema("df"), nb=nb_doc)
 
     def score(t: pa.Table) -> pa.Table:
-        tf = t["tf"].to_numpy().astype(np.float64)
-        df = t["df"].to_numpy().astype(np.float64)
+        tf, df = t["tf"].to_numpy().astype(np.float64), t["df"].to_numpy().astype(np.float64)
         tfidf = round_half_away(tf * np.log(n_docs / df), 4)
-        return pa.table(
-            {"doc_id": t["doc_id"], "term": t["term"],
-             "tf": pc.cast(t["tf"], pa.int64()),
-             "df": pc.cast(t["df"], pa.int64()),
-             "tfidf": pa.array(tfidf, type=pa.float64())}
-        )
-
-    nb = nb_doc
-    joined_schema = pa.schema(
-        [("doc_id", pa.int64()), ("term", pa.string()), ("tf", pa.int64()),
-         ("df", pa.int64())]
-    )
-
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__db", pa.array(_bucket_of(t, ["doc_id"], nb), type=pa.int64())
-        )
+        return t.append_column("tfidf", pa.array(tfidf, type=pa.float64()))
 
     def topk(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return out_schema.empty_table()
-        d = g["doc_id"].to_numpy()
-        v = g["tfidf"].to_numpy()
         # term tie-break via the ints-only rank remap (see term_cooc_pmi)
-        enc = pc.dictionary_encode(g["term"].combine_chunks())
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        vocab = enc.dictionary
-        vorder = pc.sort_indices(vocab).to_numpy(zero_copy_only=False)
-        trank = np.empty(len(vocab), dtype=np.int64)
-        trank[vorder] = np.arange(len(vocab), dtype=np.int64)
-        order = np.lexsort((trank[codes], -v, d))
-        d_s = d[order]
-        newseg = np.empty(len(d_s), dtype=bool)
-        newseg[0] = True
-        newseg[1:] = d_s[1:] != d_s[:-1]
-        seg_start = np.flatnonzero(newseg)
-        local_pos = np.arange(len(d_s)) - seg_start[np.cumsum(newseg) - 1]
-        keep = order[local_pos < KEYWORDS_TOP_K]
-        kept = g.select(["doc_id", "term", "tf", "df", "tfidf"]).take(
-            pa.array(keep)
-        )
-        return kept.append_column(
-            "rank",
-            pa.array(local_pos[local_pos < KEYWORDS_TOP_K] + 1, type=pa.int64()),
-        ).select(["doc_id", "rank", "term", "tf", "df", "tfidf"])
+        d = g["doc_id"].to_numpy()
+        order = np.lexsort((_term_rank(g["term"])[0], -g["tfidf"].to_numpy(), d))
+        rank = run_rank(d[order])[2]
+        keep = rank <= KEYWORDS_TOP_K
+        return g.take(pa.array(order[keep])).append_column("rank", pa.array(rank[keep]))
 
-    out = collect_table(
-        with_schema(joined, joined_schema)
-        .map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__db")
-        .map_groups(topk, batch_format="pyarrow"),
-        empty_schema=out_schema,
-    )
-    return out.take(
-        pa.compute.sort_indices(
-            out, sort_keys=[("doc_id", "ascending"), ("rank", "ascending")]
-        )
-    )
+    scored = arrow_map(with_schema(joined, tf_schema.append(pa.field("df", pa.int64()))), score)
+    out = collect_table(exchange(scored, "doc_id", topk, out_schema, nb=nb_doc),
+                        empty_schema=out_schema)
+    return out.sort_by([("doc_id", "ascending"), ("rank", "ascending")])
 
 
 # ---------------------------------------------------------------------------
@@ -1477,86 +1068,19 @@ def doc_length_quantiles(sf_dir: str) -> pa.Table:
     through one grouped_aggregate exchange into a histogram of at most
     |langs| x max_dl rows; the driver finishes on that tiny histogram
     (cumsum + interpolation), never on per-doc data."""
-    import pyarrow.compute as pc
-
     from smse_backend_ray import config
-    from smse_backend_ray.functions.analyzer import kept_tokens_batch
-    from smse_backend_ray.functions.joins import grouped_aggregate, with_schema
-
-    probs = tuple(config.DL_QUANTILES)
-    pcols = [f"p{int(round(q * 100)):d}" for q in probs]
-    out_fields = [("lang", pa.string()), ("n_docs", pa.int64())] + [
-        (c, pa.float64()) for c in pcols
-    ]
-    out_schema = pa.schema(out_fields)
 
     def partial(t: pa.Table) -> pa.Table:
-        toks = kept_tokens_batch(t["text"])
-        dl = pc.list_value_length(toks)
-        g = (
-            pa.table({"lang": t["lang"], "dl": pc.cast(dl, pa.int64())})
-            .group_by(["lang", "dl"])
-            .aggregate([("dl", "count")])
-        )
-        return pa.table(
-            {"lang": g["lang"], "dl": g["dl"],
-             "cnt": pc.cast(g["dl_count"], pa.int64())}
-        )
+        dl = pc.cast(pc.list_value_length(kept_tokens_batch(t["text"])), pa.int64())
+        return agg(pa.table({"lang": t["lang"], "dl": dl}), ["lang", "dl"], cnt=("dl", "count"))
 
-    hist_schema = pa.schema(
-        [("lang", pa.string()), ("dl", pa.int64()), ("cnt", pa.int64())]
-    )
+    hist_schema = int64_schema("dl", "cnt", lang=pa.string())
     hist = with_schema(
-        grouped_aggregate(
-            _read_documents(sf_dir).map_batches(
-                partial, batch_format="pyarrow", zero_copy_batch=True
-            ),
-            ["lang", "dl"],
-            [("cnt", "sum", "cnt")],
-        ),
+        grouped_aggregate(_docs(sf_dir, partial), ["lang", "dl"], [("cnt", "sum", "cnt")]),
         hist_schema,
     )
     t = collect_table(hist, empty_schema=hist_schema)
-    if not t.num_rows:
-        return out_schema.empty_table()
-
-    t = t.take(
-        pc.sort_indices(
-            t, sort_keys=[("lang", "ascending"), ("dl", "ascending")]
-        )
-    )
-    langs = t["lang"].to_numpy(zero_copy_only=False)
-    dls = t["dl"].to_numpy().astype(np.float64)
-    cnts = t["cnt"].to_numpy()
-    new = np.empty(len(langs), dtype=bool)
-    new[0] = True
-    new[1:] = langs[1:] != langs[:-1]
-    starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], len(langs))
-
-    out_rows: dict[str, list] = {f: [] for f, _ in out_fields}
-    for s, e in zip(starts, ends):
-        v = dls[s:e]
-        w = cnts[s:e]
-        cum = np.cumsum(w)
-        n = int(cum[-1])
-        out_rows["lang"].append(str(langs[s]))
-        out_rows["n_docs"].append(n)
-        for q, col in zip(probs, pcols):
-            pos = q * (n - 1)
-            lo = int(np.floor(pos))
-            hi = int(np.ceil(pos))
-            # value at 0-based rank r = first histogram bin whose cumulative
-            # count exceeds r
-            v_lo = v[np.searchsorted(cum, lo + 1, side="left")]
-            v_hi = v[np.searchsorted(cum, hi + 1, side="left")]
-            val = v_lo + (pos - lo) * (v_hi - v_lo)
-            out_rows[col].append(
-                float(round_half_away(np.array([val]), 4)[0])
-            )
-    return pa.table(
-        {f: pa.array(out_rows[f], type=ty) for f, ty in out_fields}
-    )
+    return hist_quantiles(t, "lang", "dl", "cnt", tuple(config.DL_QUANTILES), "n_docs")
 
 
 # ---------------------------------------------------------------------------
@@ -1586,92 +1110,31 @@ def term_pair_counts(sf_dir: str) -> pa.Table:
     single bucket; a per-block top-N prune (the frozen total order) then
     bounds the driver merge at O(blocks x N) — the global top-N of
     per-block top-Ns is exact because each block holds complete pairs."""
-    import pyarrow.compute as pc
-
     from smse_backend_ray import config
-    from smse_backend_ray.functions.analyzer import kept_tokens_batch
-    from smse_backend_ray.functions.joins import grouped_aggregate, with_schema
 
     top_n = int(config.PAIR_TOP_N)
-    part_schema = pa.schema(
-        [("term_a", pa.string()), ("term_b", pa.string()),
-         ("n_pairs", pa.int64()), ("n_docs", pa.int64())]
-    )
+    order = [("n_pairs", "descending"), ("term_a", "ascending"), ("term_b", "ascending")]
+    part_schema = pa.schema([("term_a", pa.string()), ("term_b", pa.string()),
+                             ("n_pairs", pa.int64()), ("n_docs", pa.int64())])
 
     def partial(batch: pa.Table) -> pa.Table:
         toks = kept_tokens_batch(batch["text"])
-        offs = np.asarray(toks.offsets, dtype=np.int64)
-        dl = np.diff(offs)
-        total = int(offs[-1])
-        if total < 2:
-            return part_schema.empty_table()
-        # left index i is valid iff i+1 is still inside the same doc:
-        # drop each doc's LAST token position (and empty docs contribute
-        # nothing — their start==end)
-        keep = np.ones(total, dtype=bool)
-        ends = offs[1:][dl > 0] - 1
-        keep[ends] = False
-        idx = np.flatnonzero(keep)
-        if not len(idx):
-            return part_schema.empty_table()
-        doc_of = np.repeat(np.arange(len(dl), dtype=np.int64), dl)[idx]
-        flat = toks.values
-        pairs = pa.table(
-            {
-                "term_a": flat.take(pa.array(idx, type=pa.int64())),
-                "term_b": flat.take(pa.array(idx + 1, type=pa.int64())),
-                "doc": pa.array(doc_of, type=pa.int64()),
-            }
-        )
+        idx, doc_of = _adjacent(toks)
+        pairs = pa.table({"term_a": toks.values.take(pa.array(idx)),
+                          "term_b": toks.values.take(pa.array(idx + 1)), "doc": doc_of})
         # two C++ group_bys: (a, b, doc) occurrence counts, then (a, b)
         # with n_docs = rows (docs are whole within a batch)
-        g1 = pairs.group_by(["term_a", "term_b", "doc"]).aggregate(
-            [("doc", "count")]
-        )
-        g2 = (
-            pa.table(
-                {"term_a": g1["term_a"], "term_b": g1["term_b"],
-                 "n_pairs": pc.cast(g1["doc_count"], pa.int64())}
-            )
-            .group_by(["term_a", "term_b"])
-            .aggregate([("n_pairs", "sum"), ("n_pairs", "count")])
-        )
-        return pa.table(
-            {
-                "term_a": g2["term_a"],
-                "term_b": g2["term_b"],
-                "n_pairs": pc.cast(g2["n_pairs_sum"], pa.int64()),
-                "n_docs": pc.cast(g2["n_pairs_count"], pa.int64()),
-            }
-        )
+        g1 = agg(pairs, ["term_a", "term_b", "doc"], n_pairs=("doc", "count"))
+        return agg(g1, ["term_a", "term_b"], n_pairs=("n_pairs", "sum"),
+                   n_docs=("n_pairs", "count"))
 
-    def block_topn(t: pa.Table) -> pa.Table:
-        if t.num_rows <= top_n:
-            return t
-        order = pc.sort_indices(
-            t,
-            sort_keys=[("n_pairs", "descending"), ("term_a", "ascending"),
-                       ("term_b", "ascending")],
-        )
-        return t.take(order.slice(0, top_n))
-
-    agg = with_schema(
-        grouped_aggregate(
-            _read_documents(sf_dir).map_batches(
-                partial, batch_format="pyarrow", zero_copy_batch=True
-            ),
-            ["term_a", "term_b"],
-            [("n_pairs", "sum", "n_pairs"), ("n_docs", "sum", "n_docs")],
-        ),
+    agg_ds = with_schema(
+        grouped_aggregate(_docs(sf_dir, partial), ["term_a", "term_b"],
+                          [("n_pairs", "sum", "n_pairs"), ("n_docs", "sum", "n_docs")]),
         part_schema,
-    ).map_batches(block_topn, batch_format="pyarrow", zero_copy_batch=True)
-    t = collect_table(agg, empty_schema=part_schema)
-    order = pc.sort_indices(
-        t,
-        sort_keys=[("n_pairs", "descending"), ("term_a", "ascending"),
-                   ("term_b", "ascending")],
     )
-    return t.take(order.slice(0, min(top_n, t.num_rows)))
+    top = arrow_map(agg_ds, lambda t: t.sort_by(order).slice(0, top_n))
+    return collect_table(top, empty_schema=part_schema).sort_by(order).slice(0, top_n)
 
 
 # ---------------------------------------------------------------------------
@@ -1694,40 +1157,21 @@ def lang_confusion(sf_dir: str) -> pa.Table:
     Scale shape: per-batch (lang, pred) count partials (the classifier
     runs ONCE per doc, map-side); the matrix is bounded by
     (|langs|+2)^2 cells, so partials fold on the driver — no exchange."""
-    import pyarrow.compute as pc
+    keys = ["lang", "pred_lang"]
 
     def partial(batch: pa.Table) -> pa.Table:
-        pred = lang_id_batch(batch)
-        g = (
-            pa.table({"lang": batch["lang"], "pred_lang": pred["pred_lang"]})
-            .group_by(["lang", "pred_lang"])
-            .aggregate([("pred_lang", "count")])
-        )
-        return pa.table(
-            {"lang": g["lang"], "pred_lang": g["pred_lang"],
-             "n_docs": pc.cast(g["pred_lang_count"], pa.int64())}
-        )
+        t = pa.table({"lang": batch["lang"], "pred_lang": lang_id_batch(batch)["pred_lang"]})
+        return agg(t, keys, n_docs=("pred_lang", "count"))
 
-    schema = pa.schema(
-        [("lang", pa.string()), ("pred_lang", pa.string()),
-         ("n_docs", pa.int64())]
-    )
-    t = collect_table(
-        _read_documents(sf_dir).map_batches(
-            partial, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        empty_schema=schema,
-    )
-    g = t.group_by(["lang", "pred_lang"]).aggregate([("n_docs", "sum")])
-    out = pa.table(
-        {"lang": g["lang"], "pred_lang": g["pred_lang"],
-         "n_docs": pc.cast(g["n_docs_sum"], pa.int64())}
-    )
-    return out.take(
-        pc.sort_indices(
-            out, sort_keys=[("lang", "ascending"), ("pred_lang", "ascending")]
-        )
-    )
+    schema = int64_schema("n_docs", lang=pa.string(), pred_lang=pa.string())
+    t = collect_table(_docs(sf_dir, partial), empty_schema=schema)
+    return agg(t, keys, n_docs=("n_docs", "sum")).sort_by([(k, "ascending") for k in keys])
+
+
+def _quality_scaled(batch: pa.Table) -> np.ndarray:
+    """q_s = round(ROUNDED quality * 10000) as exact int64 (quality >= 0)."""
+    q = quality_batch(batch)["quality"].to_numpy()
+    return np.floor(q * 10000.0 + 0.5).astype(np.int64)
 
 
 def quality_by_source(sf_dir: str) -> pa.Table:
@@ -1745,66 +1189,23 @@ def quality_by_source(sf_dir: str) -> pa.Table:
 
     Scale shape: per-batch (source, n, sum_s, n_low) partials; the
     rollup is bounded by |sources|, so partials fold on the driver."""
-    import os
-
-    import pyarrow.compute as pc
-
     from smse_backend_ray import config
 
     thr_s = int(round(config.CURATE_MIN_QUALITY * 10000))
 
-    path = os.path.join(sf_dir, "documents.parquet")
-    ds = ray.data.read_parquet(path, columns=["doc_id", "text", "source"])
-    ds = ds.repartition(_n_doc_blocks(sf_dir))
-
     def partial(batch: pa.Table) -> pa.Table:
-        q = quality_batch(batch)["quality"].to_numpy()
-        q_s = np.floor(q * 10000.0 + 0.5).astype(np.int64)  # quality >= 0
-        g = (
-            pa.table(
-                {
-                    "source": batch["source"],
-                    "q_s": pa.array(q_s, type=pa.int64()),
-                    "low": pa.array(
-                        (q_s < thr_s).astype(np.int64), type=pa.int64()
-                    ),
-                }
-            )
-            .group_by("source")
-            .aggregate([("q_s", "sum"), ("q_s", "count"), ("low", "sum")])
-        )
-        return pa.table(
-            {
-                "source": g["source"],
-                "sum_s": pc.cast(g["q_s_sum"], pa.int64()),
-                "n": pc.cast(g["q_s_count"], pa.int64()),
-                "n_low": pc.cast(g["low_sum"], pa.int64()),
-            }
-        )
+        q_s = _quality_scaled(batch)
+        low = (q_s < thr_s).astype(np.int64)
+        t = pa.table({"source": batch["source"], "q_s": q_s, "low": low})
+        return agg(t, "source", sum_s=("q_s", "sum"), n=("q_s", "count"), n_low=("low", "sum"))
 
-    schema = pa.schema(
-        [("source", pa.string()), ("sum_s", pa.int64()), ("n", pa.int64()),
-         ("n_low", pa.int64())]
-    )
-    t = collect_table(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        empty_schema=schema,
-    )
-    g = t.group_by("source").aggregate(
-        [("sum_s", "sum"), ("n", "sum"), ("n_low", "sum")]
-    )
-    sum_s = g["sum_s_sum"].to_numpy().astype(np.float64)
-    n = g["n_sum"].to_numpy().astype(np.float64)
-    mean_q = round_half_away(sum_s / 10000.0 / n, 4)
-    out = pa.table(
-        {
-            "source": g["source"],
-            "n_docs": pc.cast(g["n_sum"], pa.int64()),
-            "mean_quality": pa.array(mean_q, type=pa.float64()),
-            "n_low": pc.cast(g["n_low_sum"], pa.int64()),
-        }
-    )
-    return out.take(pc.sort_indices(out, sort_keys=[("source", "ascending")]))
+    schema = int64_schema("sum_s", "n", "n_low", source=pa.string())
+    t = collect_table(_docs(sf_dir, partial, ["doc_id", "text", "source"]), empty_schema=schema)
+    g = agg(t, "source", sum_s=("sum_s", "sum"), n_docs=("n", "sum"), n_low=("n_low", "sum"))
+    sum_s, n = g["sum_s"].to_numpy().astype(np.float64), g["n_docs"].to_numpy().astype(np.float64)
+    mean_q = pa.array(round_half_away(sum_s / 10000.0 / n, 4), type=pa.float64())
+    return g.set_column(1, "mean_quality", mean_q).select(
+        ["source", "n_docs", "mean_quality", "n_low"]).sort_by("source")
 
 
 def quality_zscore(sf_dir: str) -> pa.Table:
@@ -1828,89 +1229,32 @@ def quality_zscore(sf_dir: str) -> pa.Table:
     (source -> mean, std) dict in the closure. The corpus is scored
     twice rather than materialized once (the jaccard_pairs 2-pass
     rationale)."""
-    import os
-
-    import pyarrow.compute as pc
-
-    path = os.path.join(sf_dir, "documents.parquet")
-
-    def read():
-        ds = ray.data.read_parquet(path, columns=["doc_id", "text", "source"])
-        return ds.repartition(_n_doc_blocks(sf_dir))
-
-    def q_scaled(batch: pa.Table) -> np.ndarray:
-        q = quality_batch(batch)["quality"].to_numpy()
-        return np.floor(q * 10000.0 + 0.5).astype(np.int64)  # quality >= 0
+    cols = ["doc_id", "text", "source"]
 
     def moments(batch: pa.Table) -> pa.Table:
-        q_s = q_scaled(batch)
-        g = (
-            pa.table(
-                {
-                    "source": batch["source"],
-                    "s": pa.array(q_s, type=pa.int64()),
-                    "ss": pa.array(q_s * q_s, type=pa.int64()),
-                }
-            )
-            .group_by("source")
-            .aggregate([("s", "sum"), ("ss", "sum"), ("s", "count")])
-        )
-        return pa.table(
-            {
-                "source": g["source"],
-                "s": pc.cast(g["s_sum"], pa.int64()),
-                "ss": pc.cast(g["ss_sum"], pa.int64()),
-                "n": pc.cast(g["s_count"], pa.int64()),
-            }
-        )
+        q_s = _quality_scaled(batch)
+        t = pa.table({"source": batch["source"], "s": q_s, "ss": q_s * q_s})
+        return agg(t, "source", s=("s", "sum"), ss=("ss", "sum"), n=("s", "count"))
 
-    mschema = pa.schema(
-        [("source", pa.string()), ("s", pa.int64()), ("ss", pa.int64()),
-         ("n", pa.int64())]
-    )
-    m = collect_table(
-        read().map_batches(moments, batch_format="pyarrow", zero_copy_batch=True),
-        empty_schema=mschema,
-    )
-    mf = m.group_by("source").aggregate(
-        [("s", "sum"), ("ss", "sum"), ("n", "sum")]
-    )
+    m = collect_table(_docs(sf_dir, moments, cols),
+                      empty_schema=int64_schema("s", "ss", "n", source=pa.string()))
+    mf = agg(m, "source", s=("s", "sum"), ss=("ss", "sum"), n=("n", "sum"))
     stats: dict[str, tuple[float, float]] = {}
-    for src, s, ss, n in zip(
-        mf["source"].to_pylist(),
-        mf["s_sum"].to_numpy().astype(np.int64),
-        mf["ss_sum"].to_numpy().astype(np.int64),
-        mf["n_sum"].to_numpy().astype(np.int64),
-    ):
+    for src, s, ss, n in zip(*(mf[c].to_pylist() for c in ("source", "s", "ss", "n"))):
         mean = float(s) / float(n)
         var = float(ss) / float(n) - mean * mean
         stats[src] = (mean, np.sqrt(var) if var > 0 else 0.0)
 
     def score(batch: pa.Table) -> pa.Table:
-        q_s = q_scaled(batch).astype(np.float64)
-        srcs = batch["source"].to_pylist()
-        mean = np.fromiter((stats[s][0] for s in srcs), dtype=np.float64,
-                           count=len(srcs))
-        std = np.fromiter((stats[s][1] for s in srcs), dtype=np.float64,
-                          count=len(srcs))
+        q_s = _quality_scaled(batch).astype(np.float64)
+        ms = np.array([stats[s] for s in batch["source"].to_pylist()], dtype=np.float64)
+        mean, std = ms.reshape(-1, 2).T
         z = np.where(std > 0, (q_s - mean) / np.where(std > 0, std, 1.0), 0.0)
-        return pa.table(
-            {
-                "doc_id": pc.cast(batch["doc_id"], pa.int64()),
-                "source": batch["source"],
-                "quality_z": pa.array(round_half_away(z, 4), type=pa.float64()),
-            }
-        )
+        return pa.table({"doc_id": pc.cast(batch["doc_id"], pa.int64()), "source": batch["source"],
+                         "quality_z": pa.array(round_half_away(z, 4), type=pa.float64())})
 
-    oschema = pa.schema(
-        [("doc_id", pa.int64()), ("source", pa.string()),
-         ("quality_z", pa.float64())]
-    )
-    t = collect_table(
-        read().map_batches(score, batch_format="pyarrow", zero_copy_batch=True),
-        empty_schema=oschema,
-    )
-    return t.take(pc.sort_indices(t, sort_keys=[("doc_id", "ascending")]))
+    oschema = int64_schema("doc_id", source=pa.string(), quality_z=pa.float64())
+    return collect_table(_docs(sf_dir, score, cols), empty_schema=oschema).sort_by("doc_id")
 
 
 def bigram_logprob(sf_dir: str) -> pa.Table:
@@ -1935,202 +1279,58 @@ def bigram_logprob(sf_dir: str) -> pa.Table:
     pair pass) -> two bucketed unique-key attaches -> doc-hash reduce
     with the repo's fixed (doc_id, pair) accumulation order -> dl=0
     attach_left. The LM never lands on the driver."""
-    import os as _os
-
-    import pyarrow.compute as pc
-
-    from smse_backend_ray.functions.analyzer import kept_tokens_batch
-    from smse_backend_ray.functions.joins import (
-        attach_left,
-        attach_unique,
-        grouped_aggregate,
-        with_schema,
-    )
-
     nb_doc = _doc_buckets(sf_dir)
-    rows_schema = pa.schema(
-        [("doc_id", pa.int64()), ("term_a", pa.string()),
-         ("pair", pa.string()), ("tfp", pa.int64())]
-    )
+    rows_schema = int64_schema("doc_id", term_a=pa.string(), pair=pa.string(), tfp=pa.int64())
 
     def pair_rows(batch: pa.Table) -> pa.Table:
         toks = kept_tokens_batch(batch["text"])
-        offs = np.asarray(toks.offsets, dtype=np.int64)
-        dl = np.diff(offs)
-        total = int(offs[-1])
-        if total < 2:
-            return rows_schema.empty_table()
-        keep = np.ones(total, dtype=bool)
-        ends = offs[1:][dl > 0] - 1
-        keep[ends] = False
-        idx = np.flatnonzero(keep)
-        if not len(idx):
-            return rows_schema.empty_table()
-        dids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        doc_of = dids[np.repeat(np.arange(len(dl), dtype=np.int64), dl)[idx]]
-        flat = toks.values
-        a = flat.take(pa.array(idx, type=pa.int64()))
-        b = flat.take(pa.array(idx + 1, type=pa.int64()))
-        g = (
-            pa.table(
-                {
-                    "doc_id": pa.array(doc_of, type=pa.int64()),
-                    "term_a": pc.cast(a, pa.string()),
-                    # kept tokens are alphanumeric runs, so ' ' can't
-                    # collide inside a term — same identity the SQL twin
-                    # groups on as (a, b)
-                    "pair": pc.binary_join_element_wise(
-                        pc.cast(a, pa.string()), pc.cast(b, pa.string()), " "
-                    ),
-                }
-            )
-            .group_by(["doc_id", "term_a", "pair"])
-            .aggregate([("pair", "count")])
-        )
-        return pa.table(
-            {
-                "doc_id": g["doc_id"],
-                "term_a": g["term_a"],
-                "pair": g["pair"],
-                "tfp": pc.cast(g["pair_count"], pa.int64()),
-            }
-        )
+        idx, doc_of = _adjacent(toks)
+        a = pc.cast(toks.values.take(pa.array(idx)), pa.string())
+        b = pc.cast(toks.values.take(pa.array(idx + 1)), pa.string())
+        t = pa.table({
+            "doc_id": batch["doc_id"].to_numpy(zero_copy_only=False)[doc_of].astype(np.int64),
+            "term_a": a,
+            # kept tokens are alphanumeric runs, so ' ' can't collide inside
+            # a term — same identity the SQL twin groups on as (a, b)
+            "pair": pc.binary_join_element_wise(a, b, " "),
+        })
+        return agg(t, ["doc_id", "term_a", "pair"], tfp=("pair", "count"))
 
-    def rows_ds():
-        return _read_documents(sf_dir).map_batches(
-            pair_rows, batch_format="pyarrow", zero_copy_batch=True
-        )
-
-    fab_schema = pa.schema(
-        [("term_a", pa.string()), ("pair", pa.string()), ("n_ab", pa.int64())]
-    )
+    fab_schema = pa.schema([("term_a", pa.string()), ("pair", pa.string()), ("n_ab", pa.int64())])
     fab = with_schema(
-        grouped_aggregate(
-            rows_ds().map_batches(
-                lambda t: t.select(["term_a", "pair", "tfp"]),
-                batch_format="pyarrow", zero_copy_batch=True,
-            ),
-            ["term_a", "pair"], [("tfp", "sum", "n_ab")], nb=nb_doc,
-        ),
+        grouped_aggregate(_docs(sf_dir, lambda t: pair_rows(t).select(["term_a", "pair", "tfp"])),
+                          ["term_a", "pair"], [("tfp", "sum", "n_ab")], nb=nb_doc),
         fab_schema,
     ).materialize()
     fa = with_schema(
-        grouped_aggregate(
-            fab, ["term_a"], [("n_ab", "sum", "n_a")], nb=nb_doc
-        ),
+        grouped_aggregate(fab, ["term_a"], [("n_ab", "sum", "n_a")], nb=nb_doc),
         pa.schema([("term_a", pa.string()), ("n_a", pa.int64())]),
     ).materialize()
 
-    base = ray.data.read_parquet(
-        _os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
-    )
-    out_schema = pa.schema(
-        [("doc_id", pa.int64()), ("n_bigrams", pa.int64()),
-         ("avg_logprob", pa.float64())]
-    )
-
-    j1 = attach_unique(
-        rows_ds(), fab.map_batches(
-            lambda t: t.select(["pair", "n_ab"]),
-            batch_format="pyarrow", zero_copy_batch=True,
-        ),
-        "pair", "pair", rows_schema, pa.schema([("n_ab", pa.int64())]),
-        nb=nb_doc,
-    )
-    j2 = attach_unique(
-        j1, fa, "term_a", "term_a",
-        pa.schema(list(rows_schema) + [("n_ab", pa.int64())]),
-        pa.schema([("n_a", pa.int64())]), nb=nb_doc,
-    )
+    j1 = attach_unique(_docs(sf_dir, pair_rows),
+                       arrow_map(fab, lambda t: t.select(["pair", "n_ab"])), "pair", "pair",
+                       rows_schema, int64_schema("n_ab"), nb=nb_doc)
+    j2 = attach_unique(j1, fa, "term_a", "term_a",
+                       rows_schema.append(pa.field("n_ab", pa.int64())),
+                       int64_schema("n_a"), nb=nb_doc)
 
     def contrib(t: pa.Table) -> pa.Table:
-        tfp = t["tfp"].to_numpy(zero_copy_only=False).astype(np.float64)
-        p = (
-            t["n_ab"].to_numpy(zero_copy_only=False).astype(np.float64)
-            / t["n_a"].to_numpy(zero_copy_only=False).astype(np.float64)
-        )  # frozen: divide THEN ln
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "pair": t["pair"],
-                "lp": pa.array(tfp * np.log(p), type=pa.float64()),
-                "tfp": t["tfp"],
-            }
-        )
+        n_ab, n_a, tfp = (t[c].to_numpy(zero_copy_only=False).astype(np.float64)
+                          for c in ("n_ab", "n_a", "tfp"))
+        lp = tfp * np.log(n_ab / n_a)  # frozen: divide THEN ln
+        return pa.table({"doc_id": t["doc_id"], "pair": t["pair"], "lp": lp, "tfp": t["tfp"]})
 
-    per_schema = pa.schema(
-        [("doc_id", pa.int64()), ("lp_sum", pa.float64()),
-         ("n_bigrams", pa.int64())]
-    )
-
-    def reduce_fixed(g: pa.Table) -> pa.Table:
-        # fixed (doc_id, pair)-ascending accumulation — the repo's frozen
-        # float-sum convention (unigram_logprob.reduce_fixed)
-        if g.num_rows == 0:
-            return per_schema.empty_table()
-        d = g["doc_id"].to_numpy(zero_copy_only=False)
-        pr = np.asarray(g["pair"].to_numpy(zero_copy_only=False), dtype=object)
-        order = np.lexsort((pr, d))
-        d_s = d[order]
-        lp_s = g["lp"].to_numpy(zero_copy_only=False)[order]
-        tf_s = g["tfp"].to_numpy(zero_copy_only=False)[order]
-        newseg = np.empty(len(d_s), dtype=bool)
-        newseg[0] = True
-        newseg[1:] = d_s[1:] != d_s[:-1]
-        seg_id = np.cumsum(newseg) - 1
-        nseg = int(seg_id[-1]) + 1
-        lp_sum = np.zeros(nseg, dtype=np.float64)
-        np.add.at(lp_sum, seg_id, lp_s)
-        nb_ = np.zeros(nseg, dtype=np.int64)
-        np.add.at(nb_, seg_id, tf_s)
-        return pa.table(
-            {
-                "doc_id": pa.array(d_s[newseg], type=pa.int64()),
-                "lp_sum": pa.array(lp_sum, type=pa.float64()),
-                "n_bigrams": pa.array(nb_, type=pa.int64()),
-            }
-        )
-
-    nbk = nb_doc
-
-    def tag_doc(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = ((ids * np.uint64(2654435761)) % np.uint64(nbk)).astype(np.int64)
-        return t.append_column("__b", pa.array(b, type=pa.int64()))
-
-    per_doc = with_schema(
-        j2.map_batches(contrib, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(tag_doc, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(reduce_fixed, batch_format="pyarrow"),
-        per_schema,
-    )
-    final = attach_left(
-        base, per_doc, "doc_id", "doc_id",
-        pa.schema([("doc_id", pa.int64())]),
-        pa.schema([("lp_sum", pa.float64()), ("n_bigrams", pa.int64())]),
-        nb=nb_doc,
-    )
-
-    def finish(t: pa.Table) -> pa.Table:
-        nb_ = pc.fill_null(t["n_bigrams"], 0).to_numpy(zero_copy_only=False)
-        lp = pc.fill_null(t["lp_sum"], 0.0).to_numpy(zero_copy_only=False)
-        avg = np.zeros(len(nb_), dtype=np.float64)
-        nz = nb_ > 0
-        avg[nz] = round_half_away(lp[nz] / nb_[nz], 4)
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "n_bigrams": pa.array(nb_, type=pa.int64()),
-                "avg_logprob": pa.array(avg, type=pa.float64()),
-            }
-        )
-
-    out = collect_table(
-        final.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True),
-        empty_schema=out_schema,
-    )
-    return out.take(pc.sort_indices(out["doc_id"]))
+    # fixed (doc_id, pair)-ascending accumulation — the repo's frozen
+    # float-sum convention (shared with unigram_logprob)
+    per_schema = int64_schema("doc_id", lp_sum=pa.float64(), n_bigrams=pa.int64())
+    per_doc = exchange(arrow_map(j2, contrib), "doc_id",
+                       _fixed_doc_sum("pair", "n_bigrams", "tfp"), per_schema, nb=nb_doc)
+    base = read_table(sf_dir, "documents", ["doc_id"], repartition=False)
+    final = attach_left(base, per_doc, "doc_id", "doc_id", int64_schema("doc_id"),
+                        per_schema.remove(0), nb=nb_doc)
+    out_schema = int64_schema("doc_id", "n_bigrams", avg_logprob=pa.float64())
+    out = collect_table(arrow_map(final, _avg_logprob("n_bigrams")), empty_schema=out_schema)
+    return out.sort_by("doc_id")
 
 
 def vocab_growth(sf_dir: str) -> pa.Table:
@@ -2151,92 +1351,38 @@ def vocab_growth(sf_dir: str) -> pa.Table:
     grouped exchange, and the curve itself is a |grid|-bounded histogram
     fold (searchsorted bucket per term, partial counts per block) — the
     vocabulary never lands on the driver."""
-    import os as _os
-
-    import pyarrow.compute as pc
-
     from smse_backend_ray import config
-    from smse_backend_ray.functions.joins import (
-        attach_unique,
-        grouped_aggregate,
-        with_schema,
-    )
     from smse_backend_ray.pipelines import sampling
 
-    grid = tuple(int(p) for p in config.VOCAB_GRID_PCT)
-    n_docs = _parquet_rows(_os.path.join(sf_dir, "documents.parquet"))
-    ks = [(p * n_docs + 99) // 100 for p in grid]
-    out_schema = pa.schema(
-        [("pct", pa.int64()), ("n_prefix_docs", pa.int64()),
-         ("vocab", pa.int64())]
-    )
-
-    def curve(vocab_at: list[int]) -> pa.Table:
-        return pa.table(
-            {
-                "pct": pa.array(list(grid), type=pa.int64()),
-                "n_prefix_docs": pa.array(ks, type=pa.int64()),
-                "vocab": pa.array(vocab_at, type=pa.int64()),
-            }
-        )
+    grid = [int(p) for p in config.VOCAB_GRID_PCT]
+    n_docs = _n_docs(sf_dir)
+    ks = np.asarray([(p * n_docs + 99) // 100 for p in grid], dtype=np.int64)
+    counts = np.zeros(len(grid) + 1, dtype=np.int64)
 
     ranks = sampling.shuffle_ranks_ds(sf_dir)
-    if ranks is None:
-        return curve([0] * len(grid))
-
-    nb_doc = _doc_buckets(sf_dir)
-    rows_schema = pa.schema(
-        [("doc_id", pa.int64()), ("term", pa.string()), ("tf", pa.int64())]
-    )
-    joined = attach_unique(
-        _read_documents(sf_dir).map_batches(
-            _term_rows_batch, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        ranks.map_batches(
-            lambda t: t.select(["doc_id", "rank"]),
-            batch_format="pyarrow", zero_copy_batch=True,
-        ),
-        "doc_id", "doc_id", rows_schema, pa.schema([("rank", pa.int64())]),
-        nb=nb_doc,
-    )
-    tm = with_schema(
-        grouped_aggregate(
-            joined.map_batches(
-                lambda t: t.select(["term", "rank"]),
-                batch_format="pyarrow", zero_copy_batch=True,
-            ),
-            ["term"], [("rank", "min", "r")], nb=nb_doc,
-        ),
-        pa.schema([("term", pa.string()), ("r", pa.int64())]),
-    )
-    ks_arr = np.asarray(ks, dtype=np.int64)
-
-    hist_schema = pa.schema([("b", pa.int64()), ("cnt", pa.int64())])
-
-    def hist_partial(t: pa.Table) -> pa.Table:
-        if not t.num_rows:
-            return hist_schema.empty_table()
-        r = t["r"].to_numpy()
-        # bucket = index of the FIRST grid point with r < k
-        b = np.searchsorted(ks_arr, r, side="right")
-        g = (
-            pa.table({"b": pa.array(b, type=pa.int64())})
-            .group_by("b")
-            .aggregate([("b", "count")])
+    if ranks is not None:
+        nb_doc = _doc_buckets(sf_dir)
+        joined = attach_unique(
+            _docs(sf_dir, _term_rows_batch),
+            arrow_map(ranks, lambda t: t.select(["doc_id", "rank"])), "doc_id", "doc_id",
+            int64_schema("doc_id", term=pa.string(), tf=pa.int64()), int64_schema("rank"),
+            nb=nb_doc,
         )
-        return pa.table(
-            {"b": g["b"], "cnt": pc.cast(g["b_count"], pa.int64())}
+        tm = with_schema(
+            grouped_aggregate(arrow_map(joined, lambda t: t.select(["term", "rank"])),
+                              ["term"], [("rank", "min", "r")], nb=nb_doc),
+            pa.schema([("term", pa.string()), ("r", pa.int64())]),
         )
 
-    h = collect_table(
-        tm.map_batches(hist_partial, batch_format="pyarrow", zero_copy_batch=True),
-        empty_schema=hist_schema,
-    )
-    counts = np.zeros(len(grid) + 1, dtype=np.int64)
-    if h.num_rows:
+        def hist_partial(t: pa.Table) -> pa.Table:
+            # bucket = index of the FIRST grid point with r < k
+            b = np.searchsorted(ks, t["r"].to_numpy(), side="right")
+            return agg(pa.table({"b": b.astype(np.int64)}), "b", cnt=("b", "count"))
+
+        h = collect_table(arrow_map(tm, hist_partial), empty_schema=int64_schema("b", "cnt"))
         np.add.at(counts, h["b"].to_numpy(), h["cnt"].to_numpy())
-    vocab_at = np.cumsum(counts[: len(grid)]).tolist()
-    return curve(vocab_at)
+    return pa.table({"pct": pa.array(grid, type=pa.int64()), "n_prefix_docs": ks,
+                     "vocab": np.cumsum(counts[: len(grid)])})
 
 
 def top_terms_per_lang(sf_dir: str) -> pa.Table:
@@ -2255,57 +1401,22 @@ def top_terms_per_lang(sf_dir: str) -> pa.Table:
     grouped_topk combiner bounds every block at k rows per lang before
     the |langs|-keyed finalize (pipelines/grouped_topk.py — hot
     languages cost k rows per block, never their vocabulary)."""
-    import pyarrow.compute as pc
-
     from smse_backend_ray import config
-    from smse_backend_ray.functions.analyzer import kept_tokens_batch
-    from smse_backend_ray.functions.joins import grouped_aggregate, with_schema
     from smse_backend_ray.pipelines.grouped_topk import grouped_topk
-
-    k = int(config.TOP_TERMS_PER_LANG_K)
 
     def partial(batch: pa.Table) -> pa.Table:
         toks = kept_tokens_batch(batch["text"])
-        counts = np.diff(np.asarray(toks.offsets, dtype=np.int64))
-        langs = np.asarray(
-            batch["lang"].to_numpy(zero_copy_only=False), dtype=object
-        )
-        g = (
-            pa.table(
-                {
-                    "lang": pa.array(
-                        np.repeat(langs, counts).tolist(), type=pa.string()
-                    ),
-                    "term": pc.cast(toks.values, pa.string()),
-                }
-            )
-            .group_by(["lang", "term"])
-            .aggregate([("term", "count")])
-        )
-        return pa.table(
-            {"lang": g["lang"], "term": g["term"],
-             "tf": pc.cast(g["term_count"], pa.int64())}
-        )
+        t = pa.table({"lang": pc.take(batch["lang"], pc.list_parent_indices(toks)),
+                      "term": pc.cast(toks.values, pa.string())})
+        return agg(t, ["lang", "term"], tf=("term", "count"))
 
-    schema = pa.schema(
-        [("lang", pa.string()), ("term", pa.string()), ("tf", pa.int64())]
-    )
+    schema = pa.schema([("lang", pa.string()), ("term", pa.string()), ("tf", pa.int64())])
     lt = with_schema(
-        grouped_aggregate(
-            _read_documents(sf_dir).map_batches(
-                partial, batch_format="pyarrow", zero_copy_batch=True
-            ),
-            ["lang", "term"], [("tf", "sum", "tf")], nb=_doc_buckets(sf_dir),
-        ),
+        grouped_aggregate(_docs(sf_dir, partial), ["lang", "term"], [("tf", "sum", "tf")],
+                          nb=_doc_buckets(sf_dir)),
         schema,
     )
-    out_schema = pa.schema(list(schema) + [("rank", pa.int64())])
-    t = collect_table(
-        grouped_topk(lt, "lang", "tf", k, tiebreak="term"),
-        empty_schema=out_schema,
-    )
-    return t.take(
-        pc.sort_indices(
-            t, sort_keys=[("lang", "ascending"), ("rank", "ascending")]
-        )
-    )
+    t = collect_table(grouped_topk(lt, "lang", "tf", int(config.TOP_TERMS_PER_LANG_K),
+                                   tiebreak="term"),
+                      empty_schema=schema.append(pa.field("rank", pa.int64())))
+    return t.sort_by([("lang", "ascending"), ("rank", "ascending")])

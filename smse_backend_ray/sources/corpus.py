@@ -102,26 +102,50 @@ def _parquet_rows(path: str) -> int | None:
         return None
 
 
-def read_parquet_plain(paths, columns: list[str]) -> "ray.data.Dataset":
-    """``ray.data.read_parquet`` whose blocks carry no schema metadata. Files
-    written from pandas carry a ``b'pandas'`` metadata dict; the schema dedup
-    at the next exchange hashes it and logs ``Failed to hash the schemas``
-    per reduce task. An explicit read schema (the footer's fields, no
-    metadata) drops it inside the read itself."""
+def read_table(
+    sf_dir, table: str | None, columns: list[str], filter=None,
+    rows_per_block: int = 64, repartition: bool = True,
+) -> "ray.data.Dataset":
+    """THE parquet reader of the pipelines: ``<sf_dir>/<table>.parquet``
+    (``table=None``: ``sf_dir`` names the parquet file(s) or directory
+    itself) read through ``ray.data.read_parquet``.
+
+    - The blocks carry no schema metadata. Files written from pandas carry
+      a ``b'pandas'`` metadata dict; the schema dedup at the next exchange
+      hashes it and logs ``Failed to hash the schemas`` per reduce task. An
+      explicit read schema (the footer's fields, no metadata) drops it
+      inside the read itself.
+    - ``filter`` (a ``pyarrow.dataset`` expression) is pushed into the read
+      (row-group pruning).
+    - The read is repartitioned to ``read_blocks(...)`` blocks, sized by
+      the footer row count and the stage's ``rows_per_block`` cost class
+      (see ``_parallel_blocks``); ``repartition=False`` keeps the read's
+      own blocks for a caller that sizes its blocks itself."""
     import pyarrow.dataset as pads
 
-    footer = pads.dataset(paths, format="parquet").schema
+    path = sf_dir if table is None else os.path.join(sf_dir, f"{table}.parquet")
+    footer = pads.dataset(path, format="parquet").schema
     schema = pa.schema([footer.field(c) for c in columns])
-    return ray.data.read_parquet(paths, columns=columns, schema=schema)
+    kwargs = {} if filter is None else {"filter": filter}
+    ds = ray.data.read_parquet(path, columns=columns, schema=schema, **kwargs)
+    if not repartition:
+        return ds
+    return ds.repartition(_parallel_blocks(_parquet_rows(path), rows_per_block))
+
+
+def read_blocks(sf_dir: str, table: str, rows_per_block: int = 64) -> int:
+    """The block count ``read_table`` repartitions ``table`` to — fold
+    triggers compare against this same value, so they cannot drift from
+    the read."""
+    return _parallel_blocks(
+        _parquet_rows(os.path.join(sf_dir, f"{table}.parquet")), rows_per_block
+    )
 
 
 def corpus_from_documents(sf_dir: str) -> "ray.data.Dataset":
     """documents.parquet -> corpus Dataset (deterministic; see CORPUS_CTE)."""
-    path = os.path.join(sf_dir, "documents.parquet")
-    ds = read_parquet_plain(path, ["doc_id", "text", "lang", "source"])
-    return ds.repartition(_parallel_blocks(_parquet_rows(path))).map_batches(
-        _derive_batch, batch_format="pyarrow", zero_copy_batch=True
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "text", "lang", "source"])
+    return ds.map_batches(_derive_batch, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def replicated_corpus_from_documents(sf_dir: str, repl: int) -> "ray.data.Dataset":
@@ -145,8 +169,8 @@ def replicated_corpus_from_documents(sf_dir: str, repl: int) -> "ray.data.Datase
                 out["content"].append(txt if r == 0 else f"{txt} rep{r}")
         return pa.table({c: pa.array(out[c], type=pa.string()) for c in CORPUS_COLUMNS})
 
-    ds = read_parquet_plain(
-        os.path.join(sf_dir, "documents.parquet"), ["doc_id", "text", "lang", "source"]
+    ds = read_table(
+        sf_dir, "documents", ["doc_id", "text", "lang", "source"], repartition=False
     )
     # batch_size counts EXPAND INPUT rows, and downstream maps fuse into the
     # same task — scale it down by the expansion factor or the whole corpus
@@ -172,7 +196,7 @@ def corpus_from_files(
     fmt = format.lower()
     str_schema = pa.schema([(c, pa.string()) for c in CORPUS_COLUMNS])
     if fmt == "parquet":
-        ds = read_parquet_plain(paths, list(CORPUS_COLUMNS))
+        ds = read_table(paths, None, list(CORPUS_COLUMNS), repartition=False)
     elif fmt == "csv":
         # utf8 is FORCED at parse time: type inference + cast-back would
         # silently rewrite values (commit '00123' -> int64 -> '123'),

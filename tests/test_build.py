@@ -309,7 +309,7 @@ def test_corpus_readers_drop_schema_metadata(ray_session, sf_dir, tmp_path):
         corpus_from_documents,
         corpus_from_files,
         corpus_table_from_documents,
-        read_parquet_plain,
+        read_table,
         replicated_corpus_from_documents,
     )
 
@@ -320,7 +320,7 @@ def test_corpus_readers_drop_schema_metadata(ray_session, sf_dir, tmp_path):
     assert b"pandas" in pq.read_schema(tmp_path / "c.parquet").metadata
     cols = ["doc_id", "text", "lang", "source"]
     readers = {
-        "read": read_parquet_plain(path, cols),
+        "read": read_table(sf_dir, "documents", cols),
         "documents": corpus_from_documents(sf_dir),
         "replicated": replicated_corpus_from_documents(sf_dir, 2),
         "files": corpus_from_files(str(tmp_path / "c.parquet")),
@@ -336,3 +336,46 @@ def test_corpus_readers_drop_schema_metadata(ray_session, sf_dir, tmp_path):
     )
     got = collect_table(readers["files"]).sort_by("path")
     assert got.select(list(CORPUS_COLUMNS)).equals(corpus.sort_by("path"))
+
+
+_PIPELINE_TABLES = {
+    "documents": ["doc_id", "text", "lang", "source"],
+    "events": ["event_id", "ts", "user_id", "event_type", "value"],
+    "lineitem": ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
+    "orders": ["o_orderkey", "o_custkey", "o_orderdate"],
+    "customer": ["c_custkey", "c_nationkey", "c_acctbal"],
+    "supplier": ["s_suppkey", "s_nationkey"],
+    "part": ["p_partkey", "p_brand", "p_size"],
+    "nation": ["n_nationkey", "n_name"],
+    "region": ["r_regionkey", "r_name"],
+    "embeddings": ["vec_id", "embedding"],
+}
+
+
+@pytest.mark.parametrize("table", sorted(_PIPELINE_TABLES))
+def test_read_table_drops_schema_metadata(ray_session, sf_dir, table):
+    """Every table a pipeline reads goes through sources/corpus.read_table:
+    its blocks carry no schema metadata at the read AND after the first
+    exchange (where a hashed b'pandas' dict logged 'Failed to hash the
+    schemas'), with the same rows as a plain read."""
+    import pyarrow.parquet as pq
+
+    import ray
+
+    from smse_backend_ray.functions.collect import collect_table
+    from smse_backend_ray.sources.corpus import read_table
+
+    cols = _PIPELINE_TABLES[table]
+    path = f"{sf_dir}/{table}.parquet"
+    assert b"pandas" in pq.read_schema(path).metadata
+    ds = read_table(sf_dir, table, cols)
+    key = cols[0]
+    for stage in (ds, ds.sort(key)):
+        blocks = ray.get(stage.to_arrow_refs())
+        assert blocks
+        for b in blocks:
+            assert b.schema.metadata is None
+            hash(b.schema)
+    want = pq.read_table(path, columns=cols).replace_schema_metadata(None)
+    order = [(c, "ascending") for c in cols if c != "embedding"]
+    assert collect_table(ds).sort_by(order).equals(want.sort_by(order))

@@ -294,6 +294,40 @@ def test_shared_candidates_evicted_once_both_scored(ray_session, tmp_path, monke
     assert not dedup._SHINGLE_CAND_CACHE
 
 
+def test_module_caches_keep_latest_entry(ray_session, sf_dir, tmp_path, monkeypatch):
+    """The memoized dedup pair tables and IVF layouts keep ONE entry, the
+    latest key: a process that walks several thresholds or sf dirs does
+    not pin one table (or layout) per key it has seen."""
+    import shutil
+
+    from smse_backend_ray.pipelines import dedup, simsearch
+
+    for name in ("_SHINGLE_CAND_CACHE", "_JACCARD_CACHE", "_CONTAIN_CACHE"):
+        monkeypatch.setattr(dedup, name, {})
+    monkeypatch.setattr(simsearch, "_IVF_CACHE", {})
+    sf = _write_docs(
+        tmp_path,
+        [
+            {"doc_id": i, "text": "alpha beta gamma delta epsilon " + "w" * i, "lang": "en", "source": "s"}
+            for i in range(4)
+        ],
+    )
+    for thr in (0.5, 0.6):
+        jac = dedup.jaccard_pairs(sf, threshold=thr)
+        cont = dedup.containment_pairs(sf, threshold=thr)
+        assert len(dedup._JACCARD_CACHE) == 1 and len(dedup._CONTAIN_CACHE) == 1
+    # the latest entry still answers its repeat call
+    assert dedup.jaccard_pairs(sf, threshold=0.6).equals(jac)
+    assert dedup.containment_pairs(sf, threshold=0.6).equals(cont)
+
+    other = tmp_path / "emb_copy"
+    other.mkdir()
+    shutil.copy(f"{sf_dir}/embeddings.parquet", other / "embeddings.parquet")
+    for i, d in enumerate((sf_dir, str(other))):
+        simsearch.build_ivf_index(d, out_dir=str(tmp_path / f"ivf{i}"), n_clusters=4)
+        assert len(simsearch._IVF_CACHE) == 1
+
+
 # ---------------------------------------------------------------------------
 # bigram_logprob
 # ---------------------------------------------------------------------------
@@ -724,6 +758,7 @@ def test_session9_ops_bucket_invariant(ray_session, sf_dir, monkeypatch):
     every per-user / per-doc group lives entirely inside one hash
     bucket, so forcing the exchange to 1 or 97 buckets must reproduce
     identical tables (the repo's standard containment pin)."""
+    from smse_backend_ray.functions import joins
     from smse_backend_ray.pipelines import events, textstats
 
     base = {
@@ -733,7 +768,7 @@ def test_session9_ops_bucket_invariant(ray_session, sf_dir, monkeypatch):
         "bigram": textstats.bigram_logprob(sf_dir),
     }
     for forced in (1, 97):
-        monkeypatch.setattr(events, "_n_user_buckets", lambda: forced)
+        monkeypatch.setattr(joins, "_n_buckets", lambda: forced)
         monkeypatch.setattr(textstats, "_doc_buckets", lambda *a, **k: forced)
         assert events.user_activity_histogram(sf_dir).equals(base["hist"])
         assert events.weekly_active_users(sf_dir).equals(base["wau"])
