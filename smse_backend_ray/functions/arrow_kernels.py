@@ -1,9 +1,9 @@
 """Arrow kernels shared by the SQL-twinned operators (relational, events,
-textstats).
+textstats, dedup, simsearch).
 
 Each operator's plan stays visible at its call site — per-batch combine ->
-exchange (``joins._bucketed_join`` / ``joins.grouped_aggregate`` /
-``exchange``) -> per-bucket roll -> driver merge. These helpers are the
+``exchange`` (directly, or as ``joins.attach_*`` / ``semi_join`` /
+``grouped_aggregate``) -> per-bucket roll -> driver merge. These helpers are the
 vocabulary the steps are written in, so each micro-pattern has ONE copy:
 
 - ``arrow_map``: the zero-copy pyarrow ``map_batches`` every stage uses;
@@ -12,8 +12,12 @@ vocabulary the steps are written in, so each micro-pattern has ONE copy:
 - ``in_window``: the half-open ``lo <= col < hi`` mask;
 - ``run_rank``: run starts, run ids and 1-based rank within the runs of
   sorted keys (the per-user / per-doc numpy segment pass);
-- ``exchange``: one key-hash exchange with a vectorized per-bucket kernel
+- ``exchange``: THE key-hash exchange with a vectorized per-bucket kernel
   and typed output blocks (many keys per bucket, never a call per key);
+  ``joins`` builds its joins and ``grouped_aggregate`` on it;
+- ``run_pairs``: the upper-triangle (a < b) row pairs within each run of
+  equal keys, with a run-size cap that reports what it skips;
+- ``top_k``: per-group top-k by (score DESC, item ASC) in one lexsort;
 - ``hist_quantiles``: exact linear-interpolation quantiles over a
   (group, value, count) histogram.
 
@@ -89,30 +93,67 @@ def run_rank(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return start, run, rank
 
 
-def exchange(ds, key: str, fn, schema: pa.Schema, nb: int | None = None):
-    """One exchange on a hash bucket of ``key``: every key's rows meet in
-    one group, and ``fn(group) -> Table`` runs once per group over MANY
-    keys (vectorized inside — a group per key pays a Python call per
-    key). Output blocks are typed ``schema``; empty groups and empty
-    blocks never reach ``fn``. ``nb`` defaults to the CPU-scaled
-    ``joins._n_buckets()``; placement never changes the output."""
+def exchange(ds, keys, fn, schema: pa.Schema, nb: int | None = None):
+    """THE bucket exchange: rows hash into ``nb`` fat buckets on ``keys``
+    (a column name or a list), every key's rows meet in one group, and
+    ``fn(group) -> Table`` runs once per group over MANY keys (vectorized
+    inside — a group per key pays a Python call per key). Output blocks
+    are typed ``schema``; empty groups never reach ``fn``. ``ds`` may be a
+    list of Datasets: each is tagged in its own map (fused into its last
+    map) before they union — a join ships both sides this way. ``nb``
+    defaults to the CPU-scaled ``joins.cpu_scaled_buckets()``; placement
+    never changes the output."""
     from smse_backend_ray.functions import joins
 
-    nb = nb or joins._n_buckets()
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    nb = nb or joins.cpu_scaled_buckets()
 
     def tag(t: pa.Table) -> pa.Table:
-        b = joins._bucket_of(t, [key], nb) if t.num_columns else np.zeros(0, np.int64)
+        # a zero-row block keeps its columns (typed); only a zero-column
+        # block (Ray's own empty partition upstream) has none to keep
+        b = joins._bucket_of(t, keys, nb) if t.num_columns else np.zeros(0, np.int64)
         return t.append_column("__b", pa.array(b, type=pa.int64()))
 
     def per_group(g: pa.Table) -> pa.Table:
-        if not g.num_rows or key not in g.column_names:
+        if not g.num_rows or not set(keys) <= set(g.column_names):
             return schema.empty_table()
         return fn(g.drop_columns(["__b"])).select(schema.names).cast(schema)
 
-    grouped = arrow_map(ds, tag).groupby("__b").map_groups(
-        per_group, batch_format="pyarrow"
-    )
+    tagged = [arrow_map(d, tag) for d in (ds if isinstance(ds, list) else [ds])]
+    if len(tagged) > 1:
+        tagged = [tagged[0].union(*tagged[1:])]
+    grouped = tagged[0].groupby("__b").map_groups(per_group, batch_format="pyarrow")
     return joins.with_schema(grouped, schema)
+
+
+def run_pairs(key: np.ndarray, order: np.ndarray, cap: int | None = None):
+    """Every in-run row pair: rows sort by (key, order), and each row pairs
+    with every EARLIER row of its run of equal ``key`` — the upper
+    triangle, so ``order[a] <= order[b]``. Returns ``(a, b, skipped)``:
+    original-row indices of each pair, and ``skipped = (first row, size)``
+    of the runs longer than ``cap``, which emit no pairs."""
+    perm = np.lexsort((order, key))
+    start, run, rank = run_rank(key[perm])
+    starts = np.flatnonzero(start)
+    sizes = np.diff(np.append(starts, len(perm)))
+    over = sizes > cap if cap is not None else np.zeros(len(starts), bool)
+    pos = np.where(over[run], 0, rank - 1)  # row i pairs with its pos predecessors
+    b = np.repeat(np.arange(len(perm)), pos)
+    first = np.cumsum(pos) - pos
+    a = np.repeat(starts[run], pos) + np.arange(len(b)) - np.repeat(first, pos)
+    return perm[a], perm[b], (perm[starts[over]], sizes[over])
+
+
+def top_k(group: np.ndarray, item: np.ndarray, score: np.ndarray, k: int, mask=None):
+    """Per-``group`` top-``k`` rows by (score DESC, item ASC) — callers pass
+    the ROUNDED score, so ties break on the item. ``mask`` (optional bool)
+    keeps only its rows (an IVF probe). Returns ``(idx, rank)``: input row
+    indices in (group ASC, score DESC, item ASC) order, 1-based rank."""
+    idx = np.flatnonzero(mask) if mask is not None else np.arange(len(group))
+    idx = idx[np.lexsort((item[idx], -score[idx], group[idx]))]
+    rank = run_rank(group[idx])[2]
+    keep = rank <= k
+    return idx[keep], rank[keep]
 
 
 def hist_quantiles(

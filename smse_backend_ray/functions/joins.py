@@ -10,8 +10,9 @@ Two implementations, chosen by input shape:
   num_partitions; the relational fact/dim rollups). Found by the
   adversarial-corpus fuzz (tests/test_sqlgen_fuzz.py).
 
-- ``attach_unique`` / ``semi_join`` — bucketed sort-shuffle joins for
-  sparse/candidate-bounded inputs: rows hash into a few FAT buckets (never
+- ``attach_unique`` / ``attach_left`` / ``semi_join`` / ``anti_join`` —
+  bucketed joins for sparse/candidate-bounded inputs, a side-tagged union
+  through ``arrow_kernels.exchange``: rows hash into a few FAT buckets (never
   one group per key — a per-key map_groups pays a Python call per key,
   measured as the dedup family's wall), and each bucket joins its two
   sides with pyarrow's in-memory C++ Table.join. Empty partitions are a
@@ -59,10 +60,6 @@ def cpu_scaled_buckets(
     return n
 
 
-def _n_buckets() -> int:
-    return cpu_scaled_buckets()
-
-
 def hash_strings(col, seed: int = 0):
     """Vectorized 64-bit hash of an Arrow string column -> np.uint64 array
     (polars' Rust hash; one C call). Replaces the Python-per-row crc32 that
@@ -104,65 +101,70 @@ def _bucketed_join(
     left, right, keys, left_schema, right_schema, joiner, nb=None,
     keep_left_on_empty_right=False,
 ):
-    """Common machinery: tag rows with (bucket, side), union, groupby
-    bucket, run ``joiner(left_tbl, right_tbl) -> Table`` per FAT group.
-    Sides are reconstructed from a marker column; schema-less empty blocks
-    are normalized away.
+    """Common machinery: a side-tagged union of both inputs through the one
+    ``arrow_kernels.exchange`` on ``keys``; each FAT bucket splits back
+    into its two sides and runs ``joiner(left_tbl, right_tbl) -> Table``.
 
-    ``nb`` sizes the exchange: every bucket becomes a reduce task AND an
-    output block, so a tiny input through the default (8*cpus) buckets
-    pays hundreds of near-empty tasks per stage — chained stages made that
-    the dedup verify wall (measured 7-12 s per attach on 257 rows).
-    Callers that know the input is small pass a small nb."""
+    ``nb`` sizes the exchange: every non-empty bucket is one per-bucket
+    join, so a tiny input through the default (8*cpus) buckets pays
+    hundreds of near-empty calls per stage — chained stages made that the
+    dedup verify wall (measured 7-12 s per attach on 257 rows). Callers
+    that know the input is small pass a small nb."""
     import numpy as np
     import pyarrow as pa
+    import pyarrow.compute as pc
 
-    nb = nb or _n_buckets()
+    from smse_backend_ray.functions.arrow_kernels import arrow_map, exchange
+
     lnames = [f.name for f in left_schema]
     rnames = [f.name for f in right_schema]
     all_fields = list(left_schema) + [
         f for f in right_schema if f.name not in lnames
     ]
-    mixed_schema = pa.schema(
-        [("__b", pa.int64()), ("__side", pa.int8())] + all_fields
-    )
+    mixed_schema = pa.schema([("__side", pa.int8())] + all_fields)
 
-    def tag(side):
+    def tag(side, names):
         def fn(t: "pa.Table") -> "pa.Table":
-            names = lnames if side == 0 else rnames
             if t.num_columns == 0 or t.num_rows == 0:
                 return mixed_schema.empty_table()
-            cols = {
-                "__b": pa.array(_bucket_of(t, keys, nb), type=pa.int64()),
-                "__side": pa.array(
-                    np.full(t.num_rows, side, dtype=np.int8)
-                ),
-            }
-            for f in all_fields:
-                cols[f.name] = (
-                    t[f.name]
-                    if f.name in names and f.name in t.column_names
-                    else pa.nulls(t.num_rows, f.type)
-                )
-            return pa.table(cols)
+            cols = [pa.array(np.full(t.num_rows, side, dtype=np.int8))] + [
+                t[f.name]
+                if f.name in names and f.name in t.column_names
+                else pa.nulls(t.num_rows, f.type)
+                for f in all_fields
+            ]
+            return pa.Table.from_arrays(cols, names=mixed_schema.names).cast(mixed_schema)
 
         return fn
 
     out_schema = joiner(left_schema.empty_table(), right_schema.empty_table()).schema
 
     def per_bucket(g: "pa.Table") -> "pa.Table":
-        side = g["__side"].to_numpy(zero_copy_only=False)
-        lmask = side == 0
-        lt = g.filter(pa.array(lmask)).select(lnames)
-        rt = g.filter(pa.array(~lmask)).select(rnames)
+        lmask = pc.equal(g["__side"], 0)
+        lt = g.filter(lmask).select(lnames)
+        rt = g.filter(pc.invert(lmask)).select(rnames)
         if lt.num_rows == 0 or (rt.num_rows == 0 and not keep_left_on_empty_right):
             return out_schema.empty_table()
         return joiner(lt, rt)
 
-    mixed = left.map_batches(
-        tag(0), batch_format="pyarrow", zero_copy_batch=True
-    ).union(right.map_batches(tag(1), batch_format="pyarrow", zero_copy_batch=True))
-    return mixed.groupby("__b").map_groups(per_bucket, batch_format="pyarrow")
+    sides = [arrow_map(left, tag(0, lnames)), arrow_map(right, tag(1, rnames))]
+    return exchange(sides, keys, per_bucket, out_schema, nb=nb)
+
+
+def _attach(left, right, lkey, rkey, left_schema, payload_schema, nb, how):
+    """Join a UNIQUE-keyed right payload onto left rows (``how`` = pyarrow
+    join type): the right key is renamed to the left key's name, so
+    pyarrow coalesces the key columns. Output: left + payload columns."""
+    import pyarrow as pa
+
+    names = [f.name for f in left_schema] + [f.name for f in payload_schema]
+    right = right.rename_columns({rkey: lkey}) if rkey != lkey else right
+    right_schema = pa.schema([left_schema.field(lkey)] + list(payload_schema))
+    return _bucketed_join(
+        left, right, [lkey], left_schema, right_schema,
+        lambda lt, rt: lt.join(rt, lkey, join_type=how).select(names), nb=nb,
+        keep_left_on_empty_right=how == "left outer",
+    )
 
 
 def attach_unique(left, right, lkey, rkey, left_schema, payload_schema, nb=None):
@@ -170,24 +172,7 @@ def attach_unique(left, right, lkey, rkey, left_schema, payload_schema, nb=None)
     pyarrow C++ join per bucket). Output: left columns + payload columns
     for every left row whose key has a right row. ``nb``: see
     _bucketed_join — pass small for known-small inputs."""
-    import pyarrow as pa
-
-    lnames = [f.name for f in left_schema]
-    pnames = [f.name for f in payload_schema]
-    # bucket-hash the same column name on both sides: rename the right key
-    # to the left key's name up front
-    right_renamed = right.rename_columns({rkey: lkey}) if rkey != lkey else right
-    right_schema = pa.schema(
-        [(lkey, left_schema.field(lkey).type)] + list(payload_schema)
-    )
-
-    def joiner(lt: "pa.Table", rt: "pa.Table") -> "pa.Table":
-        # same key name on both sides: pyarrow coalesces the key columns
-        return lt.join(rt, lkey, join_type="inner").select(lnames + pnames)
-
-    return _bucketed_join(
-        left, right_renamed, [lkey], left_schema, right_schema, joiner, nb=nb
-    )
+    return _attach(left, right, lkey, rkey, left_schema, payload_schema, nb, "inner")
 
 
 def attach_left(left, right, lkey, rkey, left_schema, payload_schema, nb=None):
@@ -196,21 +181,21 @@ def attach_left(left, right, lkey, rkey, left_schema, payload_schema, nb=None):
     survives; payload columns are null where the key has no right row
     (including buckets whose right side is entirely empty). ``nb``: see
     _bucketed_join — pass small for known-small inputs."""
+    return _attach(left, right, lkey, rkey, left_schema, payload_schema, nb, "left outer")
+
+
+def _filter_join(left, right, keys, left_schema, nb, how):
+    """Keep left rows by key presence in ``right`` (``how`` = pyarrow
+    'left semi' / 'left anti'); only right's key columns ship."""
     import pyarrow as pa
 
-    lnames = [f.name for f in left_schema]
-    pnames = [f.name for f in payload_schema]
-    right_renamed = right.rename_columns({rkey: lkey}) if rkey != lkey else right
-    right_schema = pa.schema(
-        [(lkey, left_schema.field(lkey).type)] + list(payload_schema)
-    )
-
-    def joiner(lt: "pa.Table", rt: "pa.Table") -> "pa.Table":
-        return lt.join(rt, lkey, join_type="left outer").select(lnames + pnames)
-
+    keys = list(keys)
+    names = [f.name for f in left_schema]
+    right_schema = pa.schema([left_schema.field(k) for k in keys])
     return _bucketed_join(
-        left, right_renamed, [lkey], left_schema, right_schema, joiner, nb=nb,
-        keep_left_on_empty_right=True,
+        left, right, keys, left_schema, right_schema,
+        lambda lt, rt: lt.join(rt, keys=keys, join_type=how).select(names), nb=nb,
+        keep_left_on_empty_right=how == "left anti",
     )
 
 
@@ -218,23 +203,7 @@ def semi_join(left, right, keys, left_schema, nb=None):
     """LEFT-SEMI join on ``keys`` (column names shared by both sides):
     keep left rows whose key appears in right (bucketed; pyarrow C++
     'left semi' per bucket). ``nb``: see _bucketed_join."""
-    import pyarrow as pa
-
-    right_schema = pa.schema([(k, left_schema.field(k).type) for k in keys])
-    lnames = [f.name for f in left_schema]
-
-    def joiner(lt: "pa.Table", rt: "pa.Table") -> "pa.Table":
-        return lt.join(rt, keys=list(keys), join_type="left semi").select(lnames)
-
-    def right_keys_only(t: "pa.Table") -> "pa.Table":
-        if t.num_columns == 0 or t.num_rows == 0:
-            return right_schema.empty_table()
-        return t.select(keys)
-
-    right_k = right.map_batches(
-        right_keys_only, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return _bucketed_join(left, right_k, list(keys), left_schema, right_schema, joiner, nb=nb)
+    return _filter_join(left, right, keys, left_schema, nb, "left semi")
 
 
 def anti_join(left, right, keys, left_schema, nb=None):
@@ -242,26 +211,7 @@ def anti_join(left, right, keys, left_schema, nb=None):
     keep left rows whose key does NOT appear in right (bucketed; pyarrow
     C++ 'left anti' per bucket). Buckets where the right side is empty
     keep every left row. ``nb``: see _bucketed_join."""
-    import pyarrow as pa
-
-    right_schema = pa.schema([(k, left_schema.field(k).type) for k in keys])
-    lnames = [f.name for f in left_schema]
-
-    def joiner(lt: "pa.Table", rt: "pa.Table") -> "pa.Table":
-        return lt.join(rt, keys=list(keys), join_type="left anti").select(lnames)
-
-    def right_keys_only(t: "pa.Table") -> "pa.Table":
-        if t.num_columns == 0 or t.num_rows == 0:
-            return right_schema.empty_table()
-        return t.select(keys)
-
-    right_k = right.map_batches(
-        right_keys_only, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return _bucketed_join(
-        left, right_k, list(keys), left_schema, right_schema, joiner, nb=nb,
-        keep_left_on_empty_right=True,
-    )
+    return _filter_join(left, right, keys, left_schema, nb, "left anti")
 
 
 def with_schema(ds, schema):
@@ -281,46 +231,17 @@ def with_schema(ds, schema):
     return ds.map_batches(fix, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def grouped_aggregate(ds, keys, aggs, nb=None):
-    """High-cardinality groupby-aggregate: bucket rows by key hash into a
-    few FAT groups, aggregate each with pyarrow's C++ Table.group_by.
+def grouped_aggregate(ds, keys, schema, nb=None, **outs):
+    """High-cardinality groupby-aggregate: ``arrow_kernels.exchange`` +
+    ``agg`` — rows bucket by key hash into a few FAT groups, each
+    aggregated with pyarrow's C++ Table.group_by, output blocks typed
+    ``schema`` (keys + the ``name=(col, op)`` outputs, in order).
 
     Ray 2.49's Aggregate operator costs ~230us of CPU PER DISTINCT GROUP
     (measured: 264 s CPU for 1.1M (a, b) pair groups that pyarrow
     aggregates in under a second) — it is only usable when group count is
     small. Each key lives in exactly one bucket, so per-bucket aggregation
-    is globally exact.
+    is globally exact. ``nb``: see _bucketed_join."""
+    from smse_backend_ray.functions.arrow_kernels import agg, exchange
 
-    ``aggs``: list of (value_col, op, out_name) with op in
-    {sum, count, min, max}. Output columns: keys + out_names. ``nb``: see
-    _bucketed_join — pass small for known-small inputs."""
-    import pyarrow as pa
-
-    nb = nb or _n_buckets()
-
-    def tag(t: "pa.Table") -> "pa.Table":
-        if t.num_columns == 0 or t.num_rows == 0:
-            return None  # filtered below
-        return t.append_column(
-            "__b", pa.array(_bucket_of(t, keys, nb), type=pa.int64())
-        )
-
-    def tag_safe(t: "pa.Table") -> "pa.Table":
-        out = tag(t)
-        if out is None:
-            # typed empty: keys + value cols unknown here; emit zero rows of
-            # whatever schema this block had plus __b so union stays sane
-            return t.append_column("__b", pa.array([], type=pa.int64()))
-        return out
-
-    def agg_group(g: "pa.Table") -> "pa.Table":
-        ga = g.group_by(list(keys)).aggregate([(c, op) for c, op, _ in aggs])
-        return ga.select(list(keys) + [f"{c}_{op}" for c, op, _ in aggs]).rename_columns(
-            list(keys) + [out for _, _, out in aggs]
-        )
-
-    return (
-        ds.map_batches(tag_safe, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(agg_group, batch_format="pyarrow")
-    )
+    return exchange(ds, keys, lambda g: agg(g, keys, **outs), schema, nb=nb)

@@ -62,7 +62,6 @@ def curation_pipeline(
         cpu_scaled_buckets,
         grouped_aggregate,
         semi_join,
-        with_schema,
     )
     from smse_backend_ray.pipelines.packing import PACK_WINDOW
     from smse_backend_ray.pipelines.sampling import (
@@ -125,11 +124,9 @@ def curation_pipeline(
     ).materialize()
 
     # 1. dedup winners on the FULL corpus (one fingerprint-bucket exchange)
-    winners = with_schema(
-        grouped_aggregate(
-            rows, ["fingerprint"], [("doc_id", "min", "doc_id")]
-        ),
-        pa.schema([("fingerprint", pa.string()), ("doc_id", pa.int64())]),
+    winners = grouped_aggregate(
+        rows, ["fingerprint"], pa.schema([("fingerprint", pa.string()), ("doc_id", pa.int64())]),
+        doc_id=("doc_id", "min"),
     ).map_batches(
         lambda t: t.select(["doc_id"]),
         batch_format="pyarrow",

@@ -7,18 +7,23 @@ Reference analog: uniqueness constraints + existence-check-then-insert
 generalized to content-level near-dup detection as required for a 100 TB
 training-data engine.
 
+Every exchange below is ``arrow_kernels.exchange`` (directly, or as the
+``joins`` attaches / semi- and anti-joins / ``grouped_aggregate``), every
+in-key pair triangle is ``arrow_kernels.run_pairs``, and the memoized
+tables share one keep-latest memo (``_memo``).
+
 Scale notes (the partitioning assumptions each operator relies on):
-  - exact: winner-per-fingerprint via groupby(fingerprint) — the shuffle
+  - exact: winner-per-fingerprint via the fingerprint exchange — the shuffle
     carries only (fingerprint, doc_id) pairs, never content.
   - jaccard: exact inverted-index join on shingles; a shingle shared by d
     docs emits d*(d-1)/2 candidate pairs, so this is for verification /
     small scopes. The scale path is minhash_lsh (bounded band buckets).
-  - minhash_lsh: shingle -> 64 minhashes -> 16 bands of 4 -> groupby(band
-    bucket) -> candidate pairs -> DISTRIBUTED exact-Jaccard verify over the
+  - minhash_lsh: shingle -> 64 minhashes -> 16 bands of 4 -> band-key
+    exchange -> candidate pairs -> DISTRIBUTED exact-Jaccard verify over the
     candidate docs only. Only band-bucket collisions shuffle; the driver
     sees pair ids, never text.
   - simhash: banding AND hamming verification run distributed
-    (groupby(16-bit chunk bucket)); oversized buckets are capped + logged.
+    (16-bit chunk-key exchange); oversized buckets are capped + logged.
   - embedding near-dup: exact = distributed block-pair sweep (per-task
     pushdown reads, no broadcast, no driver-held vectors); scale path =
     IVF-bucketed blocking over pipelines/simsearch.build_ivf_index.
@@ -44,9 +49,24 @@ from smse_backend_ray.config import (
     SIMHASH_MAX_HAMMING,
 )
 from smse_backend_ray.functions.analyzer import split_subtokens
+from smse_backend_ray.functions.arrow_kernels import (
+    agg,
+    arrow_map,
+    exchange,
+    int64_schema,
+    run_pairs,
+    run_rank,
+)
 from smse_backend_ray.functions.collect import collect_table
+from smse_backend_ray.functions.joins import (
+    anti_join,
+    attach_left,
+    attach_unique,
+    grouped_aggregate,
+    semi_join,
+)
 from smse_backend_ray.functions.rounding import round_half_away
-from smse_backend_ray.pipelines.simsearch import _emb_matrix
+from smse_backend_ray.pipelines.simsearch import _emb_matrix, _sqdist
 from smse_backend_ray.sources.corpus import _parquet_rows, read_table
 
 SHINGLE_K = 3
@@ -57,13 +77,9 @@ LSH_BANDS = 16  # 16 bands x 4 rows
 # meaningful (60-ish) deterministic pair set for the correctness gate
 EMB_DUP_THRESHOLD = 0.4
 
-
-from smse_backend_ray.functions.joins import anti_join as _anti_join
-from smse_backend_ray.functions.joins import attach_unique as _attach_unique
-from smse_backend_ray.functions.joins import grouped_aggregate as _grouped_agg
-from smse_backend_ray.functions.joins import hash_strings as _hash_strings
-from smse_backend_ray.functions.joins import semi_join as _semi_join
-from smse_backend_ray.functions.joins import with_schema as _with_schema
+_DOC_KEY = pa.schema([("doc_id", pa.int64()), ("shingle", pa.string())])
+_PAIR = int64_schema("a", "b")
+_COSINE = int64_schema("a", "b", cosine=pa.float64())
 
 
 def _compact(ds_mat, rows_per_block: int = 4096):
@@ -78,8 +94,19 @@ def _compact(ds_mat, rows_per_block: int = 4096):
     return ds_mat.repartition(blocks).materialize()
 
 
+def _small_nb(n_rows: int) -> int:
+    """Exchange buckets for a candidate-bounded input of ``n_rows``: a
+    257-row verify set through the default 8*cpus buckets paid hundreds of
+    near-empty reduce tasks per attach (measured 7-12 s each)."""
+    return max(4, min(64, -(-n_rows // 512)))
+
+
 def _read_documents(sf_dir: str) -> "ray.data.Dataset":
     return read_table(sf_dir, "documents", ["doc_id", "text"])
+
+
+def _by_pair(t: pa.Table) -> pa.Table:
+    return t.sort_by([("a", "ascending"), ("b", "ascending")])
 
 
 def doc_shingles(text: str, k: int = SHINGLE_K) -> list[str]:
@@ -91,6 +118,34 @@ def doc_shingles(text: str, k: int = SHINGLE_K) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# the one dedup memo
+# ---------------------------------------------------------------------------
+
+_MEMO: dict[str, tuple] = {}
+
+
+def _memo(slot: str, key: tuple, compute):
+    """Keep-latest memo: each ``slot`` holds ONE (key, value), the latest.
+    Values pin materialized object-store blocks or tables, so a process
+    that walks several sf dirs, thresholds or caps keeps one per slot,
+    never one per key it has seen. Keys carry the documents stamp."""
+    hit = _MEMO.get(slot)
+    if hit is not None and hit[0] == key:
+        return hit[1]
+    value = compute()
+    _MEMO[slot] = (key, value)
+    return value
+
+
+def _docs_stamp(sf_dir: str) -> tuple:
+    """(path, size, mtime) stamp of the documents table (mtime alone is
+    too coarse on second-granularity filesystems)."""
+    path = os.path.join(sf_dir, "documents.parquet")
+    st = os.stat(path)
+    return (path, st.st_size, st.st_mtime)
+
+
+# ---------------------------------------------------------------------------
 # exact dedup
 # ---------------------------------------------------------------------------
 
@@ -99,27 +154,17 @@ def exact_dedup(sf_dir: str) -> pa.Table:
 
     def fp_batch(t: pa.Table) -> pa.Table:
         fps = [hashlib.md5((x or "").encode()).hexdigest() for x in t["text"].to_pylist()]
-        # per-batch partial winner (combiner) before the tiny global groupby
-        part = pa.table(
-            {"fingerprint": pa.array(fps), "doc_id": t["doc_id"]}
-        )
-        g = part.group_by("fingerprint").aggregate([("doc_id", "min")])
-        # by-name selection (group_by column order varies across pyarrow versions)
-        return pa.table({"fingerprint": g["fingerprint"], "doc_id": g["doc_id_min"]})
+        # per-batch partial winner (combiner) before the global exchange
+        part = pa.table({"fingerprint": pa.array(fps, pa.string()), "doc_id": t["doc_id"]})
+        return agg(part, "fingerprint", doc_id=("doc_id", "min"))
 
-    from ray.data.aggregate import Min
-
-    winners = _grouped_agg(
-        _read_documents(sf_dir).map_batches(
-            fp_batch, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        ["fingerprint"],
-        [("doc_id", "min", "doc_id")],
-        nb=_doc_buckets(sf_dir),
+    schema = pa.schema([("fingerprint", pa.string()), ("doc_id", pa.int64())])
+    winners = grouped_aggregate(
+        arrow_map(_read_documents(sf_dir), fp_batch), ["fingerprint"], schema,
+        nb=_doc_buckets(sf_dir), doc_id=("doc_id", "min"),
     )
-    t = collect_table(winners)
-    t = t.select(["doc_id", "fingerprint"])
-    return t.take(pc.sort_indices(t["doc_id"]))
+    t = collect_table(winners, empty_schema=schema)
+    return t.select(["doc_id", "fingerprint"]).sort_by("doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -135,22 +180,19 @@ def _gram_rows(t: pa.Table, k: int) -> pa.Table:
     parity test compares as sets)."""
     from smse_backend_ray.functions.analyzer import subtokens_batch
 
-    empty = pa.table(
-        {"doc_id": pa.array([], type=pa.int64()), "shingle": pa.array([], type=pa.string())}
-    )
     toks = subtokens_batch(t["text"])
     flat = toks.values
     total = len(flat)
     if total < k:
         # tiny batch: scalar fallback keeps the edge cases trivial
-        ids, shs = [], []
-        for did, text in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
-            for s in doc_shingles(text, k):
-                ids.append(did)
-                shs.append(s)
-        return pa.table(
-            {"doc_id": pa.array(ids, type=pa.int64()), "shingle": pa.array(shs)}
-        ) if ids else empty
+        rows = [
+            (did, s)
+            for did, text in zip(t["doc_id"].to_pylist(), t["text"].to_pylist())
+            for s in doc_shingles(text, k)
+        ]
+        return pa.Table.from_pylist(
+            [{"doc_id": d, "shingle": s} for d, s in rows], schema=_DOC_KEY
+        )
     off = np.asarray(toks.offsets, dtype=np.int64)
     counts = np.diff(off)
     doc_idx = np.repeat(np.arange(len(toks), dtype=np.int64), counts)
@@ -162,18 +204,13 @@ def _gram_rows(t: pa.Table, k: int) -> pa.Table:
     local = np.arange(total) - off[doc_idx]
     valid = (local[:n_grams] <= counts[doc_idx[:n_grams]] - k)
     if not valid.any():
-        return empty
-    vm = pa.array(valid)
+        return _DOC_KEY.empty_table()
     dids = pa.array(
         t["doc_id"].to_numpy(zero_copy_only=False)[doc_idx[:n_grams][valid]],
         type=pa.int64(),
     )
-    distinct = (
-        pa.table({"doc_id": dids, "shingle": grams.filter(vm)})
-        .group_by(["doc_id", "shingle"])
-        .aggregate([])
-    )
-    return distinct
+    return agg(pa.table({"doc_id": dids, "shingle": grams.filter(pa.array(valid))}),
+               ["doc_id", "shingle"])
 
 
 def _shingle_rows(t: pa.Table) -> pa.Table:
@@ -186,90 +223,28 @@ def _shingle_rows(t: pa.Table) -> pa.Table:
 # candidate rows and kills the job at scale.
 
 
-_PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("n", pa.int64())])
+def _pair_counts(ds, key_col: str, name: str, nb: int):
+    """(key_col, doc_id) rows -> (a, b, ``name``) = the number of key
+    values every (a < b) doc pair shares.
 
-
-def _pair_groups_count() -> int:
-    from smse_backend_ray.functions.joins import cpu_scaled_buckets
-
-    return cpu_scaled_buckets()
-
-
-def _pairs_within_key(ds, key_col: str, nb: int | None = None):
-    """(key_col, doc_id) rows -> (a, b, n) PARTIAL pair counts: every
-    (a < b) doc pair sharing a key value, counted once per shared key
-    (caller finishes with groupby(a, b).Sum).
-
-    Scale shape: the naive groupby(key).map_groups calls a PYTHON function
-    once per key — hundreds of thousands of tiny groups made this the
-    dedup family's wall (measured 52-60 s at 5k docs / 16 CPUs). Instead
-    keys hash into a few FAT groups (the bucket-encoder pattern) and each
-    group emits every in-key pair in a handful of numpy passes (lexsort ->
-    segment bounds -> upper-triangle expansion via repeat/arange), then
-    pre-aggregates (a, b) partials in Arrow C++ before the global
-    exchange. Requires each doc to appear AT MOST ONCE per key (true for
-    distinct shingle sets and band signatures) so within-segment doc ids
-    are strictly increasing and a < b holds by construction. Per-group
-    memory is O(total rows / n_buckets + emitted pairs in the bucket);
-    pair blowup stays bounded by the callers' df caps. ``nb`` overrides
-    the CPU-scaled group count (callers pass the doc-scaled hint)."""
-    nb = nb or _pair_groups_count()
-
-    def bucket(t: pa.Table) -> pa.Table:
-        h = _hash_strings(t[key_col])
-        return pa.table(
-            {
-                "kb": pa.array((h % np.uint64(nb)).astype(np.int64), type=pa.int64()),
-                "k": t[key_col],
-                "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            }
-        )
+    Scale shape: keys hash into a few FAT groups through the one exchange
+    (a per-key map_groups pays a PYTHON call per key — measured 52-60 s at
+    5k docs / 16 CPUs) and each group emits every in-key pair with
+    ``run_pairs``, pre-aggregating (a, b) partials in Arrow C++ before
+    the (a, b) exchange sums them. Requires each doc to appear AT MOST
+    ONCE per key (true for distinct shingle sets and band signatures), so
+    a < b holds by construction. Per-group memory is O(total rows /
+    n_buckets + emitted pairs in the bucket); pair blowup stays bounded
+    by the callers' df caps."""
 
     def emit(g: pa.Table) -> pa.Table:
-        if g.num_rows < 2:
-            return _PAIR_SCHEMA.empty_table()
-        k = np.asarray(g["k"].to_numpy(zero_copy_only=False), dtype=object)
         d = g["doc_id"].to_numpy()
-        order = np.lexsort((d, k))
-        k_s, d_s = k[order], d[order]
-        newseg = np.empty(len(k_s), dtype=bool)
-        newseg[0] = True
-        newseg[1:] = k_s[1:] != k_s[:-1]
-        seg_id = np.cumsum(newseg) - 1
-        seg_start = np.flatnonzero(newseg)
-        local_pos = np.arange(len(k_s)) - seg_start[seg_id]
-        total = int(local_pos.sum())
-        if total == 0:
-            return _PAIR_SCHEMA.empty_table()
-        # element i (local pos p) pairs with its p predecessors in-segment
-        b_idx = np.repeat(np.arange(len(k_s)), local_pos)
-        starts = np.repeat(seg_start[seg_id], local_pos)
-        csum = np.concatenate(([0], np.cumsum(local_pos)))
-        within = np.arange(total) - np.repeat(csum[:-1], local_pos)
-        a_idx = starts + within
-        part = (
-            pa.table(
-                {
-                    "a": pa.array(d_s[a_idx], type=pa.int64()),
-                    "b": pa.array(d_s[b_idx], type=pa.int64()),
-                }
-            )
-            .group_by(["a", "b"])
-            .aggregate([("a", "count")])
-        )
-        return pa.table(
-            {
-                "a": part["a"],
-                "b": part["b"],
-                "n": pc.cast(part["a_count"], pa.int64()),
-            }
-        )
+        a, b, _ = run_pairs(g[key_col].to_numpy(zero_copy_only=False), d)
+        return agg(pa.table({"a": d[a], "b": d[b]}), ["a", "b"], n=("a", "count"))
 
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("kb")
-        .map_groups(emit, batch_format="pyarrow")
-    )
+    partial = exchange(ds, key_col, emit, int64_schema("a", "b", "n"), nb=nb)
+    return grouped_aggregate(partial, ["a", "b"], int64_schema("a", "b", name), nb=nb,
+                             **{name: ("n", "sum")})
 
 
 def _score_jaccard(
@@ -285,112 +260,69 @@ def _score_jaccard(
     Fully distributed: the per-doc shingle-set sizes stay a Dataset and are
     attached with two distributed unique-key joins (on a, then on b) — no
     driver-side dict of O(corpus) / O(candidate-docs) sizes, no broadcast.
-    The joins run on joins.attach_unique (one sort-shuffle groupby each),
-    NOT Dataset.join: candidate pairs are sparse, and Ray 2.49's hash-join
+    The joins run on joins.attach_unique (the bucketed exchange), NOT
+    Dataset.join: candidate pairs are sparse, and Ray 2.49's hash-join
     aggregator crashes on hash partitions that receive no rows (see the
     dsjoin docstring; caught by the adversarial fuzz)."""
-    inter_schema = pa.schema(
-        [("a", pa.int64()), ("b", pa.int64()), ("inter", pa.int64())]
-    )
+    inter_schema = int64_schema("a", "b", "inter")
     # both inputs are MATERIALIZED by the callers, so count() is free and
-    # sizes the bucket exchange to the data: a 257-row verify set through
-    # the default 8*cpus buckets paid hundreds of near-empty reduce tasks
-    # per attach (measured 7-12 s each); data-scaled buckets make it ~1 s.
-    n = inter_ds.count() + sizes_ds.count()
-    nb = max(4, min(64, -(-n // 512)))
-    ja = _attach_unique(
+    # sizes the bucket exchange to the data
+    nb = _small_nb(inter_ds.count() + sizes_ds.count())
+    ja = attach_unique(
         inter_ds, sizes_ds.rename_columns({"n": "na"}),
-        "a", "doc_id", inter_schema, pa.schema([("na", pa.int64())]), nb=nb,
+        "a", "doc_id", inter_schema, int64_schema("na"), nb=nb,
     )
-    jb = _attach_unique(
+    jb = attach_unique(
         ja, sizes_ds.rename_columns({"n": "nb"}),
-        "b", "doc_id",
-        pa.schema(list(inter_schema) + [("na", pa.int64())]),
-        pa.schema([("nb", pa.int64())]), nb=nb,
+        "b", "doc_id", int64_schema("a", "b", "inter", "na"), int64_schema("nb"), nb=nb,
     )
-
-    col = formula
+    out_schema = int64_schema("a", "b", **{formula: pa.float64()})
 
     def score(t: pa.Table) -> pa.Table:
-        it = t["inter"].to_numpy().astype(np.float64)
-        na = t["na"].to_numpy().astype(np.float64)
-        nb = t["nb"].to_numpy().astype(np.float64)
-        if formula == "containment":
-            j = it / np.minimum(na, nb)
-        else:
-            j = it / (na + nb - it)
+        it, na, nb = (t[c].to_numpy().astype(np.float64) for c in ("inter", "na", "nb"))
+        j = it / np.minimum(na, nb) if formula == "containment" else it / (na + nb - it)
         m = j >= threshold
-        return pa.table(
-            {
-                "a": pc.cast(t["a"].filter(pa.array(m)), pa.int64()),
-                "b": pc.cast(t["b"].filter(pa.array(m)), pa.int64()),
-                col: pa.array(round_half_away(j[m], 4), type=pa.float64()),
-            }
-        )
+        return pa.table({"a": t["a"].filter(pa.array(m)), "b": t["b"].filter(pa.array(m)),
+                         formula: round_half_away(j[m], 4)})
 
-    out = jb.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-    t = collect_table(
-        out,
-        empty_schema=pa.schema(
-            [("a", pa.int64()), ("b", pa.int64()), (col, pa.float64())]
-        ),
-    )
-    if t.num_rows == 0:
-        return pa.table(
-            {"a": pa.array([], type=pa.int64()), "b": pa.array([], type=pa.int64()),
-             col: pa.array([], type=pa.float64())}
-        )
-    return t.take(pc.sort_indices(t, sort_keys=[("a", "ascending"), ("b", "ascending")]))
+    return _by_pair(collect_table(arrow_map(jb, score), empty_schema=out_schema))
 
 
-def _keep_latest(cache: dict, key, value) -> None:
-    """Store ``value`` as the cache's ONLY entry: a process that walks
-    several sf dirs, thresholds or caps keeps the latest result, never
-    one table per key it has seen."""
-    cache.clear()
-    cache[key] = value
-
-
-_HOT_SHINGLE_CACHE: dict[tuple, tuple[tuple, object]] = {}
-
-
-def _global_hot_shingles(sf_dir: str, df_cap: int, op: str):
-    """Distributed global shingle-df pass -> (materialized Dataset of
-    shingles with df > cap, their count). Logged when non-empty — never a
-    silent drop. Stays a DATASET: the hot set grows with corpus vocabulary
-    at fixed cap, so it must never be required to fit on the driver.
-    Memoized per (documents stamp, df_cap) — jaccard_pairs and
-    minhash_lsh_pairs both need the identical hot set and otherwise each
-    pay the full corpus df pass. The cache holds ONE entry (the latest
-    key): each entry pins materialized object-store blocks, so a process
-    that walks several sf dirs or caps must not keep them all alive."""
-    stamp = _docs_stamp(sf_dir)
-    hit = _HOT_SHINGLE_CACHE.get((stamp[0], df_cap))
-    if hit and hit[0] == stamp:
-        return hit[1]
-    shingles = _read_documents(sf_dir).map_batches(
-        _shingle_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
-    hot_ds = _with_schema(
-        _grouped_agg(
-            shingles, ["shingle"], [("doc_id", "count", "df")],
-            nb=_doc_buckets(sf_dir),
-        )
+def _hot_keys(rows, df_cap: int, nb: int, msg: str):
+    """Distributed global df pass over (doc_id, shingle) rows -> (materialized
+    Dataset of the keys with df > cap, their count). Logged when non-empty
+    — never a silent drop. Stays a DATASET: the hot set grows with corpus
+    vocabulary at fixed cap, so it must never be required to fit on the
+    driver."""
+    hot = (
+        grouped_aggregate(rows, ["shingle"], pa.schema([("shingle", pa.string()), ("df", pa.int64())]),
+                          nb=nb, df=("doc_id", "count"))
         .filter(expr=f"df > {df_cap}")
-        .select_columns(["shingle"]),
-        pa.schema([("shingle", pa.string())]),
-    ).materialize()
-    n_hot = hot_ds.count()
+        .select_columns(["shingle"])
+        .materialize()
+    )
+    n_hot = hot.count()
     if n_hot:
         import logging
 
-        logging.getLogger(__name__).warning(
-            "%s: excluding %d shingles with df > %d from Jaccard sets",
-            op, n_hot, df_cap,
+        logging.getLogger(__name__).warning(msg, n_hot, df_cap)
+    return hot, n_hot
+
+
+def _global_hot_shingles(sf_dir: str, df_cap: int, op: str):
+    """The hot-shingle set of the corpus (``_hot_keys`` over its shingle
+    rows), memoized per (documents stamp, df_cap): jaccard_pairs and
+    minhash_lsh_pairs both need the identical hot set and otherwise each
+    pay the full corpus df pass."""
+
+    def compute():
+        hot, n_hot = _hot_keys(
+            arrow_map(_read_documents(sf_dir), _shingle_rows), df_cap, _doc_buckets(sf_dir),
+            f"{op}: excluding %d shingles with df > %d from Jaccard sets",
         )
-    out = (_compact(hot_ds), n_hot)
-    _keep_latest(_HOT_SHINGLE_CACHE, (stamp[0], df_cap), (stamp, out))
-    return out
+        return _compact(hot), n_hot
+
+    return _memo("hot", (_docs_stamp(sf_dir), df_cap), compute)
 
 
 def _drop_hot_stage(ds, hot):
@@ -403,18 +335,16 @@ def _drop_hot_stage(ds, hot):
     hot_ds, n_hot = hot
     if n_hot == 0:
         return ds
-    shingle_schema = pa.schema([("doc_id", pa.int64()), ("shingle", pa.string())])
     if n_hot <= HOT_SHINGLE_BROADCAST_MAX:
-        hot_arr = collect_table(hot_ds)["shingle"].combine_chunks()
-        hot_ref = ray.put(hot_arr)
+        hot_ref = ray.put(collect_table(hot_ds)["shingle"].combine_chunks())
 
         def drop_hot(t: pa.Table) -> pa.Table:
             return t.filter(
                 pc.invert(pc.is_in(t["shingle"], value_set=ray.get(hot_ref)))
             )
 
-        return ds.map_batches(drop_hot, batch_format="pyarrow", zero_copy_batch=True)
-    return _anti_join(ds, hot_ds, ["shingle"], shingle_schema)
+        return arrow_map(ds, drop_hot)
+    return anti_join(ds, hot_ds, ["shingle"], _DOC_KEY)
 
 
 WINNOW_DUP_FP_DF_CAP = 64   # fingerprints in more docs are boilerplate
@@ -445,80 +375,70 @@ def winnow_dup_pairs(
     from smse_backend_ray.pipelines.textstats import winnow_fingerprints_one
 
     def fp_rows(t: pa.Table) -> pa.Table:
-        ids, fps = [], []
-        for did, text in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
-            for v in winnow_fingerprints_one(text):
-                ids.append(did)
-                fps.append(str(v))
         # column named "shingle" so the shared dedup machinery
-        # (_drop_hot_stage / _pairs_within_key) applies verbatim — the
-        # column semantically is "the dedup key"
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, type=pa.int64()),
-                "shingle": pa.array(fps, type=pa.string()),
-            }
+        # (_hot_keys / _drop_hot_stage / _pair_counts) applies verbatim —
+        # the column semantically is "the dedup key"
+        return pa.Table.from_pylist(
+            [
+                {"doc_id": did, "shingle": str(v)}
+                for did, text in zip(t["doc_id"].to_pylist(), t["text"].to_pylist())
+                for v in winnow_fingerprints_one(text)
+            ],
+            schema=_DOC_KEY,
         )
 
     def rows_ds():
-        return _read_documents(sf_dir).map_batches(
-            fp_rows, batch_format="pyarrow", zero_copy_batch=True
-        )
+        return arrow_map(_read_documents(sf_dir), fp_rows)
 
     nb = _doc_buckets(sf_dir)
-    dfs = _grouped_agg(
-        rows_ds(), ["shingle"], [("doc_id", "count", "df")], nb=nb
-    )
-    hot_ds = dfs.map_batches(
-        lambda t: t.filter(pc.greater(t["df"], df_cap)).select(["shingle"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).materialize()
-    n_hot = hot_ds.count()
-    if n_hot:
-        import logging
+    hot = _hot_keys(rows_ds(), df_cap, nb, "winnow_dup_pairs: dropping %d fingerprints with df > %d")
+    inter = _pair_counts(_drop_hot_stage(rows_ds(), hot), "shingle", "n_shared", nb)
+    return _by_pair(collect_table(inter.filter(expr=f"n_shared >= {min_shared}"),
+                                  empty_schema=int64_schema("a", "b", "n_shared")))
 
-        logging.getLogger(__name__).warning(
-            "winnow_dup_pairs: dropping %d fingerprints with df > %d",
-            n_hot, df_cap,
+
+def _shingle_inter_sizes(sf_dir: str, df_cap: int, op: str):
+    """The shared exact-overlap candidate pass: hot-capped shingle stream
+    -> (materialized candidate-pair intersections, materialized per-doc
+    set sizes). jaccard_pairs and containment_pairs consume the SAME
+    tables (memoized per (documents stamp, df_cap)) and differ only in
+    the score formula applied on top."""
+
+    def compute():
+        shingles = _drop_hot_stage(
+            arrow_map(_read_documents(sf_dir), _shingle_rows),
+            _global_hot_shingles(sf_dir, df_cap, op),
         )
-    kept = _drop_hot_stage(rows_ds(), (hot_ds, n_hot))
-    inter = _grouped_agg(
-        _pairs_within_key(kept, "shingle", nb=nb),
-        ["a", "b"], [("n", "sum", "n_shared")], nb=nb,
-    )
-    out_schema = pa.schema(
-        [("a", pa.int64()), ("b", pa.int64()), ("n_shared", pa.int64())]
-    )
-    t = collect_table(
-        inter.map_batches(
-            lambda t: t.filter(pc.greater_equal(t["n_shared"], min_shared)),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
-        empty_schema=out_schema,
-    )
-    t = pa.table(
-        {
-            "a": pc.cast(t["a"], pa.int64()),
-            "b": pc.cast(t["b"], pa.int64()),
-            "n_shared": pc.cast(t["n_shared"], pa.int64()),
-        }
-    )
-    return t.take(
-        pc.sort_indices(t, sort_keys=[("a", "ascending"), ("b", "ascending")])
-    )
+        nb = _doc_buckets(sf_dir)
+        # doc shingle-set sizes: stays a DATASET (joined in _score_jaccard,
+        # never a driver dict — O(corpus) entries at scale)
+        sizes = grouped_aggregate(shingles, ["doc_id"], int64_schema("doc_id", "n"), nb=nb,
+                                  n=("shingle", "count"))
+        # MATERIALIZED checkpoints: chaining the whole thing into one lazy
+        # DAG stacks 4+ sort stages into a single streaming execution,
+        # which measured ~4x slower than staged runs (BASELINE.md round-3
+        # dedup notes); both tables are candidate-bounded
+        inter = _pair_counts(shingles, "shingle", "inter", nb)
+        return _compact(inter.materialize()), _compact(sizes.materialize())
+
+    return _memo("cand", (_docs_stamp(sf_dir), int(df_cap)), compute)
 
 
-_JACCARD_CACHE: dict[tuple, tuple[tuple, pa.Table]] = {}
-
-
-def _docs_stamp(sf_dir: str) -> tuple:
-    """(path, size, mtime) stamp of the documents table (mtime alone is
-    too coarse on second-granularity filesystems)."""
-    path = os.path.join(sf_dir, "documents.parquet")
-    st = os.stat(path)
-    return (path, st.st_size, st.st_mtime)
+def _overlap_pairs(sf_dir: str, threshold: float, df_cap: int, formula: str, op: str):
+    """jaccard_pairs / containment_pairs: score the shared candidate
+    tables, memoized per (documents stamp, threshold, df_cap). The shared
+    candidate tables are released once BOTH formulas hold a scored table
+    for the same (documents, df_cap) — the two scored memos then answer
+    every repeat call."""
+    stamp = _docs_stamp(sf_dir)
+    out = _memo(
+        formula, (stamp, float(threshold), int(df_cap)),
+        lambda: _score_jaccard(*_shingle_inter_sizes(sf_dir, df_cap, op), threshold, formula),
+    )
+    scored = [_MEMO.get(f, ((None,),))[0] for f in ("jaccard", "containment")]
+    if all(k[0] == stamp and k[-1] == int(df_cap) for k in scored):
+        _MEMO.pop("cand", None)
+    return out
 
 
 def jaccard_pairs(
@@ -541,69 +461,7 @@ def jaccard_pairs(
     df_cap) is memoized: dedup_clusters and dedup_survivors both start
     from these pairs, and each gate entry otherwise re-runs the full
     two-pass shingle sweep."""
-    ckey = (_docs_stamp(sf_dir), float(threshold), int(df_cap))
-    hit = _JACCARD_CACHE.get(ckey[1:])
-    if hit and hit[0] == ckey[0]:
-        return hit[1]
-    inter, sizes_ds = _shingle_inter_sizes(sf_dir, df_cap, "jaccard_pairs")
-    out = _score_jaccard(inter, sizes_ds, threshold)
-    _keep_latest(_JACCARD_CACHE, ckey[1:], (ckey[0], out))
-    _release_candidates(ckey[0], int(df_cap))
-    return out
-
-
-_SHINGLE_CAND_CACHE: dict[tuple, tuple[tuple, tuple]] = {}
-
-
-def _release_candidates(stamp: tuple, df_cap: int) -> None:
-    """Drop the shared candidate tables of (documents, df_cap) once BOTH
-    jaccard_pairs and containment_pairs have cached a scored table for them:
-    the tables pin materialized object-store blocks, and the two scored
-    caches now answer every repeat call. A call with a new threshold
-    recomputes the candidate pass."""
-    def scored(cache: dict) -> bool:
-        return any(k[1] == df_cap and v[0] == stamp for k, v in cache.items())
-
-    if scored(_JACCARD_CACHE) and scored(_CONTAIN_CACHE):
-        _SHINGLE_CAND_CACHE.pop((stamp[0], df_cap), None)
-
-
-def _shingle_inter_sizes(sf_dir: str, df_cap: int, op: str):
-    """The shared exact-overlap candidate pass: hot-capped shingle stream
-    -> (materialized candidate-pair intersections, materialized per-doc
-    set sizes). jaccard_pairs and containment_pairs consume the SAME
-    tables (memoized per (documents stamp, df_cap)) and differ only in
-    the score formula applied on top."""
-    stamp = _docs_stamp(sf_dir)
-    hit = _SHINGLE_CAND_CACHE.get((stamp[0], int(df_cap)))
-    if hit and hit[0] == stamp:
-        return hit[1]
-
-    docs = _read_documents(sf_dir)
-    shingles = docs.map_batches(_shingle_rows, batch_format="pyarrow", zero_copy_batch=True)
-    shingles = _drop_hot_stage(
-        shingles, _global_hot_shingles(sf_dir, df_cap, op)
-    )
-
-    # doc shingle-set sizes: stays a DATASET (joined in _score_jaccard, never
-    # a driver dict — O(corpus) entries at scale). Materialized because the
-    # scorer joins it twice; it is (doc_id, n) rows, tiny next to the corpus.
-    nb_doc = _doc_buckets(sf_dir)
-    sizes_ds = _compact(_grouped_agg(
-        shingles, ["doc_id"], [("shingle", "count", "n")], nb=nb_doc
-    ).materialize())
-
-    # MATERIALIZE the candidate-pair table before scoring: chaining the
-    # whole thing into one lazy DAG stacks 4+ sort stages into a single
-    # streaming execution, which measured ~4x slower than staged runs
-    # (BASELINE.md round-3 dedup notes); inter is candidate-bounded, so the
-    # checkpoint is small by construction.
-    inter = _compact(_grouped_agg(
-        _pairs_within_key(shingles, "shingle", nb=nb_doc),
-        ["a", "b"], [("n", "sum", "inter")], nb=nb_doc,
-    ).materialize())
-    _SHINGLE_CAND_CACHE[(stamp[0], int(df_cap))] = (stamp, (inter, sizes_ds))
-    return inter, sizes_ds
+    return _overlap_pairs(sf_dir, threshold, df_cap, "jaccard", "jaccard_pairs")
 
 
 CONTAIN_THRESHOLD = 0.9
@@ -628,18 +486,7 @@ def containment_pairs(
     Scale shape: identical to jaccard_pairs — the candidate pass is the
     shared memoized _shingle_inter_sizes tables, so running both signals
     costs ONE shingle sweep."""
-    ckey = (_docs_stamp(sf_dir), float(threshold), int(df_cap))
-    hit = _CONTAIN_CACHE.get(ckey[1:])
-    if hit and hit[0] == ckey[0]:
-        return hit[1]
-    inter, sizes_ds = _shingle_inter_sizes(sf_dir, df_cap, "containment_pairs")
-    out = _score_jaccard(inter, sizes_ds, threshold, formula="containment")
-    _keep_latest(_CONTAIN_CACHE, ckey[1:], (ckey[0], out))
-    _release_candidates(ckey[0], int(df_cap))
-    return out
-
-
-_CONTAIN_CACHE: dict[tuple, tuple[tuple, pa.Table]] = {}
+    return _overlap_pairs(sf_dir, threshold, df_cap, "containment", "containment_pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -727,69 +574,34 @@ def minhash_lsh_pairs(
     joins.attach_unique (sort-shuffle, empty-partition-safe) — candidate
     sets are sparse and Ray's hash-join aggregator crashes on empty hash
     partitions (dsjoin docstring)."""
-    from ray.data.aggregate import Count
-
     def band_rows(t: pa.Table) -> pa.Table:
-        texts = t["text"].to_pylist()
-        lists = [doc_shingles(x) for x in texts]
+        lists = [doc_shingles(x) for x in t["text"].to_pylist()]
         sigs = _minhash_sig_batch(lists)  # one matrix op for the whole batch
         r = MINHASH_PERMS // LSH_BANDS
-        dids, keys = [], []
-        for did, lst, sig in zip(t["doc_id"].to_pylist(), lists, sigs):
-            if not lst:
-                continue
-            for b in range(LSH_BANDS):
-                h = hashlib.md5(sig[b * r : (b + 1) * r].tobytes()).hexdigest()[:16]
-                dids.append(did)
-                keys.append(f"{b}:{h}")  # band folded into the bucket key
-        return pa.table(
-            {
-                "doc_id": pa.array(dids, type=pa.int64()),
-                "bkey": pa.array(keys, type=pa.string()),
-            }
-        )
-
-    empty = pa.table(
-        {"a": pa.array([], type=pa.int64()), "b": pa.array([], type=pa.int64()),
-         "jaccard": pa.array([], type=pa.float64())}
-    )
+        rows = [
+            {"doc_id": did, "bkey": f"{b}:" + hashlib.md5(sig[b * r : (b + 1) * r].tobytes())
+             .hexdigest()[:16]}  # band folded into the bucket key
+            for did, lst, sig in zip(t["doc_id"].to_pylist(), lists, sigs)
+            if lst
+            for b in range(LSH_BANDS)
+        ]
+        return pa.Table.from_pylist(rows, schema=pa.schema([("doc_id", pa.int64()), ("bkey", pa.string())]))
 
     # candidate pairs, distinct-ed distributed; STAYS a Dataset (materialized
     # in the object store — O(LSH collisions), never on the driver). A pair
     # colliding in k bands shuffles k rows but survives distinct-ing once.
-    from ray.data.aggregate import Sum
-
     nb_doc = _doc_buckets(sf_dir)
-    pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
-    cands = _with_schema(
-        _grouped_agg(
-            _pairs_within_key(
-                _read_documents(sf_dir).map_batches(
-                    band_rows, batch_format="pyarrow", zero_copy_batch=True
-                ),
-                "bkey",
-                nb=nb_doc,
-            ),
-            ["a", "b"],
-            [("n", "sum", "n_bands")],
-            nb=nb_doc,
-        ).select_columns(["a", "b"]),
-        pair_schema,
-    ).materialize()
-    cands = _compact(cands)
+    cands = _compact(
+        _pair_counts(arrow_map(_read_documents(sf_dir), band_rows), "bkey", "n_bands", nb_doc)
+        .select_columns(["a", "b"]).materialize()
+    )
     if cands.count() == 0:
-        return empty
+        return int64_schema("a", "b", jaccard=pa.float64()).empty_table()
 
     # candidate doc ids, distinct-ed distributed
-    need_ids = _with_schema(
-        _grouped_agg(
-            cands.select_columns(["a"]).rename_columns({"a": "doc_id"})
-            .union(cands.select_columns(["b"]).rename_columns({"b": "doc_id"})),
-            ["doc_id"],
-            [("doc_id", "count", "_c")],
-            nb=nb_doc,
-        ).select_columns(["doc_id"]),
-        pa.schema([("doc_id", pa.int64())]),
+    need_ids = grouped_aggregate(
+        [cands.select_columns([c]).rename_columns({c: "doc_id"}) for c in ("a", "b")],
+        ["doc_id"], int64_schema("doc_id"), nb=nb_doc,
     )
 
     # distributed verification over candidate docs only, selected with a
@@ -797,39 +609,26 @@ def minhash_lsh_pairs(
     # materialized because two consumers (sizes, intersections) read it —
     # bounded by the candidate set, not the corpus. The hot-shingle cap
     # matches jaccard_pairs exactly.
-    cand_shingles = _drop_hot_stage(
-        _semi_join(
-            _read_documents(sf_dir), need_ids, ["doc_id"],
-            pa.schema([("doc_id", pa.int64()), ("text", pa.string())]),
-            nb=nb_doc,
-        )
-        .map_batches(_shingle_rows, batch_format="pyarrow", zero_copy_batch=True),
+    cand_docs = semi_join(
+        _read_documents(sf_dir), need_ids, ["doc_id"],
+        pa.schema([("doc_id", pa.int64()), ("text", pa.string())]), nb=nb_doc,
+    )
+    cand_shingles = _compact(_drop_hot_stage(
+        arrow_map(cand_docs, _shingle_rows),
         _global_hot_shingles(sf_dir, df_cap, "minhash_lsh_pairs"),
-    ).materialize()
-    cand_shingles = _compact(cand_shingles)
-    sizes_ds = _compact(_grouped_agg(
-        cand_shingles, ["doc_id"], [("shingle", "count", "n")], nb=nb_doc
+    ).materialize())
+    sizes_ds = _compact(grouped_aggregate(
+        cand_shingles, ["doc_id"], int64_schema("doc_id", "n"), nb=nb_doc, n=("shingle", "count"),
     ).materialize())
 
     # all shingle-co-occurrence pairs among candidate docs (bounded by the
     # hot-shingle df cap), then restricted to the LSH candidate pairs with a
     # distributed semi-join — no broadcast pair set.
-    inter = _semi_join(
-        _with_schema(
-            _grouped_agg(
-                _pairs_within_key(cand_shingles, "shingle", nb=nb_doc),
-                ["a", "b"],
-                [("n", "sum", "inter")],
-                nb=nb_doc,
-            ),
-            pa.schema([("a", pa.int64()), ("b", pa.int64()), ("inter", pa.int64())]),
-        ),
-        cands, ["a", "b"],
-        pa.schema([("a", pa.int64()), ("b", pa.int64()), ("inter", pa.int64())]),
-        nb=nb_doc,
+    inter = semi_join(
+        _pair_counts(cand_shingles, "shingle", "inter", nb_doc),
+        cands, ["a", "b"], int64_schema("a", "b", "inter"), nb=nb_doc,
     ).materialize()  # candidate-bounded checkpoint (see jaccard_pairs note)
-    inter = _compact(inter)
-    return _score_jaccard(inter, sizes_ds, threshold)
+    return _score_jaccard(_compact(inter), sizes_ds, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -895,9 +694,8 @@ def simhash_batch(texts: list[str]) -> np.ndarray:
 
 
 def _popcount64(x: np.ndarray) -> np.ndarray:
-    if not x.size:
-        return np.zeros(0, dtype=np.int64)
-    return np.unpackbits(np.ascontiguousarray(x).view(np.uint8)).reshape(-1, 64).sum(axis=1)
+    bits = np.unpackbits(np.ascontiguousarray(x, dtype=np.uint64).view(np.uint8))
+    return bits.reshape(-1, 64).sum(axis=1, dtype=np.int64)
 
 
 # banding recall cap SIMHASH_BUCKET_CAP (imported from config.py —
@@ -910,110 +708,42 @@ def simhash_pairs(sf_dir: str, max_hamming: int = SIMHASH_MAX_HAMMING) -> pa.Tab
     """Near-dup pairs by simhash hamming distance, banded by 16-bit chunks
     (a pair within hamming<=3 must agree on >=1 of 4 chunks).
 
-    Fully distributed: hash in map_batches, band via groupby(chunk bucket),
+    Fully distributed: hash in map_batches, band via the chunk-key exchange,
     pair + exact-hamming-verify INSIDE each bucket group (every group row
     carries the full 64-bit hash), then a distributed (a, b) dedupe — the
     driver never sees the hash set, only the final pair table. The shuffle
     carries 4 rows of (bucket, doc_id, simhash) per doc.
     """
 
-    def sh_batch(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "simhash": pa.array(simhash_batch(t["text"].to_pylist()), type=pa.uint64()),
-            }
-        )
-
     def chunk_rows(t: pa.Table) -> pa.Table:
-        h = np.asarray(t["simhash"])
-        d = np.asarray(t["doc_id"])
-        keys, dids, hs = [], [], []
-        for c in range(4):
-            val = ((h >> np.uint64(16 * c)) & np.uint64(0xFFFF)).astype(np.int64)
-            keys.append((np.int64(c) << np.int64(16)) | val)  # bucket key = chunk || value
-            dids.append(d)
-            hs.append(h)
-        return pa.table(
-            {
-                "bkey": pa.array(np.concatenate(keys), type=pa.int64()),
-                "doc_id": pa.array(np.concatenate(dids), type=pa.int64()),
-                "simhash": pa.array(np.concatenate(hs), type=pa.uint64()),
-            }
-        )
+        h = simhash_batch(t["text"].to_pylist())
+        d = t["doc_id"].to_numpy(zero_copy_only=False)
+        # bucket key = chunk index || 16-bit chunk value
+        keys = [(np.int64(c) << np.int64(16)) | ((h >> np.uint64(16 * c)) & np.uint64(0xFFFF))
+                .astype(np.int64) for c in range(4)]
+        return pa.table({"bkey": np.concatenate(keys), "doc_id": np.tile(d, 4).astype(np.int64),
+                         "simhash": pa.array(np.tile(h, 4), pa.uint64())})
 
     def pair_group(g: pa.Table) -> pa.Table:
-        """MANY 16-bit-chunk keys per FAT group, vectorized (a per-key
-        map_groups would pay the Ray per-small-unit tax over <=262k keys):
-        lexsort by (bkey, doc_id) -> segment bounds -> per-segment cap
-        markers -> upper-triangle pair expansion -> one popcount verify."""
-        empty = pa.table(
-            {"a": pa.array([], type=pa.int64()), "b": pa.array([], type=pa.int64()),
-             "hamming": pa.array([], type=pa.int64())}
-        )
-        if g.num_rows < 2:
-            return empty
-        bk = g["bkey"].to_numpy()
-        d = g["doc_id"].to_numpy()
-        h = g["simhash"].to_numpy()
-        order = np.lexsort((d, bk))
-        bk, d, h = bk[order], d[order], h[order]
-        newseg = np.empty(len(bk), dtype=bool)
-        newseg[0] = True
-        newseg[1:] = bk[1:] != bk[:-1]
-        seg_id = np.cumsum(newseg) - 1
-        seg_start = np.flatnonzero(newseg)
-        seg_sizes = np.diff(np.concatenate((seg_start, [len(bk)])))
-        oversized = seg_sizes > SIMHASH_BUCKET_CAP
-        out_tabs = []
-        if oversized.any():
-            out_tabs.append(pa.table(
-                {"a": pa.array(np.full(int(oversized.sum()), -1), type=pa.int64()),
-                 "b": pa.array(bk[seg_start[oversized]], type=pa.int64()),
-                 "hamming": pa.array(-seg_sizes[oversized], type=pa.int64())}
-            ))
-        local_pos = np.arange(len(bk)) - seg_start[seg_id]
-        pairable = ~oversized[seg_id]
-        eff_pos = np.where(pairable, local_pos, 0)
-        total = int(eff_pos.sum())
-        if total:
-            b_idx = np.repeat(np.arange(len(bk)), eff_pos)
-            starts = np.repeat(seg_start[seg_id], eff_pos)
-            csum = np.concatenate(([0], np.cumsum(eff_pos)))
-            within = np.arange(total) - np.repeat(csum[:-1], eff_pos)
-            a_idx = starts + within
-            dist = _popcount64(h[a_idx] ^ h[b_idx])
-            keep = dist <= max_hamming
-            out_tabs.append(pa.table(
-                {"a": pa.array(d[a_idx][keep], type=pa.int64()),
-                 "b": pa.array(d[b_idx][keep], type=pa.int64()),
-                 "hamming": pa.array(dist[keep], type=pa.int64())}
-            ))
-        return pa.concat_tables(out_tabs) if out_tabs else empty
-
-    from smse_backend_ray.functions.joins import _bucket_of
+        """MANY 16-bit-chunk keys per FAT group: run_pairs over (bkey,
+        doc_id), runs over the cap reported as (-1, bkey, -size) marker
+        rows, then one popcount verify."""
+        bk, d, h = (g[c].to_numpy() for c in ("bkey", "doc_id", "simhash"))
+        a, b, (first, size) = run_pairs(bk, d, cap=SIMHASH_BUCKET_CAP)
+        dist = _popcount64(h[a] ^ h[b])
+        keep = dist <= max_hamming
+        return pa.table({"a": np.concatenate([np.full(len(first), -1), d[a][keep]]),
+                         "b": np.concatenate([bk[first], d[b][keep]]),
+                         "hamming": np.concatenate([-size, dist[keep]])})
 
     nbk = _doc_buckets(sf_dir)
-
-    def fatten(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__fb", pa.array(_bucket_of(t, ["bkey"], nbk), type=pa.int64())
-        )
-
-    pairs_ds = _grouped_agg(
-        _read_documents(sf_dir)
-        .map_batches(sh_batch, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(chunk_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(fatten, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__fb")
-        .map_groups(pair_group, batch_format="pyarrow"),
-        # a pair can surface from up to 4 chunks: distributed dedupe (the
-        # min is chunk-independent — hamming is a pair property)
-        ["a", "b"],
-        [("hamming", "min", "hamming")],
-        nb=nbk,
-    )
-    t = collect_table(pairs_ds)
+    schema = int64_schema("a", "b", "hamming")
+    pairs = exchange(arrow_map(_read_documents(sf_dir), chunk_rows), "bkey", pair_group, schema,
+                     nb=nbk)
+    # a pair can surface from up to 4 chunks: distributed dedupe (the min
+    # is chunk-independent — hamming is a pair property)
+    t = collect_table(grouped_aggregate(pairs, ["a", "b"], schema, nb=nbk,
+                                        hamming=("hamming", "min")), empty_schema=schema)
     markers = t.filter(pc.equal(t["a"], -1))
     if markers.num_rows:
         import logging
@@ -1026,14 +756,7 @@ def simhash_pairs(sf_dir: str, max_hamming: int = SIMHASH_MAX_HAMMING) -> pa.Tab
             -int(pc.sum(markers["hamming"]).as_py()),
         )
         t = t.filter(pc.not_equal(t["a"], -1))
-    t = pa.table(
-        {
-            "a": t["a"],
-            "b": t["b"],
-            "hamming": pc.cast(t["hamming"], pa.int32()),
-        }
-    )
-    return t.take(pc.sort_indices(t, sort_keys=[("a", "ascending"), ("b", "ascending")]))
+    return _by_pair(t.set_column(2, "hamming", pc.cast(t["hamming"], pa.int32())))
 
 
 # ---------------------------------------------------------------------------
@@ -1060,10 +783,7 @@ def embedding_dup_pairs(
         Count(alias_name="n"), Min("vec_id", alias_name="lo"), Max("vec_id", alias_name="hi")
     )
     if not mm["n"]:
-        return pa.table(
-            {"a": pa.array([], type=pa.int64()), "b": pa.array([], type=pa.int64()),
-             "cosine": pa.array([], type=pa.float64())}
-        )
+        return _COSINE.empty_table()
     lo, hi = int(mm["lo"]), int(mm["hi"])
     # number of blocks derives from the ROW count (id VALUES may be sparse —
     # value-derived block counts would explode the task grid); block
@@ -1071,10 +791,6 @@ def embedding_dup_pairs(
     nb = max(1, ceil(int(mm["n"]) / block_rows))
     span = hi - lo + 1
     bounds = [lo + (span * i) // nb for i in range(nb)] + [hi + 1]
-
-    def rng(i: int) -> tuple[int, int]:
-        return bounds[i], bounds[i + 1]
-
     tasks = [{"i": i, "j": j} for i in range(nb) for j in range(i, nb)]
 
     def pair_block(batch: pa.Table) -> pa.Table:
@@ -1083,46 +799,35 @@ def embedding_dup_pairs(
         dset = pads.dataset(path)
 
         def load(i: int):
-            a, b = rng(i)
-            t = dset.to_table(
-                columns=["vec_id", "embedding"],
-                filter=(pads.field("vec_id") >= a) & (pads.field("vec_id") < b),
-            )
-            ids = np.asarray(t["vec_id"])
-            M = _emb_matrix(t["embedding"])
-            return ids, M, np.sqrt((M * M).sum(axis=1))
+            field = pads.field("vec_id")
+            t = dset.to_table(columns=["vec_id", "embedding"],
+                              filter=(field >= bounds[i]) & (field < bounds[i + 1]))
+            return np.asarray(t["vec_id"]), _emb_matrix(t["embedding"])
 
-        outs = []
+        outs = [_COSINE.empty_table()]
         for i, j in zip(batch["i"].to_pylist(), batch["j"].to_pylist()):
-            ia, Ma, na = load(i)
-            ib, Mb, nbn = (ia, Ma, na) if i == j else load(j)
-            if not len(ia) or not len(ib):
-                continue
-            sims = (Ma @ Mb.T) / np.outer(na, nbn)
-            ri, cj = np.nonzero((sims >= threshold) & (ia[:, None] < ib[None, :]))
-            outs.append(
-                pa.table(
-                    {
-                        "a": pa.array(ia[ri], type=pa.int64()),
-                        "b": pa.array(ib[cj], type=pa.int64()),
-                        "cosine": pa.array(
-                            round_half_away(sims[ri, cj], 4), type=pa.float64()
-                        ),
-                    }
-                )
-            )
-        if not outs:
-            return pa.table(
-                {"a": pa.array([], type=pa.int64()), "b": pa.array([], type=pa.int64()),
-                 "cosine": pa.array([], type=pa.float64())}
-            )
+            ia, Ma = load(i)
+            ib, Mb = (ia, Ma) if i == j else load(j)
+            if len(ia) and len(ib):
+                outs.append(_cosine_pairs(ia, Ma, threshold, ib, Mb))
         return pa.concat_tables(outs)
 
     out = ray.data.from_items(tasks).map_batches(
         pair_block, batch_format="pyarrow", batch_size=1
     )
-    t = collect_table(out)
-    return t.take(pc.sort_indices(t, sort_keys=[("a", "ascending"), ("b", "ascending")]))
+    return _by_pair(collect_table(out, empty_schema=_COSINE))
+
+
+def _cosine_pairs(ia: np.ndarray, A: np.ndarray, threshold: float, ib=None, B=None) -> pa.Table:
+    """(a, b, cosine) for every id pair a < b between the rows of (ia, A)
+    and (ib, B) (default: A against itself) with cosine >= threshold,
+    rounded 4 — the one cosine block of the exact sweep and the IVF
+    blocking."""
+    ib, B = (ia, A) if B is None else (ib, B)
+    sims = (A @ B.T) / np.outer(np.sqrt((A * A).sum(axis=1)), np.sqrt((B * B).sum(axis=1)))
+    ri, cj = np.nonzero((sims >= threshold) & (ia[:, None] < ib[None, :]))
+    return pa.table([pa.array(ia[ri], pa.int64()), pa.array(ib[cj], pa.int64()),
+                     pa.array(round_half_away(sims[ri, cj], 4), pa.float64())], schema=_COSINE)
 
 
 def embedding_dup_pairs_ivf(
@@ -1133,73 +838,44 @@ def embedding_dup_pairs_ivf(
     """Sub-quadratic near-dup blocking via the IVF cluster layout
     (pipelines/simsearch.build_ivf_index): each vector is assigned to its
     ``assign_probes`` nearest centroids, pairs are generated ONLY within a
-    shared cluster (groupby(cluster) shuffle, O(sum cluster²) compute), then
+    shared cluster (cluster-key exchange, O(sum cluster²) compute), then
     deduped distributed. High recall for cosine-similar pairs (similar
     vectors land in the same or adjacent Voronoi cells — multi-assignment
     covers the boundaries); precision exact (cosines verified in-group).
     Rows-only gate + recall test vs the exact sweep."""
-    from ray.data.aggregate import Max
-
     from smse_backend_ray.pipelines.simsearch import build_ivf_index
 
     _, cents = build_ivf_index(sf_dir)
     cents_ref = ray.put(cents)
 
     def assign_rows(t: pa.Table) -> pa.Table:
-        C = ray.get(cents_ref)
-        V = _emb_matrix(t["embedding"])
-        d = ((V[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
-        near = np.argsort(d, axis=1, kind="stable")[:, :assign_probes]
-        ids = np.asarray(t["vec_id"])
-        emb = t["embedding"]
-        parts = []
-        for p in range(assign_probes):
-            parts.append(
-                pa.table(
-                    {
-                        "cluster": pa.array(near[:, p].astype(np.int32), type=pa.int32()),
-                        "vec_id": pa.array(ids, type=pa.int64()),
-                        "embedding": emb,
-                    }
-                )
-            )
-        return pa.concat_tables(parts)
+        d = _sqdist(_emb_matrix(t["embedding"]), ray.get(cents_ref))
+        near = np.argsort(d, axis=1, kind="stable")[:, :assign_probes].astype(np.int32)
+        return pa.concat_tables([
+            pa.table({"cluster": near[:, p], "vec_id": pc.cast(t["vec_id"], pa.int64()),
+                      "embedding": t["embedding"]})
+            for p in range(assign_probes)
+        ])
 
     def pair_group(g: pa.Table) -> pa.Table:
-        ids = np.asarray(g["vec_id"])
-        order = np.argsort(ids, kind="stable")
-        # multi-assignment can duplicate a vec within a group via different
-        # probes only across groups, but be safe: distinct vec_ids
-        uniq_mask = np.concatenate(([True], np.diff(ids[order]) != 0))
-        sel = order[uniq_mask]
-        ids = ids[sel]
-        M = _emb_matrix(g["embedding"].take(pa.array(sel)))
-        if len(ids) < 2:
-            return pa.table(
-                {"a": pa.array([], type=pa.int64()), "b": pa.array([], type=pa.int64()),
-                 "cosine": pa.array([], type=pa.float64())}
-            )
-        n = np.sqrt((M * M).sum(axis=1))
-        sims = (M @ M.T) / np.outer(n, n)
-        ri, cj = np.nonzero((sims >= threshold) & (ids[:, None] < ids[None, :]))
-        return pa.table(
-            {
-                "a": pa.array(ids[ri], type=pa.int64()),
-                "b": pa.array(ids[cj], type=pa.int64()),
-                "cosine": pa.array(round_half_away(sims[ri, cj], 4), type=pa.float64()),
-            }
-        )
+        # MANY clusters per group: one cosine block per cluster run over
+        # its distinct vec_ids in id order
+        g = g.sort_by([("cluster", "ascending"), ("vec_id", "ascending")])
+        g = g.filter(pa.array(run_rank(g["cluster"].to_numpy(), g["vec_id"].to_numpy())[0]))
+        cl, ids = g["cluster"].to_numpy(), g["vec_id"].to_numpy()
+        bounds = np.append(np.flatnonzero(run_rank(cl)[0]), len(cl))
+        return pa.concat_tables([_COSINE.empty_table()] + [
+            _cosine_pairs(ids[s:e], _emb_matrix(g["embedding"].slice(s, e - s)), threshold)
+            for s, e in zip(bounds[:-1], bounds[1:])
+            if e - s > 1
+        ])
 
-    out = (
-        read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
-        .map_batches(assign_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("cluster")
-        .map_groups(pair_group, batch_format="pyarrow")
-        .groupby(["a", "b"])
-        .aggregate(Max("cosine", alias_name="cosine"))
-    )
-    t = collect_table(out)
-    return t.take(pc.sort_indices(t, sort_keys=[("a", "ascending"), ("b", "ascending")]))
+    assigned = arrow_map(read_table(sf_dir, "embeddings", ["vec_id", "embedding"]), assign_rows)
+    pairs = exchange(assigned, "cluster", pair_group, _COSINE, nb=len(cents))
+    return _by_pair(collect_table(
+        grouped_aggregate(pairs, ["a", "b"], _COSINE, cosine=("cosine", "max")),
+        empty_schema=_COSINE,
+    ))
 
 
 # recall the IVF blocking must clear vs the exact sweep on the gate corpus
@@ -1241,55 +917,6 @@ def embedding_dup_pairs_ivf_checked(
 CLUSTER_MAX_ITERS = 64
 
 
-def _cc_emit_msgs(g: pa.Table) -> pa.Table:
-    """One key group = a node's label row (dst null) + its outgoing edges.
-    Emit the node's label as a candidate to itself and every neighbor."""
-    dst = g["dst"]
-    is_lbl = pc.is_null(dst).to_numpy(zero_copy_only=False)
-    lbl = int(pc.min(g["lbl"].filter(pa.array(is_lbl))).as_py())
-    key = int(g["key"][0].as_py())
-    neigh = g["dst"].filter(pa.array(~is_lbl)).to_pylist()
-    nodes = [key] + neigh
-    return pa.table(
-        {
-            "node": pa.array(nodes, type=pa.int64()),
-            "cand": pa.array([lbl] * len(nodes), type=pa.int64()),
-            "own": pa.array([True] + [False] * len(neigh)),
-        }
-    )
-
-
-def _cc_min_reduce(g: pa.Table) -> pa.Table:
-    """One node group: new label = min candidate; changed vs own label."""
-    node = int(g["node"][0].as_py())
-    cands = g["cand"].to_numpy()
-    old = int(pc.min(g["cand"].filter(g["own"])).as_py())
-    new = int(cands.min())
-    return pa.table(
-        {
-            "node": pa.array([node], type=pa.int64()),
-            "label": pa.array([new], type=pa.int64()),
-            "changed": pa.array([1 if new < old else 0], type=pa.int64()),
-        }
-    )
-
-
-def _cc_jump_emit(g: pa.Table) -> pa.Table:
-    """One key group k = a node id: k's label row (req null) + jump requests
-    from every node u whose label is k. Emit (u, label(k)) per requester —
-    the pointer-doubling step label'(u) = label(label(u)) as one shuffle."""
-    req = g["req"]
-    is_lbl = pc.is_null(req).to_numpy(zero_copy_only=False)
-    lk = int(pc.min(g["lbl"].filter(pa.array(is_lbl))).as_py())
-    requesters = req.filter(pa.array(~is_lbl))
-    return pa.table(
-        {
-            "node": pc.cast(requesters, pa.int64()),
-            "label": pa.array([lk] * len(requesters), type=pa.int64()),
-        }
-    )
-
-
 def _cc_labels_driver(
     edges_t: pa.Table, max_iters: int
 ) -> tuple[pa.Table, int, bool]:
@@ -1325,15 +952,15 @@ def _cc_labels(edges_t: pa.Table, max_iters: int) -> tuple[pa.Table, int, bool]:
     """Distributed connected components over a bidirectional (u, v) edge
     table -> ((node, label=component min) table, rounds used, converged).
 
-    Each round = min-label propagation over neighbors (two bounded groupbys
-    over label ∪ edge rows) followed by one POINTER-JUMP shuffle
-    (label'(u) = label(label(u)) — valid because label values are always
-    node ids in the same component with label(x) <= x, so jumping is
-    monotone and component-preserving). The jump makes convergence
-    O(log diameter) rounds instead of O(diameter): a 200-link chain closes
-    in ~8 rounds, not 200 (tests pin this). Convergence is checked with a
-    scalar aggregate on the min step — its fixpoint implies labels are
-    constant per component, hence the component min.
+    Each round = min-label propagation over neighbors (attach each
+    neighbour's label, grouped min per node) followed by one POINTER JUMP
+    (attach label(label(u)) — valid because label values are always node
+    ids in the same component with label(x) <= x, so jumping is monotone
+    and component-preserving). The jump makes convergence O(log diameter)
+    rounds instead of O(diameter): a 200-link chain closes in ~8 rounds,
+    not 200 (tests pin this). Labels only decrease, so a round changed
+    nothing exactly when the label sum did not drop; that fixpoint
+    implies labels are constant per component, hence the component min.
 
     Edge tables at or under config.CC_DRIVER_MAX rows run the SAME
     iteration in numpy on the driver (the verified pair set is
@@ -1347,83 +974,35 @@ def _cc_labels(edges_t: pa.Table, max_iters: int) -> tuple[pa.Table, int, bool]:
         return _cc_labels_driver(edges_t, max_iters)
     nodes = pc.unique(edges_t["u"])
     edges = ray.data.from_arrow(edges_t).materialize()
-    labels = ray.data.from_arrow(
-        pa.table({"node": nodes, "label": nodes})
-    ).materialize()
-
-    def lbl_rows(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": t["node"],
-                "dst": pa.nulls(t.num_rows, type=pa.int64()),
-                "lbl": t["label"],
-            }
-        )
-
-    def edge_rows(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": t["u"],
-                "dst": t["v"],
-                "lbl": pa.nulls(t.num_rows, type=pa.int64()),
-            }
-        )
-
-    def jump_lbl_rows(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": t["node"],
-                "req": pa.nulls(t.num_rows, type=pa.int64()),
-                "lbl": t["label"],
-            }
-        )
-
-    def jump_req_rows(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": t["label"],
-                "req": t["node"],
-                "lbl": pa.nulls(t.num_rows, type=pa.int64()),
-            }
-        )
-
+    labels = ray.data.from_arrow(pa.table({"node": nodes, "label": nodes})).materialize()
+    lab = int64_schema("node", "label")
+    nb = _small_nb(edges_t.num_rows)
+    total = pc.sum(nodes).as_py()
     rounds, converged = 0, False
     for _ in range(max_iters):
         rounds += 1
-        msgs = (
-            labels.map_batches(lbl_rows, batch_format="pyarrow", zero_copy_batch=True)
-            .union(
-                edges.map_batches(
-                    edge_rows, batch_format="pyarrow", zero_copy_batch=True
-                )
-            )
-            .groupby("key")
-            .map_groups(_cc_emit_msgs, batch_format="pyarrow")
-        )
-        new = (
-            msgs.groupby("node")
-            .map_groups(_cc_min_reduce, batch_format="pyarrow")
-            .materialize()
-        )
-        changed = new.sum("changed")
-        labels = new.drop_columns(["changed"]).materialize()
-        if not changed:
+        # min-propagation: a node's candidates are its own label and every
+        # neighbour's label(v)
+        nbr = attach_unique(edges, labels.rename_columns({"node": "v"}), "v", "v",
+                            int64_schema("u", "v"), int64_schema("label"), nb=nb)
+        cands = arrow_map(nbr, lambda t: t.select(["u", "label"]).rename_columns(lab.names))
+        new = grouped_aggregate([cands, labels], ["node"], lab, nb=nb,
+                                label=("label", "min")).materialize()
+        # pointer jump: label(u) <- label(label(u))
+        jumped = attach_unique(new, new.rename_columns({"label": "jump"}), "label", "node",
+                               lab, int64_schema("jump"), nb=nb)
+        # compacted: an exchange emits a block per input block, so
+        # uncompacted labels would double their block count every round
+        labels = _compact(arrow_map(
+            jumped, lambda t: t.select(["node", "jump"]).rename_columns(lab.names)
+        ).materialize())
+        # labels only decrease, so an unchanged sum means unchanged labels
+        new_total = labels.sum("label")
+        if new_total == total:
             converged = True
             break
-        labels = (
-            labels.map_batches(
-                jump_lbl_rows, batch_format="pyarrow", zero_copy_batch=True
-            )
-            .union(
-                labels.map_batches(
-                    jump_req_rows, batch_format="pyarrow", zero_copy_batch=True
-                )
-            )
-            .groupby("key")
-            .map_groups(_cc_jump_emit, batch_format="pyarrow")
-            .materialize()
-        )
-    return collect_table(labels), rounds, converged
+        total = new_total
+    return collect_table(labels, empty_schema=lab), rounds, converged
 
 
 def _clusters_from_pairs(
@@ -1433,23 +1012,11 @@ def _clusters_from_pairs(
     table -> (doc_id, cluster_id = component-min doc_id, cluster_size),
     sorted by doc_id. See _cc_labels for the distributed iteration shape;
     ``op_name`` labels the non-convergence warning."""
-    empty = pa.table(
-        {
-            "doc_id": pa.array([], type=pa.int64()),
-            "cluster_id": pa.array([], type=pa.int64()),
-            "cluster_size": pa.array([], type=pa.int64()),
-        }
-    )
     if pairs.num_rows == 0:
-        return empty
+        return int64_schema("doc_id", "cluster_id", "cluster_size").empty_table()
 
-    a, b = pairs["a"], pairs["b"]
-    edges_t = pa.table(
-        {
-            "u": pa.concat_arrays([a.combine_chunks(), b.combine_chunks()]),
-            "v": pa.concat_arrays([b.combine_chunks(), a.combine_chunks()]),
-        }
-    )
+    a, b = pairs["a"].combine_chunks(), pairs["b"].combine_chunks()
+    edges_t = pa.table({"u": pa.concat_arrays([a, b]), "v": pa.concat_arrays([b, a])})
     t, _rounds, converged = _cc_labels(edges_t, max_iters)
     if not converged:
         import logging
@@ -1460,20 +1027,9 @@ def _clusters_from_pairs(
             op_name, max_iters,
         )
     # one row per candidate doc (bounded, like pairs)
-    sz = t.group_by("label").aggregate([("label", "count")])
-    size_of = dict(
-        zip(sz["label"].to_pylist(), pc.cast(sz["label_count"], pa.int64()).to_pylist())
-    )
-    out = pa.table(
-        {
-            "doc_id": t["node"],
-            "cluster_id": t["label"],
-            "cluster_size": pa.array(
-                [size_of[x] for x in t["label"].to_pylist()], type=pa.int64()
-            ),
-        }
-    )
-    return out.take(pc.sort_indices(out["doc_id"]))
+    sizes = agg(t, "label", cluster_size=("node", "count"))
+    out = t.join(sizes, "label").select(["node", "label", "cluster_size"])
+    return out.rename_columns(["doc_id", "cluster_id", "cluster_size"]).sort_by("doc_id")
 
 
 def dedup_clusters(
@@ -1557,75 +1113,34 @@ def substring_dup_stats(
     pipeline thresholds dup_frac to drop boilerplate-heavy documents.
 
     Scale shape — one tokenization pass, two exchanges, no driver state:
-      1. gram rows hash into fat buckets by gram string (a gram lives in
-         exactly ONE bucket, so within-bucket df IS global df); each bucket
+      1. gram rows exchange into fat buckets by gram string (a gram lives
+         in exactly ONE bucket, so within-bucket df IS global df); each bucket
          computes df, flags duplicated grams with one C++ is_in, and
          pre-aggregates per-doc (n_grams, n_dup) partials;
       2. a grouped sum by doc_id merges the per-bucket partials;
       3. a bucketed LEFT-OUTER join (joins.attach_left) attaches the
          totals to the pruned doc_id read so gram-less docs survive with
          zeros — never a driver-side dict of per-doc counts."""
-    from smse_backend_ray.functions.joins import attach_left as _attach_left
-
     nb = _doc_buckets(sf_dir)
-
-    def tag(t: pa.Table) -> pa.Table:
-        g = _gram_rows(t, k)
-        h = _hash_strings(g["shingle"])
-        return pa.table(
-            {
-                "kb": pa.array((h % np.uint64(nb)).astype(np.int64), type=pa.int64()),
-                "doc_id": pc.cast(g["doc_id"], pa.int64()),
-                "shingle": g["shingle"],
-            }
-        )
-
-    part_schema = pa.schema(
-        [("doc_id", pa.int64()), ("n_grams_part", pa.int64()), ("n_dup_part", pa.int64())]
-    )
+    part_schema = int64_schema("doc_id", "n_grams", "n_dup")
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return part_schema.empty_table()
-        df = g.group_by("shingle").aggregate([("doc_id", "count")])
-        dup = df.filter(
-            pc.greater_equal(df["doc_id_count"], min_df)
-        )["shingle"].combine_chunks()
+        df = agg(g, "shingle", df=("doc_id", "count"))
+        dup = df.filter(pc.greater_equal(df["df"], min_df))["shingle"].combine_chunks()
         flag = pc.cast(pc.is_in(g["shingle"], value_set=dup), pa.int64())
-        per = (
-            pa.table({"doc_id": g["doc_id"], "dup": flag})
-            .group_by("doc_id")
-            .aggregate([("dup", "sum"), ("dup", "count")])
-        )
-        return pa.table(
-            {
-                "doc_id": per["doc_id"],
-                "n_grams_part": pc.cast(per["dup_count"], pa.int64()),
-                "n_dup_part": pc.cast(per["dup_sum"], pa.int64()),
-            }
-        )
+        return agg(pa.table({"doc_id": g["doc_id"], "dup": flag}), "doc_id",
+                   n_grams=("dup", "count"), n_dup=("dup", "sum"))
 
-    grams = _read_documents(sf_dir).map_batches(
-        tag, batch_format="pyarrow", zero_copy_batch=True
+    grams = arrow_map(_read_documents(sf_dir), lambda t: _gram_rows(t, k))
+    per_doc = grouped_aggregate(
+        exchange(grams, "shingle", per_bucket, part_schema, nb=nb), ["doc_id"], part_schema,
+        nb=nb, n_grams=("n_grams", "sum"), n_dup=("n_dup", "sum"),
     )
-    per_doc = _with_schema(
-        _grouped_agg(
-            grams.groupby("kb").map_groups(per_bucket, batch_format="pyarrow"),
-            ["doc_id"],
-            [("n_grams_part", "sum", "n_grams"), ("n_dup_part", "sum", "n_dup")],
-            nb=nb,
-        ),
-        pa.schema([("doc_id", pa.int64()), ("n_grams", pa.int64()), ("n_dup", pa.int64())]),
+    joined = attach_left(
+        _read_doc_ids(sf_dir), per_doc, "doc_id", "doc_id",
+        int64_schema("doc_id"), int64_schema("n_grams", "n_dup"), nb=nb,
     )
-    joined = _attach_left(
-        _read_doc_ids(sf_dir),
-        per_doc,
-        "doc_id",
-        "doc_id",
-        pa.schema([("doc_id", pa.int64())]),
-        pa.schema([("n_grams", pa.int64()), ("n_dup", pa.int64())]),
-        nb=_doc_buckets(sf_dir),
-    )
+    out_schema = part_schema.append(pa.field("dup_frac", pa.float64()))
 
     def finish(t: pa.Table) -> pa.Table:
         ng = pc.fill_null(t["n_grams"], 0).to_numpy(zero_copy_only=False)
@@ -1633,23 +1148,9 @@ def substring_dup_stats(
         frac = np.zeros(len(ng), dtype=np.float64)
         nz = ng > 0
         frac[nz] = round_half_away(nd[nz].astype(np.float64) / ng[nz], 4)
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "n_grams": pa.array(ng, type=pa.int64()),
-                "n_dup": pa.array(nd, type=pa.int64()),
-                "dup_frac": pa.array(frac, type=pa.float64()),
-            }
-        )
+        return pa.table([t["doc_id"], ng, nd, frac], schema=out_schema)
 
-    out = collect_table(
-        joined.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True),
-        empty_schema=pa.schema(
-            [("doc_id", pa.int64()), ("n_grams", pa.int64()),
-             ("n_dup", pa.int64()), ("dup_frac", pa.float64())]
-        ),
-    )
-    return out.take(pc.sort_indices(out["doc_id"]))
+    return collect_table(arrow_map(joined, finish), empty_schema=out_schema).sort_by("doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -1674,17 +1175,12 @@ def dedup_survivors(
     losers = clusters.filter(
         pc.not_equal(clusters["doc_id"], clusters["cluster_id"])
     ).select(["doc_id"])
-    schema = pa.schema([("doc_id", pa.int64())])
-    base = _read_doc_ids(sf_dir)
+    schema = int64_schema("doc_id")
+    surv = _read_doc_ids(sf_dir)
     if losers.num_rows:
-        surv = _anti_join(
-            base, ray.data.from_arrow(losers), ["doc_id"], schema,
-            nb=_doc_buckets(sf_dir),
-        )
-    else:
-        surv = base
-    t = collect_table(surv, empty_schema=schema)
-    return t.take(pc.sort_indices(t["doc_id"]))
+        surv = anti_join(surv, ray.data.from_arrow(losers), ["doc_id"], schema,
+                         nb=_doc_buckets(sf_dir))
+    return collect_table(surv, empty_schema=schema).sort_by("doc_id")
 
 
 def dup_rate_by_source(
@@ -1708,57 +1204,26 @@ def dup_rate_by_source(
     joins as _score_jaccard — no driver dict of O(corpus) sources; the
     matrix itself is |sources|^2-bounded."""
     pairs = jaccard_pairs(sf_dir, threshold, df_cap)
-    empty = pa.table(
-        {
-            "source_a": pa.array([], type=pa.string()),
-            "source_b": pa.array([], type=pa.string()),
-            "n_pairs": pa.array([], type=pa.int64()),
-        }
-    )
+    out_schema = pa.schema([("source_a", pa.string()), ("source_b", pa.string()),
+                            ("n_pairs", pa.int64())])
     if pairs.num_rows == 0:
-        return empty
+        return out_schema.empty_table()
     src_ds = read_table(sf_dir, "documents", ["doc_id", "source"], repartition=False)
-    pairs_ds = ray.data.from_arrow(pairs.select(["a", "b"]))
-    pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
-    nb = max(4, min(64, -(-pairs.num_rows // 512)))
-    ja = _attach_unique(
-        pairs_ds, src_ds.rename_columns({"source": "sa"}),
-        "a", "doc_id", pair_schema, pa.schema([("sa", pa.string())]), nb=nb,
+    nb = _small_nb(pairs.num_rows)
+    ja = attach_unique(
+        ray.data.from_arrow(pairs.select(["a", "b"])), src_ds.rename_columns({"source": "sa"}),
+        "a", "doc_id", _PAIR, pa.schema([("sa", pa.string())]), nb=nb,
     )
-    jb = _attach_unique(
-        ja, src_ds.rename_columns({"source": "sb"}),
-        "b", "doc_id",
-        pa.schema(list(pair_schema) + [("sa", pa.string())]),
-        pa.schema([("sb", pa.string())]), nb=nb,
+    jb = attach_unique(
+        ja, src_ds.rename_columns({"source": "sb"}), "b", "doc_id",
+        _PAIR.append(pa.field("sa", pa.string())), pa.schema([("sb", pa.string())]), nb=nb,
     )
-    t = collect_table(
-        jb,
-        empty_schema=pa.schema(
-            list(pair_schema) + [("sa", pa.string()), ("sb", pa.string())]
-        ),
-    )
-    if t.num_rows == 0:
-        return empty
+    t = collect_table(jb, empty_schema=int64_schema("a", "b", sa=pa.string(), sb=pa.string()))
     lo = pc.min_element_wise(t["sa"], t["sb"])
     hi = pc.max_element_wise(t["sa"], t["sb"])
-    g = (
-        pa.table({"source_a": lo, "source_b": hi})
-        .group_by(["source_a", "source_b"])
-        .aggregate([("source_a", "count")])
-    )
-    out = pa.table(
-        {
-            "source_a": g["source_a"],
-            "source_b": g["source_b"],
-            "n_pairs": pc.cast(g["source_a_count"], pa.int64()),
-        }
-    )
-    return out.take(
-        pc.sort_indices(
-            out,
-            sort_keys=[("source_a", "ascending"), ("source_b", "ascending")],
-        )
-    )
+    out = agg(pa.table({"source_a": lo, "source_b": hi}), ["source_a", "source_b"],
+              n_pairs=("source_a", "count"))
+    return out.sort_by([("source_a", "ascending"), ("source_b", "ascending")])
 
 
 def dedup_impact(
@@ -1809,22 +1274,12 @@ def dedup_impact(
             }
         )
 
-    pschema = pa.schema(
-        [("n_docs", pa.int64()), ("n_survivors", pa.int64()),
-         ("n_subtokens", pa.int64()), ("n_subtokens_surviving", pa.int64())]
-    )
-    t = collect_table(
-        _read_documents(sf_dir).map_batches(
-            partial, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        empty_schema=pschema,
-    )
+    pschema = int64_schema("n_docs", "n_survivors", "n_subtokens", "n_subtokens_surviving")
+    t = collect_table(arrow_map(_read_documents(sf_dir), partial), empty_schema=pschema)
     nd = int(pc.sum(t["n_docs"]).as_py() or 0)
     ns = int(pc.sum(t["n_survivors"]).as_py() or 0)
     nt = int(pc.sum(t["n_subtokens"]).as_py() or 0)
     nts = int(pc.sum(t["n_subtokens_surviving"]).as_py() or 0)
-    from smse_backend_ray.functions.rounding import round_half_away
-
     dkr = float(round_half_away(np.array([ns / nd]), 4)[0]) if nd else 0.0
     tkr = float(round_half_away(np.array([nts / nt]), 4)[0]) if nt else 0.0
     return pa.table(

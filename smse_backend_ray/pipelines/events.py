@@ -33,7 +33,7 @@ from smse_backend_ray.functions.arrow_kernels import (
     run_rank,
 )
 from smse_backend_ray.functions.collect import collect_table
-from smse_backend_ray.functions.joins import grouped_aggregate, with_schema
+from smse_backend_ray.functions.joins import grouped_aggregate
 from smse_backend_ray.functions.rounding import round_half_away
 from smse_backend_ray.sources.corpus import read_table
 
@@ -894,11 +894,8 @@ def event_value_quantiles(sf_dir: str) -> pa.Table:
         return agg(part, ["event_type", "v_s"], cnt=("v_s", "count"))
 
     hist_schema = int64_schema("v_s", "cnt", event_type=pa.string())
-    hist = with_schema(
-        grouped_aggregate(arrow_map(_read(sf_dir, ["event_type", "value"]), partial),
-                          ["event_type", "v_s"], [("cnt", "sum", "cnt")]),
-        hist_schema,
-    )
+    hist = grouped_aggregate(arrow_map(_read(sf_dir, ["event_type", "value"]), partial),
+                             ["event_type", "v_s"], hist_schema, cnt=("cnt", "sum"))
     t = collect_table(hist, empty_schema=hist_schema)
     return hist_quantiles(t, "event_type", "v_s", "cnt", tuple(config.EV_QUANTILES),
                           "n_events", scale=10000.0)
@@ -955,12 +952,9 @@ def event_value_histogram(sf_dir: str) -> pa.Table:
 
     part_schema = int64_schema("bin", "sum_iv", "n", event_type=pa.string())
     t = collect_table(
-        with_schema(
-            grouped_aggregate(arrow_map(_read(sf_dir, ["event_type", "value"]), partial),
-                              ["event_type", "bin"],
-                              [("sum_iv", "sum", "sum_iv"), ("n", "sum", "n")]),
-            part_schema,
-        ),
+        grouped_aggregate(arrow_map(_read(sf_dir, ["event_type", "value"]), partial),
+                          ["event_type", "bin"], part_schema,
+                          sum_iv=("sum_iv", "sum"), n=("n", "sum")),
         empty_schema=part_schema,
     )
     bin_lo = round_half_away(t["bin"].to_numpy().astype(np.float64) * step / 10000.0, 4)

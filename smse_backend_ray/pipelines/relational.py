@@ -45,7 +45,6 @@ from smse_backend_ray.functions.joins import (
     cpu_scaled_buckets,
     grouped_aggregate,
     semi_join,
-    with_schema,
 )
 from smse_backend_ray.functions.rounding import round_half_away
 from smse_backend_ray.sources.corpus import _parquet_rows, read_table
@@ -519,10 +518,7 @@ def returned_item_revenue(sf_dir: str) -> pa.Table:
         int64_schema("o_custkey"),
     )
     rolled_schema = int64_schema("o_custkey", "revenue_scaled")
-    rolled = with_schema(
-        grouped_aggregate(joined, ["o_custkey"], [("rev", "sum", "revenue_scaled")]),
-        rolled_schema,
-    )
+    rolled = grouped_aggregate(joined, ["o_custkey"], rolled_schema, revenue_scaled=("rev", "sum"))
     t = collect_table(
         arrow_map(rolled, lambda b: b.sort_by(order).slice(0, top_n)),
         empty_schema=rolled_schema,
@@ -645,13 +641,10 @@ def large_order_customers(sf_dir: str) -> pa.Table:
         return agg(part, "l_orderkey", qty=("qty", "sum"))
 
     rolled_schema = int64_schema("l_orderkey", "total_qty_scaled")
-    rolled = with_schema(
-        grouped_aggregate(
-            _scan(sf_dir, "lineitem", ["l_orderkey", "l_quantity"], li_combine),
-            ["l_orderkey"], [("qty", "sum", "total_qty_scaled")],
-            nb=_fact_buckets(sf_dir, "lineitem"),
-        ),
-        rolled_schema,
+    rolled = grouped_aggregate(
+        _scan(sf_dir, "lineitem", ["l_orderkey", "l_quantity"], li_combine),
+        ["l_orderkey"], rolled_schema, nb=_fact_buckets(sf_dir, "lineitem"),
+        total_qty_scaled=("qty", "sum"),
     )
     qual = collect_table(
         arrow_map(rolled, lambda t: t.filter(pc.greater(t["total_qty_scaled"], thr))),
@@ -972,15 +965,12 @@ def top_supplier_revenue(sf_dir: str) -> pa.Table:
         return t.filter(pc.equal(t["rev"], pc.max(t["rev"]))) if t.num_rows else t
 
     rolled_schema = int64_schema("s_suppkey", "rev")
-    rolled = with_schema(
-        grouped_aggregate(
-            _scan(sf_dir, "lineitem",
-                  ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
-                  lambda t: _rev_by(t.filter(in_window(t["l_shipdate"], lo, hi)),
-                                    "l_suppkey", "s_suppkey")),
-            ["s_suppkey"], [("rev", "sum", "rev")], nb=_fact_buckets(sf_dir, "lineitem"),
-        ),
-        rolled_schema,
+    rolled = grouped_aggregate(
+        _scan(sf_dir, "lineitem",
+              ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
+              lambda t: _rev_by(t.filter(in_window(t["l_shipdate"], lo, hi)),
+                                "l_suppkey", "s_suppkey")),
+        ["s_suppkey"], rolled_schema, nb=_fact_buckets(sf_dir, "lineitem"), rev=("rev", "sum"),
     )
     cand = winners(collect_table(arrow_map(rolled, winners), empty_schema=rolled_schema))
     if not cand.num_rows:

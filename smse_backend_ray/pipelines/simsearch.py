@@ -32,6 +32,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from smse_backend_ray.functions.arrow_kernels import agg, arrow_map, top_k
 from smse_backend_ray.functions.collect import collect_table
 from smse_backend_ray.functions.rounding import round_half_away
 from smse_backend_ray.sources.corpus import (
@@ -51,6 +52,9 @@ IVF_ITERS = 10
 # train on a deterministic hash-Bernoulli sample of about this many rows.
 IVF_TRAIN_TARGET = 8192
 
+_TOPK = pa.schema([("query_vec_id", pa.int64()), ("rank", pa.int32()),
+                   ("vec_id", pa.int64()), ("cosine", pa.float64())])
+
 
 def _emb_path(sf_dir: str) -> str:
     return os.path.join(sf_dir, "embeddings.parquet")
@@ -66,25 +70,35 @@ def _corpus_tag(sf_dir: str) -> str:
     return f"{os.path.basename(p)}-{hashlib.md5(p.encode()).hexdigest()[:8]}"
 
 
-def _save_sidecar_atomic(parent, sidecar: str, arr: np.ndarray) -> None:
-    """Write an .npy sidecar via the tmp+move commit protocol (state/fs.py):
-    a crash mid-write can never leave a truncated sidecar that the
-    exists()-resume shortcut would np.load forever after."""
+def _persisted(out_dir, suffix: str, build):
+    """The persist-and-resume protocol of every ANN layout: a dataset dir at
+    ``out_dir`` plus an .npy sidecar NEXT TO it (a foreign file inside a
+    hive-partitioned dir breaks dataset discovery). An existing pair is
+    RESUMED — no retrain, no rewrite; delete the dir to force a rebuild.
+    Otherwise ``build(parent, name)`` writes the dir (IndexFS atomic
+    protocol, any pyarrow.fs location) and returns the array, committed
+    via tmp+move — a crash mid-write never leaves a truncated sidecar
+    that the resume shortcut would load forever after. Returns (layout
+    IndexFS, array)."""
     import io
+    import posixpath
 
+    from smse_backend_ray.state.fs import IndexFS, resolve
+
+    layout = resolve(out_dir)
+    parent = IndexFS((layout.fs, posixpath.dirname(layout.root)))
+    name = posixpath.basename(layout.root)
+    sidecar = name + suffix
+    if layout.exists() and parent.exists(sidecar):
+        with parent.open_input(sidecar) as f:
+            return layout, np.load(io.BytesIO(f.read()))
+    arr = build(parent, name)
     buf = io.BytesIO()
     np.save(buf, arr)
-    tmp = sidecar + ".tmp"
-    with parent.open_output(tmp) as f:
+    with parent.open_output(sidecar + ".tmp") as f:
         f.write(buf.getvalue())
-    parent.move(tmp, sidecar)
-
-
-def _load_sidecar(parent, sidecar: str) -> np.ndarray:
-    import io
-
-    with parent.open_input(sidecar) as f:
-        return np.load(io.BytesIO(f.read()))
+    parent.move(sidecar + ".tmp", sidecar)
+    return layout, arr
 
 
 def _emb_matrix(col) -> np.ndarray:
@@ -99,74 +113,67 @@ def _emb_matrix(col) -> np.ndarray:
     return flat.reshape(-1, d) if d else flat.reshape(len(widths), 0)
 
 
+def _norms(M: np.ndarray) -> np.ndarray:
+    return np.sqrt((M * M).sum(axis=1))
+
+
+def _sqdist(V: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """(n, k) squared euclidean distances of V's rows to the centroids C —
+    the one nearest-centroid expression (k-means, IVF assignment and
+    probes, PQ subspace codes)."""
+    return ((V[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
+
+
 def _load_queries(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
     import pyarrow.dataset as pads
 
     t = pads.dataset(_emb_path(sf_dir)).to_table(
         columns=["vec_id", "embedding"], filter=pads.field("vec_id") < N_QUERIES
     )
-    ids = np.asarray(t["vec_id"])
-    Q = _emb_matrix(t["embedding"])
-    return ids, Q
+    return np.asarray(t["vec_id"]), _emb_matrix(t["embedding"])
 
 
-def _topk_merge(parts: list[pa.Table], k: int) -> pa.Table:
-    """Global top-k per query from per-batch candidates; rank by
+def _topk(q: np.ndarray, v: np.ndarray, s: np.ndarray, k: int, mask=None) -> pa.Table:
+    """Per-query top-k rows of (query, vec_id, rounded cosine), ranked
     (round(cos,4) DESC, vec_id ASC) — the SQL oracle's exact rule."""
-    t = pa.concat_tables(parts)
-    qids = np.asarray(t["query_vec_id"])
-    vids = np.asarray(t["vec_id"])
-    sims = np.asarray(t["cosine"])
-    out = {"query_vec_id": [], "rank": [], "vec_id": [], "cosine": []}
-    for q in np.unique(qids):
-        m = qids == q
-        v, s = vids[m], sims[m]
-        order = np.lexsort((v, -s))[:k]
-        n = len(order)
-        out["query_vec_id"].extend([int(q)] * n)
-        out["rank"].extend(range(1, n + 1))
-        out["vec_id"].extend(v[order].tolist())
-        out["cosine"].extend(s[order].tolist())
-    return pa.table(
-        {
-            "query_vec_id": pa.array(out["query_vec_id"], type=pa.int64()),
-            "rank": pa.array(out["rank"], type=pa.int32()),
-            "vec_id": pa.array(out["vec_id"], type=pa.int64()),
-            "cosine": pa.array(out["cosine"], type=pa.float64()),
-        }
-    )
+    idx, rank = top_k(q, v, s, k, mask)
+    return pa.table([q[idx], rank.astype(np.int32), v[idx], s[idx]], schema=_TOPK)
+
+
+def _knn_scan(ds, qids: np.ndarray, score, k: int, probe=None) -> pa.Table:
+    """Per-query top-k over a vector scan: ``score(t)`` is a batch's
+    (queries x rows) ROUNDED cosine matrix. With ``probe`` (per-query
+    cluster ids) a row counts only for the queries that probed its
+    cluster_id. Each batch keeps its partial top-k; the driver merges."""
+
+    def batch_topk(t: pa.Table) -> pa.Table:
+        vids = t["vec_id"].to_numpy()
+        mask = None
+        if probe is not None:
+            mask = (t["cluster_id"].to_numpy()[None, :, None] == probe[:, None, :]).any(axis=2)
+            mask = mask.ravel()
+        return _topk(np.repeat(qids, len(vids)), np.tile(vids, len(qids)), score(t).ravel(), k, mask)
+
+    c = collect_table(arrow_map(ds, batch_topk), empty_schema=_TOPK)
+    return _topk(*(c[n].to_numpy() for n in ("query_vec_id", "vec_id", "cosine")), k)
+
+
+def _cosines(Q: np.ndarray):
+    """Batch scorer for _knn_scan: exact rounded cosines of Q against the
+    batch's raw vectors."""
+    qn = _norms(Q)
+
+    def score(t: pa.Table) -> np.ndarray:
+        V = _emb_matrix(t["embedding"])
+        return round_half_away((Q @ V.T) / np.outer(qn, _norms(V)), 4)
+
+    return score
 
 
 def knn_bruteforce(sf_dir: str, k: int = TOP_K) -> pa.Table:
     qids, Q = _load_queries(sf_dir)
-    qnorms = np.sqrt((Q * Q).sum(axis=1))
-    ref = ray.put((qids, Q, qnorms))
-
-    def batch_topk(t: pa.Table) -> pa.Table:
-        q_ids, Qm, q_n = ray.get(ref)
-        vids = np.asarray(t["vec_id"])
-        V = _emb_matrix(t["embedding"])
-        vn = np.sqrt((V * V).sum(axis=1))
-        sims = round_half_away((Qm @ V.T) / np.outer(q_n, vn), 4)
-        out = {"query_vec_id": [], "vec_id": [], "cosine": []}
-        kk = min(k, len(vids))
-        for qi in range(len(q_ids)):
-            s = sims[qi]
-            order = np.lexsort((vids, -s))[:kk]  # per-batch partial top-k
-            out["query_vec_id"].extend([int(q_ids[qi])] * len(order))
-            out["vec_id"].extend(vids[order].tolist())
-            out["cosine"].extend(s[order].tolist())
-        return pa.table(
-            {
-                "query_vec_id": pa.array(out["query_vec_id"], type=pa.int64()),
-                "vec_id": pa.array(out["vec_id"], type=pa.int64()),
-                "cosine": pa.array(out["cosine"], type=pa.float64()),
-            }
-        )
-
     ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
-    cands = collect_table(ds.map_batches(batch_topk, batch_format="pyarrow", zero_copy_batch=True))
-    return _topk_merge([cands], k)
+    return _knn_scan(ds, qids, _cosines(Q), k)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +205,25 @@ def _seed_vectors(sf_dir: str, k: int) -> np.ndarray:
         t = dset.to_table(
             columns=["vec_id", "embedding"], filter=pads.field("vec_id").isin(want)
         )
-    t = t.take(pc.sort_indices(t["vec_id"]))
-    return _emb_matrix(t["embedding"])
+    return _emb_matrix(t.sort_by("vec_id")["embedding"])
+
+
+def _train_rows(sf_dir: str, train_target: int | None):
+    """The trainers' (vec_id, embedding) scan and whether it is sampled:
+    every row at or under ``train_target`` (default IVF_TRAIN_TARGET),
+    else a deterministic hash-Bernoulli sample of ~that many rows — the
+    decision key is sampling.sample_key(vec_id), the repo's frozen
+    engine<->SQL hash, so the sample is reproducible across runs and
+    partitionings. The filter runs distributed."""
+    from smse_backend_ray.pipelines.sampling import SAMPLE_MOD, sample_key
+
+    target = train_target if train_target is not None else IVF_TRAIN_TARGET
+    rows = _parquet_rows(_emb_path(sf_dir))
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
+    if rows is None or rows <= target:
+        return ds, False
+    thr = np.uint64((SAMPLE_MOD * target) // rows)
+    return arrow_map(ds, lambda t: t.filter(pa.array(sample_key(t["vec_id"].to_numpy()) < thr))), True
 
 
 def train_centroids(
@@ -213,33 +237,15 @@ def train_centroids(
     iteration broadcasts centroids and reduces per-batch partial (sum, count)
     — one small aggregation per iteration, no shuffle.
 
-    Training set: when the table exceeds ``train_target`` (default
-    IVF_TRAIN_TARGET), a deterministic hash-Bernoulli sample of ~that many
-    rows — the decision key is sampling.sample_key(vec_id), the repo's frozen
-    engine<->SQL hash, so the sample (hence the centroids and the partition
-    layout) is reproducible across runs and partitionings. The training set
-    is materialized ONCE: one full-table pass total, then each k-means
-    iteration re-reads only the cached sample blocks — not ``iters`` complete
-    streaming reads of a 100 TB table. Exactness is unaffected: full-probe
-    IVF equals brute force for ANY centroids (tests pin this)."""
-    import pyarrow.dataset as pads
-
-    from smse_backend_ray.pipelines.sampling import SAMPLE_MOD, sample_key
-
+    Training set: ``_train_rows`` (the hash-Bernoulli sample above
+    ``train_target``), so the centroids and the partition layout are
+    reproducible. The training set is materialized ONCE: one full-table
+    pass total, then each k-means iteration re-reads only the cached
+    sample blocks — not ``iters`` complete streaming reads of a 100 TB
+    table. Exactness is unaffected: full-probe IVF equals brute force for
+    ANY centroids (tests pin this)."""
     cents = _seed_vectors(sf_dir, n_clusters).copy()
-
-    target = train_target if train_target is not None else IVF_TRAIN_TARGET
-    rows = _parquet_rows(_emb_path(sf_dir))
-    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
-    if rows is not None and rows > target:
-        thr = np.uint64((SAMPLE_MOD * target) // rows)
-
-        def keep(t: pa.Table) -> pa.Table:
-            key = sample_key(t["vec_id"].to_numpy())
-            return t.filter(pa.array(key < thr))
-
-        ds = ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
-    ds = ds.select_columns(["embedding"]).materialize()
+    ds = _train_rows(sf_dir, train_target)[0].select_columns(["embedding"]).materialize()
 
     for _ in range(iters):
         ref = ray.put(cents)
@@ -247,8 +253,7 @@ def train_centroids(
         def partial(tb: pa.Table) -> pa.Table:
             C = ray.get(ref)
             V = _emb_matrix(tb["embedding"])
-            d = ((V[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
-            assign = d.argmin(axis=1)
+            assign = _sqdist(V, C).argmin(axis=1)
             sums = np.zeros_like(C)
             np.add.at(sums, assign, V)
             counts = np.bincount(assign, minlength=len(C)).astype(np.int64)
@@ -260,16 +265,12 @@ def train_centroids(
                 }
             )
 
-        parts = collect_table(
-            ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        )
+        parts = collect_table(arrow_map(ds, partial))
         sums = np.zeros_like(cents)
         counts = np.zeros(len(cents), dtype=np.int64)
         cl = np.asarray(parts["cluster"])
-        ss = _emb_matrix(parts["sum"])
-        cc = np.asarray(parts["count"])
-        np.add.at(sums, cl, ss)
-        np.add.at(counts, cl, cc)
+        np.add.at(sums, cl, _emb_matrix(parts["sum"]))
+        np.add.at(counts, cl, np.asarray(parts["count"]))
         nz = counts > 0
         cents[nz] = sums[nz] / counts[nz, None]
     return cents
@@ -287,59 +288,51 @@ def build_ivf_index(
     """Train centroids and write the vectors HIVE-PARTITIONED BY ASSIGNED
     CLUSTER — the storage layout that makes IVF actually prune: a query
     probing p of c clusters reads p/c of the data. Returns (layout IndexFS,
-    centroids); all layout I/O goes through state/fs.IndexFS (works against
-    any pyarrow.fs location). The latest (sf_dir, out_dir, n_clusters)
-    build is cached per process; a pre-existing layout at ``out_dir`` is RESUMED (centroids
-    loaded from the sidecar, no retrain) — delete the layout dir to force a
-    rebuild after changing the embeddings table."""
-    import posixpath
-
-    from smse_backend_ray.state.fs import IndexFS, resolve
-
+    centroids); persisted and resumed by ``_persisted`` (centroids
+    sidecar). The latest (sf_dir, out_dir, n_clusters) build is cached per
+    process."""
     if out_dir is None:
         out_dir = f"/tmp/smse_ivf_{os.getpid()}_{_corpus_tag(sf_dir)}_{n_clusters}"
     key = (os.path.normpath(sf_dir), n_clusters, str(out_dir), train_target)
     hit = _IVF_CACHE.get(key)
     if hit and hit[0].exists():
         return hit
-    layout0 = resolve(out_dir)
-    parent0 = IndexFS((layout0.fs, posixpath.dirname(layout0.root)))
-    name0 = posixpath.basename(layout0.root)
-    sidecar = name0 + ".centroids.npy"
-    if layout0.exists() and parent0.exists(sidecar):
-        # cross-process resume: the layout already exists — load the
-        # centroids sidecar instead of retraining + rewriting
-        cents = _load_sidecar(parent0, sidecar)
-        _IVF_CACHE.clear()
-        _IVF_CACHE[key] = (layout0, cents)
-        return layout0, cents
-    cents = train_centroids(sf_dir, n_clusters, train_target=train_target)
-    cents_ref = ray.put(cents)
 
-    def assign_batch(t: pa.Table) -> pa.Table:
-        C = ray.get(cents_ref)
-        V = _emb_matrix(t["embedding"])
-        d = ((V[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
-        assign = d.argmin(axis=1).astype(np.int32)
-        # "cluster" becomes the hive partition dir; "cluster_id" stays a
-        # physical column (Ray's per-fragment filter cannot see partition
-        # fields, and per-row masking at query time needs the value)
-        t = t.append_column("cluster", pa.array(assign, type=pa.int32()))
-        return t.append_column("cluster_id", pa.array(assign, type=pa.int32()))
+    def build(parent, name):
+        cents = train_centroids(sf_dir, n_clusters, train_target=train_target)
+        cents_ref = ray.put(cents)
 
-    # layout0/parent0/name0 from above; parent-rooted view drives the atomic
-    # dir swap and keeps the centroids sidecar NEXT TO the layout dir (a
-    # foreign file inside a hive-partitioned dir breaks dataset discovery)
-    assigned = (
-        read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
-        .map_batches(assign_batch, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(max(4, _parallel_blocks() // 8))  # bound files per cluster
-    )
-    parent0.atomic_write_dataset(assigned, name0, partition_cols=["cluster"])
-    _save_sidecar_atomic(parent0, sidecar, cents)
+        def assign_batch(t: pa.Table) -> pa.Table:
+            assign = _sqdist(_emb_matrix(t["embedding"]), ray.get(cents_ref)).argmin(axis=1)
+            # "cluster" becomes the hive partition dir; "cluster_id" stays a
+            # physical column (Ray's per-fragment filter cannot see partition
+            # fields, and per-row masking at query time needs the value)
+            t = t.append_column("cluster", pa.array(assign.astype(np.int32)))
+            return t.append_column("cluster_id", pa.array(assign.astype(np.int32)))
+
+        assigned = arrow_map(
+            read_table(sf_dir, "embeddings", ["vec_id", "embedding"]), assign_batch
+        ).repartition(max(4, _parallel_blocks() // 8))  # bound files per cluster
+        parent.atomic_write_dataset(assigned, name, partition_cols=["cluster"])
+        return cents
+
+    out = _persisted(out_dir, ".centroids.npy", build)
     _IVF_CACHE.clear()  # one entry: the latest layout
-    _IVF_CACHE[key] = (layout0, cents)
-    return layout0, cents
+    _IVF_CACHE[key] = out
+    return out
+
+
+def _probes(Q: np.ndarray, cents: np.ndarray, nprobe: int):
+    """Per-query ``nprobe`` nearest clusters and their sorted union."""
+    probe = np.argsort(_sqdist(Q, cents), axis=1, kind="stable")[:, :nprobe]
+    return probe, sorted({int(c) for c in probe.ravel()})
+
+
+def _cluster_files(layout, clusters) -> list[str]:
+    """Partition pruning by PATH: only the probed cluster directories are
+    listed/read (Ray's per-fragment filter cannot bind partition fields,
+    so pruning happens at path selection, the stronger form anyway)."""
+    return sorted(f for c in clusters for f in layout.list_files(f"cluster={c}", suffix=".parquet"))
 
 
 def knn_ivf(
@@ -357,50 +350,11 @@ def knn_ivf(
     reproduces brute force exactly."""
     layout, cents = build_ivf_index(sf_dir, out_dir=out_dir, train_target=train_target)
     qids, Q = _load_queries(sf_dir)
-    qnorms = np.sqrt((Q * Q).sum(axis=1))
-    qd = ((Q[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-    probe = np.argsort(qd, axis=1, kind="stable")[:, :nprobe]  # per-query clusters
-    probed_union = sorted({int(c) for row in probe for c in row})
-    ref = ray.put((qids, Q, qnorms, probe))
-
-    def batch_topk(t: pa.Table) -> pa.Table:
-        q_ids, Qm, q_n, prb = ray.get(ref)
-        vids = np.asarray(t["vec_id"])
-        clusters = np.asarray(t["cluster_id"])
-        V = _emb_matrix(t["embedding"])
-        vn = np.sqrt((V * V).sum(axis=1))
-        sims = round_half_away((Qm @ V.T) / np.outer(q_n, vn), 4)
-        out = {"query_vec_id": [], "vec_id": [], "cosine": []}
-        for qi in range(len(q_ids)):
-            m = np.isin(clusters, prb[qi])
-            if not m.any():
-                continue
-            v, s = vids[m], sims[qi][m]
-            order = np.lexsort((v, -s))[: min(k, len(v))]
-            out["query_vec_id"].extend([int(q_ids[qi])] * len(order))
-            out["vec_id"].extend(v[order].tolist())
-            out["cosine"].extend(s[order].tolist())
-        return pa.table(
-            {
-                "query_vec_id": pa.array(out["query_vec_id"], type=pa.int64()),
-                "vec_id": pa.array(out["vec_id"], type=pa.int64()),
-                "cosine": pa.array(out["cosine"], type=pa.float64()),
-            }
-        )
-
-    # partition pruning by PATH: only the probed cluster directories are
-    # listed/read (Ray's per-fragment filter cannot bind partition fields,
-    # so pruning happens at path selection, the stronger form anyway)
-    paths = sorted(
-        f
-        for c in probed_union
-        for f in layout.list_files(f"cluster={c}", suffix=".parquet")
-    )
+    probe, probed = _probes(Q, cents, nprobe)
     ds = layout.ray_read_parquet_files(
-        paths, columns=["vec_id", "embedding", "cluster_id"]
+        _cluster_files(layout, probed), columns=["vec_id", "embedding", "cluster_id"]
     )
-    cands = collect_table(ds.map_batches(batch_topk, batch_format="pyarrow", zero_copy_batch=True))
-    return _topk_merge([cands], k)
+    return _knn_scan(ds, qids, _cosines(Q), k, probe)
 
 
 # ---------------------------------------------------------------------------
@@ -426,31 +380,16 @@ def train_pq_codebooks(
 ) -> np.ndarray:
     """(m, k, d/m) float64 codebooks: per-subspace Lloyd k-means trained
     DRIVER-SIDE on the same bounded deterministic hash sample the IVF
-    trainer uses (sampling.sample_key; the sample never exceeds
-    train_target rows, so driver compute is bounded regardless of corpus
-    size). Init = sub-slices of the first k vectors by vec_id. Empty
-    clusters keep their previous centroid (deterministic)."""
+    trainer uses (``_train_rows``; the sample never exceeds train_target
+    rows, so driver compute is bounded regardless of corpus size). Init =
+    sub-slices of the first k vectors by vec_id. Empty clusters keep
+    their previous centroid (deterministic)."""
     import pyarrow.dataset as pads
 
-    from smse_backend_ray.pipelines.sampling import SAMPLE_MOD, sample_key
-
-    target = train_target if train_target is not None else IVF_TRAIN_TARGET
-    rows = _parquet_rows(_emb_path(sf_dir))
-    if rows is not None and rows > target:
-        # the sample FILTER runs distributed (map_batches, same shape as
-        # train_centroids); only the ~target sampled rows ever reach the
-        # driver — never the full table
-        thr = np.uint64((SAMPLE_MOD * target) // rows)
-
-        def keep(t: pa.Table) -> pa.Table:
-            key = sample_key(t["vec_id"].to_numpy())
-            return t.filter(pa.array(key < thr))
-
-        sample = collect_table(
-            read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
-            .map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        V = _emb_matrix(sample["embedding"])
+    ds, sampled = _train_rows(sf_dir, train_target)
+    if sampled:
+        # only the ~target sampled rows ever reach the driver
+        V = _emb_matrix(collect_table(ds)["embedding"])
     else:
         V = _emb_matrix(
             pads.dataset(_emb_path(sf_dir)).to_table(columns=["embedding"])["embedding"]
@@ -465,8 +404,7 @@ def train_pq_codebooks(
         X = V[:, j * sub : (j + 1) * sub]
         C = I[:, j * sub : (j + 1) * sub].copy()
         for _ in range(iters):
-            dist = ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
-            assign = dist.argmin(axis=1)
+            assign = _sqdist(X, C).argmin(axis=1)
             sums = np.zeros_like(C)
             np.add.at(sums, assign, X)
             counts = np.bincount(assign, minlength=k).astype(np.int64)
@@ -476,21 +414,41 @@ def train_pq_codebooks(
     return books
 
 
-def _encode_codes(V: np.ndarray, books: np.ndarray) -> np.ndarray:
-    """(n, m) uint8 PQ codes: vectorized per-subspace argmin (shared by the
-    flat and the cluster-partitioned encoders)."""
-    m, _, sub = books.shape
-    codes = np.empty((len(V), m), dtype=np.uint8)
-    for j in range(m):
-        X = V[:, j * sub : (j + 1) * sub]
-        dist = ((X[:, None, :] - books[j][None, :, :]) ** 2).sum(axis=2)
-        codes[:, j] = dist.argmin(axis=1).astype(np.uint8)
-    return codes
+def _pq_encoder(books: np.ndarray):
+    """THE PQ encoder: batch -> (vec_id, codes fixed-list<uint8>[m], norm
+    float64[, cluster, cluster_id]) — one vectorized argmin per subspace;
+    the EXACT vector norm is kept so only the dot product is approximated
+    (better ranking than reconstructed norms, one float of overhead). A
+    batch carrying cluster_id keeps it, plus the "cluster" partition
+    column of the IVF-PQ layout."""
+    ref = ray.put(books)
+
+    def encode(t: pa.Table) -> pa.Table:
+        B = ray.get(ref)
+        m, _, sub = B.shape
+        V = _emb_matrix(t["embedding"])
+        codes = np.stack(
+            [_sqdist(V[:, j * sub : (j + 1) * sub], B[j]).argmin(axis=1) for j in range(m)], axis=1
+        ).astype(np.uint8)
+        out = {
+            "vec_id": t["vec_id"],
+            "codes": pa.FixedSizeListArray.from_arrays(pa.array(codes.reshape(-1)), m),
+            "norm": pa.array(_norms(V), type=pa.float64()),
+        }
+        if "cluster_id" in t.column_names:
+            out["cluster"] = out["cluster_id"] = t["cluster_id"]
+        return pa.table(out)
+
+    return encode
+
+
+def pq_encode(sf_dir: str, books: np.ndarray) -> "ray.data.Dataset":
+    """Dataset of the corpus' PQ codes (``_pq_encoder``)."""
+    return arrow_map(read_table(sf_dir, "embeddings", ["vec_id", "embedding"]), _pq_encoder(books))
 
 
 def _exact_rerank(
-    sf_dir: str, short: pa.Table, qids: np.ndarray, Q: np.ndarray,
-    qnorms: np.ndarray, k: int,
+    sf_dir: str, short: pa.Table, qids: np.ndarray, Q: np.ndarray, k: int,
 ) -> pa.Table:
     """Exact rescore of an ADC shortlist: only the shortlisted vec_ids are
     point-read (pushdown) and exactly rescored; final (rounded DESC,
@@ -499,57 +457,35 @@ def _exact_rerank(
 
     cand_ids = sorted(set(short["vec_id"].to_pylist()))
     if not cand_ids:
-        return _topk_merge([short], k)
+        return _TOPK.empty_table()
     raw = pads.dataset(_emb_path(sf_dir)).to_table(
-        columns=["vec_id", "embedding"],
-        filter=pads.field("vec_id").isin(cand_ids),
-    )
+        columns=["vec_id", "embedding"], filter=pads.field("vec_id").isin(cand_ids),
+    ).sort_by("vec_id")
     rid = np.asarray(raw["vec_id"])
     RV = _emb_matrix(raw["embedding"])
-    rn = np.sqrt((RV * RV).sum(axis=1))
-    order = np.argsort(rid)
-    rid, RV, rn = rid[order], RV[order], rn[order]
-    s_q = np.asarray(short["query_vec_id"])
-    s_v = np.asarray(short["vec_id"])
+    s_q, s_v = short["query_vec_id"].to_numpy(), short["vec_id"].to_numpy()
     pos = np.searchsorted(rid, s_v)
-    qpos = {int(q): i for i, q in enumerate(qids)}
-    qi = np.asarray([qpos[int(x)] for x in s_q])
-    exact = (Q[qi] * RV[pos]).sum(axis=1) / (qnorms[qi] * rn[pos])
-    rescored = pa.table(
-        {
-            "query_vec_id": short["query_vec_id"],
-            "vec_id": short["vec_id"],
-            "cosine": pa.array(round_half_away(exact, 4), type=pa.float64()),
-        }
-    )
-    return _topk_merge([rescored], k)
+    qorder = np.argsort(qids)
+    qi = qorder[np.searchsorted(qids, s_q, sorter=qorder)]
+    exact = (Q[qi] * RV[pos]).sum(axis=1) / (_norms(Q)[qi] * _norms(RV)[pos])
+    return _topk(s_q, s_v, round_half_away(exact, 4), k)
 
 
-def pq_encode(sf_dir: str, books: np.ndarray) -> "ray.data.Dataset":
-    """Dataset of (vec_id, codes fixed-list<uint8>[m], norm float64):
-    one vectorized argmin per subspace per batch; the EXACT vector norm is
-    kept so only the dot product is approximated (better ranking than
-    reconstructed norms, one float of overhead)."""
+def _adc(Q: np.ndarray, books: np.ndarray):
+    """Batch scorer for _knn_scan over PQ codes: per query LUT[j, c] =
+    dot(q_j, book_j[c]); a batch's approximate dots are LUT gathers summed
+    across subspaces — no matmul against raw vectors. cosine_hat =
+    dot_hat / (||q|| * exact ||v||), rounded 4."""
     m, _, sub = books.shape
-    ref = ray.put(books)
+    luts = np.einsum("qms,mks->qmk", Q.reshape(len(Q), m, sub), books)
+    qn = _norms(Q)
 
-    def encode(t: pa.Table) -> pa.Table:
-        B = ray.get(ref)
-        V = _emb_matrix(t["embedding"])
-        codes = _encode_codes(V, B)
-        norms = np.sqrt((V * V).sum(axis=1))
-        return pa.table(
-            {
-                "vec_id": t["vec_id"],
-                "codes": pa.FixedSizeListArray.from_arrays(
-                    pa.array(codes.reshape(-1), type=pa.uint8()), m
-                ),
-                "norm": pa.array(norms, type=pa.float64()),
-            }
-        )
+    def score(t: pa.Table) -> np.ndarray:
+        codes = np.asarray(t["codes"].combine_chunks().values).reshape(-1, m)
+        dots = luts[:, np.arange(m)[None, :], codes].sum(axis=2)
+        return round_half_away(dots / (qn[:, None] * t["norm"].to_numpy()[None, :]), 4)
 
-    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return ds.map_batches(encode, batch_format="pyarrow", zero_copy_batch=True)
+    return score
 
 
 def build_pq_codes(
@@ -557,8 +493,8 @@ def build_pq_codes(
     train_target: int | None = None,
 ):
     """The FLAT PQ index artifact: the (vec_id, codes, norm) table written
-    ONCE via the IndexFS atomic protocol with a codebooks .npy sidecar —
-    the same persist-and-resume shape as build_ivf_index / build_ivfpq_codes.
+    ONCE with a codebooks .npy sidecar (``_persisted``, the same
+    persist-and-resume shape as build_ivf_index / build_ivfpq_codes).
     ``knn_pq`` scans these stored codes (17 B/vector) instead of re-encoding
     the raw corpus per call; re-encoding only happens when the layout is
     absent. The cache directory name carries every codebook parameter
@@ -566,110 +502,60 @@ def build_pq_codes(
     full-path hash) so same-process calls with different params — or with
     different same-named corpora — never read stale codes. Returns
     (codes IndexFS, codebooks)."""
-    import posixpath
-
-    from smse_backend_ray.state.fs import IndexFS, resolve
-
     if out_dir is None:
         tt = "d" if train_target is None else str(train_target)
-        out_dir = (
-            f"/tmp/smse_pq_{os.getpid()}_{_corpus_tag(sf_dir)}_{m}_{nk}_{tt}"
-        )
-    codes0 = resolve(out_dir)
-    parent = IndexFS((codes0.fs, posixpath.dirname(codes0.root)))
-    name = posixpath.basename(codes0.root)
-    sidecar = name + ".codebooks.npy"
-    if codes0.exists() and parent.exists(sidecar):
-        return codes0, _load_sidecar(parent, sidecar)
-    books = train_pq_codebooks(sf_dir, m=m, k=nk, train_target=train_target)
-    parent.atomic_write_dataset(pq_encode(sf_dir, books), name)
-    _save_sidecar_atomic(parent, sidecar, books)
-    return codes0, books
+        out_dir = f"/tmp/smse_pq_{os.getpid()}_{_corpus_tag(sf_dir)}_{m}_{nk}_{tt}"
+
+    def build(parent, name):
+        books = train_pq_codebooks(sf_dir, m=m, k=nk, train_target=train_target)
+        parent.atomic_write_dataset(pq_encode(sf_dir, books), name)
+        return books
+
+    return _persisted(out_dir, ".codebooks.npy", build)
 
 
 def knn_pq(
     sf_dir: str, k: int = TOP_K, *, m: int = PQ_M, nk: int = PQ_K,
     train_target: int | None = None,
 ) -> pa.Table:
-    """ADC search over STORED PQ codes: per query, LUT[j, c] =
-    dot(q_j, book_j[c]); a batch's approximate dots are LUT gathers summed
-    across subspaces — no matmul against raw vectors, the per-vector cost
-    is m byte lookups against the persisted 17-B/vector code table
-    (build_pq_codes; the corpus is encoded once, not per query batch).
-    cosine_hat = dot_hat / (||q|| * exact ||v||), ranked
-    (round(cosine_hat,4) DESC, vec_id ASC)."""
-    codes_fs, books = build_pq_codes(
-        sf_dir, m=m, nk=nk, train_target=train_target
-    )
+    """ADC search over STORED PQ codes (``_adc``): the per-vector cost is
+    m byte lookups against the persisted 17-B/vector code table
+    (build_pq_codes; the corpus is encoded once, not per query batch),
+    ranked (round(cosine_hat,4) DESC, vec_id ASC). The code scan keeps a
+    PQ_RERANK*k shortlist (per-batch candidates keep that FULL width —
+    capping at k would make the rerank a no-op); only those few raw
+    vectors are point-read and exactly rescored — recall limited only by
+    whether the true top-k survive the shortlist."""
+    codes_fs, books = build_pq_codes(sf_dir, m=m, nk=nk, train_target=train_target)
     qids, Q = _load_queries(sf_dir)
-    qnorms = np.sqrt((Q * Q).sum(axis=1))
-    sub = books.shape[2]
-    # (n_queries, m, nk) lookup tables: LUT[q, j, c] = dot(q_subspace_j, book_j[c])
-    luts = np.einsum("qms,mks->qmk", Q.reshape(len(Q), books.shape[0], sub), books)
-    ref = ray.put((qids, qnorms, luts))
-
-    def batch_topk(t: pa.Table) -> pa.Table:
-        q_ids, q_n, L = ray.get(ref)
-        vids = np.asarray(t["vec_id"])
-        codes_arr = t["codes"].combine_chunks() if isinstance(t["codes"], pa.ChunkedArray) else t["codes"]
-        mm = L.shape[1]
-        codes = np.asarray(codes_arr.values).reshape(-1, mm)
-        norms = np.asarray(t["norm"])
-        out = {"query_vec_id": [], "vec_id": [], "cosine": []}
-        # per-batch candidates keep the FULL rerank shortlist width —
-        # capping at k here would make the exact rerank a no-op
-        kk = min(PQ_RERANK * k, len(vids))
-        for qi in range(len(q_ids)):
-            dots = L[qi][np.arange(mm)[None, :], codes].sum(axis=1)
-            s = round_half_away(dots / (q_n[qi] * norms), 4)
-            order = np.lexsort((vids, -s))[:kk]
-            out["query_vec_id"].extend([int(q_ids[qi])] * len(order))
-            out["vec_id"].extend(vids[order].tolist())
-            out["cosine"].extend(s[order].tolist())
-        return pa.table(
-            {
-                "query_vec_id": pa.array(out["query_vec_id"], type=pa.int64()),
-                "vec_id": pa.array(out["vec_id"], type=pa.int64()),
-                "cosine": pa.array(out["cosine"], type=pa.float64()),
-            }
-        )
-
     files = sorted(codes_fs.list_files("", recursive=True, suffix=".parquet"))
-    cands = collect_table(
-        codes_fs.ray_read_parquet_files(
-            files, columns=["vec_id", "codes", "norm"]
-        ).map_batches(batch_topk, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    # ADC shortlist -> EXACT rerank (the production PQ shape: the code scan
-    # finds PQ_RERANK*k candidates cheaply; only those few raw vectors are
-    # point-read and exactly rescored — recall limited only by whether the
-    # true top-k survive the shortlist)
-    short = _topk_merge([cands], PQ_RERANK * k)
-    return _exact_rerank(sf_dir, short, qids, Q, qnorms, k)
+    ds = codes_fs.ray_read_parquet_files(files, columns=["vec_id", "codes", "norm"])
+    short = _knn_scan(ds, qids, _adc(Q, books), PQ_RERANK * k)
+    return _exact_rerank(sf_dir, short, qids, Q, k)
+
+
+def _check_recall(approx: pa.Table, sf_dir: str, k: int, floor: float, what: str) -> pa.Table:
+    """Gate-entry guard: mean per-query top-k overlap of ``approx`` with
+    the exact brute-force top-k must reach ``floor`` — the driver sees an
+    error, never silently-wrong rows (same pattern as dedup_embedding_ivf)."""
+    def sets(t: pa.Table) -> dict:
+        out: dict[int, set] = {}
+        for q, v in zip(t["query_vec_id"].to_pylist(), t["vec_id"].to_pylist()):
+            out.setdefault(q, set()).add(v)
+        return out
+
+    a, e = sets(approx), sets(knn_bruteforce(sf_dir, k))
+    recalls = [len(a.get(q, set()) & e[q]) / len(e[q]) for q in e]
+    recall = float(np.mean(recalls)) if recalls else 0.0
+    if recall < floor:
+        raise AssertionError(f"{what} recall {recall:.3f} below pinned floor {floor}")
+    return approx
 
 
 def knn_pq_checked(sf_dir: str, k: int = TOP_K) -> pa.Table:
     """Gate entry: knn_pq with an IN-ENTRY recall assertion against the
-    exact brute-force top-k (mean overlap >= PQ_RECALL_FLOOR) — the driver
-    sees an error, never silently-wrong rows (same pattern as
-    dedup_embedding_ivf)."""
-    approx = knn_pq(sf_dir, k)
-    exact = knn_bruteforce(sf_dir, k)
-
-    def sets(t: pa.Table) -> dict:
-        out: dict[int, set] = {}
-        for r in t.to_pylist():
-            out.setdefault(r["query_vec_id"], set()).add(r["vec_id"])
-        return out
-
-    a, e = sets(approx), sets(exact)
-    recalls = [len(a.get(q, set()) & e[q]) / len(e[q]) for q in e]
-    recall = float(np.mean(recalls)) if recalls else 0.0
-    if recall < PQ_RECALL_FLOOR:
-        raise AssertionError(
-            f"PQ recall {recall:.3f} below pinned floor {PQ_RECALL_FLOOR}"
-        )
-    return approx
+    exact brute-force top-k (mean overlap >= PQ_RECALL_FLOOR)."""
+    return _check_recall(knn_pq(sf_dir, k), sf_dir, k, PQ_RECALL_FLOOR, "PQ")
 
 
 # ---------------------------------------------------------------------------
@@ -690,10 +576,6 @@ def build_ivfpq_codes(
     sibling codes layout. A probe of p/c clusters then reads p/c of a
     17-B-per-vector table instead of p/c of the raw vectors. Returns
     (codes IndexFS, centroids, codebooks)."""
-    import posixpath
-
-    from smse_backend_ray.state.fs import IndexFS, resolve
-
     layout, cents = build_ivf_index(
         sf_dir, n_clusters=n_clusters, train_target=train_target
     )
@@ -708,43 +590,17 @@ def build_ivfpq_codes(
             f"/tmp/smse_ivfpq_{os.getpid()}_"
             f"{_corpus_tag(sf_dir)}_{n_clusters}_{m}_{nk}_{tt}"
         )
-    codes0 = resolve(out_dir)
-    parent = IndexFS((codes0.fs, posixpath.dirname(codes0.root)))
-    name = posixpath.basename(codes0.root)
-    sidecar = name + ".codebooks.npy"
-    if codes0.exists() and parent.exists(sidecar):
-        # warm resume: codebooks come from the sidecar — no retrain pass
-        # over the corpus sample on every later call
-        return codes0, cents, _load_sidecar(parent, sidecar)
-    books = train_pq_codebooks(sf_dir, m=m, k=nk, train_target=train_target)
-    ref = ray.put(books)
-    mm, _, sub = books.shape
 
-    def encode(t: pa.Table) -> pa.Table:
-        B = ray.get(ref)
-        V = _emb_matrix(t["embedding"])
-        codes = _encode_codes(V, B)
-        norms = np.sqrt((V * V).sum(axis=1))
-        cl = t["cluster_id"]
-        return pa.table(
-            {
-                "vec_id": t["vec_id"],
-                "codes": pa.FixedSizeListArray.from_arrays(
-                    pa.array(codes.reshape(-1), type=pa.uint8()), mm
-                ),
-                "norm": pa.array(norms, type=pa.float64()),
-                "cluster": cl,
-                "cluster_id": cl,
-            }
-        )
+    def build(parent, name):
+        books = train_pq_codebooks(sf_dir, m=m, k=nk, train_target=train_target)
+        files = sorted(layout.list_files("", recursive=True, suffix=".parquet"))
+        ds = layout.ray_read_parquet_files(files, columns=["vec_id", "embedding", "cluster_id"])
+        parent.atomic_write_dataset(arrow_map(ds, _pq_encoder(books)), name,
+                                    partition_cols=["cluster"])
+        return books
 
-    files = sorted(layout.list_files("", recursive=True, suffix=".parquet"))
-    ds = layout.ray_read_parquet_files(
-        files, columns=["vec_id", "embedding", "cluster_id"]
-    ).map_batches(encode, batch_format="pyarrow", zero_copy_batch=True)
-    parent.atomic_write_dataset(ds, name, partition_cols=["cluster"])
-    _save_sidecar_atomic(parent, sidecar, books)
-    return codes0, cents, books
+    codes_fs, books = _persisted(out_dir, ".codebooks.npy", build)
+    return codes_fs, cents, books
 
 
 def knn_ivfpq(
@@ -757,82 +613,21 @@ def knn_ivfpq(
     rescore just the shortlist from the source table. The 100 TB shape:
     I/O ~ nprobe/c of a 17-B-per-vector table; exact math touches <=
     PQ_RERANK*k vectors per query."""
-    codes_fs, cents, books = build_ivfpq_codes(
-        sf_dir, train_target=train_target
-    )
+    codes_fs, cents, books = build_ivfpq_codes(sf_dir, train_target=train_target)
     qids, Q = _load_queries(sf_dir)
-    qnorms = np.sqrt((Q * Q).sum(axis=1))
-    qd = ((Q[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-    probe = np.argsort(qd, axis=1, kind="stable")[:, :nprobe]
-    probed_union = sorted({int(c) for row in probe for c in row})
-    mm, _, sub = books.shape
-    luts = np.einsum("qms,mks->qmk", Q.reshape(len(Q), mm, sub), books)
-    ref = ray.put((qids, qnorms, luts, probe))
-
-    def batch_topk(t: pa.Table) -> pa.Table:
-        q_ids, q_n, L, prb = ray.get(ref)
-        vids = np.asarray(t["vec_id"])
-        clusters = np.asarray(t["cluster_id"])
-        codes_arr = (
-            t["codes"].combine_chunks()
-            if isinstance(t["codes"], pa.ChunkedArray)
-            else t["codes"]
-        )
-        codes = np.asarray(codes_arr.values).reshape(-1, L.shape[1])
-        norms = np.asarray(t["norm"])
-        out = {"query_vec_id": [], "vec_id": [], "cosine": []}
-        for qi in range(len(q_ids)):
-            m = np.isin(clusters, prb[qi])
-            if not m.any():
-                continue
-            dots = L[qi][np.arange(L.shape[1])[None, :], codes[m]].sum(axis=1)
-            s = round_half_away(dots / (q_n[qi] * norms[m]), 4)
-            v = vids[m]
-            order = np.lexsort((v, -s))[: min(PQ_RERANK * k, len(v))]
-            out["query_vec_id"].extend([int(q_ids[qi])] * len(order))
-            out["vec_id"].extend(v[order].tolist())
-            out["cosine"].extend(s[order].tolist())
-        return pa.table(
-            {
-                "query_vec_id": pa.array(out["query_vec_id"], type=pa.int64()),
-                "vec_id": pa.array(out["vec_id"], type=pa.int64()),
-                "cosine": pa.array(out["cosine"], type=pa.float64()),
-            }
-        )
-
-    paths = sorted(
-        f
-        for c in probed_union
-        for f in codes_fs.list_files(f"cluster={c}", suffix=".parquet")
+    probe, probed = _probes(Q, cents, nprobe)
+    ds = codes_fs.ray_read_parquet_files(
+        _cluster_files(codes_fs, probed), columns=["vec_id", "codes", "norm", "cluster_id"]
     )
-    cands = collect_table(
-        codes_fs.ray_read_parquet_files(
-            paths, columns=["vec_id", "codes", "norm", "cluster_id"]
-        ).map_batches(batch_topk, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    short = _topk_merge([cands], PQ_RERANK * k)
-    return _exact_rerank(sf_dir, short, qids, Q, qnorms, k)
+    short = _knn_scan(ds, qids, _adc(Q, books), PQ_RERANK * k, probe)
+    return _exact_rerank(sf_dir, short, qids, Q, k)
 
 
 def knn_ivfpq_checked(sf_dir: str, k: int = TOP_K) -> pa.Table:
     """Gate entry: knn_ivfpq with an in-entry recall assertion vs exact
     brute force (floor IVFPQ_RECALL_FLOOR — probing misses whole clusters
     by design, so the floor sits below the full-scan PQ floor)."""
-    approx = knn_ivfpq(sf_dir, k)
-    exact = knn_bruteforce(sf_dir, k)
-    a: dict[int, set] = {}
-    e: dict[int, set] = {}
-    for r in approx.to_pylist():
-        a.setdefault(r["query_vec_id"], set()).add(r["vec_id"])
-    for r in exact.to_pylist():
-        e.setdefault(r["query_vec_id"], set()).add(r["vec_id"])
-    recalls = [len(a.get(q, set()) & e[q]) / len(e[q]) for q in e]
-    recall = float(np.mean(recalls)) if recalls else 0.0
-    if recall < IVFPQ_RECALL_FLOOR:
-        raise AssertionError(
-            f"IVF-PQ recall {recall:.3f} below pinned floor {IVFPQ_RECALL_FLOOR}"
-        )
-    return approx
+    return _check_recall(knn_ivfpq(sf_dir, k), sf_dir, k, IVFPQ_RECALL_FLOOR, "IVF-PQ")
 
 
 def embedding_dim_stats(sf_dir: str) -> pa.Table:
@@ -851,11 +646,8 @@ def embedding_dim_stats(sf_dir: str) -> pa.Table:
     source blocks a tree-fold re-applies the grouped sum/min/max combiner
     so the driver group_by sees O(fan_in * d) rows regardless of corpus
     block count. No key shuffle at any scale."""
-    import pyarrow.compute as pc
-
     from smse_backend_ray.config import FOLD_FAN_IN
-    from smse_backend_ray.functions.collect import collect_table, fold_partials
-    from smse_backend_ray.functions.rounding import round_half_away
+    from smse_backend_ray.functions.collect import fold_partials
 
     partial_schema = pa.schema(
         [
@@ -874,55 +666,32 @@ def embedding_dim_stats(sf_dir: str) -> pa.Table:
             return partial_schema.empty_table()
         iv = (np.sign(V) * np.floor(np.abs(V) * 10000.0 + 0.5)).astype(np.int64)
         return pa.table(
-            {
-                "dim": pa.array(np.arange(d, dtype=np.int64)),
-                "n": pa.array(np.full(d, n, dtype=np.int64)),
-                "sum_scaled": pa.array(iv.sum(axis=0, dtype=np.int64)),
-                "min_v": pa.array(V.min(axis=0)),
-                "max_v": pa.array(V.max(axis=0)),
-            }
+            [np.arange(d, dtype=np.int64), np.full(d, n, dtype=np.int64),
+             iv.sum(axis=0, dtype=np.int64), V.min(axis=0), V.max(axis=0)],
+            schema=partial_schema,
         )
 
     def fold(t: pa.Table) -> pa.Table:
-        g = t.group_by("dim").aggregate(
-            [("n", "sum"), ("sum_scaled", "sum"), ("min_v", "min"),
-             ("max_v", "max")]
-        )
-        return pa.table(
-            {
-                "dim": pc.cast(g["dim"], pa.int64()),
-                "n": pc.cast(g["n_sum"], pa.int64()),
-                "sum_scaled": pc.cast(g["sum_scaled_sum"], pa.int64()),
-                "min_v": g["min_v_min"],
-                "max_v": g["max_v_max"],
-            }
-        )
+        return agg(t, "dim", n=("n", "sum"), sum_scaled=("sum_scaled", "sum"),
+                   min_v=("min_v", "min"), max_v=("max_v", "max"))
 
     nb = read_blocks(sf_dir, "embeddings", rows_per_block=4096)
-    ds = (
-        read_table(sf_dir, "embeddings", ["embedding"], rows_per_block=4096)
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    ds = arrow_map(read_table(sf_dir, "embeddings", ["embedding"], rows_per_block=4096), partial)
     if nb > FOLD_FAN_IN:
         ds = fold_partials(ds, fold, FOLD_FAN_IN)
-    parts = collect_table(ds, empty_schema=partial_schema)
-    g = parts.group_by("dim").aggregate(
-        [("n", "sum"), ("sum_scaled", "sum"), ("min_v", "min"), ("max_v", "max")]
-    )
-    n = g["n_sum"].to_numpy().astype(np.int64)
-    ss = g["sum_scaled_sum"].to_numpy().astype(np.int64)
-    mean = round_half_away(ss / 10000.0 / n, 4)
+    g = fold(collect_table(ds, empty_schema=partial_schema))
+    n, ss = g["n"].to_numpy(), g["sum_scaled"].to_numpy()
     out = pa.table(
         {
-            "dim": pc.cast(g["dim"], pa.int64()),
-            "n": pa.array(n, type=pa.int64()),
-            "sum_scaled": pa.array(ss, type=pa.int64()),
-            "mean_v": pa.array(mean, type=pa.float64()),
-            "min_v": pc.cast(g["min_v_min"], pa.float64()),
-            "max_v": pc.cast(g["max_v_max"], pa.float64()),
+            "dim": g["dim"],
+            "n": g["n"],
+            "sum_scaled": g["sum_scaled"],
+            "mean_v": pa.array(round_half_away(ss / 10000.0 / n, 4), type=pa.float64()),
+            "min_v": g["min_v"],
+            "max_v": g["max_v"],
         }
     )
-    return out.take(pc.sort_indices(out["dim"]))
+    return out.sort_by("dim")
 
 
 def embedding_dim_stats_sql() -> str:
@@ -956,11 +725,8 @@ def embedding_label_centroids(sf_dir: str) -> pa.Table:
     (label domain is small by construction — it's a class id); above
     FOLD_FAN_IN source blocks the grouped-sum tree-fold bounds the driver
     merge. No key shuffle at any scale."""
-    import pyarrow.compute as pc
-
     from smse_backend_ray.config import FOLD_FAN_IN
-    from smse_backend_ray.functions.collect import collect_table, fold_partials
-    from smse_backend_ray.functions.rounding import round_half_away
+    from smse_backend_ray.functions.collect import fold_partials
 
     partial_schema = pa.schema(
         [("label", pa.int64()), ("dim", pa.int64()),
@@ -980,54 +746,28 @@ def embedding_label_centroids(sf_dir: str) -> pa.Table:
         np.add.at(sums, inv, iv)
         counts = np.bincount(inv, minlength=uniq.size).astype(np.int64)
         return pa.table(
-            {
-                "label": pa.array(np.repeat(uniq, d), type=pa.int64()),
-                "dim": pa.array(np.tile(np.arange(d, dtype=np.int64), uniq.size)),
-                "n": pa.array(np.repeat(counts, d), type=pa.int64()),
-                "sum_scaled": pa.array(sums.reshape(-1), type=pa.int64()),
-            }
+            [np.repeat(uniq, d), np.tile(np.arange(d, dtype=np.int64), uniq.size),
+             np.repeat(counts, d), sums.reshape(-1)],
+            schema=partial_schema,
         )
 
     def fold(t: pa.Table) -> pa.Table:
-        g = t.group_by(["label", "dim"]).aggregate(
-            [("n", "sum"), ("sum_scaled", "sum")]
-        )
-        return pa.table(
-            {
-                "label": pc.cast(g["label"], pa.int64()),
-                "dim": pc.cast(g["dim"], pa.int64()),
-                "n": pc.cast(g["n_sum"], pa.int64()),
-                "sum_scaled": pc.cast(g["sum_scaled_sum"], pa.int64()),
-            }
-        )
+        return agg(t, ["label", "dim"], n=("n", "sum"), sum_scaled=("sum_scaled", "sum"))
 
     nb = read_blocks(sf_dir, "embeddings", rows_per_block=4096)
-    ds = (
-        read_table(sf_dir, "embeddings", ["label", "embedding"], rows_per_block=4096)
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    ds = arrow_map(
+        read_table(sf_dir, "embeddings", ["label", "embedding"], rows_per_block=4096), partial
     )
     if nb > FOLD_FAN_IN:
         ds = fold_partials(ds, fold)
     merged = fold(collect_table(ds, empty_schema=partial_schema))
-    n = merged["n"].to_numpy().astype(np.int64)
-    ss = merged["sum_scaled"].to_numpy().astype(np.int64)
+    n = merged["n"].to_numpy()
+    ss = merged["sum_scaled"].to_numpy()
     mean = round_half_away(
         np.divide(ss / 10000.0, n, out=np.zeros(len(n)), where=n > 0), 4
     )
-    out = pa.table(
-        {
-            "label": merged["label"],
-            "dim": merged["dim"],
-            "n": merged["n"],
-            "sum_scaled": merged["sum_scaled"],
-            "mean_v": pa.array(mean, type=pa.float64()),
-        }
-    )
-    return out.take(
-        pa.compute.sort_indices(
-            out, sort_keys=[("label", "ascending"), ("dim", "ascending")]
-        )
-    )
+    out = merged.append_column("mean_v", pa.array(mean, type=pa.float64()))
+    return out.sort_by([("label", "ascending"), ("dim", "ascending")])
 
 
 def embedding_label_centroids_sql() -> str:

@@ -34,7 +34,9 @@ from smse_backend_ray.functions.arrow_kernels import (
     exchange,
     hist_quantiles,
     int64_schema,
+    run_pairs,
     run_rank,
+    top_k,
 )
 from smse_backend_ray.functions.collect import collect_table, fold_partials
 from smse_backend_ray.functions.joins import (
@@ -43,7 +45,6 @@ from smse_backend_ray.functions.joins import (
     cpu_scaled_buckets,
     grouped_aggregate,
     semi_join,
-    with_schema,
 )
 from smse_backend_ray.functions.rounding import round_half_away
 from smse_backend_ray.sources.corpus import _parquet_rows, read_blocks, read_table
@@ -761,11 +762,8 @@ def unigram_logprob(sf_dir: str) -> pa.Table:
 
     nb_doc = _doc_buckets(sf_dir)
     freq_schema = pa.schema([("term", pa.string()), ("tf_corpus", pa.int64())])
-    freq = with_schema(
-        grouped_aggregate(_docs(sf_dir, _term_rows_batch), ["term"],
-                          [("tf", "sum", "tf_corpus")], nb=nb_doc),
-        freq_schema,
-    ).materialize()
+    freq = grouped_aggregate(_docs(sf_dir, _term_rows_batch), ["term"], freq_schema,
+                             nb=nb_doc, tf_corpus=("tf", "sum")).materialize()
     total = float(freq.sum("tf_corpus") or 0)
 
     base = read_table(sf_dir, "documents", ["doc_id"], repartition=False)
@@ -926,10 +924,9 @@ def term_cooc_pmi(sf_dir: str) -> pa.Table:
     rows = _docs(sf_dir, lambda t: agg(_doc_terms(t), ["doc_id", "term"]))
 
     # distinct-doc df per term; eligibility stays a DATASET (vocab-scaled)
-    df_ds = with_schema(
-        grouped_aggregate(rows, ["term"], [("doc_id", "count", "df")], nb=nb_doc),
-        pa.schema([("term", pa.string()), ("df", pa.int64())]),
-    ).filter(expr=f"df >= {COOC_MIN_DF}").materialize()
+    df_ds = grouped_aggregate(rows, ["term"], pa.schema([("term", pa.string()), ("df", pa.int64())]),
+                              nb=nb_doc, df=("doc_id", "count"),
+                              ).filter(expr=f"df >= {COOC_MIN_DF}").materialize()
 
     # consumed exactly once by the pair exchange below — stream it (never
     # pin the full doc-term stream in the object store)
@@ -940,32 +937,24 @@ def term_cooc_pmi(sf_dir: str) -> pa.Table:
         # ints-only hot path: the whole triangle runs on int64 term ranks
         r, sorted_vocab = _term_rank(g["term"])
         d = g["doc_id"].to_numpy()
+        # per-doc cap: only the first COOC_DOC_TERM_CAP terms (term-asc)
+        # of a doc pair
         order = np.lexsort((r, d))
-        t_s = r[order]
-        start, run, rank = run_rank(d[order])
-        # per-doc cap: only the first COOC_DOC_TERM_CAP terms (term-asc,
-        # the lexsort order) pair; element at capped local pos p pairs
-        # with its p in-cap predecessors
-        eff = np.where(rank <= COOC_DOC_TERM_CAP, rank - 1, 0)
-        total = int(eff.sum())
-        if not total:
+        capped = order[run_rank(d[order])[2] <= COOC_DOC_TERM_CAP]
+        d, r = d[capped], r[capped]
+        a, b, _ = run_pairs(d, r)
+        if not len(a):
             return pair_schema.empty_table()
-        csum = np.concatenate(([0], np.cumsum(eff)))
-        a_idx = (np.repeat(np.flatnonzero(start)[run], eff) + np.arange(total)
-                 - np.repeat(csum[:-1], eff))
-        b_idx = np.repeat(np.arange(len(t_s)), eff)
-        part = agg(pa.table({"a": t_s[a_idx], "b": t_s[b_idx]}), ["a", "b"], n=("a", "count"))
+        part = agg(pa.table({"a": r[a], "b": r[b]}), ["a", "b"], n=("a", "count"))
         # decode ranks back to terms only for the aggregated pair rows
         # (pair-partial-bounded, not pair-expansion-bounded)
         return pa.table({"a": sorted_vocab.take(part["a"]), "b": sorted_vocab.take(part["b"]),
                          "n": part["n"]})
 
     pairs_schema = pa.schema([("a", pa.string()), ("b", pa.string()), ("n_ab", pa.int64())])
-    pairs = with_schema(
-        grouped_aggregate(exchange(elig, "doc_id", emit, pair_schema, nb=nb_doc),
-                          ["a", "b"], [("n", "sum", "n_ab")], nb=nb_doc),
-        pairs_schema,
-    ).filter(expr=f"n_ab >= {COOC_MIN_PAIRS}").materialize()
+    pairs = grouped_aggregate(exchange(elig, "doc_id", emit, pair_schema, nb=nb_doc),
+                              ["a", "b"], pairs_schema, nb=nb_doc, n_ab=("n", "sum"),
+                              ).filter(expr=f"n_ab >= {COOC_MIN_PAIRS}").materialize()
 
     # attach dfs via two bucketed unique-key joins (pair-bounded inputs)
     npair = pairs.count()
@@ -1021,10 +1010,8 @@ def doc_keywords(sf_dir: str) -> pa.Table:
 
     tf_schema = int64_schema("doc_id", term=pa.string(), tf=pa.int64())
     rows = _docs(sf_dir, lambda t: agg(_doc_terms(t), ["doc_id", "term"], tf=("term", "count")))
-    df_ds = with_schema(
-        grouped_aggregate(rows, ["term"], [("doc_id", "count", "df")], nb=nb_doc),
-        pa.schema([("term", pa.string()), ("df", pa.int64())]),
-    ).materialize()
+    df_ds = grouped_aggregate(rows, ["term"], pa.schema([("term", pa.string()), ("df", pa.int64())]),
+                              nb=nb_doc, df=("doc_id", "count")).materialize()
     joined = attach_unique(rows, df_ds, "term", "term", tf_schema, int64_schema("df"), nb=nb_doc)
 
     def score(t: pa.Table) -> pa.Table:
@@ -1034,13 +1021,11 @@ def doc_keywords(sf_dir: str) -> pa.Table:
 
     def topk(g: pa.Table) -> pa.Table:
         # term tie-break via the ints-only rank remap (see term_cooc_pmi)
-        d = g["doc_id"].to_numpy()
-        order = np.lexsort((_term_rank(g["term"])[0], -g["tfidf"].to_numpy(), d))
-        rank = run_rank(d[order])[2]
-        keep = rank <= KEYWORDS_TOP_K
-        return g.take(pa.array(order[keep])).append_column("rank", pa.array(rank[keep]))
+        idx, rank = top_k(g["doc_id"].to_numpy(), _term_rank(g["term"])[0],
+                          g["tfidf"].to_numpy(), KEYWORDS_TOP_K)
+        return g.take(pa.array(idx)).append_column("rank", pa.array(rank))
 
-    scored = arrow_map(with_schema(joined, tf_schema.append(pa.field("df", pa.int64()))), score)
+    scored = arrow_map(joined, score)
     out = collect_table(exchange(scored, "doc_id", topk, out_schema, nb=nb_doc),
                         empty_schema=out_schema)
     return out.sort_by([("doc_id", "ascending"), ("rank", "ascending")])
@@ -1075,10 +1060,7 @@ def doc_length_quantiles(sf_dir: str) -> pa.Table:
         return agg(pa.table({"lang": t["lang"], "dl": dl}), ["lang", "dl"], cnt=("dl", "count"))
 
     hist_schema = int64_schema("dl", "cnt", lang=pa.string())
-    hist = with_schema(
-        grouped_aggregate(_docs(sf_dir, partial), ["lang", "dl"], [("cnt", "sum", "cnt")]),
-        hist_schema,
-    )
+    hist = grouped_aggregate(_docs(sf_dir, partial), ["lang", "dl"], hist_schema, cnt=("cnt", "sum"))
     t = collect_table(hist, empty_schema=hist_schema)
     return hist_quantiles(t, "lang", "dl", "cnt", tuple(config.DL_QUANTILES), "n_docs")
 
@@ -1128,11 +1110,8 @@ def term_pair_counts(sf_dir: str) -> pa.Table:
         return agg(g1, ["term_a", "term_b"], n_pairs=("n_pairs", "sum"),
                    n_docs=("n_pairs", "count"))
 
-    agg_ds = with_schema(
-        grouped_aggregate(_docs(sf_dir, partial), ["term_a", "term_b"],
-                          [("n_pairs", "sum", "n_pairs"), ("n_docs", "sum", "n_docs")]),
-        part_schema,
-    )
+    agg_ds = grouped_aggregate(_docs(sf_dir, partial), ["term_a", "term_b"], part_schema,
+                               n_pairs=("n_pairs", "sum"), n_docs=("n_docs", "sum"))
     top = arrow_map(agg_ds, lambda t: t.sort_by(order).slice(0, top_n))
     return collect_table(top, empty_schema=part_schema).sort_by(order).slice(0, top_n)
 
@@ -1297,15 +1276,11 @@ def bigram_logprob(sf_dir: str) -> pa.Table:
         return agg(t, ["doc_id", "term_a", "pair"], tfp=("pair", "count"))
 
     fab_schema = pa.schema([("term_a", pa.string()), ("pair", pa.string()), ("n_ab", pa.int64())])
-    fab = with_schema(
-        grouped_aggregate(_docs(sf_dir, lambda t: pair_rows(t).select(["term_a", "pair", "tfp"])),
-                          ["term_a", "pair"], [("tfp", "sum", "n_ab")], nb=nb_doc),
-        fab_schema,
-    ).materialize()
-    fa = with_schema(
-        grouped_aggregate(fab, ["term_a"], [("n_ab", "sum", "n_a")], nb=nb_doc),
-        pa.schema([("term_a", pa.string()), ("n_a", pa.int64())]),
-    ).materialize()
+    fab = grouped_aggregate(_docs(sf_dir, lambda t: pair_rows(t).select(["term_a", "pair", "tfp"])),
+                            ["term_a", "pair"], fab_schema, nb=nb_doc, n_ab=("tfp", "sum"),
+                            ).materialize()
+    fa = grouped_aggregate(fab, ["term_a"], pa.schema([("term_a", pa.string()), ("n_a", pa.int64())]),
+                           nb=nb_doc, n_a=("n_ab", "sum")).materialize()
 
     j1 = attach_unique(_docs(sf_dir, pair_rows),
                        arrow_map(fab, lambda t: t.select(["pair", "n_ab"])), "pair", "pair",
@@ -1368,11 +1343,9 @@ def vocab_growth(sf_dir: str) -> pa.Table:
             int64_schema("doc_id", term=pa.string(), tf=pa.int64()), int64_schema("rank"),
             nb=nb_doc,
         )
-        tm = with_schema(
-            grouped_aggregate(arrow_map(joined, lambda t: t.select(["term", "rank"])),
-                              ["term"], [("rank", "min", "r")], nb=nb_doc),
-            pa.schema([("term", pa.string()), ("r", pa.int64())]),
-        )
+        tm = grouped_aggregate(arrow_map(joined, lambda t: t.select(["term", "rank"])), ["term"],
+                               pa.schema([("term", pa.string()), ("r", pa.int64())]),
+                               nb=nb_doc, r=("rank", "min"))
 
         def hist_partial(t: pa.Table) -> pa.Table:
             # bucket = index of the FIRST grid point with r < k
@@ -1411,11 +1384,8 @@ def top_terms_per_lang(sf_dir: str) -> pa.Table:
         return agg(t, ["lang", "term"], tf=("term", "count"))
 
     schema = pa.schema([("lang", pa.string()), ("term", pa.string()), ("tf", pa.int64())])
-    lt = with_schema(
-        grouped_aggregate(_docs(sf_dir, partial), ["lang", "term"], [("tf", "sum", "tf")],
-                          nb=_doc_buckets(sf_dir)),
-        schema,
-    )
+    lt = grouped_aggregate(_docs(sf_dir, partial), ["lang", "term"], schema,
+                           nb=_doc_buckets(sf_dir), tf=("tf", "sum"))
     t = collect_table(grouped_topk(lt, "lang", "tf", int(config.TOP_TERMS_PER_LANG_K),
                                    tiebreak="term"),
                       empty_schema=schema.append(pa.field("rank", pa.int64())))

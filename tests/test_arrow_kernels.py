@@ -18,7 +18,9 @@ from smse_backend_ray.functions.arrow_kernels import (
     hist_quantiles,
     in_window,
     int64_schema,
+    run_pairs,
     run_rank,
+    top_k,
 )
 from smse_backend_ray.functions.collect import collect_table
 from smse_backend_ray.functions.rounding import round_half_away
@@ -211,6 +213,149 @@ def test_exchange_matches_user_bucket_chain(ray_session, n_users):
         ]
     else:
         assert got.num_rows == 0
+
+
+MULTI_KEY_CASES = {
+    "rows": (pa.table({"u": [1, 2, 1, 3, 1, 2] * 3, "s": ["x", "y", "x", "x", "y", "y"] * 3,
+                       "v": list(range(18))}), 4),
+    "single_bucket": (pa.table({"u": [1, 2, 1, 3], "s": ["x", "y", "x", "x"], "v": [1, 2, 3, 4]}), 1),
+    "empty": (pa.table({"u": pa.array([], pa.int64()), "s": pa.array([], pa.string()),
+                        "v": pa.array([], pa.int64())}), 4),
+    "zero_column": (pa.table({}), 4),
+}
+
+
+@pytest.mark.parametrize("case", list(MULTI_KEY_CASES))
+def test_exchange_multi_key(ray_session, case):
+    """An (int, string) key list: every (u, s) key's rows meet in ONE
+    group, so the per-group sums equal a single global GROUP BY; empty
+    and zero-column inputs give typed empty output; nb=1 is one group."""
+    import ray.data
+
+    t, nb = MULTI_KEY_CASES[case]
+    schema = int64_schema("u", "total", s=pa.string())
+    ds = ray.data.from_arrow(t)
+    if t.num_rows:
+        ds = ds.repartition(3)
+
+    def per_group(g):
+        return agg(g, ["u", "s"], total=("v", "sum"))
+
+    got = collect_table(exchange(ds, ["u", "s"], per_group, schema, nb=nb), empty_schema=schema)
+    assert got.schema == schema
+    if not t.num_rows:
+        assert got.num_rows == 0
+        return
+    order = [("u", "ascending"), ("s", "ascending")]
+    want = agg(t, ["u", "s"], total=("v", "sum")).select(schema.names).cast(schema)
+    assert got.sort_by(order).equals(want.sort_by(order))
+
+
+def _brute_pairs(key, order, cap=None):
+    """itertools reference for run_pairs: every (earlier, later) pair of rows
+    sharing a key, by (order, row); runs over ``cap`` skipped."""
+    import itertools
+
+    pairs, skipped = set(), set()
+    for k in set(key.tolist()):
+        rows = sorted(np.flatnonzero(key == k), key=lambda i: (order[i], i))
+        if cap is not None and len(rows) > cap:
+            skipped.add((k, len(rows)))
+            continue
+        pairs |= set(itertools.combinations(rows, 2))
+    return pairs, skipped
+
+
+@pytest.mark.parametrize("cap", [None, 3])
+def test_run_pairs_matches_combinations(cap):
+    rng = np.random.default_rng(7)
+    key = rng.integers(0, 6, 40)
+    key[:1] = 99  # a run of length 1: no pairs
+    order = rng.permutation(40)
+    a, b, (first, size) = run_pairs(key, order, cap=cap)
+    want, want_skipped = _brute_pairs(key, order, cap)
+    assert set(zip(a.tolist(), b.tolist())) == want and len(a) == len(want)
+    assert (order[a] < order[b]).all()
+    assert set(zip(key[first].tolist(), size.tolist())) == want_skipped
+    if cap is not None:
+        assert want_skipped  # the cap really skipped a run
+
+
+def test_run_pairs_string_keys_and_empty():
+    key = np.array(["b", "a", "b", "c", "a", "b"], dtype=object)
+    order = np.array([5, 1, 3, 0, 2, 4])
+    a, b, (first, size) = run_pairs(key, order, cap=2)
+    assert set(zip(a.tolist(), b.tolist())) == {(1, 4)}
+    assert key[first].tolist() == ["b"] and size.tolist() == [3]
+    a, b, (first, size) = run_pairs(np.array([], dtype=object), np.array([], dtype=np.int64))
+    assert len(a) == len(b) == len(first) == len(size) == 0
+
+
+def test_run_pairs_equal_keys_from_different_blocks(ray_session):
+    """Rows of one key spread over several input blocks meet in one
+    exchange group, so the in-run pairs equal the single-table pairs."""
+    import ray.data
+
+    t = pa.table({"k": ["p", "q", "p", "r", "q", "p", "p"], "d": [4, 1, 0, 9, 7, 2, 5]})
+    schema = int64_schema("a", "b")
+
+    def emit(g):
+        d = g["d"].to_numpy()
+        a, b, _ = run_pairs(g["k"].to_numpy(zero_copy_only=False), d)
+        return pa.table({"a": d[a], "b": d[b]})
+
+    ds = ray.data.from_arrow([t.slice(i, 2) for i in range(0, t.num_rows, 2)])
+    assert ds.num_blocks() > 1
+    got = collect_table(exchange(ds, "k", emit, schema, nb=2), empty_schema=schema)
+    want = emit(t)
+    assert want.num_rows == 7  # p: 4 rows -> 6 pairs, q: 2 -> 1, r: 1 -> 0
+    assert sorted(zip(got["a"].to_pylist(), got["b"].to_pylist())) == sorted(
+        zip(want["a"].to_pylist(), want["b"].to_pylist())
+    )
+
+
+def _old_topk_loop(q, v, s, k, mask=None):
+    """The per-query loop the kernel replaces (simsearch batch_topk /
+    _topk_merge): per query, lexsort((vec_id, -score))[:k]."""
+    rows = []
+    for qi in np.unique(q):
+        m = q == qi
+        if mask is not None:
+            m &= mask
+        if not m.any():
+            continue
+        vv, ss = v[m], s[m]
+        order = np.lexsort((vv, -ss))[:k]
+        rows += [(int(qi), r + 1, int(vv[o]), float(ss[o])) for r, o in enumerate(order)]
+    return rows
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_top_k_matches_per_query_loop(masked):
+    rng = np.random.default_rng(3)
+    nq, nv, k = 4, 30, 5
+    q = np.repeat(np.array([7, 2, 9, 5]), nv)
+    v = np.tile(rng.permutation(1000)[:nv], nq)
+    s = round_half_away(rng.random(nq * nv) / 3, 1)  # 1 decimal: many ties
+    q[-3:] = 11  # a query with fewer than k rows
+    mask = None
+    if masked:
+        mask = rng.random(nq * nv) < 0.6
+        mask[q == 2] = False  # a probed-out query: no candidates at all
+    idx, rank = top_k(q, v, s, k, mask)
+    got = list(zip(q[idx].tolist(), rank.tolist(), v[idx].tolist(), s[idx].tolist()))
+    want = _old_topk_loop(q, v, s, k, mask)
+    assert got == want
+    assert len(set(s.tolist())) < len(s)  # ties exercised
+    assert sum(1 for r in got if r[0] == 11) == 3
+    if masked:
+        assert not any(r[0] == 2 for r in got)
+
+
+def test_top_k_empty():
+    e = np.array([], dtype=np.int64)
+    idx, rank = top_k(e, e, np.array([], dtype=np.float64), 3)
+    assert len(idx) == len(rank) == 0
 
 
 @pytest.mark.parametrize("with_filter", [False, True])

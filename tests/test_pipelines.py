@@ -132,12 +132,17 @@ def test_winnow_dup_clusters_matches_sql(ray_session, sf_dir, duck):
     assert all(cid <= did for did, cid in lbl.items())
 
 
-def test_cc_chain_converges_in_log_rounds(ray_session):
+@pytest.mark.parametrize("path", ["driver", "distributed"])
+def test_cc_chain_converges_in_log_rounds(ray_session, monkeypatch, path):
     """Pointer jumping bounds connected-components rounds by O(log diameter):
     a 200-link chain (worst case for plain min propagation, which needs 200
     rounds) must close in ~2*log2(200)+slack rounds, converged, with every
-    node labeled by the chain head."""
+    node labeled by the chain head — on the driver numpy path AND on the
+    distributed attach/min/attach rounds (CC_DRIVER_MAX=0), in the same
+    number of rounds."""
     import pyarrow as pa
+
+    from smse_backend_ray import config
 
     n = 201
     u = list(range(n - 1)) + list(range(1, n))
@@ -145,9 +150,12 @@ def test_cc_chain_converges_in_log_rounds(ray_session):
     edges = pa.table(
         {"u": pa.array(u, type=pa.int64()), "v": pa.array(v, type=pa.int64())}
     )
+    _, driver_rounds, _ = dedup._cc_labels(edges, max_iters=64)
+    if path == "distributed":
+        monkeypatch.setattr(config, "CC_DRIVER_MAX", 0)
     labels, rounds, converged = dedup._cc_labels(edges, max_iters=64)
     assert converged
-    assert rounds <= 20
+    assert rounds <= 20 and rounds == driver_rounds
     assert set(labels["label"].to_pylist()) == {0}
     assert sorted(labels["node"].to_pylist()) == list(range(n))
 
@@ -752,13 +760,12 @@ def test_hot_shingle_cache_keeps_one_entry(ray_session, sf_dir, tmp_path):
         d.mkdir()
         pq.write_table(docs.slice(0, n), d / "documents.parquet")
         dirs.append(str(d))
-    dedup._HOT_SHINGLE_CACHE.clear()
+    dedup._MEMO.pop("hot", None)
     first = dedup._global_hot_shingles(dirs[0], 2, "test")
     assert dedup._global_hot_shingles(dirs[0], 2, "test") is first
     second = dedup._global_hot_shingles(dirs[1], 2, "test")
-    assert len(dedup._HOT_SHINGLE_CACHE) == 1
-    (key,) = dedup._HOT_SHINGLE_CACHE
-    assert key == (f"{dirs[1]}/documents.parquet", 2)
+    key, _ = dedup._MEMO["hot"]  # the slot holds one entry: the latest
+    assert key == (dedup._docs_stamp(dirs[1]), 2)
     assert dedup._global_hot_shingles(dirs[1], 2, "test") is second
     assert first[1] > second[1] > 0  # the hot sets differ
 

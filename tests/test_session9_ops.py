@@ -274,8 +274,7 @@ def test_shared_candidates_evicted_once_both_scored(ray_session, tmp_path, monke
     then come from the scored caches, unchanged."""
     from smse_backend_ray.pipelines import dedup
 
-    for name in ("_SHINGLE_CAND_CACHE", "_JACCARD_CACHE", "_CONTAIN_CACHE"):
-        monkeypatch.setattr(dedup, name, {})
+    monkeypatch.setattr(dedup, "_MEMO", {})
     sf = _write_docs(
         tmp_path,
         [
@@ -283,15 +282,14 @@ def test_shared_candidates_evicted_once_both_scored(ray_session, tmp_path, monke
             for i in range(4)
         ],
     )
-    key = (dedup._docs_stamp(sf)[0], dedup.JACCARD_SHINGLE_DF_CAP)
     jac = dedup.jaccard_pairs(sf)
-    assert key in dedup._SHINGLE_CAND_CACHE  # containment has not run yet
+    assert "cand" in dedup._MEMO  # containment has not run yet
     cont = dedup.containment_pairs(sf)
-    assert key not in dedup._SHINGLE_CAND_CACHE
+    assert "cand" not in dedup._MEMO
     assert jac.num_rows and cont.num_rows
     assert dedup.jaccard_pairs(sf).equals(jac)
     assert dedup.containment_pairs(sf).equals(cont)
-    assert not dedup._SHINGLE_CAND_CACHE
+    assert "cand" not in dedup._MEMO
 
 
 def test_module_caches_keep_latest_entry(ray_session, sf_dir, tmp_path, monkeypatch):
@@ -302,8 +300,7 @@ def test_module_caches_keep_latest_entry(ray_session, sf_dir, tmp_path, monkeypa
 
     from smse_backend_ray.pipelines import dedup, simsearch
 
-    for name in ("_SHINGLE_CAND_CACHE", "_JACCARD_CACHE", "_CONTAIN_CACHE"):
-        monkeypatch.setattr(dedup, name, {})
+    monkeypatch.setattr(dedup, "_MEMO", {})
     monkeypatch.setattr(simsearch, "_IVF_CACHE", {})
     sf = _write_docs(
         tmp_path,
@@ -315,7 +312,7 @@ def test_module_caches_keep_latest_entry(ray_session, sf_dir, tmp_path, monkeypa
     for thr in (0.5, 0.6):
         jac = dedup.jaccard_pairs(sf, threshold=thr)
         cont = dedup.containment_pairs(sf, threshold=thr)
-        assert len(dedup._JACCARD_CACHE) == 1 and len(dedup._CONTAIN_CACHE) == 1
+        assert dedup._MEMO["jaccard"][0][1] == dedup._MEMO["containment"][0][1] == thr
     # the latest entry still answers its repeat call
     assert dedup.jaccard_pairs(sf, threshold=0.6).equals(jac)
     assert dedup.containment_pairs(sf, threshold=0.6).equals(cont)
@@ -326,6 +323,34 @@ def test_module_caches_keep_latest_entry(ray_session, sf_dir, tmp_path, monkeypa
     for i, d in enumerate((sf_dir, str(other))):
         simsearch.build_ivf_index(d, out_dir=str(tmp_path / f"ivf{i}"), n_clusters=4)
         assert len(simsearch._IVF_CACHE) == 1
+
+
+def test_jaccard_alone_keeps_one_candidate_entry(ray_session, tmp_path, monkeypatch):
+    """jaccard_pairs without containment_pairs never releases the shared
+    candidate tables, so walking several df caps must still keep ONE
+    candidate entry (each pins materialized object-store blocks), and the
+    latest cap's repeat call is a memo hit."""
+    from smse_backend_ray.pipelines import dedup
+
+    monkeypatch.setattr(dedup, "_MEMO", {})
+    sf = _write_docs(
+        tmp_path,
+        [
+            {"doc_id": i, "text": "alpha beta gamma delta epsilon " + "w" * i, "lang": "en", "source": "s"}
+            for i in range(4)
+        ],
+    )
+    for cap in (2, 3, 50):
+        last = dedup.jaccard_pairs(sf, df_cap=cap)
+    # one candidate slot, holding the latest cap only
+    assert [k for k in dedup._MEMO if k == "cand"] == ["cand"]
+    assert dedup._MEMO["cand"][0][1] == 50
+
+    def boom(*a, **k):
+        raise AssertionError("candidate pass re-run on a memo hit")
+
+    monkeypatch.setattr(dedup, "_shingle_inter_sizes", boom)
+    assert dedup.jaccard_pairs(sf, df_cap=50).equals(last)
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +793,7 @@ def test_session9_ops_bucket_invariant(ray_session, sf_dir, monkeypatch):
         "bigram": textstats.bigram_logprob(sf_dir),
     }
     for forced in (1, 97):
-        monkeypatch.setattr(joins, "_n_buckets", lambda: forced)
+        monkeypatch.setattr(joins, "cpu_scaled_buckets", lambda *a, **k: forced)
         monkeypatch.setattr(textstats, "_doc_buckets", lambda *a, **k: forced)
         assert events.user_activity_histogram(sf_dir).equals(base["hist"])
         assert events.weekly_active_users(sf_dir).equals(base["wau"])
