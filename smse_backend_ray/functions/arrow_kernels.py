@@ -1,5 +1,5 @@
 """Arrow kernels shared by the SQL-twinned operators (relational, events,
-textstats, dedup, simsearch).
+textstats, dedup, simsearch, sampling, packing, curate).
 
 Each operator's plan stays visible at its call site — per-batch combine ->
 ``exchange`` (directly, or as ``joins.attach_*`` / ``semi_join`` /
@@ -15,6 +15,9 @@ vocabulary the steps are written in, so each micro-pattern has ONE copy:
 - ``exchange``: THE key-hash exchange with a vectorized per-bucket kernel
   and typed output blocks (many keys per bucket, never a call per key);
   ``joins`` builds its joins and ``grouped_aggregate`` on it;
+- ``ordered_scan``: THE two-level distributed exclusive prefix scan (per-
+  range partial sums -> driver bases -> one ``exchange`` on the range id),
+  with ``scan_ranges`` its one range-count sizing;
 - ``run_pairs``: the upper-triangle (a < b) row pairs within each run of
   equal keys, with a run-size cap that reports what it skips;
 - ``top_k``: per-group top-k by (score DESC, item ASC) in one lexsort;
@@ -29,10 +32,13 @@ the same key name on both sides (pyarrow coalesces the key columns).
 from __future__ import annotations
 
 import datetime
+import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from smse_backend_ray.functions.collect import collect_table
 
 _INT_OPS = ("sum", "count", "count_distinct")
 
@@ -93,12 +99,15 @@ def run_rank(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return start, run, rank
 
 
-def exchange(ds, keys, fn, schema: pa.Schema, nb: int | None = None):
+def exchange(ds, keys, fn, schema: pa.Schema | None, nb: int | None = None):
     """THE bucket exchange: rows hash into ``nb`` fat buckets on ``keys``
     (a column name or a list), every key's rows meet in one group, and
     ``fn(group) -> Table`` runs once per group over MANY keys (vectorized
     inside — a group per key pays a Python call per key). Output blocks
-    are typed ``schema``; empty groups never reach ``fn``. ``ds`` may be a
+    are typed ``schema``; empty groups never reach ``fn``. ``schema=None``
+    keeps ``fn``'s own output types (for a caller that cannot name them
+    before the run); an empty bucket then stays a zero-column block, which
+    ``collect_table`` drops. ``ds`` may be a
     list of Datasets: each is tagged in its own map (fused into its last
     map) before they union — a join ships both sides this way. ``nb``
     defaults to the CPU-scaled ``joins.cpu_scaled_buckets()``; placement
@@ -116,14 +125,66 @@ def exchange(ds, keys, fn, schema: pa.Schema, nb: int | None = None):
 
     def per_group(g: pa.Table) -> pa.Table:
         if not g.num_rows or not set(keys) <= set(g.column_names):
-            return schema.empty_table()
-        return fn(g.drop_columns(["__b"])).select(schema.names).cast(schema)
+            return pa.table({}) if schema is None else schema.empty_table()
+        out = fn(g.drop_columns(["__b"]))
+        return out if schema is None else out.select(schema.names).cast(schema)
 
     tagged = [arrow_map(d, tag) for d in (ds if isinstance(ds, list) else [ds])]
     if len(tagged) > 1:
         tagged = [tagged[0].union(*tagged[1:])]
     grouped = tagged[0].groupby("__b").map_groups(per_group, batch_format="pyarrow")
-    return joins.with_schema(grouped, schema)
+    return grouped if schema is None else joins.with_schema(grouped, schema)
+
+
+def scan_ranges(sf_dir: str, n_ranges: int | None = None) -> int:
+    """The range count R of an ordered scan over ``sf_dir``'s documents:
+    ``n_ranges`` when given, else the CPU-scaled count, lowered by the
+    documents footer row count. R only spreads the work; a scan's output
+    is R-invariant (tested per operator)."""
+    from smse_backend_ray.functions.joins import cpu_scaled_buckets
+    from smse_backend_ray.sources.corpus import _parquet_rows
+
+    rows = _parquet_rows(os.path.join(sf_dir, "documents.parquet"))
+    return n_ranges or cpu_scaled_buckets(mult=4, floor=8, rows=rows)
+
+
+def ordered_scan(ds, order, outs: dict, schema: pa.Schema, nb: int | None = None):
+    """THE two-level distributed exclusive prefix scan (Blelloch, "Prefix
+    Sums and Their Applications", 1990) over rows in (rid, *order) order.
+    Every row carries an int64 range id ``rid`` monotone in that order
+    (all of range r's rows precede range r+1's). For each ``name: col``
+    of ``outs`` a row gets the sum of ``col`` over every row before it;
+    ``col=None`` counts rows instead, a 0-based rank.
+
+    One ``arrow_map`` sums each range per block; the driver turns those
+    sums into exclusive per-range bases (O(ranges) state); one
+    ``exchange`` on ``rid`` then sorts each group by (rid, *order) and
+    adds each range's base to the exclusive cumsum within its run of rid
+    — many ranges per group, no Python call per range. ``ds`` is read
+    twice, so it is materialized here. Output blocks are typed ``schema``
+    (columns of ``ds`` and the outs); None when ``ds`` has no rows."""
+    ds = ds.materialize()
+    sums = {n: ("rid", "count") if c is None else (c, "sum") for n, c in outs.items()}
+    part = collect_table(arrow_map(ds, lambda t: agg(t, "rid", **sums)),
+                         empty_schema=int64_schema("rid", *outs))
+    if not part.num_rows:
+        return None
+    part = agg(part, "rid", **{n: (n, "sum") for n in outs}).sort_by("rid")
+    rids = part["rid"].to_numpy()
+    bases = {n: np.cumsum(part[n].to_numpy()) - part[n].to_numpy() for n in outs}
+
+    def scan(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("rid", "ascending")] + [(o, "ascending") for o in order])
+        r = g["rid"].to_numpy()
+        start, run, _ = run_rank(r)
+        first, base_at = np.flatnonzero(start)[run], np.searchsorted(rids, r)
+        for name, col in outs.items():
+            v = np.ones(len(r), np.int64) if col is None else g[col].to_numpy()
+            c = np.cumsum(v) - v  # exclusive over the group, rebased per run
+            g = g.append_column(name, pa.array(bases[name][base_at] + c - c[first], pa.int64()))
+        return g
+
+    return exchange(ds, "rid", scan, schema, nb)
 
 
 def run_pairs(key: np.ndarray, order: np.ndarray, cap: int | None = None):

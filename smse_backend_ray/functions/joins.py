@@ -40,14 +40,16 @@ def cpu_scaled_buckets(
     rows_per_bucket: int = 2048,
 ) -> int:
     """The ONE cluster-size-scaled bucket/range-count helper (exchange
-    bucket counts, pair-group counts, packing ranges all derive from it).
+    bucket counts, pair-group counts, ordered-scan ranges all derive from
+    it).
 
     ``rows`` (optional, e.g. the source parquet footer count) only LOWERS
-    the CPU-scaled target: every bucket is a reduce task AND an output
-    block, so a tiny input through 8*cpus buckets pays dozens of
-    near-empty tasks per exchange. Bucket placement never affects exchange
-    output (each key lives in exactly one bucket either way), so the hint
-    is free to vary with input size."""
+    the CPU-scaled target: every bucket is one ``fn`` call of the exchange
+    (the output block count follows the INPUT block count whatever the
+    bucket count — Ray 2.49's groupby keeps it), so a tiny input through
+    8*cpus buckets pays dozens of near-empty calls per exchange. Bucket
+    placement never affects exchange output (each key lives in exactly
+    one bucket either way), so the hint is free to vary with input size."""
     import ray
 
     try:

@@ -57,12 +57,8 @@ import ray
 import ray.data
 
 from smse_backend_ray.config import EngineConfig
-from smse_backend_ray.stages.ingest import (
-    DOC_SCHEMA_COLS,
-    encode_segments,
-    ingest_batch,
-    sorted_codes,
-)
+from smse_backend_ray.functions.analyzer import sorted_codes
+from smse_backend_ray.stages.ingest import DOC_SCHEMA_COLS, encode_segments, ingest_batch
 from smse_backend_ray.state.catalog import TOMBSTONES_REL, Catalog, read_tombstones
 from smse_backend_ray.state.fs import IndexFS
 

@@ -24,25 +24,21 @@ Frozen semantics (constants in config.CURATE_*):
 Scale shape: one metadata pass (text never leaves the scan stage — only
 (doc_id, lang, fingerprint, quality, n_tokens, key) rows move); one
 fingerprint-bucket exchange for winners; one doc_id-bucket semi-join; then
-the two-level ordered scan over KEY ranges — survivor keys are uniform on
-[0, threshold) by construction (Bernoulli keep = key < threshold), so
+``arrow_kernels.ordered_scan`` over KEY ranges — survivor keys are uniform
+on [0, threshold) by construction (Bernoulli keep = key < threshold), so
 equal-width ranges over [0, threshold) stay balanced after sampling; the
-driver holds 2R scalars (rank base + token-offset base per range).
+driver holds 2 bases per range (rank + token offset).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
-import ray.data
-
+from smse_backend_ray.functions.arrow_kernels import arrow_map, ordered_scan, scan_ranges
 from smse_backend_ray.functions.collect import collect_table
-from smse_backend_ray.sources.corpus import _parquet_rows, read_table
+from smse_backend_ray.sources.corpus import read_table
 
 
 def curation_pipeline(
@@ -58,17 +54,9 @@ def curation_pipeline(
     output is itself fact-scale and must not funnel through the driver."""
     from smse_backend_ray import config
     from smse_backend_ray.functions.analyzer import subtokens_batch
-    from smse_backend_ray.functions.joins import (
-        cpu_scaled_buckets,
-        grouped_aggregate,
-        semi_join,
-    )
+    from smse_backend_ray.functions.joins import grouped_aggregate, semi_join
     from smse_backend_ray.pipelines.packing import PACK_WINDOW
-    from smse_backend_ray.pipelines.sampling import (
-        SAMPLE_MOD,
-        _threshold,
-        sample_key,
-    )
+    from smse_backend_ray.pipelines.sampling import _threshold, sample_key
     from smse_backend_ray.pipelines.textstats import (
         fingerprint_batch,
         quality_batch,
@@ -77,10 +65,7 @@ def curation_pipeline(
     min_q = float(config.CURATE_MIN_QUALITY)
     langs = frozenset(config.CURATE_LANGS)
     thr = _threshold(config.CURATE_SAMPLE_PCT)
-    R = n_ranges or cpu_scaled_buckets(
-        mult=4, floor=8,
-        rows=_parquet_rows(os.path.join(sf_dir, "documents.parquet")),
-    )  # rows hint only lowers R; output is R-invariant by test
+    R = scan_ranges(sf_dir, n_ranges)
 
     out_schema = pa.schema(
         [("rank", pa.int64()), ("doc_id", pa.int64()), ("lang", pa.string()),
@@ -119,19 +104,13 @@ def curation_pipeline(
          ("n_tokens", pa.int64()), ("skey", pa.int64())]
     )
     ds = read_table(sf_dir, "documents", ["doc_id", "text", "lang"])
-    rows = ds.map_batches(
-        meta, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
+    rows = arrow_map(ds, meta).materialize()
 
     # 1. dedup winners on the FULL corpus (one fingerprint-bucket exchange)
-    winners = grouped_aggregate(
+    winners = arrow_map(grouped_aggregate(
         rows, ["fingerprint"], pa.schema([("fingerprint", pa.string()), ("doc_id", pa.int64())]),
         doc_id=("doc_id", "min"),
-    ).map_batches(
-        lambda t: t.select(["doc_id"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+    ), lambda t: t.select(["doc_id"]))
     deduped = semi_join(rows, winners, keys=["doc_id"], left_schema=meta_schema)
 
     # 2-4. per-survivor filters + the key-range tag (no exchange)
@@ -152,73 +131,22 @@ def curation_pipeline(
             }
         )
 
-    survivors = deduped.map_batches(
-        keep, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
+    survivors = arrow_map(deduped, keep)
 
-    # 5-6. two-level ordered scan over key ranges: per-range (count,
-    # token sum) -> driver computes 2R exclusive bases -> per-range finish
-    def partials(t: pa.Table) -> pa.Table:
-        g = (
-            t.select(["rid", "n_tokens"])
-            .group_by("rid")
-            .aggregate([("n_tokens", "sum"), ("n_tokens", "count")])
-        )
-        return pa.table(
-            {"rid": g["rid"],
-             "s": pc.cast(g["n_tokens_sum"], pa.int64()),
-             "n": pc.cast(g["n_tokens_count"], pa.int64())}
-        )
-
-    part = collect_table(
-        survivors.map_batches(
-            partials, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        empty_schema=pa.schema(
-            [("rid", pa.int64()), ("s", pa.int64()), ("n", pa.int64())]
-        ),
-    )
-    if not part.num_rows:
+    # 5-6. the two-level ordered scan over key ranges: rank + token offset
+    scan_schema = out_schema.remove(out_schema.get_field_index("bin")).append(
+        pa.field("rid", pa.int64()))
+    scanned = ordered_scan(survivors, ["skey", "doc_id"],
+                           {"rank": None, "start_offset": "n_tokens"}, scan_schema, R)
+    if scanned is None:
         return _empty()
-    tok_sums = np.zeros(R, dtype=np.int64)
-    cnts = np.zeros(R, dtype=np.int64)
-    np.add.at(tok_sums, part["rid"].to_numpy(), part["s"].to_numpy())
-    np.add.at(cnts, part["rid"].to_numpy(), part["n"].to_numpy())
-    rank_base = np.concatenate(([0], np.cumsum(cnts)[:-1]))
-    off_base = np.concatenate(([0], np.cumsum(tok_sums)[:-1]))
-    base_ref = ray.put((rank_base, off_base))
 
-    window = PACK_WINDOW
+    def finish(t: pa.Table) -> pa.Table:
+        bins = pa.array(t["start_offset"].to_numpy() // PACK_WINDOW)
+        t = t.append_column("bin", bins).append_column("shard", t["rid"])
+        return t.select(out_schema.names + ["shard"])
 
-    def per_range(g: pa.Table) -> pa.Table:
-        rid = int(g["rid"][0].as_py())
-        rb, ob = ray.get(base_ref)
-        order = pc.sort_indices(
-            g, sort_keys=[("skey", "ascending"), ("doc_id", "ascending")]
-        )
-        s = g.take(order)
-        nt = s["n_tokens"].to_numpy()
-        start = int(ob[rid]) + np.concatenate(([0], np.cumsum(nt)[:-1]))
-        return pa.table(
-            {
-                "rank": pa.array(
-                    int(rb[rid]) + np.arange(s.num_rows, dtype=np.int64),
-                    type=pa.int64(),
-                ),
-                "doc_id": s["doc_id"], "lang": s["lang"],
-                "quality": s["quality"],
-                "n_tokens": pa.array(nt, type=pa.int64()),
-                "start_offset": pa.array(start, type=pa.int64()),
-                "bin": pa.array(start // window, type=pa.int64()),
-                "shard": pa.array(
-                    np.full(s.num_rows, rid, dtype=np.int64), type=pa.int64()
-                ),
-            }
-        )
-
-    finished = survivors.groupby("rid").map_groups(
-        per_range, batch_format="pyarrow"
-    )
+    finished = arrow_map(scanned, finish)
     if out_dir is not None:
         finished.write_parquet(out_dir, partition_cols=["shard"])
         import pyarrow.dataset as pads_mod
@@ -233,13 +161,9 @@ def curation_pipeline(
                 "n_rows": pc.cast(g["count_all"], pa.int64()),
             }
         )
-        return m.take(pc.sort_indices(m["shard"]))
-    out = collect_table(
-        finished,
-        empty_schema=out_schema.append(pa.field("shard", pa.int64())),
-    )
-    out = out.drop_columns(["shard"])
-    return out.take(pc.sort_indices(out["rank"]))
+        return m.sort_by("shard")
+    out = collect_table(finished, empty_schema=out_schema.append(pa.field("shard", pa.int64())))
+    return out.drop_columns(["shard"]).sort_by("rank")
 
 
 def curation_sql() -> str:

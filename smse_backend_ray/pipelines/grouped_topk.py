@@ -4,10 +4,11 @@ generalized to any key).
 
 Scale shape (SURVEY.md T1/T2 pattern, reused for arbitrary keys): a
 per-batch COMBINER keeps at most k rows per key inside ``map_batches``
-before the shuffle, so the ``groupby(key)`` exchange carries
+before the shuffle, so the key ``exchange`` carries
 O(k x keys_per_batch x n_batches) rows instead of the whole table; the
-per-group finalize re-applies the same selection and stamps ranks. Hot keys
-cost k rows per map batch, never their full row count.
+per-bucket finalize re-applies the same selection over MANY keys at once
+and stamps ranks. Hot keys cost k rows per map batch, never their full
+row count.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pyarrow as pa
 
 import ray.data
 
-from smse_backend_ray.functions.arrow_kernels import run_rank
+from smse_backend_ray.functions.arrow_kernels import arrow_map, exchange, run_rank
 
 
 def _topk_batch(
@@ -43,12 +44,7 @@ def grouped_topk(
     """Top-k rows per ``key`` ordered by (``by`` DESC, ``tiebreak`` ASC),
     with a 1-based ``rank`` column. ``tiebreak`` must be unique per row for
     the rank order to be deterministic."""
-    combined = ds.map_batches(
-        lambda t: _topk_batch(t, key, by, k, tiebreak, with_rank=False),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    return combined.groupby(key).map_groups(
-        lambda g: _topk_batch(g, key, by, k, tiebreak, with_rank=True),
-        batch_format="pyarrow",
-    )
+    combined = arrow_map(ds, lambda t: _topk_batch(t, key, by, k, tiebreak, with_rank=False))
+    # output types are the input's plus rank, unknown before the run: untyped exchange
+    return exchange(combined, key, lambda g: _topk_batch(g, key, by, k, tiebreak, with_rank=True),
+                    None)

@@ -15,15 +15,14 @@ arithmetic so the DuckDB oracle (HUGEINT-widened) reproduces it bit-for-bit.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 
 import ray.data
 
+from smse_backend_ray.functions.arrow_kernels import arrow_map, ordered_scan, run_rank, scan_ranges
 from smse_backend_ray.functions.collect import collect_table
-from smse_backend_ray.sources.corpus import _parquet_rows, read_blocks, read_table
+from smse_backend_ray.sources.corpus import read_blocks, read_table
 
 # Knuth multiplicative hash on the low 32 bits of doc_id; uniform on
 # [0, 2^32) for any doc_id distribution (sequential driver ids included).
@@ -146,13 +145,11 @@ def doc_sample_balanced(sf_dir: str, cap: int = BALANCED_CAP) -> pa.Table:
     key as doc_sample, so balanced picks nest inside Bernoulli samples.
 
     Scale shape: per-batch each language folds to its cap smallest
-    (key, doc_id) rows in one vectorized sort + segment-position mask
-    (top-k of a union == top-k of the union of per-part top-ks); above
-    FOLD_FAN_IN source blocks a tree-fold level re-applies the same
-    combiner so the driver merge stays O(fan_in * n_langs * cap) no
-    matter the corpus block count. No key shuffle."""
-    import pyarrow.compute as pc
-
+    (key, doc_id) rows in one sort + a ``run_rank`` mask (top-k of a
+    union == top-k of the union of per-part top-ks); above FOLD_FAN_IN
+    source blocks a tree-fold level re-applies the same combiner so the
+    driver merge stays O(fan_in * n_langs * cap) no matter the corpus
+    block count. No key shuffle."""
     from smse_backend_ray.config import FOLD_FAN_IN
     from smse_backend_ray.functions.collect import fold_partials
 
@@ -164,30 +161,10 @@ def doc_sample_balanced(sf_dir: str, cap: int = BALANCED_CAP) -> pa.Table:
     def _top_per_lang(t: pa.Table) -> pa.Table:
         if not t.num_rows:
             return out_schema.empty_table()
-        order = pc.sort_indices(
-            t,
-            sort_keys=[("lang", "ascending"), ("skey", "ascending"),
-                       ("doc_id", "ascending")],
-        )
-        s = t.take(order)
-        langs = s["lang"].to_numpy(zero_copy_only=False)
-        newl = np.empty(len(langs), dtype=bool)
-        newl[0] = True
-        newl[1:] = langs[1:] != langs[:-1]
-        starts = np.flatnonzero(newl)
-        seg = np.cumsum(newl) - 1
-        pos = np.arange(len(langs), dtype=np.int64) - starts[seg]
-        kept = s.filter(pa.array(pos < cap))
-        return pa.table(
-            {
-                "lang": kept["lang"],
-                "rank": pa.array(
-                    (pos[pos < cap] + 1).astype(np.int64), type=pa.int64()
-                ),
-                "doc_id": kept["doc_id"],
-                "skey": kept["skey"],
-            }
-        )
+        s = t.sort_by([("lang", "ascending"), ("skey", "ascending"), ("doc_id", "ascending")])
+        rank = run_rank(s["lang"].to_numpy(zero_copy_only=False))[2]
+        keep = pa.array(rank <= cap)
+        return s.filter(keep).set_column(1, "rank", pa.array(rank).filter(keep))
 
     def partial(t: pa.Table) -> pa.Table:
         key = sample_key(t["doc_id"].to_numpy()).astype(np.int64)
@@ -209,11 +186,7 @@ def doc_sample_balanced(sf_dir: str, cap: int = BALANCED_CAP) -> pa.Table:
         ds = fold_partials(ds, _top_per_lang, FOLD_FAN_IN)
     parts = collect_table(ds, empty_schema=out_schema)
     out = _top_per_lang(parts).drop_columns(["skey"])
-    return out.take(
-        pa.compute.sort_indices(
-            out, sort_keys=[("lang", "ascending"), ("rank", "ascending")]
-        )
-    )
+    return out.sort_by([("lang", "ascending"), ("rank", "ascending")])
 
 
 def doc_sample_balanced_sql(cap: int = BALANCED_CAP) -> str:
@@ -338,70 +311,15 @@ def shuffle_ranks_ds(sf_dir: str, n_ranges: int | None = None):
     materialization. Returns None when the corpus is empty. Semantics
     frozen with doc_shuffle/doc_shuffle_sql — this IS doc_shuffle minus
     the final collect."""
-    import pyarrow.compute as pc
-
-    from smse_backend_ray.functions.joins import cpu_scaled_buckets
-
-    R = n_ranges or cpu_scaled_buckets(
-        mult=4, floor=8,
-        rows=_parquet_rows(os.path.join(sf_dir, "documents.parquet")),
-    )  # rows hint only lowers R; rank output is R-invariant by test
+    R = scan_ranges(sf_dir, n_ranges)
 
     def keyed(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy()
-        key = sample_key(ids).astype(np.int64)
-        return pa.table(
-            {
-                "doc_id": pc.cast(t["doc_id"], pa.int64()),
-                "shuffle_key": pa.array(key, type=pa.int64()),
-                "rid": pa.array(
-                    (key * R) // SAMPLE_MOD, type=pa.int64()
-                ),
-            }
-        )
+        key = sample_key(t["doc_id"].to_numpy()).astype(np.int64)
+        return pa.table({"doc_id": pa.compute.cast(t["doc_id"], pa.int64()),
+                         "shuffle_key": key, "rid": (key * R) // SAMPLE_MOD})
 
-    ds = read_table(sf_dir, "documents", ["doc_id"])
-    keyed_ds = ds.map_batches(
-        keyed, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-
-    def partials(t: pa.Table) -> pa.Table:
-        g = t.select(["rid"]).group_by("rid").aggregate([("rid", "count")])
-        return pa.table(
-            {"rid": g["rid"], "n": pc.cast(g["rid_count"], pa.int64())}
-        )
-
-    part = collect_table(
-        keyed_ds.map_batches(
-            partials, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        empty_schema=pa.schema([("rid", pa.int64()), ("n", pa.int64())]),
-    )
-    if not part.num_rows:
-        return None
-    counts = np.zeros(R, dtype=np.int64)
-    np.add.at(counts, part["rid"].to_numpy(), part["n"].to_numpy())
-    base = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    base_ref = ray.put(base)
-
-    def per_range(g: pa.Table) -> pa.Table:
-        rid = int(g["rid"][0].as_py())
-        b = int(ray.get(base_ref)[rid])
-        order = pc.sort_indices(
-            g, sort_keys=[("shuffle_key", "ascending"), ("doc_id", "ascending")]
-        )
-        s = g.take(order)
-        return pa.table(
-            {
-                "rank": pa.array(
-                    b + np.arange(s.num_rows, dtype=np.int64), type=pa.int64()
-                ),
-                "doc_id": s["doc_id"],
-                "shuffle_key": s["shuffle_key"],
-            }
-        )
-
-    return keyed_ds.groupby("rid").map_groups(per_range, batch_format="pyarrow")
+    keyed_ds = arrow_map(read_table(sf_dir, "documents", ["doc_id"]), keyed)
+    return ordered_scan(keyed_ds, ["shuffle_key", "doc_id"], {"rank": None}, _SHUFFLE_SCHEMA, R)
 
 
 def doc_shuffle(sf_dir: str, n_ranges: int | None = None) -> pa.Table:
@@ -415,20 +333,15 @@ def doc_shuffle(sf_dir: str, n_ranges: int | None = None) -> pa.Table:
     (shuffle_key ASC, doc_id ASC) order. Output (rank, doc_id, shuffle_key)
     ordered by rank.
 
-    Scale shape: the classic two-level scan (same machinery as
-    packing.pack_bins) but over KEY ranges: keys are uniform on [0, 2^32)
+    Scale shape: arrow_kernels.ordered_scan (the one two-level scan, as
+    in packing.pack_bins) over KEY ranges: keys are uniform on [0, 2^32)
     by construction, so R equal-width key ranges are balanced for ANY
-    doc_id distribution; per-range counts (R scalars) give the driver the
-    exclusive rank offsets; each fat range then sorts (key, doc_id) and
-    adds its base — O(ranges) driver state, one exchange, no global sort
-    (the ranked stream itself is shuffle_ranks_ds)."""
-    import pyarrow.compute as pc
-
+    doc_id distribution — O(ranges) driver state, one exchange, no global
+    sort (the ranked stream itself is shuffle_ranks_ds)."""
     ds = shuffle_ranks_ds(sf_dir, n_ranges)
     if ds is None:
         return _SHUFFLE_SCHEMA.empty_table()
-    out = collect_table(ds, empty_schema=_SHUFFLE_SCHEMA)
-    return out.take(pc.sort_indices(out["rank"]))
+    return collect_table(ds, empty_schema=_SHUFFLE_SCHEMA).sort_by("rank")
 
 
 def doc_shuffle_sql() -> str:

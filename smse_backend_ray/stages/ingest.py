@@ -23,7 +23,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from smse_backend_ray.config import EngineConfig
-from smse_backend_ray.functions.analyzer import term_counts_batch
+from smse_backend_ray.functions.analyzer import sorted_codes, term_counts_batch, term_positions_batch
 from smse_backend_ray.sources.corpus import doc_id_from_key
 
 # ingest_batch's frozen output columns, MINUS the two per-build tags
@@ -63,8 +63,9 @@ def ingest_batch(batch: pa.Table, cfg: EngineConfig) -> pa.Table:
     commits = batch["commit"].to_pylist()
 
     # the only per-row pass left: sha256/doc-id hashing (C-speed hashlib);
-    # tokenization runs fully vectorized in Arrow C++ (term_counts_batch,
-    # bitwise-equal to the frozen scalar term_counts — parity-fuzzed)
+    # tokenization runs vectorized (Arrow C++ regexes + one numpy sort:
+    # term_counts_batch, bitwise-equal to the frozen scalar term_counts —
+    # parity-fuzzed)
     doc_ids = np.fromiter(
         (doc_id_from_key(r, p, c) for r, p, c in zip(repos, paths, commits)),
         dtype=np.int64,
@@ -72,8 +73,6 @@ def ingest_batch(batch: pa.Table, cfg: EngineConfig) -> pa.Table:
     )
     poss_l = None
     if cfg.with_positions:
-        from smse_backend_ray.functions.analyzer import term_positions_batch
-
         terms_l, tfs_l, poss_l = term_positions_batch(content)
     else:
         terms_l, tfs_l = term_counts_batch(content)
@@ -310,19 +309,6 @@ def _gather_runs(values: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np
     return values[np.repeat(starts, lens) + np.arange(dst[-1], dtype=np.int64) - np.repeat(dst[:-1], lens)]
 
 
-def sorted_codes(terms: "pa.Array | pa.ChunkedArray") -> tuple[np.ndarray, pa.Array]:
-    """Factorize a string column: (int64 code per value, the sorted distinct
-    values). Code order IS term order, so sorting by code sorts by term."""
-    if isinstance(terms, pa.ChunkedArray):
-        terms = terms.combine_chunks()
-    denc = pc.cast(terms, pa.string()).dictionary_encode()
-    by_term = np.asarray(pc.array_sort_indices(denc.dictionary), dtype=np.int64)
-    rank = np.empty(by_term.size, dtype=np.int64)
-    rank[by_term] = np.arange(by_term.size, dtype=np.int64)
-    codes = rank[np.asarray(denc.indices, dtype=np.int64)]
-    return codes, denc.dictionary.take(pa.array(by_term))
-
-
 # postings per encode pass: the encoder's numpy temporaries take ~170
 # bytes per posting (measured), so a shard-sized input is encoded in term
 # ranges of about this many postings (a term never spans two passes) and
@@ -341,7 +327,7 @@ def encode_segments(
 ) -> pa.Table:
     """Flat postings -> one segment row per (term, shard), term-sorted.
 
-    ``codes`` index ``term_dict`` (sorted; see ``sorted_codes``), one per
+    ``codes`` index ``term_dict`` (sorted; see ``analyzer.sorted_codes``), one per
     posting, aligned with ``doc_ids`` / ``tfs`` / ``dls`` in any order;
     ``positions``, when given, is the postings' position runs back to back
     (``tfs[i]`` values each, in the same order). Inputs above

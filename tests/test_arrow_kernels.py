@@ -18,6 +18,7 @@ from smse_backend_ray.functions.arrow_kernels import (
     hist_quantiles,
     in_window,
     int64_schema,
+    ordered_scan,
     run_pairs,
     run_rank,
     top_k,
@@ -312,6 +313,41 @@ def test_run_pairs_equal_keys_from_different_blocks(ray_session):
     assert sorted(zip(got["a"].to_pylist(), got["b"].to_pylist())) == sorted(
         zip(want["a"].to_pylist(), want["b"].to_pylist())
     )
+
+
+@pytest.mark.parametrize("R", [3, 50])
+def test_ordered_scan_matches_numpy_cumsum(ray_session, R):
+    """rank (a row count) and off (a running sum of v) over (a, b) order
+    equal a numpy sort + exclusive cumsum: input over several blocks,
+    ties on a broken by b, the middle of 3 ranges empty, and R = 50
+    above the row count (most ranges empty, many ranges per group)."""
+    import ray.data
+
+    rng = np.random.default_rng(11)
+    a = np.concatenate([rng.integers(0, 3, 12), rng.integers(7, 10, 12)])  # no a in [3, 7)
+    b = rng.permutation(24)
+    v = rng.integers(0, 100, 24)
+    t = pa.table({"a": a, "b": b, "v": v, "rid": a * R // 10})
+    ds = ray.data.from_arrow([t.slice(i, 5) for i in range(0, 24, 5)])
+    assert ds.num_blocks() > 1
+    schema = int64_schema("a", "b", "v", "rank", "off")
+    got = collect_table(ordered_scan(ds, ["a", "b"], {"rank": None, "off": "v"}, schema, nb=2))
+    assert got.schema == schema
+    got = got.sort_by("rank")
+    order = np.lexsort((b, a))
+    assert len(set(a.tolist())) < len(a)  # ties on the first key
+    assert got["b"].to_pylist() == b[order].tolist()
+    assert got["rank"].to_pylist() == list(range(24))
+    assert got["off"].to_pylist() == (np.cumsum(v[order]) - v[order]).tolist()
+    if R == 3:
+        assert sorted(set((a * R // 10).tolist())) == [0, 2]  # range 1 is empty
+
+
+def test_ordered_scan_empty_is_none(ray_session):
+    import ray.data
+
+    ds = ray.data.from_arrow(int64_schema("a", "rid").empty_table())
+    assert ordered_scan(ds, ["a"], {"rank": None}, int64_schema("a", "rank")) is None
 
 
 def _old_topk_loop(q, v, s, k, mask=None):

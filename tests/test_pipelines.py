@@ -2419,6 +2419,16 @@ def test_doc_sample_temperature_null_lang(ray_session, tmp_path):
     assert orc.to_pydict() == got.to_pydict()
 
 
+def test_curation_pipeline_range_invariant(ray_session, sf_dir):
+    """The key-range count only spreads the ordered scan: one range and
+    13 ranges give the same survivors, ranks and pack offsets."""
+    from smse_backend_ray.pipelines.curate import curation_pipeline
+
+    one = curation_pipeline(sf_dir, n_ranges=1)
+    assert one.num_rows > 1
+    assert one.to_pydict() == curation_pipeline(sf_dir, n_ranges=13).to_pydict()
+
+
 def test_curation_parquet_sink_matches_collect(ray_session, sf_dir, tmp_path):
     """curation_pipeline(out_dir=) writes shard-partitioned parquet whose
     rows equal the collected path exactly; the manifest counts per shard."""
