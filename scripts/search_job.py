@@ -67,8 +67,10 @@ def main(argv: list[str] | None = None) -> int:
         "--num-actors",
         type=int,
         default=None,
-        help="scorer actor count; > n_shards spawns full replica sets for "
-        "batch-serve throughput (default: one actor per shard)",
+        help="scorer actor count (default: n_shards). An index whose segments "
+        "fit SERVE_REPLICA_MAX_BYTES makes every actor a full replica (one "
+        "actor call per query); a bigger one packs shards into fewer actors, "
+        "and > n_shards spawns full replica sets for batch-serve throughput",
     )
     args = ap.parse_args(argv)
 

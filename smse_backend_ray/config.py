@@ -178,6 +178,19 @@ class EngineConfig:
 SHARD_CANDIDATE_K = 30
 DEFAULT_TOP_K = 10
 
+# Serve actor layout (SearchEngine): an index whose segments/ files total at
+# most this many bytes on disk is fully replicated, every ShardSearcher
+# opening every shard, so one query is one actor call. A bigger index packs
+# its shards over the actors. 256 MiB replicates the perfbench index (~2 MB of
+# segments) and the sf0.1 test index (~1 MB), while a 1M-doc index (~0.5 GB,
+# extrapolated from perfbench's ~500 bytes of segments per doc) keeps packing.
+SERVE_REPLICA_MAX_BYTES = 256 * 1024 * 1024
+
+# Per-shard bound on a serve actor's decoded-term cache (postings and
+# positions, one LRU sized from the arrays' nbytes). A fully decoded
+# perfbench shard holds ~3 MB, far below it, so the benchmark never evicts.
+DECODE_CACHE_MAX_BYTES = 64 * 1024 * 1024
+
 # Proximity (mode="near") default window: a doc matches iff some kept-token
 # window of span <= slop contains every distinct query term (frozen pair:
 # scorer.ShardIndex.match <-> oracle.oracle_near_search <-> sqlgen.near_topk_sql)

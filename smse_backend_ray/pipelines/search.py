@@ -24,6 +24,7 @@ import pyarrow.dataset as pads
 
 import ray
 
+from smse_backend_ray import config
 from smse_backend_ray.config import (
     DEFAULT_TOP_K,
     SCORE_DECIMALS,
@@ -52,8 +53,11 @@ RESULT_SCHEMA = pa.schema(
 
 
 class SearchEngine:
-    """Serving handle over a built index. Creates one actor per shard group;
-    state (decoded segments, doc meta) loads once per actor (ST1 analog)."""
+    """Serving handle over a built index. Creates ``num_actors`` scorer
+    actors (default: one per shard): full replicas of every shard when the
+    index's segments fit ``config.SERVE_REPLICA_MAX_BYTES``, else shards
+    packed into replica sets. State (decoded segments, doc meta) loads once
+    per actor (ST1 analog)."""
 
     def __init__(self, index_dir, num_actors: int | None = None):
         self.index_dir = index_dir
@@ -68,17 +72,21 @@ class SearchEngine:
         self.avgdl = stats["avgdl"]
         self.n_shards = cfg["n_shards"]
         self.params = BM25Params(**cfg["bm25"])
-        # Actor layout: num_actors <= n_shards packs shards into fewer
-        # actors; num_actors > n_shards spawns FULL REPLICA SETS (each set
-        # covers every shard) and search_batch round-robins query sub-batches
-        # across sets — the serve-path throughput scale-out (on a cluster,
-        # sets land on different nodes; qps scales with sets until CPUs run
-        # out, at the cost of one copy of shard state per set). Results are
-        # identical regardless of layout: every query is scored on every
-        # shard exactly once.
+        # Actor layout, from one listing of segments/: a replica set is a
+        # list of actors that together hold every shard.
+        # - Full replicas: segments within config.SERVE_REPLICA_MAX_BYTES
+        #   -> every actor opens every shard and is a set of its own, so a
+        #   query costs one actor call (a call's fixed CPU cost exceeds
+        #   the scoring of most queries).
+        # - Packing: a bigger index spreads its shards over min(n, n_shards)
+        #   actors per set, and n > n_shards spawns n // n_shards sets.
+        # search_batch sends a single job to one set and LPT-splits a batch
+        # across sets (_split). Results are identical in every layout:
+        # every job is scored on every shard exactly once.
         n = num_actors or self.n_shards
-        n_sets = max(1, n // self.n_shards)
-        per_set = min(n, self.n_shards)
+        seg_bytes = sum(i.size for i in self.ifs.list_infos("segments", recursive=True) if i.is_file)
+        per_set = 1 if seg_bytes <= config.SERVE_REPLICA_MAX_BYTES else min(n, self.n_shards)
+        n_sets = max(1, n // per_set)
         mk = lambda g: ShardSearcher.remote(  # noqa: E731
             self.ifs,
             g,
@@ -558,10 +566,11 @@ class SearchEngine:
 
     # ------------------------------------------------------------------
     def _split(self, jobs: list[dict]) -> list[np.ndarray]:
-        """Job indices per replica set. Query cost is skewed — a hot-term
-        query scans ~N rows while an identifier query scans a handful — so
-        balance by estimated cost (total df of the job's terms = rows
-        scanned), heaviest-first to the least-loaded set (LPT). Which
+        """Job indices per replica set; a single job goes to the first set
+        alone. Query cost is skewed — a hot-term query scans ~N rows while
+        an identifier query scans a handful — so balance by estimated cost
+        (total df of the job's terms = rows scanned), heaviest-first to the
+        least-loaded set (LPT). Which
         replica scores a query never changes the result, only the wall
         balance."""
         n_sets = len(self.actor_sets)
@@ -578,9 +587,11 @@ class SearchEngine:
 
     def _scatter(self, method: str, jobs: list[dict]) -> tuple[np.ndarray, list]:
         """Send each replica set its share of ``jobs`` (``_split``): one
-        ``method`` call per actor, tombstones shipped once per call. Returns
-        the actors' flat column tuples and, per concatenated row, the
-        index of its job in ``jobs`` (the first column of every part)."""
+        ``method`` call per actor of the set, tombstones shipped once per
+        call — so a single job costs one call on a full-replica layout and
+        ``min(n, n_shards)`` calls on a packed one. Returns the actors'
+        flat column tuples and, per concatenated row, the index of its job
+        in ``jobs`` (the first column of every part)."""
         if not self.actor_sets:
             raise RuntimeError("SearchEngine is closed")
         futs, owners = [], []

@@ -9,9 +9,10 @@ for batches of queries with vectorized numpy scoring.
 
 Shard state stays COLUMNAR: segments are held as one term-sorted Arrow
 table; a term's postings decode straight from its rows' binary buffers on
-first query of the term (one cache of decoded arrays, plus one of positions
-for positional terms). Actor start cost is O(1 table concat + 1 sort), flat
-as the vocabulary grows — never a to_pylist of every segment row.
+first query of the term (decoded postings, and positions for positional
+terms, share one per-shard LRU bounded at config.DECODE_CACHE_MAX_BYTES).
+Actor start cost is O(1 table concat + 1 sort), flat as the vocabulary
+grows — never a to_pylist of every segment row.
 
 Every query mode goes through one path: ``ShardIndex.match`` (the only mode
 dispatch) scores one (job, shard); ``ShardIndex.hits`` concatenates its
@@ -32,11 +33,14 @@ sequence of the single-process oracle, so scores are bitwise equal.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import pyarrow as pa
 
 import ray
 
+from smse_backend_ray import config
 from smse_backend_ray.config import SCORE_DECIMALS, BM25Params
 from smse_backend_ray.functions.bm25 import tfnorm_vec
 from smse_backend_ray.functions.rounding import round_half_away
@@ -77,6 +81,33 @@ def _codes(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
     values = np.array(enc.dictionary.to_pylist() + [None], dtype=object)
     codes = enc.indices.fill_null(values.size - 1).to_numpy(zero_copy_only=False)
     return codes.astype(np.int32), values
+
+
+class _ByteLRU:
+    """Least-recently-used map of tuples of numpy arrays, bounded by the
+    summed ``nbytes`` of the cached arrays. A value larger than the whole
+    bound is not cached."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._d: OrderedDict = OrderedDict()  # key -> (value, nbytes)
+
+    def get(self, key):
+        hit = self._d.get(key)
+        if hit is None:
+            return None
+        self._d.move_to_end(key)
+        return hit[0]
+
+    def put(self, key, value: tuple) -> None:
+        n = sum(a.nbytes for a in value)
+        if n > self.max_bytes:
+            return
+        self._d[key] = (value, n)
+        self.nbytes += n
+        while self.nbytes > self.max_bytes:
+            self.nbytes -= self._d.popitem(last=False)[1][1]
 
 
 def _min_cover_span(arrs: list[np.ndarray]) -> int:
@@ -163,10 +194,10 @@ class ShardIndex:
             seg = None
             self._terms_sorted = np.empty(0, dtype=object)
         self._seg = seg
-        # term -> (doc_ids, tfs, tf-norms), and for positional terms
-        # term -> (flat positions, sorted doc_ids, order, starts)
-        self._post: dict[str, tuple] = {}
-        self._pos: dict[str, tuple] = {}
+        # ("post", term) -> (doc_ids, tfs, tf-norms), and for positional
+        # terms ("pos", term) -> (flat positions, sorted doc_ids, tfs,
+        # starts): one LRU bounded in bytes
+        self._cache = _ByteLRU(config.DECODE_CACHE_MAX_BYTES)
 
         # docs are hive-partitioned by shard_id (optionally nested under
         # wave_* dirs in file-mode builds); read only this shard's meta cols
@@ -215,7 +246,7 @@ class ShardIndex:
         contribution set — and therefore the accumulation result — is
         independent of concatenation order). The doc lengths are read only
         to compute the tf-norms, which the cache keeps in their place."""
-        dec = self._post.get(term)
+        dec = self._cache.get(("post", term))
         if dec is None:
             rows = self._rows(term)
             if not rows:
@@ -226,31 +257,29 @@ class ShardIndex:
             ]
             ids, tfs, dls = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
             dec = (ids, tfs, tfnorm_vec(tfs, dls, self.avgdl, self.params))
-            self._post[term] = dec
+            self._cache.put(("post", term), dec)
         return dec
 
     def _positions(self, term: str) -> tuple:
-        """(flat positions, sorted doc_ids, order, starts) of a positional
-        term, cached; posting k of ``_decoded(term)`` owns positions
-        flat[starts[k] : starts[k] + tfs[k]], and ``order`` maps the sorted
-        ids back to postings (generations concatenate unsorted). The term's
-        per-generation position streams decode as ONE stream against the
-        cached tfs: position deltas reset at every posting start, and a
-        generation boundary is a posting start."""
-        hit = self._pos.get(term)
+        """(flat positions, sorted doc_ids, tfs, starts) of a positional
+        term, cached; the doc with the k-th smallest id owns positions
+        flat[starts[k] : starts[k] + tfs[k]] (generations concatenate
+        their postings unsorted, so tfs and starts are permuted into id
+        order). The entry stands alone: it holds every array that
+        ``_cand_seg`` reads. The term's per-generation position streams
+        decode as ONE stream against the decoded tfs: position deltas reset
+        at every posting start, and a generation boundary is a posting
+        start."""
+        hit = self._cache.get(("pos", term))
         if hit is None:
             ids, tfs, _tfn = self._decoded(term)
             stream = np.concatenate(
                 [np.frombuffer(self._stream("pos_bytes", i), dtype=np.uint8) for i in self._rows(term)]
             )
             order = np.argsort(ids, kind="stable")
-            hit = (
-                decode_positions({"pos_bytes": stream}, tfs),
-                ids[order],
-                order,
-                np.concatenate(([0], np.cumsum(tfs)))[:-1],
-            )
-            self._pos[term] = hit
+            starts = np.concatenate(([0], np.cumsum(tfs)))[:-1]
+            hit = (decode_positions({"pos_bytes": stream}, tfs), ids[order], tfs[order], starts[order])
+            self._cache.put(("pos", term), hit)
         return hit
 
     def excluded_ids(self, terms: list[str]) -> np.ndarray:
@@ -330,9 +359,9 @@ class ShardIndex:
         position segments, in cand order. cand MUST be a subset of the
         term's doc list (the conjunctive-candidate invariant), so the lookup
         is an exact hit."""
-        flat, sids, order, starts = self._positions(term)
-        pos_in = order[np.searchsorted(sids, cand)]
-        return flat, self._decoded(term)[1][pos_in], starts[pos_in]
+        flat, sids, tfs, starts = self._positions(term)
+        i = np.searchsorted(sids, cand)
+        return flat, tfs[i], starts[i]
 
     def _cand_gpos(self, term: str, cand: np.ndarray) -> np.ndarray:
         """All occurrences of ``term`` in candidate docs as global keys

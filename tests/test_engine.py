@@ -10,6 +10,7 @@ import shutil
 import pyarrow as pa
 import pytest
 
+from smse_backend_ray import config
 from smse_backend_ray.config import EngineConfig
 from smse_backend_ray.oracle import build_oracle_index, oracle_search
 from smse_backend_ray.pipelines.build import build_index
@@ -197,12 +198,19 @@ def test_ingest_sha256_invariant(built_index, sf_dir):
     assert got == expected
 
 
-def test_replica_sets_identical_results(built_index, engine):
-    """num_actors > n_shards spawns full replica sets; the round-robin
-    batch split must return exactly the default layout's results. Also
-    covers num_actors < n_shards (shards packed into fewer actors)."""
+def test_replica_sets_identical_results(built_index, engine, monkeypatch):
+    """Every replica set answers its share of a batch (the LPT split of
+    jobs across sets) with exactly the default layout's results: full
+    replicas (each actor its own set) and, with the segments/ byte budget
+    at 0, packed sets — num_actors < n_shards packs shards into fewer
+    actors, num_actors > n_shards spawns several full sets."""
     base = engine.search_batch(ALL_QUERIES).to_pylist()
-    for n in (2, 9):  # 2 -> one set of 2 actors x 2 shards; 9 -> 2 full sets
+    for n in (2, 9):  # replicated: n sets of 1 actor x 4 shards
+        with SearchEngine(IDX_DIR, num_actors=n) as eng:
+            assert [len(st) for st in eng.actor_sets] == [1] * n
+            assert eng.search_batch(ALL_QUERIES).to_pylist() == base
+    monkeypatch.setattr(config, "SERVE_REPLICA_MAX_BYTES", 0)
+    for n in (2, 9):  # packed: 2 -> one set of 2 actors x 2 shards; 9 -> 2 full sets
         with SearchEngine(IDX_DIR, num_actors=n) as eng:
             n_sets = len(eng.actor_sets)
             assert n_sets == (2 if n == 9 else 1)

@@ -18,6 +18,7 @@ import pytest
 
 import ray.data
 
+from smse_backend_ray import config
 from smse_backend_ray.config import EngineConfig
 from smse_backend_ray.oracle import (
     build_oracle_index,
@@ -395,9 +396,10 @@ def test_more_like_this_properties(modes_idx):
         ], sid
 
 
-def test_replica_sets_serve_modal_batches(modes_idx):
-    """num_actors > n_shards spawns replica sets and LPT-splits the batch;
-    results must be identical to the single-set layout for every mode."""
+def test_replica_sets_serve_modal_batches(modes_idx, monkeypatch):
+    """Several replica sets LPT-split the batch — six full replicas, or
+    (segments/ byte budget 0) two packed sets of three shards; results must
+    be identical to the default layout for every mode."""
     specs = (
         QuerySpec(930, ("hash join",), mode="and"),
         QuerySpec(931, ("sort merge",), mode="phrase", limit=4),
@@ -407,15 +409,20 @@ def test_replica_sets_serve_modal_batches(modes_idx):
     )
     with SearchEngine(POS_IDX) as one:
         base = one.search_batch(specs)
+    with SearchEngine(POS_IDX, num_actors=6) as many:  # 6 full replicas
+        assert [len(st) for st in many.actor_sets] == [1] * 6
+        replicated = many.search_batch(specs)
+    monkeypatch.setattr(config, "SERVE_REPLICA_MAX_BYTES", 0)
     with SearchEngine(POS_IDX, num_actors=6) as many:  # 2 sets x 3 shards
         assert len(many.actor_sets) == 2
         got = many.search_batch(specs)
     import pyarrow.compute as pc
 
     key = [("query_id", "ascending"), ("rank", "ascending")]
-    assert base.take(pc.sort_indices(base, sort_keys=key)).equals(
-        got.take(pc.sort_indices(got, sort_keys=key))
-    )
+    for t in (got, replicated):
+        assert base.take(pc.sort_indices(base, sort_keys=key)).equals(
+            t.take(pc.sort_indices(t, sort_keys=key))
+        )
 
 
 def test_facet_value_cap(modes_idx, monkeypatch):

@@ -23,6 +23,7 @@ import pytest
 
 import ray.data
 
+from smse_backend_ray import config
 from smse_backend_ray.config import PREFIX_MAX_EXPANSIONS, EngineConfig, BM25Params
 from smse_backend_ray.functions import sqlgen
 from smse_backend_ray.functions.bm25 import idf
@@ -131,14 +132,20 @@ def _oracle(oidx, qs, dead: set[int]) -> list[tuple]:
     ][: qs.limit]
 
 
-# None: one shard per actor; 6: two replica sets; 1: all three shards in
-# one actor; 2: a 2+1 split
+def _pack(monkeypatch) -> None:
+    """Force the packed actor layout on every SearchEngine opened after
+    this (a segments/ byte budget of 0 replicates nothing)."""
+    monkeypatch.setattr(config, "SERVE_REPLICA_MAX_BYTES", 0)
+
+
+# replicated (this small index's default): every actor a full replica, its
+# own replica set. Packed: None -> one shard per actor; 6 -> two replica
+# sets; 1 -> all three shards in one actor; 2 -> a 2+1 split
 @pytest.mark.parametrize("num_actors", [None, 6, 1, 2])
-def test_mixed_batch_equals_single_queries_and_oracle(pos_idx, num_actors):
+def test_mixed_batch_equals_single_queries_and_oracle(pos_idx, num_actors, monkeypatch):
     oidx = pos_idx
     with SearchEngine(POS_IDX, num_actors=num_actors) as eng:
-        assert len(eng.actor_sets) == (2 if num_actors == 6 else 1)
-        assert len(eng.actor_sets[0]) == {None: 3, 6: 3, 1: 1, 2: 2}[num_actors]
+        assert [len(st) for st in eng.actor_sets] == [1] * (num_actors or 3)
         # tombstone the current top hit of two queries (persisted: each
         # later parametrization adds two more)
         for qs in (MIXED[0], MIXED[4]):
@@ -167,6 +174,53 @@ def test_mixed_batch_equals_single_queries_and_oracle(pos_idx, num_actors):
     assert n[3] == 0 and n[70] == 0  # no-hit, and a threshold nothing reaches
     assert n[12] > 10 or n[21] > 10  # a limit-20 block longer than 10
     assert n[64] == 40  # more than SHARD_CANDIDATE_K rows
+    # the packed layout answers the same batch with the same tables
+    _pack(monkeypatch)
+    with SearchEngine(POS_IDX, num_actors=num_actors) as eng:
+        assert len(eng.actor_sets) == (2 if num_actors == 6 else 1)
+        assert len(eng.actor_sets[0]) == {None: 3, 6: 3, 1: 1, 2: 2}[num_actors]
+        assert eng.search_batch(MIXED).equals(out)
+        assert eng.facet_counts(MIXED).equals(facets)
+
+
+@pytest.mark.parametrize("num_actors", [1, 2, 3, 6])  # 1, 2, n_shards, 2 x n_shards
+@pytest.mark.parametrize("layout", ["replicated", "packed"])
+def test_every_layout_equals_oracle(pos_idx, layout, num_actors, monkeypatch):
+    """Every actor count answers a mixed batch with the oracle's rows, in
+    the full-replica layout and in the packed one."""
+    if layout == "packed":
+        _pack(monkeypatch)
+    with SearchEngine(POS_IDX, num_actors=num_actors) as eng:
+        per_set = 1 if layout == "replicated" else min(num_actors, 3)
+        assert [len(st) for st in eng.actor_sets] == [per_set] * (num_actors // per_set)
+        dead = set(eng._tombstones)
+        out = eng.search_batch(MIXED)
+    start = 0
+    for qs in MIXED:
+        exp = _oracle(pos_idx, qs, dead)
+        got = out.slice(start, len(exp))
+        assert got["query_id"].to_pylist() == [qs.query_id] * len(exp), qs
+        assert _rows(got) == exp, qs
+        start += len(exp)
+    assert start == out.num_rows
+
+
+@pytest.mark.parametrize("layout", ["replicated", "packed"])
+def test_single_query_actor_calls(pos_idx, layout, monkeypatch):
+    """A one-query search_batch makes one actor call on full replicas, and
+    one per actor of a set (here one per shard) when the shards are packed."""
+    if layout == "packed":
+        _pack(monkeypatch)
+    get, sent = ray.get, []
+
+    def counting_get(refs, *a, **kw):
+        sent.append(len(refs))
+        return get(refs, *a, **kw)
+
+    with SearchEngine(POS_IDX) as eng:
+        monkeypatch.setattr(ray, "get", counting_get)
+        eng.search_batch([MIXED[0]])
+    assert sent == [1 if layout == "replicated" else 3]
 
 
 def _tie_corpus() -> pa.Table:
@@ -210,15 +264,21 @@ TIES = (
 
 
 @pytest.mark.parametrize("num_actors", [1, 3])
-def test_tied_scores_cut_per_actor_in_doc_id_order(tie_idx, num_actors):
-    """Ties across shards: whether one actor holds all three shards or each
-    shard has its own, every block equals the oracle's ranks and its
-    doc_id-ascending tie order."""
+def test_tied_scores_cut_per_actor_in_doc_id_order(tie_idx, num_actors, monkeypatch):
+    """Ties across shards: whether one actor holds all three shards (a full
+    replica, or num_actors=1 packed) or each shard has its own (3 packed),
+    every block equals the oracle's ranks and its doc_id-ascending tie
+    order."""
     oidx = tie_idx
+    with SearchEngine(TIE_IDX, num_actors=num_actors) as eng:
+        assert [len(st) for st in eng.actor_sets] == [1] * num_actors
+        replicated = eng.search_batch(TIES)
+    _pack(monkeypatch)
     with SearchEngine(TIE_IDX, num_actors=num_actors) as eng:
         assert [len(st) for st in eng.actor_sets] == [num_actors]
         out = eng.search_batch(TIES)
         singles = [_engine_call(eng, qs) for qs in TIES]
+    assert replicated.equals(out)
     assert out.equals(pa.concat_tables(singles))
     for qs, got in zip(TIES, singles):
         assert _rows(got) == _oracle(oidx, qs, set()), qs
@@ -317,6 +377,49 @@ def test_idf_weights_vocabulary_boundaries(pos_idx):
     assert weights == [
         qtf[t] * idf(oidx.n_docs, len(oidx.postings[t])) for t in terms
     ]
+
+
+def _distinct_term_loop(sh: ShardIndex) -> list[dict]:
+    """OR on every vocabulary term, then AND, phrase and near on each
+    neighbouring pair: every query meets a term the previous one did not."""
+    out = [sh.score_query([t], [1.0]) for t in VOCAB]
+    for a, b in zip(VOCAB, VOCAB[1:]):
+        terms = sorted({a, b})
+        out.append(sh.score_conj(terms, [1.0, 2.0]))
+        out.append(sh.score_phrase([a, b], terms, [1.0, 2.0]))
+        out.append(sh.score_near(terms, [1.0, 2.0], slop=4))
+    return [{k: np.asarray(v).tolist() for k, v in r.items()} for r in out]
+
+
+def test_decode_cache_lru_stays_under_its_byte_cap(pos_idx, monkeypatch):
+    """With the cap at a quarter of what the loop decodes, the shard's one
+    postings + positions LRU stays at or below its cap after every query
+    (it evicts), and every result equals the uncapped run's — also on a
+    second pass that re-decodes evicted terms, and after every postings
+    entry is dropped while the positions entries stay."""
+    stats = Catalog(POS_IDX).get_stats()
+    full = ShardIndex(POS_IDX, 0, stats["avgdl"], BM25Params())
+    want = _distinct_term_loop(full)
+    cap = full._cache.nbytes // 4
+    assert cap > 0 and full._cache.nbytes <= config.DECODE_CACHE_MAX_BYTES
+    monkeypatch.setattr(config, "DECODE_CACHE_MAX_BYTES", cap)
+    sh = ShardIndex(POS_IDX, 0, stats["avgdl"], BM25Params())
+    got, peak = [], 0
+    orig = sh._cache.put
+
+    def put(key, value):
+        nonlocal peak
+        orig(key, value)
+        peak = max(peak, sh._cache.nbytes)
+
+    sh._cache.put = put
+    for _ in range(2):
+        got.append(_distinct_term_loop(sh))
+    assert 0 < peak <= cap
+    for key in [k for k in sh._cache._d if k[0] == "post"]:
+        sh._cache._d.pop(key)  # positions entries now outlive their postings
+    got.append(_distinct_term_loop(sh))
+    assert got == [want] * 3
 
 
 @pytest.fixture(scope="module")
