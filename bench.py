@@ -122,10 +122,10 @@ def run_bench() -> dict:
     from smse_backend_ray.pipelines.search import SearchEngine
 
     t1 = time.time()
-    # num_actors=num_cpus: one actor per CPU. An index whose segments fit
-    # SERVE_REPLICA_MAX_BYTES makes each actor a full replica (a batch is
-    # LPT-split over them); a bigger one packs its shards into fewer actors
-    # below n_shards and spawns whole replica sets above it, so batch-serve
+    # num_actors=num_cpus: one actor per CPU. When that many full replicas
+    # fit SERVE_REPLICA_MEMORY_SHARE of Ray's memory, each actor is one (a
+    # batch is LPT-split over them); otherwise the shards pack into fewer
+    # actors below n_shards and whole replica sets above it, so batch-serve
     # qps scales with the CPUs in both layouts
     eng = SearchEngine(idx_dir, num_actors=num_cpus)
     load_sec = time.time() - t1

@@ -67,10 +67,12 @@ def main(argv: list[str] | None = None) -> int:
         "--num-actors",
         type=int,
         default=None,
-        help="scorer actor count (default: n_shards). An index whose segments "
-        "fit SERVE_REPLICA_MAX_BYTES makes every actor a full replica (one "
-        "actor call per query); a bigger one packs shards into fewer actors, "
-        "and > n_shards spawns full replica sets for batch-serve throughput",
+        help="scorer actor count. When the actors fit "
+        "SERVE_REPLICA_MEMORY_SHARE of Ray's memory as full replicas, each is "
+        "one (one actor call per query; default: one per CPU, at most "
+        "n_shards); otherwise shards pack into fewer actors (default: "
+        "n_shards), and > n_shards spawns full replica sets for batch-serve "
+        "throughput. --bulk ignores it: bulk_search packs one actor per shard",
     )
     args = ap.parse_args(argv)
 

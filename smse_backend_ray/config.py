@@ -178,18 +178,24 @@ class EngineConfig:
 SHARD_CANDIDATE_K = 30
 DEFAULT_TOP_K = 10
 
-# Serve actor layout (SearchEngine): an index whose segments/ files total at
-# most this many bytes on disk is fully replicated, every ShardSearcher
-# opening every shard, so one query is one actor call. A bigger index packs
-# its shards over the actors. 256 MiB replicates the perfbench index (~2 MB of
-# segments) and the sf0.1 test index (~1 MB), while a 1M-doc index (~0.5 GB,
-# extrapolated from perfbench's ~500 bytes of segments per doc) keeps packing.
-SERVE_REPLICA_MAX_BYTES = 256 * 1024 * 1024
+# Serve actor layout (SearchEngine): the actors are full replicas (every
+# ShardSearcher opens every shard, so one query is one actor call) when the
+# replicas' estimated state fits this share of the memory Ray reports for the
+# cluster; otherwise the shards pack over the actors. A replica is estimated
+# at twice the bytes of segments/ and docs/ on disk plus a full decode cache
+# (SearchEngine._replica_bytes; measured in BASELINE.md "Full-replica serve
+# actors"). The actors reserve no memory from Ray, so the other half stays
+# for the driver, Ray Data work and the actor processes' own ~200 MB each,
+# which either layout pays. 0 always packs.
+SERVE_REPLICA_MEMORY_SHARE = 0.5
 
-# Per-shard bound on a serve actor's decoded-term cache (postings and
-# positions, one LRU sized from the arrays' nbytes). A fully decoded
-# perfbench shard holds ~3 MB, far below it, so the benchmark never evicts.
-DECODE_CACHE_MAX_BYTES = 64 * 1024 * 1024
+# Bound on a serve actor's decoded-term cache: postings and positions of every
+# shard the actor holds share one LRU sized from the arrays' nbytes. A fully
+# decoded perfbench index holds ~12 MB, so the benchmark never evicts. Single
+# queries on a 100k-doc synth index kept ~140 MB of hot terms: a 64 MiB bound
+# evicted them and nearly doubled the hot-query p90 CPU (BASELINE.md
+# "Full-replica serve actors").
+DECODE_CACHE_MAX_BYTES = 256 * 1024 * 1024
 
 # Proximity (mode="near") default window: a doc matches iff some kept-token
 # window of span <= slop contains every distinct query term (frozen pair:

@@ -1,8 +1,10 @@
 """Bulk (offline) search: the serving path run over a query list in chunks.
 
-One ``SearchEngine`` opens the index once (one shard-scorer actor per
-shard); the queries go through ``SearchEngine.search_batch`` in input-order
-chunks of ``CHUNK_QUERIES``, so each chunk is one scatter/gather and the
+One ``SearchEngine`` opens the index once, packed (one shard-scorer actor
+per shard: a chunk is one call per actor either way, and full replicas
+would each decode the chunk's terms and hold the whole index); the
+queries go through ``SearchEngine.search_batch`` in input-order chunks of
+``CHUNK_QUERIES``, so each chunk is one scatter/gather and the
 driver holds at most one chunk's result at a time while writing. There is
 no bulk-only kernel: scoring, modes (OR, AND, phrase/near on a positional
 index, exclusion), scope, threshold, tombstones and the per-spec result
@@ -58,7 +60,7 @@ def bulk_search(index_dir, queries, out_dir: str | None = None) -> pa.Table:
     ``out_dir``. At 10^6-query offline batches the result set is itself
     fact-scale and must never funnel through the driver."""
     queries = list(queries)
-    with SearchEngine(index_dir) as eng:
+    with SearchEngine(index_dir, pack=True) as eng:  # batches only
         if out_dir is None:
             t = pa.concat_tables([RESULT_SCHEMA.empty_table(), *_chunks(eng, queries)])
             return t.take(

@@ -54,12 +54,16 @@ RESULT_SCHEMA = pa.schema(
 
 class SearchEngine:
     """Serving handle over a built index. Creates ``num_actors`` scorer
-    actors (default: one per shard): full replicas of every shard when the
-    index's segments fit ``config.SERVE_REPLICA_MAX_BYTES``, else shards
-    packed into replica sets. State (decoded segments, doc meta) loads once
-    per actor (ST1 analog)."""
+    actors: full replicas of every shard when their estimated state fits
+    ``config.SERVE_REPLICA_MEMORY_SHARE`` of the memory Ray reports
+    (default count: the CPUs Ray reports, at most one per shard), else
+    shards packed into replica sets (default: one actor per shard).
+    ``pack=True`` packs whatever the size, for batch-only use: a batch
+    costs one call per actor in either layout, and replicas would only
+    decode its terms once per replica and hold more memory. State (decoded
+    segments, doc meta) loads once per actor (ST1 analog)."""
 
-    def __init__(self, index_dir, num_actors: int | None = None):
+    def __init__(self, index_dir, num_actors: int | None = None, pack: bool = False):
         self.index_dir = index_dir
         self.cat = Catalog(index_dir)
         self.ifs: IndexFS = self.cat.ifs
@@ -72,20 +76,28 @@ class SearchEngine:
         self.avgdl = stats["avgdl"]
         self.n_shards = cfg["n_shards"]
         self.params = BM25Params(**cfg["bm25"])
-        # Actor layout, from one listing of segments/: a replica set is a
-        # list of actors that together hold every shard.
-        # - Full replicas: segments within config.SERVE_REPLICA_MAX_BYTES
-        #   -> every actor opens every shard and is a set of its own, so a
-        #   query costs one actor call (a call's fixed CPU cost exceeds
-        #   the scoring of most queries).
-        # - Packing: a bigger index spreads its shards over min(n, n_shards)
-        #   actors per set, and n > n_shards spawns n // n_shards sets.
+        # Actor layout: a replica set is a list of actors that together
+        # hold every shard.
+        # - Full replicas: every actor opens every shard and is a set of
+        #   its own, so a query costs one actor call (a call's fixed CPU
+        #   cost exceeds the scoring of most queries). Chosen when n
+        #   replicas' estimated state fits config.SERVE_REPLICA_MEMORY_SHARE
+        #   of Ray's memory; n defaults to the CPUs Ray reports, as more
+        #   replicas than CPUs add memory and no parallelism.
+        # - Packing: otherwise (or pack=True) shards spread over
+        #   min(n, n_shards) actors per set, and n > n_shards spawns
+        #   n // n_shards sets.
         # search_batch sends a single job to one set and LPT-splits a batch
         # across sets (_split). Results are identical in every layout:
         # every job is scored on every shard exactly once.
-        n = num_actors or self.n_shards
-        seg_bytes = sum(i.size for i in self.ifs.list_infos("segments", recursive=True) if i.is_file)
-        per_set = 1 if seg_bytes <= config.SERVE_REPLICA_MAX_BYTES else min(n, self.n_shards)
+        ray.get_runtime_context()  # connects to Ray, as the actor starts below would
+        res = ray.cluster_resources()
+        n = num_actors or max(1, min(self.n_shards, int(res.get("CPU", 1))))
+        if not pack and n * self._replica_bytes() <= config.SERVE_REPLICA_MEMORY_SHARE * res.get("memory", 0):
+            per_set = 1
+        else:
+            n = num_actors or self.n_shards
+            per_set = min(n, self.n_shards)
         n_sets = max(1, n // per_set)
         mk = lambda g: ShardSearcher.remote(  # noqa: E731
             self.ifs,
@@ -110,6 +122,15 @@ class SearchEngine:
         # sorted, shipped once per actor call (not per job)
         self._tomb_ids = np.array(sorted(self._load_tombstones()), dtype=np.int64)
         self._next_query_id = self._load_next_query_id()
+
+    def _replica_bytes(self) -> int:
+        """Estimate of the memory one full replica adds: twice the bytes of
+        segments/ and docs/ on disk (an actor holds the segments and the
+        docs' meta columns, a subset of docs/; a replica of a 100k-doc
+        index held 125-155 MB for 89 MB on disk) plus a full decode cache."""
+        return config.DECODE_CACHE_MAX_BYTES + 2 * sum(
+            i.size for d in ("segments", "docs") for i in self.ifs.list_infos(d, recursive=True) if i.is_file
+        )
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -10,7 +10,8 @@ for batches of queries with vectorized numpy scoring.
 Shard state stays COLUMNAR: segments are held as one term-sorted Arrow
 table; a term's postings decode straight from its rows' binary buffers on
 first query of the term (decoded postings, and positions for positional
-terms, share one per-shard LRU bounded at config.DECODE_CACHE_MAX_BYTES).
+terms, share one LRU per actor, bounded at config.DECODE_CACHE_MAX_BYTES
+whatever the number of shards the actor holds).
 Actor start cost is O(1 table concat + 1 sort), flat as the vocabulary
 grows — never a to_pylist of every segment row.
 
@@ -162,6 +163,8 @@ class ShardIndex:
         avgdl: float,
         params: BM25Params,
         block_size: int = 128,
+        cache: _ByteLRU | None = None,
+        docs_files: list[str] | None = None,
     ):
         ifs = resolve(index_dir)
         self.shard_id = shard_id
@@ -194,18 +197,19 @@ class ShardIndex:
             seg = None
             self._terms_sorted = np.empty(0, dtype=object)
         self._seg = seg
-        # ("post", term) -> (doc_ids, tfs, tf-norms), and for positional
-        # terms ("pos", term) -> (flat positions, sorted doc_ids, tfs,
-        # starts): one LRU bounded in bytes
-        self._cache = _ByteLRU(config.DECODE_CACHE_MAX_BYTES)
+        # (shard, "post", term) -> (doc_ids, tfs, tf-norms), and for
+        # positional terms (shard, "pos", term) -> (flat positions, sorted
+        # doc_ids, tfs, starts): one LRU bounded in bytes, shared by every
+        # shard of an actor (ShardSearcher passes it in)
+        self._cache = cache if cache is not None else _ByteLRU(config.DECODE_CACHE_MAX_BYTES)
 
         # docs are hive-partitioned by shard_id (optionally nested under
-        # wave_* dirs in file-mode builds); read only this shard's meta cols
-        meta_files = [
-            f
-            for f in ifs.list_files("docs", recursive=True, suffix=".parquet")
-            if f"shard_id={shard_id}/" in f
-        ]
+        # wave_* dirs in file-mode builds); read only this shard's meta
+        # cols. ``docs_files``: the listing of docs/, when the caller (an
+        # actor opening several shards) already made it
+        if docs_files is None:
+            docs_files = ifs.list_files("docs", recursive=True, suffix=".parquet")
+        meta_files = [f for f in docs_files if f"shard_id={shard_id}/" in f]
         if meta_files:
             m = pa.concat_tables(
                 ifs.read_tables(meta_files, columns=["doc_id", "repo", "path", "lang"])
@@ -246,7 +250,7 @@ class ShardIndex:
         contribution set — and therefore the accumulation result — is
         independent of concatenation order). The doc lengths are read only
         to compute the tf-norms, which the cache keeps in their place."""
-        dec = self._cache.get(("post", term))
+        dec = self._cache.get((self.shard_id, "post", term))
         if dec is None:
             rows = self._rows(term)
             if not rows:
@@ -257,7 +261,7 @@ class ShardIndex:
             ]
             ids, tfs, dls = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
             dec = (ids, tfs, tfnorm_vec(tfs, dls, self.avgdl, self.params))
-            self._cache.put(("post", term), dec)
+            self._cache.put((self.shard_id, "post", term), dec)
         return dec
 
     def _positions(self, term: str) -> tuple:
@@ -270,7 +274,7 @@ class ShardIndex:
         decode as ONE stream against the decoded tfs: position deltas reset
         at every posting start, and a generation boundary is a posting
         start."""
-        hit = self._cache.get(("pos", term))
+        hit = self._cache.get((self.shard_id, "pos", term))
         if hit is None:
             ids, tfs, _tfn = self._decoded(term)
             stream = np.concatenate(
@@ -279,7 +283,7 @@ class ShardIndex:
             order = np.argsort(ids, kind="stable")
             starts = np.concatenate(([0], np.cumsum(tfs)))[:-1]
             hit = (decode_positions({"pos_bytes": stream}, tfs), ids[order], tfs[order], starts[order])
-            self._cache.put(("pos", term), hit)
+            self._cache.put((self.shard_id, "pos", term), hit)
         return hit
 
     def excluded_ids(self, terms: list[str]) -> np.ndarray:
@@ -623,8 +627,12 @@ class ShardSearcher:
         block_size: int = 128,
     ):
         params = BM25Params(**params_dict)
+        # one decode cache and one docs/ listing for all of the actor's shards
+        self.cache = _ByteLRU(config.DECODE_CACHE_MAX_BYTES)
+        docs_files = resolve(index_dir).list_files("docs", recursive=True, suffix=".parquet")
         self.shards = [
-            ShardIndex(index_dir, s, avgdl, params, block_size) for s in shard_ids
+            ShardIndex(index_dir, s, avgdl, params, block_size, self.cache, docs_files)
+            for s in shard_ids
         ]
 
     def ping(self) -> bool:

@@ -201,15 +201,17 @@ def test_ingest_sha256_invariant(built_index, sf_dir):
 def test_replica_sets_identical_results(built_index, engine, monkeypatch):
     """Every replica set answers its share of a batch (the LPT split of
     jobs across sets) with exactly the default layout's results: full
-    replicas (each actor its own set) and, with the segments/ byte budget
+    replicas (each actor its own set) and, with the replicas' memory share
     at 0, packed sets — num_actors < n_shards packs shards into fewer
     actors, num_actors > n_shards spawns several full sets."""
     base = engine.search_batch(ALL_QUERIES).to_pylist()
+    # full replicas, whatever memory the host has free
+    monkeypatch.setattr(config, "SERVE_REPLICA_MEMORY_SHARE", float("inf"))
     for n in (2, 9):  # replicated: n sets of 1 actor x 4 shards
         with SearchEngine(IDX_DIR, num_actors=n) as eng:
             assert [len(st) for st in eng.actor_sets] == [1] * n
             assert eng.search_batch(ALL_QUERIES).to_pylist() == base
-    monkeypatch.setattr(config, "SERVE_REPLICA_MAX_BYTES", 0)
+    monkeypatch.setattr(config, "SERVE_REPLICA_MEMORY_SHARE", 0)
     for n in (2, 9):  # packed: 2 -> one set of 2 actors x 2 shards; 9 -> 2 full sets
         with SearchEngine(IDX_DIR, num_actors=n) as eng:
             n_sets = len(eng.actor_sets)

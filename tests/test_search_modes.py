@@ -398,7 +398,7 @@ def test_more_like_this_properties(modes_idx):
 
 def test_replica_sets_serve_modal_batches(modes_idx, monkeypatch):
     """Several replica sets LPT-split the batch — six full replicas, or
-    (segments/ byte budget 0) two packed sets of three shards; results must
+    (replicas' memory share 0) two packed sets of three shards; results must
     be identical to the default layout for every mode."""
     specs = (
         QuerySpec(930, ("hash join",), mode="and"),
@@ -409,10 +409,12 @@ def test_replica_sets_serve_modal_batches(modes_idx, monkeypatch):
     )
     with SearchEngine(POS_IDX) as one:
         base = one.search_batch(specs)
+    # full replicas, whatever memory the host has free
+    monkeypatch.setattr(config, "SERVE_REPLICA_MEMORY_SHARE", float("inf"))
     with SearchEngine(POS_IDX, num_actors=6) as many:  # 6 full replicas
         assert [len(st) for st in many.actor_sets] == [1] * 6
         replicated = many.search_batch(specs)
-    monkeypatch.setattr(config, "SERVE_REPLICA_MAX_BYTES", 0)
+    monkeypatch.setattr(config, "SERVE_REPLICA_MEMORY_SHARE", 0)
     with SearchEngine(POS_IDX, num_actors=6) as many:  # 2 sets x 3 shards
         assert len(many.actor_sets) == 2
         got = many.search_batch(specs)

@@ -41,7 +41,7 @@ from smse_backend_ray.sources.corpus import (
     corpus_from_documents,
     corpus_table_from_documents,
 )
-from smse_backend_ray.stages.scorer import ShardIndex, _codes, _member
+from smse_backend_ray.stages.scorer import ShardIndex, _ByteLRU, _codes, _member
 from smse_backend_ray.state.catalog import Catalog
 
 POS_IDX = "/tmp/smse_test_gather_pos_idx"
@@ -132,14 +132,39 @@ def _oracle(oidx, qs, dead: set[int]) -> list[tuple]:
     ][: qs.limit]
 
 
+@pytest.fixture(autouse=True)
+def _replicas_fit(monkeypatch):
+    """Full replicas whatever memory the host has free (Ray's memory
+    resource follows it), so the layout asserts below hold on any host;
+    test_layout_follows_ray_memory checks the rule itself."""
+    monkeypatch.setattr(config, "SERVE_REPLICA_MEMORY_SHARE", float("inf"))
+
+
 def _pack(monkeypatch) -> None:
     """Force the packed actor layout on every SearchEngine opened after
-    this (a segments/ byte budget of 0 replicates nothing)."""
-    monkeypatch.setattr(config, "SERVE_REPLICA_MAX_BYTES", 0)
+    this (a memory share of 0 leaves full replicas no room)."""
+    monkeypatch.setattr(config, "SERVE_REPLICA_MEMORY_SHARE", 0)
 
 
-# replicated (this small index's default): every actor a full replica, its
-# own replica set. Packed: None -> one shard per actor; 6 -> two replica
+@pytest.mark.parametrize("fits", [True, False])
+def test_layout_follows_ray_memory(pos_idx, fits, monkeypatch):
+    """A default engine opens full replicas, one per CPU Ray reports (at
+    most one per shard), exactly when their estimated state fits
+    SERVE_REPLICA_MEMORY_SHARE of Ray's memory resource, and one packed
+    actor per shard when it does not."""
+    share = 0.5
+    monkeypatch.setattr(config, "SERVE_REPLICA_MEMORY_SHARE", share)
+    probe = SearchEngine.__new__(SearchEngine)
+    probe.ifs = Catalog(POS_IDX).ifs
+    need = 2 * probe._replica_bytes()  # two replicas for two CPUs
+    res = {"CPU": 2.0, "memory": need / share * (1 if fits else 0.999)}
+    monkeypatch.setattr(ray, "cluster_resources", lambda: res)
+    with SearchEngine(POS_IDX) as eng:
+        assert [len(st) for st in eng.actor_sets] == ([1, 1] if fits else [3])
+
+
+# replicated: every actor a full replica, its own replica set (None -> one
+# per CPU Ray reports, here 4, at most one per shard). Packed: None -> one shard per actor; 6 -> two replica
 # sets; 1 -> all three shards in one actor; 2 -> a 2+1 split
 @pytest.mark.parametrize("num_actors", [None, 6, 1, 2])
 def test_mixed_batch_equals_single_queries_and_oracle(pos_idx, num_actors, monkeypatch):
@@ -205,10 +230,11 @@ def test_every_layout_equals_oracle(pos_idx, layout, num_actors, monkeypatch):
     assert start == out.num_rows
 
 
-@pytest.mark.parametrize("layout", ["replicated", "packed"])
+@pytest.mark.parametrize("layout", ["replicated", "packed", "pack=True"])
 def test_single_query_actor_calls(pos_idx, layout, monkeypatch):
     """A one-query search_batch makes one actor call on full replicas, and
-    one per actor of a set (here one per shard) when the shards are packed."""
+    one per actor of a set (here one per shard) when the shards are packed:
+    for want of memory, or asked for (bulk_search's batch-only engine)."""
     if layout == "packed":
         _pack(monkeypatch)
     get, sent = ray.get, []
@@ -217,7 +243,7 @@ def test_single_query_actor_calls(pos_idx, layout, monkeypatch):
         sent.append(len(refs))
         return get(refs, *a, **kw)
 
-    with SearchEngine(POS_IDX) as eng:
+    with SearchEngine(POS_IDX, pack=layout == "pack=True") as eng:
         monkeypatch.setattr(ray, "get", counting_get)
         eng.search_batch([MIXED[0]])
     assert sent == [1 if layout == "replicated" else 3]
@@ -416,10 +442,41 @@ def test_decode_cache_lru_stays_under_its_byte_cap(pos_idx, monkeypatch):
     for _ in range(2):
         got.append(_distinct_term_loop(sh))
     assert 0 < peak <= cap
-    for key in [k for k in sh._cache._d if k[0] == "post"]:
+    for key in [k for k in sh._cache._d if k[1] == "post"]:
         sh._cache._d.pop(key)  # positions entries now outlive their postings
     got.append(_distinct_term_loop(sh))
     assert got == [want] * 3
+
+
+def test_decode_cache_is_one_lru_per_actor(pos_idx, monkeypatch):
+    """The shards of one actor share one decode LRU: with the cap at a
+    quarter of what the three shards decode, their summed cache stays at
+    or below it and every shard's results equal its uncapped run. An
+    actor's shards all hold its one cache."""
+    stats = Catalog(POS_IDX).get_stats()
+    open_all = lambda cache: [  # noqa: E731
+        ShardIndex(POS_IDX, s, stats["avgdl"], BM25Params(), cache=cache) for s in range(3)
+    ]
+    free = _ByteLRU(config.DECODE_CACHE_MAX_BYTES)
+    want = [_distinct_term_loop(sh) for sh in open_all(free)]
+    cap = free.nbytes // 4
+    shared, peak = _ByteLRU(cap), 0
+    orig = shared.put
+
+    def put(key, value):
+        nonlocal peak
+        orig(key, value)
+        peak = max(peak, shared.nbytes)
+
+    shared.put = put
+    shards = open_all(shared)
+    assert [_distinct_term_loop(sh) for sh in shards] == want
+    assert 0 < peak <= cap and {k[0] for k in shared._d} <= {0, 1, 2}
+    with SearchEngine(POS_IDX, num_actors=1) as eng:
+        (actor,) = eng.actor_sets[0]
+        assert ray.get(actor.__ray_call__.remote(
+            lambda a: len(a.shards) == 3 and all(sh._cache is a.cache for sh in a.shards)
+        ))
 
 
 @pytest.fixture(scope="module")
