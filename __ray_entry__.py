@@ -122,8 +122,6 @@ def _compacted_index_for(sf_dir: str) -> str:
     filtered docs CTE (stats/df re-derive from the survivors)."""
     if sf_dir in _COMPACT_INDEX_CACHE:
         return _COMPACT_INDEX_CACHE[sf_dir]
-    import pyarrow.dataset as pads
-
     from smse_backend_ray.config import EngineConfig
     from smse_backend_ray.pipelines.build import compact_index, build_index
     from smse_backend_ray.sources.corpus import corpus_from_documents
@@ -140,9 +138,7 @@ def _compacted_index_for(sf_dir: str) -> str:
         cfg=EngineConfig(n_shards=8),
     )
     cat = Catalog(idx_dir)
-    ids = pads.dataset(cat.ifs.join("docs"), partitioning="hive").to_table(
-        columns=["doc_id"]
-    )["doc_id"].to_pylist()
+    ids = cat.dataset("docs").to_table(columns=["doc_id"])["doc_id"].to_pylist()
     dead = sorted(d for d in ids if d % _VACUUM_MOD == _VACUUM_RESIDUE)
     cat.ifs.write_json_atomic("tombstones.json", dead)
     compact_index(idx_dir)
@@ -181,10 +177,10 @@ def entry() -> Any:
 
 
 def _q_ingest_docs(sf_dir: str) -> Any:
-    import pyarrow.dataset as pads
+    from smse_backend_ray.state.catalog import Catalog
 
     idx = _index_for(sf_dir)
-    t = pads.dataset(os.path.join(idx, "docs")).to_table(
+    t = Catalog(idx).dataset("docs").to_table(
         columns=["doc_id", "repo", "path", "commit", "lang", "content_sha256", "n_bytes", "dl"]
     )
     import pyarrow as pa
@@ -209,28 +205,24 @@ def _q_corpus_stats(sf_dir: str) -> Any:
 
 
 def _q_term_df(sf_dir: str) -> Any:
-    import pyarrow.dataset as pads
+    from smse_backend_ray.state.catalog import Catalog
 
     idx = _index_for(sf_dir)
-    return pads.dataset(os.path.join(idx, "df")).to_table(columns=["term", "df"])
+    return Catalog(idx).dataset("df").to_table(columns=["term", "df"])
 
 
 def _q_postings(sf_dir: str) -> Any:
     """Decode the compressed segments back to (term, doc_id, tf) triples —
     proves the SPIMI shuffle + codec are lossless end-to-end."""
-    import glob
-
     import pyarrow as pa
-    import pyarrow.parquet as pq
 
     from smse_backend_ray.functions.codec import decode_postings
     from smse_backend_ray.state.catalog import Catalog
 
-    idx = _index_for(sf_dir)
-    block_size = Catalog(idx).get_config()["block_size"]
+    cat = Catalog(_index_for(sf_dir))
+    block_size = cat.get_config()["block_size"]
     terms, dids, tfs = [], [], []
-    for f in sorted(glob.glob(os.path.join(idx, "segments", "shard_id=*", "*.parquet"))):
-        t = pq.read_table(f)
+    for t in cat.ifs.read_tables(cat.files("segments")):
         for row in t.to_pylist():
             ids, tf, _ = decode_postings(row, block_size)
             terms.extend([row["term"]] * len(ids))
@@ -252,10 +244,11 @@ def _q_postings(sf_dir: str) -> Any:
 
 def _q_lang_counts(sf_dir: str) -> Any:
     import pyarrow as pa
-    import pyarrow.dataset as pads
+
+    from smse_backend_ray.state.catalog import Catalog
 
     idx = _index_for(sf_dir)
-    t = pads.dataset(os.path.join(idx, "docs")).to_table(columns=["lang"])
+    t = Catalog(idx).dataset("docs").to_table(columns=["lang"])
     g = t.group_by("lang").aggregate([("lang", "count")])
     out = pa.table(
         {
@@ -269,10 +262,11 @@ def _q_lang_counts(sf_dir: str) -> Any:
 def _q_top_terms(sf_dir: str, n: int = 20) -> Any:
     """Hot-term head by df (term-skew profile; the groupby-salting target)."""
     import pyarrow as pa
-    import pyarrow.dataset as pads
+
+    from smse_backend_ray.state.catalog import Catalog
 
     idx = _index_for(sf_dir)
-    t = pads.dataset(os.path.join(idx, "df")).to_table()
+    t = Catalog(idx).dataset("df").to_table()
     order = pa.compute.sort_indices(
         t, sort_keys=[("df", "descending"), ("term", "ascending")]
     )
@@ -283,10 +277,11 @@ def _q_path_parse(sf_dir: str) -> Any:
     """Filename/extension extraction (reference Content.filename/extension
     properties, smse_backend/models/content.py:43-62)."""
     import pyarrow as pa
-    import pyarrow.dataset as pads
+
+    from smse_backend_ray.state.catalog import Catalog
 
     idx = _index_for(sf_dir)
-    t = pads.dataset(os.path.join(idx, "docs")).to_table(columns=["doc_id", "path"])
+    t = Catalog(idx).dataset("docs").to_table(columns=["doc_id", "path"])
     paths = t["path"].to_pylist()
     fnames = [p.rsplit("/", 1)[-1] for p in paths]
     exts = [f.rsplit(".", 1)[1].lower() if "." in f else "" for f in fnames]
@@ -308,7 +303,7 @@ def _q_repo_sizes(sf_dir: str) -> Any:
 
     from ray.data.aggregate import Sum
 
-    from smse_backend_ray.state.fs import resolve
+    from smse_backend_ray.state.catalog import Catalog
 
     idx = _index_for(sf_dir)
 
@@ -323,7 +318,7 @@ def _q_repo_sizes(sf_dir: str) -> Any:
         )
 
     agg = (
-        resolve(idx).ray_read_parquet("docs", columns=["repo", "n_bytes"])
+        Catalog(idx).ray_dataset("docs", columns=["repo", "n_bytes"])
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("repo")
         .aggregate(Sum("cnt", alias_name="n_docs"), Sum("bytes", alias_name="total_bytes"))
@@ -348,10 +343,10 @@ def _q_top_docs_per_repo(sf_dir: str, k: int = 3) -> Any:
 
     from smse_backend_ray.functions.collect import collect_table
     from smse_backend_ray.pipelines.grouped_topk import grouped_topk
-    from smse_backend_ray.state.fs import resolve
+    from smse_backend_ray.state.catalog import Catalog
 
     idx = _index_for(sf_dir)
-    ds = resolve(idx).ray_read_parquet("docs", columns=["repo", "doc_id", "n_bytes"])
+    ds = Catalog(idx).ray_dataset("docs", columns=["repo", "doc_id", "n_bytes"])
     t = collect_table(grouped_topk(ds, "repo", "n_bytes", k))
     t = t.select(["repo", "rank", "doc_id", "n_bytes"])
     return t.take(
@@ -392,16 +387,13 @@ def _q_snippets(sf_dir: str) -> Any:
 def _q_mlt(sf_dir: str) -> Any:
     """More-like-this: related docs for the MLT_N_SRC smallest doc_ids (top
     tf*idf query terms per source, source excluded from its own results)."""
-    import pyarrow.dataset as pads
-
     from smse_backend_ray.config import MLT_N_SRC
     from smse_backend_ray.pipelines.search import SearchEngine
+    from smse_backend_ray.state.catalog import Catalog
 
     idx = _index_for(sf_dir)
     ids = sorted(
-        pads.dataset(os.path.join(idx, "docs"), partitioning="hive")
-        .to_table(columns=["doc_id"])["doc_id"]
-        .to_pylist()
+        Catalog(idx).dataset("docs").to_table(columns=["doc_id"])["doc_id"].to_pylist()
     )[:MLT_N_SRC]
     with SearchEngine(idx) as eng:
         return eng.more_like_this(ids)
@@ -459,15 +451,12 @@ _EXPLAIN_N_DOCS = 5
 def _q_explain(sf_dir: str) -> Any:
     """Per-term BM25 score breakdown for the smallest doc_ids (the search
     debugging/explain API)."""
-    import pyarrow.dataset as pads
-
     from smse_backend_ray.pipelines.search import SearchEngine
+    from smse_backend_ray.state.catalog import Catalog
 
     idx = _index_for(sf_dir)
     ids = sorted(
-        pads.dataset(os.path.join(idx, "docs"), partitioning="hive")
-        .to_table(columns=["doc_id"])["doc_id"]
-        .to_pylist()
+        Catalog(idx).dataset("docs").to_table(columns=["doc_id"])["doc_id"].to_pylist()
     )[:_EXPLAIN_N_DOCS]
     with SearchEngine(idx) as eng:
         return eng.explain(_EXPLAIN_TEXT, ids)

@@ -4,10 +4,13 @@ values. Usage: python scripts/driver_sim.py [sf_dir] [entry_name ...]
 
 Each entry's name is printed (``run <name>``, flushed) before it starts, so
 a process that dies inside an entry names it; the sweep's total wall is
-printed last."""
+printed last. An entry (or the ``entry()`` smoke) that runs longer than
+ENTRY_TIMEOUT_S is taken for a hang: faulthandler dumps every driver
+thread's stack to stderr and the process exits non-zero."""
 
 from __future__ import annotations
 
+import faulthandler
 import os
 import sys
 import time
@@ -17,6 +20,10 @@ import numpy as np
 import pandas as pd
 
 import ray
+
+# per-entry watchdog (s): the slowest entry of an sf0.01 sweep took 5.2 s
+# on a 1-CPU host, and a Ray Data task once hung inside an entry for 381 s
+ENTRY_TIMEOUT_S = 300
 
 
 def to_pandas(x):
@@ -101,9 +108,11 @@ def main():
     n_bad = 0
     for name, fn in qs.items():
         print(f"run {name}", flush=True)
+        faulthandler.dump_traceback_later(ENTRY_TIMEOUT_S, exit=True)
         t0 = time.perf_counter()
         mine = to_pandas(fn(sf_dir))
         dt = time.perf_counter() - t0
+        faulthandler.cancel_dump_traceback_later()
         if name not in sqls:
             print(f"{name:26s} rows={len(mine):6d} {dt:6.1f}s (rows-only, no oracle)")
             continue
@@ -117,7 +126,9 @@ def main():
             print(f"    - {p}")
     # entry smoke
     if not only:
+        faulthandler.dump_traceback_later(ENTRY_TIMEOUT_S, exit=True)
         e = to_pandas(entrymod.entry())
+        faulthandler.cancel_dump_traceback_later()
         print(f"entry() -> {len(e)} rows, cols {list(e.columns)}")
     print(f"sweep wall {time.perf_counter() - t_sweep:.1f}s")
     print("BAD:", n_bad)

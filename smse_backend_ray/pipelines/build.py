@@ -28,9 +28,11 @@ pair — build and serve work against shared/remote storage on a multi-node
 cluster (reference StorageBackend contract,
 smse_backend/services/file_storage.py:32-73 + S3 impl :220-431).
 
-Every stage writes to a temp dir and renames on success (idempotent commit;
-dedup renames each rewritten file over its original); a restart skips
-completed stages / partitions via the manifest.
+Every stage writes new files under names no write reuses (a dedup rewrite
+is a new file beside the one it replaces) and publishes them with one
+manifest write (state/catalog.py), the stage's commit point; readers open
+only the listed files, and each writer ends with Catalog.drop_unlisted. A
+restart skips completed stages / partitions via the manifest.
 
 No stage after docs runs an exchange. The docs layout co-locates a shard:
 every copy of a doc_id, every id an append collides with and every segment
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import posixpath
-import re
 import time
 
 import numpy as np
@@ -59,8 +60,8 @@ import ray.data
 from smse_backend_ray.config import EngineConfig
 from smse_backend_ray.functions.analyzer import sorted_codes
 from smse_backend_ray.stages.ingest import DOC_SCHEMA_COLS, encode_segments, ingest_batch
-from smse_backend_ray.state.catalog import TOMBSTONES_REL, Catalog, read_tombstones
-from smse_backend_ray.state.fs import IndexFS
+from smse_backend_ray.state.catalog import TOMBSTONES_REL, Catalog, by_shard, read_tombstones
+from smse_backend_ray.state.fs import IndexFS, new_tag
 
 DOCS_DIR = "docs"
 SEGMENTS_DIR = "segments"
@@ -108,9 +109,11 @@ def _docs_write_args(cfg: EngineConfig) -> dict:
     }
 
 
-def _run_docs_from_dataset(corpus: "ray.data.Dataset", ifs: IndexFS, cfg: EngineConfig) -> "ray.data.Dataset":
-    """Analyze ``corpus`` and write the doc store; returns the written
-    dataset (its ``stats()`` are the docs job's)."""
+def _run_docs_from_dataset(
+    corpus: "ray.data.Dataset", ifs: IndexFS, cfg: EngineConfig, rel: str = DOCS_DIR
+) -> tuple["ray.data.Dataset", list[str]]:
+    """Analyze ``corpus`` and write its doc files under ``rel``; returns the
+    written dataset (its ``stats()`` are the docs job's) and the files."""
     # schema validation happens inside ingest_batch (corpus.schema() here
     # would trigger a separate partial execution of the upstream pipeline)
     ingest = functools.partial(ingest_batch, cfg=cfg)
@@ -119,8 +122,7 @@ def _run_docs_from_dataset(corpus: "ray.data.Dataset", ifs: IndexFS, cfg: Engine
     # bundle MANY upstream blocks into one task and collapse parallelism;
     # the row bundling belongs to the separate write (_docs_write_args)
     docs = corpus.map_batches(ingest, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-    ifs.atomic_write_dataset(docs, DOCS_DIR, **_docs_write_args(cfg))
-    return docs
+    return docs, ifs.write_dataset(docs, rel, **_docs_write_args(cfg))
 
 
 def _run_docs_from_files(
@@ -128,8 +130,9 @@ def _run_docs_from_files(
 ) -> None:
     """Wave-committed file-mode build with per-partition lineage (one input
     file = one partition; reference Task-per-file analog,
-    smse_backend/services/embedding.py:18)."""
-    ifs.mkdirs(DOCS_DIR)
+    smse_backend/services/embedding.py:18). Each wave's commit publishes
+    its doc files with its partition records, in place of any files an
+    earlier run listed under the same wave dir."""
     partitions = {i: [f] for i, f in enumerate(sorted(files))}
     pending = cat.plan_partitions(partitions)
     ingest = functools.partial(ingest_batch, cfg=cfg)
@@ -146,9 +149,9 @@ def _run_docs_from_files(
         ds = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
         docs = ds.map_batches(ingest, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
         wave_rel = f"{DOCS_DIR}/wave_{wave[0]:06d}"
-        ifs.atomic_write_dataset(docs, wave_rel, **_docs_write_args(cfg))
+        written = ifs.write_dataset(docs, wave_rel, **_docs_write_args(cfg))
         # per-partition metrics from the written wave (columnar, cheap)
-        t = ifs.pads_dataset(wave_rel).to_table(columns=["partition_id", "n_bytes", "dl"])
+        t = pa.concat_tables(ifs.read_tables(written, columns=["partition_id", "n_bytes", "dl"]))
         g = t.group_by("partition_id").aggregate(
             [("partition_id", "count"), ("n_bytes", "sum"), ("dl", "sum")]
         )
@@ -161,7 +164,8 @@ def _run_docs_from_files(
             }
             for r in g.to_pylist()
         }
-        cat.mark_partitions_done(wave, metrics, ifs.join(wave_rel))
+        prior = [f for f in cat.files(DOCS_DIR) if not f.startswith(ifs.join(wave_rel) + "/")]
+        cat.mark_partitions_done(wave, metrics, ifs.join(wave_rel), files={DOCS_DIR: prior + written})
 
 
 def _tag_partition(batch: pa.Table, pid: int) -> pa.Table:
@@ -174,50 +178,22 @@ def _tag_partition(batch: pa.Table, pid: int) -> pa.Table:
 # one map over the doc files (every stage after docs; see the module doc)
 # ---------------------------------------------------------------------------
 
-# a doc file's shard, from its hive dir — matched with the trailing "/" the
-# way ShardIndex matches it, so shard 1 never picks up shard_id=10
-_SHARD_DIR = re.compile(r"/shard_id=(\d+)/")
-
-# root-level staging dir of the per-file doc rewrite: outside docs/, so no
-# reader of docs/ ever sees a staged file, and *.tmp, so Catalog.gc collects
-# what a crash leaves behind
-_REWRITE_TMP = DOCS_DIR + "_rewrite.tmp"
-
-
 @ray.remote(max_retries=0)
 def _doc_files_task(fn, ifs: IndexFS, items: list, *shared) -> list:
     return [fn(ifs, it, *shared) for it in items]
 
 
-def _doc_files(ifs: IndexFS, cfg: EngineConfig) -> tuple[list[str], int, bool]:
-    """Sorted full paths of the docs/ parquet files, their total bytes on
-    disk, and whether that total is <= driver_agg_max_bytes (sizes from the
-    one listing, no footer reads) — the executor choice of every stage
-    after docs."""
-    infos = sorted(
-        (i for i in ifs.list_infos(DOCS_DIR, recursive=True)
-         if i.is_file and i.path.endswith(".parquet")),
-        key=lambda i: i.path,
-    )
-    size = sum(i.size for i in infos)
-    return [i.path for i in infos], size, size <= cfg.driver_agg_max_bytes
+def _on_driver(ifs: IndexFS, paths: list[str], cfg: EngineConfig) -> bool:
+    """Whether the doc files ``paths`` total <= driver_agg_max_bytes on
+    disk — the executor choice of every stage after docs."""
+    return ifs.total_size(paths) <= cfg.driver_agg_max_bytes
 
 
-def _docs_metrics(ifs: IndexFS, cfg: EngineConfig) -> dict:
-    """The docs stage's manifest metrics: ``files`` and ``bytes_written``
-    from the one listing of _doc_files, ``rows`` from the doc files'
-    parquet footers."""
-    paths, size, _ = _doc_files(ifs, cfg)
+def _docs_metrics(ifs: IndexFS, paths: list[str]) -> dict:
+    """The docs stage's manifest metrics: ``files``, ``bytes_written`` and
+    ``rows`` (from the doc files' parquet footers)."""
     rows = sum(ifs.parquet_file(p).metadata.num_rows for p in paths)
-    return {"files": len(paths), "bytes_written": size, "rows": int(rows)}
-
-
-def _by_shard(ifs: IndexFS, paths: list[str]) -> dict[int, list[str]]:
-    """``paths`` grouped by their hive shard_id dir, in input order."""
-    out: dict[int, list[str]] = {}
-    for p in paths:
-        out.setdefault(int(_SHARD_DIR.search(p[len(ifs.root):]).group(1)), []).append(p)
-    return out
+    return {"files": len(paths), "bytes_written": ifs.total_size(paths), "rows": int(rows)}
 
 
 def _map_doc_files(ifs: IndexFS, on_driver: bool, fn, items: list, *shared) -> list:
@@ -225,11 +201,10 @@ def _map_doc_files(ifs: IndexFS, on_driver: bool, fn, items: list, *shared) -> l
     pool (the IndexFS.read_tables pattern) or as Ray tasks, one per
     CPU-sized group of items.
 
-    Neither executor repeats an item or returns while one is still running:
-    a doc rewrite drops rows by the positions its scan saw, so a second run
-    over the rewritten file would drop the wrong rows. Ray tasks are never
-    retried, and a failure is raised only once every task has finished —
-    the recovery is always the resumed stage, which rescans."""
+    Neither executor returns while an item is still running: a failure is
+    raised only once every task has finished, so no write lands after the
+    caller has seen it. Ray tasks are never retried — the recovery is
+    always the resumed stage, which rescans."""
     if not items:
         return []
     if on_driver:
@@ -292,63 +267,56 @@ def _shard_collisions(ifs: IndexFS, job: tuple) -> tuple[int, list]:
 
 
 def _rewrite_doc_file(ifs: IndexFS, job: tuple) -> tuple[int, int]:
-    """Rewrite one doc file without the rows at ``drop``: same schema, staged
-    under the root-level *.tmp dir, then moved over the original."""
-    path, staged, drop = job
+    """Write doc file ``path`` without the rows at ``drop`` to the new file
+    ``new`` (same schema); the original stays as it is."""
+    path, new, drop = job
     t = ifs.read_table(path)
     keep = np.ones(t.num_rows, dtype=bool)
     keep[drop] = False
-    ifs.write_table(t.filter(pa.array(keep)), staged)
-    size = ifs.info(staged).size
-    ifs.replace(staged, path)
-    return len(drop), size
+    ifs.write_table(t.filter(pa.array(keep)), new)
+    return len(drop), ifs.info(new).size
 
 
-def _rewrite_doc_files(ifs: IndexFS, on_driver: bool, drops: list) -> dict:
-    """Rewrite each doc file of ``drops`` (a list of (file, rows)) in place
-    without those rows; files are rewritten in path order."""
-    if not drops:
-        return {"files_rewritten": 0, "rows_dropped": 0, "bytes_written": 0}
-    if ifs.exists(_REWRITE_TMP):
-        ifs.delete_dir(_REWRITE_TMP)
-    ifs.mkdirs(_REWRITE_TMP)
+def _rewrite_doc_files(ifs: IndexFS, on_driver: bool, paths: list[str], drops: list) -> tuple[dict, list[str]]:
+    """Rewrite each doc file of ``drops`` (a list of (file, rows)) without
+    those rows, to a new file beside it. Returns the metrics and ``paths``
+    with each rewritten file replaced by its rewrite."""
+    tag = new_tag()
     jobs = [
-        (path, f"{_REWRITE_TMP}/{i:06d}.parquet", rows)
+        (path, f"{posixpath.dirname(path)}/{tag}_{i:06d}.parquet", rows)
         for i, (path, rows) in enumerate(sorted(drops, key=lambda d: d[0]))
     ]
     done = _map_doc_files(ifs, on_driver, _rewrite_doc_file, jobs)
-    ifs.delete_dir(_REWRITE_TMP)
+    new = {path: rewrite for path, rewrite, _ in jobs}
     return {
         "files_rewritten": len(jobs),
         "rows_dropped": int(sum(n for n, _ in done)),
         "bytes_written": int(sum(b for _, b in done)),
-    }
+    }, [new.get(p, p) for p in paths]
 
 
-def _run_dedup(ifs: IndexFS, cfg: EngineConfig, cat: Catalog | None = None) -> dict:
-    """Exact dedup on doc_id (SURVEY.md D2): one docs/ row per id, the one
-    with the smallest content_sha256. Every copy of an id sits in one
-    shard, so detection and the winner pick are one scan of
-    (doc_id, content_sha256) per shard (_shard_dups); then only the doc
-    files that hold a losing row are rewritten, in place.
+def _run_dedup(ifs: IndexFS, cfg: EngineConfig, paths: list[str] | None = None) -> dict:
+    """Exact dedup on doc_id (SURVEY.md D2) over the doc files ``paths``:
+    one row per id, the one with the smallest content_sha256. Every copy of
+    an id sits in one shard, so detection and the winner pick are one scan
+    of (doc_id, content_sha256) per shard (_shard_dups); then only the doc
+    files that hold a losing row are rewritten, each to a new file.
 
-    With ``cat``, the duplicate count is recorded in the manifest before the
-    first file rewrite: a stage resumed after a crash finds only the ids the
-    crash left duplicated, and keeps the recorded count. The other metrics
-    count the work of the run that finished the stage."""
-    # a crash inside a rewrite's replace, on a filesystem whose move cannot
-    # overwrite, leaves a <file>.bak under docs/: mend it before the scan
-    ifs.restore_replace_backups(DOCS_DIR)
-    paths, _, on_driver = _doc_files(ifs, cfg)
-    found = _map_doc_files(ifs, on_driver, _shard_dups, list(_by_shard(ifs, paths).values()))
-    m = {"duplicates": sum(n for n, _ in found)}
-    if cat is not None:
-        recorded = cat.stage_metrics("dedup").get("duplicates")
-        if recorded is None:
-            cat.set_stage_metrics("dedup", m)
-        else:
-            m["duplicates"] = recorded
-    return {**m, **_rewrite_doc_files(ifs, on_driver, [d for _, ds in found for d in ds])}
+    Returns the stage metrics plus, under ``"docs"``, ``paths`` with each
+    rewritten file replaced by its rewrite, for the caller to publish.
+    Without ``paths``, the doc files of a tree that has no manifest are
+    deduplicated in place: each replaced file is deleted once every
+    rewrite is written."""
+    bare = paths is None
+    if bare:
+        paths = ifs.list_files(DOCS_DIR, recursive=True, suffix=".parquet")
+    on_driver = _on_driver(ifs, paths, cfg)
+    found = _map_doc_files(ifs, on_driver, _shard_dups, list(by_shard(ifs, paths).values()))
+    m, docs = _rewrite_doc_files(ifs, on_driver, paths, [d for _, ds in found for d in ds])
+    if bare:
+        for p in set(paths) - set(docs):
+            ifs.fs.delete_file(p)
+    return {"duplicates": sum(n for n, _ in found), **m, "docs": docs}
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +328,10 @@ def _file_stats(ifs: IndexFS, path: str) -> tuple[int, int]:
     return len(dl), int(pc.sum(dl).as_py() or 0)
 
 
-def _run_stats(ifs: IndexFS, cfg: EngineConfig) -> dict:
-    """N and sum(dl): sums of every doc file's row count and dl sum."""
-    paths, _, on_driver = _doc_files(ifs, cfg)
-    done = _map_doc_files(ifs, on_driver, _file_stats, paths)
+def _run_stats(ifs: IndexFS, cfg: EngineConfig, paths: list[str]) -> dict:
+    """N and sum(dl) of the doc files ``paths``: sums of every file's row
+    count and dl sum."""
+    done = _map_doc_files(ifs, _on_driver(ifs, paths, cfg), _file_stats, paths)
     n_docs = sum(n for n, _ in done)
     sum_dl = sum(s for _, s in done)
     return {
@@ -373,41 +341,37 @@ def _run_stats(ifs: IndexFS, cfg: EngineConfig) -> dict:
     }
 
 
-_SEGMENTS_TMP = SEGMENTS_DIR + ".tmp"
-
-
-def _run_segments(ifs: IndexFS, cfg: EngineConfig) -> dict:
-    """docs/ -> segments/shard_id=S/part-0.parquet: one row per (term, shard)
-    holding the delta-varint posting streams (stages/ingest.encode_segments).
+def _run_segments(ifs: IndexFS, cfg: EngineConfig, paths: list[str]) -> tuple[dict, list[str]]:
+    """Doc files ``paths`` -> one new segments/shard_id=S/<tag>.parquet per
+    shard: one row per (term, shard) holding the delta-varint posting
+    streams (stages/ingest.encode_segments).
 
     A segment row never spans shards, so each shard's segment table is
-    encoded straight from its own docs/**/shard_id=S/ files (_encode_shard),
-    staged under segments.tmp/shard_id=S/ and moved into place in one
-    commit. The unit of memory is one shard's postings, the unit a
-    ShardSearcher actor holds.
+    encoded straight from its own docs/**/shard_id=S/ files (_encode_shard).
+    The unit of memory is one shard's postings, the unit a ShardSearcher
+    actor holds.
 
-    Returns the stage metrics: ``postings`` (sum of df_shard),
-    ``segment_rows``, ``bytes_written``, ``bytes_per_posting``."""
-    paths, _, on_driver = _doc_files(ifs, cfg)
-    if ifs.exists(_SEGMENTS_TMP):
-        ifs.delete_dir(_SEGMENTS_TMP)
-    ifs.mkdirs(_SEGMENTS_TMP)
-    done = _map_doc_files(ifs, on_driver, _encode_shard, sorted(_by_shard(ifs, paths).items()), cfg)
-    ifs.commit_dir(_SEGMENTS_TMP, SEGMENTS_DIR)
+    Returns the stage metrics (``postings`` (sum of df_shard),
+    ``segment_rows``, ``bytes_written``, ``bytes_per_posting``) and the
+    written files."""
+    tag = new_tag()
+    jobs = [(s, files, f"{SEGMENTS_DIR}/shard_id={s}/{tag}.parquet")
+            for s, files in sorted(by_shard(ifs, paths).items())]
+    done = _map_doc_files(ifs, _on_driver(ifs, paths, cfg), _encode_shard, jobs, cfg)
     rows, postings, size = (sum(col) for col in zip(*done)) if done else (0, 0, 0)
     return {
         "postings": postings,
         "segment_rows": rows,
         "bytes_written": size,
         "bytes_per_posting": round(size / postings, 3) if postings else 0.0,
-    }
+    }, [ifs.join(job[2]) for job, d in zip(jobs, done) if d[0]]
 
 
 def _encode_shard(ifs: IndexFS, job: tuple, cfg: EngineConfig) -> tuple[int, int, int]:
-    """(segment rows, postings, file bytes) of one shard's segment file,
-    encoded from the shard's doc files: flatten the per-doc term lists,
-    then encode_segments. A shard without postings writes no file."""
-    shard, files = job
+    """(segment rows, postings, file bytes) of one shard's segment file
+    ``out``, encoded from the shard's doc files: flatten the per-doc term
+    lists, then encode_segments. A shard without postings writes no file."""
+    shard, files, out = job
     cols = ["doc_id", "dl", "terms", "tfs"] + (["poss"] if cfg.with_positions else [])
     t = pa.concat_tables(ifs.read_tables(files, columns=cols))
     lens = pc.list_value_length(t["terms"]).to_numpy()
@@ -423,25 +387,20 @@ def _encode_shard(ifs: IndexFS, job: tuple, cfg: EngineConfig) -> tuple[int, int
     )
     if not seg.num_rows:
         return 0, 0, 0
-    staged = f"{_SEGMENTS_TMP}/shard_id={shard}/part-0.parquet"
-    ifs.mkdirs(posixpath.dirname(staged))
-    ifs.write_table(seg.drop_columns(["shard_id"]), staged)
-    return seg.num_rows, int(pc.sum(seg["df_shard"]).as_py()), ifs.info(staged).size
+    ifs.mkdirs(posixpath.dirname(out))
+    ifs.write_table(seg.drop_columns(["shard_id"]), out)
+    return seg.num_rows, int(pc.sum(seg["df_shard"]).as_py()), ifs.info(out).size
 
 
-def _dir_bytes(ifs: IndexFS, rel: str) -> int:
-    return sum(i.size for i in ifs.list_infos(rel, recursive=True) if i.is_file)
-
-
-def _run_df(ifs: IndexFS) -> dict:
+def _run_df(ifs: IndexFS, seg_paths: list[str]) -> tuple[dict, list[str]]:
     """df(term) = sum of per-(generation, shard) posting counts: each
     segment row covers a disjoint doc set, so the integer sum is the global
     df. One group_by on the driver over every segment file's
     (term, df_shard) rows — O(segment rows) time and memory — written as
-    one term-sorted file (filter-pushdown reads; SearchEngine keeps it
-    resident). Returns the stage metrics: ``terms`` and ``bytes_written``."""
-    files = ifs.list_files(SEGMENTS_DIR, recursive=True, suffix=".parquet")
-    ts = ifs.read_tables(files, columns=["term", "df_shard"])
+    one new term-sorted file (filter-pushdown reads; SearchEngine keeps it
+    resident). Returns the stage metrics (``terms``, ``bytes_written``) and
+    the file."""
+    ts = ifs.read_tables(seg_paths, columns=["term", "df_shard"])
     t = pa.concat_tables(ts) if ts else pa.table(
         {"term": pa.array([], pa.string()), "df_shard": pa.array([], pa.int64())}
     )
@@ -449,13 +408,10 @@ def _run_df(ifs: IndexFS) -> dict:
     # select by NAME: pyarrow group_by column order has differed across
     # versions; a positional rename would silently swap term/df
     df = pa.table({"term": g["term"], "df": g["df_shard_sum"]}).sort_by("term")
-    tmp = DF_DIR + ".tmp"
-    if ifs.exists(tmp):
-        ifs.delete_dir(tmp)
-    ifs.mkdirs(tmp)
-    ifs.write_table(df, f"{tmp}/df.parquet")
-    ifs.commit_dir(tmp, DF_DIR)
-    return {"terms": df.num_rows, "bytes_written": _dir_bytes(ifs, DF_DIR)}
+    out = f"{DF_DIR}/{new_tag()}.parquet"
+    ifs.mkdirs(DF_DIR)
+    ifs.write_table(df, out)
+    return {"terms": df.num_rows, "bytes_written": ifs.info(out).size}, [ifs.join(out)]
 
 
 # ---------------------------------------------------------------------------
@@ -491,31 +447,35 @@ def build_index(
         cat.mark_stage("docs", "running")
         if input_files is not None:
             _run_docs_from_files(input_files, ifs, cfg, cat)
+            docs = cat.files(DOCS_DIR)
         else:
-            _run_docs_from_dataset(corpus, ifs, cfg)
-        cat.mark_stage("docs", "done", _docs_metrics(ifs, cfg))
+            _, docs = _run_docs_from_dataset(corpus, ifs, cfg)
+        cat.mark_stage("docs", "done", _docs_metrics(ifs, docs), files={DOCS_DIR: docs})
 
     if not cat.stage_done("dedup"):
         cat.mark_stage("dedup", "running")
-        m = _run_dedup(ifs, cfg, cat) if cfg.dedup else {"duplicates": "skipped"}
-        cat.mark_stage("dedup", "done", m)
+        m, files = {"duplicates": "skipped"}, None
+        if cfg.dedup:
+            m = _run_dedup(ifs, cfg, cat.files(DOCS_DIR))
+            files = {DOCS_DIR: m.pop("docs")}
+        cat.mark_stage("dedup", "done", m, files=files)
 
     if not cat.stage_done("stats"):
         cat.mark_stage("stats", "running")
-        stats = _run_stats(ifs, cfg)
-        cat.set_stats(stats)
-        cat.mark_stage("stats", "done", stats)
+        stats = _run_stats(ifs, cfg, cat.files(DOCS_DIR))
+        cat.mark_stage("stats", "done", stats, stats=stats)
 
     if not cat.stage_done("segments"):
         cat.mark_stage("segments", "running")
-        m = _run_segments(ifs, cfg)
-        cat.mark_stage("segments", "done", m)
+        m, segs = _run_segments(ifs, cfg, cat.files(DOCS_DIR))
+        cat.mark_stage("segments", "done", m, files={SEGMENTS_DIR: segs})
 
     if not cat.stage_done("df"):
         cat.mark_stage("df", "running")
-        m = _run_df(ifs)
-        cat.mark_stage("df", "done", m)
+        m, df = _run_df(ifs, cat.files(SEGMENTS_DIR))
+        cat.mark_stage("df", "done", m, files={DF_DIR: df})
 
+    cat.drop_unlisted()
     return cat
 
 
@@ -537,49 +497,24 @@ def _gen_docs_rel(gen: int) -> str:
     return f"{DOCS_DIR}/gen_{gen:06d}"
 
 
-def _gen_seg_prefix(gen: int) -> str:
-    return f"gen{gen:06d}_"
-
-
-def _rollback_generation(ifs: IndexFS, cat: Catalog, gen: int) -> None:
-    """Remove every trace of an uncommitted generation (crash mid-append),
-    then restore the df rollup to the surviving segments."""
-    ws = f"_append_gen_{gen:06d}.tmp"
-    if ifs.exists(ws):
-        ifs.delete_dir(ws)
-    rel = _gen_docs_rel(gen)
-    if ifs.exists(rel):
-        ifs.delete_dir(rel)
-    pre = _gen_seg_prefix(gen)
-    removed = False
-    for f in ifs.list_files(SEGMENTS_DIR, recursive=True, suffix=".parquet"):
-        if posixpath.basename(f).startswith(pre):
-            ifs.fs.delete_file(f)
-            removed = True
-    if removed:
-        _run_df(ifs)  # df may already include the dead generation
-    cat.drop_generation(gen)
-
-
-def _append_collisions(ifs: IndexFS, wfs: IndexFS, cfg: EngineConfig) -> int:
-    """Drop from the new generation's doc files (under ``wfs``) every row
-    whose doc_id the index already holds (existence-check first-wins,
-    SURVEY.md D3: the OLD document survives — the reference's unique
-    content_path constraint keeps the first upload,
+def _append_collisions(
+    ifs: IndexFS, cfg: EngineConfig, old_paths: list[str], new_paths: list[str]
+) -> tuple[int, list[str]]:
+    """Drop from the new generation's doc files ``new_paths`` every row
+    whose doc_id the index's doc files ``old_paths`` already hold
+    (existence-check first-wins, SURVEY.md D3: the OLD document survives —
+    the reference's unique content_path constraint keeps the first upload,
     smse_backend/models/content.py:11). An id and its copies share a shard,
     so each shard's new files are checked against the index's files of the
     same shard only, on driver threads when both sides' doc files are under
-    the budget. Returns the number of colliding ids."""
-    new_paths, _, new_small = _doc_files(wfs, cfg)
-    old_paths, _, old_small = _doc_files(ifs, cfg)
-    on_driver = new_small and old_small
-    old = _by_shard(ifs, old_paths)
-    jobs = [(files, old.get(s, [])) for s, files in _by_shard(wfs, new_paths).items()]
-    # through ``ifs``: the workspace sits under its root, so both sides'
-    # full paths resolve (a full path outside an IndexFS's root does not)
+    the budget. Returns the number of colliding ids and the new
+    generation's doc files after the drop."""
+    on_driver = _on_driver(ifs, new_paths, cfg) and _on_driver(ifs, old_paths, cfg)
+    old = by_shard(ifs, old_paths)
+    jobs = [(files, old.get(s, [])) for s, files in by_shard(ifs, new_paths).items()]
     found = _map_doc_files(ifs, on_driver, _shard_collisions, jobs)
-    _rewrite_doc_files(wfs, on_driver, [d for _, ds in found for d in ds])
-    return sum(n for n, _ in found)
+    _, new_paths = _rewrite_doc_files(ifs, on_driver, new_paths, [d for _, ds in found for d in ds])
+    return sum(n for n, _ in found), new_paths
 
 
 def _check_cfg(cat: Catalog, cfg: EngineConfig | None) -> EngineConfig:
@@ -601,6 +536,14 @@ def _check_cfg(cat: Catalog, cfg: EngineConfig | None) -> EngineConfig:
     return cfg
 
 
+def _base_catalog(index_dir, op: str) -> Catalog:
+    cat = Catalog(index_dir)
+    for s in STAGE_ORDER:
+        if not cat.stage_done(s):
+            raise RuntimeError(f"{op} requires a completed base build (stage {s!r} not done)")
+    return cat
+
+
 def append_index(
     corpus: "ray.data.Dataset",
     index_dir="",
@@ -609,98 +552,58 @@ def append_index(
     """Add documents to an EXISTING index without rebuilding it.
 
     The new docs run the same staged pipeline as a base build (ingest ->
-    within-batch dedup -> stats -> shard-local segments) inside a workspace dir,
-    then commit as generation G: doc parquet at ``docs/gen_{G}/shard_id=*``,
-    segment files moved into the live ``segments/shard_id=*/`` dirs under a
-    ``gen{G}_`` prefix (uniform directory depth — shard discovery, bulk
-    search and parquet pushdown keep working unchanged), df/ rollup
-    recomputed (exact integer sums), stats merged last.
+    within-batch dedup -> stats -> shard-local segments) and commit as
+    generation G: doc files under ``docs/gen_{G}/shard_id=*``, one new
+    segment file per shard beside the live ones in ``segments/shard_id=*/``
+    (uniform directory depth — shard discovery and parquet pushdown keep
+    working unchanged), a new df file (the exact integer re-rollup over
+    every generation) and the merged stats.
 
     Docs whose doc_id already exists are dropped (D3 existence-check
     first-wins). Segment rows hold only doc ids, tfs and dls, so every score
     is computed at query time from the merged avgdl and results stay exactly
-    equal to a full rebuild. Crash safety: an uncommitted generation is
-    rolled back on the next append (manifest status gate); workspace dirs
-    are ``*.tmp`` so Catalog.gc also collects orphans. Engines open
-    mid-commit may see the new postings before the new stats — (re)open
-    engines after append, the same eventual-visibility contract as
-    tombstones (SURVEY.md §2.9).
+    equal to a full rebuild. Crash safety: every file the append writes is
+    new and unlisted until ONE manifest write publishes them all with the
+    generation record and the merged stats; a crash before it leaves the
+    index as it was, and the files it wrote are garbage for
+    Catalog.drop_unlisted (which ends every writer). Engines open on the
+    old manifest keep serving the old index — (re)open engines after
+    append, the same eventual-visibility contract as tombstones
+    (SURVEY.md §2.9).
     """
-    cat = Catalog(index_dir)
+    cat = _base_catalog(index_dir, "append")
     ifs = cat.ifs
-    for s in STAGE_ORDER:
-        if not cat.stage_done(s):
-            raise RuntimeError(f"append requires a completed base build (stage {s!r} not done)")
     cfg = _check_cfg(cat, cfg)
     cfg.validate()
-    # A prior compact_index may have died between parking the doc store at
-    # docs.bak and moving the new one in. Recover BEFORE creating any
-    # docs/gen_* (which would make docs/ exist again and permanently strand
-    # the .bak — the only copy of the base corpus' doc metadata).
-    if not ifs.restore_swap_backup(DOCS_DIR) and ifs.exists(DOCS_DIR + ".bak"):
-        raise RuntimeError(
-            f"{DOCS_DIR}.bak exists beside a live {DOCS_DIR}/ — a prior "
-            "doc-store swap died in an ambiguous state; resolve manually "
-            "before appending"
-        )
+    gen = max((int(g) for g in cat.generations()), default=0) + 1
 
-    gens = cat.generations()
-    for g_str, rec in sorted(gens.items(), key=lambda kv: int(kv[0])):
-        if rec.get("status") != "done":
-            _rollback_generation(ifs, cat, int(g_str))
-    gens = cat.generations()
-    gen = max((int(g) for g in gens), default=0) + 1
-
-    ws = f"_append_gen_{gen:06d}.tmp"
-    if ifs.exists(ws):
-        ifs.delete_dir(ws)
-    wfs = IndexFS((ifs.fs, ifs.join(ws)))
-    wfs.mkdirs()
-
-    _run_docs_from_dataset(corpus, wfs, cfg)
+    _, new = _run_docs_from_dataset(corpus, ifs, cfg, _gen_docs_rel(gen))
     if cfg.dedup:
-        _run_dedup(wfs, cfg)
-    pre_stats = _run_stats(wfs, cfg)
-    n_coll = _append_collisions(ifs, wfs, cfg)
+        new = _run_dedup(ifs, cfg, new)["docs"]
+    pre_stats = _run_stats(ifs, cfg, new)
+    n_coll, new = _append_collisions(ifs, cfg, cat.files(DOCS_DIR), new)
     if pre_stats["n_docs"] == 0 or n_coll == pre_stats["n_docs"]:
         # nothing new (empty input, or every doc already indexed): no-op
-        ifs.delete_dir(ws)
+        cat.drop_unlisted()
         return cat
 
-    gen_stats = _run_stats(wfs, cfg) if n_coll else pre_stats
+    gen_stats = _run_stats(ifs, cfg, new) if n_coll else pre_stats
     base = cat.get_stats()
     n_docs = int(base["n_docs"]) + int(gen_stats["n_docs"])
     sum_dl = int(base["sum_dl"]) + int(gen_stats["sum_dl"])
     merged = {"n_docs": n_docs, "sum_dl": sum_dl, "avgdl": sum_dl / n_docs}
 
-    _run_segments(wfs, cfg)
-
-    cat.set_generation(
-        gen,
-        {
-            "status": "committing",
-            "n_docs": int(gen_stats["n_docs"]),
-            "sum_dl": int(gen_stats["sum_dl"]),
-            "dropped_existing": n_coll,
-        },
-    )
-    ifs.move(f"{ws}/{DOCS_DIR}", _gen_docs_rel(gen))
-    pre = _gen_seg_prefix(gen)
-    for f in wfs.list_files(SEGMENTS_DIR, recursive=True, suffix=".parquet"):
-        rel = f[len(wfs.root) + 1 :]  # segments/shard_id=S/<name>.parquet
-        parts = rel.split("/")
-        ifs.mkdirs(f"{SEGMENTS_DIR}/{parts[1]}")
-        ifs.fs.move(f, ifs.join(f"{SEGMENTS_DIR}/{parts[1]}/{pre}{parts[-1]}"))
-    ifs.delete_dir(ws)
-
-    _run_df(ifs)  # exact integer re-rollup across all generations
-    # merged stats + status='done' in ONE manifest write: a crash between
-    # separate writes would leave stats inflated after rollback (which
-    # removes the generation's docs/segments but could not un-merge stats)
-    rec = cat.generations()[str(gen)]
-    rec["status"] = "done"
-    rec["committed_at"] = time.time()
-    cat.commit_generation(gen, rec, merged)
+    segs = cat.files(SEGMENTS_DIR) + _run_segments(ifs, cfg, new)[1]
+    rec = {
+        "status": "done",
+        "n_docs": int(gen_stats["n_docs"]),
+        "sum_dl": int(gen_stats["sum_dl"]),
+        "dropped_existing": n_coll,
+        "committed_at": time.time(),
+    }
+    files = {DOCS_DIR: cat.files(DOCS_DIR) + new, SEGMENTS_DIR: segs, DF_DIR: _run_df(ifs, segs)[1]}
+    cat.commit_generation(gen, rec, merged, files)
+    cat.drop_unlisted()
     return cat
 
 
@@ -723,28 +626,21 @@ def compact_index(index_dir, cfg: EngineConfig | None = None, vacuum: bool = Tru
     rebuild" (DELETE /api/contents, smse_backend/routes/content.py) — this
     IS that rebuild, without re-ingesting content.
 
-    Crash-safe ordering: docs .bak-swap (the old doc store — the ONLY copy
-    of the corpus — survives until the new one is in place; a crash mid-swap
-    is recovered by restore_swap_backup on the next run) -> segments swap
-    (re-derivable from docs, plain swap suffices) -> df -> stats ->
-    tombstone subtraction -> generation records collapsed. Until the
-    tombstone update commits, stale state keeps filtering on the query path,
-    so a reader never sees a deleted doc mid-compaction; deletes issued
-    WHILE compaction runs are preserved (only the vacuumed set is
-    subtracted, never a blind reset). With ``vacuum=False`` (merge
-    generations only) tombstones are left untouched and keep filtering.
+    Crash safety: the new doc, segment and df files are written beside the
+    old ones, and ONE manifest write publishes them with the new stats and
+    the collapsed generation records; until it lands, readers open the old
+    files, which stay on disk (Catalog.drop_unlisted keeps the files the
+    previous manifest listed, for engines still opening on it). Then the
+    vacuumed ids are subtracted from the tombstones: until that write, the
+    stale ids only filter docs that no longer exist. Deletes issued WHILE
+    compaction runs are preserved (only the vacuumed set is subtracted,
+    never a blind reset). With ``vacuum=False`` (merge generations only)
+    tombstones are left untouched and keep filtering.
     """
-    cat = Catalog(index_dir)
+    cat = _base_catalog(index_dir, "compact")
     ifs = cat.ifs
-    for s in STAGE_ORDER:
-        if not cat.stage_done(s):
-            raise RuntimeError(f"compact requires a completed base build (stage {s!r} not done)")
     cfg = _check_cfg(cat, cfg)
     cfg.validate()
-    ifs.restore_swap_backup(DOCS_DIR)  # prior compaction died mid doc swap
-    for g_str, rec in sorted(cat.generations().items(), key=lambda kv: int(kv[0])):
-        if rec.get("status") != "done":
-            _rollback_generation(ifs, cat, int(g_str))
 
     tombs: list[int] = sorted(read_tombstones(ifs)) if vacuum else []
     if not tombs and not cat.generations():
@@ -752,10 +648,11 @@ def compact_index(index_dir, cfg: EngineConfig | None = None, vacuum: bool = Tru
 
     cat.mark_stage("compact", "running")
 
-    # 1. flatten the doc store: explicit FILE list (generation/wave dirs nest
-    # at mixed depths and file-mode files carry an extra partition_id column
-    # — projecting the frozen doc schema unifies both), drop tombstoned rows,
-    # re-derive shard_id (doc_id scheme is frozen: shard = doc_id % n_shards)
+    # 1. flatten the doc store: the listed doc files (generation/wave dirs
+    # nest at mixed depths and file-mode files carry an extra partition_id
+    # column — projecting the frozen doc schema unifies both), drop
+    # tombstoned rows, re-derive shard_id (doc_id scheme is frozen:
+    # shard = doc_id % n_shards)
     tomb_ref = ray.put(np.asarray(tombs, dtype=np.int64))
     n_shards = cfg.n_shards
 
@@ -767,26 +664,23 @@ def compact_index(index_dir, cfg: EngineConfig | None = None, vacuum: bool = Tru
         return t.append_column("shard_id", pa.array(shard, type=pa.int32()))
 
     doc_cols = DOC_SCHEMA_COLS + (["poss"] if cfg.with_positions else [])
-    docs = ifs.ray_read_parquet_files(
-        ifs.list_files(DOCS_DIR, recursive=True, suffix=".parquet"),
-        columns=doc_cols,
-    ).map_batches(reshard, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-    ifs.atomic_swap_dataset(docs, DOCS_DIR, **_docs_write_args(cfg))
+    docs = cat.ray_dataset(DOCS_DIR, columns=doc_cols).map_batches(
+        reshard, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+    )
+    docs = ifs.write_dataset(docs, DOCS_DIR, **_docs_write_args(cfg))
 
-    # 2. stats over the surviving corpus, then one fresh segment generation
-    stats = _run_stats(ifs, cfg)
-    _run_segments(ifs, cfg)
-    _run_df(ifs)
-    cat.set_stats(stats)
+    # 2. stats over the surviving corpus, one fresh segment generation, df
+    stats = _run_stats(ifs, cfg, docs)
+    segs = _run_segments(ifs, cfg, docs)[1]
+    files = {DOCS_DIR: docs, SEGMENTS_DIR: segs, DF_DIR: _run_df(ifs, segs)[1]}
+    cat.mark_stage("compact", "done", {"vacuumed": len(tombs)}, files=files, stats=stats, generations={})
 
     # 3. visibility cleanup: the vacuumed ids are now physically gone —
     # subtract exactly them, preserving any tombstones added while this
     # compaction ran (those docs survive in the new docs/segments and must
-    # keep filtering); generations merged
+    # keep filtering)
     if vacuum and tombs:
         live = read_tombstones(ifs)
         ifs.write_json_atomic(TOMBSTONES_REL, sorted(live - set(tombs)))
-    for g_str in list(cat.generations()):
-        cat.drop_generation(int(g_str))
-    cat.mark_stage("compact", "done", {"vacuumed": len(tombs)})
+    cat.drop_unlisted()
     return cat

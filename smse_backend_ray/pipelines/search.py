@@ -35,7 +35,7 @@ from smse_backend_ray.functions.bm25 import idf as idf_fn
 from smse_backend_ray.functions.fusion import fuse_parts
 from smse_backend_ray.functions.normalize import NORMALIZERS
 from smse_backend_ray.stages.scorer import ShardSearcher
-from smse_backend_ray.state.catalog import Catalog
+from smse_backend_ray.state.catalog import Catalog, by_shard
 from smse_backend_ray.state.fs import IndexFS
 
 RESULT_SCHEMA = pa.schema(
@@ -67,9 +67,8 @@ class SearchEngine:
         self.index_dir = index_dir
         self.cat = Catalog(index_dir)
         self.ifs: IndexFS = self.cat.ifs
-        # recover a doc store parked at docs.bak by a compaction that died
-        # mid-swap (before any shard actor tries to read docs/)
-        self.ifs.restore_swap_backup("docs")
+        # every file the engine opens is one this manifest lists (its
+        # commit point, state/catalog.py); opening writes nothing
         cfg = self.cat.get_config()
         stats = self.cat.get_stats()
         self.n_docs = stats["n_docs"]
@@ -99,9 +98,10 @@ class SearchEngine:
             n = num_actors or self.n_shards
             per_set = min(n, self.n_shards)
         n_sets = max(1, n // per_set)
+        segs, docs = (by_shard(self.ifs, self.cat.files(t)) for t in ("segments", "docs"))
         mk = lambda g: ShardSearcher.remote(  # noqa: E731
             self.ifs,
-            g,
+            {s: (segs.get(s, []), docs.get(s, [])) for s in g},
             self.avgdl,
             {"k1": self.params.k1, "b": self.params.b},
             cfg.get("block_size", 128),
@@ -114,7 +114,7 @@ class SearchEngine:
         # term-sorted file; indexes from older builds may hold several):
         # every df lookup is a binary search over it, never a parquet
         # scan. Read while the actors start.
-        df = self.ifs.pads_dataset("df").to_table(columns=["term", "df"])
+        df = pa.concat_tables(self.ifs.read_tables(self.cat.files("df"), columns=["term", "df"]))
         df = df.take(pa.compute.sort_indices(df["term"]))
         self._df_terms = df["term"].to_numpy()
         self._df = df["df"].to_numpy().astype(np.int64)
@@ -125,11 +125,12 @@ class SearchEngine:
 
     def _replica_bytes(self) -> int:
         """Estimate of the memory one full replica adds: twice the bytes of
-        segments/ and docs/ on disk (an actor holds the segments and the
-        docs' meta columns, a subset of docs/; a replica of a 100k-doc
-        index held 125-155 MB for 89 MB on disk) plus a full decode cache."""
-        return config.DECODE_CACHE_MAX_BYTES + 2 * sum(
-            i.size for d in ("segments", "docs") for i in self.ifs.list_infos(d, recursive=True) if i.is_file
+        the committed segment and doc files on disk (an actor holds the
+        segments and the docs' meta columns, a subset of the doc files; a
+        replica of a 100k-doc index held 125-155 MB for 89 MB on disk) plus
+        a full decode cache."""
+        return config.DECODE_CACHE_MAX_BYTES + 2 * self.ifs.total_size(
+            self.cat.files("segments") + self.cat.files("docs")
         )
 
     # ------------------------------------------------------------------
@@ -338,7 +339,7 @@ class SearchEngine:
         terms = sorted(qtf)
         df = dict(zip(terms, self._df_of(terms)))
         doc_ids = sorted({int(d) for d in doc_ids})
-        t = self.ifs.pads_dataset("docs").to_table(
+        t = self.cat.dataset("docs").to_table(
             columns=["doc_id", "terms", "tfs", "dl"],
             filter=pads.field("doc_id").isin(doc_ids),
         )
@@ -432,7 +433,7 @@ class SearchEngine:
 
         m = MLT_TOP_TERMS if m is None else m
         src_doc_ids = sorted({int(d) for d in src_doc_ids})
-        t = self.ifs.pads_dataset("docs").to_table(
+        t = self.cat.dataset("docs").to_table(
             columns=["doc_id", "terms", "tfs"],
             filter=pads.field("doc_id").isin(src_doc_ids),
         )
@@ -492,7 +493,7 @@ class SearchEngine:
         if res.num_rows == 0:
             return schema.empty_table()
         doc_ids = sorted(set(res["doc_id"].to_pylist()))
-        ds = self.ifs.pads_dataset("docs")
+        ds = self.cat.dataset("docs")
         if "poss" not in ds.schema.names:
             raise RuntimeError(
                 "snippets require a positional build "

@@ -27,6 +27,7 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
 from smse_backend_ray.config import MAX_TOKEN_LEN, SUGGEST_TOP
+from smse_backend_ray.state.catalog import Catalog
 from smse_backend_ray.state.fs import IndexFS
 
 SUGGEST_DIR = "suggest"
@@ -68,10 +69,11 @@ def _explode_deletes(t: pa.Table) -> pa.Table:
 
 def build_suggest(index_dir) -> str:
     """Build the deletion-neighborhood table under <index>/suggest/ from the
-    df table; sorted by dkey so point lookups prune row groups. Atomic
-    commit via the IndexFS tmp-swap protocol."""
-    ifs = IndexFS(index_dir)
-    ds = ifs.ray_read_parquet("df", columns=["term", "df"])
+    committed df table; sorted by dkey so point lookups prune row groups.
+    Atomic commit via the IndexFS tmp-swap protocol."""
+    cat = Catalog(index_dir)
+    ifs = cat.ifs
+    ds = cat.ray_dataset("df", columns=["term", "df"])
     out = ds.map_batches(
         _explode_deletes, batch_format="pyarrow", zero_copy_batch=True
     ).sort("dkey")

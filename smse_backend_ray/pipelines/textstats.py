@@ -641,10 +641,9 @@ def validate_batch(batch: pa.Table) -> pa.Table:
 
 def validate(index_dir) -> pa.Table:
     """Run validation over a built index's docs table as a Ray job."""
-    from smse_backend_ray.state.fs import resolve
+    from smse_backend_ray.state.catalog import Catalog
 
-    ifs = resolve(index_dir)
-    out = ifs.ray_read_parquet("docs", columns=["doc_id", "path", "commit", "lang", "n_bytes"])
+    out = Catalog(index_dir).ray_dataset("docs", columns=["doc_id", "path", "commit", "lang", "n_bytes"])
     return collect_table(arrow_map(out, validate_batch)).sort_by("doc_id")
 
 

@@ -46,6 +46,7 @@ from smse_backend_ray.config import SCORE_DECIMALS, BM25Params
 from smse_backend_ray.functions.bm25 import tfnorm_vec
 from smse_backend_ray.functions.rounding import round_half_away
 from smse_backend_ray.functions.codec import decode_positions, decode_postings
+from smse_backend_ray.state.catalog import Catalog
 from smse_backend_ray.state.fs import resolve
 
 
@@ -164,7 +165,7 @@ class ShardIndex:
         params: BM25Params,
         block_size: int = 128,
         cache: _ByteLRU | None = None,
-        docs_files: list[str] | None = None,
+        files: tuple[list[str], list[str]] | None = None,
     ):
         ifs = resolve(index_dir)
         self.shard_id = shard_id
@@ -172,9 +173,12 @@ class ShardIndex:
         self.params = params
         self.block_size = block_size
 
-        seg_files = ifs.list_files(
-            f"segments/shard_id={shard_id}", suffix=".parquet"
-        )
+        # the shard's committed (segment files, doc files): the caller's
+        # snapshot of the manifest, else the manifest's lists now
+        if files is None:
+            cat = Catalog(ifs)
+            files = (cat.shard_files("segments", shard_id), cat.shard_files("docs", shard_id))
+        seg_files, meta_files = files
         # positional indexes carry pos_bytes in EVERY segment file
         # (with_positions is frozen per build; appends reuse the manifest
         # cfg) — one footer read of the first file decides
@@ -203,13 +207,7 @@ class ShardIndex:
         # shard of an actor (ShardSearcher passes it in)
         self._cache = cache if cache is not None else _ByteLRU(config.DECODE_CACHE_MAX_BYTES)
 
-        # docs are hive-partitioned by shard_id (optionally nested under
-        # wave_* dirs in file-mode builds); read only this shard's meta
-        # cols. ``docs_files``: the listing of docs/, when the caller (an
-        # actor opening several shards) already made it
-        if docs_files is None:
-            docs_files = ifs.list_files("docs", recursive=True, suffix=".parquet")
-        meta_files = [f for f in docs_files if f"shard_id={shard_id}/" in f]
+        # read only this shard's meta cols
         if meta_files:
             m = pa.concat_tables(
                 ifs.read_tables(meta_files, columns=["doc_id", "repo", "path", "lang"])
@@ -621,18 +619,19 @@ class ShardSearcher:
     def __init__(
         self,
         index_dir,
-        shard_ids: list[int],
+        shard_files: dict[int, tuple[list[str], list[str]]],
         avgdl: float,
         params_dict: dict,
         block_size: int = 128,
     ):
+        """``shard_files``: shard id -> its committed (segment files, doc
+        files), from the manifest the engine read."""
         params = BM25Params(**params_dict)
-        # one decode cache and one docs/ listing for all of the actor's shards
+        # one decode cache for all of the actor's shards
         self.cache = _ByteLRU(config.DECODE_CACHE_MAX_BYTES)
-        docs_files = resolve(index_dir).list_files("docs", recursive=True, suffix=".parquet")
         self.shards = [
-            ShardIndex(index_dir, s, avgdl, params, block_size, self.cache, docs_files)
-            for s in shard_ids
+            ShardIndex(index_dir, s, avgdl, params, block_size, self.cache, files)
+            for s, files in sorted(shard_files.items())
         ]
 
     def ping(self) -> bool:

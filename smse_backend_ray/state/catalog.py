@@ -1,13 +1,20 @@
-"""Lineage manifest + resume (reference ``Task`` table analog,
-smse_backend/models/task.py:6-34; status reconciliation
+"""Lineage manifest, commit point and resume (reference ``Task`` table
+analog, smse_backend/models/task.py:6-34; status reconciliation
 smse_backend/routes/task.py:30-52).
 
 The manifest is a JSON file under the index location recording, per build
 stage and per input partition: input fingerprint, status, timestamps, metrics
-and output path. Commits are atomic (write temp + rename — the idempotent
-write protocol SURVEY.md §4 requires). Resume = anti-join of planned
-partitions against completed ones (the engine's only anti-join, SURVEY.md
-§2.4 J3).
+and output path. Resume = anti-join of planned partitions against completed
+ones (the engine's only anti-join, SURVEY.md §2.4 J3).
+
+The manifest is also the index's one commit point (Lucene's ``segments_N``):
+it lists the live parquet files of the index tables ``docs``, ``segments``
+and ``df``. Writers put new files under names no write reuses and publish
+them with one manifest write (write temp + rename), together with the stage,
+generation and stats records of that write; readers open exactly the listed
+files (``files``, ``dataset``, ``ray_dataset``). A file no manifest lists is
+garbage for ``gc``, which keeps the files the previous manifest listed, so
+an engine that read it can finish opening.
 
 All I/O goes through state/fs.IndexFS, so the index may live on any
 pyarrow.fs filesystem (local path, file:// or s3:// URI, or an explicit
@@ -19,8 +26,11 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import time
 from dataclasses import asdict, dataclass, field
+
+import pyarrow.fs as pafs
 
 from smse_backend_ray.state.fs import IndexFS, resolve
 
@@ -37,6 +47,21 @@ class PartitionRecord:
 
 
 TOMBSTONES_REL = "tombstones.json"
+
+# the tables whose files the manifest lists
+TABLES = ("docs", "segments", "df")
+
+# a table file's shard, from its hive dir — matched with the trailing "/",
+# so shard 1 never picks up shard_id=10
+_SHARD_DIR = re.compile(r"/shard_id=(\d+)/")
+
+
+def by_shard(ifs: IndexFS, paths: list[str]) -> dict[int, list[str]]:
+    """Full ``paths`` grouped by their hive shard_id dir, in input order."""
+    out: dict[int, list[str]] = {}
+    for p in paths:
+        out.setdefault(int(_SHARD_DIR.search(p[len(ifs.root):]).group(1)), []).append(p)
+    return out
 
 
 def read_tombstones(ifs: IndexFS) -> set[int]:
@@ -80,14 +105,46 @@ class Catalog:
         # swapping (fs.write_json_atomic); recover it after a mid-swap crash
         if self.ifs.exists(self.MANIFEST + ".bak"):
             return self.ifs.read_json(self.MANIFEST + ".bak")
-        return {"stages": {}, "partitions": {}, "config": {}, "stats": {}, "prefs": {}}
+        return {"stages": {}, "partitions": {}, "config": {}, "stats": {}, "prefs": {}, "files": {}}
 
-    def _commit(self) -> None:
+    def _commit(self, files: dict | None = None, stats: dict | None = None) -> None:
+        """One manifest write; ``files`` ({table: full paths}) and ``stats``
+        are published by it. The files the previous manifest listed and
+        this one does not are recorded as ``retired``: gc keeps them until
+        the next manifest write, for engines that read the previous one."""
+        listed = self._state.setdefault("files", {})
+        old = {f for fs in listed.values() for f in fs}
+        root = self.ifs.root + "/"
+        for t, paths in (files or {}).items():
+            listed[t] = sorted(p[len(root):] if p.startswith(root) else p for p in paths)
+        self._state["retired"] = sorted(old - {f for fs in listed.values() for f in fs})
+        if stats is not None:
+            self._state["stats"] = stats
         self.ifs.write_json_atomic(self.MANIFEST, self._state)
 
     def manifest(self) -> dict:
         """Read-only snapshot of the full manifest (stages/partitions/..)."""
         return dict(self._state)
+
+    # -- committed table files: the only files a reader opens --------------
+    def files(self, table: str) -> list[str]:
+        """Full paths of ``table``'s committed files, sorted."""
+        return [self.ifs.join(r) for r in self._state.get("files", {}).get(table, [])]
+
+    def shard_files(self, table: str, shard: int) -> list[str]:
+        return by_shard(self.ifs, self.files(table)).get(shard, [])
+
+    def dataset(self, table: str):
+        """pyarrow dataset over ``table``'s committed files (hive shard_id
+        column included)."""
+        import pyarrow.dataset as pads
+
+        return pads.dataset(self.files(table), filesystem=self.ifs.fs, partitioning="hive",
+                            partition_base_dir=self.ifs.join(table))
+
+    def ray_dataset(self, table: str, **kwargs):
+        """Ray Dataset over ``table``'s committed files."""
+        return self.ifs.ray_read_parquet_files(self.files(table), **kwargs)
 
     # -- config / stats ----------------------------------------------------
     def set_config(self, cfg_dict: dict) -> None:
@@ -96,10 +153,6 @@ class Catalog:
 
     def get_config(self) -> dict:
         return self._state["config"]
-
-    def set_stats(self, stats: dict) -> None:
-        self._state["stats"] = stats
-        self._commit()
 
     def get_stats(self) -> dict:
         return self._state["stats"]
@@ -124,7 +177,14 @@ class Catalog:
     def stage_done(self, stage: str) -> bool:
         return self._state["stages"].get(stage, {}).get("status") == "done"
 
-    def mark_stage(self, stage: str, status: str, metrics: dict | None = None) -> None:
+    def mark_stage(
+        self, stage: str, status: str, metrics: dict | None = None,
+        files: dict | None = None, stats: dict | None = None,
+        generations: dict | None = None,
+    ) -> None:
+        """Record a stage's status (and metrics); ``files``, ``stats`` and
+        ``generations``, when given, are published in the same manifest
+        write — a stage's commit point."""
         rec = self._state["stages"].setdefault(stage, {})
         rec["status"] = status
         if status == "running":
@@ -138,16 +198,12 @@ class Catalog:
             rec["completed_at"] = time.time()
         if metrics:
             rec["metrics"] = metrics
-        self._commit()
+        if generations is not None:
+            self._state["generations"] = generations
+        self._commit(files, stats)
 
     def stage_metrics(self, stage: str) -> dict:
         return dict(self._state["stages"].get(stage, {}).get("metrics", {}))
-
-    def set_stage_metrics(self, stage: str, metrics: dict) -> None:
-        """Record a running stage's metrics without touching its status or
-        clock (a count that must survive a crash mid-stage)."""
-        self._state["stages"].setdefault(stage, {})["metrics"] = metrics
-        self._commit()
 
     def invalidate_from(self, stages: list[str]) -> None:
         for s in stages:
@@ -159,24 +215,12 @@ class Catalog:
     def generations(self) -> dict[str, dict]:
         return dict(self._state.get("generations", {}))
 
-    def set_generation(self, gen: int, rec: dict) -> None:
+    def commit_generation(self, gen: int, rec: dict, stats: dict, files: dict) -> None:
+        """Publish a generation's files, its record and the merged corpus
+        stats in ONE manifest write: readers see all of the append or none
+        of it."""
         self._state.setdefault("generations", {})[str(gen)] = rec
-        self._commit()
-
-    def drop_generation(self, gen: int) -> None:
-        self._state.get("generations", {}).pop(str(gen), None)
-        self._commit()
-
-    def commit_generation(self, gen: int, rec: dict, stats: dict) -> None:
-        """Atomically publish a generation record AND the merged corpus
-        stats in ONE manifest write. Appends must use this for the final
-        status='done' commit: a crash between separate set_stats and
-        set_generation calls would leave stats inflated after the rollback
-        path removes the generation's docs/segments (scores would diverge
-        from the oracle forever)."""
-        self._state.setdefault("generations", {})[str(gen)] = rec
-        self._state["stats"] = stats
-        self._commit()
+        self._commit(files, stats)
 
     # -- partition-level lineage ------------------------------------------
     def plan_partitions(
@@ -200,15 +244,17 @@ class Catalog:
         return pending
 
     def mark_partitions_done(
-        self, pids: list[int], metrics: dict[int, dict], output_path: str
+        self, pids: list[int], metrics: dict[int, dict], output_path: str,
+        files: dict | None = None,
     ) -> None:
+        """Mark ``pids`` done, publishing ``files`` in the same write."""
         for pid in pids:
             rec = self._state["partitions"][str(pid)]
             rec["status"] = "done"
             rec["completed_at"] = time.time()
             rec["metrics"] = metrics.get(pid, {})
             rec["output_path"] = output_path
-        self._commit()
+        self._commit(files)
 
     def completed_partitions(self) -> list[int]:
         return sorted(
@@ -222,10 +268,10 @@ class Catalog:
     #    query temp files older than 24h,
     #    smse_backend/services/file_storage.py:675-708) ------------------
     def gc(self, max_age_hours: float = 24.0, now: float | None = None) -> dict:
-        """Delete query-log/search-record files older than ``max_age_hours``
-        and orphaned temp state (*.tmp dirs/files from interrupted runs).
-        Returns counts. Driver-side cron pass, not a dataset op
-        (SURVEY.md §2.9)."""
+        """Delete query-log/search-record files older than ``max_age_hours``,
+        orphaned temp state (*.tmp dirs/files from interrupted runs) and
+        the index tables' unlisted files (drop_unlisted). Returns counts.
+        Driver-side cron pass, not a dataset op (SURVEY.md §2.9)."""
         now = now if now is not None else time.time()
         cutoff = now - max_age_hours * 3600
         removed = {"query_files": 0, "tmp_dirs": 0}
@@ -244,12 +290,10 @@ class Catalog:
         for info in self.ifs.list_infos():
             if not info.path.endswith(".tmp"):
                 continue
-            # orphaned temp state can be a DIR (stage output) or a FILE
-            # (manifest.json.tmp left by a crash); count only removals that
-            # actually happened
+            # orphaned temp state can be a DIR (bulk or suggest output) or a
+            # FILE (manifest.json.tmp left by a crash); count only removals
+            # that actually happened
             try:
-                import pyarrow.fs as pafs
-
                 if info.type == pafs.FileType.Directory:
                     self.ifs.fs.delete_dir(info.path)
                 else:
@@ -257,4 +301,20 @@ class Catalog:
                 removed["tmp_dirs"] += 1
             except OSError:
                 pass
+        removed["unlisted_files"] = self.drop_unlisted()
         return removed
+
+    def drop_unlisted(self) -> int:
+        """Delete every file under the index tables that the latest manifest
+        neither lists nor retired: what a crashed or superseded write left.
+        Returns the number deleted."""
+        self._state = self._load()
+        keep = {self.ifs.join(r) for fs in self._state.get("files", {}).values() for r in fs}
+        keep |= {self.ifs.join(r) for r in self._state.get("retired", [])}
+        n = 0
+        for t in TABLES:
+            for info in self.ifs.list_infos(t, recursive=True):
+                if info.is_file and info.path not in keep:
+                    self.ifs.fs.delete_file(info.path)
+                    n += 1
+        return n

@@ -10,11 +10,13 @@ scheme ``pyarrow.fs.FileSystem.from_uri`` resolves), or an explicit
 ``(FileSystem, path)`` pair (how tests exercise a remote-FS stand-in via
 ``SubTreeFileSystem`` without network access).
 
-Commit protocol: write to ``<dest>.tmp`` then ``move`` — a true atomic rename
-on local filesystems; on object stores it degrades to per-file copy+delete,
-which is still safe because readers discover state through the manifest,
-which is itself committed last via a single-file move (single-object PUT
-semantics on S3-likes).
+Commit protocol: the index tables (docs/segments/df parquet) are immutable
+files under names no write reuses (``write_dataset``, ``new_tag``); a writer
+publishes them with one manifest write (state/catalog.py), a single-file
+``replace`` (an atomic rename on local filesystems, a single-object PUT on
+S3-likes). Readers open the files the manifest lists. Outputs that are not
+index tables (suggest/, bulk and simsearch outputs) are whole directories
+written to ``<dest>.tmp`` and moved into place (``atomic_write_dataset``).
 
 IndexFS is picklable (pyarrow filesystems ship by value), so Ray actors and
 map_batches tasks receive the location object directly.
@@ -24,9 +26,27 @@ from __future__ import annotations
 
 import json
 import posixpath
+import uuid
 from typing import Any
 
 import pyarrow.fs as pafs
+
+
+def new_tag() -> str:
+    """A fresh file-name prefix: no two writes share one."""
+    return uuid.uuid4().hex[:16]
+
+
+class _TaggedNames:
+    """Ray Data file names that start with a write's tag (a duck-typed
+    ``ray.data.datasource.FilenameProvider``: importing ray.data here would
+    cost every serve actor ~0.5 s at start)."""
+
+    def __init__(self, tag: str):
+        self.tag = tag
+
+    def get_filename_for_block(self, block, write_uuid, task_index, block_index) -> str:
+        return f"{self.tag}_{write_uuid}_{task_index:06}_{block_index:06}"
 
 
 class IndexFS:
@@ -60,7 +80,7 @@ class IndexFS:
 
     # -- metadata ops ------------------------------------------------------
     def info(self, rel: str = "") -> pafs.FileInfo:
-        return self.fs.get_file_info(self.join(rel))
+        return self.fs.get_file_info(self._full(rel))
 
     def exists(self, rel: str = "") -> bool:
         return self.info(rel).type != pafs.FileType.NotFound
@@ -124,9 +144,9 @@ class IndexFS:
         an existing dest, the live file is renamed ASIDE to ``<dst>.bak``
         first (never delete the only good copy — if the cause is persistent,
         the backup still holds it), then the new one moves in and the backup
-        is dropped. A crash between those moves leaves the backup behind:
-        readers of a JSON file fall back to it, and a dir of data files is
-        mended by restore_replace_backups."""
+        is dropped. A crash between those moves leaves the backup behind,
+        and readers of the JSON file (the manifest, the tombstones) fall
+        back to it."""
         src, dst = self._full(src), self._full(dst)
         try:
             self.fs.move(src, dst)
@@ -140,17 +160,9 @@ class IndexFS:
             if self._exists_full(bak):
                 self.fs.delete_file(bak)
 
-    def restore_replace_backups(self, rel: str) -> None:
-        """Undo what a crash inside replace's fallback left under the dir
-        ``rel``: a ``<f>.bak`` beside a live ``<f>`` is stale (the new file
-        had moved in) and is dropped; one alone is ``<f>``'s only copy and
-        moves back."""
-        for bak in self.list_files(rel, recursive=True, suffix=".bak"):
-            dst = bak[: -len(".bak")]
-            if self._exists_full(dst):
-                self.fs.delete_file(bak)
-            else:
-                self.fs.move(bak, dst)
+    def total_size(self, paths) -> int:
+        """Bytes on disk of the files ``paths`` (one metadata call)."""
+        return sum(i.size for i in self.fs.get_file_info([self._full(p) for p in paths]))
 
     def _exists_full(self, path: str) -> bool:
         return self.fs.get_file_info(path).type != pafs.FileType.NotFound
@@ -186,7 +198,7 @@ class IndexFS:
     def write_table(self, table, rel: str, **kwargs) -> None:
         import pyarrow.parquet as pq
 
-        pq.write_table(table, self.join(rel), filesystem=self.fs, **kwargs)
+        pq.write_table(table, self._full(rel), filesystem=self.fs, **kwargs)
 
     def parquet_file(self, path: str):
         import pyarrow.parquet as pq
@@ -205,11 +217,6 @@ class IndexFS:
         injected filesystems need the handle to work at all."""
         return {} if self._is_plain_local else {"filesystem": self.fs}
 
-    def ray_read_parquet(self, rel: str = "", **kwargs):
-        import ray.data
-
-        return ray.data.read_parquet(self.join(rel), **self._ray_fs_kwargs(), **kwargs)
-
     def ray_read_parquet_files(self, files: list[str], **kwargs):
         """Read an explicit FILE list (full paths, e.g. from list_files).
         No directory discovery -> no hive partition inference, which makes
@@ -219,11 +226,20 @@ class IndexFS:
 
         return ray.data.read_parquet(list(files), **self._ray_fs_kwargs(), **kwargs)
 
+    def write_dataset(self, ds, rel: str, **kwargs) -> list[str]:
+        """write_parquet under ``rel`` beside whatever is there, every file
+        named with a fresh tag; returns the full paths of the files written
+        (unlisted until a manifest commit publishes them)."""
+        tag = new_tag()
+        ds.write_parquet(self.join(rel), filename_provider=_TaggedNames(tag),
+                         **self._ray_fs_kwargs(), **kwargs)
+        return [f for f in self.list_files(rel, recursive=True, suffix=".parquet")
+                if posixpath.basename(f).startswith(tag)]
+
     def atomic_write_dataset(self, ds, rel: str, **kwargs) -> None:
-        """write_parquet to ``rel``.tmp then swap into place (idempotent
-        commit; SURVEY.md §4 retries row). The PREVIOUS ``rel`` is deleted
-        before the move — callers for whom the existing dir is the ONLY copy
-        of the data must use ``atomic_swap_dataset`` instead."""
+        """write_parquet to ``rel``.tmp then swap the whole dir into place
+        (outputs that are not index tables; SURVEY.md §4 retries row). The
+        PREVIOUS ``rel`` is deleted before the move."""
         tmp = rel + ".tmp"
         if self.exists(tmp):
             self.delete_dir(tmp)
@@ -236,38 +252,6 @@ class IndexFS:
         if self.exists(rel):
             self.delete_dir(rel)
         self.move(tmp, rel)
-
-    def atomic_swap_dataset(self, ds, rel: str, **kwargs) -> None:
-        """Like atomic_write_dataset, but parks the previous ``rel`` at
-        ``rel``.bak until the new dir is in place (the replace
-        .bak protocol) — for rewrites where the existing dir is the only
-        copy of the data (doc-store compaction: the original corpus input
-        may no longer exist). A crash between the two moves leaves the data
-        at .bak; the rewriting job must restore it on its next run
-        (``restore_swap_backup``). Never leaves a window where the sole
-        copy is a *.tmp dir that Catalog.gc would collect."""
-        tmp = rel + ".tmp"
-        bak = rel + ".bak"
-        if self.exists(tmp):
-            self.delete_dir(tmp)
-        ds.write_parquet(self.join(tmp), **self._ray_fs_kwargs(), **kwargs)
-        if self.exists(bak):
-            self.delete_dir(bak)
-        if self.exists(rel):
-            self.move(rel, bak)
-        self.move(tmp, rel)
-        if self.exists(bak):
-            self.delete_dir(bak)
-
-    def restore_swap_backup(self, rel: str) -> bool:
-        """Recover a dir parked at ``rel``.bak by a crashed
-        atomic_swap_dataset (rel missing, .bak present). Returns True if a
-        restore happened."""
-        bak = rel + ".bak"
-        if not self.exists(rel) and self.exists(bak):
-            self.move(bak, rel)
-            return True
-        return False
 
 
 def resolve(location: Any) -> IndexFS:

@@ -62,10 +62,8 @@ def test_stats_and_generations(indexes):
 
 
 def test_df_table_identical(indexes):
-    import pyarrow.dataset as pads
-
-    a = pads.dataset(f"{indexes[0]}/df").to_table().sort_by("term")
-    b = pads.dataset(f"{indexes[1]}/df").to_table().sort_by("term")
+    a = Catalog(indexes[0]).dataset("df").to_table().sort_by("term")
+    b = Catalog(indexes[1]).dataset("df").to_table().sort_by("term")
     assert a.equals(b)
 
 
@@ -132,78 +130,138 @@ def test_append_avgdl_shift_matches_rebuild(ray_session):
     assert all(got) and got == want
 
 
-def test_crashed_generation_rolls_back(ray_session):
+def _tree(ifs) -> dict:
+    """(size, mtime) of every file under the index root."""
+    return {i.path: (i.size, i.mtime) for i in ifs.list_infos(recursive=True) if i.is_file}
+
+
+def _assert_only_listed(cat: Catalog) -> None:
+    """Every table file on disk is one the manifest lists or the last file
+    change retired (kept for engines still opening on it)."""
+    cat = Catalog(cat.ifs)
+    keep = set(cat.files("docs") + cat.files("segments") + cat.files("df"))
+    keep |= {cat.ifs.join(r) for r in cat.manifest().get("retired", [])}
+    for t in ("docs", "segments", "df"):
+        assert set(cat.ifs.list_files(t, recursive=True)) <= keep, t
+
+
+def _crash_in(monkeypatch, name: str):
+    """Make pipelines/build.<name> raise; returns the undo."""
+    from smse_backend_ray.pipelines import build
+
+    def crash(*a, **kw):
+        raise RuntimeError(f"injected crash in {name}")
+
+    monkeypatch.setattr(build, name, crash)
+    return monkeypatch.undo
+
+
+def test_crashed_generation_rolls_back(ray_session, monkeypatch):
+    """An append that dies after writing its doc and segment files, before
+    its one manifest write, leaves no generation: the next append takes
+    the same number, completes, and no file of the crashed one remains."""
     idx = "/tmp/smse_test_append_crash"
     shutil.rmtree(idx, ignore_errors=True)
     base = _mk_corpus([("r0", f"x/{i}.py", f"delta{i} common tok") for i in range(40)])
     cfg = EngineConfig(n_shards=2)
     cat = build_index(corpus=_ds(base), index_dir=idx, cfg=cfg)
-
-    # plant a half-committed generation: manifest record + stray gen files
-    cat.set_generation(7, {"status": "committing", "n_docs": 1})
-    ifs = cat.ifs
-    ifs.mkdirs("docs/gen_000007/shard_id=0")
-    with ifs.open_output("docs/gen_000007/shard_id=0/junk.parquet") as f:
-        f.write(b"not parquet")
-    with ifs.open_output("segments/shard_id=0/gen000007_junk.parquet") as f:
-        f.write(b"not parquet")
+    listed = {t: cat.files(t) for t in ("docs", "segments", "df")}
 
     extra = _mk_corpus([("r1", f"y/{i}.py", f"epsilon{i} common tok") for i in range(40)])
+    undo = _crash_in(monkeypatch, "_run_df")
+    with pytest.raises(RuntimeError, match="injected crash"):
+        append_index(_ds(extra), idx)
+    undo()
+    ifs = cat.ifs
+    crashed = Catalog(idx)
+    assert crashed.generations() == {}
+    assert {t: crashed.files(t) for t in listed} == listed
+    stray = set(ifs.list_files("docs/gen_000001", recursive=True))
+    stray |= set(ifs.list_files("segments", recursive=True)) - set(listed["segments"])
+    assert stray
+    with SearchEngine(idx) as eng:
+        assert eng.search("common", limit=80).num_rows == 40
+
     cat2 = append_index(_ds(extra), idx)
     gens = cat2.generations()
-    assert "7" not in gens and gens["8" if "8" in gens else "1"]["status"] == "done"
-    assert not ifs.exists("docs/gen_000007")
-    assert "gen000007_junk.parquet" not in " ".join(
-        ifs.list_files("segments", recursive=True)
-    )
+    assert list(gens) == ["1"] and gens["1"]["status"] == "done"
+    on_disk = {f for t in ("docs", "segments") for f in ifs.list_files(t, recursive=True)}
+    assert not stray & on_disk
+    _assert_only_listed(cat2)
     # index still searches and sees both halves
     with SearchEngine(idx) as eng:
         got = eng.search("common", limit=80)
         assert got.num_rows == 80
 
 
-def test_append_recovers_parked_doc_store(ray_session):
-    """A compaction that died between parking docs/ at docs.bak and moving
-    the new store in must be recovered by the NEXT append — before it
-    creates docs/gen_* (which would make docs/ exist again and strand the
-    .bak, the only copy of the base corpus' doc metadata, forever)."""
+def test_append_recovers_parked_doc_store(ray_session, monkeypatch):
+    """A compaction that died after writing its new doc store, before its
+    manifest commit: the NEXT append works on the listed (pre-compaction)
+    doc store — the only copy of the base corpus' doc metadata — and the
+    index serves both halves."""
     idx = "/tmp/smse_test_append_bak"
     shutil.rmtree(idx, ignore_errors=True)
     base = _mk_corpus([("r0", f"x/{i}.py", f"zeta{i} common tok") for i in range(40)])
     cat = build_index(corpus=_ds(base), index_dir=idx, cfg=EngineConfig(n_shards=2))
-    ifs = cat.ifs
-    ifs.move("docs", "docs.bak")  # simulate the crash window
+    with SearchEngine(idx) as eng:
+        eng.delete_doc(0)  # a tombstone, so the compaction is not a no-op
+    listed = cat.files("docs")
+    from smse_backend_ray.pipelines.build import compact_index
+
+    undo = _crash_in(monkeypatch, "_run_segments")
+    with pytest.raises(RuntimeError, match="injected crash"):
+        compact_index(idx)
+    undo()
+    assert Catalog(idx).files("docs") == listed
     extra = _mk_corpus([("r1", f"y/{i}.py", f"eta{i} common tok") for i in range(40)])
-    append_index(_ds(extra), idx)
-    assert ifs.exists("docs") and not ifs.exists("docs.bak")
+    cat2 = append_index(_ds(extra), idx)
+    assert set(listed) <= set(cat2.files("docs"))
+    assert cat2.get_stats()["n_docs"] == 80
+    _assert_only_listed(cat2)
     with SearchEngine(idx) as eng:
         assert eng.search("common", limit=80).num_rows == 80
 
 
-def test_append_fails_loudly_on_ambiguous_bak(ray_session):
-    """docs.bak beside a LIVE docs/ is ambiguous (stale backup vs stranded
-    base corpus) — append must refuse rather than silently proceed."""
+def test_append_ignores_unlisted_doc_files(ray_session):
+    """A doc file the manifest does not list (here: a stray copy of a
+    listed one, as a crashed writer leaves) is never read: the append's
+    collision check and stats see only the listed files, and the append
+    ends by deleting the stray."""
     idx = "/tmp/smse_test_append_bak2"
     shutil.rmtree(idx, ignore_errors=True)
     base = _mk_corpus([("r0", f"x/{i}.py", f"theta{i} tok") for i in range(20)])
     cat = build_index(corpus=_ds(base), index_dir=idx, cfg=EngineConfig(n_shards=2))
-    cat.ifs.mkdirs("docs.bak")
+    src = cat.files("docs")[0]
+    stray = src.rsplit("/", 1)[0] + "/stray.parquet"
+    cat.ifs.fs.copy_file(src, stray)
     extra = _mk_corpus([("r1", "y/0.py", "iota tok")])
-    with pytest.raises(RuntimeError, match="docs.bak"):
-        append_index(_ds(extra), idx)
+    cat2 = append_index(_ds(extra), idx)
+    assert cat2.get_stats()["n_docs"] == 21
+    assert not cat.ifs.exists(stray[len(cat.ifs.root) + 1:])
+    with SearchEngine(idx) as eng:
+        assert eng.search("tok", limit=50).num_rows == 21
 
 
-def test_engine_open_recovers_parked_doc_store(ray_session):
-    """SearchEngine open after a mid-swap compaction crash restores docs/
-    from docs.bak before any shard actor loads metadata."""
+def test_engine_open_recovers_parked_doc_store(ray_session, monkeypatch):
+    """SearchEngine open after a compaction died between its doc-store
+    write and its manifest commit serves the listed (old) index, and the
+    open writes nothing."""
     idx = "/tmp/smse_test_engine_bak"
     shutil.rmtree(idx, ignore_errors=True)
     base = _mk_corpus([("r0", f"x/{i}.py", f"kappa{i} common tok") for i in range(40)])
+    extra = _mk_corpus([("r1", f"y/{i}.py", f"lambda{i} tok") for i in range(10)])
     cat = build_index(corpus=_ds(base), index_dir=idx, cfg=EngineConfig(n_shards=2))
-    cat.ifs.move("docs", "docs.bak")
+    append_index(_ds(extra), idx)
+    from smse_backend_ray.pipelines.build import compact_index
+
+    undo = _crash_in(monkeypatch, "_run_segments")
+    with pytest.raises(RuntimeError, match="injected crash"):
+        compact_index(idx)
+    undo()
+    before = _tree(cat.ifs)
     with SearchEngine(idx) as eng:
         assert eng.search("common", limit=40).num_rows == 40
-    assert cat.ifs.exists("docs") and not cat.ifs.exists("docs.bak")
+    assert _tree(cat.ifs) == before
 
 
 def _add_legacy_block_columns(f: str, block_size: int, avgdl: float, params) -> None:

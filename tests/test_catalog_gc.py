@@ -19,7 +19,7 @@ def test_gc_removes_old_query_files_and_tmp(tmp_path):
     os.utime(old, (past, past))
     os.makedirs(os.path.join(idx, "segments.tmp"))
     removed = cat.gc(max_age_hours=24)
-    assert removed == {"query_files": 1, "tmp_dirs": 1}
+    assert removed == {"query_files": 1, "tmp_dirs": 1, "unlisted_files": 0}
     assert not os.path.exists(old) and os.path.exists(new)
     assert not os.path.exists(os.path.join(idx, "segments.tmp"))
 

@@ -15,7 +15,7 @@ from smse_backend_ray.pipelines.build import append_index, build_index, compact_
 from smse_backend_ray.pipelines.search import SearchEngine
 from smse_backend_ray.queryset import ALL_QUERIES
 from smse_backend_ray.sources.corpus import corpus_table_from_documents, doc_id_from_key
-from smse_backend_ray.state.catalog import Catalog
+from smse_backend_ray.state.catalog import Catalog, by_shard
 
 
 def _ds(table: pa.Table):
@@ -25,9 +25,7 @@ def _ds(table: pa.Table):
 
 
 def _df_table(idx: str) -> pa.Table:
-    import pyarrow.dataset as pads
-
-    return pads.dataset(f"{idx}/df").to_table().sort_by("term")
+    return Catalog(idx).dataset("df").to_table().sort_by("term")
 
 
 def test_compact_merges_generations(ray_session, sf_dir):
@@ -45,8 +43,8 @@ def test_compact_merges_generations(ray_session, sf_dir):
     build_index(corpus=_ds(t), index_dir=full, cfg=cfg)
 
     assert cat.generations() == {}
-    seg_files = cat.ifs.list_files("segments", recursive=True, suffix=".parquet")
-    assert not any("gen" in f.rsplit("/", 1)[-1] for f in seg_files)
+    # one segment file (one generation) per shard
+    assert all(len(v) == 1 for v in by_shard(cat.ifs, cat.files("segments")).values())
     assert cat.get_stats() == Catalog(full).get_stats()
     assert _df_table(inc).equals(_df_table(full))
     with SearchEngine(full) as a, SearchEngine(inc) as b:
@@ -131,19 +129,30 @@ def test_no_vacuum_preserves_tombstones(ray_session, sf_dir):
         ).to_pylist()
 
 
-def test_docs_swap_crash_recovery(ray_session, sf_dir):
-    """A compaction that died between the two doc-store moves leaves the
-    only corpus copy at docs.bak; the next compact run restores it."""
+def test_docs_swap_crash_recovery(ray_session, sf_dir, monkeypatch):
+    """A compaction that died after writing its new doc store, before its
+    manifest commit, leaves the index as it was (the old doc files stay
+    listed, the new ones unlisted); the next compact run completes."""
+    from smse_backend_ray.pipelines import build
+
     t = corpus_table_from_documents(sf_dir)
     idx = "/tmp/smse_test_compact_crash"
     shutil.rmtree(idx, ignore_errors=True)
     cfg = EngineConfig(n_shards=4)
     build_index(corpus=_ds(t.slice(0, 100)), index_dir=idx, cfg=cfg)
     append_index(_ds(t.slice(100, 100)), idx)
+    listed = Catalog(idx).files("docs")
+
+    def crash(*a, **kw):
+        raise RuntimeError("injected crash after the doc-store write")
+
+    monkeypatch.setattr(build, "_run_segments", crash)
+    with pytest.raises(RuntimeError, match="injected crash"):
+        compact_index(idx)
+    monkeypatch.undo()
     cat = Catalog(idx)
-    # simulate the crash window: docs/ parked at docs.bak, new dir missing
-    cat.ifs.move("docs", "docs.bak")
-    assert not cat.ifs.exists("docs")
+    assert cat.files("docs") == listed and len(cat.generations()) == 1
+    assert len(cat.ifs.list_files("docs", recursive=True)) > len(listed)
     cat2 = compact_index(idx)
     assert cat2.generations() == {}
     with SearchEngine(idx) as eng:

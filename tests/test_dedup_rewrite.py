@@ -101,24 +101,27 @@ def _doc_bytes(idx: str) -> dict[str, bytes]:
 
 
 def _hook_dedup(monkeypatch, before: dict) -> None:
-    """Before the dedup stage runs: merge each wave's doc files into one (the
-    docs stage splits even a 2-row input into several files, so the planted
-    layout needs this to be exact), then snapshot the doc files' bytes."""
-    real = build._run_dedup
+    """After the docs stage's waves: merge each wave's doc files into one
+    (the docs stage splits even a 2-row input into several files, so the
+    planted layout needs this to be exact) and publish the merged files in
+    their place, then snapshot the doc files' bytes."""
+    real = build._run_docs_from_files
 
-    def hooked(ifs, cfg, cat=None):
+    def hooked(files, ifs, cfg, cat):
+        real(files, ifs, cfg, cat)
         by_dir: dict[str, list[str]] = {}
-        for f in ifs.list_files("docs", recursive=True):
+        for f in cat.files("docs"):
             by_dir.setdefault(posixpath.dirname(f), []).append(f)
-        for d, files in by_dir.items():
-            t = pa.concat_tables(ifs.read_tables(files))
-            for f in files:
-                ifs.fs.delete_file(f)
-            pq.write_table(t, f"{d}/part-0.parquet")
+        merged = []
+        for d, fs in sorted(by_dir.items()):
+            merged.append(f"{d}/part-0.parquet")
+            pq.write_table(pa.concat_tables(ifs.read_tables(fs)), merged[-1])
+        cat.mark_stage("docs", "running", files={"docs": merged})
+        for f in set(f for fs in by_dir.values() for f in fs) - set(merged):
+            ifs.fs.delete_file(f)
         before.update(_doc_bytes(ifs.root))
-        return real(ifs, cfg, cat)
 
-    monkeypatch.setattr(build, "_run_dedup", hooked)
+    monkeypatch.setattr(build, "_run_docs_from_files", hooked)
 
 
 def _docs(idx: str) -> pa.Table:
@@ -180,13 +183,15 @@ def test_min_sha_row_survives(built, oidx, label):
 def test_only_losing_files_rewritten(built, label):
     idx, before = built[label]
     after = _doc_bytes(idx)
-    assert sorted(after) == sorted(before), "a rewrite renames over the original"
+    assert sorted(after) == Catalog(idx).files("docs"), "the doc files are the listed ones"
     last = max(before)  # wave_000002: its only duplicated row is the winner
     assert after[last] == before[last]
-    changed = [f for f in before if after[f] != before[f]]
-    assert len(changed) == 2
-    for f in changed:  # same schema, hive shard_id not written into the file
-        assert pq.read_schema(f).equals(pq.ParquetFile(pa.BufferReader(before[f])).schema_arrow)
+    replaced = sorted(set(before) - set(after))
+    changed = sorted(set(after) - set(before))  # each a new file beside the one it replaces
+    assert len(changed) == len(replaced) == 2
+    assert [posixpath.dirname(f) for f in changed] == [posixpath.dirname(f) for f in replaced]
+    for f, old in zip(changed, replaced):  # same schema, hive shard_id not written into the file
+        assert pq.read_schema(f).equals(pq.ParquetFile(pa.BufferReader(before[old])).schema_arrow)
     m = Catalog(idx).manifest()["stages"]["dedup"]["metrics"]
     assert m == {
         "duplicates": N_DUP_IDS,
@@ -194,7 +199,6 @@ def test_only_losing_files_rewritten(built, label):
         "rows_dropped": N_INPUT - Catalog(idx).get_stats()["n_docs"],
         "bytes_written": sum(len(after[f]) for f in changed),
     }
-    assert not IndexFS(idx).exists(build._REWRITE_TMP)
 
 
 def test_executors_agree(built):
@@ -205,9 +209,10 @@ def test_executors_agree(built):
 @pytest.mark.parametrize("label", ["driver", "ray"])
 def test_crash_mid_rewrite_resumes(ray_session, built, input_files, oidx, tmp_path, monkeypatch, label):
     """The rewrite of the second losing file raises while the first one's is
-    still running; the build raises only after that rewrite has landed, and
-    the resumed build equals an uninterrupted one, with nothing staged
-    visible under docs/. Ray tasks run the same rewrite function, so both
+    still running; the build raises only after that rewrite has landed (as
+    a new, unlisted file), readers of the manifest still see every row, and
+    the resumed build equals an uninterrupted one, with no unlisted file
+    left under docs/. Ray tasks run the same rewrite function, so both
     executors are driven through the crash."""
     ref = built["driver"][0]
     cfg = _cfg() if label == "driver" else _cfg(driver_agg_max_bytes=0)
@@ -228,20 +233,21 @@ def test_crash_mid_rewrite_resumes(ray_session, built, input_files, oidx, tmp_pa
 
     cat = Catalog(idx)
     assert not cat.stage_done("dedup")
-    assert cat.stage_metrics("dedup") == {"duplicates": N_DUP_IDS}
+    assert cat.stage_metrics("dedup") == {}
     ifs = IndexFS(idx)
     files = ifs.list_files("docs", recursive=True)
     assert all(f.endswith(".parquet") for f in files)
-    assert len(files) == 3
-    first = [f for f in files if "wave_000000" in f]
+    assert len(cat.files("docs")) == 3 and len(files) == 4
+    first = sorted(set(files) - set(cat.files("docs")))
+    assert "wave_000000" in first[0]
     assert pq.ParquetFile(first[0]).metadata.num_rows < PARTS[0].num_rows, (
         "the slow rewrite landed before the crash was raised"
     )
-    seen = ifs.pads_dataset("docs").to_table(columns=["doc_id"])["doc_id"]
-    via_ray = ifs.ray_read_parquet("docs", columns=["doc_id"]).to_arrow_refs()
+    seen = cat.dataset("docs").to_table(columns=["doc_id"])["doc_id"]
+    via_ray = cat.ray_dataset("docs", columns=["doc_id"]).to_arrow_refs()
     via_ray = pa.concat_tables(ray.get(via_ray))["doc_id"]
     assert sorted(seen.to_pylist()) == sorted(via_ray.to_pylist())
-    assert N_INPUT - 5 < len(seen) < N_INPUT  # one file rewritten, one not
+    assert len(seen) == N_INPUT  # the listed files are the pre-dedup ones
 
     build_index(input_files=input_files, index_dir=idx, cfg=cfg)  # resume
     assert _docs(idx).equals(_docs(ref))
@@ -249,7 +255,7 @@ def test_crash_mid_rewrite_resumes(ray_session, built, input_files, oidx, tmp_pa
     assert _df(idx).equals(_df(ref))
     m = Catalog(idx).manifest()["stages"]["dedup"]["metrics"]
     assert m["duplicates"] == N_DUP_IDS
-    assert not ifs.exists(build._REWRITE_TMP)
+    assert ifs.list_files("docs", recursive=True) == Catalog(idx).files("docs")
     _assert_search_matches_oracle(idx, oidx)
 
 
@@ -294,20 +300,53 @@ def test_rewrite_on_non_overwriting_move(built, tmp_path):
     assert not ifs.list_files("docs", recursive=True, suffix=".bak")
 
 
+class _CrashingFS(_NoOverwriteFS):
+    """A non-overwriting filesystem that raises inside replace's fallback
+    on the manifest: after parking the live manifest at .bak ("aside") or
+    before dropping that backup once the new manifest moved in
+    ("moved_in")."""
+
+    crash = None
+
+    def move(self, src, dest):
+        super().move(src, dest)
+        if self.crash == "aside" and dest.endswith("manifest.json.bak"):
+            raise OSError("injected crash after setting the manifest aside")
+
+    def delete_file(self, path):
+        if self.crash == "moved_in" and path.endswith("manifest.json.bak") and self.get_file_info(
+            path[: -len(".bak")]
+        ).type != pafs.FileType.NotFound:
+            raise OSError("injected crash before dropping the manifest backup")
+        super().delete_file(path)
+
+
 @pytest.mark.parametrize("after", ["aside", "moved_in"])
-def test_crash_inside_replace_fallback(built, tmp_path, after):
-    """A crash between the fallback's moves leaves <file>.bak: alone (the
-    live file was set aside) or beside the new file (which had moved in).
-    The resumed dedup mends either and equals an uninterrupted one."""
-    ifs = _undeduped_copy(built, tmp_path)
-    f = ifs.list_files("docs", recursive=True)[0]  # wave_000000 loses rows
-    ifs.fs.move(f, f + ".bak")
-    if after == "moved_in":
-        ref = built["driver"][0]
-        ifs.fs.copy_file(posixpath.join(ref, posixpath.relpath(f, str(tmp_path))), f)
-    build._run_dedup(ifs, _cfg())
+def test_crash_inside_replace_fallback(built, input_files, tmp_path, after):
+    """The dedup stage commits with one manifest write; on a filesystem whose
+    move cannot overwrite, that write goes through replace's fallback. A
+    crash between the fallback's moves leaves manifest.json.bak: alone (the
+    live manifest was set aside) or beside the new manifest (which had moved
+    in). A reopen reads the old state or the new one, and the resumed build
+    mends either and equals an uninterrupted one."""
+    fs = _CrashingFS()
+    undeduped = _undeduped_copy(built, tmp_path)
+    ifs = IndexFS((fs, undeduped.root))
+    cat = Catalog(ifs)
+    cat.mark_stage("docs", "done", files={"docs": ifs.list_files("docs", recursive=True)})
+    m = build._run_dedup(ifs, _cfg(), cat.files("docs"))
+    fs.crash = after
+    with pytest.raises(OSError, match="injected crash"):
+        cat.mark_stage("dedup", "done", m, files={"docs": m.pop("docs")})
+    fs.crash = None
+    reopened = Catalog(ifs)
+    assert reopened.stage_done("dedup") == (after == "moved_in")
+    n_rows = reopened.dataset("docs").count_rows()
+    assert n_rows == (N_INPUT - 5 if after == "moved_in" else N_INPUT)
+    build_index(input_files=input_files, index_dir=ifs, cfg=_cfg())  # resume
     assert _docs(str(tmp_path)).equals(_docs(built["driver"][0]))
     assert not ifs.list_files("docs", recursive=True, suffix=".bak")
+    assert not ifs.exists("manifest.json.bak")
 
 
 def test_appends_drop_collisions_and_bound_meta_cache(ray_session, oidx, tmp_path):
@@ -400,7 +439,7 @@ def test_duplicates_in_several_shards(ray_session, tmp_path, monkeypatch, label)
     monkeypatch.setattr(build, "_rewrite_doc_file", real)
     cat = Catalog(idx)
     assert not cat.stage_done("dedup")
-    assert cat.stage_metrics("dedup") == {"duplicates": n_dup}
+    assert cat.stage_metrics("dedup") == {}
 
     build_index(corpus=ds(), index_dir=idx, cfg=cfg)  # resume
     assert Catalog(idx).manifest()["stages"]["dedup"]["metrics"]["duplicates"] == n_dup

@@ -17,7 +17,6 @@ import re
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import pytest
 
@@ -38,15 +37,14 @@ CFG = {"n_shards": 2, "batch_size": 32}
 
 
 def _table(idx: str, rel: str, keys: list[str]) -> pa.Table:
-    t = pads.dataset(f"{idx}/{rel}", partitioning="hive").to_table()
+    t = Catalog(idx).dataset(rel).to_table()
     return t.sort_by([(k, "ascending") for k in keys])
 
 
 def _doc_infos(idx: str) -> list:
-    return [
-        i for i in IndexFS(idx).list_infos("docs", recursive=True)
-        if i.is_file and i.path.endswith(".parquet")
-    ]
+    """File infos of the index's committed doc files."""
+    cat = Catalog(idx)
+    return cat.ifs.fs.get_file_info(cat.files("docs"))
 
 
 def _file_bound(rows: int, cfg: EngineConfig) -> int:
@@ -105,7 +103,7 @@ def test_analyze_runs_once_per_input_block(ray_session, corpus, tmp_path):
     """The write is its own operator: fused into it, the analyze would be
     bundled to the write's min_rows_per_file and run once per write task."""
     cfg = EngineConfig(**CFG)
-    docs = _run_docs_from_dataset(
+    docs, _ = _run_docs_from_dataset(
         ray.data.from_arrow(corpus).repartition(40), IndexFS(str(tmp_path)), cfg
     )
     tasks = {
@@ -122,7 +120,7 @@ def test_docs_stage_metrics(builds):
     for idx in builds.values():
         m = Catalog(idx).manifest()
         docs = m["stages"]["docs"]["metrics"]
-        # the dedup rewrite keeps every file (in place) but drops rows
+        # the dedup rewrite replaces each file it rewrites by one new file
         assert docs["files"] == len(_doc_infos(idx))
         assert docs["rows"] == m["stats"]["n_docs"] + m["stages"]["dedup"]["metrics"]["rows_dropped"]
         assert docs["bytes_written"] > 0

@@ -20,7 +20,6 @@ import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import pytest
 
@@ -34,7 +33,7 @@ from smse_backend_ray.pipelines.search import SearchEngine
 from smse_backend_ray.sources.corpus import corpus_table_from_documents
 from smse_backend_ray.sources.synth import synth_corpus_table
 from smse_backend_ray.stages.scorer import ShardIndex
-from smse_backend_ray.state.catalog import Catalog
+from smse_backend_ray.state.catalog import TABLES, Catalog, by_shard
 from smse_backend_ray.state.fs import IndexFS
 
 EXECUTORS = {"driver": {}, "ray": {"driver_agg_max_bytes": 0}}
@@ -65,12 +64,12 @@ DIGESTS = {
 def _segments(idx: str) -> pa.Table:
     # docs_bytes breaks the tie between generations of one (shard, term):
     # their doc sets are disjoint
-    t = pads.dataset(f"{idx}/segments", partitioning="hive").to_table()
+    t = Catalog(idx).dataset("segments").to_table()
     return t.sort_by([(c, "ascending") for c in ("shard_id", "term", "docs_bytes")])
 
 
 def _df(idx: str) -> pa.Table:
-    return pads.dataset(f"{idx}/df").to_table().sort_by("term")
+    return Catalog(idx).dataset("df").to_table().sort_by("term")
 
 
 def _digest(t: pa.Table) -> str:
@@ -90,6 +89,13 @@ def _dir_bytes(idx: str, rel: str) -> int:
     return sum(i.size for i in IndexFS(idx).list_infos(rel, recursive=True) if i.is_file)
 
 
+def _assert_only_listed(idx: str) -> None:
+    """The table dirs hold exactly the manifest's files."""
+    cat, ifs = Catalog(idx), IndexFS(idx)
+    for t in TABLES:
+        assert ifs.list_files(t, recursive=True) == cat.files(t), t
+
+
 def _assert_stage_metrics(idx: str) -> None:
     stages = Catalog(idx).manifest()["stages"]
     seg, df = _segments(idx), _df(idx)
@@ -105,7 +111,8 @@ def _assert_stage_metrics(idx: str) -> None:
     assert stages["df"]["metrics"] == {"terms": df.num_rows, "bytes_written": _dir_bytes(idx, "df")}
     assert pc.sum(df["df"]).as_py() == postings
     # one df file, whichever executor ran the build
-    assert [f.rsplit("/", 1)[1] for f in IndexFS(idx).list_files("df")] == ["df.parquet"]
+    assert len(IndexFS(idx).list_files("df")) == 1
+    _assert_only_listed(idx)
 
 
 def _assert_search_matches_oracle(idx: str, oidx, queries=QUERIES) -> None:
@@ -171,9 +178,7 @@ def test_paths_agree(ray_session, corpus, oidx, input_files, tmp_path, mode, pos
         _assert_search_matches_oracle(idx, oidx)
         # one segment file per shard, without shard_id
         files = IndexFS(idx).list_files("segments", recursive=True, suffix=".parquet")
-        assert [f.rsplit("/", 2)[1:] for f in files] == [
-            [f"shard_id={s}", "part-0.parquet"] for s in range(3)
-        ]
+        assert [f.rsplit("/", 2)[1] for f in files] == [f"shard_id={s}" for s in range(3)]
         want = ["term", "df_shard", "docs_bytes", "tfs_bytes", "dls_bytes"]
         assert pq.read_schema(files[0]).names == want + (["pos_bytes"] if positional else [])
     if positional:
@@ -198,12 +203,10 @@ def appended(ray_session, corpus, tmp_path_factory):
 def test_append_generation(appended, oidx):
     for idx in appended.values():
         _assert_pinned(idx, "appended")
-        names = sorted(
-            f.rsplit("/", 1)[1]
-            for f in IndexFS(idx).list_files("segments/shard_id=0", suffix=".parquet")
-        )
-        assert names == ["gen000001_part-0.parquet", "part-0.parquet"]
-        assert [f.rsplit("/", 1)[1] for f in IndexFS(idx).list_files("df")] == ["df.parquet"]
+        # one segment file per generation in each shard dir, one df file
+        cat = Catalog(idx)
+        assert [len(v) for _, v in sorted(by_shard(cat.ifs, cat.files("segments")).items())] == [2, 2, 2]
+        assert len(cat.files("df")) == 1
         _assert_search_matches_oracle(idx, oidx)
 
 
@@ -250,13 +253,13 @@ def test_shard_dirs_match_exactly(tmp_path):
     """Doc files of shard 1 and shard 10 never mix (the ShardIndex match)."""
     ifs = IndexFS(str(tmp_path))
     paths = [ifs.join(f"docs/shard_id={s}/part.parquet") for s in (1, 10, 11)]
-    got = [int(build._SHARD_DIR.search(p[len(ifs.root):]).group(1)) for p in paths]
-    assert got == [1, 10, 11]
+    assert by_shard(ifs, paths) == {s: [p] for s, p in zip((1, 10, 11), paths)}
 
 
 def test_crash_in_one_shard_resumes(ray_session, corpus, oidx, tmp_path, monkeypatch):
-    """The second shard's encode raises: nothing staged under segments.tmp
-    is visible, Catalog.gc collects it, and the resumed build equals an
+    """The second shard's encode raises after the other two shards' files
+    are written: the manifest lists none of them, so no reader sees them,
+    Catalog.gc collects them, and the resumed build equals an
     uninterrupted one (segments, df, stage metrics, stats)."""
     cfg = EngineConfig(n_shards=3)
     ref, idx = str(tmp_path / "ref"), str(tmp_path / "idx")
@@ -277,15 +280,13 @@ def test_crash_in_one_shard_resumes(ray_session, corpus, oidx, tmp_path, monkeyp
     cat = Catalog(idx)
     assert cat.stage_done("stats") and not cat.stage_done("segments")
     ifs = IndexFS(idx)
-    staged = ifs.list_files(build._SEGMENTS_TMP, recursive=True)
+    staged = ifs.list_files("segments", recursive=True)
     assert [f.rsplit("/", 2)[1] for f in staged] == ["shard_id=0", "shard_id=2"]
-    assert not ifs.exists("segments")
-    with pytest.raises(FileNotFoundError):
-        ifs.pads_dataset("segments")
+    assert cat.files("segments") == []
     for s in range(3):
         assert ShardIndex(idx, s, 1.0, BM25Params())._seg is None
-    assert cat.gc()["tmp_dirs"] >= 1
-    assert not ifs.exists(build._SEGMENTS_TMP)
+    assert cat.gc()["unlisted_files"] == 2
+    assert not ifs.list_files("segments", recursive=True)
 
     build_index(corpus=ray.data.from_arrow(corpus), index_dir=idx, cfg=cfg)  # resume
     assert _segments(idx).equals(_segments(ref))
@@ -295,7 +296,7 @@ def test_crash_in_one_shard_resumes(ray_session, corpus, oidx, tmp_path, monkeyp
     for s in build.STAGE_ORDER:
         assert got["stages"][s]["status"] == "done"
         assert got["stages"][s].get("metrics") == want["stages"][s].get("metrics"), s
-    assert not os.path.exists(os.path.join(idx, build._SEGMENTS_TMP))
+    _assert_only_listed(idx)
     _assert_search_matches_oracle(idx, oidx)
 
 

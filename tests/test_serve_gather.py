@@ -155,7 +155,8 @@ def test_layout_follows_ray_memory(pos_idx, fits, monkeypatch):
     share = 0.5
     monkeypatch.setattr(config, "SERVE_REPLICA_MEMORY_SHARE", share)
     probe = SearchEngine.__new__(SearchEngine)
-    probe.ifs = Catalog(POS_IDX).ifs
+    probe.cat = Catalog(POS_IDX)
+    probe.ifs = probe.cat.ifs
     need = 2 * probe._replica_bytes()  # two replicas for two CPUs
     res = {"CPU": 2.0, "memory": need / share * (1 if fits else 0.999)}
     monkeypatch.setattr(ray, "cluster_resources", lambda: res)
@@ -520,12 +521,16 @@ def test_multi_file_unsorted_df_of_older_builds(ray_df_idx):
     oidx = ray_df_idx
     shutil.rmtree(LEGACY_DF_IDX, ignore_errors=True)
     shutil.copytree(RAY_DF_IDX, LEGACY_DF_IDX)
-    df = pq.read_table(f"{LEGACY_DF_IDX}/df/df.parquet")
+    cat = Catalog(LEGACY_DF_IDX)
+    (old,) = cat.files("df")
+    df = pq.read_table(old)
     rev = df.take(pa.array(np.arange(df.num_rows)[::-1]))
     half = df.num_rows // 2
-    pq.write_table(rev.slice(0, half), f"{LEGACY_DF_IDX}/df/part-a.parquet")
-    pq.write_table(rev.slice(half), f"{LEGACY_DF_IDX}/df/part-b.parquet")
-    Path(f"{LEGACY_DF_IDX}/df/df.parquet").unlink()
+    parts = [f"{LEGACY_DF_IDX}/df/part-a.parquet", f"{LEGACY_DF_IDX}/df/part-b.parquet"]
+    pq.write_table(rev.slice(0, half), parts[0])
+    pq.write_table(rev.slice(half), parts[1])
+    cat.mark_stage("df", "done", files={"df": parts})
+    Path(old).unlink()
     with SearchEngine(LEGACY_DF_IDX) as eng:
         assert len(eng.ifs.list_files("df", suffix=".parquet")) == 2
         assert eng._df_terms.tolist() == sorted(oidx.postings)
