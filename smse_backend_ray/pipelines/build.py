@@ -13,7 +13,7 @@ manifest (state/catalog.py). Stages:
             task
   dedup     exact dedup on doc_id (winner = min content_sha256; SURVEY.md
             D2): one (doc_id, content_sha256) scan per shard, then only the
-            doc files that hold a losing row are rewritten, in place
+            doc files that hold a losing row are rewritten, each to a new file
   stats     N / sum_dl / avgdl: sums of per-file row counts and dl sums
             -> manifest (broadcast later)
   segments  one delta-varint posting row per (term, shard) (stages/ingest.py
@@ -295,7 +295,7 @@ def _rewrite_doc_files(ifs: IndexFS, on_driver: bool, paths: list[str], drops: l
     }, [new.get(p, p) for p in paths]
 
 
-def _run_dedup(ifs: IndexFS, cfg: EngineConfig, paths: list[str] | None = None) -> dict:
+def _run_dedup(ifs: IndexFS, cfg: EngineConfig, paths: list[str]) -> dict:
     """Exact dedup on doc_id (SURVEY.md D2) over the doc files ``paths``:
     one row per id, the one with the smallest content_sha256. Every copy of
     an id sits in one shard, so detection and the winner pick are one scan
@@ -303,19 +303,10 @@ def _run_dedup(ifs: IndexFS, cfg: EngineConfig, paths: list[str] | None = None) 
     files that hold a losing row are rewritten, each to a new file.
 
     Returns the stage metrics plus, under ``"docs"``, ``paths`` with each
-    rewritten file replaced by its rewrite, for the caller to publish.
-    Without ``paths``, the doc files of a tree that has no manifest are
-    deduplicated in place: each replaced file is deleted once every
-    rewrite is written."""
-    bare = paths is None
-    if bare:
-        paths = ifs.list_files(DOCS_DIR, recursive=True, suffix=".parquet")
+    rewritten file replaced by its rewrite, for the caller to publish."""
     on_driver = _on_driver(ifs, paths, cfg)
     found = _map_doc_files(ifs, on_driver, _shard_dups, list(by_shard(ifs, paths).values()))
     m, docs = _rewrite_doc_files(ifs, on_driver, paths, [d for _, ds in found for d in ds])
-    if bare:
-        for p in set(paths) - set(docs):
-            ifs.fs.delete_file(p)
     return {"duplicates": sum(n for n, _ in found), **m, "docs": docs}
 
 
@@ -630,7 +621,7 @@ def compact_index(index_dir, cfg: EngineConfig | None = None, vacuum: bool = Tru
     old ones, and ONE manifest write publishes them with the new stats and
     the collapsed generation records; until it lands, readers open the old
     files, which stay on disk (Catalog.drop_unlisted keeps the files the
-    previous manifest listed, for engines still opening on it). Then the
+    previous file commit listed, for engines still opening on it). Then the
     vacuumed ids are subtracted from the tombstones: until that write, the
     stale ids only filter docs that no longer exist. Deletes issued WHILE
     compaction runs are preserved (only the vacuumed set is subtracted,

@@ -176,6 +176,15 @@ class SearchEngine:
         self.ifs.write_json_atomic(self.TOMBSTONES, self._tomb_ids.tolist())
 
     # ------------------------------------------------------------------
+    def _docs(self):
+        """The doc table of the CURRENT manifest, for the point reads of
+        explain, more_like_this and snippets: gc may have deleted the doc
+        files of the engine's own manifest (it keeps them for one file
+        commit), and every doc the engine serves is in the current ones
+        unless a compaction vacuumed it."""
+        return Catalog(self.ifs).dataset("docs")
+
+    # ------------------------------------------------------------------
     def _df_of(self, terms) -> list[int]:
         """Corpus df of each term (0 = not in the vocabulary): a binary
         search per term over the resident term-sorted df column (plain
@@ -339,7 +348,7 @@ class SearchEngine:
         terms = sorted(qtf)
         df = dict(zip(terms, self._df_of(terms)))
         doc_ids = sorted({int(d) for d in doc_ids})
-        t = self.cat.dataset("docs").to_table(
+        t = self._docs().to_table(
             columns=["doc_id", "terms", "tfs", "dl"],
             filter=pads.field("doc_id").isin(doc_ids),
         )
@@ -433,7 +442,7 @@ class SearchEngine:
 
         m = MLT_TOP_TERMS if m is None else m
         src_doc_ids = sorted({int(d) for d in src_doc_ids})
-        t = self.cat.dataset("docs").to_table(
+        t = self._docs().to_table(
             columns=["doc_id", "terms", "tfs"],
             filter=pads.field("doc_id").isin(src_doc_ids),
         )
@@ -493,7 +502,7 @@ class SearchEngine:
         if res.num_rows == 0:
             return schema.empty_table()
         doc_ids = sorted(set(res["doc_id"].to_pylist()))
-        ds = self.cat.dataset("docs")
+        ds = self._docs()
         if "poss" not in ds.schema.names:
             raise RuntimeError(
                 "snippets require a positional build "

@@ -13,8 +13,9 @@ and ``df``. Writers put new files under names no write reuses and publish
 them with one manifest write (write temp + rename), together with the stage,
 generation and stats records of that write; readers open exactly the listed
 files (``files``, ``dataset``, ``ray_dataset``). A file no manifest lists is
-garbage for ``gc``, which keeps the files the previous manifest listed, so
-an engine that read it can finish opening.
+garbage for ``gc``, which keeps the files the previous file commit listed,
+so an engine that read it can finish opening. A manifest written before the
+file lists existed gets them from the table dirs on load (``_load``).
 
 All I/O goes through state/fs.IndexFS, so the index may live on any
 pyarrow.fs filesystem (local path, file:// or s3:// URI, or an explicit
@@ -100,24 +101,37 @@ class Catalog:
 
     def _load(self) -> dict:
         if self.ifs.exists(self.MANIFEST):
-            return self.ifs.read_json(self.MANIFEST)
+            state = self.ifs.read_json(self.MANIFEST)
         # non-atomic-move filesystems park the live manifest at .bak while
         # swapping (fs.write_json_atomic); recover it after a mid-swap crash
-        if self.ifs.exists(self.MANIFEST + ".bak"):
-            return self.ifs.read_json(self.MANIFEST + ".bak")
-        return {"stages": {}, "partitions": {}, "config": {}, "stats": {}, "prefs": {}, "files": {}}
+        elif self.ifs.exists(self.MANIFEST + ".bak"):
+            state = self.ifs.read_json(self.MANIFEST + ".bak")
+        else:
+            return {"stages": {}, "partitions": {}, "config": {}, "stats": {}, "prefs": {}, "files": {}}
+        if "files" not in state:
+            # an index from before the manifest listed its files: each table
+            # was every parquet file under its dir, so list them as such
+            # (the next manifest write records the lists)
+            root = len(self.ifs.root) + 1
+            state["files"] = {
+                t: [p[root:] for p in self.ifs.list_files(t, recursive=True, suffix=".parquet")]
+                for t in TABLES
+            }
+        return state
 
     def _commit(self, files: dict | None = None, stats: dict | None = None) -> None:
         """One manifest write; ``files`` ({table: full paths}) and ``stats``
-        are published by it. The files the previous manifest listed and
-        this one does not are recorded as ``retired``: gc keeps them until
-        the next manifest write, for engines that read the previous one."""
-        listed = self._state.setdefault("files", {})
-        old = {f for fs in listed.values() for f in fs}
-        root = self.ifs.root + "/"
-        for t, paths in (files or {}).items():
-            listed[t] = sorted(p[len(root):] if p.startswith(root) else p for p in paths)
-        self._state["retired"] = sorted(old - {f for fs in listed.values() for f in fs})
+        are published by it. A write with ``files`` records the files the
+        previous file commit listed and this one does not as ``retired``:
+        gc keeps them until the next file commit, for engines that read the
+        previous one."""
+        if files:
+            listed = self._state.setdefault("files", {})
+            old = {f for fs in listed.values() for f in fs}
+            root = self.ifs.root + "/"
+            for t, paths in files.items():
+                listed[t] = sorted(p[len(root):] if p.startswith(root) else p for p in paths)
+            self._state["retired"] = sorted(old - {f for fs in listed.values() for f in fs})
         if stats is not None:
             self._state["stats"] = stats
         self.ifs.write_json_atomic(self.MANIFEST, self._state)

@@ -13,8 +13,10 @@ previous commit survive gc for an engine still opening on them."""
 
 from __future__ import annotations
 
+import json
 import shutil
 import threading
+from pathlib import Path
 
 import pyarrow as pa
 import pytest
@@ -100,6 +102,15 @@ def _assert_only_listed(idx: str) -> None:
         assert ifs.list_files(t, recursive=True) == cat.files(t), t
 
 
+def _assert_listed_or_retired(idx: str) -> None:
+    """The table files on disk are exactly the listed ones and those the
+    previous file commit listed."""
+    cat = Catalog(idx)
+    want = {f for t in TABLES for f in cat.files(t)}
+    want |= {cat.ifs.join(r) for r in cat.manifest().get("retired", [])}
+    assert {f for t in TABLES for f in cat.ifs.list_files(t, recursive=True)} == want
+
+
 def _assert_gc_leaves_listed(idx: str) -> None:
     """After gc, the table files on disk are the listed ones plus those
     the previous manifest listed (kept for engines still opening on it)."""
@@ -161,15 +172,52 @@ def test_fresh_build_lists_every_table_file(states):
 def test_no_orphans_after_build_append_compact(states, tmp_path):
     """build -> append -> compact -> one more commit leaves no unlisted
     file: the files the compaction dropped are kept (for engines that read
-    the manifest before it) only until the next manifest write."""
+    the manifest before it) through manifest writes that publish no files,
+    and only until the next file commit."""
     idx = str(tmp_path / "idx")
     shutil.copytree(states["compacted"], idx)
     cat = Catalog(idx)
-    retired = [cat.ifs.join(r) for r in cat.manifest()["retired"]]
-    assert retired and all(cat.ifs.exists(r) for r in cat.manifest()["retired"])
+    retired = cat.manifest()["retired"]
+    assert retired and all(cat.ifs.exists(r) for r in retired)
     cat.merge_prefs({"theme": "dark"})
-    assert cat.gc()["unlisted_files"] == len(retired)
-    _assert_only_listed(idx)
+    assert cat.gc()["unlisted_files"] == 0
+    assert Catalog(idx).manifest()["retired"] == retired
+    append_index(ray.data.from_arrow(_corpus("r2", 12)), idx)
+    assert not any(cat.ifs.exists(r) for r in retired)
+    assert Catalog(idx).gc()["unlisted_files"] == 0
+    _assert_listed_or_retired(idx)
+
+
+@pytest.mark.parametrize("writer", ["append", "compact"])
+def test_index_of_older_builds(states, tmp_path, writer):
+    """A manifest written before the file lists existed (each table was
+    every parquet file under its dir): gc deletes none of the index's
+    files, an engine serves it as before and writes nothing, and an append
+    or a compaction on it equals one on the same index with listed files."""
+    idx, ref = str(tmp_path / "older"), str(tmp_path / "ref")
+    shutil.copytree(states["built"], idx)
+    shutil.copytree(states["built"], ref)
+    man = Path(idx) / "manifest.json"
+    m = json.loads(man.read_text())
+    del m["files"]
+    m.pop("retired", None)
+    man.write_text(json.dumps(m))
+    tree = _tree(idx)
+    assert Catalog(idx).gc()["unlisted_files"] == 0
+    assert _answers(idx) == _answers(states["built"])
+    assert _tree(idx) == tree
+    for d in (idx, ref):
+        if writer == "append":
+            append_index(ray.data.from_arrow(EXTRA), d)
+        else:
+            with SearchEngine(d, num_actors=1) as eng:
+                for doc in eng.search(["common"], limit=5)["doc_id"].to_pylist():
+                    eng.delete_doc(doc)
+            compact_index(d)
+    assert _state(idx) == _state(ref)
+    assert _answers(idx) == _answers(ref)
+    assert Catalog(idx).gc()["unlisted_files"] == 0
+    _assert_listed_or_retired(idx)
 
 
 def test_build_fault_at_every_write(states, monkeypatch):
@@ -268,3 +316,22 @@ def test_previous_commit_survives_gc(states, tmp_path):
         files = (snap.shard_files("segments", s), snap.shard_files("docs", s))
         sh = ShardIndex(idx, s, snap.get_stats()["avgdl"], params, CFG.block_size, files=files)
         assert sh._seg is not None and sh.meta_ids.size
+
+
+def test_open_engine_reads_docs_after_two_file_commits(states, tmp_path):
+    """An engine opened before a compaction and a later append (whose
+    cleanup deletes the doc files of the engine's own manifest) still
+    answers explain and more_like_this: their point reads open the doc
+    files of the current manifest."""
+    idx = str(tmp_path / "idx")
+    shutil.copytree(states["appended"], idx)
+    with SearchEngine(idx, num_actors=1) as eng:
+        ids = eng.search(["common"], limit=3)["doc_id"].to_pylist()
+        want = eng.explain(["common tok"], ids), eng.more_like_this(ids[:1])
+        snap = eng.cat.files("docs")
+        compact_index(idx)
+        append_index(ray.data.from_arrow(_corpus("r3", 8)), idx)
+        Catalog(idx).gc()
+        assert not any(eng.ifs.exists(f) for f in snap)
+        assert eng.explain(["common tok"], ids).equals(want[0])
+        assert eng.more_like_this(ids[:1]).equals(want[1])

@@ -293,11 +293,22 @@ def _undeduped_copy(built, root) -> IndexFS:
 
 
 def test_rewrite_on_non_overwriting_move(built, tmp_path):
+    """On a filesystem whose move cannot overwrite, the rewrite writes new
+    files and the dedup stage's manifest write (over the docs stage's) goes
+    through replace's fallback: the committed docs equal the build's and
+    no backup is left."""
     ifs = _undeduped_copy(built, tmp_path)
-    m = build._run_dedup(ifs, _cfg())
+    cat = Catalog(ifs)
+    cat.mark_stage("docs", "done", files={"docs": ifs.list_files("docs", recursive=True)})
+    m = build._run_dedup(ifs, _cfg(), cat.files("docs"))
     assert m["files_rewritten"] == 2
-    assert _docs(str(tmp_path)).equals(_docs(built["driver"][0]))
+    cat.mark_stage("dedup", "done", m, files={"docs": m.pop("docs")})
+    cat = Catalog(ifs)
+    assert cat.stage_done("dedup")
+    got = cat.dataset("docs").to_table().drop_columns(["shard_id"]).sort_by("doc_id")
+    assert got.equals(_docs(built["driver"][0]))
     assert not ifs.list_files("docs", recursive=True, suffix=".bak")
+    assert not ifs.exists("manifest.json.bak")
 
 
 class _CrashingFS(_NoOverwriteFS):

@@ -14,6 +14,7 @@ indices back to batch positions), and with shards packed several to an actor
 
 from __future__ import annotations
 
+import json
 import shutil
 from pathlib import Path
 
@@ -515,22 +516,25 @@ def test_ray_path_df_engine_matches_oracle_and_prefix_sql(ray_df_idx, duck):
 
 def test_multi_file_unsorted_df_of_older_builds(ray_df_idx):
     """Older builds wrote df/ as several files, not term-sorted across
-    them: the engine still sorts the resident column and scores exactly."""
+    them, and a manifest that lists no files (each table was its dir): the
+    engine still sorts the resident column and scores exactly."""
     import pyarrow.parquet as pq
 
     oidx = ray_df_idx
     shutil.rmtree(LEGACY_DF_IDX, ignore_errors=True)
     shutil.copytree(RAY_DF_IDX, LEGACY_DF_IDX)
-    cat = Catalog(LEGACY_DF_IDX)
-    (old,) = cat.files("df")
+    (old,) = Catalog(LEGACY_DF_IDX).files("df")
     df = pq.read_table(old)
     rev = df.take(pa.array(np.arange(df.num_rows)[::-1]))
     half = df.num_rows // 2
-    parts = [f"{LEGACY_DF_IDX}/df/part-a.parquet", f"{LEGACY_DF_IDX}/df/part-b.parquet"]
-    pq.write_table(rev.slice(0, half), parts[0])
-    pq.write_table(rev.slice(half), parts[1])
-    cat.mark_stage("df", "done", files={"df": parts})
+    pq.write_table(rev.slice(0, half), f"{LEGACY_DF_IDX}/df/part-a.parquet")
+    pq.write_table(rev.slice(half), f"{LEGACY_DF_IDX}/df/part-b.parquet")
     Path(old).unlink()
+    man = Path(f"{LEGACY_DF_IDX}/manifest.json")
+    m = json.loads(man.read_text())
+    del m["files"]
+    m.pop("retired", None)
+    man.write_text(json.dumps(m))
     with SearchEngine(LEGACY_DF_IDX) as eng:
         assert len(eng.ifs.list_files("df", suffix=".parquet")) == 2
         assert eng._df_terms.tolist() == sorted(oidx.postings)
