@@ -434,14 +434,11 @@ _SUGGEST_QUERIES = (
 
 
 def _q_suggest(sf_dir: str) -> Any:
-    """Fuzzy term suggestions from the SymSpell-style deletion-neighborhood
-    table (built as a Ray Dataset op over the df table)."""
-    from smse_backend_ray.pipelines.suggest import build_suggest, suggest
+    """Fuzzy term suggestions: the queries' edit neighborhoods looked up in
+    the committed df table."""
+    from smse_backend_ray.pipelines.suggest import suggest
 
-    idx = _index_for(sf_dir)
-    if not os.path.isdir(os.path.join(idx, "suggest")):
-        build_suggest(idx)
-    return suggest(idx, _SUGGEST_QUERIES)
+    return suggest(_index_for(sf_dir), _SUGGEST_QUERIES)
 
 
 _EXPLAIN_TEXT = "hash join table batch merge"

@@ -68,12 +68,6 @@ def main(argv: list[str] | None = None) -> int:
         "queries and snippets; ~+40%% segment bytes)",
     )
     ap.add_argument(
-        "--suggest",
-        action="store_true",
-        help="also build the fuzzy-suggestion deletion-neighborhood table "
-        "(pipelines/suggest.py) after the index",
-    )
-    ap.add_argument(
         "--append",
         action="store_true",
         help="incrementally append the input to an EXISTING index as a new "
@@ -173,10 +167,6 @@ def main(argv: list[str] | None = None) -> int:
         "stages": {s: _stage_report(m) for s, m in cat.manifest().get("stages", {}).items()},
         "generations": sorted(int(g) for g in cat.generations()),
     }
-    if args.suggest:
-        from smse_backend_ray.pipelines.suggest import build_suggest
-
-        out["suggest_dir"] = build_suggest(args.index_dir)
     print(json.dumps(out))
     ray.shutdown()
     return 0

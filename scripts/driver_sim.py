@@ -6,14 +6,20 @@ Each entry's name is printed (``run <name>``, flushed) before it starts, so
 a process that dies inside an entry names it; the sweep's total wall is
 printed last. An entry (or the ``entry()`` smoke) that runs longer than
 ENTRY_TIMEOUT_S is taken for a hang: faulthandler dumps every driver
-thread's stack to stderr and the process exits non-zero."""
+thread's stack to stderr, every descendant process (the local Ray
+cluster's raylet, workers and agents) is killed and the process exits
+non-zero."""
 
 from __future__ import annotations
 
+import contextlib
 import faulthandler
 import os
+import signal
 import sys
+import threading
 import time
+from pathlib import Path
 
 import duckdb
 import numpy as np
@@ -24,6 +30,51 @@ import ray
 # per-entry watchdog (s): the slowest entry of an sf0.01 sweep took 5.2 s
 # on a 1-CPU host, and a Ray Data task once hung inside an entry for 381 s
 ENTRY_TIMEOUT_S = 300
+# faulthandler's own exit fires this much later, in case the main thread
+# holds the GIL and the watchdog thread never runs
+BACKSTOP_S = 60
+
+
+def _descendants(root: int) -> set[int]:
+    """Pids of every live process below ``root`` (from /proc)."""
+    children: dict[int, list[int]] = {}
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # exited while listing
+            continue
+        if fields[0] != "Z":
+            children.setdefault(int(fields[1]), []).append(int(stat.parent.name))
+    out, todo = set(), [root]
+    while todo:
+        for c in children.get(todo.pop(), ()):
+            out.add(c)
+            todo.append(c)
+    return out
+
+
+def _on_hang() -> None:
+    faulthandler.dump_traceback(all_threads=True)
+    for pid in _descendants(os.getpid()):
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    os._exit(1)
+
+
+@contextlib.contextmanager
+def watchdog():
+    """Treat a body that runs longer than ENTRY_TIMEOUT_S as a hang."""
+    timer = threading.Timer(ENTRY_TIMEOUT_S, _on_hang)
+    timer.daemon = True
+    timer.start()
+    faulthandler.dump_traceback_later(ENTRY_TIMEOUT_S + BACKSTOP_S, exit=True)
+    try:
+        yield
+    finally:
+        timer.cancel()
+        faulthandler.cancel_dump_traceback_later()
 
 
 def to_pandas(x):
@@ -108,11 +159,10 @@ def main():
     n_bad = 0
     for name, fn in qs.items():
         print(f"run {name}", flush=True)
-        faulthandler.dump_traceback_later(ENTRY_TIMEOUT_S, exit=True)
         t0 = time.perf_counter()
-        mine = to_pandas(fn(sf_dir))
+        with watchdog():
+            mine = to_pandas(fn(sf_dir))
         dt = time.perf_counter() - t0
-        faulthandler.cancel_dump_traceback_later()
         if name not in sqls:
             print(f"{name:26s} rows={len(mine):6d} {dt:6.1f}s (rows-only, no oracle)")
             continue
@@ -126,9 +176,8 @@ def main():
             print(f"    - {p}")
     # entry smoke
     if not only:
-        faulthandler.dump_traceback_later(ENTRY_TIMEOUT_S, exit=True)
-        e = to_pandas(entrymod.entry())
-        faulthandler.cancel_dump_traceback_later()
+        with watchdog():
+            e = to_pandas(entrymod.entry())
         print(f"entry() -> {len(e)} rows, cols {list(e.columns)}")
     print(f"sweep wall {time.perf_counter() - t_sweep:.1f}s")
     print("BAD:", n_bad)

@@ -226,8 +226,8 @@ PREFIX_MAX_EXPANSIONS = 50
 FACET_MAX_VALUES = 100
 
 # Fuzzy term suggestion (pipelines/suggest.py <-> sqlgen.suggest_sql):
-# SymSpell-style single-deletion neighborhood index over the vocabulary;
-# results = vocab terms with levenshtein <= 1, ranked (lev ASC, df DESC,
+# the query's one-edit neighborhood looked up in the df table; results =
+# vocab terms with levenshtein <= 1, ranked (lev ASC, df DESC,
 # term ASC), top SUGGEST_TOP
 SUGGEST_TOP = 5
 

@@ -1484,10 +1484,10 @@ ORDER BY query_id, rank
 def suggest_sql(queries) -> str:
     """Fuzzy-suggestion twin (pipelines/suggest.py): vocab terms with
     levenshtein(query, term) <= 1, ranked (lev ASC, df DESC, term ASC),
-    top config.SUGGEST_TOP. The engine's deletion-neighborhood candidate
-    generation + exact lev<=1 verify is equivalent to this brute-force
-    predicate (single-deletion neighborhoods cover every lev<=1 pair).
-    Frozen engine<->SQL pair."""
+    top config.SUGGEST_TOP. The engine's edit-neighborhood candidates (the
+    query plus every one-edit string over the analyzer's term alphabet,
+    looked up in the df table) are equivalent to this brute-force
+    predicate. Frozen engine<->SQL pair."""
     from smse_backend_ray.config import SUGGEST_TOP
 
     vals = ", ".join(f"({qid}, {_sq(text.lower())})" for qid, text in queries)

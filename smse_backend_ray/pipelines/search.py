@@ -34,6 +34,7 @@ from smse_backend_ray.config import (
 from smse_backend_ray.functions.bm25 import idf as idf_fn
 from smse_backend_ray.functions.fusion import fuse_parts
 from smse_backend_ray.functions.normalize import NORMALIZERS
+from smse_backend_ray.queryset import QuerySpec
 from smse_backend_ray.stages.scorer import ShardSearcher
 from smse_backend_ray.state.catalog import Catalog, by_shard
 from smse_backend_ray.state.fs import IndexFS
@@ -217,18 +218,16 @@ class SearchEngine:
             "k": max(limit, SHARD_CANDIDATE_K), "limit": limit, "threshold": threshold,
         }
 
-    def _job_for(
-        self, qid: int, parts: list[str], scope: str, limit: int, mode: str,
-        slop: int | None = None, exclude: tuple = (), threshold: float | None = None,
-    ) -> dict | None:
-        """Build one scatter job, or None when the query provably has no
-        results (no kept terms; or AND/phrase mode with a kept term whose
-        corpus df is 0 — no doc can contain every term, so skip the
-        scatter entirely). Frozen semantics mirrored by oracle.py
+    def _job_for(self, qs) -> dict | None:
+        """Build the scatter job of QuerySpec ``qs``, or None when the query
+        provably has no results (no kept terms; or AND/phrase mode with a
+        kept term whose corpus df is 0 — no doc can contain every term, so
+        skip the scatter entirely). Frozen semantics mirrored by oracle.py
         (oracle_conj_search/oracle_phrase_search) and sqlgen
         (bm25_conj_topk_sql/phrase_topk_sql)."""
         # validate BEFORE any provably-empty early return, so an invalid
         # request errors loudly instead of silently returning no rows
+        mode, parts = qs.mode, qs.parts
         if mode not in ("or", "and", "phrase", "near"):
             raise ValueError(f"unknown query mode {mode!r}")
         if mode == "phrase" and len(parts) != 1:
@@ -239,7 +238,7 @@ class SearchEngine:
             return None
         if mode != "or" and len(terms) < len(qtf):
             return None  # some kept term has df=0 -> conjunction can't match
-        job = self._job(qid, terms, weights, scope, limit, threshold)
+        job = self._job(qs.query_id, terms, weights, qs.scope, qs.limit, qs.threshold)
         if mode == "and":
             job["mode"] = "and"
         elif mode == "phrase":
@@ -249,25 +248,18 @@ class SearchEngine:
         elif mode == "near":
             from smse_backend_ray.config import NEAR_DEFAULT_SLOP
 
-            s = NEAR_DEFAULT_SLOP if slop is None else int(slop)
+            s = NEAR_DEFAULT_SLOP if qs.slop is None else int(qs.slop)
             if s < 0:
                 raise ValueError("slop must be >= 0")
             job["mode"] = "near"
             job["slop"] = s
-        if exclude:
+        if qs.exclude:
             from smse_backend_ray.functions.analyzer import tokenize
 
-            ex_terms = sorted({t for p in exclude for t in tokenize(p)})
+            ex_terms = sorted({t for p in qs.exclude for t in tokenize(p)})
             if ex_terms:
                 job["exclude_terms"] = ex_terms
         return job
-
-    def _spec_job(self, qs) -> dict | None:
-        return self._job_for(
-            qs.query_id, list(qs.parts), qs.scope, qs.limit,
-            getattr(qs, "mode", "or"), getattr(qs, "slop", None),
-            getattr(qs, "exclude", ()), qs.threshold,
-        )
 
     def search(
         self,
@@ -282,28 +274,25 @@ class SearchEngine:
         slop: int | None = None,
         exclude: tuple = (),
     ) -> pa.Table:
+        """One query as a one-spec search_batch; ``normalize`` rescales the
+        returned scores (the query log keeps the BM25 scores)."""
         if isinstance(parts, str):
             parts = [parts]
         qid = query_id if query_id is not None else self._next_query_id
-        job = self._job_for(qid, parts, scope, limit, mode, slop, exclude, threshold)
-        result = RESULT_SCHEMA.empty_table()
-        if job is not None:
-            result = self._gather([job])[0]
-            norm = NORMALIZERS[normalize]
-            if norm is not None and result.num_rows:
-                i = RESULT_SCHEMA.get_field_index("score")
-                normed = norm(result["score"].to_numpy())
-                result = result.set_column(i, "score", pa.array(normed, type=pa.float64()))
-        if log:
-            self._log_query(qid, parts, scope, limit, result)
-            self._next_query_id = max(self._next_query_id, qid) + 1
+        norm = NORMALIZERS[normalize]
+        qs = QuerySpec(qid, tuple(parts), scope, limit, threshold, mode, slop, tuple(exclude))
+        result = self.search_batch([qs], log=log)
+        if norm is not None and result.num_rows:
+            i = RESULT_SCHEMA.get_field_index("score")
+            normed = norm(result["score"].to_numpy())
+            result = result.set_column(i, "score", pa.array(normed, type=pa.float64()))
         return result
 
     def search_batch(self, queries, log: bool = False) -> pa.Table:
         """Batch path for a list of queryset.QuerySpec; one scatter/gather.
         Every spec gets its own ranked block, in input order — two specs may
         share a query_id."""
-        jobs = [self._spec_job(qs) for qs in queries]
+        jobs = [self._job_for(qs) for qs in queries]
         out, counts = self._gather([j for j in jobs if j is not None])
         if log and jobs:
             sizes, start = iter(counts.tolist()), 0
@@ -565,7 +554,7 @@ class SearchEngine:
         sqlgen.facets_sql."""
         from smse_backend_ray.config import FACET_MAX_VALUES
 
-        jobs = [j for j in map(self._spec_job, queries) if j is not None]
+        jobs = [j for j in map(self._job_for, queries) if j is not None]
         job, parts = self._scatter("facets", jobs)
         if not job.size:
             return self.FACET_SCHEMA.empty_table()

@@ -304,7 +304,7 @@ class Catalog:
         for info in self.ifs.list_infos():
             if not info.path.endswith(".tmp"):
                 continue
-            # orphaned temp state can be a DIR (bulk or suggest output) or a
+            # orphaned temp state can be a DIR (a bulk output) or a
             # FILE (manifest.json.tmp left by a crash); count only removals
             # that actually happened
             try:

@@ -15,7 +15,7 @@ files under names no write reuses (``write_dataset``, ``new_tag``); a writer
 publishes them with one manifest write (state/catalog.py), a single-file
 ``replace`` (an atomic rename on local filesystems, a single-object PUT on
 S3-likes). Readers open the files the manifest lists. Outputs that are not
-index tables (suggest/, bulk and simsearch outputs) are whole directories
+index tables (bulk and simsearch outputs) are whole directories
 written to ``<dest>.tmp`` and moved into place (``atomic_write_dataset``).
 
 IndexFS is picklable (pyarrow filesystems ship by value), so Ray actors and

@@ -3,7 +3,6 @@ lang allowlist, empty content, and file-mode lineage/resume."""
 
 from __future__ import annotations
 
-import glob
 import os
 import shutil
 
@@ -119,7 +118,8 @@ def test_file_build_resume_skips_done(ray_session, corpus_files):
     assert cat.completed_partitions() == [0, 1, 2, 3]
     for pid, rec in cat._state["partitions"].items():
         assert rec["metrics"]["rows"] > 0
-    wave_files = sorted(glob.glob(os.path.join(idx_dir, "docs", "wave_*", "*.parquet")))
+    wave_files = cat.files("docs")
+    assert wave_files
     mtimes = {f: os.path.getmtime(f) for f in wave_files}
 
     # resume: nothing recomputed, wave outputs untouched
@@ -130,7 +130,7 @@ def test_file_build_resume_skips_done(ray_session, corpus_files):
     # docs-stage partition planning is also resumable mid-build: simulate a
     # crash after the docs stage by invalidating later stages only
     cat2 = Catalog(idx_dir)
-    cat2.invalidate_from(["stats", "docmeta", "segments", "df"])
+    cat2.invalidate_from(["stats", "segments", "df"])
     build_index(input_files=corpus_files, index_dir=idx_dir, cfg=cfg)
     for f, m in mtimes.items():
         assert os.path.getmtime(f) == m
