@@ -3,9 +3,11 @@ oracle_sql() twin on the same sf dir, compare row count + schema + sorted
 values. Usage: python scripts/driver_sim.py [sf_dir] [entry_name ...]
 
 Each entry's name is printed (``run <name>``, flushed) before it starts, so
-a process that dies inside an entry names it; the sweep's total wall is
-printed last. An entry (or the ``entry()`` smoke) that runs longer than
-ENTRY_TIMEOUT_S is taken for a hang: faulthandler dumps every driver
+a process that dies inside an entry names it; the sweep's total wall and
+its count of recurring Ray Data schema warnings (SCHEMA_WARNINGS, counted
+from the driver's log records) are printed last. An entry (or the
+``entry()`` smoke) that runs longer than ENTRY_TIMEOUT_S is taken for a
+hang: faulthandler dumps every driver
 thread's stack to stderr, every descendant process (the local Ray
 cluster's raylet, workers and agents) is killed and the process exits
 non-zero."""
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import faulthandler
+import logging
 import os
 import signal
 import sys
@@ -33,6 +36,21 @@ ENTRY_TIMEOUT_S = 300
 # faulthandler's own exit fires this much later, in case the main thread
 # holds the GIL and the watchdog thread never runs
 BACKSTOP_S = 60
+# Ray Data warnings a clean sweep should not repeat: a map's or an
+# exchange's blocks disagreeing on schema (an untyped empty block mostly)
+SCHEMA_WARNINGS = ("different schema than the previous", "Failed to hash the schemas")
+
+
+class WarningCount(logging.Handler):
+    """Counts the log records that contain one of SCHEMA_WARNINGS."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.n = 0
+
+    def emit(self, record: logging.LogRecord) -> None:
+        msg = record.getMessage()
+        self.n += any(w in msg for w in SCHEMA_WARNINGS)
 
 
 def _descendants(root: int) -> set[int]:
@@ -132,6 +150,8 @@ def main():
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
+    warnings = WarningCount()
+    logging.getLogger("ray.data").addHandler(warnings)
 
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entrymod
@@ -180,6 +200,7 @@ def main():
             e = to_pandas(entrymod.entry())
         print(f"entry() -> {len(e)} rows, cols {list(e.columns)}")
     print(f"sweep wall {time.perf_counter() - t_sweep:.1f}s")
+    print(f"schema warnings {warnings.n}")
     print("BAD:", n_bad)
     return n_bad
 

@@ -13,7 +13,8 @@ vocabulary the steps are written in, so each micro-pattern has ONE copy:
 - ``run_rank``: run starts, run ids and 1-based rank within the runs of
   sorted keys (the per-user / per-doc numpy segment pass);
 - ``exchange``: THE key-hash exchange with a vectorized per-bucket kernel
-  and typed output blocks (many keys per bucket, never a call per key);
+  and typed, row-bundled output blocks (many keys per bucket, never a call
+  per key);
   ``joins`` builds its joins and ``grouped_aggregate`` on it;
 - ``ordered_scan``: THE two-level distributed exclusive prefix scan (per-
   range partial sums -> driver bases -> one ``exchange`` on the range id),
@@ -41,6 +42,8 @@ import pyarrow.compute as pc
 from smse_backend_ray.functions.collect import collect_table
 
 _INT_OPS = ("sum", "count", "count_distinct")
+# rows per output block of ``exchange`` (its closing map's batch size)
+EXCHANGE_BLOCK_ROWS = 4096
 
 
 def arrow_map(ds, fn):
@@ -103,15 +106,20 @@ def exchange(ds, keys, fn, schema: pa.Schema | None, nb: int | None = None):
     """THE bucket exchange: rows hash into ``nb`` fat buckets on ``keys``
     (a column name or a list), every key's rows meet in one group, and
     ``fn(group) -> Table`` runs once per group over MANY keys (vectorized
-    inside — a group per key pays a Python call per key). Output blocks
-    are typed ``schema``; empty groups never reach ``fn``. ``schema=None``
-    keeps ``fn``'s own output types (for a caller that cannot name them
-    before the run); an empty bucket then stays a zero-column block, which
-    ``collect_table`` drops. ``ds`` may be a
-    list of Datasets: each is tagged in its own map (fused into its last
-    map) before they union — a join ships both sides this way. ``nb``
-    defaults to the CPU-scaled ``joins.cpu_scaled_buckets()``; placement
-    never changes the output."""
+    inside — a group per key pays a Python call per key). Empty groups
+    never reach ``fn``. ``ds`` may be a list of Datasets: each is tagged in
+    its own map (fused into its last map) before they union — a join ships
+    both sides this way. ``nb`` defaults to the CPU-scaled
+    ``joins.cpu_scaled_buckets()``; placement never changes the output.
+
+    Ray 2.49's sort-based groupby emits one block per INPUT block, most of
+    them empty at a small ``nb``. One closing map bundles them into blocks
+    of at least ``EXCHANGE_BLOCK_ROWS`` rows (at most rows / that + 1
+    blocks; an empty one only when the whole output is empty), so a chain
+    or union of exchanges keeps its block count, and types them
+    ``schema``. ``schema=None`` keeps ``fn``'s own output types (for a
+    caller that cannot name them before the run); an all-empty output then
+    stays a zero-column block, which ``collect_table`` drops."""
     from smse_backend_ray.functions import joins
 
     keys = [keys] if isinstance(keys, str) else list(keys)
@@ -129,11 +137,15 @@ def exchange(ds, keys, fn, schema: pa.Schema | None, nb: int | None = None):
         out = fn(g.drop_columns(["__b"]))
         return out if schema is None else out.select(schema.names).cast(schema)
 
+    def typed(t: pa.Table) -> pa.Table:
+        return t if schema is None or t.num_columns else schema.empty_table()
+
     tagged = [arrow_map(d, tag) for d in (ds if isinstance(ds, list) else [ds])]
     if len(tagged) > 1:
         tagged = [tagged[0].union(*tagged[1:])]
     grouped = tagged[0].groupby("__b").map_groups(per_group, batch_format="pyarrow")
-    return grouped if schema is None else joins.with_schema(grouped, schema)
+    return grouped.map_batches(typed, batch_format="pyarrow", zero_copy_batch=True,
+                               batch_size=EXCHANGE_BLOCK_ROWS)
 
 
 def scan_ranges(sf_dir: str, n_ranges: int | None = None) -> int:

@@ -44,12 +44,12 @@ def cpu_scaled_buckets(
     it).
 
     ``rows`` (optional, e.g. the source parquet footer count) only LOWERS
-    the CPU-scaled target: every bucket is one ``fn`` call of the exchange
-    (the output block count follows the INPUT block count whatever the
-    bucket count — Ray 2.49's groupby keeps it), so a tiny input through
-    8*cpus buckets pays dozens of near-empty calls per exchange. Bucket
-    placement never affects exchange output (each key lives in exactly
-    one bucket either way), so the hint is free to vary with input size."""
+    the CPU-scaled target: every non-empty bucket is one ``fn`` call of the
+    exchange, so a tiny input through 8*cpus buckets pays dozens of
+    near-empty calls per exchange (its output blocks are bundled by rows
+    whatever the bucket count). Bucket placement never affects exchange
+    output (each key lives in exactly one bucket either way), so the hint
+    is free to vary with input size."""
     import ray
 
     try:
@@ -108,10 +108,10 @@ def _bucketed_join(
     into its two sides and runs ``joiner(left_tbl, right_tbl) -> Table``.
 
     ``nb`` sizes the exchange: every non-empty bucket is one per-bucket
-    join, so a tiny input through the default (8*cpus) buckets pays
-    hundreds of near-empty calls per stage — chained stages made that the
-    dedup verify wall (measured 7-12 s per attach on 257 rows). Callers
-    that know the input is small pass a small nb."""
+    join call, so a tiny input through the default (8*cpus) buckets pays
+    dozens of near-empty calls per stage. Callers that know the input is
+    small pass a small nb. The joined rows come back in ``exchange``'s
+    bundled blocks, so chained joins keep their block count."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -214,23 +214,6 @@ def anti_join(left, right, keys, left_schema, nb=None):
     C++ 'left anti' per bucket). Buckets where the right side is empty
     keep every left row. ``nb``: see _bucketed_join."""
     return _filter_join(left, right, keys, left_schema, nb, "left anti")
-
-
-def with_schema(ds, schema):
-    """Normalize a Dataset's blocks to ``schema``.
-
-    Ray 2.49's Aggregate operator emits EMPTY partitions as zero-column
-    blocks (the 'Failed to hash the schemas' warning); downstream consumers
-    that inspect columns then break. This map replaces schema-less empties
-    with a typed empty table and column-projects the rest."""
-    import pyarrow as pa
-
-    def fix(t: "pa.Table") -> "pa.Table":
-        if t.num_columns == 0 or t.num_rows == 0:
-            return schema.empty_table()
-        return t.select(schema.names).cast(schema)
-
-    return ds.map_batches(fix, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def grouped_aggregate(ds, keys, schema, nb=None, **outs):

@@ -82,18 +82,6 @@ _PAIR = int64_schema("a", "b")
 _COSINE = int64_schema("a", "b", cosine=pa.float64())
 
 
-def _compact(ds_mat, rows_per_block: int = 4096):
-    """Coalesce a MATERIALIZED candidate-bounded dataset to few blocks.
-
-    Bucketed exchanges emit one block per bucket; a 257-row result spread
-    over ~128 near-empty blocks makes every downstream stage pay a task
-    per block (~50 ms each — measured 5-10 s per attach in the verify
-    path). Tiny data, tiny repartition: ~0.5 s buys back all of it."""
-    n = ds_mat.count()
-    blocks = max(2, min(64, -(-n // rows_per_block)))
-    return ds_mat.repartition(blocks).materialize()
-
-
 def _small_nb(n_rows: int) -> int:
     """Exchange buckets for a candidate-bounded input of ``n_rows``: a
     257-row verify set through the default 8*cpus buckets paid hundreds of
@@ -320,7 +308,7 @@ def _global_hot_shingles(sf_dir: str, df_cap: int, op: str):
             arrow_map(_read_documents(sf_dir), _shingle_rows), df_cap, _doc_buckets(sf_dir),
             f"{op}: excluding %d shingles with df > %d from Jaccard sets",
         )
-        return _compact(hot), n_hot
+        return hot, n_hot
 
     return _memo("hot", (_docs_stamp(sf_dir), df_cap), compute)
 
@@ -419,7 +407,7 @@ def _shingle_inter_sizes(sf_dir: str, df_cap: int, op: str):
         # which measured ~4x slower than staged runs (BASELINE.md round-3
         # dedup notes); both tables are candidate-bounded
         inter = _pair_counts(shingles, "shingle", "inter", nb)
-        return _compact(inter.materialize()), _compact(sizes.materialize())
+        return inter.materialize(), sizes.materialize()
 
     return _memo("cand", (_docs_stamp(sf_dir), int(df_cap)), compute)
 
@@ -591,7 +579,7 @@ def minhash_lsh_pairs(
     # in the object store — O(LSH collisions), never on the driver). A pair
     # colliding in k bands shuffles k rows but survives distinct-ing once.
     nb_doc = _doc_buckets(sf_dir)
-    cands = _compact(
+    cands = (
         _pair_counts(arrow_map(_read_documents(sf_dir), band_rows), "bkey", "n_bands", nb_doc)
         .select_columns(["a", "b"]).materialize()
     )
@@ -613,13 +601,13 @@ def minhash_lsh_pairs(
         _read_documents(sf_dir), need_ids, ["doc_id"],
         pa.schema([("doc_id", pa.int64()), ("text", pa.string())]), nb=nb_doc,
     )
-    cand_shingles = _compact(_drop_hot_stage(
+    cand_shingles = _drop_hot_stage(
         arrow_map(cand_docs, _shingle_rows),
         _global_hot_shingles(sf_dir, df_cap, "minhash_lsh_pairs"),
-    ).materialize())
-    sizes_ds = _compact(grouped_aggregate(
+    ).materialize()
+    sizes_ds = grouped_aggregate(
         cand_shingles, ["doc_id"], int64_schema("doc_id", "n"), nb=nb_doc, n=("shingle", "count"),
-    ).materialize())
+    ).materialize()
 
     # all shingle-co-occurrence pairs among candidate docs (bounded by the
     # hot-shingle df cap), then restricted to the LSH candidate pairs with a
@@ -628,7 +616,7 @@ def minhash_lsh_pairs(
         _pair_counts(cand_shingles, "shingle", "inter", nb_doc),
         cands, ["a", "b"], int64_schema("a", "b", "inter"), nb=nb_doc,
     ).materialize()  # candidate-bounded checkpoint (see jaccard_pairs note)
-    return _score_jaccard(_compact(inter), sizes_ds, threshold)
+    return _score_jaccard(inter, sizes_ds, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -991,11 +979,14 @@ def _cc_labels(edges_t: pa.Table, max_iters: int) -> tuple[pa.Table, int, bool]:
         # pointer jump: label(u) <- label(label(u))
         jumped = attach_unique(new, new.rename_columns({"label": "jump"}), "label", "node",
                                lab, int64_schema("jump"), nb=nb)
-        # compacted: an exchange emits a block per input block, so
-        # uncompacted labels would double their block count every round
-        labels = _compact(arrow_map(
+        # read twice (the sum below, the next round): materialized, and
+        # rebuilt from its block refs so it carries no lineage — each
+        # round's Dataset stats would hold every earlier round's twice, and
+        # the driver's walk of them doubled the round wall every round.
+        # The exchanges bundle their output, so its block count stays flat
+        labels = ray.data.from_arrow_refs(arrow_map(
             jumped, lambda t: t.select(["node", "jump"]).rename_columns(lab.names)
-        ).materialize())
+        ).materialize().to_arrow_refs())
         # labels only decrease, so an unchanged sum means unchanged labels
         new_total = labels.sum("label")
         if new_total == total:

@@ -4,15 +4,17 @@ The reference has no streaming operators (SURVEY.md §2.9) — its closest
 artifact is the periodic cleanup job. These operators supply the
 batch-over-ordered-log window semantics a training-data pipeline needs:
 tumbling time windows (groupby on a truncated timestamp) and gap-based
-sessionization (per-key ordered scan inside ``map_groups``). Ordering
+sessionization (per-key ordered scan inside an ``exchange`` group). Ordering
 assumption: sessionization sorts each user's events by ts within the group;
 event time is taken as-is (no watermarks/late data — SURVEY.md §2.9).
 
 Per-user operators share one plan (``_by_user``): ONE exchange on a
-user-hash bucket, MANY users per reduce group, vectorized inside (a
-per-user map_groups pays a Python call per user — the Ray per-small-unit
-tax, catastrophic at 10^9 users; BASELINE.md round-3), then a driver fold
-of the bounded per-bucket partials.
+user-hash bucket, MANY users per reduce group, vectorized inside (a group
+per user pays a Python call per user — the Ray per-small-unit tax,
+catastrophic at 10^9 users; BASELINE.md round-3), then a driver fold of
+the bounded per-bucket partials. ``range_join`` has no user key: its
+time-bucket and tile passes are exchanges too, with one composite
+(group, ts) window sweep (``_window_sweep``) per group of many buckets.
 """
 
 from __future__ import annotations
@@ -345,7 +347,7 @@ def asof_join(
     (user, ts), every left's match is "the number of rights at-or-before
     my merged slot, minus one", and a user-equality check discards
     cross-user ranks. No per-user (let alone per-row) Python: at 10^9
-    users a per-user map_groups would pay a Python call each (the Ray
+    users a group per user would pay a Python call each (the Ray
     per-small-unit tax, BASELINE.md round-3)."""
     schema = int64_schema("event_id", "user_id", "ts_us", "match_event_id", "match_ts_us",
                           "lag_us")
@@ -412,33 +414,36 @@ FROM j WHERE rn = 1 ORDER BY event_id
 _PAIRS = int64_schema("event_id", "match_event_id", "gap_us")
 
 
-def _expand_pairs(
-    lts: np.ndarray, leid: np.ndarray, rts: np.ndarray, reid: np.ndarray, w_us: int,
-    lo: "np.ndarray | None" = None, hi: "np.ndarray | None" = None,
-) -> pa.Table:
-    """Vectorized window sweep shared by the bucket and tile pairers:
-    all (left, right) pairs with 0 <= lts - rts <= w_us. Rights must be
-    sorted by (ts, event_id). Callers that already ran the window
-    searchsorteds (the cap check) pass lo/hi to avoid recomputing them."""
-    if lo is None:
-        lo = np.searchsorted(rts, lts - w_us, side="left")
-    if hi is None:
-        hi = np.searchsorted(rts, lts, side="right")
-    n = hi - lo
-    if not int(n.sum()):
-        return _PAIRS.empty_table()
-    ridx = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi) if b > a])
-    return pa.table({"event_id": np.repeat(leid, n), "match_event_id": reid[ridx],
-                     "gap_us": np.repeat(lts, n) - rts[ridx]}).cast(_PAIRS)
-
-
-def _sides(g: pa.Table):
-    """(left ts, left ids, right ts, right ids) of a role-tagged group,
-    rights sorted by (ts, event_id) for the window sweep."""
-    lm = g["role"].to_numpy(zero_copy_only=False) == 0
+def _window_sweep(g: pa.Table, *keys: np.ndarray, w_us: int):
+    """The window sweep of every group of equal ``keys`` at once: left
+    rows (role 0) meet the right rows (role 1) of their own group with
+    0 <= left ts - right ts <= w_us. Returns ``(lefts, rights, lo, hi)``:
+    row indices of g, both in (keys, ts, event_id) order, and left i pairs
+    with ``rights[lo[i]:hi[i]]``. Each group's ts values shift into an
+    int64 range of their own (group span + window + 1 wide), so one
+    composite (group, ts) key and one searchsorted pair serve all groups."""
     ts, eid = g["ts_us"].to_numpy(), g["event_id"].to_numpy()
-    order = np.lexsort((eid[~lm], ts[~lm]))
-    return ts[lm], eid[lm], ts[~lm][order], eid[~lm][order]
+    order = np.lexsort((eid, ts, *reversed(keys)))
+    start, run, _ = run_rank(*(k[order] for k in keys))
+    first = np.flatnonzero(start)
+    lo_ts = ts[order][first]
+    span = ts[order][np.append(first[1:], len(order)) - 1] - lo_ts + w_us + 1
+    k = ts[order] + (np.cumsum(span) - span - lo_ts)[run]
+    left = g["role"].to_numpy(zero_copy_only=False)[order] == 0
+    lo = np.searchsorted(k[~left], k[left] - w_us, side="left")
+    hi = np.searchsorted(k[~left], k[left], side="right")
+    return order[left], order[~left], lo, hi
+
+
+def _expand_pairs(g: pa.Table, lefts, rights, lo, hi) -> pa.Table:
+    """Every (left, right) pair of a ``_window_sweep``: left i with
+    ``rights[lo[i]:hi[i]]``."""
+    ts, eid = g["ts_us"].to_numpy(), g["event_id"].to_numpy()
+    n = hi - lo
+    li = np.repeat(lefts, n)
+    ri = rights[np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(int(n.sum()))]
+    return pa.table({"event_id": eid[li], "match_event_id": eid[ri],
+                     "gap_us": ts[li] - ts[ri]}).cast(_PAIRS)
 
 
 def range_join(
@@ -484,21 +489,20 @@ def range_join(
             "ts_us": np.concatenate([ts[lm], ts[rm], ts[rm]]),
         })
 
-    def pair_bucket(g: pa.Table) -> pa.Table:
-        lts, leid, rts, reid = _sides(g)
-        if not len(lts) or not len(rts):
-            return _PAIRS.empty_table()
-        lo = np.searchsorted(rts, lts - w_us, side="left")
-        hi = np.searchsorted(rts, lts, side="right")
-        total = int((hi - lo).sum())
-        if total > pair_cap:
-            # pathological bucket (all intervals overlap one window): defer
-            # its pair expansion to the tiled second pass — emit a marker
-            # row the caller collects. event_id=-1 flags the marker;
-            # match_event_id carries the bucket id, gap_us the -pair count.
-            return pa.table({"event_id": [-1], "match_event_id": [g["bucket"][0].as_py()],
-                             "gap_us": [-total]})
-        return _expand_pairs(lts, leid, rts, reid, w_us, lo=lo, hi=hi)
+    def pair_buckets(g: pa.Table) -> pa.Table:
+        b = g["bucket"].to_numpy()
+        lefts, rights, lo, hi = _window_sweep(g, b, w_us=w_us)
+        buckets, inv = np.unique(b[lefts], return_inverse=True)
+        total = np.bincount(inv, weights=hi - lo, minlength=len(buckets)).astype(np.int64)
+        fat = total > pair_cap
+        # pathological buckets (all intervals overlap one window): defer
+        # their pair expansion to the tiled second pass — emit a marker row
+        # each that the caller collects. event_id=-1 flags the marker;
+        # match_event_id carries the bucket id, gap_us the -pair count.
+        markers = pa.table({"event_id": np.full(int(fat.sum()), -1), "match_event_id": buckets[fat],
+                            "gap_us": -total[fat]}).cast(_PAIRS)
+        keep = ~fat[inv]
+        return pa.concat_tables([markers, _expand_pairs(g, lefts[keep], rights, lo[keep], hi[keep])])
 
     def bucketed(extra_filter=None, ts_range_us=None):
         ds = arrow_map(
@@ -509,9 +513,7 @@ def range_join(
         )
         return ds if extra_filter is None else arrow_map(ds, extra_filter)
 
-    t = collect_table(
-        bucketed().groupby("bucket").map_groups(pair_bucket, batch_format="pyarrow")
-    )
+    t = collect_table(exchange(bucketed(), "bucket", pair_buckets, _PAIRS), empty_schema=_PAIRS)
     markers = t.filter(pc.equal(t["event_id"], -1))
     if markers.num_rows:
         import logging
@@ -562,50 +564,36 @@ def _range_join_fat(bucketed, fat_buckets, w_us: int, pair_cap: int) -> pa.Table
         return t.filter(pc.is_in(t["bucket"], value_set=fat))
 
     def tile_rows(g: pa.Table) -> pa.Table:
-        lm = g["role"].to_numpy(zero_copy_only=False) == 0
-        ts, eid = g["ts_us"].to_numpy(), g["event_id"].to_numpy()
-        lorder = np.lexsort((eid[lm], ts[lm]))
-        lts, leid = ts[lm][lorder], eid[lm][lorder]
-        _, _, rts, reid = _sides(g)
-        nR = max(1, -(-len(rts) // c))
-        tiles, roles, eids, tss = [], [], [], []
-        for i in range(-(-len(lts) // c)):
-            l_lo, l_hi = i * c, min((i + 1) * c, len(lts))
-            lo = int(np.searchsorted(rts, lts[l_lo] - w_us, side="left"))
-            hi = int(np.searchsorted(rts, lts[l_hi - 1], side="right"))
-            if lo >= hi:
-                continue
-            for j in range(lo // c, (hi - 1) // c + 1):
-                r_lo, r_hi = j * c, min((j + 1) * c, len(rts))
-                nl, nr = l_hi - l_lo, r_hi - r_lo
-                tiles.append(np.full(nl + nr, i * nR + j, dtype=np.int64))
-                roles.append(np.concatenate([np.zeros(nl, np.int8), np.ones(nr, np.int8)]))
-                eids.append(np.concatenate([leid[l_lo:l_hi], reid[r_lo:r_hi]]))
-                tss.append(np.concatenate([lts[l_lo:l_hi], rts[r_lo:r_hi]]))
-        if not tiles:
+        b = g["bucket"].to_numpy()
+        lefts, rights, lo, hi = _window_sweep(g, b, w_us=w_us)
+        lb, rb = b[lefts], b[rights]
+        idx, tiles = [], []
+        for x in np.unique(lb):  # one fat bucket: its lefts l0:l1, rights r0:r1
+            l0, l1 = np.searchsorted(lb, [x, x + 1])
+            r0, r1 = np.searchsorted(rb, [x, x + 1])
+            nR = max(1, -(-(r1 - r0) // c))
+            for l_lo in range(l0, l1, c):
+                l_hi = min(l_lo + c, l1)
+                # lo/hi rise with the left ts: the tile's right range is
+                # its first left's lo to its last left's hi
+                r_lo, r_hi = lo[l_lo] - r0, hi[l_hi - 1] - r0
+                for j in range(r_lo // c, (r_hi - 1) // c + 1) if r_lo < r_hi else ():
+                    rows = np.concatenate([lefts[l_lo:l_hi],
+                                           rights[r0 + j * c:min(r0 + (j + 1) * c, r1)]])
+                    idx.append(rows)
+                    tiles.append(np.full(len(rows), (l_lo - l0) // c * nR + j, dtype=np.int64))
+        if not idx:
             return tile_schema.empty_table()
-        tile = np.concatenate(tiles)
-        return pa.table({
-            "bucket": np.full(len(tile), g["bucket"][0].as_py(), dtype=np.int64),
-            "tile": tile, "role": np.concatenate(roles), "event_id": np.concatenate(eids),
-            "ts_us": np.concatenate(tss),
-        })
+        return g.take(np.concatenate(idx)).append_column("tile", pa.array(np.concatenate(tiles)))
 
-    def pair_tile(g: pa.Table) -> pa.Table:
-        # tiles are emitted ts-sorted per role, but arrive re-blocked —
-        # _sides re-sorts the rights for the sweep
-        lts, leid, rts, reid = _sides(g)
-        if not len(lts) or not len(rts):
-            return _PAIRS.empty_table()
-        return _expand_pairs(lts, leid, rts, reid, w_us)
+    def pair_tiles(g: pa.Table) -> pa.Table:
+        return _expand_pairs(g, *_window_sweep(g, g["bucket"].to_numpy(), g["tile"].to_numpy(),
+                                               w_us=w_us))
 
-    return collect_table(
-        bucketed(extra_filter=only_fat, ts_range_us=ts_range_us)
-        .groupby("bucket")
-        .map_groups(tile_rows, batch_format="pyarrow")
-        .groupby(["bucket", "tile"])
-        .map_groups(pair_tile, batch_format="pyarrow")
-    )
+    tiled = exchange(bucketed(extra_filter=only_fat, ts_range_us=ts_range_us), "bucket",
+                     tile_rows, tile_schema)
+    return collect_table(exchange(tiled, ["bucket", "tile"], pair_tiles, _PAIRS),
+                         empty_schema=_PAIRS)
 
 
 def range_join_sql(

@@ -4,13 +4,16 @@ Reference analog: query-assist behavior on the search surface
 (smse_backend/routes/search.py query handling); re-expressed as one
 filter-pushdown read of the vocabulary the manifest lists.
 
-The analyzer only emits ``[a-z0-9]`` terms of at most MAX_TOKEN_LEN chars,
-so every vocabulary term within levenshtein distance 1 of a lowercased
-query ``q`` is ``q`` itself, ``q`` with one char deleted, or ``q`` with one
-of those 36 chars substituted or inserted: at most 73*len(q)+37 strings,
-none when len(q) > MAX_TOKEN_LEN + 1. ``suggest`` reads only the df rows
-whose term is in the queries' edit sets (the prefix query's df pushdown
-pattern), so suggestions follow every append, compaction and rebuild.
+Distances count UTF-8 bytes, as DuckDB's ``levenshtein`` does: a query is
+edited as its lowercased bytes, one latin-1 char per byte (ASCII queries
+are unchanged). The analyzer only emits ``[a-z0-9]`` terms of at most
+MAX_TOKEN_LEN chars, so every vocabulary term within levenshtein distance
+1 of that byte string ``q`` is ``q`` itself, ``q`` with one byte deleted,
+or ``q`` with one of those 36 chars substituted or inserted: at most
+73*len(q)+37 strings, none when len(q) > MAX_TOKEN_LEN + 1. ``suggest``
+reads only the df rows whose term is in the queries' edit sets (the prefix
+query's df pushdown pattern), so suggestions follow every append,
+compaction and rebuild.
 Ranking: (lev ASC, df DESC, term ASC), top SUGGEST_TOP.
 
 Frozen engine<->SQL pair with sqlgen.suggest_sql (DuckDB levenshtein twin).
@@ -56,9 +59,10 @@ def edits1(q: str) -> set[str]:
 
 def suggest(index_dir, queries) -> pa.Table:
     """Suggestions for ``queries`` = [(query_id, text)]: vocab terms with
-    levenshtein <= 1, ranked (lev ASC, df DESC, term ASC), top SUGGEST_TOP.
-    One df-table read of the terms in the union of the edit sets."""
-    qs = [(qid, q.lower()) for qid, q in queries]
+    byte levenshtein <= 1, ranked (lev ASC, df DESC, term ASC), top
+    SUGGEST_TOP. One df-table read of the terms in the union of the edit
+    sets."""
+    qs = [(qid, q.lower().encode().decode("latin-1")) for qid, q in queries]
     sets = [edits1(q) for _, q in qs]
     keys = pa.array(list(set().union(*sets)), type=pa.string())
     t = Catalog(index_dir).dataset("df").to_table(

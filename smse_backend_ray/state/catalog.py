@@ -183,10 +183,6 @@ class Catalog:
         self._commit()
         return dict(prefs)
 
-    def clear_prefs(self) -> None:
-        self._state["prefs"] = {}
-        self._commit()
-
     # -- stage-level lineage ----------------------------------------------
     def stage_done(self, stage: str) -> bool:
         return self._state["stages"].get(stage, {}).get("status") == "done"

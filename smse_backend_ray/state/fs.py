@@ -85,9 +85,6 @@ class IndexFS:
     def exists(self, rel: str = "") -> bool:
         return self.info(rel).type != pafs.FileType.NotFound
 
-    def is_dir(self, rel: str = "") -> bool:
-        return self.info(rel).type == pafs.FileType.Directory
-
     def mkdirs(self, rel: str = "") -> None:
         self.fs.create_dir(self.join(rel), recursive=True)
 

@@ -252,6 +252,32 @@ def test_exchange_multi_key(ray_session, case):
     assert got.sort_by(order).equals(want.sort_by(order))
 
 
+def test_exchange_union_of_exchanges_has_no_empty_block(ray_session):
+    """Ray's sort groupby emits one block per input block, most of them
+    empty at a small nb; exchange bundles its output by rows. So an
+    exchange fed the union of two exchange outputs (7 input blocks each)
+    yields at most rows / EXCHANGE_BLOCK_ROWS + 1 blocks, none of them
+    empty, and the sums are exact."""
+    import ray.data
+
+    from smse_backend_ray.functions.arrow_kernels import EXCHANGE_BLOCK_ROWS
+
+    n = 20_000
+    t = pa.table({"k": np.arange(n) % 997, "v": np.ones(n, np.int64)})
+    ds = ray.data.from_arrow([t.slice(i, n // 7 + 1) for i in range(0, n, n // 7 + 1)])
+    assert ds.num_blocks() == 7
+    schema = int64_schema("k", "v")
+    sums = [exchange(ds, "k", lambda g: agg(g, "k", v=("v", "sum")), schema, nb=nb).materialize()
+            for nb in (2, 3)]
+    out = exchange(sums, "k", lambda g: agg(g, "k", v=("v", "sum")), schema, nb=2).materialize()
+    rows = [m.num_rows for b in out.iter_internal_ref_bundles() for _, m in b.blocks]
+    assert sum(rows) == 997 and min(rows) > 0
+    assert len(rows) <= 997 // EXCHANGE_BLOCK_ROWS + 1
+    got = collect_table(out, empty_schema=schema).sort_by("k")
+    assert got["k"].to_pylist() == list(range(997))
+    assert got["v"].to_pylist() == [2 * len(range(k, n, 997)) for k in range(997)]
+
+
 def _brute_pairs(key, order, cap=None):
     """itertools reference for run_pairs: every (earlier, later) pair of rows
     sharing a key, by (order, row); runs over ``cap`` skipped."""

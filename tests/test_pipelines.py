@@ -139,8 +139,11 @@ def test_cc_chain_converges_in_log_rounds(ray_session, monkeypatch, path):
     rounds) must close in ~2*log2(200)+slack rounds, converged, with every
     node labeled by the chain head — on the driver numpy path AND on the
     distributed attach/min/attach rounds (CC_DRIVER_MAX=0), in the same
-    number of rounds."""
+    number of rounds. Distributed rounds chain exchanges whose outputs are
+    bundled by rows, so every round's labels hold the same number of
+    blocks, within exchange's bound."""
     import pyarrow as pa
+    import ray.data
 
     from smse_backend_ray import config
 
@@ -151,11 +154,25 @@ def test_cc_chain_converges_in_log_rounds(ray_session, monkeypatch, path):
         {"u": pa.array(u, type=pa.int64()), "v": pa.array(v, type=pa.int64())}
     )
     _, driver_rounds, _ = dedup._cc_labels(edges, max_iters=64)
+    blocks = []
     if path == "distributed":
         monkeypatch.setattr(config, "CC_DRIVER_MAX", 0)
+        # each round sums its labels once: record their block count there
+        real_sum = ray.data.Dataset.sum
+
+        def sum_and_count(ds, *a, **kw):
+            blocks.append(ds.num_blocks())
+            return real_sum(ds, *a, **kw)
+
+        monkeypatch.setattr(ray.data.Dataset, "sum", sum_and_count)
     labels, rounds, converged = dedup._cc_labels(edges, max_iters=64)
     assert converged
     assert rounds <= 20 and rounds == driver_rounds
+    if path == "distributed":
+        from smse_backend_ray.functions.arrow_kernels import EXCHANGE_BLOCK_ROWS
+
+        assert blocks == [blocks[0]] * rounds
+        assert blocks[0] <= n // EXCHANGE_BLOCK_ROWS + 1
     assert set(labels["label"].to_pylist()) == {0}
     assert sorted(labels["node"].to_pylist()) == list(range(n))
 

@@ -35,8 +35,9 @@ def _vocab(idx) -> dict[str, int]:
 
 
 def _check_bruteforce(idx, queries) -> None:
-    """suggest == brute-force lev<=1 over the current df table, ranked
-    (lev, -df, term) and cut at SUGGEST_TOP."""
+    """suggest == brute-force lev<=1 over the UTF-8 bytes of the query and
+    the terms of the current df table (DuckDB's levenshtein counts bytes),
+    ranked (lev, -df, term) and cut at SUGGEST_TOP."""
     vocab = _vocab(idx)
     got = suggest(idx, queries)
     assert got.schema.names == ["query_id", "rank", "term", "df", "lev"]
@@ -45,7 +46,7 @@ def _check_bruteforce(idx, queries) -> None:
         exp = sorted(
             (lev, -d, t)
             for t, d in vocab.items()
-            for lev in [_ref_lev(q.lower(), t)]
+            for lev in [_ref_lev(q.lower().encode(), t.encode())]
             if lev <= 1
         )[:SUGGEST_TOP]
         n = len(exp)
@@ -99,6 +100,34 @@ def test_suggest_equals_bruteforce(suggest_idx):
                (9, "x" * (MAX_TOKEN_LEN + 2)), (10, "Sorts"), (7, "hash")]
     _check_bruteforce(suggest_idx, queries)
     assert suggest(suggest_idx, []).num_rows == 0
+
+
+def test_suggest_equals_sql_twin_on_non_ascii(ray_session, tmp_path):
+    """DuckDB's levenshtein (sqlgen.suggest_sql) counts UTF-8 bytes: 'hashé'
+    is 2 edits from 'hash' and 'İ' (lowercased 'i' + U+0307) 2 from 'ix',
+    so neither is suggested; ASCII queries rank as before."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from smse_backend_ray.functions import sqlgen
+    from smse_backend_ray.pipelines.build import build_index
+    from smse_backend_ray.sources.corpus import corpus_from_documents
+
+    texts = ["hash ix table", "hash hashes ex", "ix tables cable", "hash ab"]
+    pq.write_table(pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()), "text": texts,
+                             "lang": ["en"] * len(texts), "source": ["s"] * len(texts)}),
+                   tmp_path / "documents.parquet")
+    idx = str(tmp_path / "idx")
+    build_index(corpus=corpus_from_documents(str(tmp_path)), index_dir=idx,
+                cfg=EngineConfig(n_shards=2))
+    queries = [(0, "hashé"), (1, "İ"), (2, "é"), (3, "hasj"), (4, "IX"), (5, "tabl"),
+               (6, "éx"), (7, "hash")]
+    con = duckdb.connect()
+    con.sql(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{tmp_path}/documents.parquet')")
+    want = con.sql(sqlgen.suggest_sql(queries)).arrow()
+    got = suggest(idx, queries)
+    assert got.to_pylist() == want.to_pylist()
+    assert {r["query_id"] for r in got.to_pylist()} == {3, 4, 5, 7}
 
 
 def _near_miss(word: str, i: int, c: str) -> str:
