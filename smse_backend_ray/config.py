@@ -58,14 +58,6 @@ JACCARD_SHINGLE_DF_CAP = 256
 # paths produce identical output (tested).
 HOT_SHINGLE_BROADCAST_MAX = 65536
 
-# connected-components driver bound (dedup._cc_labels): edge tables at or
-# under this many rows run the same min-label + pointer-jump iteration in
-# numpy on the driver (the verified near-dup pair set is candidate-bounded
-# and usually tiny next to the corpus); larger graphs use the distributed
-# label-Dataset rounds. Not semantic — both paths produce identical
-# (node, component-min) labels (tested).
-CC_DRIVER_MAX = 4_000_000
-
 # unigram-LM broadcast bound (textstats.unigram_logprob): vocabularies at
 # or under this many terms ship once via ray.put and attach map-side
 # (pc.index_in per batch) — 2 exchanges instead of 4; larger vocabularies
@@ -178,23 +170,24 @@ class EngineConfig:
 SHARD_CANDIDATE_K = 30
 DEFAULT_TOP_K = 10
 
-# Serve actor layout (SearchEngine): the actors are full replicas (every
-# ShardSearcher opens every shard, so one query is one actor call) when the
-# replicas' estimated state fits this share of the memory Ray reports for the
-# cluster; otherwise the shards pack over the actors. A replica is estimated
-# at twice the bytes of segments/ and docs/ on disk plus a full decode cache
+# Serve actor layout (SearchEngine): every actor is one ShardIndex over the
+# files of its shards. The actors are full replicas (every actor holds every
+# shard, so one query is one actor call) when the replicas' estimated state
+# fits this share of the memory Ray reports for the cluster; otherwise the
+# shards pack over the actors. A replica is estimated at twice the bytes of
+# segments/ and docs/ on disk plus a full decode cache
 # (SearchEngine._replica_bytes; measured in BASELINE.md "Full-replica serve
 # actors"). The actors reserve no memory from Ray, so the other half stays
 # for the driver, Ray Data work and the actor processes' own ~200 MB each,
 # which either layout pays. 0 always packs.
 SERVE_REPLICA_MEMORY_SHARE = 0.5
 
-# Bound on a serve actor's decoded-term cache: postings and positions of every
-# shard the actor holds share one LRU sized from the arrays' nbytes. A fully
-# decoded perfbench index holds ~12 MB, so the benchmark never evicts. Single
-# queries on a 100k-doc synth index kept ~140 MB of hot terms: a 64 MiB bound
-# evicted them and nearly doubled the hot-query p90 CPU (BASELINE.md
-# "Full-replica serve actors").
+# Bound on a serve actor's decoded-term cache: the postings and positions of
+# every shard the actor holds share its index's one LRU, keyed by term and
+# sized from the arrays' nbytes. A fully decoded perfbench index holds
+# ~12 MB, so the benchmark never evicts. Single queries on a 100k-doc synth
+# index kept ~140 MB of hot terms: a 64 MiB bound evicted them and nearly
+# doubled the hot-query p90 CPU (BASELINE.md "Full-replica serve actors").
 DECODE_CACHE_MAX_BYTES = 256 * 1024 * 1024
 
 # Proximity (mode="near") default window: a doc matches iff some kept-token

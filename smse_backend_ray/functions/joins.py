@@ -1,36 +1,23 @@
 """Distributed join helpers.
 
-Two implementations, chosen by input shape:
+One implementation: ``attach_unique`` / ``attach_left`` / ``semi_join`` /
+``anti_join`` are bucketed joins, a side-tagged union through
+``arrow_kernels.exchange``. Rows hash into a few FAT buckets (never one
+group per key — a per-key map_groups pays a Python call per key, measured
+as the dedup family's wall), and each bucket joins its two sides with
+pyarrow's in-memory C++ Table.join. Empty partitions are a non-event on
+this path, and the per-bucket join is exact.
 
-- ``dsjoin`` — Ray-native hash join. SPARSE-INPUT CAVEAT: Ray 2.49's
-  aggregator materializes a partition that received no blocks as a
-  ZERO-COLUMN table and pyarrow's join then dies with 'No match ... for
-  key field reference' — only safe when every hash partition is
-  near-certain to receive rows on both sides (dense keys, rows >>
-  num_partitions; the relational fact/dim rollups). Found by the
-  adversarial-corpus fuzz (tests/test_sqlgen_fuzz.py).
-
-- ``attach_unique`` / ``attach_left`` / ``semi_join`` / ``anti_join`` —
-  bucketed joins for sparse/candidate-bounded inputs, a side-tagged union
-  through ``arrow_kernels.exchange``: rows hash into a few FAT buckets (never
-  one group per key — a per-key map_groups pays a Python call per key,
-  measured as the dedup family's wall), and each bucket joins its two
-  sides with pyarrow's in-memory C++ Table.join. Empty partitions are a
-  non-event on this path, and the per-bucket join is exact.
+The engine never calls Ray's ``Dataset.join``. SPARSE-INPUT CAVEAT: Ray
+2.49's hash-join aggregator materializes a partition that received no
+blocks as a ZERO-COLUMN table, and pyarrow's join then dies with 'No match
+... for key field reference'. It is only safe when every hash partition
+is near-certain to receive rows on both sides, which candidate-bounded
+inputs (dedup pairs, semi-joins) do not guarantee. Found by the
+adversarial-corpus fuzz (tests/test_sqlgen_fuzz.py).
 """
 
 from __future__ import annotations
-
-
-def dsjoin(left, right, join_type, num_partitions, on, right_on=None):
-    return left.join(
-        right,
-        join_type,
-        num_partitions,
-        on=on,
-        right_on=right_on,
-        aggregator_ray_remote_args={"num_cpus": 0.01},
-    )
 
 
 def cpu_scaled_buckets(

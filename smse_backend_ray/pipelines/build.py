@@ -339,7 +339,7 @@ def _run_segments(ifs: IndexFS, cfg: EngineConfig, paths: list[str]) -> tuple[di
 
     A segment row never spans shards, so each shard's segment table is
     encoded straight from its own docs/**/shard_id=S/ files (_encode_shard).
-    The unit of memory is one shard's postings, the unit a ShardSearcher
+    The unit of memory is one shard's postings, the unit a packed serve
     actor holds.
 
     Returns the stage metrics (``postings`` (sum of df_shard),

@@ -1,8 +1,9 @@
 """Bulk (offline) search: the serving path run over a query list in chunks.
 
-One ``SearchEngine`` opens the index once, packed (one shard-scorer actor
-per shard: a chunk is one call per actor either way, and full replicas
-would each decode the chunk's terms and hold the whole index); the
+One ``SearchEngine`` opens the index once, packed (one scorer actor per
+shard, each a ``ShardIndex`` over its shard's files: a chunk is one call
+per actor either way, and full replicas would each decode the chunk's
+terms and hold the whole index); the
 queries go through ``SearchEngine.search_batch`` in input-order chunks of
 ``CHUNK_QUERIES``, so each chunk is one scatter/gather and the
 driver holds at most one chunk's result at a time while writing. There is

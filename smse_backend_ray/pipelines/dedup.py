@@ -251,7 +251,7 @@ def _score_jaccard(
     The joins run on joins.attach_unique (the bucketed exchange), NOT
     Dataset.join: candidate pairs are sparse, and Ray 2.49's hash-join
     aggregator crashes on hash partitions that receive no rows (see the
-    dsjoin docstring; caught by the adversarial fuzz)."""
+    functions/joins.py module docstring; caught by the adversarial fuzz)."""
     inter_schema = int64_schema("a", "b", "inter")
     # both inputs are MATERIALIZED by the callers, so count() is free and
     # sizes the bucket exchange to the data
@@ -561,7 +561,7 @@ def minhash_lsh_pairs(
     (_score_jaccard). All joins here run on joins.semi_join /
     joins.attach_unique (sort-shuffle, empty-partition-safe) — candidate
     sets are sparse and Ray's hash-join aggregator crashes on empty hash
-    partitions (dsjoin docstring)."""
+    partitions (functions/joins.py module docstring)."""
     def band_rows(t: pa.Table) -> pa.Table:
         lists = [doc_shingles(x) for x in t["text"].to_pylist()]
         sigs = _minhash_sig_batch(lists)  # one matrix op for the whole batch
@@ -905,14 +905,23 @@ def embedding_dup_pairs_ivf_checked(
 CLUSTER_MAX_ITERS = 64
 
 
-def _cc_labels_driver(
-    edges_t: pa.Table, max_iters: int
-) -> tuple[pa.Table, int, bool]:
-    """Driver-side twin of the distributed _cc_labels rounds (numpy over
-    compact node indices): per round, new(u) = min(label(u), min over
-    edges of label(v)), then one pointer jump new = new[new]. Node ids map
-    to sorted compact indices, so index order == id order and the
-    component-min index maps back to the component-min doc_id."""
+def _cc_labels(edges_t: pa.Table, max_iters: int) -> tuple[pa.Table, int, bool]:
+    """Connected components over a bidirectional (u, v) edge table ->
+    ((node, label=component min) table, rounds used, converged), in numpy
+    on the driver over compact node indices (the edge table is built from
+    the collected verified pair set, which is candidate-bounded).
+
+    Each round = min-label propagation over neighbours, new(u) =
+    min(label(u), min over edges of label(v)), followed by one POINTER
+    JUMP new = new[new] (valid because label values are always node
+    indices in the same component with label(x) <= x, so jumping is
+    monotone and component-preserving). The jump makes convergence
+    O(log diameter) rounds instead of O(diameter): a 200-link chain closes
+    in ~8 rounds, not 200 (tests pin this). A round that changes nothing
+    is the fixpoint: labels are then constant per component, hence the
+    component min. Node ids map to sorted compact indices, so index order
+    == id order and the component-min index maps back to the
+    component-min doc_id."""
     nodes = np.unique(edges_t["u"].to_numpy(zero_copy_only=False))
     u = np.searchsorted(nodes, edges_t["u"].to_numpy(zero_copy_only=False))
     v = np.searchsorted(nodes, edges_t["v"].to_numpy(zero_copy_only=False))
@@ -936,72 +945,12 @@ def _cc_labels_driver(
     return out, rounds, converged
 
 
-def _cc_labels(edges_t: pa.Table, max_iters: int) -> tuple[pa.Table, int, bool]:
-    """Distributed connected components over a bidirectional (u, v) edge
-    table -> ((node, label=component min) table, rounds used, converged).
-
-    Each round = min-label propagation over neighbors (attach each
-    neighbour's label, grouped min per node) followed by one POINTER JUMP
-    (attach label(label(u)) — valid because label values are always node
-    ids in the same component with label(x) <= x, so jumping is monotone
-    and component-preserving). The jump makes convergence O(log diameter)
-    rounds instead of O(diameter): a 200-link chain closes in ~8 rounds,
-    not 200 (tests pin this). Labels only decrease, so a round changed
-    nothing exactly when the label sum did not drop; that fixpoint
-    implies labels are constant per component, hence the component min.
-
-    Edge tables at or under config.CC_DRIVER_MAX rows run the SAME
-    iteration in numpy on the driver (the verified pair set is
-    candidate-bounded; at gate scale the distributed rounds cost ~2 s of
-    pure exchange latency per round for <100 edges). Identical labels by
-    construction — min-propagation + pointer jumping over compact node
-    indices, component-preserving either way (tested equal)."""
-    from smse_backend_ray import config as _config
-
-    if edges_t.num_rows <= _config.CC_DRIVER_MAX:
-        return _cc_labels_driver(edges_t, max_iters)
-    nodes = pc.unique(edges_t["u"])
-    edges = ray.data.from_arrow(edges_t).materialize()
-    labels = ray.data.from_arrow(pa.table({"node": nodes, "label": nodes})).materialize()
-    lab = int64_schema("node", "label")
-    nb = _small_nb(edges_t.num_rows)
-    total = pc.sum(nodes).as_py()
-    rounds, converged = 0, False
-    for _ in range(max_iters):
-        rounds += 1
-        # min-propagation: a node's candidates are its own label and every
-        # neighbour's label(v)
-        nbr = attach_unique(edges, labels.rename_columns({"node": "v"}), "v", "v",
-                            int64_schema("u", "v"), int64_schema("label"), nb=nb)
-        cands = arrow_map(nbr, lambda t: t.select(["u", "label"]).rename_columns(lab.names))
-        new = grouped_aggregate([cands, labels], ["node"], lab, nb=nb,
-                                label=("label", "min")).materialize()
-        # pointer jump: label(u) <- label(label(u))
-        jumped = attach_unique(new, new.rename_columns({"label": "jump"}), "label", "node",
-                               lab, int64_schema("jump"), nb=nb)
-        # read twice (the sum below, the next round): materialized, and
-        # rebuilt from its block refs so it carries no lineage — each
-        # round's Dataset stats would hold every earlier round's twice, and
-        # the driver's walk of them doubled the round wall every round.
-        # The exchanges bundle their output, so its block count stays flat
-        labels = ray.data.from_arrow_refs(arrow_map(
-            jumped, lambda t: t.select(["node", "jump"]).rename_columns(lab.names)
-        ).materialize().to_arrow_refs())
-        # labels only decrease, so an unchanged sum means unchanged labels
-        new_total = labels.sum("label")
-        if new_total == total:
-            converged = True
-            break
-        total = new_total
-    return collect_table(labels, empty_schema=lab), rounds, converged
-
-
 def _clusters_from_pairs(
     pairs: pa.Table, max_iters: int, op_name: str
 ) -> pa.Table:
     """Shared CC tail for every pair-producing dedup signal: (a, b) pair
     table -> (doc_id, cluster_id = component-min doc_id, cluster_size),
-    sorted by doc_id. See _cc_labels for the distributed iteration shape;
+    sorted by doc_id. See _cc_labels for the iteration;
     ``op_name`` labels the non-convergence warning."""
     if pairs.num_rows == 0:
         return int64_schema("doc_id", "cluster_id", "cluster_size").empty_table()
@@ -1034,11 +983,10 @@ def dedup_clusters(
     cluster size. The canonical 'pick one representative per near-dup
     group' step a training pipeline runs after pair generation.
 
-    Scale shape: see _cc_labels — iterative distributed min-label
-    propagation + pointer jumping, O(log diameter) rounds, state lives in a
-    materialized label Dataset (one row per CANDIDATE doc, not per corpus
-    doc). Capped at ``max_iters`` with a logged warning, never a silent
-    stop. The DuckDB twin computes the same closure with a recursive CTE."""
+    Scale shape: see _cc_labels — min-label propagation + pointer
+    jumping, O(log diameter) rounds, over one label per CANDIDATE doc (not
+    per corpus doc). Capped at ``max_iters`` with a logged warning, never a
+    silent stop. The DuckDB twin computes the same closure with a recursive CTE."""
     return _clusters_from_pairs(
         jaccard_pairs(sf_dir, threshold, df_cap), max_iters, "dedup_clusters"
     )

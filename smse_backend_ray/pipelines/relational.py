@@ -142,7 +142,7 @@ def revenue_by_month(sf_dir: str) -> pa.Table:
     <= #months partial, and the final merge is a driver-side pyarrow
     group_by over nb * #months rows — exact integer sums, order-free,
     bounded by calendar size (not corpus size) at any scale. Replaces the
-    dsjoin + Ray Aggregate chain whose per-partition aggregator actors
+    Dataset.join + Ray Aggregate chain whose per-partition aggregator actors
     started ~180 worker processes for a 60 k-row input (measured 13-23 s;
     this path: ~1 s)."""
 

@@ -35,7 +35,7 @@ from smse_backend_ray.functions.bm25 import idf as idf_fn
 from smse_backend_ray.functions.fusion import fuse_parts
 from smse_backend_ray.functions.normalize import NORMALIZERS
 from smse_backend_ray.queryset import QuerySpec
-from smse_backend_ray.stages.scorer import ShardSearcher
+from smse_backend_ray.stages.scorer import ShardIndex
 from smse_backend_ray.state.catalog import Catalog, by_shard
 from smse_backend_ray.state.fs import IndexFS
 
@@ -52,10 +52,14 @@ RESULT_SCHEMA = pa.schema(
     ]
 )
 
+# a serve actor: one ShardIndex over the files of all of its shards
+_ShardActor = ray.remote(ShardIndex)
+
 
 class SearchEngine:
     """Serving handle over a built index. Creates ``num_actors`` scorer
-    actors: full replicas of every shard when their estimated state fits
+    actors, each ONE ``ShardIndex`` over the files of all of its shards:
+    full replicas of every shard when their estimated state fits
     ``config.SERVE_REPLICA_MEMORY_SHARE`` of the memory Ray reports
     (default count: the CPUs Ray reports, at most one per shard), else
     shards packed into replica sets (default: one actor per shard).
@@ -99,18 +103,17 @@ class SearchEngine:
             n = num_actors or self.n_shards
             per_set = min(n, self.n_shards)
         n_sets = max(1, n // per_set)
-        segs, docs = (by_shard(self.ifs, self.cat.files(t)) for t in ("segments", "docs"))
-        mk = lambda g: ShardSearcher.remote(  # noqa: E731
-            self.ifs,
-            {s: (segs.get(s, []), docs.get(s, [])) for s in g},
-            self.avgdl,
-            {"k1": self.params.k1, "b": self.params.b},
-            cfg.get("block_size", 128),
-        )
-        groups: list[list[int]] = [[] for _ in range(per_set)]
-        for s in range(self.n_shards):
-            groups[s % per_set].append(s)
-        self.actor_sets = [[mk(g) for g in groups] for _ in range(n_sets)]
+        # actor g of a set holds shards s with s % per_set == g: its
+        # (segment files, doc files), shard-ascending
+        files = [([], []) for _ in range(per_set)]
+        for i, t in enumerate(("segments", "docs")):
+            for s, paths in sorted(by_shard(self.ifs, self.cat.files(t)).items()):
+                files[s % per_set][i].extend(paths)
+        self.actor_sets = [
+            [_ShardActor.remote(self.ifs, None, self.avgdl, self.params, cfg.get("block_size", 128), f)
+             for f in files]
+            for _ in range(n_sets)
+        ]
         # the df table stays resident, term-sorted (the build writes one
         # term-sorted file; indexes from older builds may hold several):
         # every df lookup is a binary search over it, never a parquet
@@ -119,7 +122,7 @@ class SearchEngine:
         df = df.take(pa.compute.sort_indices(df["term"]))
         self._df_terms = df["term"].to_numpy()
         self._df = df["df"].to_numpy().astype(np.int64)
-        ray.get([a.ping.remote() for st in self.actor_sets for a in st])
+        ray.get([a.__ray_ready__.remote() for st in self.actor_sets for a in st])
         # sorted, shipped once per actor call (not per job)
         self._tomb_ids = np.array(sorted(self._load_tombstones()), dtype=np.int64)
         self._next_query_id = self._load_next_query_id()
@@ -547,7 +550,7 @@ class SearchEngine:
         """Per-query facet (repo/lang) counts over ALL matching docs — the
         search-UI filter-sidebar analog. Match semantics (mode, scope,
         threshold on rounded score, tombstones) are identical to
-        search_batch, WITHOUT top-k truncation. Per-shard partial counts sum
+        search_batch, WITHOUT top-k truncation. Per-actor partial counts sum
         exactly (each doc lives in one shard); each (query, facet) keeps its
         FACET_MAX_VALUES largest values by (n_docs DESC, value ASC), which
         bounds the result when a facet has huge cardinality. Frozen pair:
@@ -555,7 +558,7 @@ class SearchEngine:
         from smse_backend_ray.config import FACET_MAX_VALUES
 
         jobs = [j for j in map(self._job_for, queries) if j is not None]
-        job, parts = self._scatter("facets", jobs)
+        job, parts = self._scatter("facet_counts", jobs)
         if not job.size:
             return self.FACET_SCHEMA.empty_table()
         # one int64 key per (query_id, facet) that sorts like the pair

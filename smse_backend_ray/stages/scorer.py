@@ -3,25 +3,28 @@
 Reference analog: the pgvector index queried per modality with DB-side top-k
 (smse_backend/services/search.py:97-110) and the worker-resident model state
 (module globals loaded once per worker, smse_backend/tasks.py:35-39). Here the
-per-worker state is an index shard: a ``ShardSearcher`` Ray actor loads its
-shards' segment + docmeta parquet ONCE in ``__init__`` and then answers top-k
-for batches of queries with vectorized numpy scoring.
+per-worker state is an index over one or more shards: a serve actor is
+``ray.remote(ShardIndex)``, which loads its shards' segment + docmeta
+parquet ONCE in ``__init__`` and then answers top-k for batches of queries
+with vectorized numpy scoring.
 
-Shard state stays COLUMNAR: segments are held as one term-sorted Arrow
-table; a term's postings decode straight from its rows' binary buffers on
-first query of the term (decoded postings, and positions for positional
-terms, share one LRU per actor, bounded at config.DECODE_CACHE_MAX_BYTES
-whatever the number of shards the actor holds).
+An actor's shards are ONE index: shards hold disjoint doc sets, exactly as
+segment generations do, so their segment files concatenate into one
+term-sorted Arrow table (a term's rows, one per shard x generation, are
+contiguous) and their doc files into one doc_id-sorted meta table. A
+term's postings decode straight from its rows' binary buffers on first
+query of the term (decoded postings, and positions for positional terms,
+share the index's one LRU, bounded at config.DECODE_CACHE_MAX_BYTES).
 Actor start cost is O(1 table concat + 1 sort), flat as the vocabulary
 grows — never a to_pylist of every segment row.
 
 Every query mode goes through one path: ``ShardIndex.match`` (the only mode
-dispatch) scores one (job, shard); ``ShardIndex.hits`` concatenates its
-matches over every job of an actor call, and ``ShardIndex.visible`` applies
-the tombstone + scope filter to all of them at once. Results then finalize
-ONCE per call over every job and shard (``_top_k``: rounding, one sort, each
-job's top-k cut, the survivors' meta rows); facets count the same visible
-rows (``ShardIndex.facet_counts``).
+dispatch) scores one job; ``ShardIndex.hits`` concatenates its matches over
+every job of an actor call, and ``ShardIndex.visible`` applies the
+tombstone + scope filter to all of them at once. Results then finalize
+ONCE per call over every job (``ShardIndex.search``: rounding, one sort,
+each job's top-k cut, the survivors' meta rows); facets count the same
+visible rows (``ShardIndex.facet_counts``).
 
 All index reads go through state/fs.IndexFS, so shards load from any
 pyarrow.fs location (local, file://, s3://, or an injected FileSystem).
@@ -38,8 +41,6 @@ from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
-
-import ray
 
 from smse_backend_ray import config
 from smse_backend_ray.config import SCORE_DECIMALS, BM25Params
@@ -155,26 +156,26 @@ def _job(terms, weights, scope: str, k: int, **mode) -> dict:
 
 
 class ShardIndex:
-    """Columnar view of one shard (segments + doc metadata)."""
+    """Columnar view of one or more shards (segments + doc metadata): the
+    whole state of a serve actor."""
 
     def __init__(
         self,
         index_dir,
-        shard_id: int,
+        shard_id: int | None,
         avgdl: float,
         params: BM25Params,
         block_size: int = 128,
-        cache: _ByteLRU | None = None,
         files: tuple[list[str], list[str]] | None = None,
     ):
+        """``files``: the committed (segment files, doc files) of every
+        shard the index holds, from the caller's snapshot of the manifest;
+        None opens shard ``shard_id`` from the manifest's lists now."""
         ifs = resolve(index_dir)
-        self.shard_id = shard_id
         self.avgdl = avgdl
         self.params = params
         self.block_size = block_size
 
-        # the shard's committed (segment files, doc files): the caller's
-        # snapshot of the manifest, else the manifest's lists now
         if files is None:
             cat = Catalog(ifs)
             files = (cat.shard_files("segments", shard_id), cat.shard_files("docs", shard_id))
@@ -189,9 +190,10 @@ class ShardIndex:
             cols = SEGMENT_COLS + (POS_SEGMENT_COLS if self.has_positions else [])
             seg = pa.concat_tables(ifs.read_tables(seg_files, columns=cols))
             # the only full-vocabulary pass: one STABLE C++ sort by term
-            # (stability keeps generation order within a term — file order,
-            # which append_index relies on only for determinism of caches;
-            # scores are order-free across generations, disjoint doc sets).
+            # (stability keeps file order within a term — shard and
+            # generation order, which append_index relies on only for
+            # determinism of caches; scores are order-free across shards
+            # and generations, disjoint doc sets).
             # Term lookup is then a binary search over the sorted column —
             # no Python-per-row dict build, which at real-corpus vocabulary
             # (millions of terms) cost seconds per actor.
@@ -201,13 +203,12 @@ class ShardIndex:
             seg = None
             self._terms_sorted = np.empty(0, dtype=object)
         self._seg = seg
-        # (shard, "post", term) -> (doc_ids, tfs, tf-norms), and for
-        # positional terms (shard, "pos", term) -> (flat positions, sorted
-        # doc_ids, tfs, starts): one LRU bounded in bytes, shared by every
-        # shard of an actor (ShardSearcher passes it in)
-        self._cache = cache if cache is not None else _ByteLRU(config.DECODE_CACHE_MAX_BYTES)
+        # ("post", term) -> (doc_ids, tfs, tf-norms), and for positional
+        # terms ("pos", term) -> (flat positions, sorted doc_ids, tfs,
+        # starts): one LRU bounded in bytes
+        self._cache = _ByteLRU(config.DECODE_CACHE_MAX_BYTES)
 
-        # read only this shard's meta cols
+        # read only the meta cols
         if meta_files:
             m = pa.concat_tables(
                 ifs.read_tables(meta_files, columns=["doc_id", "repo", "path", "lang"])
@@ -219,8 +220,8 @@ class ShardIndex:
                  **{c: pa.array([], type=pa.string()) for c in ("repo", "path", "lang")}}
             )
         # per meta row (doc_id order): paths stay COMPACT Arrow at rest (no
-        # per-row Python strings for the whole shard; rows become Python
-        # only for the <=k survivors of each job, _top_k); repo and lang
+        # per-row Python strings for the whole index; rows become Python
+        # only for the <=k survivors of each job, ``search``); repo and lang
         # are int32 codes into their distinct values, compared (scope) and
         # counted (facets) as integers
         self.meta_ids = m["doc_id"].to_numpy()
@@ -233,7 +234,8 @@ class ShardIndex:
     # -- lazy per-term state ----------------------------------------------
 
     def _rows(self, term: str) -> range:
-        """The term's segment rows (one per generation) in the sorted table."""
+        """The term's segment rows (one per shard x generation) in the
+        sorted table."""
         lo = int(np.searchsorted(self._terms_sorted, term, side="left"))
         return range(lo, int(np.searchsorted(self._terms_sorted, term, side="right")))
 
@@ -242,13 +244,14 @@ class ShardIndex:
         return self._seg[col][i].as_buffer()
 
     def _decoded(self, term: str):
-        """(doc_ids, tfs, tf-norms) of a term, cached: each generation's row
-        is decoded straight from the segment table's buffers, concatenated
-        across generations (doc sets are disjoint, so the per-(doc, term)
-        contribution set — and therefore the accumulation result — is
-        independent of concatenation order). The doc lengths are read only
-        to compute the tf-norms, which the cache keeps in their place."""
-        dec = self._cache.get((self.shard_id, "post", term))
+        """(doc_ids, tfs, tf-norms) of a term, cached: each row (one per
+        shard x generation) is decoded straight from the segment table's
+        buffers, concatenated across rows (doc sets are disjoint, so the
+        per-(doc, term) contribution set — and therefore the accumulation
+        result — is independent of concatenation order). The doc lengths
+        are read only to compute the tf-norms, which the cache keeps in
+        their place."""
+        dec = self._cache.get(("post", term))
         if dec is None:
             rows = self._rows(term)
             if not rows:
@@ -259,20 +262,19 @@ class ShardIndex:
             ]
             ids, tfs, dls = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
             dec = (ids, tfs, tfnorm_vec(tfs, dls, self.avgdl, self.params))
-            self._cache.put((self.shard_id, "post", term), dec)
+            self._cache.put(("post", term), dec)
         return dec
 
     def _positions(self, term: str) -> tuple:
         """(flat positions, sorted doc_ids, tfs, starts) of a positional
         term, cached; the doc with the k-th smallest id owns positions
-        flat[starts[k] : starts[k] + tfs[k]] (generations concatenate
-        their postings unsorted, so tfs and starts are permuted into id
-        order). The entry stands alone: it holds every array that
-        ``_cand_seg`` reads. The term's per-generation position streams
-        decode as ONE stream against the decoded tfs: position deltas reset
-        at every posting start, and a generation boundary is a posting
-        start."""
-        hit = self._cache.get((self.shard_id, "pos", term))
+        flat[starts[k] : starts[k] + tfs[k]] (rows concatenate their
+        postings unsorted, so tfs and starts are permuted into id order).
+        The entry stands alone: it holds every array that ``_cand_seg``
+        reads. The term's per-row position streams decode as ONE stream
+        against the decoded tfs: position deltas reset at every posting
+        start, and a row boundary is a posting start."""
+        hit = self._cache.get(("pos", term))
         if hit is None:
             ids, tfs, _tfn = self._decoded(term)
             stream = np.concatenate(
@@ -281,11 +283,11 @@ class ShardIndex:
             order = np.argsort(ids, kind="stable")
             starts = np.concatenate(([0], np.cumsum(tfs)))[:-1]
             hit = (decode_positions({"pos_bytes": stream}, tfs), ids[order], tfs[order], starts[order])
-            self._cache.put((self.shard_id, "pos", term), hit)
+            self._cache.put(("pos", term), hit)
         return hit
 
     def excluded_ids(self, terms: list[str]) -> np.ndarray:
-        """Union of doc_ids containing ANY of ``terms`` in this shard
+        """Union of doc_ids containing ANY of ``terms`` in this index
         (boolean-NOT support: merged into the tombstone filter, which
         applies BEFORE scope/threshold/top-k in every mode)."""
         parts = [dec[0] for dec in map(self._decoded, terms) if dec is not None]
@@ -296,7 +298,7 @@ class ShardIndex:
     # -- matching ------------------------------------------------------------
 
     def match(self, job: dict) -> "tuple[np.ndarray, np.ndarray] | None":
-        """(uniq doc_ids, raw scores) of EVERY doc of this shard that matches
+        """(uniq doc_ids, raw scores) of EVERY doc of this index that matches
         the job — no tombstone/scope/threshold/top-k applied — or None.
 
         The only branch on the job's mode. OR matches any doc containing a
@@ -337,9 +339,9 @@ class ShardIndex:
 
     def _conj_candidates(self, terms: list[str]) -> np.ndarray:
         """doc_ids (sorted) containing EVERY term; empty when any term is
-        absent from this shard. Docs live in exactly one shard, so the
-        per-shard intersection is globally correct. AND mode matches
-        exactly these docs."""
+        absent from this index. Docs live in exactly one shard, so the
+        intersection over an index's shards is globally correct. AND mode
+        matches exactly these docs."""
         cand = np.empty(0, dtype=np.int64)
         for i, t in enumerate(terms):
             dec = self._decoded(t)
@@ -369,7 +371,7 @@ class ShardIndex:
         """All occurrences of ``term`` in candidate docs as global keys
         rank*_POS_OFF + position — gathers ONLY the candidate docs'
         position segments (O(occurrences within cand), never a pass over
-        every occurrence of the term in the shard), ascending."""
+        every occurrence of the term in the index), ascending."""
         flat, L, off = self._cand_seg(term, cand)
         tok_off = np.concatenate(([0], np.cumsum(L)))
         idx = (
@@ -462,7 +464,9 @@ class ShardIndex:
         return cand[np.unique(doc_of[hit])]
 
     def _require_positions(self, what: str) -> None:
-        if not self.has_positions:
+        # an index with no segment file (its shards are empty) has no
+        # footer to tell; it matches nothing in any mode
+        if self._seg is not None and not self.has_positions:
             raise RuntimeError(
                 f"{what} search requires a positional index "
                 "(EngineConfig.with_positions=True at build time)"
@@ -471,7 +475,7 @@ class ShardIndex:
     # -- results -------------------------------------------------------------
 
     def _excluded(self, job: dict) -> "np.ndarray | None":
-        """The job's own excluded doc ids on this shard, sorted: its
+        """The job's own excluded doc ids in this index, sorted: its
         ``exclude_ids`` (more_like_this drops its source doc) and (boolean
         NOT) the docs containing any excluded term."""
         ex = job.get("exclude_terms")
@@ -482,8 +486,8 @@ class ShardIndex:
         return np.unique(np.concatenate(parts)) if parts else None
 
     def hits(self, jobs: list[dict]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(job index, doc_id, raw score) of every match of every job on
-        this shard, concatenated job by job, minus each job's own
+        """(job index, doc_id, raw score) of every match of every job in
+        this index, concatenated job by job, minus each job's own
         exclusions (``_excluded``)."""
         js, ids, sc = [], [], []
         for j, job in enumerate(jobs):
@@ -512,7 +516,7 @@ class ShardIndex:
         pos = np.searchsorted(self.meta_ids, doc_ids)  # every matched doc is in meta
         scopes = [job.get("scope", "") for job in jobs]
         if any(scopes):
-            # per job: -1 = no scope; a repo this shard lacks gets a code no
+            # per job: -1 = no scope; a repo this index lacks gets a code no
             # row has (one past the null code)
             absent = self.values["repo"].size
             want = np.array(
@@ -524,11 +528,40 @@ class ShardIndex:
             jix, doc_ids, scores, pos = jix[keep], doc_ids[keep], scores[keep], pos[keep]
         return jix, doc_ids, scores, pos
 
+    def search(self, jobs: list[dict], tombstones: "np.ndarray | None" = None) -> tuple:
+        """jobs: [{terms, weights, scope, k, mode...}] plus the engine's
+        sorted tombstone ids -> each job's top-k candidates, finalized ONCE
+        for the call: the tombstone + scope filter runs once over all jobs;
+        then one rounding, one (job, rscore DESC, doc_id ASC) sort, each
+        job's cut to its k, one path take and two code lookups for the
+        survivors. Returns flat columns (job index into ``jobs``, doc_id
+        int64, score f64, rscore f64, repo, path, lang) in that sort order.
+        Numbers travel as numpy arrays and strings as plain lists, never as
+        a pa.Table: Ray's Arrow table reducer costs ~10x a tuple of arrays
+        for a few dozen rows.
+
+        A per-actor cut keeps every row the driver's threshold + limit cut
+        can keep: k >= limit, rows passing the threshold are a prefix of
+        each job's order, and this order is the driver's order restricted
+        to the actor's rows."""
+        jix, doc_id, score, pos = self.visible(jobs, *self.hits(jobs), tombstones)
+        rscore = round_half_away(score, SCORE_DECIMALS)
+        order = np.lexsort((doc_id, -rscore, jix))
+        js = jix[order]
+        rank = np.arange(js.size) - np.searchsorted(js, js)  # 0 at each job's start
+        order = order[rank < np.array([job["k"] for job in jobs], dtype=np.int64)[js]]
+        # the survivors' rows become Python strings here (numpy's tolist:
+        # ~10x faster than Arrow's to_pylist)
+        rows = pos[order]
+        repo, lang = (self.values[c][self.codes[c][rows]].tolist() for c in FACETS)
+        path = self.paths.take(rows).to_numpy(zero_copy_only=False).tolist()
+        return jix[order], doc_id[order], score[order], rscore[order], repo, path, lang
+
     def top_k(self, job: dict, tombstones: "np.ndarray | None" = None) -> dict:
-        """One job's top-k on this shard, through the same finalize as an
-        actor call (``_top_k``): doc_id, score, rscore, repo, path and lang,
-        ordered by (rscore DESC, doc_id ASC) and truncated to k."""
-        cols = _top_k([self], [job], tombstones)
+        """One job's top-k through ``search``: doc_id, score, rscore, repo,
+        path and lang, ordered by (rscore DESC, doc_id ASC) and truncated
+        to k."""
+        cols = self.search([job], tombstones)
         return dict(zip(("doc_id", "score", "rscore", "repo", "path", "lang"), cols[1:]))
 
     # one-mode job builders over top_k, for in-process probes (perfbench)
@@ -550,7 +583,7 @@ class ShardIndex:
 
     def facet_counts(self, jobs: list[dict], tombstones=None) -> tuple:
         """(job index int64, facet, value, n_docs int64) counts over ALL
-        matching docs of each job on this shard (the search-UI
+        matching docs of each job in this index (the search-UI
         filter-sidebar analog; A3/A4 aggregation family) — no top-k
         truncation. Match, tombstone and scope semantics are those of
         ``top_k``; threshold applies to the ROUNDED score like the result
@@ -572,91 +605,6 @@ class ShardIndex:
                 val += self.values[f][nz].tolist()
                 cnt.append(n[nz])
         return _cat(out, np.int64), fac, val, _cat(cnt, np.int64)
-
-
-def _top_k(shards: list[ShardIndex], jobs: list[dict], tombstones) -> tuple:
-    """Every job's candidates over ``shards``, finalized ONCE for the call:
-    the tombstone + scope filter runs once per shard over all jobs; then,
-    over the concatenated rows, one rounding, one (job, rscore DESC, doc_id
-    ASC) sort and each job's cut to its k; then, per shard, one path take
-    and two code lookups for the survivors. Returns flat columns (job index,
-    doc_id, score, rscore, repo, path, lang), grouped by shard, each group
-    in that sort order.
-
-    A per-actor cut keeps every row the driver's threshold + limit cut can
-    keep, as a per-shard cut did: k >= limit, rows passing the threshold
-    are a prefix of each job's order, and this order is the driver's order
-    restricted to the actor's rows."""
-    parts = [sh.visible(jobs, *sh.hits(jobs), tombstones) for sh in shards]
-    six = np.repeat(np.arange(len(shards)), [p[0].size for p in parts])
-    jix, doc_id, score, pos = (np.concatenate([p[c] for p in parts]) for c in range(4))
-    rscore = round_half_away(score, SCORE_DECIMALS)
-    order = np.lexsort((doc_id, -rscore, jix))
-    js = jix[order]
-    rank = np.arange(js.size) - np.searchsorted(js, js)  # 0 at each job's start
-    order = order[rank < np.array([job["k"] for job in jobs], dtype=np.int64)[js]]
-    order = order[np.argsort(six[order], kind="stable")]
-    bounds = np.searchsorted(six[order], np.arange(len(shards) + 1))
-    meta: dict[str, list] = {"repo": [], "path": [], "lang": []}
-    for s, sh in enumerate(shards):
-        rows = pos[order[bounds[s] : bounds[s + 1]]]
-        if rows.size:  # the survivors' rows become Python strings here
-            # (numpy's tolist: ~10x faster than Arrow's to_pylist)
-            meta["path"] += sh.paths.take(rows).to_numpy(zero_copy_only=False).tolist()
-            for c in FACETS:
-                meta[c] += sh.values[c][sh.codes[c][rows]].tolist()
-    return (
-        jix[order], doc_id[order], score[order], rscore[order],
-        meta["repo"], meta["path"], meta["lang"],
-    )
-
-
-@ray.remote
-class ShardSearcher:
-    """Actor owning one or more shards (actor-pool stage ST1/ST4 analog:
-    state loaded once in __init__, smse_backend/tasks.py:35-103)."""
-
-    def __init__(
-        self,
-        index_dir,
-        shard_files: dict[int, tuple[list[str], list[str]]],
-        avgdl: float,
-        params_dict: dict,
-        block_size: int = 128,
-    ):
-        """``shard_files``: shard id -> its committed (segment files, doc
-        files), from the manifest the engine read."""
-        params = BM25Params(**params_dict)
-        # one decode cache for all of the actor's shards
-        self.cache = _ByteLRU(config.DECODE_CACHE_MAX_BYTES)
-        self.shards = [
-            ShardIndex(index_dir, s, avgdl, params, block_size, self.cache, files)
-            for s, files in sorted(shard_files.items())
-        ]
-
-    def ping(self) -> bool:
-        return True
-
-    def facets(self, jobs: list[dict], tombstones: "np.ndarray | None" = None) -> tuple:
-        """Per-job facet counts over this actor's shards as flat columns:
-        (job index int64, facet, value, n_docs int64) — partial counts the
-        driver sums (each doc lives in exactly one shard, so the sums are
-        exact)."""
-        parts = [sh.facet_counts(jobs, tombstones) for sh in self.shards]
-        return (
-            _cat([p[0] for p in parts], np.int64), [f for p in parts for f in p[1]],
-            [v for p in parts for v in p[2]], _cat([p[3] for p in parts], np.int64),
-        )
-
-    def search(self, jobs: list[dict], tombstones: "np.ndarray | None" = None) -> tuple:
-        """jobs: [{terms, weights, scope, k, mode...}] plus the engine's
-        sorted tombstone ids -> each job's top-k candidates over this
-        actor's shards (``_top_k``) as flat columns: (job index into
-        ``jobs``, doc_id int64, score f64, rscore f64, repo, path, lang).
-        Numbers travel as numpy arrays and strings as plain lists, never as
-        a pa.Table: Ray's Arrow table reducer costs ~10x a tuple of arrays
-        for a few dozen rows."""
-        return _top_k(self.shards, jobs, tombstones)
 
 
 def _cat(parts: list, dtype) -> np.ndarray:

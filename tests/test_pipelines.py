@@ -132,20 +132,12 @@ def test_winnow_dup_clusters_matches_sql(ray_session, sf_dir, duck):
     assert all(cid <= did for did, cid in lbl.items())
 
 
-@pytest.mark.parametrize("path", ["driver", "distributed"])
-def test_cc_chain_converges_in_log_rounds(ray_session, monkeypatch, path):
+def test_cc_chain_converges_in_log_rounds():
     """Pointer jumping bounds connected-components rounds by O(log diameter):
     a 200-link chain (worst case for plain min propagation, which needs 200
     rounds) must close in ~2*log2(200)+slack rounds, converged, with every
-    node labeled by the chain head — on the driver numpy path AND on the
-    distributed attach/min/attach rounds (CC_DRIVER_MAX=0), in the same
-    number of rounds. Distributed rounds chain exchanges whose outputs are
-    bundled by rows, so every round's labels hold the same number of
-    blocks, within exchange's bound."""
+    node labeled by the chain head."""
     import pyarrow as pa
-    import ray.data
-
-    from smse_backend_ray import config
 
     n = 201
     u = list(range(n - 1)) + list(range(1, n))
@@ -153,38 +145,18 @@ def test_cc_chain_converges_in_log_rounds(ray_session, monkeypatch, path):
     edges = pa.table(
         {"u": pa.array(u, type=pa.int64()), "v": pa.array(v, type=pa.int64())}
     )
-    _, driver_rounds, _ = dedup._cc_labels(edges, max_iters=64)
-    blocks = []
-    if path == "distributed":
-        monkeypatch.setattr(config, "CC_DRIVER_MAX", 0)
-        # each round sums its labels once: record their block count there
-        real_sum = ray.data.Dataset.sum
-
-        def sum_and_count(ds, *a, **kw):
-            blocks.append(ds.num_blocks())
-            return real_sum(ds, *a, **kw)
-
-        monkeypatch.setattr(ray.data.Dataset, "sum", sum_and_count)
     labels, rounds, converged = dedup._cc_labels(edges, max_iters=64)
     assert converged
-    assert rounds <= 20 and rounds == driver_rounds
-    if path == "distributed":
-        from smse_backend_ray.functions.arrow_kernels import EXCHANGE_BLOCK_ROWS
-
-        assert blocks == [blocks[0]] * rounds
-        assert blocks[0] <= n // EXCHANGE_BLOCK_ROWS + 1
+    assert rounds <= 20
     assert set(labels["label"].to_pylist()) == {0}
     assert sorted(labels["node"].to_pylist()) == list(range(n))
 
 
-def test_cc_driver_path_matches_distributed(ray_session, monkeypatch):
-    """The driver-side numpy CC fast path (edges <= CC_DRIVER_MAX) must
-    label identically to the distributed label-Dataset rounds — same
-    (node, component-min) table on a graph with a chain, a triangle,
-    an isolated pair, and non-contiguous node ids."""
+def test_cc_labels_are_component_minima():
+    """Connected components label every node with its component's min id
+    on a graph with a chain, a triangle, an isolated pair, and
+    non-contiguous node ids."""
     import pyarrow as pa
-
-    from smse_backend_ray import config
 
     pairs = [(10, 20), (20, 30), (30, 40), (100, 200), (200, 300),
              (100, 300), (7, 9000)]
@@ -193,13 +165,9 @@ def test_cc_driver_path_matches_distributed(ray_session, monkeypatch):
     edges = pa.table(
         {"u": pa.array(u, type=pa.int64()), "v": pa.array(v, type=pa.int64())}
     )
-    fast, _, conv_fast = dedup._cc_labels(edges, max_iters=64)
-    monkeypatch.setattr(config, "CC_DRIVER_MAX", 0)
-    slow, _, conv_slow = dedup._cc_labels(edges, max_iters=64)
-    assert conv_fast and conv_slow
-    key = lambda t: sorted(zip(t["node"].to_pylist(), t["label"].to_pylist()))
-    assert key(fast) == key(slow)
-    assert dict(key(fast)) == {
+    labels, _, converged = dedup._cc_labels(edges, max_iters=64)
+    assert converged
+    assert dict(zip(labels["node"].to_pylist(), labels["label"].to_pylist())) == {
         10: 10, 20: 10, 30: 10, 40: 10,
         100: 100, 200: 100, 300: 100, 7: 7, 9000: 7,
     }

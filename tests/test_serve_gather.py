@@ -42,13 +42,14 @@ from smse_backend_ray.sources.corpus import (
     corpus_from_documents,
     corpus_table_from_documents,
 )
-from smse_backend_ray.stages.scorer import ShardIndex, _ByteLRU, _codes, _member
+from smse_backend_ray.stages.scorer import ShardIndex, _codes, _member
 from smse_backend_ray.state.catalog import Catalog
 
 POS_IDX = "/tmp/smse_test_gather_pos_idx"
 RAY_DF_IDX = "/tmp/smse_test_gather_raydf_idx"
 TIE_IDX = "/tmp/smse_test_gather_tie_idx"
 LEGACY_DF_IDX = "/tmp/smse_test_gather_legacy_df_idx"
+EMPTY_SHARD_IDX = "/tmp/smse_test_gather_empty_shard_idx"
 
 VOCAB = [
     "hash", "join", "table", "sort", "merge", "batch", "value", "fast",
@@ -444,41 +445,122 @@ def test_decode_cache_lru_stays_under_its_byte_cap(pos_idx, monkeypatch):
     for _ in range(2):
         got.append(_distinct_term_loop(sh))
     assert 0 < peak <= cap
-    for key in [k for k in sh._cache._d if k[1] == "post"]:
+    for key in [k for k in sh._cache._d if k[0] == "post"]:
         sh._cache._d.pop(key)  # positions entries now outlive their postings
     got.append(_distinct_term_loop(sh))
     assert got == [want] * 3
 
 
+def _one_index(idx: str) -> ShardIndex:
+    """One ShardIndex over every shard's committed files, as a full-replica
+    serve actor holds them."""
+    cat = Catalog(idx)
+    files = (cat.files("segments"), cat.files("docs"))
+    return ShardIndex(idx, None, cat.get_stats()["avgdl"], BM25Params(), files=files)
+
+
 def test_decode_cache_is_one_lru_per_actor(pos_idx, monkeypatch):
-    """The shards of one actor share one decode LRU: with the cap at a
-    quarter of what the three shards decode, their summed cache stays at
-    or below it and every shard's results equal its uncapped run. An
-    actor's shards all hold its one cache."""
-    stats = Catalog(POS_IDX).get_stats()
-    open_all = lambda cache: [  # noqa: E731
-        ShardIndex(POS_IDX, s, stats["avgdl"], BM25Params(), cache=cache) for s in range(3)
-    ]
-    free = _ByteLRU(config.DECODE_CACHE_MAX_BYTES)
-    want = [_distinct_term_loop(sh) for sh in open_all(free)]
-    cap = free.nbytes // 4
-    shared, peak = _ByteLRU(cap), 0
-    orig = shared.put
+    """An actor's shards are one ShardIndex with one decode LRU: over the
+    files of shards 0-2, with the cap at a quarter of what it decodes, the
+    cache stays at or below the cap and every result equals the uncapped
+    run's. The engine's one actor holds one cache, keyed by term alone."""
+    assert Catalog(POS_IDX).get_config()["n_shards"] == 3
+    free = _one_index(POS_IDX)
+    want = _distinct_term_loop(free)
+    cap = free._cache.nbytes // 4
+    assert cap > 0
+    monkeypatch.setattr(config, "DECODE_CACHE_MAX_BYTES", cap)
+    sh, peak = _one_index(POS_IDX), 0
+    orig = sh._cache.put
 
     def put(key, value):
         nonlocal peak
         orig(key, value)
-        peak = max(peak, shared.nbytes)
+        peak = max(peak, sh._cache.nbytes)
 
-    shared.put = put
-    shards = open_all(shared)
-    assert [_distinct_term_loop(sh) for sh in shards] == want
-    assert 0 < peak <= cap and {k[0] for k in shared._d} <= {0, 1, 2}
+    sh._cache.put = put
+    assert _distinct_term_loop(sh) == want
+    assert 0 < peak <= cap and {k[0] for k in sh._cache._d} == {"post", "pos"}
     with SearchEngine(POS_IDX, num_actors=1) as eng:
         (actor,) = eng.actor_sets[0]
-        assert ray.get(actor.__ray_call__.remote(
-            lambda a: len(a.shards) == 3 and all(sh._cache is a.cache for sh in a.shards)
-        ))
+        eng.search_batch(MIXED)
+        keys = ray.get(actor.__ray_call__.remote(lambda a: list(a._cache._d)))
+    assert keys and all(len(k) == 2 and k[0] in ("post", "pos") for k in keys)
+
+
+def _merged(parts: list[tuple], jobs: list[dict]) -> list[tuple]:
+    """Per-shard ``search`` replies merged as the driver merges actors':
+    one (job, rscore DESC, doc_id ASC) order, each job cut to its k. Rows
+    (job, doc_id, score bits, rscore, repo, path, lang)."""
+    jix, ids, sc, rs = (np.concatenate([p[c] for p in parts]) for c in range(4))
+    strs = [np.array([v for p in parts for v in p[c]], dtype=object) for c in (4, 5, 6)]
+    order = np.lexsort((ids, -rs, jix))
+    js = jix[order]
+    order = order[np.arange(js.size) - np.searchsorted(js, js) < np.array([j["k"] for j in jobs])[js]]
+    return _bitrows((jix[order], ids[order], sc[order], rs[order], *(c[order] for c in strs)))
+
+
+def _bitrows(cols: tuple) -> list[tuple]:
+    jix, ids, sc, rs, *strs = cols
+    return list(zip(jix.tolist(), ids.tolist(), sc.view(np.int64).tolist(), rs.tolist(),
+                    *(list(c) for c in strs)))
+
+
+@pytest.mark.parametrize("which", ["positional", "ties"])
+def test_one_index_over_every_shard_equals_merged_shards(pos_idx, tie_idx, which):
+    """One ShardIndex over every shard's files returns the per-shard
+    indexes' merged ``search`` rows — the same doc_ids and bitwise-equal
+    scores — and ``facet_counts`` equal to the per-shard sums, for OR, AND,
+    phrase and near jobs with scope, exclude, threshold and tombstones,
+    at the engine's k and at a k that cuts across shards."""
+    idx = POS_IDX if which == "positional" else TIE_IDX
+    specs = MIXED if which == "positional" else TIES + (
+        QuerySpec(6, ("tiealpha tiebeta",), mode="and", limit=35, exclude=("hash",)),
+        QuerySpec(7, ("tiealpha hash",), threshold=0.5, limit=20),
+    )
+    with SearchEngine(idx, num_actors=1) as eng:
+        jobs = [j for j in map(eng._job_for, specs) if j is not None]
+    jobs += [dict(j, k=3) for j in jobs]
+    assert {j.get("mode") for j in jobs} >= {None, "and"}
+    one = _one_index(idx)
+    shards = [ShardIndex(idx, s, one.avgdl, BM25Params()) for s in range(3)]
+    tomb = one.meta_ids[::7].copy()
+    got = _bitrows(one.search(jobs, tomb))
+    assert len(got) > len(jobs)
+    assert got == _merged([sh.search(jobs, tomb) for sh in shards], jobs)
+
+    def counts(parts) -> dict:
+        out: dict = {}
+        for jix, fac, val, n in parts:
+            for key, c in zip(zip(jix.tolist(), fac, val), n.tolist()):
+                out[key] = out.get(key, 0) + c
+        return out
+
+    facets = one.facet_counts(jobs, tomb)
+    assert len(set(zip(facets[0].tolist(), facets[1], facets[2]))) == facets[0].size > 0
+    assert counts([facets]) == counts(sh.facet_counts(jobs, tomb) for sh in shards)
+
+
+def test_empty_shards_serve_phrase_and_near(ray_session):
+    """A positional index with more shards than docs: the shards with no
+    segment file match nothing, and do not fail a phrase or near query
+    with "requires a positional index", in either layout."""
+    t = pa.Table.from_pylist([
+        {"repo": "r", "path": f"p{i}", "commit": "c", "lang": "en", "content": "hash join table"}
+        for i in range(2)
+    ])
+    shutil.rmtree(EMPTY_SHARD_IDX, ignore_errors=True)
+    build_index(corpus=ray.data.from_arrow(t), index_dir=EMPTY_SHARD_IDX,
+                cfg=EngineConfig(n_shards=4, with_positions=True))
+    assert len(Catalog(EMPTY_SHARD_IDX).files("segments")) < 4
+    oidx = build_oracle_index(t)
+    specs = (QuerySpec(1, ("hash join",), mode="phrase"),
+             QuerySpec(2, ("table hash",), mode="near", slop=2))
+    for pack in (False, True):
+        with SearchEngine(EMPTY_SHARD_IDX, pack=pack) as eng:
+            for qs in specs:
+                got = _engine_call(eng, qs)
+                assert got.num_rows == 2 and _rows(got) == _oracle(oidx, qs, set()), (pack, qs)
 
 
 @pytest.fixture(scope="module")
